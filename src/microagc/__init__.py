@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 from .netmodel import (  # noqa: F401
     AngleSensitivity,
     IbrParams,
-    IbrState,
     LinearPlant,
     ModelError,
     NetworkSpec,
@@ -67,9 +66,9 @@ from .watermark import (  # noqa: F401
     WatermarkSource,
     calibrate_baseline,
     calibrate_thresholds,
-    draw_watermark,
     dw_step,
     predict_step,
+    window_statistics,
 )
 from .simcore import (  # noqa: F401
     AttackSpec,
@@ -85,7 +84,6 @@ from .simcore import (  # noqa: F401
     ZohStepper,
     apply_attack,
     close_tie_line,
-    integrate_step,
     load_signal,
     measure_frequency_lagged,
     measure_power,

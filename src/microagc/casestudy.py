@@ -11,6 +11,8 @@ grids.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from . import defaults
@@ -28,12 +30,19 @@ from .simcore import (
     LoadSignalSpec,
     Scenario,
     TieSpec,
+    TimeSeries,
     ZohStepper,
     measure_power,
     run_scenario,
 )
-from .sysid import ExcitationSpec, generate_excitation, select_order
-from .watermark import WatermarkConfig, calibrate_baseline, calibrate_thresholds
+from .sysid import DiscreteModel, ExcitationSpec, generate_excitation, predict, select_order
+from .watermark import (
+    BaselineStats,
+    WatermarkConfig,
+    calibrate_baseline,
+    calibrate_thresholds,
+    window_statistics,
+)
 
 LOAD_OHMS_GRID1 = (25.0, 20.0)
 LOAD_OHMS_GRID2 = (33.0,)
@@ -172,6 +181,32 @@ def identification_records(
     return t, u, y
 
 
+def calibration_scenario(grid: GridSpec, model: DiscreteModel, watermark: WatermarkConfig,
+                         window: int, **run) -> Scenario:
+    """Nominal run of the grid alone, its detector watermarked but never flagging.
+
+    The grid keeps its controller, loop settings and load signals; run holds
+    the Scenario's horizon, seed and timing (no tie, events or attacks).
+    """
+    n = grid.network.n_ibr
+    open_setup = DetectorSetup(
+        model=model,
+        baseline=BaselineStats(mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=window),
+        eps1=np.inf, eps2=np.inf, watermark=watermark, window=window,
+    )
+    return Scenario(grids=(replace(grid, detector=open_setup),), **run)
+
+
+def calibration_record(ts: TimeSeries, model: DiscreteModel) -> tuple[np.ndarray, np.ndarray]:
+    """Received powers of a calibration run and the model's predictions of
+    them, replayed from a zero state with the logged commands plus watermark."""
+    received, commands, marks = (
+        np.column_stack([ts[f"mg1_{name}_{i + 1}"] for i in range(model.n_inputs)])
+        for name in ("pg_rx", "dws", "wm")
+    )
+    return received, predict(model, np.zeros(model.order), commands + marks)
+
+
 def trained_detector(
     grid: GridSpec,
     excitation: ExcitationSpec | None = None,
@@ -185,83 +220,25 @@ def trained_detector(
 ):
     """Full detection pipeline: identify, calibrate baseline and thresholds.
 
-    Returns (DetectorSetup, OrderReport). The calibration run uses the same
-    controller and load signals the production scenario will run, with the
+    Returns (DetectorSetup, OrderReport). The calibration run uses the grid's
+    controller and loop settings with the given calibration load signals, the
     watermark active and thresholds still open (margin applied afterwards).
     """
-    n = grid.network.n_ibr
     excitation = excitation or ExcitationSpec(seed=seed + 17)
     t, u, y = identification_records(grid, excitation)
     report, model = select_order(u, y, candidates=candidates, dt=excitation.dt)
 
-    wm_cfg = WatermarkConfig.isotropic(watermark_std, n, seed=seed + 29)
-    open_setup = DetectorSetup(
-        model=model,
-        baseline=_zero_baseline(n, window),
-        eps1=np.inf,
-        eps2=np.inf,
-        watermark=wm_cfg,
-        window=window,
-    )
-    calib_grid = GridSpec(
-        network=grid.network,
-        ibrs=grid.ibrs,
-        p_injections=grid.p_injections,
-        controller=grid.controller,
-        weights=grid.weights,
-        load_signals=tuple(calibration_signals),
-        detector=open_setup,
-    )
-    calib_sc = Scenario(grids=(calib_grid,), horizon=calibration_horizon,
-                        seed=seed + 43)
-    ts = run_scenario(calib_sc)
-    received = np.column_stack([ts[f"mg1_pg_rx_{i + 1}"] for i in range(n)])
-    commands = np.column_stack([ts[f"mg1_dws_{i + 1}"] for i in range(n)])
-    marks = np.column_stack([ts[f"mg1_wm_{i + 1}"] for i in range(n)])
-    predicted = _replay_predictions(model, commands, marks)
+    wm_cfg = WatermarkConfig.isotropic(watermark_std, grid.network.n_ibr, seed=seed + 29)
+    calib_grid = replace(grid, load_signals=tuple(calibration_signals))
+    ts = run_scenario(calibration_scenario(calib_grid, model, wm_cfg, window,
+                                           horizon=calibration_horizon, seed=seed + 43))
+    received, predicted = calibration_record(ts, model)
     baseline = calibrate_baseline(received, predicted, w=window)
-
-    xi1, xi2 = _replay_statistics(received, predicted, baseline, window)
+    nu = received - predicted
+    xi1, xi2 = np.transpose([window_statistics(nu[i - window : i], baseline)
+                             for i in range(window, nu.shape[0] + 1)])
     eps1, eps2 = calibrate_thresholds(xi1, xi2, margin=margin)
-    setup = DetectorSetup(
+    return DetectorSetup(
         model=model, baseline=baseline, eps1=eps1, eps2=eps2,
         watermark=wm_cfg, window=window,
-    )
-    return setup, report
-
-
-def _zero_baseline(n: int, w: int):
-    from .watermark import BaselineStats
-
-    return BaselineStats(mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=w)
-
-
-def _replay_predictions(model, commands: np.ndarray, marks: np.ndarray) -> np.ndarray:
-    """Prediction sequence for logged commands + watermarks from a zero state."""
-    from .watermark import predict_step
-
-    k = commands.shape[0]
-    out = np.zeros((k, model.n_outputs))
-    x = np.zeros(model.order)
-    out[0] = model.c_d @ x
-    for i in range(1, k):
-        x, p = predict_step(model, x, commands[i - 1], marks[i - 1])
-        out[i] = p
-    return out
-
-
-def _replay_statistics(received, predicted, baseline, window):
-    """Offline pass of the moving-window statistics over a nominal record."""
-    nu = received - predicted
-    k = nu.shape[0]
-    xi1 = []
-    xi2 = []
-    for i in range(window, k + 1):
-        win = nu[i - window : i]
-        mu = win.mean(axis=0)
-        centered = win - mu
-        sig = centered.T @ centered / window
-        xi1.append(np.linalg.norm(mu - baseline.mu_star))
-        xi2.append(abs(np.trace(sig - baseline.sigma_star)))
-    return np.array(xi1), np.array(xi2)
-
+    ), report

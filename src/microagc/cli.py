@@ -39,6 +39,8 @@ from .simcore import (
     summarize,
 )
 from .sysid import (
+    BlockFile,
+    ConfigError,
     ExcitationSpec,
     IdentificationError,
     load_model,
@@ -54,6 +56,7 @@ from .watermark import (
     calibrate_baseline,
     calibrate_thresholds,
     dw_step,
+    window_statistics,
 )
 
 log = logging.getLogger(__name__)
@@ -62,10 +65,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
-
-
-class ConfigError(ValueError):
-    """Configuration file problem; message carries file and line."""
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +145,13 @@ def _find_sections(sections: list[Section], name: str) -> list[Section]:
     return [s for s in sections if s.name == name or s.name.startswith(name + ".")]
 
 
+def _first_section(sections: list[Section], name: str) -> Section:
+    found = _find_sections(sections, name)
+    if not found:
+        raise ConfigError(f"config has no [{name}] section")
+    return found[0]
+
+
 def _build_network(sec: Section) -> tuple[NetworkSpec, np.ndarray]:
     n_ibr = int(sec.require("n_ibr"))
     n_load = int(sec.require("n_load"))
@@ -173,6 +179,11 @@ def _build_network(sec: Section) -> tuple[NetworkSpec, np.ndarray]:
     return network, p_inj
 
 
+def _watermark(sec: Section, n: int, default_seed: int) -> WatermarkConfig:
+    return WatermarkConfig.isotropic(float(sec.get("watermark_std", defaults.WATERMARK_STD)),
+                                     n, seed=int(sec.get("watermark_seed", default_seed)))
+
+
 def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | None:
     model_file = sec.get("model_file")
     baseline_file = sec.get("baseline_file")
@@ -184,13 +195,9 @@ def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | Non
         )
     model = load_model(base_dir / model_file)
     baseline, eps1, eps2 = load_baseline(base_dir / baseline_file)
-    wm = WatermarkConfig.isotropic(
-        float(sec.get("watermark_std", defaults.WATERMARK_STD)),
-        n,
-        seed=int(sec.get("watermark_seed", 0)),
-    )
     return DetectorSetup(
-        model=model, baseline=baseline, eps1=eps1, eps2=eps2, watermark=wm,
+        model=model, baseline=baseline, eps1=eps1, eps2=eps2,
+        watermark=_watermark(sec, n, default_seed=0),
         window=baseline.w,
     )
 
@@ -240,6 +247,17 @@ def _build_grid(sec: Section, sections: list[Section], base_dir: Path,
     )
 
 
+def _stage_grid(sections: list[Section], sec: Section, base_dir: Path) -> GridSpec:
+    """The detector-free grid a stage section names by its `grid` key."""
+    gid = int(sec.get("grid", "1"))
+    grid_sec = next(
+        (s for s in _find_sections(sections, "grid") if _grid_id(s) == gid), None
+    )
+    if grid_sec is None:
+        raise ConfigError(f"[{sec.name}] references grid {gid} but it is not defined")
+    return _build_grid(grid_sec, sections, base_dir, with_detector=False)
+
+
 def _grid_id(sec: Section) -> int:
     if "." in sec.name:
         return int(sec.name.split(".", 1)[1])
@@ -249,10 +267,7 @@ def _grid_id(sec: Section) -> int:
 def build_scenario(sections: list[Section], base_dir: Path,
                    seed_override: int | None = None,
                    with_detectors: bool = True) -> Scenario:
-    sim = _find_sections(sections, "sim")
-    if not sim:
-        raise ConfigError("config has no [sim] section")
-    sim = sim[0]
+    sim = _first_section(sections, "sim")
     grid_secs = sorted(_find_sections(sections, "grid"), key=_grid_id)
     if not grid_secs:
         raise ConfigError("config defines no [grid.N] sections")
@@ -310,39 +325,16 @@ def build_scenario(sections: list[Section], base_dir: Path,
 
 
 def save_baseline(baseline: BaselineStats, eps1: float, eps2: float, path) -> None:
-    lines = [
-        f"window = {baseline.w}",
-        f"eps1 = {eps1!r}",
-        f"eps2 = {eps2!r}",
-        "[mu]",
-        " ".join(repr(float(v)) for v in baseline.mu_star),
-        "[sigma]",
-    ]
-    for row in baseline.sigma_star:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    BlockFile.write(path, {"window": baseline.w, "eps1": eps1, "eps2": eps2},
+                    {"mu": baseline.mu_star, "sigma": baseline.sigma_star})
 
 
 def load_baseline(path) -> tuple[BaselineStats, float, float]:
-    header: dict[str, str] = {}
-    blocks: dict[str, list[list[float]]] = {}
-    current = None
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1]
-            blocks[current] = []
-        elif current is None:
-            key, _, value = line.partition("=")
-            header[key.strip()] = value.strip()
-        else:
-            blocks[current].append([float(v) for v in line.split()])
-    mu = np.array(blocks["mu"][0])
-    sigma = np.array(blocks["sigma"])
-    baseline = BaselineStats(mu_star=mu, sigma_star=sigma, w=int(header["window"]))
-    return baseline, float(header["eps1"]), float(header["eps2"])
+    f = BlockFile(path)
+    mu = f.block("mu")
+    baseline = BaselineStats(mu_star=mu, sigma_star=f.block("sigma", mu.size, mu.size),
+                             w=int(f.value("window")))
+    return baseline, f.value("eps1"), f.value("eps2")
 
 
 # ---------------------------------------------------------------------------
@@ -399,25 +391,15 @@ def cmd_identify(args) -> int:
     from .casestudy import identification_records
 
     sections = parse_config(args.config)
-    base = Path(args.out)
-    sec_list = _find_sections(sections, "identify")
-    if not sec_list:
-        raise ConfigError("config has no [identify] section")
-    sec = sec_list[0]
-    gid = int(sec.get("grid", "1"))
-    grid_sec = next(
-        (s for s in _find_sections(sections, "grid") if _grid_id(s) == gid), None
-    )
-    if grid_sec is None:
-        raise ConfigError(f"[identify] references grid {gid} but it is not defined")
-    grid = _build_grid(grid_sec, sections, base, with_detector=False)
     out = Path(args.out)
+    sec = _first_section(sections, "identify")
+    grid = _stage_grid(sections, sec, out)
     out.mkdir(parents=True, exist_ok=True)
 
     records_file = sec.get("records_file")
     dt = float(sec.get("dt_s", defaults.CONTROL_PERIOD))
     if records_file is not None:
-        t, u, y = load_records(base / records_file)
+        t, u, y = load_records(out / records_file)
         dt = float(t[1] - t[0]) if t.shape[0] > 1 else dt
     else:
         seed = args.seed if args.seed is not None else int(sec.get("seed", "17"))
@@ -451,59 +433,31 @@ def cmd_identify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .casestudy import _replay_predictions, _replay_statistics
+    from .casestudy import calibration_record, calibration_scenario
 
     sections = parse_config(args.config)
-    base = Path(args.out)
-    sec_list = _find_sections(sections, "calibrate")
-    if not sec_list:
-        raise ConfigError("config has no [calibrate] section")
-    sec = sec_list[0]
-    gid = int(sec.get("grid", "1"))
+    out = Path(args.out)
+    sec = _first_section(sections, "calibrate")
     horizon = float(sec.get("horizon_s", "10.0"))
     if horizon <= 0.0:
         raise ConfigError("[calibrate] horizon_s must be positive")
     window = int(sec.get("window", defaults.DETECTOR_WINDOW))
     margin = float(sec.get("margin", defaults.THRESHOLD_MARGIN))
-    model = load_model(base / sec.require("model_file"))
-
-    scenario = build_scenario(sections, base, seed_override=args.seed,
+    scenario = build_scenario(sections, out, seed_override=args.seed,
                               with_detectors=False)
-    grid = scenario.grids[gid - 1]
-    n = grid.network.n_ibr
-    wm = WatermarkConfig.isotropic(
-        float(sec.get("watermark_std", defaults.WATERMARK_STD)), n,
-        seed=int(sec.get("watermark_seed", "29")),
-    )
-    open_setup = DetectorSetup(
-        model=model,
-        baseline=BaselineStats(mu_star=np.zeros(n), sigma_star=np.zeros((n, n)),
-                               w=window),
-        eps1=np.inf, eps2=np.inf, watermark=wm, window=window,
-    )
-    grids = list(scenario.grids)
-    grids[gid - 1] = GridSpec(
-        network=grid.network, ibrs=grid.ibrs, p_injections=grid.p_injections,
-        controller=grid.controller, weights=grid.weights,
-        load_signals=grid.load_signals, detector=open_setup,
-        pi_kp=grid.pi_kp, pi_ki=grid.pi_ki, sensor_tau=grid.sensor_tau,
-        slow_hold=grid.slow_hold, u_max=grid.u_max,
-    )
-    calib = Scenario(
-        grids=tuple(grids), horizon=horizon,
-        control_period=scenario.control_period,
-        integrator_step=scenario.integrator_step, seed=scenario.seed,
-    )
-    ts = run_scenario(calib)
-    p = f"mg{gid}"
-    received = np.column_stack([ts[f"{p}_pg_rx_{i + 1}"] for i in range(n)])
-    commands = np.column_stack([ts[f"{p}_dws_{i + 1}"] for i in range(n)])
-    marks = np.column_stack([ts[f"{p}_wm_{i + 1}"] for i in range(n)])
-    predicted = _replay_predictions(model, commands, marks)
+    grid = _stage_grid(sections, sec, out)
+    model = load_model(out / sec.require("model_file"))
+    wm = _watermark(sec, grid.network.n_ibr, default_seed=29)
+    ts = run_scenario(calibration_scenario(
+        grid, model, wm, window, horizon=horizon, seed=scenario.seed,
+        control_period=scenario.control_period, integrator_step=scenario.integrator_step,
+    ))
+    received, predicted = calibration_record(ts, model)
     baseline = calibrate_baseline(received, predicted, w=window)
-    xi1, xi2 = _replay_statistics(received, predicted, baseline, window)
+    nu = received - predicted
+    xi1, xi2 = np.transpose([window_statistics(nu[i - window : i], baseline)
+                             for i in range(window, nu.shape[0] + 1)])
     eps1, eps2 = calibrate_thresholds(xi1, xi2, margin=margin)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_baseline(baseline, eps1, eps2, out / sec.get("baseline_file", "baseline.txt"))
     if not args.quiet:
@@ -513,20 +467,15 @@ def cmd_calibrate(args) -> int:
 
 def cmd_detect(args) -> int:
     sections = parse_config(args.config)
-    base = Path(args.out)
-    sec_list = _find_sections(sections, "detect")
-    if not sec_list:
-        raise ConfigError("config has no [detect] section")
-    sec = sec_list[0]
+    out = Path(args.out)
+    sec = _first_section(sections, "detect")
     gid = int(sec.get("grid", "1"))
-    model = load_model(base / sec.require("model_file"))
-    baseline, eps1, eps2 = load_baseline(base / sec.require("baseline_file"))
-    trace_path = base / sec.require("trace_file")
-    t, u, e, y = _load_trace(trace_path, gid, model.n_inputs)
+    model = load_model(out / sec.require("model_file"))
+    baseline, eps1, eps2 = load_baseline(out / sec.require("baseline_file"))
+    t, u, e, y = _load_trace(out / sec.require("trace_file"), gid, model.n_inputs)
     n_steps = t.shape[0]
     state = DetectorState(w=baseline.w, n=model.n_outputs,
                           x_hat=np.zeros(model.order), eps1=eps1, eps2=eps2)
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     telemetry = out / sec.get("telemetry_file", "detector.csv")
     flags = np.zeros(n_steps, dtype=int)

@@ -76,9 +76,6 @@ class ObserverState:
     x_hat: np.ndarray
     z_hat: np.ndarray
 
-    def copy(self) -> "ObserverState":
-        return ObserverState(x_hat=self.x_hat.copy(), z_hat=self.z_hat.copy())
-
 
 def _care_residual(a, b, q, r_inv_bt, p) -> float:
     res = a.T @ p + p @ a - p @ b @ (r_inv_bt @ p) + q
@@ -244,15 +241,11 @@ def control_pi_baseline(
     measured_freq_deviation: np.ndarray,
     dt: float,
     integrator: np.ndarray,
-    limit: float | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Discrete PI on the measured frequency deviation.
 
-    Returns (command, updated integrator). The integrator is clamped to
-    +/- limit when a limit is given (anti-windup).
+    Returns (command, updated integrator).
     """
     err = np.asarray(measured_freq_deviation, dtype=float)
     integ = np.asarray(integrator, dtype=float) + err * dt
-    if limit is not None:
-        integ = np.clip(integ, -limit, limit)
     return -(kp * err + ki * integ), integ

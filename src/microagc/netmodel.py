@@ -62,18 +62,6 @@ class IbrParams:
 
 
 @dataclass(frozen=True)
-class IbrState:
-    """Deviation state of one IBR: angle deviation (rad), frequency deviation (rad/s)."""
-
-    delta: float
-    omega: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.delta) and np.isfinite(self.omega)):
-            raise ModelError("IBR state entries must be finite")
-
-
-@dataclass(frozen=True)
 class NetworkSpec:
     """Branch admittances, self-conductances, and nominal voltages of one microgrid.
 
@@ -155,19 +143,16 @@ class NetworkSpec:
 class OperatingPoint:
     """Nominal angles and net injections satisfying the network constraints.
 
-    q_star is carried for documentation only; reactive power is decoupled from
-    the real-power/frequency dynamics modeled here.
+    Reactive power is decoupled from the real-power/frequency dynamics
+    modeled here and is not carried.
     """
 
     delta_star: np.ndarray
     p_star: np.ndarray
-    q_star: np.ndarray | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "delta_star", _readonly(self.delta_star))
         object.__setattr__(self, "p_star", _readonly(self.p_star))
-        if self.q_star is not None:
-            object.__setattr__(self, "q_star", _readonly(self.q_star))
 
 
 @dataclass(frozen=True)

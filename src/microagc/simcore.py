@@ -143,7 +143,6 @@ class DetectorSetup:
     eps2: float
     watermark: WatermarkConfig
     window: int = defaults.DETECTOR_WINDOW
-    through_input: bool = True
 
 
 @dataclass(frozen=True)
@@ -256,15 +255,6 @@ class ZohStepper:
     def step(self, x: np.ndarray, d_omega_s: np.ndarray, d_p_l: np.ndarray) -> np.ndarray:
         u = np.concatenate([d_omega_s, d_p_l])
         return self.a_d @ x + self.b_d @ u
-
-
-def integrate_step(
-    plant: LinearPlant, x: np.ndarray, d_omega_s: np.ndarray, d_p_l: np.ndarray,
-    h: float,
-) -> np.ndarray:
-    """Advance the plant one exact ZOH step with both inputs held constant."""
-    return ZohStepper(plant, h).step(np.asarray(x, float), np.asarray(d_omega_s, float),
-                                     np.asarray(d_p_l, float))
 
 
 def measure_power(plant: LinearPlant, x: np.ndarray, d_p_l: np.ndarray) -> np.ndarray:
@@ -634,7 +624,7 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
             det = rt.spec.detector
             flag, _ = dw_step(
                 rt.det_state, det.baseline, det.model, y_rx[gi],
-                rt.u_prev_cmd, rt.e_prev, through_input=det.through_input,
+                rt.u_prev_cmd, rt.e_prev,
             )
             if flag and not rt.responded and scenario.auto_response != "none":
                 rt.responded = True

@@ -26,6 +26,10 @@ log = logging.getLogger(__name__)
 RANK_RTOL = 1e-10  # singular values below this (relative) carry no signal
 
 
+class ConfigError(ValueError):
+    """Input file problem; message carries file and line."""
+
+
 class IdentificationError(RuntimeError):
     """Raised when a model cannot be identified from the given records."""
 
@@ -142,7 +146,6 @@ def identify(
     y: np.ndarray,
     d: int,
     dt: float = 0.0,
-    n_block_rows: int | None = None,
     strict_rank: bool = False,
 ) -> DiscreteModel:
     """Fit an order-d discrete model to (samples, channels) records.
@@ -167,7 +170,7 @@ def identify(
             f"record too short: {n_samples} samples for order {d} with "
             f"{m} inputs / {n_out} outputs"
         )
-    i = n_block_rows or max(2 * d, 8)
+    i = max(2 * d, 8)
     j = n_samples - i + 1
 
     u_h = _hankel(u, i, j)
@@ -342,48 +345,79 @@ def select_order(
     return report, models[d_star]
 
 
+class BlockFile:
+    """Structured text of model and baseline files: `key = value` header
+    lines of numbers, then `[name]` blocks of whitespace-separated numbers.
+
+    Malformed lines, missing keys and missing or mis-sized blocks raise
+    ConfigError naming the file, and the line where there is one.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._header: dict[str, float] = {}
+        self._blocks: dict[str, list[float]] = {}
+        block = None
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.strip()
+                try:
+                    if line.startswith("[") and line.endswith("]"):
+                        block = self._blocks.setdefault(line[1:-1], [])
+                    elif block is not None:
+                        block.extend(float(v) for v in line.split())
+                    elif "=" in line:
+                        key, _, value = line.partition("=")
+                        self._header[key.strip()] = float(value)
+                    elif line:
+                        raise ValueError("expected 'key = value'")
+                except ValueError as exc:
+                    raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
+
+    @staticmethod
+    def write(path, header: dict, blocks: dict) -> None:
+        """Write header values and row-major decimal matrices (1-D as one row)."""
+        lines = [f"{key} = {value}" for key, value in header.items()]
+        for name, mat in blocks.items():
+            lines.append(f"[{name}]")
+            lines += [" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(mat)]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+
+    def value(self, key: str, default: float | None = None) -> float:
+        """Header value; default when the key is absent."""
+        value = self._header.get(key, default)
+        if value is None:
+            raise ConfigError(f"{self.path}: missing header key {key!r}")
+        return value
+
+    def block(self, name: str, *shape: int) -> np.ndarray:
+        """Numbers of block [name], reshaped to shape when one is given."""
+        if name not in self._blocks:
+            raise ConfigError(f"{self.path}: missing [{name}] block")
+        data = np.array(self._blocks[name])
+        if shape and data.size != np.prod(shape):
+            raise ConfigError(f"{self.path}: [{name}] block needs "
+                              f"{' x '.join(map(str, shape))} values, got {data.size}")
+        return data.reshape(shape) if shape else data
+
+
 def save_model(model: DiscreteModel, path) -> None:
     """Persist a model as structured text with row-major decimal matrices."""
-    lines = [
-        f"order = {model.order}",
-        f"effective_order = {model.effective_order}",
-        f"dt = {model.dt!r}",
-        f"n_inputs = {model.n_inputs}",
-        f"n_outputs = {model.n_outputs}",
-    ]
-    for name, mat in (("a", model.a_d), ("b", model.b_d), ("c", model.c_d)):
-        lines.append(f"[{name}]")
-        for row in np.atleast_2d(mat):
-            lines.append(" ".join(repr(float(v)) for v in row))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    BlockFile.write(path, {
+        "order": model.order, "effective_order": model.effective_order, "dt": model.dt,
+        "n_inputs": model.n_inputs, "n_outputs": model.n_outputs,
+    }, {"a": model.a_d, "b": model.b_d, "c": model.c_d})
 
 
 def load_model(path) -> DiscreteModel:
     """Read a model persisted by save_model."""
-    header: dict[str, str] = {}
-    blocks: dict[str, list[list[float]]] = {}
-    current = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("[") and line.endswith("]"):
-                current = line[1:-1]
-                blocks[current] = []
-            elif current is None:
-                key, _, value = line.partition("=")
-                header[key.strip()] = value.strip()
-            else:
-                blocks[current].append([float(v) for v in line.split()])
-    order = int(header["order"])
-    a = np.array(blocks["a"]).reshape(order, order)
-    b = np.array(blocks["b"]).reshape(order, int(header["n_inputs"]))
-    c = np.array(blocks["c"]).reshape(int(header["n_outputs"]), order)
+    f = BlockFile(path)
+    order, n_in, n_out = (int(f.value(k)) for k in ("order", "n_inputs", "n_outputs"))
     return DiscreteModel(
-        a_d=a, b_d=b, c_d=c, dt=float(header["dt"]), order=order,
-        effective_order=int(header.get("effective_order", order)),
+        a_d=f.block("a", order, order), b_d=f.block("b", order, n_in),
+        c_d=f.block("c", n_out, order), dt=f.value("dt"), order=order,
+        effective_order=int(f.value("effective_order", order)),
     )
 
 

@@ -38,14 +38,13 @@ class ZAccumulator:
     """Running z integral; starts from z(0) = 0 unless explicitly re-seeded."""
 
     z: np.ndarray
-    t_now: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "z", _readonly(self.z))
 
     @classmethod
     def zeros(cls, n: int) -> "ZAccumulator":
-        return cls(z=np.zeros(n), t_now=0.0)
+        return cls(z=np.zeros(n))
 
 
 def make_transform(ibrs) -> LeftNullTransform:
@@ -75,14 +74,11 @@ def z_update(
     d_p_g: np.ndarray,
     dt: float,
     ibrs,
-    rule: str = "euler",
-    prev_integrand: np.ndarray | None = None,
 ) -> ZAccumulator:
     """Advance the z integral one control period.
 
-    Forward Euler by default: z += omega_c * (dws - m_p * dpg) * dt, sampling
-    the integrand at the interval start. The trapezoid rule needs the previous
-    integrand and averages the endpoints.
+    Forward Euler: z += omega_c * (dws - m_p * dpg) * dt, sampling the
+    integrand at the interval start.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -90,12 +86,4 @@ def z_update(
     omega_c = np.array([p.omega_c for p in ibrs])
     m_p = np.array([p.m_p for p in ibrs])
     integrand = omega_c * (np.asarray(d_omega_s, float) - m_p * np.asarray(d_p_g, float))
-    if rule == "euler":
-        dz = integrand * dt
-    elif rule == "trapezoid":
-        if prev_integrand is None:
-            prev_integrand = np.zeros_like(integrand)
-        dz = 0.5 * (integrand + np.asarray(prev_integrand, float)) * dt
-    else:
-        raise ValueError(f"unknown quadrature rule {rule!r}")
-    return ZAccumulator(z=acc.z + dz, t_now=acc.t_now + dt)
+    return ZAccumulator(z=acc.z + integrand * dt)

@@ -8,7 +8,10 @@ covariance are tested against an attack-free baseline:
     xi1 = || mu_hat - mu_star ||_2        (mean shift)
     xi2 = | tr(Sigma_hat - Sigma_star) |  (variance shift)
 
-Either statistic at or above its threshold raises the attack flag.
+Either statistic at or above its threshold raises the attack flag. The
+statistics have one implementation, window_statistics; the streaming dw_step
+applies it to its sliding window and calibration applies it to every window
+of a nominal record.
 """
 
 from __future__ import annotations
@@ -67,23 +70,15 @@ class WatermarkSource:
         return self._factor @ self._rng.standard_normal(self.cfg.n_channels)
 
 
-def draw_watermark(source: WatermarkSource) -> np.ndarray:
-    """Next watermark vector from the stream."""
-    return source.draw()
-
-
 def predict_step(
     model: DiscreteModel,
     x_hat: np.ndarray,
     d_omega_s: np.ndarray,
     e: np.ndarray,
-    through_input: bool = True,
 ) -> tuple[np.ndarray, np.ndarray]:
     """One step of the watermarked prediction recursion.
 
-    Default form drives the model with the watermarked command:
-    x+ = A x + B (u + e). The state-additive variant (through_input=False,
-    experimental) adds e onto the leading state coordinates instead.
+    Drives the model with the watermarked command: x+ = A x + B (u + e).
     """
     x_hat = np.asarray(x_hat, dtype=float)
     u = np.asarray(d_omega_s, dtype=float)
@@ -92,12 +87,7 @@ def predict_step(
         raise ValueError(f"prediction state must have {model.order} entries")
     if u.shape != (model.n_inputs,) or e.shape != (model.n_inputs,):
         raise ValueError(f"command and watermark must have {model.n_inputs} entries")
-    if through_input:
-        x_next = model.a_d @ x_hat + model.b_d @ (u + e)
-    else:
-        x_next = model.a_d @ x_hat + model.b_d @ u
-        n_add = min(model.order, e.shape[0])
-        x_next[:n_add] = x_next[:n_add] + e[:n_add]
+    x_next = model.a_d @ x_hat + model.b_d @ (u + e)
     return x_next, model.c_d @ x_next
 
 
@@ -159,11 +149,11 @@ def calibrate_thresholds(
 
 @dataclass
 class DetectorState:
-    """Moving windows of received / predicted powers plus the running flag.
+    """Streaming detector: prediction state, innovation window, running flag.
 
-    Ring buffers hold exactly w entries once warmed up; mu_hat uses running
-    sums while the covariance is recomputed over the window each step to avoid
-    incremental drift.
+    nu holds the last w innovations (received minus predicted power) in
+    chronological order, oldest first; count is the number of samples seen.
+    Until count reaches w the window still holds leading zeros.
     """
 
     w: int
@@ -171,46 +161,31 @@ class DetectorState:
     x_hat: np.ndarray
     eps1: float
     eps2: float
-    m_window: np.ndarray = field(init=False)
-    m_hat_window: np.ndarray = field(init=False)
-    _head: int = field(init=False, default=0)
+    nu: np.ndarray = field(init=False)
     count: int = field(init=False, default=0)
-    _sum_received: np.ndarray = field(init=False)
-    _sum_predicted: np.ndarray = field(init=False)
     xi1: float = field(init=False, default=0.0)
     xi2: float = field(init=False, default=0.0)
     flag: bool = field(init=False, default=False)
 
     def __post_init__(self):
         self.x_hat = np.array(self.x_hat, dtype=float)
-        self.m_window = np.zeros((self.w, self.n))
-        self.m_hat_window = np.zeros((self.w, self.n))
-        self._sum_received = np.zeros(self.n)
-        self._sum_predicted = np.zeros(self.n)
+        self.nu = np.zeros((self.w, self.n))
 
     @property
     def warmed_up(self) -> bool:
         return self.count >= self.w
 
-    def copy(self) -> "DetectorState":
-        dup = DetectorState(w=self.w, n=self.n, x_hat=self.x_hat, eps1=self.eps1,
-                            eps2=self.eps2)
-        dup.m_window = self.m_window.copy()
-        dup.m_hat_window = self.m_hat_window.copy()
-        dup._head = self._head
-        dup.count = self.count
-        dup._sum_received = self._sum_received.copy()
-        dup._sum_predicted = self._sum_predicted.copy()
-        dup.xi1, dup.xi2, dup.flag = self.xi1, self.xi2, self.flag
-        return dup
 
-    def _push(self, received: np.ndarray, predicted: np.ndarray) -> None:
-        self._sum_received += received - self.m_window[self._head]
-        self._sum_predicted += predicted - self.m_hat_window[self._head]
-        self.m_window[self._head] = received
-        self.m_hat_window[self._head] = predicted
-        self._head = (self._head + 1) % self.w
-        self.count += 1
+def window_statistics(nu: np.ndarray, baseline: BaselineStats) -> tuple[float, float]:
+    """Mean shift xi1 and trace shift xi2 of one (w, n) innovation window.
+
+    The trace is the centred sum of squares over w, so it cannot cancel
+    catastrophically the way mean(|nu|^2) - |mu_hat|^2 would.
+    """
+    mu_hat = nu.mean(axis=0)
+    xi1 = float(np.linalg.norm(mu_hat - baseline.mu_star))
+    tr_hat = float(np.sum((nu - mu_hat) ** 2)) / nu.shape[0]
+    return xi1, abs(tr_hat - float(np.trace(baseline.sigma_star)))
 
 
 def dw_step(
@@ -220,31 +195,20 @@ def dw_step(
     received_p: np.ndarray,
     d_omega_s_prev: np.ndarray,
     e_prev: np.ndarray,
-    through_input: bool = True,
 ) -> tuple[bool, DetectorState]:
-    """One detector step: predict, slide windows, test, flag.
+    """One detector step: predict, slide the innovation window, test, flag.
 
     The prediction advances with the command and watermark applied over the
     previous control interval; the received measurement is the current sample.
-    Until the windows are warm the sample is only accumulated and the flag
+    Until the window is warm the sample is only accumulated and the flag
     stays down.
     """
-    received_p = np.asarray(received_p, dtype=float)
-    x_next, p_hat = predict_step(
-        model, state.x_hat, d_omega_s_prev, e_prev, through_input=through_input
-    )
-    state.x_hat = x_next
-    state._push(received_p, p_hat)
-    if not state.warmed_up:
-        state.xi1 = 0.0
-        state.xi2 = 0.0
-        state.flag = False
+    state.x_hat, p_hat = predict_step(model, state.x_hat, d_omega_s_prev, e_prev)
+    state.nu[:-1] = state.nu[1:]
+    state.nu[-1] = np.asarray(received_p, dtype=float) - p_hat
+    state.count += 1
+    if not state.warmed_up:  # xi1, xi2 and flag keep their initial zeros
         return False, state
-    mu_hat = (state._sum_received - state._sum_predicted) / state.w
-    nu = state.m_window - state.m_hat_window
-    centered = nu - mu_hat
-    sigma_hat = centered.T @ centered / state.w
-    state.xi1 = float(np.linalg.norm(mu_hat - baseline.mu_star))
-    state.xi2 = float(abs(np.trace(sigma_hat - baseline.sigma_star)))
+    state.xi1, state.xi2 = window_statistics(state.nu, baseline)
     state.flag = (state.xi1 >= state.eps1) or (state.xi2 >= state.eps2)
     return state.flag, state

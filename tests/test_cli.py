@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from microagc import cli, defaults
+from microagc.sysid import DiscreteModel, save_model
+from microagc.watermark import BaselineStats
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -152,6 +154,66 @@ class TestPipeline:
         rc = run(["detect", "--config", cfg, "--out", work])
         assert rc == cli.EXIT_OK
         assert "warm-up" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("gid", [0, 2])
+    def test_calibrate_rejects_grid_out_of_range(self, tmp_path, capsys, gid):
+        work = tmp_path / "w"
+        work.mkdir()
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINIMAL + f"\n[calibrate]\ngrid = {gid}\nmodel_file = m.txt\n")
+        rc = run(["calibrate", "--config", cfg, "--out", work])
+        assert rc == cli.EXIT_USAGE
+        assert f"references grid {gid}" in capsys.readouterr().err
+
+
+def _set_line(index, text):
+    def corrupt(lines):
+        return lines[:index] + [text] + lines[index + 1 :]
+    return corrupt
+
+
+class TestCorruptDetectorFiles:
+    """A model or baseline file that does not parse fails with exit 1 and a
+    message naming the file and the line or block at fault."""
+
+    CONFIG = MINIMAL.replace(
+        "q_weight = 10.0\n",
+        "q_weight = 10.0\nmodel_file = model.txt\nbaseline_file = baseline.txt\n",
+    ) + ("\n[detect]\ngrid = 1\nmodel_file = model.txt\n"
+         "baseline_file = baseline.txt\ntrace_file = timeseries.csv\n")
+
+    @pytest.mark.parametrize("command", ["detect", "simulate"])
+    @pytest.mark.parametrize("name, corrupt, expected", [
+        pytest.param("baseline.txt", lambda lines: lines[:3], "missing [mu] block",
+                     id="truncated-baseline"),
+        pytest.param("baseline.txt", _set_line(1, "eps1 = x"), "line 2",
+                     id="bad-threshold"),
+        pytest.param("baseline.txt", _set_line(7, "0.0 1.0 7.0"),
+                     "[sigma] block needs 2 x 2 values, got 5", id="oversized-sigma"),
+        pytest.param("model.txt", _set_line(6, "0.5 x"), "line 7", id="bad-number"),
+        pytest.param("model.txt", lambda lines: lines[:-1],
+                     "[c] block needs 2 x 2 values, got 2", id="short-block"),
+        pytest.param("model.txt", lambda lines: lines[1:],
+                     "missing header key 'order'", id="missing-order"),
+    ])
+    def test_reports_file_and_place(self, tmp_path, capsys, command, name, corrupt,
+                                    expected):
+        work = tmp_path / "w"
+        work.mkdir()
+        model = DiscreteModel(a_d=0.5 * np.eye(2), b_d=np.eye(2), c_d=np.eye(2),
+                              dt=0.005, order=2)
+        save_model(model, work / "model.txt")
+        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), sigma_star=np.eye(2), w=4),
+                          1.0, 1.0, work / "baseline.txt")
+        path = work / name
+        path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(self.CONFIG)
+        rc = run([command, "--config", cfg, "--out", work])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(path) in err and expected in err
 
 
 class TestDefaultsRoundTrip:

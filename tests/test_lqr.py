@@ -144,11 +144,6 @@ class TestControlLaws:
             u, integ = m.control_pi_baseline(kp, ki, err, dt, integ)
             assert u[0] == pytest.approx(-(kp * err[0] + ki * err[0] * k * dt))
 
-    def test_pi_anti_windup_clamp(self):
-        _, integ = m.control_pi_baseline(1.0, 1.0, np.array([10.0]), 1.0,
-                                         np.zeros(1), limit=0.5)
-        assert integ[0] == pytest.approx(0.5)
-
     def test_pi_regulates_slow_disturbance_with_clean_sensor(self):
         """Lag-free sensor and slow load steps: PI restores frequency."""
         sig = m.LoadSignalSpec(kind="step", amplitude=1500.0, load_index=0,

@@ -219,10 +219,3 @@ class TestIbrParams:
             m.IbrParams(omega_c=-1.0, m_p=1e-4)
         with pytest.raises(m.ModelError):
             m.IbrParams(omega_c=1.0, m_p=0.0)
-
-    def test_state_requires_finite_entries(self):
-        assert m.IbrState(delta=0.1, omega=-0.2).delta == 0.1
-        with pytest.raises(m.ModelError):
-            m.IbrState(delta=np.nan, omega=0.0)
-        with pytest.raises(m.ModelError):
-            m.IbrState(delta=0.0, omega=np.inf)

@@ -18,13 +18,15 @@ def trained_detector_quiet():
 
 
 class TestIntegrateStep:
+    """One exact ZOH step of ZohStepper with both inputs held constant."""
+
     def test_pure_integrator(self):
         plant = m.LinearPlant(
             a=np.zeros((2, 2)), b1=np.array([[1.0], [0.0]]),
             b2=np.zeros((2, 1)), f=np.zeros((2, 0)), e=np.zeros((1, 2)),
             h_red=np.zeros((1, 1)), f_map=np.zeros((1, 0)),
         )
-        x1 = m.integrate_step(plant, np.zeros(2), np.array([3.0]), np.zeros(0), 0.25)
+        x1 = ZohStepper(plant, 0.25).step(np.zeros(2), np.array([3.0]), np.zeros(0))
         np.testing.assert_allclose(x1, [0.75, 0.0], atol=1e-15)
 
     def test_scalar_exponential_decay(self):
@@ -33,7 +35,7 @@ class TestIntegrateStep:
             f=np.zeros((1, 0)), e=np.zeros((1, 1)), h_red=np.zeros((1, 1)),
             f_map=np.zeros((1, 0)),
         )
-        x1 = m.integrate_step(plant, np.array([1.0]), np.zeros(1), np.zeros(0), 1.0)
+        x1 = ZohStepper(plant, 1.0).step(np.array([1.0]), np.zeros(1), np.zeros(0))
         assert x1[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_semigroup_two_half_steps(self):
@@ -43,9 +45,9 @@ class TestIntegrateStep:
         x = rng.normal(0.0, 0.05, plant.n_states)
         u = rng.normal(0.0, 0.05, 3)
         pl = rng.normal(0.0, 200.0, 2)
-        one = m.integrate_step(plant, x, u, pl, 0.005)
-        half = m.integrate_step(plant, x, u, pl, 0.0025)
-        two = m.integrate_step(plant, half, u, pl, 0.0025)
+        one = ZohStepper(plant, 0.005).step(x, u, pl)
+        half_step = ZohStepper(plant, 0.0025).step
+        two = half_step(half_step(x, u, pl), u, pl)
         np.testing.assert_allclose(two, one, rtol=0, atol=1e-12 * max(1, np.max(np.abs(one))))
 
     def test_matches_dense_reference_over_one_second(self):

@@ -1,8 +1,11 @@
 """Watermark and detector tests: draw statistics, prediction recursion,
 window discipline, flag semantics, and the replay-attack property."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import microagc as m
 from microagc import casestudy as cs
@@ -33,12 +36,10 @@ class TestWatermarkSource:
 
     def test_fixed_seed_bit_identical(self):
         cfg = m.WatermarkConfig.isotropic(0.02, 3, seed=7)
-        s1 = [m.draw_watermark(m.WatermarkSource(cfg)) for _ in range(1)]
         a = m.WatermarkSource(cfg)
         b = m.WatermarkSource(cfg)
         for _ in range(100):
             np.testing.assert_array_equal(a.draw(), b.draw())
-        del s1
 
     def test_covariance_validation(self):
         with pytest.raises(ValueError):
@@ -65,14 +66,6 @@ class TestPredictStep:
         _, p_plain = m.predict_step(model, x, u, np.zeros(2))
         _, p_only = m.predict_step(model, np.zeros(2), np.zeros(2), e)
         np.testing.assert_allclose(p_marked - p_plain, p_only, atol=1e-14)
-
-    def test_state_additive_variant(self):
-        model = toy_model()
-        x = np.array([0.3, -0.1])
-        u = np.array([0.05, 0.02])
-        e = np.array([0.01, -0.02])
-        x1, _ = m.predict_step(model, x, u, e, through_input=False)
-        np.testing.assert_allclose(x1, model.a_d @ x + model.b_d @ u + e)
 
     def test_dimension_checks(self):
         model = toy_model()
@@ -149,7 +142,7 @@ class TestDwStep:
         for k in range(7):
             m.dw_step(state, base, model, np.array([float(k)]), np.zeros(1),
                       np.zeros(1))
-        held = sorted(state.m_window[:, 0].tolist())
+        held = sorted(state.nu[:, 0].tolist())
         assert held == [3.0, 4.0, 5.0, 6.0]
         assert state.count == 7
 
@@ -197,12 +190,67 @@ class TestDwStep:
             flags2.append(flag)
         assert flags == flags2
 
-    def test_snapshot_copy_is_independent(self):
-        model, state, base = self.make_detector(w=4)
-        m.dw_step(state, base, model, np.array([1.0]), np.zeros(1), np.zeros(1))
-        snap = state.copy()
-        m.dw_step(state, base, model, np.array([2.0]), np.zeros(1), np.zeros(1))
-        assert snap.count == 1 and state.count == 2
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(w=st.integers(1, 12), n=st.integers(1, 4), extra=st.integers(0, 30),
+       offset=st.floats(-1e4, 1e4), seed=st.integers(0, 2**32 - 1))
+def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset, seed):
+    """dw_step on a stream gives exactly window_statistics on each window of
+    the replayed record; both match the mean/covariance definition to 1e-9
+    relative to the magnitude of the compared terms."""
+    rng = np.random.default_rng(seed)
+    k = w + extra
+    a = rng.normal(size=(n, n))
+    a *= 0.9 / max(1e-3, float(np.max(np.abs(np.linalg.eigvals(a)))))
+    model = m.DiscreteModel(a_d=a, b_d=rng.normal(size=(n, n)),
+                            c_d=rng.normal(size=(n, n)), dt=0.005, order=n)
+    commands = rng.normal(size=(k, n))
+    marks = 0.01 * rng.normal(size=(k, n))
+    received = offset + rng.normal(size=(k, n))
+    baseline = m.BaselineStats(mu_star=offset + rng.normal(size=n),
+                               sigma_star=np.diag(rng.uniform(0.1, 2.0, n)), w=w)
+
+    state = DetectorState(w=w, n=n, x_hat=np.zeros(n), eps1=np.inf, eps2=np.inf)
+    streamed = []
+    for i in range(k):
+        prev = (commands[i - 1], marks[i - 1]) if i else (np.zeros(n), np.zeros(n))
+        m.dw_step(state, baseline, model, received[i], *prev)
+        if state.warmed_up:
+            streamed.append((state.xi1, state.xi2))
+
+    nu = received - m.predict(model, np.zeros(n), commands + marks)
+    batch = [m.window_statistics(nu[i - w : i], baseline) for i in range(w, k + 1)]
+    assert streamed == batch
+
+    for (xi1, xi2), i in zip(batch, range(w, k + 1)):
+        win = nu[i - w : i]
+        mu = win.sum(axis=0) / w
+        cov = (win - mu).T @ (win - mu) / w
+        ref1 = np.linalg.norm(mu - baseline.mu_star)
+        ref2 = abs(np.trace(cov) - np.trace(baseline.sigma_star))
+        scale1 = np.linalg.norm(mu) + np.linalg.norm(baseline.mu_star)
+        scale2 = np.trace(cov) + np.trace(baseline.sigma_star)
+        assert abs(xi1 - ref1) <= 1e-9 * scale1
+        assert abs(xi2 - ref2) <= 1e-9 * scale2
+
+
+def test_trained_detector_calibrates_the_grids_own_loop(monkeypatch):
+    """The calibration run keeps the grid's controller and loop settings and
+    swaps in only the calibration load signals and the open detector."""
+    grid = replace(cs.grid1_spec(controller="pi", load_signals=[cs.pulse_load_signal()]),
+                   pi_kp=0.3, pi_ki=3.0, sensor_tau=0.05, slow_hold=0.2, u_max=0.5)
+    runs = []
+    run_scenario = cs.run_scenario
+    monkeypatch.setattr(cs, "run_scenario",
+                        lambda sc: runs.append(sc) or run_scenario(sc))
+    setup, _ = cs.trained_detector(grid, calibration_horizon=1.0, candidates=(4,),
+                                   seed=3)
+    (calib,) = [g for sc in runs for g in sc.grids]
+    loop = ("controller", "pi_kp", "pi_ki", "sensor_tau", "slow_hold", "u_max")
+    assert [getattr(calib, f) for f in loop] == [getattr(grid, f) for f in loop]
+    assert calib.network is grid.network and calib.load_signals == ()
+    assert calib.detector.watermark == setup.watermark
+    assert calib.detector.eps1 == np.inf and calib.detector.eps2 == np.inf
 
 
 @pytest.fixture(scope="module")

@@ -247,15 +247,21 @@ def _build_grid(sec: Section, sections: list[Section], base_dir: Path,
     )
 
 
-def _stage_grid(sections: list[Section], sec: Section, base_dir: Path) -> GridSpec:
-    """The detector-free grid a stage section names by its `grid` key."""
+def _stage_grid_section(sections: list[Section], sec: Section) -> Section:
+    """The [grid.N] section a stage section names by its `grid` key."""
     gid = int(sec.get("grid", "1"))
     grid_sec = next(
         (s for s in _find_sections(sections, "grid") if _grid_id(s) == gid), None
     )
     if grid_sec is None:
         raise ConfigError(f"[{sec.name}] references grid {gid} but it is not defined")
-    return _build_grid(grid_sec, sections, base_dir, with_detector=False)
+    return grid_sec
+
+
+def _stage_grid(sections: list[Section], sec: Section, base_dir: Path) -> GridSpec:
+    """The detector-free grid a stage section names by its `grid` key."""
+    return _build_grid(_stage_grid_section(sections, sec), sections, base_dir,
+                       with_detector=False)
 
 
 def _grid_id(sec: Section) -> int:
@@ -469,7 +475,7 @@ def cmd_detect(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "detect")
-    gid = int(sec.get("grid", "1"))
+    gid = _grid_id(_stage_grid_section(sections, sec))
     model = load_model(out / sec.require("model_file"))
     baseline, eps1, eps2 = load_baseline(out / sec.require("baseline_file"))
     t, u, e, y = _load_trace(out / sec.require("trace_file"), gid, model.n_inputs)

@@ -4,14 +4,17 @@ control orchestration (detect, then correct locally or collaboratively).
 
 One scenario is one sequential loop over control instants; the plant is
 integrated between instants at a finer substep with all inputs held constant
-over each substep. Identical scenario and seeds give bit-identical logs.
+over each substep. Every run has one world plant: the grid plants side by side
+(block-diagonal) until the tie closes, the merged network's plant after, so
+all grids are measured and stepped together through one path. Identical
+scenario and seeds give bit-identical logs.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -218,6 +221,16 @@ class Scenario:
             raise ScenarioError(
                 "control period must be an integer multiple of the integrator step"
             )
+        if self.tie is not None:
+            if len(self.grids) != 2:
+                raise ScenarioError(
+                    f"a tie needs exactly two grids, scenario has {len(self.grids)}"
+                )
+            for k, node in enumerate((self.tie.node_a, self.tie.node_b)):
+                if not 0 <= node < self.grids[k].network.n_nodes:
+                    raise ScenarioError(
+                        f"tie endpoint {node} is not a node of grid {k + 1}"
+                    )
         for ev in self.events:
             if ev.action == "tie_close" and self.tie is None:
                 raise ScenarioError("tie_close event without a tie specification")
@@ -425,20 +438,15 @@ class _GridRuntime:
         self.gi = gi
         self.n = spec.network.n_ibr
         self.m = spec.network.n_load
-        self.omega_c = np.array([p.omega_c for p in spec.ibrs])
-        self.m_p = np.array([p.m_p for p in spec.ibrs])
         self.op = solve_operating_point(spec.network, spec.p_injections)
-        self.sens = build_sensitivity(spec.network, self.op)
-        self.plant = assemble_plant(spec.ibrs, self.sens)
-        self.transform = make_transform(spec.ibrs)
+        self.plant = assemble_plant(spec.ibrs, build_sensitivity(spec.network, self.op))
         self.controller = spec.controller
         self.enabled = spec.controller != "none"
         needs_gain = spec.controller in ("optimal-z", "observer", "slow-lqr")
         self.gain: ControllerGain | None = None
         if needs_gain or spec.detector is not None:
             weights = spec.weights or CostWeights.uniform(self.n)
-            self.gain = lqr_gain(self.plant, weights, self.transform)
-        self.x = np.zeros(self.plant.n_states)
+            self.gain = lqr_gain(self.plant, weights, make_transform(spec.ibrs))
         self.z = ZAccumulator.zeros(self.n)
         self.obs: ObserverState | None = None
         if spec.controller == "observer":
@@ -470,89 +478,86 @@ class _GridRuntime:
         self.responded = False
         self.history_true: np.ndarray | None = None
 
+
+def _side_by_side(plants: list[LinearPlant]) -> LinearPlant:
+    """Uncoupled grid plants as one block-diagonal plant; one grid is itself."""
+    if len(plants) == 1:
+        return plants[0]
+    blocks = {name: scipy.linalg.block_diag(*(getattr(p, name) for p in plants))
+              for name in ("a", "b1", "b2", "f", "e", "h_red", "f_map")}
+    return LinearPlant(**blocks, ibrs=sum((p.ibrs for p in plants), ()))
+
+
+class _World:
+    """The one plant all grids of a run live in, stepped and measured whole.
+
+    Until the tie closes it is the grid plants side by side; closing the tie
+    replaces it in place with the merged network's plant. Both order the nodes
+    as every grid's IBRs, then every grid's loads, so grid gi owns the state
+    slice states[gi] and the IBR channel slice channels[gi] for the whole run.
+    """
+
+    def __init__(self, rts: list[_GridRuntime], h: float):
+        self.rts = rts
+        self.h = h
+        self.plant = _side_by_side([rt.plant for rt in rts])
+        self.stepper = ZohStepper(self.plant, h)
+        self.x = np.zeros(self.plant.n_states)
+        self.tied = False
+        self.states: list[slice] = []
+        self.channels: list[slice] = []
+        signals: list[LoadSignalSpec] = []
+        n0 = m0 = 0
+        for rt in rts:
+            self.states.append(slice(2 * n0, 2 * (n0 + rt.n)))
+            self.channels.append(slice(n0, n0 + rt.n))
+            signals += [replace(sig, load_index=m0 + sig.load_index)
+                        for sig in rt.spec.load_signals]
+            n0, m0 = n0 + rt.n, m0 + rt.m
+        self.signals = tuple(signals)
+
     def load_deviation(self, t: float) -> np.ndarray:
-        return load_vector(self.spec.load_signals, t, self.m)
+        return load_vector(self.signals, t, self.plant.n_load)
 
-
-class _MergedWorld:
-    """Single merged plant replacing the per-grid plants after tie close."""
-
-    def __init__(self, scenario: Scenario, rts: list[_GridRuntime], t: float,
-                 h: float):
-        if len(rts) != 2:
-            raise SimulationError(
-                f"tie close at t={t:.4f}s needs exactly two grids, have {len(rts)}"
-            )
-        tie = scenario.tie
-        a, b = rts
-        self.network, self.map_a, self.map_b = close_tie_line(
-            a.spec.network, b.spec.network, tie
-        )
-        p_inj = np.zeros(self.network.n_nodes)
-        p_inj[self.map_a] = a.op.p_star
-        p_inj[self.map_b] = b.op.p_star
+    def close_tie(self, tie: TieSpec, t: float) -> None:
+        """Network the two grids through the tie. Grid B's angles shift so the
+        tie carries zero deviation flow at the closing instant (ideal
+        synchronized close)."""
+        a, b = self.rts
+        network, map_a, map_b = close_tie_line(a.spec.network, b.spec.network, tie)
+        p_inj = np.zeros(network.n_nodes)
+        p_inj[map_a] = a.op.p_star
+        p_inj[map_b] = b.op.p_star
         try:
-            self.op = solve_operating_point(self.network, p_inj)
+            op = solve_operating_point(network, p_inj)
         except ModelError as exc:
             raise SimulationError(
                 f"tie close at t={t:.4f}s: merged operating point failed: {exc}"
             ) from exc
-        self.sens = build_sensitivity(self.network, self.op)
-        ibrs = a.spec.ibrs + b.spec.ibrs
-        self.plant = assemble_plant(ibrs, self.sens)
-        self.stepper = ZohStepper(self.plant, h)
-        self.n_a, self.n_b = a.n, b.n
-        self.m_a, self.m_b = a.m, b.m
-        self.x = self._carry_states(a, b, tie, t)
+        sens = build_sensitivity(network, op)
+        d_p_l = self.load_deviation(t)
+        ia, ib = map_a[tie.node_a], map_b[tie.node_b]
 
-    def _carry_states(self, a: _GridRuntime, b: _GridRuntime, tie: TieSpec,
-                      t: float) -> np.ndarray:
-        """Concatenate deviation states; shift grid-B angles so the tie carries
-        zero deviation flow at the closing instant (ideal synchronized close)."""
-        x = np.concatenate([a.x, b.x])
-        d_p_l = np.concatenate([a.load_deviation(t), b.load_deviation(t)])
-        gamma = self._synchro_gauge(x, d_p_l, tie)
-        for i in range(self.n_b):
-            x[2 * (self.n_a + i)] += gamma
-        return x
+        def tie_angle_gap(x: np.ndarray) -> float:
+            ddelta_g = x[0::2]
+            ddelta_l = np.linalg.solve(sens.ll, d_p_l - sens.lg @ ddelta_g)
+            full = np.concatenate([ddelta_g, ddelta_l])
+            return float(full[ia] - full[ib])
 
-    def _tie_angle_gap(self, x: np.ndarray, d_p_l: np.ndarray, tie: TieSpec) -> float:
-        """Deviation-angle difference across the tie implied by the merged network."""
-        n = self.n_a + self.n_b
-        ddelta_g = x[0::2]
-        ddelta_l = np.linalg.solve(self.sens.ll, d_p_l - self.sens.lg @ ddelta_g)
-        full = np.empty(self.network.n_nodes)
-        full[:n] = ddelta_g
-        full[n:] = ddelta_l
-        ia = self.map_a[tie.node_a]
-        ib = self.map_b[tie.node_b]
-        return float(full[ia] - full[ib])
-
-    def _synchro_gauge(self, x: np.ndarray, d_p_l: np.ndarray, tie: TieSpec) -> float:
-        gap0 = self._tie_angle_gap(x, d_p_l, tie)
-        shifted = x.copy()
-        for i in range(self.n_b):
-            shifted[2 * (self.n_a + i)] += 1.0
-        gap1 = self._tie_angle_gap(shifted, d_p_l, tie)
-        slope = gap1 - gap0
+        b_angles = np.arange(self.states[1].start, self.states[1].stop, 2)
+        shifted = self.x.copy()
+        shifted[b_angles] += 1.0
+        gap0 = tie_angle_gap(self.x)
+        slope = tie_angle_gap(shifted) - gap0
+        gamma = 0.0
         if abs(slope) < 1e-12:
             log.warning("tie close: degenerate gauge condition, closing as-is")
-            return 0.0
-        return -gap0 / slope
-
-    def slices(self, gi: int) -> tuple[slice, slice, slice]:
-        """(state slice, IBR channel slice, load channel slice) for grid gi."""
-        if gi == 0:
-            return (
-                slice(0, 2 * self.n_a),
-                slice(0, self.n_a),
-                slice(0, self.m_a),
-            )
-        return (
-            slice(2 * self.n_a, 2 * (self.n_a + self.n_b)),
-            slice(self.n_a, self.n_a + self.n_b),
-            slice(self.m_a, self.m_a + self.m_b),
-        )
+        else:
+            gamma = -gap0 / slope
+        self.x[b_angles] += gamma
+        self.plant = assemble_plant(a.spec.ibrs + b.spec.ibrs, sens)
+        self.stepper = ZohStepper(self.plant, self.h)
+        self.tied = True
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +579,7 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     rts = [_GridRuntime(g, scenario, gi) for gi, g in enumerate(scenario.grids)]
     for rt in rts:
         rt.history_true = np.zeros((n_steps, rt.n))
-    steppers = [ZohStepper(rt.plant, h) for rt in rts]
-    merged: _MergedWorld | None = None
+    world = _World(rts, h)
 
     events = sorted(scenario.events, key=lambda e: e.time)
     fired = [False] * len(events)
@@ -594,19 +598,11 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
         for j, ev in enumerate(events):
             if not fired[j] and ev.time <= t + 1e-12:
                 fired[j] = True
-                merged = _apply_event(ev, scenario, rts, merged, t, h)
-
-        d_p_l = [rt.load_deviation(t) for rt in rts]
+                _apply_event(ev, scenario, rts, world, t)
 
         # true measurements
-        if merged is None:
-            y_true = [measure_power(rt.plant, rt.x, d_p_l[gi])
-                      for gi, rt in enumerate(rts)]
-        else:
-            full = measure_power(
-                merged.plant, merged.x, np.concatenate(d_p_l)
-            )
-            y_true = [full[merged.slices(gi)[1]] for gi in range(len(rts))]
+        y_all = measure_power(world.plant, world.x, world.load_deviation(t))
+        y_true = [y_all[ch] for ch in world.channels]
         for gi, rt in enumerate(rts):
             rt.history_true[rho] = y_true[gi]
 
@@ -640,47 +636,30 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
                     rt.controller = "none"
                     rt.enabled = False
                     rt.wm_active = False
-                    merged = _apply_event(
-                        Event(time=t, action="tie_close"), scenario, rts, merged, t, h
-                    )
+                    _apply_event(Event(time=t, action="tie_close"), scenario, rts,
+                                 world, t)
                     log.info("grid %d: flag at t=%.4fs, networking with neighbor", gi, t)
 
-        # control laws
-        for gi, rt in enumerate(rts):
-            _update_controller(rt, y_rx[gi], rho, dt_c)
-
-        # watermark and applied commands
+        # control laws, watermark and applied commands
         u_applied = []
         e_applied = []
         for gi, rt in enumerate(rts):
+            x_grid = world.x[world.states[gi]]
+            _update_controller(rt, x_grid, y_rx[gi], rho, dt_c)
             if rt.wm_active and rt.wm_source is not None and rt.enabled:
                 e_now = rt.wm_source.draw()
             else:
                 e_now = np.zeros(rt.n)
             u_applied.append(rt.u_cmd + e_now)
             e_applied.append(e_now)
-            _log_step(cols, rho, gi, rt, y_true[gi], y_rx[gi], e_now)
+            _log_step(cols, rho, gi, rt, x_grid, y_true[gi], y_rx[gi], e_now)
 
         # integrate to the next control instant
-        if merged is None:
-            for gi, rt in enumerate(rts):
-                x = rt.x
-                for s in range(n_sub):
-                    ts = t + s * h
-                    x = steppers[gi].step(
-                        x, u_applied[gi], rt.load_deviation(ts)
-                    )
-                rt.x = x
-        else:
-            x = merged.x
-            u_all = np.concatenate(u_applied)
-            for s in range(n_sub):
-                ts = t + s * h
-                pl_all = np.concatenate([rt.load_deviation(ts) for rt in rts])
-                x = merged.stepper.step(x, u_all, pl_all)
-            merged.x = x
-            for gi, rt in enumerate(rts):
-                rt.x = merged.x[merged.slices(gi)[0]].copy()
+        x = world.x
+        u_all = np.concatenate(u_applied)
+        for s in range(n_sub):
+            x = world.stepper.step(x, u_all, world.load_deviation(t + s * h))
+        world.x = x
 
         for gi, rt in enumerate(rts):
             rt.u_prev_cmd = rt.u_cmd
@@ -691,7 +670,7 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     return _finalize_columns(cols, time_axis, rts)
 
 
-def _update_controller(rt: _GridRuntime, y_rx: np.ndarray, rho: int,
+def _update_controller(rt: _GridRuntime, x: np.ndarray, y_rx: np.ndarray, rho: int,
                        dt_c: float) -> None:
     law = rt.controller if rt.enabled else "none"
     if law in ("optimal-z", "decentralized"):
@@ -710,9 +689,8 @@ def _update_controller(rt: _GridRuntime, y_rx: np.ndarray, rho: int,
         rt.obs_fresh = False
         rt.u_cmd = control_observer(rt.gain, rt.obs)
     elif law == "pi":
-        omega_true = rt.x[1::2]
         rt.sensor_y = measure_frequency_lagged(
-            omega_true, rt.sensor_y, rt.spec.sensor_tau, dt_c
+            x[1::2], rt.sensor_y, rt.spec.sensor_tau, dt_c
         )
         rt.u_cmd, rt.pi_integ = control_pi_baseline(
             rt.spec.pi_kp, rt.spec.pi_ki, rt.sensor_y, dt_c, rt.pi_integ
@@ -729,15 +707,13 @@ def _update_controller(rt: _GridRuntime, y_rx: np.ndarray, rho: int,
 
 
 def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
-                 merged, t: float, h: float):
+                 world: _World, t: float) -> None:
     if ev.action == "controller_on":
         rts[ev.grid].enabled = True
-        return merged
-    if ev.action == "controller_off":
+    elif ev.action == "controller_off":
         rts[ev.grid].enabled = False
         rts[ev.grid].u_cmd = np.zeros(rts[ev.grid].n)
-        return merged
-    if ev.action == "observer_on":
+    elif ev.action == "observer_on":
         rt = rts[ev.grid]
         if rt.spec.detector is None:
             raise SimulationError(
@@ -752,19 +728,15 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
         rt.obs = ObserverState(x_hat=x_hat, z_hat=rt.z.z.copy())
         rt.obs_fresh = False
         rt.wm_active = False
-        return merged
-    if merged is not None:
+    elif world.tied:
         log.warning("tie already closed; ignoring tie_close at t=%.4fs", t)
-        return merged
-    merged = _MergedWorld(scenario, rts, t, h)
-    for rt in rts:
-        if rt.det_state is not None:
-            rt.wm_active = False
-            rt.det_state = None
-            log.info("grid %d: detector retired after topology change", rt.gi)
-    for gi, rt in enumerate(rts):
-        rt.x = merged.x[merged.slices(gi)[0]].copy()
-    return merged
+    else:
+        world.close_tie(scenario.tie, t)
+        for rt in rts:
+            if rt.det_state is not None:
+                rt.wm_active = False
+                rt.det_state = None
+                log.info("grid %d: detector retired after topology change", rt.gi)
 
 
 def _allocate_columns(rts, n_steps: int) -> dict[str, np.ndarray]:
@@ -780,11 +752,11 @@ def _allocate_columns(rts, n_steps: int) -> dict[str, np.ndarray]:
     return cols
 
 
-def _log_step(cols, rho: int, gi: int, rt: _GridRuntime, y_true, y_rx,
+def _log_step(cols, rho: int, gi: int, rt: _GridRuntime, x, y_true, y_rx,
               e_now) -> None:
     p = f"mg{gi + 1}"
-    cols[f"{p}_ddelta"][rho] = rt.x[0::2]
-    cols[f"{p}_domega"][rho] = rt.x[1::2]
+    cols[f"{p}_ddelta"][rho] = x[0::2]
+    cols[f"{p}_domega"][rho] = x[1::2]
     cols[f"{p}_pg"][rho] = y_true
     cols[f"{p}_pg_rx"][rho] = y_rx
     cols[f"{p}_dws"][rho] = rt.u_cmd

@@ -86,6 +86,21 @@ class TestSimulate:
         rc = run(["simulate", "--config", cfg, "--out", tmp_path])
         assert rc == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("edit, message", [
+        pytest.param(lambda text: text[: text.index("[grid.2]")]
+                     + text[text.index("[tie]"):], "exactly two grids", id="one-grid"),
+        pytest.param(lambda text: text.replace("node_b = 2", "node_b = 7"),
+                     "not a node of grid 2", id="node-b-outside"),
+    ])
+    def test_bad_tie_rejected_before_running(self, tmp_path, capsys, edit, message):
+        cfg = tmp_path / "tie.cfg"
+        cfg.write_text(edit((CONFIGS / "collaborative.cfg").read_text()))
+        out = tmp_path / "out"
+        rc = run(["simulate", "--config", cfg, "--out", out])
+        assert rc == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not (out / "timeseries.csv").exists()
+
 
 class TestPipeline:
     def test_identify_calibrate_simulate_detect_chain(self, tmp_path):
@@ -156,15 +171,19 @@ class TestPipeline:
         assert "warm-up" in capsys.readouterr().out
 
 
-    @pytest.mark.parametrize("gid", [0, 2])
-    def test_calibrate_rejects_grid_out_of_range(self, tmp_path, capsys, gid):
+    @pytest.mark.parametrize("command, gid", [
+        ("calibrate", 0), ("calibrate", 2), ("detect", 0), ("detect", 2),
+    ])
+    def test_stage_rejects_grid_out_of_range(self, tmp_path, capsys, command, gid):
         work = tmp_path / "w"
         work.mkdir()
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(MINIMAL + f"\n[calibrate]\ngrid = {gid}\nmodel_file = m.txt\n")
-        rc = run(["calibrate", "--config", cfg, "--out", work])
+        cfg.write_text(MINIMAL + f"\n[{command}]\ngrid = {gid}\nmodel_file = m.txt\n"
+                       "baseline_file = b.txt\ntrace_file = timeseries.csv\n")
+        rc = run([command, "--config", cfg, "--out", work])
         assert rc == cli.EXIT_USAGE
-        assert f"references grid {gid}" in capsys.readouterr().err
+        assert f"[{command}] references grid {gid} but it is not defined" in (
+            capsys.readouterr().err)
 
 
 def _set_line(index, text):

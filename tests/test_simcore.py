@@ -301,6 +301,32 @@ class TestRunScenario:
             m.Scenario(grids=(g,), horizon=1.0, attacks=(
                 m.AttackSpec(kind="noise-injection", channels=(7,), start=0.1,
                              end=0.2, noise_std=1.0),))
+        # a tie is checked when the scenario is built, not when it closes
+        with pytest.raises(m.ScenarioError, match="exactly two grids"):
+            m.Scenario(grids=(g,), horizon=1.0, tie=cs.default_tie(),
+                       events=(m.Event(time=0.1, action="tie_close"),))
+        with pytest.raises(m.ScenarioError, match="not a node of grid 2"):
+            m.Scenario(grids=(g, cs.grid2_spec()), horizon=1.0,
+                       tie=m.TieSpec(node_a=4, node_b=3))
+
+    def test_untied_grids_run_independently(self):
+        """Two grids without a tie share the world plant but not its physics:
+        each grid's log equals the log of that grid run alone."""
+        g1 = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0),
+                           load_signals=[cs.pulse_load_signal()])
+        step = m.LoadSignalSpec(kind="step", amplitude=900.0, load_index=0,
+                                step_time=0.2)
+        g2 = cs.grid2_spec(controller="pi", load_signals=[step])
+        both = m.run_scenario(m.Scenario(grids=(g1, g2), horizon=1.0, seed=0))
+        for gi, g in enumerate((g1, g2)):
+            alone = m.run_scenario(m.Scenario(grids=(g,), horizon=1.0, seed=0))
+            for name in alone.names:
+                col = both[f"mg{gi + 1}" + name[len("mg1"):]]
+                if alone[name].dtype == object:
+                    assert list(col) == list(alone[name])
+                else:
+                    peak = np.max(np.abs(alone[name]))
+                    assert np.max(np.abs(col - alone[name])) <= 1e-12 * peak
 
     def test_auto_observer_response_engages_on_flag(self, trained_detector_quiet):
         """Flag up with no neighbor: the law switches to observer; the

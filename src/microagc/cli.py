@@ -402,6 +402,9 @@ def cmd_identify(args) -> int:
     grid = _stage_grid(sections, sec, out)
     out.mkdir(parents=True, exist_ok=True)
 
+    candidates = _ints(sec.get("candidates", " ".join(map(str, defaults.ORDER_CANDIDATES))))
+    if min(candidates, default=1) < 1:
+        raise ConfigError(f"[identify] candidates must be orders >= 1, got {candidates}")
     records_file = sec.get("records_file")
     dt = float(sec.get("dt_s", defaults.CONTROL_PERIOD))
     if records_file is not None:
@@ -409,16 +412,22 @@ def cmd_identify(args) -> int:
         dt = float(t[1] - t[0]) if t.shape[0] > 1 else dt
     else:
         seed = args.seed if args.seed is not None else int(sec.get("seed", "17"))
+        beta = float(sec.get("beta", defaults.SYSID_BETA))
+        k0 = int(sec.get("k0", defaults.SYSID_K0))
+        # the library accepts beta = 0 (a zero record); a run would fit a zero model
+        if not (np.isfinite(beta) and beta > 0.0):
+            raise ConfigError(f"[identify] beta must be finite and > 0, got {beta}")
+        if k0 < 1:
+            raise ConfigError(f"[identify] k0 must be >= 1, got {k0}")
         spec = ExcitationSpec(
             dt=dt,
             dt_prime=float(sec.get("dt_prime_s", defaults.SYSID_DT_PRIME)),
-            beta=float(sec.get("beta", defaults.SYSID_BETA)),
-            k0=int(sec.get("k0", defaults.SYSID_K0)),
+            beta=beta,
+            k0=k0,
             seed=seed,
         )
         t, u, y = identification_records(grid, spec)
         save_records(out / sec.get("record_file", "sysid_records.csv"), t, u, y)
-    candidates = _ints(sec.get("candidates", " ".join(map(str, defaults.ORDER_CANDIDATES))))
     report, model = select_order(u, y, candidates=candidates, dt=dt)
     save_model(model, out / sec.get("model_file", "model.txt"))
     lines = ["order selection", "==============="]

@@ -225,26 +225,28 @@ def identify(
 def _fit_input_matrix(a, c, u, y) -> tuple[np.ndarray, np.ndarray]:
     """Least squares for B and x0 with A, C fixed (no feedthrough term).
 
-    y[k] = C A^k x0 + sum_{tau<k} C A^(k-1-tau) B u[tau]; the regressor for
-    vec(B) follows the recursion G[k+1] = G[k] (I kron A) + u[k]' kron C.
+    y[k] = C A^k x0 + sum_{tau<k} C A^(k-1-tau) B u[tau]. One stacked state
+    recursion R[k+1] = R[k] A + D[k] over (m + 1) row blocks of n_out rows
+    builds the whole regressor: block j < m starts at zero and is driven by
+    D[k]_j = u_j[k] C, giving the rows of y[k] in column j of B; the last
+    block starts at C and is never driven, giving C A^k, the rows of x0.
     """
     n = a.shape[0]
     n_out, _ = c.shape
     n_samples, m = u.shape
-    phi = c.copy()                       # C A^k, advanced in the loop
-    g = np.zeros((n_out, m * n))
-    i_kron_a = np.kron(np.eye(m), a)
-    rows_b = np.empty((n_samples, n_out, m * n))
-    rows_x0 = np.empty((n_samples, n_out, n))
+    drive = np.zeros((n_samples, m + 1, n_out, n))
+    drive[:, :m] = u[:, :, None, None] * c
+    drive = drive.reshape(n_samples, (m + 1) * n_out, n)
+    r = np.zeros(((m + 1) * n_out, n))
+    r[m * n_out :] = c
+    rows = np.empty((n_samples, (m + 1) * n_out, n))
     for k in range(n_samples):
-        rows_b[k] = g
-        rows_x0[k] = phi
-        g = g @ i_kron_a + np.kron(u[k][None, :], c)
-        phi = phi @ a
-    reg = np.concatenate(
-        [rows_b.reshape(n_samples * n_out, m * n), rows_x0.reshape(n_samples * n_out, n)],
-        axis=1,
-    )
+        rows[k] = r
+        r = r @ a + drive[k]
+    # (sample, block, output, state) -> (sample, output, block, state): each
+    # output row reads [vec(B) input-major | x0]
+    reg = rows.reshape(n_samples, m + 1, n_out, n).transpose(0, 2, 1, 3)
+    reg = reg.reshape(n_samples * n_out, (m + 1) * n)
     sol, *_ = np.linalg.lstsq(reg, y.reshape(-1), rcond=None)
     b = sol[: m * n].reshape(m, n).T     # vec with input-major blocks
     x0 = sol[m * n :]
@@ -304,8 +306,9 @@ def select_order(
     """Fit every candidate order, score by prediction error, keep the minimizer.
 
     The initial state for scoring is estimated from the first max(2d, 20)
-    samples. Per-candidate identification failures are recorded; the selection
-    fails only if every candidate does. Ties break toward the smallest order.
+    samples; the report records that count for d*. Per-candidate
+    identification failures are recorded; the selection fails only if every
+    candidate does. Ties break toward the smallest order.
     """
     candidates = tuple(sorted(set(int(c) for c in candidates)))
     if not candidates:
@@ -313,12 +316,10 @@ def select_order(
     eta: dict[int, float] = {}
     failures: dict[int, str] = {}
     models: dict[int, DiscreteModel] = {}
-    n_init = 0
     for d in candidates:
         try:
             model = identify(u, y, d, dt=dt)
-            n_init = max(2 * d, 20)
-            x0 = estimate_initial_state(model, u, y, n_init)
+            x0 = estimate_initial_state(model, u, y, max(2 * d, 20))
             eta[d] = prediction_error(model, x0, u, y)
             models[d] = model
         except IdentificationError as exc:
@@ -339,7 +340,7 @@ def select_order(
         eta=eta,
         d_star=d_star,
         failures=failures,
-        init_state_samples=n_init,
+        init_state_samples=max(2 * d_star, 20),
         near_tie_tol=tol,
     )
     return report, models[d_star]

@@ -141,6 +141,30 @@ class TestPipeline:
         assert rc == cli.EXIT_NUMERIC
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, key", [
+        ("beta = 0", "beta"),
+        ("beta = nan", "beta"),
+        ("beta = inf", "beta"),
+        ("k0 = -5", "k0"),
+        ("candidates = 0 -1", "candidates"),
+        ("candidates = 4 4 0", "candidates"),
+    ])
+    def test_identify_rejects_bad_settings_before_running(self, tmp_path, capsys,
+                                                          monkeypatch, line, key):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("identify simulated before checking its settings")
+
+        monkeypatch.setattr("microagc.casestudy.identification_records", no_simulation)
+        text = (CONFIGS / "detection_demo.cfg").read_text()
+        old = next(s for s in text.splitlines() if s.startswith(f"{key} = "))
+        cfg = tmp_path / "id.cfg"
+        cfg.write_text(text.replace(old, line))
+        work = tmp_path / "w"
+        rc = run(["identify", "--config", cfg, "--out", work])
+        assert rc == cli.EXIT_USAGE
+        assert f"[identify] {key} must be" in capsys.readouterr().err
+        assert not (work / "model.txt").exists()
+
     def test_calibrate_rerun_identical_thresholds(self, tmp_path):
         w1, w2 = tmp_path / "w1", tmp_path / "w2"
         cfg = CONFIGS / "detection_demo.cfg"

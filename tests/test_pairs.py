@@ -1,0 +1,47 @@
+"""The paired-run summary of bench/pairs.py: win counts, ties, the bound
+check and the gain rule."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "pairs", Path(__file__).resolve().parent.parent / "bench" / "pairs.py")
+pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairs)
+
+METRICS = [
+    {"name": "job_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+    {"name": "jobs_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+]
+
+
+def runs(base_ms, change_ms):
+    def side(ms):
+        return {"metrics": {"job_ms_p50": {"value": ms}, "jobs_per_s": {"value": 1e3 / ms}}}
+    return [{"base": side(b), "change": side(c)} for b, c in zip(base_ms, change_ms)]
+
+
+def test_gain_needs_nine_tenths_of_ten_pairs_and_a_shift_beyond_the_spread():
+    base = [100.0 + i for i in range(10)]
+    change = [60.0] * 9 + [base[9]]          # nine wins, one tie
+    out = pairs.summarize(runs(base, change), METRICS)
+    p50 = out["job_ms_p50"]
+    assert (p50["change_wins"], p50["ties"], p50["pairs"]) == (9, 1, 10)
+    assert p50["gain"] and not p50["worse_than_bound"]
+    assert p50["base"]["median"] == pytest.approx(104.5)
+    assert out["jobs_per_s"]["change_wins"] == 9 and out["jobs_per_s"]["gain"]
+
+    assert not pairs.summarize(runs(base[:3], change[:3]), METRICS)["job_ms_p50"]["gain"]
+    eight = change[:8] + base[8:]
+    assert not pairs.summarize(runs(base, eight), METRICS)["job_ms_p50"]["gain"]
+
+
+def test_worse_than_bound_follows_the_metric_direction():
+    out = pairs.summarize(runs([100.0] * 4, [130.0] * 4), METRICS)
+    assert out["job_ms_p50"]["worse_than_bound"]
+    assert out["job_ms_p50"]["median_change_rel"] == pytest.approx(0.3)
+    assert not out["jobs_per_s"]["worse_than_bound"]  # 1/1.3: 23 % fewer jobs
+    assert not pairs.summarize(runs([100.0] * 4, [70.0] * 4), METRICS)[
+        "job_ms_p50"]["worse_than_bound"]

@@ -3,6 +3,7 @@ similarity-invariant quantities: Markov parameters and prediction error."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import microagc as m
 from microagc import sysid
@@ -126,6 +127,24 @@ class TestIdentify:
             m.identify(np.zeros((30, 1)), np.zeros((31, 1)), 1)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), m_in=st.integers(1, 3), l_out=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_input_matrix_fit_reproduces_noise_free_output(n, m_in, l_out, seed):
+    """With the true A and C, the fitted (B, x0) reproduce a noise-free
+    record through the model recursion. A residual check: it holds whether or
+    not (B, x0) is unique."""
+    rng = np.random.default_rng(seed)
+    a, b, c = random_discrete_system(n, m_in, l_out, rng)
+    x0 = rng.uniform(0.5, 1.5, size=n) * rng.choice([-1.0, 1.0], size=n)
+    u = rng.uniform(-1.0, 1.0, size=(200, m_in))
+    y = simulate(a, b, c, u, x0)
+    b_hat, x0_hat = sysid._fit_input_matrix(a, c, u, y)
+    assert b_hat.shape == (n, m_in) and x0_hat.shape == (n,)
+    y_hat = simulate(a, b_hat, c, u, x0_hat)
+    assert np.max(np.abs(y_hat - y)) <= 1e-8 * np.max(np.abs(y))
+
+
 class TestPredict:
     def test_zero_input_zero_state(self):
         model = m.DiscreteModel(a_d=np.eye(2) * 0.5, b_d=np.ones((2, 1)),
@@ -206,6 +225,17 @@ class TestSelectOrder:
         y_hat = simulate(model.a_d, model.b_d, model.c_d, u, x0)
         eta = float(np.mean(np.linalg.norm(y_hat - y, axis=1)))
         assert eta == pytest.approx(report.eta[3], rel=1e-9, abs=1e-12)
+
+    def test_init_state_samples_are_those_d_star_was_scored_with(self):
+        rng = np.random.default_rng(18)
+        a, b, c = random_discrete_system(3, 1, 1, rng)
+        u = rng.uniform(-1.0, 1.0, size=(500, 1))
+        y = simulate(a, b, c, u, x0=rng.normal(size=3))
+        report, model = m.select_order(u, y, candidates=[3, 12])
+        assert report.d_star == 3 and 12 in report.eta
+        assert report.init_state_samples == 20
+        x0 = sysid.estimate_initial_state(model, u, y, report.init_state_samples)
+        assert sysid.prediction_error(model, x0, u, y) == report.eta[3]
 
     def test_empty_candidates(self):
         with pytest.raises(m.IdentificationError):

@@ -1,0 +1,150 @@
+"""Output drift of this checkout against a base commit.
+
+    python3 bench/drift.py --base HEAD~1
+
+Exports the committed files of the base commit with `pairs.export`, then runs
+the same commands in the base copy and in this checkout, each side in its own
+scratch directory with relative output paths so that printed lines compare:
+
+  - `simulate` on each shipped config in `configs/` (`detection_demo.cfg`
+    alone has no model to load yet, so that run compares exit code 3);
+  - the `configs/detection_demo.cfg` chain identify -> calibrate -> simulate
+    -> detect in one workspace.
+
+For every command it prints whether the exit code and the stdout lines are
+identical, then for every output file either "identical" or the number of
+differing cells and their largest relative difference. Cells are the fields
+of a line split on commas and whitespace; a cell that differs and is not a
+number on both sides, and a cell present on one side only, counts as an
+infinite relative difference. Exits 0 when everything is identical, 1 when
+anything drifted.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from pairs import ROOT, export, git
+
+CHAIN = ("identify", "calibrate", "simulate", "detect")
+_CELL_SEP = re.compile(r"[,\s]+")
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def cell_diff(a: str, b: str) -> tuple[int, float]:
+    """(differing cells, largest relative difference) between two texts."""
+    count, worst = 0, 0.0
+    for line_a, line_b in itertools.zip_longest(a.splitlines(), b.splitlines(),
+                                                fillvalue=""):
+        if line_a == line_b:
+            continue
+        cells = itertools.zip_longest(_CELL_SEP.split(line_a.strip()),
+                                      _CELL_SEP.split(line_b.strip()))
+        for x, y in cells:
+            if x == y:
+                continue
+            count += 1
+            fx, fy = _number(x or ""), _number(y or "")
+            if fx is None or fy is None:
+                worst = float("inf")
+            elif fx != fy:
+                worst = max(worst, abs(fx - fy) / max(abs(fx), abs(fy)))
+    return count, worst
+
+
+def _describe(a: str, b: str) -> str:
+    if a == b:
+        return "identical"
+    count, worst = cell_diff(a, b)
+    return f"{count} cells differ, max rel diff {worst:.3g}"
+
+
+def run_cli(tree: Path, cwd: Path, argv: list[str]) -> tuple[int, str]:
+    """Exit code and stdout of one CLI command run from tree's sources."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-m", "microagc.cli", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def jobs(tree: Path) -> list[tuple[str, list[list[str]]]]:
+    """(output directory, commands) of every compared run."""
+    out = [(f"simulate-{cfg.stem}", [["simulate", "--config", str(cfg)]])
+           for cfg in sorted((tree / "configs").glob("*.cfg"))]
+    demo = str(tree / "configs" / "detection_demo.cfg")
+    out.append(("chain-detection_demo", [[cmd, "--config", demo] for cmd in CHAIN]))
+    return out
+
+
+def run_side(tree: Path, work: Path) -> dict:
+    """Per job: the (exit code, stdout) of each command, and the output files."""
+    results = {}
+    for name, commands in jobs(tree):
+        calls = [run_cli(tree, work, [*argv, "--out", name]) for argv in commands]
+        files = {p.name: p.read_text(encoding="utf-8")
+                 for p in sorted((work / name).glob("*")) if p.is_file()}
+        results[name] = (commands, calls, files)
+    return results
+
+
+def report(base: dict, change: dict) -> tuple[list[str], bool]:
+    """Report lines, and whether every exit code, stdout and file is identical."""
+    lines, same = [], True
+    for name in base:
+        commands, base_calls, base_files = base[name]
+        _, change_calls, change_files = change[name]
+        lines.append(name)
+        for argv, (rc_b, out_b), (rc_c, out_c) in zip(commands, base_calls, change_calls):
+            same = same and rc_b == rc_c and out_b == out_c
+            code = "identical" if rc_b == rc_c else f"{rc_b} -> {rc_c}"
+            lines.append(f"  {argv[0]}: exit code {code} ({rc_c}); "
+                         f"stdout {_describe(out_b, out_c)}")
+        for fname in sorted(set(base_files) | set(change_files)):
+            if fname not in change_files or fname not in base_files:
+                same = False
+                side = "base" if fname in base_files else "change"
+                lines.append(f"  {fname}: only in {side}")
+            else:
+                same = same and base_files[fname] == change_files[fname]
+                lines.append(f"  {fname}: {_describe(base_files[fname], change_files[fname])}")
+    return lines, same
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, help="commit to compare against")
+    args = p.parse_args(argv)
+    base_commit = git("rev-parse", args.base)
+    work = Path(tempfile.mkdtemp())
+    try:
+        export(base_commit, work / "tree")
+        sides = {}
+        for side, tree in (("base", work / "tree"), ("change", ROOT)):
+            (work / side).mkdir()
+            sides[side] = run_side(tree, work / side)
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
+    lines, same = report(sides["base"], sides["change"])
+    print(f"base {base_commit} vs this checkout")
+    print("\n".join(lines))
+    print("all outputs identical" if same else "drift found")
+    return 0 if same else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

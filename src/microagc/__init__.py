@@ -9,6 +9,8 @@ Subpackages by concern:
   watermark  dynamic-watermark FDI detection
   simcore    deterministic scenario engine (plants, sensors, attacks, tie line)
   casestudy  canonical two-microgrid system and training pipelines
+  textio     CSV tables and block files: the one writer and reader of run logs,
+             detector telemetry, identification records, models and baselines
   cli        command-line front end
 """
 

@@ -39,8 +39,6 @@ from .simcore import (
     summarize,
 )
 from .sysid import (
-    BlockFile,
-    ConfigError,
     ExcitationSpec,
     IdentificationError,
     load_model,
@@ -49,6 +47,7 @@ from .sysid import (
     save_records,
     select_order,
 )
+from .textio import BlockFile, ConfigError, read_table, write_table
 from .watermark import (
     BaselineStats,
     DetectorState,
@@ -348,29 +347,15 @@ def load_baseline(path) -> tuple[BaselineStats, float, float]:
 
 
 def write_detector_csv(ts: TimeSeries, scenario: Scenario, path) -> None:
-    cols = ["t"]
-    grids = []
-    for gi, g in enumerate(scenario.grids):
-        if g.detector is None:
+    names, cols = ["t"], [ts.time]
+    for gi, det in enumerate(g.detector for g in scenario.grids):
+        if det is None:
             continue
-        grids.append(gi)
         p = f"mg{gi + 1}"
-        cols += [f"{p}_xi1", f"{p}_xi2", f"{p}_eps1", f"{p}_eps2", f"{p}_flag"]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(cols) + "\n")
-        for k in range(ts.time.shape[0]):
-            parts = [f"{ts.time[k]:.9g}"]
-            for gi in grids:
-                p = f"mg{gi + 1}"
-                det = scenario.grids[gi].detector
-                parts += [
-                    f"{ts[f'{p}_xi1'][k]:.9g}",
-                    f"{ts[f'{p}_xi2'][k]:.9g}",
-                    f"{det.eps1:.9g}",
-                    f"{det.eps2:.9g}",
-                    str(int(ts[f"{p}_flag"][k])),
-                ]
-            fh.write(",".join(parts) + "\n")
+        names += [f"{p}_xi1", f"{p}_xi2", f"{p}_eps1", f"{p}_eps2", f"{p}_flag"]
+        cols += [ts[f"{p}_xi1"], ts[f"{p}_xi2"], np.full(ts.time.shape, det.eps1),
+                 np.full(ts.time.shape, det.eps2), ts[f"{p}_flag"]]
+    write_table(path, names, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -492,19 +477,16 @@ def cmd_detect(args) -> int:
     state = DetectorState(w=baseline.w, n=model.n_outputs,
                           x_hat=np.zeros(model.order), eps1=eps1, eps2=eps2)
     out.mkdir(parents=True, exist_ok=True)
-    telemetry = out / sec.get("telemetry_file", "detector.csv")
+    xi = np.zeros((n_steps, 2))
     flags = np.zeros(n_steps, dtype=int)
-    with open(telemetry, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("t,xi1,xi2,eps1,eps2,flag\n")
-        for k in range(n_steps):
-            u_prev = u[k - 1] if k > 0 else np.zeros(model.n_inputs)
-            e_prev = e[k - 1] if k > 0 else np.zeros(model.n_inputs)
-            flag, _ = dw_step(state, baseline, model, y[k], u_prev, e_prev)
-            flags[k] = int(flag)
-            fh.write(
-                f"{t[k]:.9g},{state.xi1:.9g},{state.xi2:.9g},"
-                f"{eps1:.9g},{eps2:.9g},{int(flag)}\n"
-            )
+    for k in range(n_steps):
+        u_prev = u[k - 1] if k > 0 else np.zeros(model.n_inputs)
+        e_prev = e[k - 1] if k > 0 else np.zeros(model.n_inputs)
+        flags[k], _ = dw_step(state, baseline, model, y[k], u_prev, e_prev)
+        xi[k] = state.xi1, state.xi2
+    write_table(out / sec.get("telemetry_file", "detector.csv"),
+                ["t", "xi1", "xi2", "eps1", "eps2", "flag"],
+                [t, *xi.T, np.full(n_steps, eps1), np.full(n_steps, eps2), flags])
     if n_steps < baseline.w and not args.quiet:
         print(f"note: trace shorter than the window ({n_steps} < {baseline.w}); "
               "warm-up only, no decisions made")
@@ -520,25 +502,10 @@ def cmd_detect(args) -> int:
 
 def _load_trace(path, gid: int, n: int):
     """Read (t, commands, watermarks, received) for grid gid from a run CSV."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip().split(",")
-            rows = [line.strip().split(",") for line in fh if line.strip()]
-    except OSError as exc:
-        raise ConfigError(f"cannot read trace {path}: {exc}") from exc
     p = f"mg{gid}"
-    try:
-        it = header.index("t")
-        iu = [header.index(f"{p}_dws_{i + 1}") for i in range(n)]
-        ie = [header.index(f"{p}_wm_{i + 1}") for i in range(n)]
-        iy = [header.index(f"{p}_pg_rx_{i + 1}") for i in range(n)]
-    except ValueError as exc:
-        raise ConfigError(f"{path}: missing column: {exc}") from exc
-    t = np.array([float(r[it]) for r in rows])
-    u = np.array([[float(r[j]) for j in iu] for r in rows])
-    e = np.array([[float(r[j]) for j in ie] for r in rows])
-    y = np.array([[float(r[j]) for j in iy] for r in rows])
-    return t, u, e, y
+    _, data = read_table(path, ["t"] + [f"{p}_{name}_{i + 1}" for name in
+                                        ("dws", "wm", "pg_rx") for i in range(n)])
+    return data[:, 0], data[:, 1 : n + 1], data[:, n + 1 : 2 * n + 1], data[:, 2 * n + 1 :]
 
 
 def cmd_plot(args) -> int:
@@ -547,7 +514,7 @@ def cmd_plot(args) -> int:
     det_csv = out / "detector.csv"
     if not ts_csv.exists():
         raise ConfigError(f"{ts_csv} not found; run simulate first")
-    header = ts_csv.read_text(encoding="utf-8").splitlines()[0].split(",")
+    header, _ = read_table(ts_csv, [])
     lines = [
         "# gnuplot script; run: gnuplot -p plots.gp",
         'set datafile separator ","',
@@ -558,7 +525,7 @@ def cmd_plot(args) -> int:
     plot_parts = [f'"{ts_csv.name}" using 1:{c} with lines' for c in freq_cols]
     lines.append("plot " + ", \\\n     ".join(plot_parts))
     if det_csv.exists():
-        dheader = det_csv.read_text(encoding="utf-8").splitlines()[0].split(",")
+        dheader, _ = read_table(det_csv, [])
         xi_cols = [i + 1 for i, name in enumerate(dheader)
                    if name.endswith("_xi2") or name.endswith("_eps2")]
         if xi_cols:

@@ -41,6 +41,7 @@ from .netmodel import (
     solve_operating_point,
 )
 from .sysid import DiscreteModel
+from .textio import write_table
 from .transform import ZAccumulator, make_transform, z_update
 from .watermark import (
     BaselineStats,
@@ -397,20 +398,7 @@ class TimeSeries:
         return list(self.columns)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(["t"] + self.names) + "\n")
-            cols = list(self.columns.values())
-            for k in range(self.time.shape[0]):
-                parts = [f"{self.time[k]:.9g}"]
-                for col in cols:
-                    v = col[k]
-                    if isinstance(v, str):
-                        parts.append(v)
-                    elif isinstance(v, (np.integer, int)):
-                        parts.append(str(int(v)))
-                    else:
-                        parts.append(f"{v:.9g}")
-                fh.write(",".join(parts) + "\n")
+        write_table(path, ["t", *self.columns], [self.time, *self.columns.values()])
 
     def window(self, name: str, t0: float | None = None,
                t1: float | None = None) -> np.ndarray:

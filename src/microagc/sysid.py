@@ -20,14 +20,11 @@ import numpy as np
 
 from . import defaults
 from .netmodel import _readonly
+from .textio import BlockFile, ConfigError, read_table, write_table
 
 log = logging.getLogger(__name__)
 
 RANK_RTOL = 1e-10  # singular values below this (relative) carry no signal
-
-
-class ConfigError(ValueError):
-    """Input file problem; message carries file and line."""
 
 
 class IdentificationError(RuntimeError):
@@ -55,8 +52,10 @@ class ExcitationSpec:
     def __post_init__(self):
         if self.dt_prime <= self.dt:
             raise ValueError("pulse width dt_prime must exceed the sample time dt")
-        if self.beta < 0.0:
-            raise ValueError("amplitude bound beta must be non-negative")
+        if not (np.isfinite(self.beta) and self.beta >= 0.0):
+            raise ValueError(f"amplitude bound beta must be finite and >= 0, got {self.beta}")
+        if self.k0 < 1:
+            raise ValueError(f"record length k0 must be >= 1, got {self.k0}")
 
 
 @dataclass(frozen=True)
@@ -346,63 +345,6 @@ def select_order(
     return report, models[d_star]
 
 
-class BlockFile:
-    """Structured text of model and baseline files: `key = value` header
-    lines of numbers, then `[name]` blocks of whitespace-separated numbers.
-
-    Malformed lines, missing keys and missing or mis-sized blocks raise
-    ConfigError naming the file, and the line where there is one.
-    """
-
-    def __init__(self, path):
-        self.path = path
-        self._header: dict[str, float] = {}
-        self._blocks: dict[str, list[float]] = {}
-        block = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                try:
-                    if line.startswith("[") and line.endswith("]"):
-                        block = self._blocks.setdefault(line[1:-1], [])
-                    elif block is not None:
-                        block.extend(float(v) for v in line.split())
-                    elif "=" in line:
-                        key, _, value = line.partition("=")
-                        self._header[key.strip()] = float(value)
-                    elif line:
-                        raise ValueError("expected 'key = value'")
-                except ValueError as exc:
-                    raise ConfigError(f"{path}: line {lineno}: {exc}") from exc
-
-    @staticmethod
-    def write(path, header: dict, blocks: dict) -> None:
-        """Write header values and row-major decimal matrices (1-D as one row)."""
-        lines = [f"{key} = {value}" for key, value in header.items()]
-        for name, mat in blocks.items():
-            lines.append(f"[{name}]")
-            lines += [" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(mat)]
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-
-    def value(self, key: str, default: float | None = None) -> float:
-        """Header value; default when the key is absent."""
-        value = self._header.get(key, default)
-        if value is None:
-            raise ConfigError(f"{self.path}: missing header key {key!r}")
-        return value
-
-    def block(self, name: str, *shape: int) -> np.ndarray:
-        """Numbers of block [name], reshaped to shape when one is given."""
-        if name not in self._blocks:
-            raise ConfigError(f"{self.path}: missing [{name}] block")
-        data = np.array(self._blocks[name])
-        if shape and data.size != np.prod(shape):
-            raise ConfigError(f"{self.path}: [{name}] block needs "
-                              f"{' x '.join(map(str, shape))} values, got {data.size}")
-        return data.reshape(shape) if shape else data
-
-
 def save_model(model: DiscreteModel, path) -> None:
     """Persist a model as structured text with row-major decimal matrices."""
     BlockFile.write(path, {
@@ -426,39 +368,17 @@ def save_records(path, t: np.ndarray, u: np.ndarray, y: np.ndarray) -> None:
     """Write an identification record as CSV: time, u1..uN, y1..yN."""
     u = np.atleast_2d(u)
     y = np.atleast_2d(y)
-    header = (
-        ["time"]
-        + [f"u{i + 1}" for i in range(u.shape[1])]
-        + [f"y{i + 1}" for i in range(y.shape[1])]
-    )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for k in range(u.shape[0]):
-            row = [t[k], *u[k], *y[k]]
-            fh.write(",".join(f"{v:.9g}" for v in row) + "\n")
+    names = (["time"] + [f"u{i + 1}" for i in range(u.shape[1])]
+             + [f"y{i + 1}" for i in range(y.shape[1])])
+    write_table(path, names, [t, *u.T, *y.T])
 
 
 def load_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a record written by save_records; raises with the bad line number."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        n_u = sum(1 for c in header if c.startswith("u"))
-        n_y = sum(1 for c in header if c.startswith("y"))
-        if header[0] != "time" or n_u == 0 or n_y == 0:
-            raise IdentificationError(f"{path}: line 1: bad record header {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                continue
-            parts = raw.strip().split(",")
-            if len(parts) != 1 + n_u + n_y:
-                raise IdentificationError(
-                    f"{path}: line {lineno}: expected {1 + n_u + n_y} fields, "
-                    f"got {len(parts)}"
-                )
-            try:
-                rows.append([float(v) for v in parts])
-            except ValueError as exc:
-                raise IdentificationError(f"{path}: line {lineno}: {exc}") from exc
-    data = np.array(rows)
+    """Read a record written by save_records; raises ConfigError naming the
+    bad line."""
+    header, data = read_table(path)
+    n_u = sum(1 for c in header if c.startswith("u"))
+    n_y = sum(1 for c in header if c.startswith("y"))
+    if header[0] != "time" or n_u == 0 or n_y == 0:
+        raise ConfigError(f"{path}: line 1: bad record header {header!r}")
     return data[:, 0], data[:, 1 : 1 + n_u], data[:, 1 + n_u :]

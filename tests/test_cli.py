@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, artifact generation, idempotence, and
 the defaults round trip between config parsing and the defaults module."""
 
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,16 @@ def minimal_cfg(tmp_path):
 
 def run(argv):
     return cli.main([str(a) for a in argv])
+
+
+@pytest.fixture(scope="module")
+def demo_run(tmp_path_factory):
+    """A detection_demo.cfg workspace after identify, calibrate and simulate."""
+    work = tmp_path_factory.mktemp("demo") / "work"
+    for command in ("identify", "calibrate", "simulate"):
+        assert run([command, "--config", CONFIGS / "detection_demo.cfg", "--out", work,
+                    "--quiet"]) == 0
+    return work
 
 
 class TestSimulate:
@@ -138,8 +149,32 @@ class TestPipeline:
         cfg = tmp_path / "id.cfg"
         cfg.write_text(MINIMAL + "\n[identify]\ngrid = 1\nrecords_file = records.csv\n")
         rc = run(["identify", "--config", cfg, "--out", work])
-        assert rc == cli.EXIT_NUMERIC
+        assert rc == cli.EXIT_USAGE
         assert "line 3" in capsys.readouterr().err
+
+    def test_identify_from_header_only_records(self, tmp_path, capsys):
+        work = tmp_path / "w"
+        work.mkdir()
+        (work / "records.csv").write_text("time,u1,y1\n")
+        cfg = tmp_path / "id.cfg"
+        cfg.write_text(MINIMAL + "\n[identify]\ngrid = 1\nrecords_file = records.csv\n")
+        rc = run(["identify", "--config", cfg, "--out", work])
+        assert rc == cli.EXIT_NUMERIC
+        assert "record too short: 0 samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, old, new", [
+        ("identify", "record_file = sysid_records.csv", "records_file = absent.csv"),
+        ("detect", "trace_file = timeseries.csv", "trace_file = absent.csv"),
+    ])
+    def test_missing_csv_input_is_an_io_error(self, tmp_path, capsys, demo_run,
+                                              command, old, new):
+        work = tmp_path / "w"
+        shutil.copytree(demo_run, work)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text((CONFIGS / "detection_demo.cfg").read_text().replace(old, new))
+        rc = run([command, "--config", cfg, "--out", work])
+        assert rc == cli.EXIT_IO
+        assert "absent.csv" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line, key", [
         ("beta = 0", "beta"),
@@ -193,6 +228,32 @@ class TestPipeline:
         rc = run(["detect", "--config", cfg, "--out", work])
         assert rc == cli.EXIT_OK
         assert "warm-up" in capsys.readouterr().out
+
+    def test_detect_on_header_only_trace_notes_warmup(self, tmp_path, capsys, demo_run):
+        work = tmp_path / "w"
+        shutil.copytree(demo_run, work)
+        trace = work / "timeseries.csv"
+        trace.write_text(trace.read_text().splitlines()[0] + "\n")
+        rc = run(["detect", "--config", CONFIGS / "detection_demo.cfg", "--out", work])
+        assert rc == cli.EXIT_OK
+        assert "warm-up" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cut", [200, 40])
+    def test_detect_on_cut_trace_names_file_and_line(self, tmp_path, capsys, demo_run,
+                                                     cut):
+        work = tmp_path / "w"
+        shutil.copytree(demo_run, work)
+        trace = work / "timeseries.csv"
+        text = trace.read_bytes()[:-cut].decode()
+        trace.write_text(text)
+        lines = text.splitlines()
+        n_fields = len(lines[-1].split(","))
+        assert n_fields < len(lines[0].split(",")) == 29
+        rc = run(["detect", "--config", CONFIGS / "detection_demo.cfg", "--out", work])
+        assert rc == cli.EXIT_USAGE
+        assert (f"{trace}: line {len(lines)}: expected 29 fields, got {n_fields}"
+                in capsys.readouterr().err)
+        assert len(lines) == 801
 
 
     @pytest.mark.parametrize("command, gid", [

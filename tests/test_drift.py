@@ -1,0 +1,36 @@
+"""The cell comparison of bench/drift.py: differing cells are counted once
+each and the largest relative difference is reported."""
+
+import importlib.util
+import math
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))  # drift imports its neighbour pairs
+_SPEC = importlib.util.spec_from_file_location("drift", BENCH / "drift.py")
+drift = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(drift)
+
+
+def test_identical_texts_have_no_differing_cells():
+    text = "t,x,mode\n0,1.5,on\n0.005,-0,off\n"
+    assert drift.cell_diff(text, text) == (0, 0.0)
+
+
+def test_counts_cells_and_reports_the_largest_relative_difference():
+    base = "t,x,y\n0,1.00000000,200\n0.005,4,nan\nd = 4: eta = 2.5e-07 W/sample\n"
+    change = "t,x,y\n0,1.00000001,200\n0.005,4,nan\nd = 4: eta = 2.50000002e-07 W/sample\n"
+    count, worst = drift.cell_diff(base, change)
+    assert count == 2
+    assert math.isclose(worst, 1e-8, rel_tol=1e-6)
+
+
+def test_spelling_of_an_equal_number_counts_with_zero_difference():
+    assert drift.cell_diff("0,-0\n", "0,0\n") == (1, 0.0)
+
+
+def test_words_and_missing_cells_count_as_infinite():
+    assert drift.cell_diff("mg1_ctrl\noptimal-z\n", "mg1_ctrl\noff\n") == (1, math.inf)
+    assert drift.cell_diff("1,2,3\n", "1,2\n") == (1, math.inf)
+    assert drift.cell_diff("1\n2\n", "1\n") == (1, math.inf)

@@ -67,6 +67,14 @@ class TestGenerateExcitation:
         with pytest.raises(ValueError):
             m.ExcitationSpec(dt=0.01, dt_prime=0.01)
 
+    @pytest.mark.parametrize("setting", [
+        {"beta": float("nan")}, {"beta": float("inf")}, {"beta": -0.1}, {"k0": -5},
+        {"k0": 0},
+    ])
+    def test_invalid_amplitude_or_length(self, setting):
+        with pytest.raises(ValueError):
+            m.ExcitationSpec(dt=0.005, dt_prime=0.05, **setting)
+
 
 class TestIdentify:
     def test_markov_parameters_recovered(self):
@@ -271,13 +279,13 @@ class TestPersistence:
     def test_corrupt_record_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,u1,y1\n0.0,1.0,2.0\n0.005,oops,3.0\n")
-        with pytest.raises(m.IdentificationError, match="line 3"):
+        with pytest.raises(sysid.ConfigError, match="line 3"):
             sysid.load_records(path)
 
     def test_short_row_reports_line_number(self, tmp_path):
         path = tmp_path / "bad2.csv"
         path.write_text("time,u1,y1\n0.0,1.0\n")
-        with pytest.raises(m.IdentificationError, match="line 2"):
+        with pytest.raises(sysid.ConfigError, match="line 2"):
             sysid.load_records(path)
 
 

@@ -9,7 +9,12 @@ scratch directory with relative output paths so that printed lines compare:
   - `simulate` on each shipped config in `configs/` (`detection_demo.cfg`
     alone has no model to load yet, so that run compares exit code 3);
   - the `configs/detection_demo.cfg` chain identify -> calibrate -> simulate
-    -> detect in one workspace.
+    -> detect in one workspace;
+  - `simulate` on the nine `slow-lqr` jobs of the benchmark's regulate
+    library, rendered from `perfbench/workload.py` into the scratch directory.
+    Their saturated limit cycle is chaotic, so a last-bit change in the plant
+    advance grows to O(1) differences within 20 s, where the shipped configs
+    show it, if at all, in the last written digits.
 
 For every command it prints whether the exit code and the stdout lines are
 identical, then for every output file either "identical" or the number of
@@ -82,19 +87,36 @@ def run_cli(tree: Path, cwd: Path, argv: list[str]) -> tuple[int, str]:
     return proc.returncode, proc.stdout
 
 
-def jobs(tree: Path) -> list[tuple[str, list[list[str]]]]:
-    """(output directory, commands) of every compared run."""
+def controller_jobs(jobs, controller: str) -> list:
+    """The benchmark jobs whose config sets `controller = <controller>`."""
+    return [job for job in jobs if f"\ncontroller = {controller}\n" in job.config]
+
+
+def render_slow_lqr_jobs(directory: Path) -> list[Path]:
+    """Config files of the regulate library's slow-lqr jobs, written into directory."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    import workload
+
+    picked = controller_jobs(workload.library("regulate")["single"], "slow-lqr")
+    return workload.write_configs(picked, directory)
+
+
+def jobs(tree: Path, extra: list[Path]) -> list[tuple[str, list[list[str]]]]:
+    """(output directory, commands) of every compared run: the shipped
+    configs of tree, the detection_demo chain, then the extra configs."""
     out = [(f"simulate-{cfg.stem}", [["simulate", "--config", str(cfg)]])
            for cfg in sorted((tree / "configs").glob("*.cfg"))]
     demo = str(tree / "configs" / "detection_demo.cfg")
     out.append(("chain-detection_demo", [[cmd, "--config", demo] for cmd in CHAIN]))
+    out += [(f"simulate-{cfg.stem}", [["simulate", "--config", str(cfg)]])
+            for cfg in extra]
     return out
 
 
-def run_side(tree: Path, work: Path) -> dict:
+def run_side(tree: Path, work: Path, extra: list[Path]) -> dict:
     """Per job: the (exit code, stdout) of each command, and the output files."""
     results = {}
-    for name, commands in jobs(tree):
+    for name, commands in jobs(tree, extra):
         calls = [run_cli(tree, work, [*argv, "--out", name]) for argv in commands]
         files = {p.name: p.read_text(encoding="utf-8")
                  for p in sorted((work / name).glob("*")) if p.is_file()}
@@ -133,10 +155,11 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp())
     try:
         export(base_commit, work / "tree")
+        extra = render_slow_lqr_jobs(work / "slow-lqr")
         sides = {}
         for side, tree in (("base", work / "tree"), ("change", ROOT)):
             (work / side).mkdir()
-            sides[side] = run_side(tree, work / side)
+            sides[side] = run_side(tree, work / side, extra)
     finally:
         shutil.rmtree(work, ignore_errors=True)
     lines, same = report(sides["base"], sides["change"])

@@ -6,7 +6,8 @@ One scenario is one sequential loop over control instants; the plant is
 integrated between instants at a finer substep with all inputs held constant
 over each substep. Every run has one world plant: the grid plants side by side
 (block-diagonal) until the tie closes, the merged network's plant after, so
-all grids are measured and stepped together through one path. Identical
+all grids are measured and stepped together through one path, one block step
+per control period over a load schedule evaluated once per run. Identical
 scenario and seeds give bit-identical logs.
 """
 
@@ -255,27 +256,34 @@ class ZohStepper:
     def __init__(self, plant: LinearPlant, h: float):
         if h <= 0.0:
             raise ValueError("step must be positive")
-        n = plant.n_states
-        b_all = np.hstack([plant.b1, plant.f])
-        aug = np.zeros((n + b_all.shape[1], n + b_all.shape[1]))
-        aug[:n, :n] = plant.a
-        aug[:n, n:] = b_all
+        n, k = plant.n_states, plant.b1.shape[1] + plant.f.shape[1]
+        aug = np.zeros((n + k, n + k))
+        aug[:n] = np.hstack([plant.a, plant.b1, plant.f])
         phi = scipy.linalg.expm(aug * h)
         self.h = h
         self.a_d = phi[:n, :n]
         self.b_d = phi[:n, n:]
         self._n_u = plant.b1.shape[1]
+        self._u = np.zeros(k)  # [d_omega_s, d_p_l] of the held input
 
     def step(self, x: np.ndarray, d_omega_s: np.ndarray, d_p_l: np.ndarray) -> np.ndarray:
-        u = np.concatenate([d_omega_s, d_p_l])
-        return self.a_d @ x + self.b_d @ u
+        """Advance one substep per row of d_p_l (a 1-D d_p_l is one substep) with
+        the command held; b_d @ u is recomputed only where a load row differs in
+        value from the one before, so each state equals one call per substep."""
+        u, rows = self._u, np.atleast_2d(d_p_l)
+        u[:self._n_u] = d_omega_s
+        changed = [True, *(rows[1:] != rows[:-1]).any(axis=1).tolist()]
+        for row, new in zip(rows, changed):
+            if new:
+                u[self._n_u:] = row
+                drive = self.b_d @ u
+            x = self.a_d @ x + drive
+        return x
 
 
 def measure_power(plant: LinearPlant, x: np.ndarray, d_p_l: np.ndarray) -> np.ndarray:
     """Instantaneous true power deviation at the IBR nodes."""
-    return plant.h_red @ (plant.e @ np.asarray(x, float)) + plant.f_map @ np.asarray(
-        d_p_l, float
-    )
+    return plant.h_red @ (plant.e @ x) + plant.f_map @ d_p_l
 
 
 def measure_frequency_lagged(
@@ -290,22 +298,23 @@ def measure_frequency_lagged(
     return w + (y - w) * math.exp(-h / tau)
 
 
-def load_signal(spec: LoadSignalSpec, t: float) -> float:
-    """Evaluate one load signal at time t (W)."""
+def load_signal(spec: LoadSignalSpec, t) -> np.ndarray:
+    """Evaluate one load signal (W) at time t, a float or an array of times."""
     if spec.kind == "constant":
-        return spec.amplitude
-    if spec.kind == "step":
-        return spec.amplitude if t >= spec.step_time else 0.0
-    phase = t / spec.period
-    frac = phase - math.floor(phase)
-    return spec.amplitude if frac * spec.period < spec.width else 0.0
+        on = np.ones(np.shape(t), dtype=bool)
+    elif spec.kind == "step":
+        on = t >= spec.step_time
+    else:
+        phase = t / spec.period
+        on = (phase - np.floor(phase)) * spec.period < spec.width
+    return np.where(on, spec.amplitude, 0.0)
 
 
-def load_vector(signals, t: float, n_load: int) -> np.ndarray:
-    """Sum all load signals into the load-deviation vector."""
-    out = np.zeros(n_load)
+def load_vector(signals, t, n_load: int) -> np.ndarray:
+    """Sum the load signals, in order, into vectors of shape shape(t) + (n_load,)."""
+    out = np.zeros(np.shape(t) + (n_load,))
     for sig in signals:
-        out[sig.load_index] += load_signal(sig, t)
+        out[..., sig.load_index] += load_signal(sig, t)
     return out
 
 
@@ -393,10 +402,6 @@ class TimeSeries:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
 
-    @property
-    def names(self) -> list[str]:
-        return list(self.columns)
-
     def to_csv(self, path) -> None:
         write_table(path, ["t", *self.columns], [self.time, *self.columns.values()])
 
@@ -481,13 +486,12 @@ class _World:
 
     Until the tie closes it is the grid plants side by side; closing the tie
     replaces it in place with the merged network's plant. Both order the nodes
-    as every grid's IBRs, then every grid's loads, so grid gi owns the state
-    slice states[gi] and the IBR channel slice channels[gi] for the whole run.
+    as every grid's IBRs, then every grid's loads: grid gi owns the state slice
+    states[gi] and channel slice channels[gi], and one load schedule serves all.
     """
 
     def __init__(self, rts: list[_GridRuntime], h: float):
         self.rts = rts
-        self.h = h
         self.plant = _side_by_side([rt.plant for rt in rts])
         self.stepper = ZohStepper(self.plant, h)
         self.x = np.zeros(self.plant.n_states)
@@ -504,13 +508,10 @@ class _World:
             n0, m0 = n0 + rt.n, m0 + rt.m
         self.signals = tuple(signals)
 
-    def load_deviation(self, t: float) -> np.ndarray:
-        return load_vector(self.signals, t, self.plant.n_load)
-
-    def close_tie(self, tie: TieSpec, t: float) -> None:
-        """Network the two grids through the tie. Grid B's angles shift so the
-        tie carries zero deviation flow at the closing instant (ideal
-        synchronized close)."""
+    def close_tie(self, tie: TieSpec, t: float, d_p_l: np.ndarray) -> None:
+        """Network the two grids through the tie, with load deviations d_p_l
+        at the closing instant t. Grid B's angles shift so the tie carries
+        zero deviation flow at that instant (ideal synchronized close)."""
         a, b = self.rts
         network, map_a, map_b = close_tie_line(a.spec.network, b.spec.network, tie)
         p_inj = np.zeros(network.n_nodes)
@@ -523,7 +524,6 @@ class _World:
                 f"tie close at t={t:.4f}s: merged operating point failed: {exc}"
             ) from exc
         sens = build_sensitivity(network, op)
-        d_p_l = self.load_deviation(t)
         ia, ib = map_a[tie.node_a], map_b[tie.node_b]
 
         def tie_angle_gap(x: np.ndarray) -> float:
@@ -544,7 +544,7 @@ class _World:
             gamma = -gap0 / slope
         self.x[b_angles] += gamma
         self.plant = assemble_plant(a.spec.ibrs + b.spec.ibrs, sens)
-        self.stepper = ZohStepper(self.plant, self.h)
+        self.stepper = ZohStepper(self.plant, self.stepper.h)
         self.tied = True
 
 
@@ -578,6 +578,9 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
 
     cols = _allocate_columns(rts, n_steps)
     time_axis = np.arange(n_steps) * dt_c
+    # load deviations at every substep time rho * dt_c + s * h of the run
+    loads = load_vector(world.signals, time_axis[:, None] + np.arange(n_sub) * h,
+                        world.plant.n_load)
 
     for rho in range(n_steps):
         t = rho * dt_c
@@ -586,10 +589,10 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
         for j, ev in enumerate(events):
             if not fired[j] and ev.time <= t + 1e-12:
                 fired[j] = True
-                _apply_event(ev, scenario, rts, world, t)
+                _apply_event(ev, scenario, rts, world, t, loads[rho, 0])
 
         # true measurements
-        y_all = measure_power(world.plant, world.x, world.load_deviation(t))
+        y_all = measure_power(world.plant, world.x, loads[rho, 0])
         y_true = [y_all[ch] for ch in world.channels]
         for gi, rt in enumerate(rts):
             rt.history_true[rho] = y_true[gi]
@@ -625,7 +628,7 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
                     rt.enabled = False
                     rt.wm_active = False
                     _apply_event(Event(time=t, action="tie_close"), scenario, rts,
-                                 world, t)
+                                 world, t, loads[rho, 0])
                     log.info("grid %d: flag at t=%.4fs, networking with neighbor", gi, t)
 
         # control laws, watermark and applied commands
@@ -643,11 +646,7 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
             _log_step(cols, rho, gi, rt, x_grid, y_true[gi], y_rx[gi], e_now)
 
         # integrate to the next control instant
-        x = world.x
-        u_all = np.concatenate(u_applied)
-        for s in range(n_sub):
-            x = world.stepper.step(x, u_all, world.load_deviation(t + s * h))
-        world.x = x
+        world.x = world.stepper.step(world.x, np.concatenate(u_applied), loads[rho])
 
         for gi, rt in enumerate(rts):
             rt.u_prev_cmd = rt.u_cmd
@@ -695,7 +694,7 @@ def _update_controller(rt: _GridRuntime, x: np.ndarray, y_rx: np.ndarray, rho: i
 
 
 def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
-                 world: _World, t: float) -> None:
+                 world: _World, t: float, d_p_l: np.ndarray) -> None:
     if ev.action == "controller_on":
         rts[ev.grid].enabled = True
     elif ev.action == "controller_off":
@@ -719,7 +718,7 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
     elif world.tied:
         log.warning("tie already closed; ignoring tie_close at t=%.4fs", t)
     else:
-        world.close_tie(scenario.tie, t)
+        world.close_tie(scenario.tie, t, d_p_l)
         for rt in rts:
             if rt.det_state is not None:
                 rt.wm_active = False
@@ -766,10 +765,8 @@ def _finalize_columns(cols, time_axis, rts) -> TimeSeries:
             block = cols[f"{p}_{name}"]
             for i in range(rt.n):
                 out[f"{p}_{name}_{i + 1}"] = block[:, i]
-        out[f"{p}_xi1"] = cols[f"{p}_xi1"]
-        out[f"{p}_xi2"] = cols[f"{p}_xi2"]
-        out[f"{p}_flag"] = cols[f"{p}_flag"]
-        out[f"{p}_ctrl"] = cols[f"{p}_ctrl"]
+        for name in ("xi1", "xi2", "flag", "ctrl"):
+            out[f"{p}_{name}"] = cols[f"{p}_{name}"]
     return TimeSeries(time=time_axis, columns=out)
 
 

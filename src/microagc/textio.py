@@ -33,8 +33,9 @@ def read_table(path, names=None) -> tuple[list[str], np.ndarray]:
     """Header and a (rows, len(names)) float array of the named columns (all
     columns when names is None) of a CSV table.
 
-    Every non-blank row must have one field per header name; only the named
-    columns are converted.
+    Every non-blank row must have one field per header name and end with a
+    newline, as the writer leaves it, so a table cut inside its last field
+    fails; only the named columns are converted.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
@@ -51,6 +52,8 @@ def read_table(path, names=None) -> tuple[list[str], np.ndarray]:
             if len(fields) != len(header):
                 raise ConfigError(f"{path}: line {lineno}: expected {len(header)} "
                                   f"fields, got {len(fields)}")
+            if not line.endswith("\n"):
+                raise ConfigError(f"{path}: line {lineno}: cut short (no newline)")
             try:
                 rows.append([float(fields[j]) for j in picks])
             except ValueError as exc:

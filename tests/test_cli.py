@@ -255,6 +255,22 @@ class TestPipeline:
                 in capsys.readouterr().err)
         assert len(lines) == 801
 
+    def test_detect_on_trace_cut_inside_last_field_names_file_and_line(
+            self, tmp_path, capsys, demo_run):
+        """Cutting 4 bytes leaves every field of the last row in place
+        (`...,optima` for `...,optimal-z`); only the missing newline shows it."""
+        work = tmp_path / "w"
+        shutil.copytree(demo_run, work)
+        trace = work / "timeseries.csv"
+        text = trace.read_bytes()[:-4].decode()
+        trace.write_text(text)
+        lines = text.splitlines()
+        assert len(lines[-1].split(",")) == len(lines[0].split(",")) == 29
+        rc = run(["detect", "--config", CONFIGS / "detection_demo.cfg", "--out", work])
+        assert rc == cli.EXIT_USAGE
+        assert (f"{trace}: line 801: cut short (no newline)"
+                in capsys.readouterr().err)
+
 
     @pytest.mark.parametrize("command, gid", [
         ("calibrate", 0), ("calibrate", 2), ("detect", 0), ("detect", 2),

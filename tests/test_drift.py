@@ -34,3 +34,15 @@ def test_words_and_missing_cells_count_as_infinite():
     assert drift.cell_diff("mg1_ctrl\noptimal-z\n", "mg1_ctrl\noff\n") == (1, math.inf)
     assert drift.cell_diff("1,2,3\n", "1,2\n") == (1, math.inf)
     assert drift.cell_diff("1\n2\n", "1\n") == (1, math.inf)
+
+
+def test_slow_lqr_pick_is_the_nine_regulate_jobs_of_that_controller():
+    sys.path.insert(0, str(BENCH.parent / "perfbench"))
+    import workload
+
+    single = workload.library("regulate")["single"]
+    picked = drift.controller_jobs(single, "slow-lqr")
+    assert len(picked) == 9
+    assert all("\ncontroller = slow-lqr\n" in job.config for job in picked)
+    others = [job for job in single if job not in picked]
+    assert not any("slow-lqr" in job.config for job in others)

@@ -1,8 +1,11 @@
 """Scenario engine tests: integrator exactness, sensors, attacks, load
 signals, tie-line merging, and run-level invariants."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import microagc as m
 from microagc import casestudy as cs
@@ -70,6 +73,79 @@ class TestIntegrateStep:
                 x_f = fine.step(x_f, u, pl)
             scale = max(scale, np.max(np.abs(x_c)))
         assert np.max(np.abs(x_c - x_f)) <= 1e-9 * scale
+
+
+_GRID1 = cs.grid1_spec()
+_SENS1 = m.build_sensitivity(_GRID1.network,
+                             m.solve_operating_point(_GRID1.network, _GRID1.p_injections))
+_FINITE = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(omega_c=st.lists(st.floats(1.0, 200.0), min_size=3, max_size=3),
+       m_p=st.lists(st.floats(1e-6, 1e-3), min_size=3, max_size=3),
+       h=st.sampled_from([2.5e-4, 5e-4, 1e-3]), data=st.data())
+def test_block_step_equals_one_substep_per_row(omega_c, m_p, h, data):
+    """A k-row load block gives, bit for bit, the states of k one-row steps and
+    of the exact ZOH update a_d x + b_d [u; d_p_l] at every substep; rows drawn
+    from a small pool repeat and change."""
+    ibrs = [m.IbrParams(omega_c=w, m_p=mp) for w, mp in zip(omega_c, m_p)]
+    stepper = ZohStepper(m.assemble_plant(ibrs, _SENS1), h)
+    pool = data.draw(st.lists(st.lists(_FINITE, min_size=2, max_size=2),
+                              min_size=1, max_size=3))
+    picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    rows = np.array([pool[i] for i in picks]) + 0.0  # + 0.0 makes any -0.0 a 0.0
+    x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)))
+    u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+    block = stepper.step(x0, u, rows)
+    x_rows = x_ref = x0
+    for row in rows:
+        x_rows = stepper.step(x_rows, u, row)
+        x_ref = stepper.a_d @ x_ref + stepper.b_d @ np.concatenate([u, row])
+    assert np.array_equal(block, x_rows)
+    assert np.array_equal(block, x_ref)
+
+
+def _scalar_load(sig, t: float) -> float:
+    """One load signal at one time in Python floats."""
+    if sig.kind == "constant":
+        return sig.amplitude
+    if sig.kind == "step":
+        return sig.amplitude if t >= sig.step_time else 0.0
+    phase = t / sig.period
+    return sig.amplitude if (phase - math.floor(phase)) * sig.period < sig.width else 0.0
+
+
+@st.composite
+def _load_signals(draw):
+    kind = draw(st.sampled_from(["constant", "step", "periodic-pulse"]))
+    period = draw(st.sampled_from([0.1, 0.3, 0.35, 0.7, 1.0]))
+    width = draw(st.sampled_from([0.1, 0.3, 0.5, 0.7])) * period
+    return m.LoadSignalSpec(kind=kind, amplitude=draw(_FINITE),
+                            load_index=draw(st.integers(0, 1)), period=period,
+                            width=width, step_time=draw(st.sampled_from([0.0, 0.3, 1.1])))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(sigs=st.lists(_load_signals(), min_size=1, max_size=4), data=st.data())
+def test_load_vector_on_a_time_array_equals_scalar_evaluation(sigs, data):
+    """Bit for bit at the run's substep times, on pulse edges k * period and
+    k * period + width, on step times and at arbitrary times."""
+    k = np.arange(40)
+    times = [np.arange(8)[:, None] * 0.05 + np.arange(10) * 5e-4]
+    for sig in sigs:
+        times += [k * sig.period, k * sig.period + sig.width,
+                  np.array([sig.step_time, np.nextafter(sig.step_time, -1.0)])]
+    times.append(np.array(data.draw(st.lists(st.floats(0.0, 30.0), max_size=20))))
+    for t in times:
+        out = load_vector(sigs, t, 2)
+        assert out.shape == t.shape + (2,)
+        for idx in np.ndindex(t.shape):
+            ref = np.zeros(2)
+            for sig in sigs:
+                ref[sig.load_index] += _scalar_load(sig, float(t[idx]))
+            assert np.array_equal(out[idx], ref)
+            assert np.array_equal(load_vector(sigs, float(t[idx]), 2), ref)
 
 
 class TestMeasurement:
@@ -268,7 +344,7 @@ class TestRunScenario:
         sc = m.Scenario(grids=(g,), horizon=1.0, seed=123, attacks=(atk,))
         ts1 = m.run_scenario(sc)
         ts2 = m.run_scenario(sc)
-        for name in ts1.names:
+        for name in ts1.columns:
             if ts1[name].dtype == object:
                 assert list(ts1[name]) == list(ts2[name])
             else:
@@ -320,7 +396,7 @@ class TestRunScenario:
         both = m.run_scenario(m.Scenario(grids=(g1, g2), horizon=1.0, seed=0))
         for gi, g in enumerate((g1, g2)):
             alone = m.run_scenario(m.Scenario(grids=(g,), horizon=1.0, seed=0))
-            for name in alone.names:
+            for name in alone.columns:
                 col = both[f"mg{gi + 1}" + name[len("mg1"):]]
                 if alone[name].dtype == object:
                     assert list(col) == list(alone[name])

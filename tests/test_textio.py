@@ -96,7 +96,7 @@ def test_header_only_and_blank_rows(tmp_path):
     path.write_text("t,x\n")
     header, data = read_table(path, ["x"])
     assert header == ["t", "x"] and data.shape == (0, 1)
-    path.write_text("t,x\n\n0,1\n  \n2,3")
+    path.write_text("t,x\n\n0,1\n  \n2,3\n  ")
     np.testing.assert_array_equal(read_table(path)[1], [[0.0, 1.0], [2.0, 3.0]])
 
 
@@ -105,6 +105,7 @@ def test_header_only_and_blank_rows(tmp_path):
     ("0,1,on,9\n", ["t"], "line 2: expected 3 fields, got 4"),
     ("0,1,on\n0.5,two,off\n", ["x"], "line 3: could not convert string to float: 'two'"),
     ("0,1,on\n", ["t", "y"], "line 1: missing column 'y'"),
+    ("0,1,on\n0.5,2,of", ["t"], "line 3: cut short (no newline)"),
 ])
 def test_malformed_table_names_file_and_line(tmp_path, rows, names, message):
     path = tmp_path / "bad.csv"

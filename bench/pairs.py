@@ -16,6 +16,11 @@ bound, and whether it is a gain by the paired rule: at least nine tenths of
 the pairs won over at least ten pairs, and a median difference larger than
 the base runs' quartile distance. It also records every run, both commits
 and the machine.
+
+After the pairs of a workload, one `--trace 1` run per side (base first, seed
+FIRST_SEED) adds that workload's per-layer metrics: each side's value and the
+relative change, under "per_layer". They come from one run each, so they
+explain an end-to-end change; they are not a paired test.
 """
 
 from __future__ import annotations
@@ -56,11 +61,12 @@ def source_digest(checkout: Path) -> str:
     return h.hexdigest()
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run; its closing JSON line plus the run record."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One benchmark run; its closing JSON line plus the run record."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -97,6 +103,22 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
                      and abs(c_stats["median"] - b_stats["median"])
                      > b_stats["q3"] - b_stats["q1"]),
         }
+    return out
+
+
+def per_layer_table(base: dict, change: dict) -> dict:
+    """Merge two traced runs' metrics ({name: {"value", "unit"}}) by name.
+
+    A metric one side lacks reads None there; the relative change is None
+    unless both sides have the metric and the base is nonzero.
+    """
+    out = {}
+    for name in sorted(base.keys() | change.keys()):
+        b, c = base.get(name, {}), change.get(name, {})
+        b_val, c_val = b.get("value"), c.get("value")
+        rel = (c_val - b_val) / b_val if b_val and c_val is not None else None
+        out[name] = {"unit": b.get("unit", c.get("unit")), "base": b_val, "change": c_val,
+                     "change_rel": rel}
     return out
 
 
@@ -142,15 +164,24 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} seed {seed}: " + ", ".join(
                     f"{side} job_ms_p50 {pair[side]['metrics']['job_ms_p50']['value']:.1f}"
                     for side in order), flush=True)
+            traced = {side: run_once(sides[side], workload, args.first_seed, seconds,
+                                     trace=1) for side in sides}
+            for side in sides:
+                traced[side].pop("record")
             workloads[workload] = {
                 "pairs": n_pairs,
                 "failed": {s: sum(r[s]["failed"] for r in runs) for s in sides},
                 "attempted": {s: sum(r[s]["attempted"] for r in runs) for s in sides},
                 "metrics": summarize(runs, bench["end_to_end"]),
                 "runs": runs,
+                "traced_failed": {s: traced[s]["failed"] for s in sides},
+                "per_layer": per_layer_table(traced["base"]["metrics"],
+                                             traced["change"]["metrics"]),
             }
         result = {
             "command": ["perfbench/run.py", "--trace", "0", "--seconds", seconds],
+            "per_layer_command": ["perfbench/run.py", "--trace", "1", "--seconds", seconds,
+                                  "--seed", args.first_seed],
             "base": {"commit": base_commit, "src_sha256": source_digest(base_dir)},
             "change": {"head": git("rev-parse", "HEAD"),
                        "uncommitted": bool(git("status", "--porcelain", "--", "src")),

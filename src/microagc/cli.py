@@ -71,9 +71,10 @@ EXIT_IO = 3
 
 
 class Section:
-    def __init__(self, name: str, lineno: int):
+    def __init__(self, name: str, lineno: int, path):
         self.name = name
         self.lineno = lineno
+        self.path = path
         self.items: list[tuple[str, str, int]] = []
 
     def get(self, key: str, default=None) -> str | None:
@@ -88,13 +89,46 @@ class Section:
             raise ConfigError(f"section [{self.name}] is missing key {key!r}")
         return v
 
-    def get_all(self, key: str) -> list[str]:
-        return [v for k, v, _ in self.items if k == key]
+    def number(self, key: str, default=None, kind=float, many: bool = False):
+        """The value of key as a kind (float or int), or as a list of them when
+        many (whitespace- or comma-separated). An absent key gives default, or
+        is an error when default is None. A value that does not parse is a
+        ConfigError naming the file, line, section and key."""
+        lines = self.number_lines(key, kind)
+        if not lines:
+            if default is None:
+                self.require(key)  # absent: raises the missing-key error
+            return list(default) if many else kind(default)
+        vals = lines[0]
+        if many:
+            return vals
+        if len(vals) != 1:
+            raise ConfigError(self._where(key) + f"expected one number, got {len(vals)}")
+        return vals[0]
+
+    def number_lines(self, key: str, kind=float) -> list[list]:
+        """Every value of a repeatable key, each as a list of kind."""
+        out = []
+        for k, text, lineno in self.items:
+            if k != key:
+                continue
+            try:
+                out.append([kind(tok) for tok in text.replace(",", " ").split()])
+            except ValueError:
+                noun = "an integer" if kind is int else "a number"
+                raise ConfigError(self._where(key, lineno)
+                                  + f"expected {noun}, got {text!r}") from None
+        return out
+
+    def _where(self, key: str, lineno: int | None = None) -> str:
+        if lineno is None:
+            lineno = next(n for k, _, n in self.items if k == key)
+        return f"{self.path}: line {lineno}: [{self.name}] {key}: "
 
 
 def parse_config(path) -> list[Section]:
     """Parse the structured text config into an ordered section list."""
-    sections: list[Section] = [Section("", 0)]
+    sections: list[Section] = [Section("", 0, path)]
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -104,7 +138,7 @@ def parse_config(path) -> list[Section]:
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            sections.append(Section(line[1:-1].strip(), lineno))
+            sections.append(Section(line[1:-1].strip(), lineno, path))
             continue
         key, sep, value = line.partition("=")
         if not sep:
@@ -118,19 +152,10 @@ def parse_config(path) -> list[Section]:
     return sections
 
 
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(",", " ").split()]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in text.replace(",", " ").split()]
-
-
 def _per_ibr(sec: Section, key: str, n: int, default: float) -> np.ndarray:
-    raw = sec.get(key)
-    if raw is None:
+    if sec.get(key) is None:
         return np.full(n, default)
-    vals = _floats(raw)
+    vals = sec.number(key, many=True)
     if len(vals) == 1:
         return np.full(n, vals[0])
     if len(vals) != n:
@@ -152,12 +177,11 @@ def _first_section(sections: list[Section], name: str) -> Section:
 
 
 def _build_network(sec: Section) -> tuple[NetworkSpec, np.ndarray]:
-    n_ibr = int(sec.require("n_ibr"))
-    n_load = int(sec.require("n_load"))
+    n_ibr = sec.number("n_ibr", kind=int)
+    n_load = sec.number("n_load", kind=int)
     v_star = _per_ibr(sec, "v_star", n_ibr + n_load, defaults.V_STAR)
     branches = []
-    for raw in sec.get_all("branch"):
-        vals = _floats(raw)
+    for vals in sec.number_lines("branch"):
         if len(vals) not in (3, 4):
             raise ConfigError(
                 f"section [{sec.name}]: branch needs 'from to admittance [theta]'"
@@ -168,7 +192,7 @@ def _build_network(sec: Section) -> tuple[NetworkSpec, np.ndarray]:
     network = NetworkSpec.from_branches(
         n_ibr=n_ibr, n_load=n_load, branches=branches, v_star=v_star
     )
-    loads = _floats(sec.require("load_w"))
+    loads = sec.number("load_w", many=True)
     if len(loads) != n_load:
         raise ConfigError(
             f"section [{sec.name}]: load_w needs {n_load} values, got {len(loads)}"
@@ -179,8 +203,8 @@ def _build_network(sec: Section) -> tuple[NetworkSpec, np.ndarray]:
 
 
 def _watermark(sec: Section, n: int, default_seed: int) -> WatermarkConfig:
-    return WatermarkConfig.isotropic(float(sec.get("watermark_std", defaults.WATERMARK_STD)),
-                                     n, seed=int(sec.get("watermark_seed", default_seed)))
+    return WatermarkConfig.isotropic(sec.number("watermark_std", defaults.WATERMARK_STD),
+                                     n, seed=sec.number("watermark_seed", default_seed, int))
 
 
 def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | None:
@@ -217,16 +241,16 @@ def _build_grid(sec: Section, sections: list[Section], base_dir: Path,
     gid = _grid_id(sec)
     signals = []
     for ls in _find_sections(sections, "load_signal"):
-        if int(ls.get("grid", "1")) != gid:
+        if ls.number("grid", 1, int) != gid:
             continue
         signals.append(
             LoadSignalSpec(
                 kind=ls.require("kind"),
-                amplitude=float(ls.require("amplitude_w")),
-                load_index=int(ls.get("load_index", "0")),
-                period=float(ls.get("period_s", defaults.LOAD_PULSE_PERIOD)),
-                width=float(ls.get("width_s", defaults.LOAD_PULSE_WIDTH)),
-                step_time=float(ls.get("step_time_s", "0.0")),
+                amplitude=ls.number("amplitude_w"),
+                load_index=ls.number("load_index", 0, int),
+                period=ls.number("period_s", defaults.LOAD_PULSE_PERIOD),
+                width=ls.number("width_s", defaults.LOAD_PULSE_WIDTH),
+                step_time=ls.number("step_time_s", 0.0),
             )
         )
     detector = _build_detector(sec, n, base_dir) if with_detector else None
@@ -238,17 +262,17 @@ def _build_grid(sec: Section, sections: list[Section], base_dir: Path,
         weights=CostWeights(q=q, r=r),
         load_signals=tuple(signals),
         detector=detector,
-        pi_kp=float(sec.get("pi_kp", defaults.PI_KP)),
-        pi_ki=float(sec.get("pi_ki", defaults.PI_KI)),
-        sensor_tau=float(sec.get("sensor_tau_s", defaults.SENSOR_LAG_TAU)),
-        slow_hold=float(sec.get("slow_hold_s", defaults.SLOW_LQR_HOLD)),
-        u_max=float(sec.get("u_max", defaults.COMMAND_LIMIT)),
+        pi_kp=sec.number("pi_kp", defaults.PI_KP),
+        pi_ki=sec.number("pi_ki", defaults.PI_KI),
+        sensor_tau=sec.number("sensor_tau_s", defaults.SENSOR_LAG_TAU),
+        slow_hold=sec.number("slow_hold_s", defaults.SLOW_LQR_HOLD),
+        u_max=sec.number("u_max", defaults.COMMAND_LIMIT),
     )
 
 
 def _stage_grid_section(sections: list[Section], sec: Section) -> Section:
     """The [grid.N] section a stage section names by its `grid` key."""
-    gid = int(sec.get("grid", "1"))
+    gid = sec.number("grid", 1, int)
     grid_sec = next(
         (s for s in _find_sections(sections, "grid") if _grid_id(s) == gid), None
     )
@@ -285,38 +309,38 @@ def build_scenario(sections: list[Section], base_dir: Path,
     if tie_secs:
         ts = tie_secs[0]
         tie = TieSpec(
-            node_a=int(ts.require("node_a")),
-            node_b=int(ts.require("node_b")),
-            y_mag=float(ts.get("admittance_s", defaults.TIE_ADMITTANCE)),
-            theta=float(ts.get("theta_rad", defaults.BRANCH_THETA)),
+            node_a=ts.number("node_a", kind=int),
+            node_b=ts.number("node_b", kind=int),
+            y_mag=ts.number("admittance_s", defaults.TIE_ADMITTANCE),
+            theta=ts.number("theta_rad", defaults.BRANCH_THETA),
         )
     events = tuple(
         Event(
-            time=float(ev.require("time_s")),
+            time=ev.number("time_s"),
             action=ev.require("action"),
-            grid=int(ev.get("grid", "1")) - 1,
+            grid=ev.number("grid", 1, int) - 1,
         )
         for ev in _find_sections(sections, "event")
     )
     attacks = tuple(
         AttackSpec(
             kind=atk.require("kind"),
-            channels=tuple(_ints(atk.get("channels", "0"))),
-            start=float(atk.require("start_s")),
-            end=float(atk.require("end_s")),
-            noise_std=float(atk.get("noise_std_w", "0.0")),
-            replay_from=float(atk.get("replay_from_s", "0.0")),
-            replay_to=float(atk.get("replay_to_s", "0.0")),
-            grid=int(atk.get("grid", "1")) - 1,
+            channels=tuple(atk.number("channels", (0,), int, many=True)),
+            start=atk.number("start_s"),
+            end=atk.number("end_s"),
+            noise_std=atk.number("noise_std_w", 0.0),
+            replay_from=atk.number("replay_from_s", 0.0),
+            replay_to=atk.number("replay_to_s", 0.0),
+            grid=atk.number("grid", 1, int) - 1,
         )
         for atk in _find_sections(sections, "attack")
     )
-    seed = seed_override if seed_override is not None else int(sim.get("seed", "0"))
+    seed = seed_override if seed_override is not None else sim.number("seed", 0, int)
     return Scenario(
         grids=grids,
-        horizon=float(sim.require("horizon_s")),
-        control_period=float(sim.get("control_period_s", defaults.CONTROL_PERIOD)),
-        integrator_step=float(sim.get("integrator_step_s", defaults.INTEGRATOR_STEP)),
+        horizon=sim.number("horizon_s"),
+        control_period=sim.number("control_period_s", defaults.CONTROL_PERIOD),
+        integrator_step=sim.number("integrator_step_s", defaults.INTEGRATOR_STEP),
         tie=tie,
         events=events,
         attacks=attacks,
@@ -387,18 +411,18 @@ def cmd_identify(args) -> int:
     grid = _stage_grid(sections, sec, out)
     out.mkdir(parents=True, exist_ok=True)
 
-    candidates = _ints(sec.get("candidates", " ".join(map(str, defaults.ORDER_CANDIDATES))))
+    candidates = sec.number("candidates", defaults.ORDER_CANDIDATES, int, many=True)
     if min(candidates, default=1) < 1:
         raise ConfigError(f"[identify] candidates must be orders >= 1, got {candidates}")
     records_file = sec.get("records_file")
-    dt = float(sec.get("dt_s", defaults.CONTROL_PERIOD))
+    dt = sec.number("dt_s", defaults.CONTROL_PERIOD)
     if records_file is not None:
         t, u, y = load_records(out / records_file)
         dt = float(t[1] - t[0]) if t.shape[0] > 1 else dt
     else:
-        seed = args.seed if args.seed is not None else int(sec.get("seed", "17"))
-        beta = float(sec.get("beta", defaults.SYSID_BETA))
-        k0 = int(sec.get("k0", defaults.SYSID_K0))
+        seed = args.seed if args.seed is not None else sec.number("seed", 17, int)
+        beta = sec.number("beta", defaults.SYSID_BETA)
+        k0 = sec.number("k0", defaults.SYSID_K0, int)
         # the library accepts beta = 0 (a zero record); a run would fit a zero model
         if not (np.isfinite(beta) and beta > 0.0):
             raise ConfigError(f"[identify] beta must be finite and > 0, got {beta}")
@@ -406,7 +430,7 @@ def cmd_identify(args) -> int:
             raise ConfigError(f"[identify] k0 must be >= 1, got {k0}")
         spec = ExcitationSpec(
             dt=dt,
-            dt_prime=float(sec.get("dt_prime_s", defaults.SYSID_DT_PRIME)),
+            dt_prime=sec.number("dt_prime_s", defaults.SYSID_DT_PRIME),
             beta=beta,
             k0=k0,
             seed=seed,
@@ -438,11 +462,11 @@ def cmd_calibrate(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "calibrate")
-    horizon = float(sec.get("horizon_s", "10.0"))
+    horizon = sec.number("horizon_s", 10.0)
     if horizon <= 0.0:
         raise ConfigError("[calibrate] horizon_s must be positive")
-    window = int(sec.get("window", defaults.DETECTOR_WINDOW))
-    margin = float(sec.get("margin", defaults.THRESHOLD_MARGIN))
+    window = sec.number("window", defaults.DETECTOR_WINDOW, int)
+    margin = sec.number("margin", defaults.THRESHOLD_MARGIN)
     scenario = build_scenario(sections, out, seed_override=args.seed,
                               with_detectors=False)
     grid = _stage_grid(sections, sec, out)

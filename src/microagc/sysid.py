@@ -9,6 +9,13 @@ least squares for the state matrix, and a final linear least-squares pass for
 the input matrix and initial state. Only similarity-invariant quantities
 (Markov parameters, prediction error) are contractual; raw matrix entries are
 basis dependent.
+
+Order selection fits every candidate order and scores it by prediction error.
+The score reuses the candidate's own fit: the B/x0 regressor already holds
+every row [forced response | C A^k], so the prediction over the record is one
+matrix product, not a replay of the recursion. Candidates with the same
+block-row count share one Hankel rank check, LQ factorization and L22 SVD
+through a FitWorkspace.
 """
 
 from __future__ import annotations
@@ -140,38 +147,60 @@ def _as_record(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def identify(
-    u: np.ndarray,
-    y: np.ndarray,
-    d: int,
-    dt: float = 0.0,
-    strict_rank: bool = False,
-) -> DiscreteModel:
-    """Fit an order-d discrete model to (samples, channels) records.
+class FitWorkspace:
+    """What the candidate orders of one record share during order selection.
 
-    Raises InsufficientExcitationError when the input Hankel is rank deficient
-    and RankDeficiencyError when strict_rank is set and the projected output
-    data supports fewer than d modes; otherwise the unsupported modes are
-    zero-padded and effective_order records the supported count.
+    The input-Hankel rank check, the LQ factorization of [U; Y] and the SVD of
+    its L22 block depend only on the record and the block-row count i, so
+    identify keeps one result per i here (the SVD factors, or the excitation
+    error) and orders with the same i reuse it. identify also leaves the B/x0
+    regressor of its last fit in `regressor`, which `score` reads and drops.
+    A workspace belongs to the record of its first identify call.
     """
-    u = _as_record(u)
-    y = _as_record(y)
-    if u.shape[0] != y.shape[0]:
-        raise IdentificationError(
-            f"input and output records differ in length: {u.shape[0]} vs {y.shape[0]}"
-        )
-    n_samples, m = u.shape
-    n_out = y.shape[1]
-    if d < 1:
-        raise IdentificationError(f"model order must be >= 1, got {d}")
-    if n_samples < 10 * d * max(m, n_out):
-        raise IdentificationError(
-            f"record too short: {n_samples} samples for order {d} with "
-            f"{m} inputs / {n_out} outputs"
-        )
-    i = max(2 * d, 8)
-    j = n_samples - i + 1
 
+    def __init__(self):
+        self._record: tuple[np.ndarray, np.ndarray] | None = None
+        self._factors: dict[int, tuple[np.ndarray, np.ndarray] | IdentificationError] = {}
+        self.regressor: np.ndarray | None = None
+
+    def factors(self, u: np.ndarray, y: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """_projected_factors(u, y, i), computed once per i."""
+        if self._record is None:
+            self._record = (u, y)
+        elif self._record[0] is not u or self._record[1] is not y:
+            raise ValueError("workspace was built for another record")
+        if i not in self._factors:
+            try:
+                self._factors[i] = _projected_factors(u, y, i)
+            except InsufficientExcitationError as exc:
+                self._factors[i] = exc
+        found = self._factors[i]
+        if isinstance(found, IdentificationError):
+            raise found
+        return found
+
+    def score(self, model: DiscreteModel, x0: np.ndarray, y: np.ndarray) -> float:
+        """Mean per-sample 2-norm error of the model's prediction from x0.
+
+        The prediction is the last fit's regressor times [vec(B); x0], the same
+        sum as predict's recursion in another order; a model of effective
+        order 0 predicts zero.
+        """
+        reg, self.regressor = self.regressor, None
+        d_eff = model.effective_order
+        if d_eff == 0:
+            return float(np.mean(np.linalg.norm(y, axis=1)))
+        theta = np.concatenate([model.b_d[:d_eff].T.ravel(), x0[:d_eff]])
+        y_hat = (reg @ theta).reshape(y.shape)
+        return float(np.mean(np.linalg.norm(y_hat - y, axis=1)))
+
+
+def _projected_factors(u: np.ndarray, y: np.ndarray, i: int):
+    """Left singular vectors and singular values of the LQ block L22 of the
+    i-block-row Hankels; raises InsufficientExcitationError when the input
+    Hankel is rank deficient."""
+    m = u.shape[1]
+    j = u.shape[0] - i + 1
     u_h = _hankel(u, i, j)
     y_h = _hankel(y, i, j)
 
@@ -188,8 +217,51 @@ def identify(
     stacked = np.vstack([u_h, y_h])
     l_fac = np.linalg.qr(stacked.T, mode="r").T
     l22 = l_fac[m * i :, m * i :]
-
     u_sv, s_sv, _ = np.linalg.svd(l22, full_matrices=False)
+    return u_sv, s_sv
+
+
+def identify(
+    u: np.ndarray,
+    y: np.ndarray,
+    d: int,
+    dt: float = 0.0,
+    strict_rank: bool = False,
+    *,
+    workspace: FitWorkspace | None = None,
+) -> DiscreteModel:
+    """Fit an order-d discrete model to (samples, channels) records.
+
+    Raises InsufficientExcitationError when the input Hankel is rank deficient
+    and RankDeficiencyError when strict_rank is set and the projected output
+    data supports fewer than d modes; otherwise the unsupported modes are
+    zero-padded and effective_order records the supported count. With a
+    workspace, the factors of the record are shared with the workspace's other
+    orders and the B/x0 regressor of the fit is left in it.
+    """
+    u = _as_record(u)
+    y = _as_record(y)
+    if workspace is not None:
+        workspace.regressor = None
+    if u.shape[0] != y.shape[0]:
+        raise IdentificationError(
+            f"input and output records differ in length: {u.shape[0]} vs {y.shape[0]}"
+        )
+    n_samples, m = u.shape
+    n_out = y.shape[1]
+    if d < 1:
+        raise IdentificationError(f"model order must be >= 1, got {d}")
+    if n_samples < 10 * d * max(m, n_out):
+        raise IdentificationError(
+            f"record too short: {n_samples} samples for order {d} with "
+            f"{m} inputs / {n_out} outputs"
+        )
+    i = max(2 * d, 8)
+    if workspace is None:
+        u_sv, s_sv = _projected_factors(u, y, i)
+    else:
+        u_sv, s_sv = workspace.factors(u, y, i)
+
     s_max = s_sv[0] if s_sv.size else 0.0
     rank = int(np.sum(s_sv > RANK_RTOL * max(s_max, 1e-300)))
     d_eff = min(d, rank)
@@ -210,7 +282,9 @@ def identify(
     a_core, *_ = np.linalg.lstsq(gamma[:-n_out], gamma[n_out:], rcond=None)
     c_core = gamma[:n_out]
 
-    b_core, _ = _fit_input_matrix(a_core, c_core, u, y)
+    b_core, _, reg = _fit_input_matrix(a_core, c_core, u, y)
+    if workspace is not None:
+        workspace.regressor = reg
 
     a_d = np.zeros((d, d))
     b_d = np.zeros((d, m))
@@ -221,7 +295,7 @@ def identify(
     return DiscreteModel(a_d, b_d, c_d, dt=dt, order=d, effective_order=d_eff)
 
 
-def _fit_input_matrix(a, c, u, y) -> tuple[np.ndarray, np.ndarray]:
+def _fit_input_matrix(a, c, u, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Least squares for B and x0 with A, C fixed (no feedthrough term).
 
     y[k] = C A^k x0 + sum_{tau<k} C A^(k-1-tau) B u[tau]. One stacked state
@@ -229,6 +303,8 @@ def _fit_input_matrix(a, c, u, y) -> tuple[np.ndarray, np.ndarray]:
     builds the whole regressor: block j < m starts at zero and is driven by
     D[k]_j = u_j[k] C, giving the rows of y[k] in column j of B; the last
     block starts at C and is never driven, giving C A^k, the rows of x0.
+    Returns B, x0 and the (samples * n_out, (m + 1) n) regressor, whose
+    product with [vec(B); x0] (vec input-major) is the model's prediction.
     """
     n = a.shape[0]
     n_out, _ = c.shape
@@ -242,14 +318,16 @@ def _fit_input_matrix(a, c, u, y) -> tuple[np.ndarray, np.ndarray]:
     for k in range(n_samples):
         rows[k] = r
         r = r @ a + drive[k]
+    del drive
     # (sample, block, output, state) -> (sample, output, block, state): each
     # output row reads [vec(B) input-major | x0]
     reg = rows.reshape(n_samples, m + 1, n_out, n).transpose(0, 2, 1, 3)
     reg = reg.reshape(n_samples * n_out, (m + 1) * n)
+    del rows
     sol, *_ = np.linalg.lstsq(reg, y.reshape(-1), rcond=None)
     b = sol[: m * n].reshape(m, n).T     # vec with input-major blocks
     x0 = sol[m * n :]
-    return b, x0
+    return b, x0, reg
 
 
 def predict(model: DiscreteModel, x0: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -305,21 +383,29 @@ def select_order(
     """Fit every candidate order, score by prediction error, keep the minimizer.
 
     The initial state for scoring is estimated from the first max(2d, 20)
-    samples; the report records that count for d*. Per-candidate
-    identification failures are recorded; the selection fails only if every
-    candidate does. Ties break toward the smallest order.
+    samples; the report records that count for d*. A candidate is scored from
+    its own fit: the prediction over the record is the fit's B/x0 regressor
+    times [vec(B); x0], equal to prediction_error's replay up to rounding.
+    Candidates with the same block-row count share one Hankel rank check, LQ
+    factorization and L22 SVD (a FitWorkspace), so each model is the one a lone
+    identify call returns. Per-candidate identification failures are
+    recorded; the selection fails only if every candidate does. Ties break
+    toward the smallest order.
     """
     candidates = tuple(sorted(set(int(c) for c in candidates)))
     if not candidates:
         raise IdentificationError("candidate order set is empty")
+    u = _as_record(u)
+    y = _as_record(y)
+    work = FitWorkspace()
     eta: dict[int, float] = {}
     failures: dict[int, str] = {}
     models: dict[int, DiscreteModel] = {}
     for d in candidates:
         try:
-            model = identify(u, y, d, dt=dt)
+            model = identify(u, y, d, dt=dt, workspace=work)
             x0 = estimate_initial_state(model, u, y, max(2 * d, 20))
-            eta[d] = prediction_error(model, x0, u, y)
+            eta[d] = work.score(model, x0, y)
             models[d] = model
         except IdentificationError as exc:
             failures[d] = str(exc)
@@ -330,7 +416,7 @@ def select_order(
         )
     # scores within numerical noise of the minimum count as ties; prefer the
     # smallest order among them
-    y_scale = float(np.mean(np.linalg.norm(_as_record(y), axis=1)))
+    y_scale = float(np.mean(np.linalg.norm(y, axis=1)))
     tol = 1e-9 * max(y_scale, 1.0)
     eta_min = min(eta.values())
     d_star = min(d for d, v in eta.items() if v <= eta_min + tol)

@@ -200,6 +200,28 @@ class TestPipeline:
         assert f"[identify] {key} must be" in capsys.readouterr().err
         assert not (work / "model.txt").exists()
 
+    @pytest.mark.parametrize("command, section, key, bad", [
+        ("identify", "identify", "beta", "abc"),
+        ("calibrate", "calibrate", "horizon_s", "ten"),
+    ])
+    def test_non_numeric_setting_names_file_line_section_and_key(
+            self, tmp_path, capsys, monkeypatch, command, section, key, bad):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError(f"{command} simulated before checking its settings")
+
+        monkeypatch.setattr("microagc.casestudy.identification_records", no_simulation)
+        monkeypatch.setattr(cli, "run_scenario", no_simulation)
+        lines = (CONFIGS / "detection_demo.cfg").read_text().splitlines()
+        start = lines.index(f"[{section}]")
+        n = next(i for i in range(start, len(lines)) if lines[i].startswith(f"{key} = "))
+        lines[n] = f"{key} = {bad}"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("\n".join(lines) + "\n")
+        rc = run([command, "--config", cfg, "--out", tmp_path / "w"])
+        assert rc == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{cfg}: line {n + 1}: [{section}] {key}: expected a number, got '{bad}'" in err
+
     def test_calibrate_rerun_identical_thresholds(self, tmp_path):
         w1, w2 = tmp_path / "w1", tmp_path / "w2"
         cfg = CONFIGS / "detection_demo.cfg"

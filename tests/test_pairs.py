@@ -1,5 +1,5 @@
 """The paired-run summary of bench/pairs.py: win counts, ties, the bound
-check and the gain rule."""
+check, the gain rule, and the per-layer merge of the traced runs."""
 
 import importlib.util
 from pathlib import Path
@@ -45,3 +45,22 @@ def test_worse_than_bound_follows_the_metric_direction():
     assert not out["jobs_per_s"]["worse_than_bound"]  # 1/1.3: 23 % fewer jobs
     assert not pairs.summarize(runs([100.0] * 4, [70.0] * 4), METRICS)[
         "job_ms_p50"]["worse_than_bound"]
+
+
+def test_per_layer_table_merges_both_sides_by_name():
+    base = {"sysid.predict.calls": {"value": 21.0, "unit": "count"},
+            "sysid.select_order.ms": {"value": 0.0, "unit": "ms"},
+            "old.metric": {"value": 3.0, "unit": "us"}}
+    change = {"sysid.predict.calls": {"value": 11.0, "unit": "count"},
+              "sysid.select_order.ms": {"value": 5.0, "unit": "ms"},
+              "new.metric": {"value": 2.0, "unit": "ms"}}
+    out = pairs.per_layer_table(base, change)
+    assert list(out) == sorted(out) and len(out) == 4
+    assert out["sysid.predict.calls"] == {
+        "unit": "count", "base": 21.0, "change": 11.0,
+        "change_rel": pytest.approx(-10.0 / 21.0)}
+    assert out["sysid.select_order.ms"]["change_rel"] is None   # base reads 0
+    assert out["old.metric"] == {"unit": "us", "base": 3.0, "change": None,
+                                 "change_rel": None}
+    assert out["new.metric"] == {"unit": "ms", "base": None, "change": 2.0,
+                                 "change_rel": None}

@@ -55,7 +55,6 @@ from .sysid import (  # noqa: F401
     IdentificationError,
     InsufficientExcitationError,
     OrderReport,
-    RankDeficiencyError,
     generate_excitation,
     identify,
     predict,

@@ -6,17 +6,19 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical/design failure,
 3 I/O error.
 
 Scenario files are structured text: `key = value` lines grouped under
-`[section]` headers; keys may repeat (e.g. `branch`), values are scalars,
-words, or whitespace-separated lists. Grids are numbered from 1; node and
-channel indices are 0-based within each grid. See configs/ for worked
-fixtures of the two-microgrid experiments.
+`[section]` headers. SECTIONS below declares every key a section takes, the
+field it feeds, its type, and whether it is a list or repeats (only `branch`).
+Grids are numbered from 1; node and channel indices are 0-based within each
+grid. See configs/ for worked fixtures of the two-microgrid experiments.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
+from dataclasses import MISSING, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,8 +60,6 @@ from .watermark import (
     window_statistics,
 )
 
-log = logging.getLogger(__name__)
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
@@ -69,66 +69,149 @@ EXIT_IO = 3
 # ---------------------------------------------------------------------------
 # config parsing
 
+LIST, REPEAT = "list", "repeat"
+
+
+def _grid_index(token: str) -> int:
+    """A grid number of the file (from 1) as the library's index (from 0)."""
+    return int(token) - 1
+
+
+# The keys of each section, key: (field, token type[, LIST or REPEAT]), and the
+# dataclass the section feeds. A field is a field of that dataclass or one of
+# the HAND_READ names its builder reads itself; a key the file leaves out keeps
+# the default. A LIST holds numbers separated by whitespace or commas; only a
+# REPEAT key may appear twice in a section, each line one such list.
+SECTIONS = {
+    "": (None, {"schema_version": ("schema_version", str)}),
+    "sim": (Scenario, {
+        "horizon_s": ("horizon", float), "control_period_s": ("control_period", float),
+        "integrator_step_s": ("integrator_step", float), "seed": ("seed", int),
+        "auto_response": ("auto_response", str)}),
+    "grid": (GridSpec, {
+        "n_ibr": ("n_ibr", int), "n_load": ("n_load", int), "u_max": ("u_max", float),
+        "branch": ("branch", float, REPEAT), "load_w": ("load_w", float, LIST),
+        "v_star": ("v_star", float, LIST), "omega_c": ("omega_c", float, LIST),
+        "m_p": ("m_p", float, LIST), "q_weight": ("q_weight", float, LIST),
+        "r_weight": ("r_weight", float, LIST), "controller": ("controller", str),
+        "pi_kp": ("pi_kp", float), "pi_ki": ("pi_ki", float),
+        "sensor_tau_s": ("sensor_tau", float), "slow_hold_s": ("slow_hold", float),
+        "model_file": ("model_file", str), "baseline_file": ("baseline_file", str),
+        "watermark_std": ("watermark_std", float),
+        "watermark_seed": ("watermark_seed", int)}),
+    "load_signal": (LoadSignalSpec, {
+        "grid": ("grid", _grid_index), "load_index": ("load_index", int),
+        "kind": ("kind", str), "amplitude_w": ("amplitude", float),
+        "period_s": ("period", float), "width_s": ("width", float),
+        "step_time_s": ("step_time", float)}),
+    "attack": (AttackSpec, {
+        "grid": ("grid", _grid_index), "kind": ("kind", str), "start_s": ("start", float),
+        "end_s": ("end", float), "channels": ("channels", int, LIST),
+        "noise_std_w": ("noise_std", float), "replay_from_s": ("replay_from", float),
+        "replay_to_s": ("replay_to", float)}),
+    "event": (Event, {
+        "time_s": ("time", float), "action": ("action", str),
+        "grid": ("grid", _grid_index)}),
+    "tie": (TieSpec, {
+        "node_a": ("node_a", int), "node_b": ("node_b", int),
+        "admittance_s": ("y_mag", float), "theta_rad": ("theta", float)}),
+    "identify": (ExcitationSpec, {
+        "grid": ("grid", _grid_index), "seed": ("seed", int), "beta": ("beta", float),
+        "k0": ("k0", int), "dt_s": ("dt", float), "dt_prime_s": ("dt_prime", float),
+        "candidates": ("candidates", int, LIST), "records_file": ("records_file", str),
+        "record_file": ("record_file", str), "model_file": ("model_file", str),
+        "report_file": ("report_file", str)}),
+    "calibrate": (None, {
+        "grid": ("grid", _grid_index), "model_file": ("model_file", str),
+        "horizon_s": ("horizon", float), "window": ("window", int),
+        "margin": ("margin", float), "watermark_std": ("watermark_std", float),
+        "watermark_seed": ("watermark_seed", int),
+        "baseline_file": ("baseline_file", str)}),
+    "detect": (None, {
+        "grid": ("grid", _grid_index), "model_file": ("model_file", str),
+        "baseline_file": ("baseline_file", str), "trace_file": ("trace_file", str),
+        "telemetry_file": ("telemetry_file", str)}),
+}
+HAND_READ = frozenset({  # the fields a builder reads itself with Section.value
+    "schema_version", "n_ibr", "n_load", "branch", "load_w", "v_star", "omega_c", "m_p",
+    "q_weight", "r_weight", "model_file", "baseline_file", "watermark_std", "grid",
+    "watermark_seed", "candidates", "records_file", "record_file", "report_file",
+    "horizon", "window", "margin", "trace_file", "telemetry_file"})
+REPEATABLE = ("load_signal", "attack", "event")  # sections that may appear twice
+
 
 class Section:
-    def __init__(self, name: str, lineno: int, path):
+    """One [section] of a scenario file, every value converted as it was read."""
+
+    def __init__(self, name: str, lineno: int, path, keys: dict):
         self.name = name
         self.lineno = lineno
         self.path = path
-        self.items: list[tuple[str, str, int]] = []
+        self.keys = keys
+        self.values: dict = {}                  # field -> value (a list for REPEAT)
+        self.lines: dict[str, list[int]] = {}   # field -> line of each occurrence
 
-    def get(self, key: str, default=None) -> str | None:
-        for k, v, _ in self.items:
-            if k == key:
-                return v
-        return default
+    def read(self, key: str, text: str, lineno: int) -> None:
+        at = f"{self.path}: line {lineno}: [{self.name}] {key}: "
+        if key not in self.keys:
+            raise ConfigError(at + "unknown key")
+        field, kind, *shape = self.keys[key]
+        if field in self.lines and shape != [REPEAT]:
+            raise ConfigError(at + f"repeated key (first at line {self.lines[field][0]})")
+        try:
+            value = [kind(t) for t in text.replace(",", " ").split()] if shape else kind(text)
+        except ValueError:
+            noun = "a number" if kind is float else "an integer"
+            raise ConfigError(at + f"expected {noun}, got {text!r}") from None
+        if shape == [REPEAT]:
+            self.values.setdefault(field, []).append(value)
+        else:
+            self.values[field] = value
+        self.lines.setdefault(field, []).append(lineno)
 
-    def require(self, key: str) -> str:
-        v = self.get(key)
-        if v is None:
-            raise ConfigError(f"section [{self.name}] is missing key {key!r}")
-        return v
+    def where(self, field: str | None = None, i: int = 0) -> str:
+        """'file: line N: [section] key' at the i-th line of field's key, at the
+        header line when the file leaves field out, and without a key for None."""
+        line = self.lines.get(field, [self.lineno])[i]
+        key = next((k for k, spec in self.keys.items() if spec[0] == field), None)
+        return f"{self.path}: line {line}: [{self.name}]" + (f" {key}" if key else "")
 
-    def number(self, key: str, default=None, kind=float, many: bool = False):
-        """The value of key as a kind (float or int), or as a list of them when
-        many (whitespace- or comma-separated). An absent key gives default, or
-        is an error when default is None. A value that does not parse is a
-        ConfigError naming the file, line, section and key."""
-        lines = self.number_lines(key, kind)
-        if not lines:
-            if default is None:
-                self.require(key)  # absent: raises the missing-key error
-            return list(default) if many else kind(default)
-        vals = lines[0]
-        if many:
-            return vals
-        if len(vals) != 1:
-            raise ConfigError(self._where(key) + f"expected one number, got {len(vals)}")
-        return vals[0]
+    def value(self, field: str, default=MISSING):
+        """A HAND_READ field's value; without a default the file must set it."""
+        if field not in HAND_READ:
+            raise KeyError(f"{field!r} is not read by hand")
+        if field not in self.values and default is MISSING:
+            raise ConfigError(f"{self.where(field)}: missing required key")
+        return self.values.get(field, default)
 
-    def number_lines(self, key: str, kind=float) -> list[list]:
-        """Every value of a repeatable key, each as a list of kind."""
-        out = []
-        for k, text, lineno in self.items:
-            if k != key:
-                continue
-            try:
-                out.append([kind(tok) for tok in text.replace(",", " ").split()])
-            except ValueError:
-                noun = "an integer" if kind is int else "a number"
-                raise ConfigError(self._where(key, lineno)
-                                  + f"expected {noun}, got {text!r}") from None
-        return out
+    def check(self, field: str, ok, text: str) -> None:
+        """A ConfigError at field's line when the file sets it and ok(value) fails."""
+        if field in self.values and not ok(self.values[field]):
+            raise ConfigError(f"{self.where(field)} {text.format(self.values[field])}")
 
-    def _where(self, key: str, lineno: int | None = None) -> str:
-        if lineno is None:
-            lineno = next(n for k, _, n in self.items if k == key)
-        return f"{self.path}: line {lineno}: [{self.name}] {key}: "
+    def build(self, cls, **given):
+        """cls from the file's values of its fields; a field the file leaves out
+        takes its value from given, else its default, else it is missing."""
+        fields = dataclasses.fields(cls)
+        kwargs = given | {f.name: self.values[f.name] for f in fields
+                          if f.name in self.values}
+        for f in fields:
+            if (f.name not in kwargs and f.default is MISSING
+                    and f.default_factory is MISSING):
+                raise ConfigError(f"{self.where(f.name)}: missing required key")
+        return cls(**kwargs)
 
 
-def parse_config(path) -> list[Section]:
-    """Parse the structured text config into an ordered section list."""
-    sections: list[Section] = [Section("", 0, path)]
+def parse_config(path) -> dict[str, list[Section]]:
+    """Parse the structured text config into one list of sections per name
+    in SECTIONS, in file order; "grid" lists the [grid.N] sections in grid order.
+
+    An unknown section or key, a repeated key or section, a value that does
+    not convert, grids not numbered [grid.1] to [grid.G] and a missing or
+    unsupported schema_version are ConfigErrors naming the file and line.
+    """
+    current = Section("", 0, path, SECTIONS[""][1])
+    sections = {name: [] for name in SECTIONS} | {"": [current]}
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -137,216 +220,116 @@ def parse_config(path) -> list[Section]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        at = f"{path}: line {lineno}: "
         if line.startswith("[") and line.endswith("]"):
-            sections.append(Section(line[1:-1].strip(), lineno, path))
+            name = line[1:-1].strip()
+            kind, dot, _ = name.partition(".")
+            if not kind or kind not in SECTIONS or (dot and kind != "grid"):
+                raise ConfigError(at + f"unknown section [{name}]")
+            if kind not in REPEATABLE and any(s.name == name for s in sections[kind]):
+                raise ConfigError(at + f"section [{name}] appears twice")
+            current = Section(name, lineno, path, SECTIONS[kind][1])
+            sections[kind].append(current)
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise ConfigError(f"{path}: line {lineno}: expected 'key = value'")
-        sections[-1].items.append((key.strip(), value.strip(), lineno))
-    version = sections[0].get("schema_version")
-    if version is None:
-        raise ConfigError(f"{path}: missing schema_version")
-    if version.strip() != "1":
-        raise ConfigError(f"{path}: unsupported schema_version {version}")
+            raise ConfigError(at + "expected 'key = value'")
+        current.read(key.strip(), value.strip(), lineno)
+    version = sections[""][0].values.get("schema_version")
+    if version != "1":
+        raise ConfigError(f"{path}: missing schema_version" if version is None
+                          else f"{path}: unsupported schema_version {version}")
+    grids = sections["grid"]
+    for sec in grids:
+        if sec.name not in [f"grid.{n}" for n in range(1, len(grids) + 1)]:
+            raise ConfigError(f"{sec.where()}: grids are numbered [grid.1] to "
+                              f"[grid.{len(grids)}], each once")
+    grids.sort(key=lambda sec: _grid_index(sec.name[5:]))
     return sections
 
 
-def _per_ibr(sec: Section, key: str, n: int, default: float) -> np.ndarray:
-    if sec.get(key) is None:
-        return np.full(n, default)
-    vals = sec.number(key, many=True)
-    if len(vals) == 1:
-        return np.full(n, vals[0])
-    if len(vals) != n:
-        raise ConfigError(
-            f"section [{sec.name}]: {key} needs 1 or {n} values, got {len(vals)}"
-        )
-    return np.array(vals)
-
-
-def _find_sections(sections: list[Section], name: str) -> list[Section]:
-    return [s for s in sections if s.name == name or s.name.startswith(name + ".")]
-
-
-def _first_section(sections: list[Section], name: str) -> Section:
-    found = _find_sections(sections, name)
-    if not found:
+def _first_section(sections: dict[str, list[Section]], name: str) -> Section:
+    if not sections[name]:
         raise ConfigError(f"config has no [{name}] section")
-    return found[0]
+    return sections[name][0]
 
 
-def _build_network(sec: Section) -> tuple[NetworkSpec, np.ndarray]:
-    n_ibr = sec.number("n_ibr", kind=int)
-    n_load = sec.number("n_load", kind=int)
-    v_star = _per_ibr(sec, "v_star", n_ibr + n_load, defaults.V_STAR)
-    branches = []
-    for vals in sec.number_lines("branch"):
-        if len(vals) not in (3, 4):
-            raise ConfigError(
-                f"section [{sec.name}]: branch needs 'from to admittance [theta]'"
-            )
-        branches.append((int(vals[0]), int(vals[1]), *vals[2:]))
-    if not branches:
-        raise ConfigError(f"section [{sec.name}] defines no branches")
-    network = NetworkSpec.from_branches(
-        n_ibr=n_ibr, n_load=n_load, branches=branches, v_star=v_star
-    )
-    loads = sec.number("load_w", many=True)
-    if len(loads) != n_load:
-        raise ConfigError(
-            f"section [{sec.name}]: load_w needs {n_load} values, got {len(loads)}"
-        )
-    share = sum(loads) / n_ibr
-    p_inj = np.concatenate([np.full(n_ibr, share), -np.array(loads)])
-    return network, p_inj
+def _per_ibr(sec: Section, field: str, n: int, default: float) -> np.ndarray:
+    vals = sec.value(field, [default])
+    if len(vals) not in (1, n):
+        raise ConfigError(f"{sec.where(field)}: needs 1 or {n} values, got {len(vals)}")
+    return np.full(n, vals[0]) if len(vals) == 1 else np.array(vals)
 
 
 def _watermark(sec: Section, n: int, default_seed: int) -> WatermarkConfig:
-    return WatermarkConfig.isotropic(sec.number("watermark_std", defaults.WATERMARK_STD),
-                                     n, seed=sec.number("watermark_seed", default_seed, int))
+    return WatermarkConfig.isotropic(sec.value("watermark_std", defaults.WATERMARK_STD),
+                                     n, seed=sec.value("watermark_seed", default_seed))
 
 
 def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | None:
-    model_file = sec.get("model_file")
-    baseline_file = sec.get("baseline_file")
-    if model_file is None and baseline_file is None:
+    files = sec.value("model_file", None), sec.value("baseline_file", None)
+    if files == (None, None):
         return None
-    if model_file is None or baseline_file is None:
-        raise ConfigError(
-            f"section [{sec.name}]: detector needs both model_file and baseline_file"
-        )
-    model = load_model(base_dir / model_file)
-    baseline, eps1, eps2 = load_baseline(base_dir / baseline_file)
-    return DetectorSetup(
-        model=model, baseline=baseline, eps1=eps1, eps2=eps2,
-        watermark=_watermark(sec, n, default_seed=0),
-        window=baseline.w,
-    )
+    if None in files:
+        raise ConfigError(f"{sec.where()} a detector needs model_file and baseline_file")
+    model = load_model(base_dir / files[0])
+    baseline, eps1, eps2 = load_baseline(base_dir / files[1])
+    return DetectorSetup(model=model, baseline=baseline, eps1=eps1, eps2=eps2,
+                         watermark=_watermark(sec, n, default_seed=0), window=baseline.w)
 
 
-def _build_grid(sec: Section, sections: list[Section], base_dir: Path,
+def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path,
                 with_detector: bool = True) -> GridSpec:
-    network, p_inj = _build_network(sec)
-    n = network.n_ibr
+    n, n_load = sec.value("n_ibr"), sec.value("n_load")
+    branches = sec.value("branch", [])
+    for i, vals in enumerate(branches):
+        if len(vals) not in (3, 4):
+            raise ConfigError(f"{sec.where('branch', i)}: "
+                              "expected 'from to admittance [theta]'")
+    if not branches:
+        raise ConfigError(f"{sec.where()} defines no branches")
+    network = NetworkSpec.from_branches(
+        n_ibr=n, n_load=n_load, v_star=_per_ibr(sec, "v_star", n + n_load, defaults.V_STAR),
+        branches=[(int(b[0]), int(b[1]), *b[2:]) for b in branches])
+    loads = sec.value("load_w")
+    if len(loads) != n_load:
+        raise ConfigError(f"{sec.where('load_w')}: needs {n_load} values, got {len(loads)}")
+    share = sum(loads) / n
+    p_inj = np.concatenate([np.full(n, share), -np.array(loads)])
     omega_c = _per_ibr(sec, "omega_c", n, defaults.OMEGA_C)
     m_p = _per_ibr(sec, "m_p", n, defaults.M_P)
-    share = p_inj[0]
-    ibrs = tuple(
-        IbrParams(omega_c=float(omega_c[i]), m_p=float(m_p[i]), p_g_star=float(share))
-        for i in range(n)
-    )
-    q = _per_ibr(sec, "q_weight", n, defaults.LQR_Q_DIAG)
-    r = _per_ibr(sec, "r_weight", n, defaults.LQR_R_DIAG)
-    gid = _grid_id(sec)
-    signals = []
-    for ls in _find_sections(sections, "load_signal"):
-        if ls.number("grid", 1, int) != gid:
-            continue
-        signals.append(
-            LoadSignalSpec(
-                kind=ls.require("kind"),
-                amplitude=ls.number("amplitude_w"),
-                load_index=ls.number("load_index", 0, int),
-                period=ls.number("period_s", defaults.LOAD_PULSE_PERIOD),
-                width=ls.number("width_s", defaults.LOAD_PULSE_WIDTH),
-                step_time=ls.number("step_time_s", 0.0),
-            )
-        )
+    ibrs = tuple(IbrParams(omega_c=float(w), m_p=float(m), p_g_star=share)
+                 for w, m in zip(omega_c, m_p))
+    weights = CostWeights(q=_per_ibr(sec, "q_weight", n, defaults.LQR_Q_DIAG),
+                          r=_per_ibr(sec, "r_weight", n, defaults.LQR_R_DIAG))
+    gi = _grid_index(sec.name[5:])
+    signals = tuple(s.build(LoadSignalSpec) for s in sections["load_signal"]
+                    if s.value("grid", 0) == gi)
     detector = _build_detector(sec, n, base_dir) if with_detector else None
-    return GridSpec(
-        network=network,
-        ibrs=ibrs,
-        p_injections=p_inj,
-        controller=sec.get("controller", "optimal-z"),
-        weights=CostWeights(q=q, r=r),
-        load_signals=tuple(signals),
-        detector=detector,
-        pi_kp=sec.number("pi_kp", defaults.PI_KP),
-        pi_ki=sec.number("pi_ki", defaults.PI_KI),
-        sensor_tau=sec.number("sensor_tau_s", defaults.SENSOR_LAG_TAU),
-        slow_hold=sec.number("slow_hold_s", defaults.SLOW_LQR_HOLD),
-        u_max=sec.number("u_max", defaults.COMMAND_LIMIT),
-    )
+    return sec.build(GridSpec, network=network, ibrs=ibrs, p_injections=p_inj,
+                     weights=weights, load_signals=signals, detector=detector)
 
 
-def _stage_grid_section(sections: list[Section], sec: Section) -> Section:
-    """The [grid.N] section a stage section names by its `grid` key."""
-    gid = sec.number("grid", 1, int)
-    grid_sec = next(
-        (s for s in _find_sections(sections, "grid") if _grid_id(s) == gid), None
-    )
-    if grid_sec is None:
-        raise ConfigError(f"[{sec.name}] references grid {gid} but it is not defined")
-    return grid_sec
+def _stage_grid_index(sections: dict[str, list[Section]], sec: Section) -> int:
+    """The index of the grid a stage section names by its `grid` key."""
+    gi = sec.value("grid", 0)
+    if not 0 <= gi < len(sections["grid"]):
+        raise ConfigError(f"{sec.where()} references grid {gi + 1} but it is not defined")
+    return gi
 
 
-def _stage_grid(sections: list[Section], sec: Section, base_dir: Path) -> GridSpec:
-    """The detector-free grid a stage section names by its `grid` key."""
-    return _build_grid(_stage_grid_section(sections, sec), sections, base_dir,
-                       with_detector=False)
-
-
-def _grid_id(sec: Section) -> int:
-    if "." in sec.name:
-        return int(sec.name.split(".", 1)[1])
-    return 1
-
-
-def build_scenario(sections: list[Section], base_dir: Path,
+def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
                    seed_override: int | None = None,
                    with_detectors: bool = True) -> Scenario:
-    sim = _first_section(sections, "sim")
-    grid_secs = sorted(_find_sections(sections, "grid"), key=_grid_id)
-    if not grid_secs:
-        raise ConfigError("config defines no [grid.N] sections")
-    grids = tuple(
-        _build_grid(sec, sections, base_dir, with_detector=with_detectors)
-        for sec in grid_secs
+    scenario = _first_section(sections, "sim").build(
+        Scenario,
+        grids=tuple(_build_grid(sec, sections, base_dir, with_detectors)
+                    for sec in sections["grid"]),
+        tie=sections["tie"][0].build(TieSpec) if sections["tie"] else None,
+        events=tuple(sec.build(Event) for sec in sections["event"]),
+        attacks=tuple(sec.build(AttackSpec, channels=(0,)) for sec in sections["attack"]),
     )
-    tie = None
-    tie_secs = _find_sections(sections, "tie")
-    if tie_secs:
-        ts = tie_secs[0]
-        tie = TieSpec(
-            node_a=ts.number("node_a", kind=int),
-            node_b=ts.number("node_b", kind=int),
-            y_mag=ts.number("admittance_s", defaults.TIE_ADMITTANCE),
-            theta=ts.number("theta_rad", defaults.BRANCH_THETA),
-        )
-    events = tuple(
-        Event(
-            time=ev.number("time_s"),
-            action=ev.require("action"),
-            grid=ev.number("grid", 1, int) - 1,
-        )
-        for ev in _find_sections(sections, "event")
-    )
-    attacks = tuple(
-        AttackSpec(
-            kind=atk.require("kind"),
-            channels=tuple(atk.number("channels", (0,), int, many=True)),
-            start=atk.number("start_s"),
-            end=atk.number("end_s"),
-            noise_std=atk.number("noise_std_w", 0.0),
-            replay_from=atk.number("replay_from_s", 0.0),
-            replay_to=atk.number("replay_to_s", 0.0),
-            grid=atk.number("grid", 1, int) - 1,
-        )
-        for atk in _find_sections(sections, "attack")
-    )
-    seed = seed_override if seed_override is not None else sim.number("seed", 0, int)
-    return Scenario(
-        grids=grids,
-        horizon=sim.number("horizon_s"),
-        control_period=sim.number("control_period_s", defaults.CONTROL_PERIOD),
-        integrator_step=sim.number("integrator_step_s", defaults.INTEGRATOR_STEP),
-        tie=tie,
-        events=events,
-        attacks=attacks,
-        auto_response=sim.get("auto_response", "none"),
-        seed=seed,
-    )
+    return scenario if seed_override is None else replace(scenario, seed=seed_override)
 
 
 # ---------------------------------------------------------------------------
@@ -395,10 +378,9 @@ def cmd_simulate(args) -> int:
     ts.to_csv(out / "timeseries.csv")
     write_detector_csv(ts, scenario, out / "detector.csv")
     (out / "summary.txt").write_text(summarize(ts, scenario), encoding="utf-8")
-    if not args.quiet:
-        print(f"wrote {out / 'timeseries.csv'}")
-        print(f"wrote {out / 'detector.csv'}")
-        print(f"wrote {out / 'summary.txt'}")
+    for name in ("timeseries.csv", "detector.csv", "summary.txt"):
+        if not args.quiet:
+            print(f"wrote {out / name}")
     return EXIT_OK
 
 
@@ -408,37 +390,30 @@ def cmd_identify(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "identify")
-    grid = _stage_grid(sections, sec, out)
+    grid = _build_grid(sections["grid"][_stage_grid_index(sections, sec)], sections, out,
+                       with_detector=False)
     out.mkdir(parents=True, exist_ok=True)
 
-    candidates = sec.number("candidates", defaults.ORDER_CANDIDATES, int, many=True)
-    if min(candidates, default=1) < 1:
-        raise ConfigError(f"[identify] candidates must be orders >= 1, got {candidates}")
-    records_file = sec.get("records_file")
-    dt = sec.number("dt_s", defaults.CONTROL_PERIOD)
+    sec.check("candidates", lambda c: min(c, default=1) >= 1,
+              "must be orders >= 1, got {}")
+    records_file = sec.value("records_file", None)
     if records_file is not None:
         t, u, y = load_records(out / records_file)
-        dt = float(t[1] - t[0]) if t.shape[0] > 1 else dt
+        dt = float(t[1] - t[0]) if t.shape[0] > 1 else 0.0  # too short to fit anyway
     else:
-        seed = args.seed if args.seed is not None else sec.number("seed", 17, int)
-        beta = sec.number("beta", defaults.SYSID_BETA)
-        k0 = sec.number("k0", defaults.SYSID_K0, int)
         # the library accepts beta = 0 (a zero record); a run would fit a zero model
-        if not (np.isfinite(beta) and beta > 0.0):
-            raise ConfigError(f"[identify] beta must be finite and > 0, got {beta}")
-        if k0 < 1:
-            raise ConfigError(f"[identify] k0 must be >= 1, got {k0}")
-        spec = ExcitationSpec(
-            dt=dt,
-            dt_prime=sec.number("dt_prime_s", defaults.SYSID_DT_PRIME),
-            beta=beta,
-            k0=k0,
-            seed=seed,
-        )
+        sec.check("beta", lambda b: np.isfinite(b) and b > 0.0,
+                  "must be finite and > 0, got {}")
+        sec.check("k0", lambda k: k >= 1, "must be >= 1, got {}")
+        spec = sec.build(ExcitationSpec, seed=17)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
         t, u, y = identification_records(grid, spec)
-        save_records(out / sec.get("record_file", "sysid_records.csv"), t, u, y)
-    report, model = select_order(u, y, candidates=candidates, dt=dt)
-    save_model(model, out / sec.get("model_file", "model.txt"))
+        save_records(out / sec.value("record_file", "sysid_records.csv"), t, u, y)
+        dt = spec.dt
+    report, model = select_order(
+        u, y, candidates=sec.value("candidates", defaults.ORDER_CANDIDATES), dt=dt)
+    save_model(model, out / sec.value("model_file", "model.txt"))
     lines = ["order selection", "==============="]
     for d in report.candidates:
         if d in report.eta:
@@ -447,7 +422,7 @@ def cmd_identify(args) -> int:
         else:
             lines.append(f"d = {d}: failed: {report.failures[d]}")
     lines.append(f"selected order = {report.d_star}")
-    (out / sec.get("report_file", "order_report.txt")).write_text(
+    (out / sec.value("report_file", "order_report.txt")).write_text(
         "\n".join(lines) + "\n", encoding="utf-8"
     )
     if not args.quiet:
@@ -462,18 +437,15 @@ def cmd_calibrate(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "calibrate")
-    horizon = sec.number("horizon_s", 10.0)
-    if horizon <= 0.0:
-        raise ConfigError("[calibrate] horizon_s must be positive")
-    window = sec.number("window", defaults.DETECTOR_WINDOW, int)
-    margin = sec.number("margin", defaults.THRESHOLD_MARGIN)
+    sec.check("horizon", lambda h: h > 0.0, "must be positive, got {}")
+    window = sec.value("window", defaults.DETECTOR_WINDOW)
     scenario = build_scenario(sections, out, seed_override=args.seed,
                               with_detectors=False)
-    grid = _stage_grid(sections, sec, out)
-    model = load_model(out / sec.require("model_file"))
+    grid = scenario.grids[_stage_grid_index(sections, sec)]
+    model = load_model(out / sec.value("model_file"))
     wm = _watermark(sec, grid.network.n_ibr, default_seed=29)
     ts = run_scenario(calibration_scenario(
-        grid, model, wm, window, horizon=horizon, seed=scenario.seed,
+        grid, model, wm, window, horizon=sec.value("horizon", 10.0), seed=scenario.seed,
         control_period=scenario.control_period, integrator_step=scenario.integrator_step,
     ))
     received, predicted = calibration_record(ts, model)
@@ -481,9 +453,10 @@ def cmd_calibrate(args) -> int:
     nu = received - predicted
     xi1, xi2 = np.transpose([window_statistics(nu[i - window : i], baseline)
                              for i in range(window, nu.shape[0] + 1)])
-    eps1, eps2 = calibrate_thresholds(xi1, xi2, margin=margin)
+    eps1, eps2 = calibrate_thresholds(
+        xi1, xi2, margin=sec.value("margin", defaults.THRESHOLD_MARGIN))
     out.mkdir(parents=True, exist_ok=True)
-    save_baseline(baseline, eps1, eps2, out / sec.get("baseline_file", "baseline.txt"))
+    save_baseline(baseline, eps1, eps2, out / sec.value("baseline_file", "baseline.txt"))
     if not args.quiet:
         print(f"eps1 = {eps1:.6g}, eps2 = {eps2:.6g}")
     return EXIT_OK
@@ -493,10 +466,10 @@ def cmd_detect(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "detect")
-    gid = _grid_id(_stage_grid_section(sections, sec))
-    model = load_model(out / sec.require("model_file"))
-    baseline, eps1, eps2 = load_baseline(out / sec.require("baseline_file"))
-    t, u, e, y = _load_trace(out / sec.require("trace_file"), gid, model.n_inputs)
+    gid = _stage_grid_index(sections, sec) + 1
+    model = load_model(out / sec.value("model_file"))
+    baseline, eps1, eps2 = load_baseline(out / sec.value("baseline_file"))
+    t, u, e, y = _load_trace(out / sec.value("trace_file"), gid, model.n_inputs)
     n_steps = t.shape[0]
     state = DetectorState(w=baseline.w, n=model.n_outputs,
                           x_hat=np.zeros(model.order), eps1=eps1, eps2=eps2)
@@ -508,7 +481,7 @@ def cmd_detect(args) -> int:
         e_prev = e[k - 1] if k > 0 else np.zeros(model.n_inputs)
         flags[k], _ = dw_step(state, baseline, model, y[k], u_prev, e_prev)
         xi[k] = state.xi1, state.xi2
-    write_table(out / sec.get("telemetry_file", "detector.csv"),
+    write_table(out / sec.value("telemetry_file", "detector.csv"),
                 ["t", "xi1", "xi2", "eps1", "eps2", "flag"],
                 [t, *xi.T, np.full(n_steps, eps1), np.full(n_steps, eps2), flags])
     if n_steps < baseline.w and not args.quiet:
@@ -600,14 +573,11 @@ def main(argv=None) -> int:
     )
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (ControlDesignError, IdentificationError, ModelError,
             SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (ScenarioError, ValueError) as exc:
+    except (ScenarioError, ValueError) as exc:  # ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from . import defaults
 from .netmodel import LinearPlant, _readonly
-from .transform import LeftNullTransform
+from .transform import LeftNullTransform, ZAccumulator, z_update
 
 log = logging.getLogger(__name__)
 
@@ -223,15 +223,11 @@ def observer_update(
 ) -> None:
     """Advance the prediction-driven controller state one control period.
 
-    z_hat integrates omega_c * (dws - m_p * predicted power) with the
-    prediction taken at the interval start, then the model state advances
-    with the applied command.
+    z_hat takes the z_update step with the power predicted at the interval
+    start, then the model state advances with the applied command.
     """
-    omega_c = np.array([p.omega_c for p in ibrs])
-    m_p = np.array([p.m_p for p in ibrs])
     u_prev = np.asarray(d_omega_s_prev, dtype=float)
-    p_prev = model.c_d @ obs.x_hat
-    obs.z_hat = obs.z_hat + omega_c * (u_prev - m_p * p_prev) * dt
+    obs.z_hat = z_update(ZAccumulator(obs.z_hat), u_prev, model.c_d @ obs.x_hat, dt, ibrs).z
     obs.x_hat = model.a_d @ obs.x_hat + model.b_d @ u_prev
 
 

@@ -42,10 +42,6 @@ class InsufficientExcitationError(IdentificationError):
     """Input record is not persistently exciting for the requested order."""
 
 
-class RankDeficiencyError(IdentificationError):
-    """Projected data supports fewer modes than the requested order."""
-
-
 @dataclass(frozen=True)
 class ExcitationSpec:
     """Staircase excitation: i.i.d. uniform levels held for dt_prime each."""
@@ -226,16 +222,14 @@ def identify(
     y: np.ndarray,
     d: int,
     dt: float = 0.0,
-    strict_rank: bool = False,
     *,
     workspace: FitWorkspace | None = None,
 ) -> DiscreteModel:
     """Fit an order-d discrete model to (samples, channels) records.
 
-    Raises InsufficientExcitationError when the input Hankel is rank deficient
-    and RankDeficiencyError when strict_rank is set and the projected output
-    data supports fewer than d modes; otherwise the unsupported modes are
-    zero-padded and effective_order records the supported count. With a
+    Raises InsufficientExcitationError when the input Hankel is rank deficient.
+    When the projected output data supports fewer than d modes, the unsupported
+    modes are zero-padded and effective_order records the supported count. With a
     workspace, the factors of the record are shared with the workspace's other
     orders and the B/x0 regressor of the fit is left in it.
     """
@@ -266,10 +260,6 @@ def identify(
     rank = int(np.sum(s_sv > RANK_RTOL * max(s_max, 1e-300)))
     d_eff = min(d, rank)
     if d_eff < d:
-        if strict_rank:
-            raise RankDeficiencyError(
-                f"projected data supports {rank} modes, {d} requested"
-            )
         log.debug("identify: order %d requested, data supports %d", d, rank)
 
     if d_eff == 0:

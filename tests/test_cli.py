@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, artifact generation, idempotence, and
 the defaults round trip between config parsing and the defaults module."""
 
+import dataclasses
+import re
 import shutil
 from pathlib import Path
 
@@ -8,10 +10,11 @@ import numpy as np
 import pytest
 
 from microagc import cli, defaults
-from microagc.sysid import DiscreteModel, save_model
+from microagc.sysid import DiscreteModel, ExcitationSpec, save_model
 from microagc.watermark import BaselineStats
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 MINIMAL = """\
 schema_version = 1
@@ -301,8 +304,9 @@ class TestPipeline:
         work = tmp_path / "w"
         work.mkdir()
         cfg = tmp_path / "c.cfg"
+        trace = "trace_file = timeseries.csv\n" if command == "detect" else ""
         cfg.write_text(MINIMAL + f"\n[{command}]\ngrid = {gid}\nmodel_file = m.txt\n"
-                       "baseline_file = b.txt\ntrace_file = timeseries.csv\n")
+                       "baseline_file = b.txt\n" + trace)
         rc = run([command, "--config", cfg, "--out", work])
         assert rc == cli.EXIT_USAGE
         assert f"[{command}] references grid {gid} but it is not defined" in (
@@ -381,9 +385,128 @@ class TestDefaultsRoundTrip:
         cfg = tmp_path / "id.cfg"
         cfg.write_text(MINIMAL + "\n[identify]\ngrid = 1\n")
         sections = cli.parse_config(cfg)
-        sec = cli._find_sections(sections, "identify")[0]
-        assert float(sec.get("beta", defaults.SYSID_BETA)) == defaults.SYSID_BETA
-        assert int(sec.get("k0", defaults.SYSID_K0)) == defaults.SYSID_K0
+        spec = cli._first_section(sections, "identify").build(ExcitationSpec)
+        assert spec.beta == defaults.SYSID_BETA
+        assert spec.k0 == defaults.SYSID_K0
+        assert spec.dt == defaults.CONTROL_PERIOD
+        assert spec.dt_prime == defaults.SYSID_DT_PRIME
+
+
+def _line(text, line):
+    """The number of the first line of text that reads line."""
+    return text.splitlines().index(line) + 1
+
+
+def _rejects(tmp_path, capsys, text, expected, command="simulate"):
+    """command on a config of text exits 1 naming `file: expected`, and writes
+    no file (simulate makes its output directory before it builds the run)."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out"
+    assert run([command, "--config", cfg, "--out", out]) == cli.EXIT_USAGE
+    assert f"{cfg}: {expected}" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
+class TestScenarioFileRejections:
+    """A scenario file that does not parse exits 1 before anything runs or is
+    written, with a message naming the file and the line."""
+
+    @pytest.mark.parametrize("command", ["simulate", "identify", "calibrate", "detect"])
+    def test_unknown_key(self, tmp_path, capsys, command):
+        text = MINIMAL.replace("seed = 11\n", "seed = 11\nhorizon = 2.0\n")
+        n = _line(text, "horizon = 2.0")
+        _rejects(tmp_path, capsys, text, f"line {n}: [sim] horizon: unknown key", command)
+
+    @pytest.mark.parametrize("header", ["[simulation]", "[event.1]", "[]"])
+    def test_unknown_section(self, tmp_path, capsys, header):
+        text = MINIMAL + f"\n{header}\nhorizon_s = 1.0\n"
+        _rejects(tmp_path, capsys, text,
+                 f"line {_line(text, header)}: unknown section {header}")
+
+    def test_repeated_scalar_key(self, tmp_path, capsys):
+        text = MINIMAL.replace("q_weight = 10.0\n", "q_weight = 10.0\nq_weight = 5.0\n")
+        first = _line(text, "q_weight = 10.0")
+        _rejects(tmp_path, capsys, text, f"line {first + 1}: [grid.1] q_weight: "
+                 f"repeated key (first at line {first})")
+
+    def test_repeated_section(self, tmp_path, capsys):
+        text = MINIMAL + "\n[sim]\nseed = 3\n"
+        n = len(MINIMAL.splitlines()) + 2
+        _rejects(tmp_path, capsys, text, f"line {n}: section [sim] appears twice")
+
+    @pytest.mark.parametrize("line, key, header", [
+        ("horizon_s = 0.5", "horizon_s", "[sim]"),
+        ("n_load = 1", "n_load", "[grid.1]"),
+        ("kind = step", "kind", "[load_signal]"),
+    ])
+    def test_missing_key_names_the_header_line(self, tmp_path, capsys, line, key, header):
+        text = MINIMAL.replace(line + "\n", "")
+        _rejects(tmp_path, capsys, text,
+                 f"line {_line(text, header)}: {header} {key}: missing required key")
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("load_w = 5000.0", "load_w = 5000.0 100.0", "load_w: needs 1 values, got 2"),
+        ("q_weight = 10.0", "q_weight = 10.0 1 1", "q_weight: needs 1 or 2 values, got 3"),
+        ("branch = 1 2 3.333", "branch = 1 2",
+         "branch: expected 'from to admittance [theta]'"),
+        ("seed = 11", "seed = 11.5", "seed: expected an integer, got '11.5'"),
+    ])
+    def test_bad_value_names_its_line(self, tmp_path, capsys, old, new, message):
+        text = MINIMAL.replace(old, new)
+        section = "[sim]" if old.startswith("seed") else "[grid.1]"
+        _rejects(tmp_path, capsys, text, f"line {_line(text, new)}: {section} {message}")
+
+    def test_detector_needs_both_files(self, tmp_path, capsys):
+        text = MINIMAL.replace("q_weight = 10.0\n", "q_weight = 10.0\nmodel_file = m.txt\n")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, '[grid.1]')}: [grid.1] "
+                 "a detector needs model_file and baseline_file")
+
+
+class TestGridNumbering:
+    """[grid.N] headers are exactly [grid.1] to [grid.G], each once."""
+
+    COLLABORATIVE = (CONFIGS / "collaborative.cfg").read_text()
+
+    def test_gap_in_numbering(self, tmp_path, capsys):
+        # with [grid.3] as the second grid, `grid = 3` must not select it
+        text = self.COLLABORATIVE.replace("[grid.2]", "[grid.3]").replace(
+            "[load_signal]\ngrid = 1", "[load_signal]\ngrid = 3")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, '[grid.3]')}: [grid.3]: "
+                 "grids are numbered [grid.1] to [grid.2], each once")
+
+    def test_repeated_grid(self, tmp_path, capsys):
+        text = self.COLLABORATIVE
+        block = text[text.index("[grid.2]") : text.index("[tie]")]
+        text = text.replace("[tie]", block + "[tie]")
+        second = text.splitlines().index("[grid.2]", _line(text, "[grid.2]")) + 1
+        _rejects(tmp_path, capsys, text, f"line {second}: section [grid.2] appears twice")
+
+    def test_non_numeric_grid(self, tmp_path, capsys):
+        text = MINIMAL.replace("[grid.1]", "[grid.x]")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, '[grid.x]')}: [grid.x]: "
+                 "grids are numbered [grid.1] to [grid.1], each once")
+
+
+class TestKeyTables:
+    def test_every_field_feeds_its_dataclass_or_is_read_by_hand(self, minimal_cfg):
+        fields = set()
+        for name, (cls, keys) in cli.SECTIONS.items():
+            fed = {f.name for f in dataclasses.fields(cls)} if cls else set()
+            section_fields = {spec[0] for spec in keys.values()}
+            assert section_fields - fed - cli.HAND_READ == set(), name
+            fields |= section_fields
+        assert cli.HAND_READ <= fields
+        sim = cli._first_section(cli.parse_config(minimal_cfg), "sim")
+        with pytest.raises(KeyError):
+            sim.value("seed")  # a Scenario field, not read by hand
+
+    def test_readme_lists_every_key(self):
+        rows = re.findall(r"^\| `\[([a-z_]+)(?:\.N)?\]` \| `(\w+)` \|",
+                          (ROOT / "README.md").read_text(), re.M)
+        assert len(rows) == len(set(rows))
+        assert set(rows) == {(name, key) for name, (_, keys) in cli.SECTIONS.items()
+                             if name for key in keys}
 
 
 class TestMisc:

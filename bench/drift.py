@@ -14,7 +14,11 @@ scratch directory with relative output paths so that printed lines compare:
     library, rendered from `perfbench/workload.py` into the scratch directory.
     Their saturated limit cycle is chaotic, so a last-bit change in the plant
     advance grows to O(1) differences within 20 s, where the shipped configs
-    show it, if at all, in the last written digits.
+    show it, if at all, in the last written digits;
+  - the benchmark's detect model, trained by identify -> calibrate on the
+    workload's `setup_config()` into `model/`, then simulate -> detect on the
+    first library job of the `noise`, `replay-one` and `replay-all` detect
+    strata, so that noise and replay attacks are compared too.
 
 For every command it prints whether the exit code and the stdout lines are
 identical, then for every output file either "identical" or the number of
@@ -40,6 +44,7 @@ from pathlib import Path
 from pairs import ROOT, export, git
 
 CHAIN = ("identify", "calibrate", "simulate", "detect")
+ATTACK_STRATA = ("noise", "replay-one", "replay-all")  # detect strata compared
 _CELL_SEP = re.compile(r"[,\s]+")
 
 
@@ -92,28 +97,43 @@ def controller_jobs(jobs, controller: str) -> list:
     return [job for job in jobs if f"\ncontroller = {controller}\n" in job.config]
 
 
-def render_slow_lqr_jobs(directory: Path) -> list[Path]:
-    """Config files of the regulate library's slow-lqr jobs, written into directory."""
+def first_jobs(strata: dict, names) -> list:
+    """The first library job of each named stratum, in the order of names."""
+    return [strata[name][0] for name in names]
+
+
+def render_benchmark_jobs(directory: Path) -> list[tuple[str, list[list[str]]]]:
+    """(output directory, commands) of the compared benchmark jobs, their
+    configs written into directory: the regulate library's slow-lqr jobs, the
+    detect model's training, then the first detect job of each attack stratum."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workload
 
-    picked = controller_jobs(workload.library("regulate")["single"], "slow-lqr")
-    return workload.write_configs(picked, directory)
+    slow = controller_jobs(workload.library("regulate")["single"], "slow-lqr")
+    out = [(f"simulate-{cfg.stem}", [["simulate", "--config", str(cfg)]])
+           for cfg in workload.write_configs(slow, directory / "slow-lqr")]
+    setup = directory / workload.SETUP_CONFIG
+    setup.write_text(workload.setup_config(), encoding="utf-8")
+    out.append((workload.MODEL_DIR,  # the detect configs read ../model/
+                [[cmd, "--config", str(setup)] for cmd in ("identify", "calibrate")]))
+    attacked = first_jobs(workload.library("detect"), ATTACK_STRATA)
+    cfgs = workload.write_configs(attacked, directory / "detect")
+    out += [(cfg.stem, [[cmd, "--config", str(cfg)] for cmd in job.commands])
+            for job, cfg in zip(attacked, cfgs)]
+    return out
 
 
-def jobs(tree: Path, extra: list[Path]) -> list[tuple[str, list[list[str]]]]:
+def jobs(tree: Path, extra: list) -> list[tuple[str, list[list[str]]]]:
     """(output directory, commands) of every compared run: the shipped
-    configs of tree, the detection_demo chain, then the extra configs."""
+    configs of tree, the detection_demo chain, then the extra runs."""
     out = [(f"simulate-{cfg.stem}", [["simulate", "--config", str(cfg)]])
            for cfg in sorted((tree / "configs").glob("*.cfg"))]
     demo = str(tree / "configs" / "detection_demo.cfg")
     out.append(("chain-detection_demo", [[cmd, "--config", demo] for cmd in CHAIN]))
-    out += [(f"simulate-{cfg.stem}", [["simulate", "--config", str(cfg)]])
-            for cfg in extra]
-    return out
+    return out + extra
 
 
-def run_side(tree: Path, work: Path, extra: list[Path]) -> dict:
+def run_side(tree: Path, work: Path, extra: list) -> dict:
     """Per job: the (exit code, stdout) of each command, and the output files."""
     results = {}
     for name, commands in jobs(tree, extra):
@@ -155,7 +175,7 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp())
     try:
         export(base_commit, work / "tree")
-        extra = render_slow_lqr_jobs(work / "slow-lqr")
+        extra = render_benchmark_jobs(work / "cfg")
         sides = {}
         for side, tree in (("base", work / "tree"), ("change", ROOT)):
             (work / side).mkdir()

@@ -15,6 +15,7 @@ grid. See configs/ for worked fixtures of the two-microgrid experiments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import sys
@@ -169,12 +170,22 @@ class Section:
             self.values[field] = value
         self.lines.setdefault(field, []).append(lineno)
 
-    def where(self, field: str | None = None, i: int = 0) -> str:
+    def where(self, field: str | None = None, i: int = 0, key: bool = True) -> str:
         """'file: line N: [section] key' at the i-th line of field's key, at the
-        header line when the file leaves field out, and without a key for None."""
+        header line when the file leaves field out, and without a key for None
+        or when key is false."""
         line = self.lines.get(field, [self.lineno])[i]
-        key = next((k for k, spec in self.keys.items() if spec[0] == field), None)
-        return f"{self.path}: line {line}: [{self.name}]" + (f" {key}" if key else "")
+        name = key and next((k for k, spec in self.keys.items() if spec[0] == field), None)
+        return f"{self.path}: line {line}: [{self.name}]" + (f" {name}" if name else "")
+
+    @contextlib.contextmanager
+    def located(self, field: str | None = None):
+        """Re-raise a value the library rejects, e.g. a dataclass's ScenarioError,
+        as a ConfigError at field's line (the header line for None)."""
+        try:
+            yield
+        except ValueError as exc:
+            raise ConfigError(f"{self.where(field)}: {exc}") from exc
 
     def value(self, field: str, default=MISSING):
         """A HAND_READ field's value; without a default the file must set it."""
@@ -199,7 +210,8 @@ class Section:
             if (f.name not in kwargs and f.default is MISSING
                     and f.default_factory is MISSING):
                 raise ConfigError(f"{self.where(f.name)}: missing required key")
-        return cls(**kwargs)
+        with self.located():
+            return cls(**kwargs)
 
 
 def parse_config(path) -> dict[str, list[Section]]:
@@ -304,17 +316,18 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
                           r=_per_ibr(sec, "r_weight", n, defaults.LQR_R_DIAG))
     gi = _grid_index(sec.name[5:])
     signals = tuple(s.build(LoadSignalSpec) for s in sections["load_signal"]
-                    if s.value("grid", 0) == gi)
+                    if _named_grid(sections, s) == gi)
     detector = _build_detector(sec, n, base_dir) if with_detector else None
     return sec.build(GridSpec, network=network, ibrs=ibrs, p_injections=p_inj,
                      weights=weights, load_signals=signals, detector=detector)
 
 
-def _stage_grid_index(sections: dict[str, list[Section]], sec: Section) -> int:
-    """The index of the grid a stage section names by its `grid` key."""
+def _named_grid(sections: dict[str, list[Section]], sec: Section) -> int:
+    """The index of the grid a section names by its `grid` key."""
     gi = sec.value("grid", 0)
     if not 0 <= gi < len(sections["grid"]):
-        raise ConfigError(f"{sec.where()} references grid {gi + 1} but it is not defined")
+        raise ConfigError(f"{sec.where('grid', key=False)} references grid {gi + 1} "
+                          "but it is not defined")
     return gi
 
 
@@ -390,7 +403,7 @@ def cmd_identify(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "identify")
-    grid = _build_grid(sections["grid"][_stage_grid_index(sections, sec)], sections, out,
+    grid = _build_grid(sections["grid"][_named_grid(sections, sec)], sections, out,
                        with_detector=False)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -441,13 +454,14 @@ def cmd_calibrate(args) -> int:
     window = sec.value("window", defaults.DETECTOR_WINDOW)
     scenario = build_scenario(sections, out, seed_override=args.seed,
                               with_detectors=False)
-    grid = scenario.grids[_stage_grid_index(sections, sec)]
+    grid = scenario.grids[_named_grid(sections, sec)]
     model = load_model(out / sec.value("model_file"))
     wm = _watermark(sec, grid.network.n_ibr, default_seed=29)
-    ts = run_scenario(calibration_scenario(
-        grid, model, wm, window, horizon=sec.value("horizon", 10.0), seed=scenario.seed,
-        control_period=scenario.control_period, integrator_step=scenario.integrator_step,
-    ))
+    with sec.located("horizon"):
+        calibration = calibration_scenario(
+            grid, model, wm, window, horizon=sec.value("horizon", 10.0), seed=scenario.seed,
+            control_period=scenario.control_period, integrator_step=scenario.integrator_step)
+    ts = run_scenario(calibration)
     received, predicted = calibration_record(ts, model)
     baseline = calibrate_baseline(received, predicted, w=window)
     nu = received - predicted
@@ -466,7 +480,7 @@ def cmd_detect(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "detect")
-    gid = _stage_grid_index(sections, sec) + 1
+    gid = _named_grid(sections, sec) + 1
     model = load_model(out / sec.value("model_file"))
     baseline, eps1, eps2 = load_baseline(out / sec.value("baseline_file"))
     t, u, e, y = _load_trace(out / sec.value("trace_file"), gid, model.n_inputs)

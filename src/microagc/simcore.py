@@ -7,8 +7,10 @@ integrated between instants at a finer substep with all inputs held constant
 over each substep. Every run has one world plant: the grid plants side by side
 (block-diagonal) until the tie closes, the merged network's plant after, so
 all grids are measured and stepped together through one path, one block step
-per control period over a load schedule evaluated once per run. Identical
-scenario and seeds give bit-identical logs.
+per control period over a load schedule evaluated once per run. Scenario times
+are whole control periods (`whole_steps`), so the schedule is step indices set
+before the loop, and each grid's log is the run's record and only history.
+Identical scenario and seeds give bit-identical logs.
 """
 
 from __future__ import annotations
@@ -67,6 +69,17 @@ class SimulationError(RuntimeError):
 
 # ---------------------------------------------------------------------------
 # scenario data
+
+
+def whole_steps(seconds: float, step: float, what: str) -> int:
+    """seconds as a whole, non-negative number of steps, the one such conversion;
+    else a ScenarioError naming what and its value (relative tolerance 1e-9)."""
+    ratio = seconds / step if step > 0 else math.nan
+    k = round(ratio) if math.isfinite(ratio) else -1
+    if k < 0 or abs(ratio - k) > 1e-9 * ratio:
+        raise ScenarioError(f"{what} = {seconds} s is not a whole, non-negative "
+                            f"number of {step} s steps")
+    return k
 
 
 @dataclass(frozen=True)
@@ -218,27 +231,29 @@ class Scenario:
             raise ScenarioError("scenario needs at least one microgrid")
         if self.auto_response not in ("none", "observer", "collaborative"):
             raise ScenarioError(f"unknown auto response {self.auto_response!r}")
-        ratio = self.control_period / self.integrator_step
-        if abs(ratio - round(ratio)) > 1e-9 * ratio:
-            raise ScenarioError(
-                "control period must be an integer multiple of the integrator step"
-            )
+        dt = self.control_period
+        whole_steps(dt, self.integrator_step, "control_period")
+        whole_steps(self.horizon, dt, "horizon")
+        for gi, g in enumerate(self.grids):
+            if whole_steps(g.slow_hold, dt, f"grids[{gi}].slow_hold") < 1:
+                raise ScenarioError(f"grids[{gi}].slow_hold = {g.slow_hold} s is "
+                                    f"shorter than one control period ({dt} s)")
         if self.tie is not None:
             if len(self.grids) != 2:
-                raise ScenarioError(
-                    f"a tie needs exactly two grids, scenario has {len(self.grids)}"
-                )
+                raise ScenarioError(f"a tie needs exactly two grids, "
+                                    f"scenario has {len(self.grids)}")
             for k, node in enumerate((self.tie.node_a, self.tie.node_b)):
                 if not 0 <= node < self.grids[k].network.n_nodes:
-                    raise ScenarioError(
-                        f"tie endpoint {node} is not a node of grid {k + 1}"
-                    )
-        for ev in self.events:
+                    raise ScenarioError(f"tie endpoint {node} is not a node of grid {k + 1}")
+        for i, ev in enumerate(self.events):
+            whole_steps(ev.time, dt, f"events[{i}].time")
             if ev.action == "tie_close" and self.tie is None:
                 raise ScenarioError("tie_close event without a tie specification")
             if ev.action != "tie_close" and not 0 <= ev.grid < len(self.grids):
                 raise ScenarioError(f"event targets unknown grid {ev.grid}")
-        for atk in self.attacks:
+        for i, atk in enumerate(self.attacks):
+            for name in ("start", "end", "replay_from", "replay_to"):
+                whole_steps(getattr(atk, name), dt, f"attacks[{i}].{name}")
             if not 0 <= atk.grid < len(self.grids):
                 raise ScenarioError(f"attack targets unknown grid {atk.grid}")
             n = self.grids[atk.grid].network.n_ibr
@@ -321,27 +336,26 @@ def load_vector(signals, t, n_load: int) -> np.ndarray:
 def apply_attack(
     true_meas: np.ndarray,
     spec: AttackSpec,
-    t: float,
+    k: int,
     history: np.ndarray,
     dt: float,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Corrupt the received measurement inside the attack window.
+    """Corrupt the received measurement of step k (period dt) inside the attack window.
 
     Noise injection adds i.i.d. Gaussian noise on the target channels; replay
-    substitutes the recorded source window cyclically, bit for bit.
+    substitutes history's rows (step i in row i) of the source window cyclically.
     """
     received = np.array(true_meas, dtype=float)
-    if not spec.start <= t < spec.end:
+    start = whole_steps(spec.start, dt, "start")
+    if not start <= k < whole_steps(spec.end, dt, "end"):
         return received
     if spec.kind == "noise-injection":
         for c in spec.channels:
             received[c] += rng.normal(0.0, spec.noise_std)
         return received
-    src_start = int(round(spec.replay_from / dt))
-    src_len = max(1, int(round((spec.replay_to - spec.replay_from) / dt)))
-    k_rel = int(round((t - spec.start) / dt))
-    idx = src_start + (k_rel % src_len)
+    src = whole_steps(spec.replay_from, dt, "replay_from")
+    idx = src + (k - start) % max(1, whole_steps(spec.replay_to, dt, "replay_to") - src)
     for c in spec.channels:
         received[c] = history[idx, c]
     return received
@@ -424,11 +438,17 @@ def rms(values: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 # runtime state per microgrid
 
+# A grid's log columns: name, one column per IBR (else one), dtype. Row 0 is
+# "before the run": step rho writes row rho + 1 and reads the step before in row rho.
+_LOG = (*((name, True, float) for name in
+          ("ddelta", "domega", "pg", "pg_rx", "dws", "wm", "z", "zhat")),
+        ("xi1", False, float), ("xi2", False, float), ("flag", False, int),
+        ("ctrl", False, object))
+
 
 class _GridRuntime:
-    def __init__(self, spec: GridSpec, scenario: Scenario, gi: int):
+    def __init__(self, spec: GridSpec, scenario: Scenario, n_steps: int):
         self.spec = spec
-        self.gi = gi
         self.n = spec.network.n_ibr
         self.m = spec.network.n_load
         self.op = solve_operating_point(spec.network, spec.p_injections)
@@ -445,17 +465,12 @@ class _GridRuntime:
         if spec.controller == "observer":
             if spec.detector is None:
                 raise ScenarioError("observer controller needs a detector model")
-            self.obs = ObserverState(
-                x_hat=np.zeros(spec.detector.model.order), z_hat=np.zeros(self.n)
-            )
+            self.obs = ObserverState(x_hat=np.zeros(spec.detector.model.order),
+                                     z_hat=np.zeros(self.n))
         self.pi_integ = np.zeros(self.n)
         self.sensor_y = np.zeros(self.n)
-        self.slow_steps = max(1, int(round(spec.slow_hold / scenario.control_period)))
+        self.slow_steps = whole_steps(spec.slow_hold, scenario.control_period, "slow_hold")
         self.u_cmd = np.zeros(self.n)
-        self.u_prev_cmd = np.zeros(self.n)
-        self.e_prev = np.zeros(self.n)
-        self.u_prev_applied = np.zeros(self.n)
-        self.y_rx_prev = np.zeros(self.n)
         self.obs_fresh = False
         self.det_state: DetectorState | None = None
         self.wm_source: WatermarkSource | None = None
@@ -469,7 +484,12 @@ class _GridRuntime:
             self.wm_source = WatermarkSource(det.watermark)
             self.wm_active = True
         self.responded = False
-        self.history_true: np.ndarray | None = None
+        self.log = {name: np.zeros((n_steps + 1, self.n) if per_ibr else n_steps + 1,
+                                   dtype=dtype) for name, per_ibr, dtype in _LOG}
+
+    def applied(self, rho: int) -> np.ndarray:
+        """The command applied over control step rho - 1: its dws plus watermark."""
+        return self.log["dws"][rho] + self.log["wm"][rho]
 
 
 def _side_by_side(plants: list[LinearPlant]) -> LinearPlant:
@@ -559,24 +579,21 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     received copies per the active attacks, step each enabled detector, apply
     the auto response when a flag first rises, update the active control law,
     superpose the watermark, then integrate the plant to the next instant.
+    Every time is a step index before the loop starts.
     """
     dt_c = scenario.control_period
     h = scenario.integrator_step
-    n_sub = int(round(dt_c / h))
-    n_steps = int(round(scenario.horizon / dt_c))
-    rts = [_GridRuntime(g, scenario, gi) for gi, g in enumerate(scenario.grids)]
-    for rt in rts:
-        rt.history_true = np.zeros((n_steps, rt.n))
+    n_sub = whole_steps(dt_c, h, "control_period")
+    n_steps = whole_steps(scenario.horizon, dt_c, "horizon")
+    rts = [_GridRuntime(g, scenario, n_steps) for g in scenario.grids]
     world = _World(rts, h)
 
-    events = sorted(scenario.events, key=lambda e: e.time)
-    fired = [False] * len(events)
-    atk_rngs = [
-        np.random.default_rng([scenario.seed, 101, j])
-        for j, _ in enumerate(scenario.attacks)
-    ]
+    schedule: dict[int, list[Event]] = {}  # control step -> its events, in time order
+    for ev in sorted(scenario.events, key=lambda e: e.time):
+        schedule.setdefault(whole_steps(ev.time, dt_c, "event time"), []).append(ev)
+    atk_rngs = [np.random.default_rng([scenario.seed, 101, j])
+                for j in range(len(scenario.attacks))]
 
-    cols = _allocate_columns(rts, n_steps)
     time_axis = np.arange(n_steps) * dt_c
     # load deviations at every substep time rho * dt_c + s * h of the run
     loads = load_vector(world.signals, time_axis[:, None] + np.arange(n_sub) * h,
@@ -586,40 +603,30 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
         t = rho * dt_c
 
         # events due now (scripted)
-        for j, ev in enumerate(events):
-            if not fired[j] and ev.time <= t + 1e-12:
-                fired[j] = True
-                _apply_event(ev, scenario, rts, world, t, loads[rho, 0])
+        for ev in schedule.get(rho, ()):
+            _apply_event(ev, scenario, rts, world, t, loads[rho, 0])
 
-        # true measurements
+        # true measurements, and the received ones: a replay reads earlier rows
         y_all = measure_power(world.plant, world.x, loads[rho, 0])
         y_true = [y_all[ch] for ch in world.channels]
-        for gi, rt in enumerate(rts):
-            rt.history_true[rho] = y_true[gi]
-
-        # received measurements (attacks)
         y_rx = [y.copy() for y in y_true]
         for j, atk in enumerate(scenario.attacks):
-            y_rx[atk.grid] = apply_attack(
-                y_rx[atk.grid], atk, t, rts[atk.grid].history_true, dt_c, atk_rngs[j]
-            )
+            y_rx[atk.grid] = apply_attack(y_rx[atk.grid], atk, rho,
+                                          rts[atk.grid].log["pg"][1:], dt_c, atk_rngs[j])
 
         # detection and auto response
         for gi, rt in enumerate(rts):
             if rt.det_state is None:
                 continue
             det = rt.spec.detector
-            flag, _ = dw_step(
-                rt.det_state, det.baseline, det.model, y_rx[gi],
-                rt.u_prev_cmd, rt.e_prev,
-            )
+            flag, _ = dw_step(rt.det_state, det.baseline, det.model, y_rx[gi],
+                              rt.log["dws"][rho], rt.log["wm"][rho])
             if flag and not rt.responded and scenario.auto_response != "none":
                 rt.responded = True
                 if scenario.auto_response == "observer" or scenario.tie is None:
                     rt.controller = "observer"
-                    rt.obs = ObserverState(
-                        x_hat=rt.det_state.x_hat.copy(), z_hat=rt.z.z.copy()
-                    )
+                    rt.obs = ObserverState(x_hat=rt.det_state.x_hat.copy(),
+                                           z_hat=rt.z.z.copy())
                     rt.obs_fresh = True
                     rt.wm_active = False
                     log.info("grid %d: flag at t=%.4fs, observer law engaged", gi, t)
@@ -631,38 +638,26 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
                                  world, t, loads[rho, 0])
                     log.info("grid %d: flag at t=%.4fs, networking with neighbor", gi, t)
 
-        # control laws, watermark and applied commands
-        u_applied = []
-        e_applied = []
+        # control laws and watermark, logged
         for gi, rt in enumerate(rts):
             x_grid = world.x[world.states[gi]]
             _update_controller(rt, x_grid, y_rx[gi], rho, dt_c)
-            if rt.wm_active and rt.wm_source is not None and rt.enabled:
-                e_now = rt.wm_source.draw()
-            else:
-                e_now = np.zeros(rt.n)
-            u_applied.append(rt.u_cmd + e_now)
-            e_applied.append(e_now)
-            _log_step(cols, rho, gi, rt, x_grid, y_true[gi], y_rx[gi], e_now)
+            if rt.wm_active and rt.enabled:
+                rt.log["wm"][rho + 1] = rt.wm_source.draw()
+            _log_step(rt, rho + 1, x_grid, y_true[gi], y_rx[gi])
 
-        # integrate to the next control instant
-        world.x = world.stepper.step(world.x, np.concatenate(u_applied), loads[rho])
+        # integrate the applied commands to the next control instant
+        u = np.concatenate([rt.applied(rho + 1) for rt in rts])
+        world.x = world.stepper.step(world.x, u, loads[rho])
 
-        for gi, rt in enumerate(rts):
-            rt.u_prev_cmd = rt.u_cmd
-            rt.e_prev = e_applied[gi]
-            rt.u_prev_applied = u_applied[gi]
-            rt.y_rx_prev = y_rx[gi]
-
-    return _finalize_columns(cols, time_axis, rts)
+    return _time_series(time_axis, rts)
 
 
 def _update_controller(rt: _GridRuntime, x: np.ndarray, y_rx: np.ndarray, rho: int,
                        dt_c: float) -> None:
     law = rt.controller if rt.enabled else "none"
-    if law in ("optimal-z", "decentralized"):
-        if rho > 0:
-            rt.z = z_update(rt.z, rt.u_prev_applied, rt.y_rx_prev, dt_c, rt.spec.ibrs)
+    if law in ("optimal-z", "decentralized"):  # at rho = 0 the zero row leaves z at 0
+        rt.z = z_update(rt.z, rt.applied(rho), rt.log["pg_rx"][rho], dt_c, rt.spec.ibrs)
     if law == "none":
         rt.u_cmd = np.zeros(rt.n)
     elif law == "optimal-z":
@@ -672,7 +667,7 @@ def _update_controller(rt: _GridRuntime, x: np.ndarray, y_rx: np.ndarray, rho: i
     elif law == "observer":
         if rho > 0 and not rt.obs_fresh:
             observer_update(rt.obs, rt.spec.detector.model, rt.spec.ibrs,
-                            rt.u_prev_applied, dt_c)
+                            rt.applied(rho), dt_c)
         rt.obs_fresh = False
         rt.u_cmd = control_observer(rt.gain, rt.obs)
     elif law == "pi":
@@ -685,9 +680,8 @@ def _update_controller(rt: _GridRuntime, x: np.ndarray, y_rx: np.ndarray, rho: i
     elif law == "slow-lqr":
         if rho % rt.slow_steps == 0:
             if rho > 0:
-                rt.z = z_update(
-                    rt.z, rt.u_prev_applied, y_rx, rt.slow_steps * dt_c, rt.spec.ibrs
-                )
+                rt.z = z_update(rt.z, rt.applied(rho), y_rx, rt.slow_steps * dt_c,
+                                rt.spec.ibrs)
             rt.u_cmd = control_optimal(rt.gain, rt.z.z)
     # inverter setpoints saturate; keeps mis-tuned laws bounded as hardware would
     rt.u_cmd = np.clip(rt.u_cmd, -rt.spec.u_max, rt.spec.u_max)
@@ -719,54 +713,42 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
         log.warning("tie already closed; ignoring tie_close at t=%.4fs", t)
     else:
         world.close_tie(scenario.tie, t, d_p_l)
-        for rt in rts:
+        for gi, rt in enumerate(rts):
             if rt.det_state is not None:
                 rt.wm_active = False
                 rt.det_state = None
-                log.info("grid %d: detector retired after topology change", rt.gi)
+                log.info("grid %d: detector retired after topology change", gi)
 
 
-def _allocate_columns(rts, n_steps: int) -> dict[str, np.ndarray]:
-    cols: dict[str, np.ndarray] = {}
-    for gi, rt in enumerate(rts):
-        p = f"mg{gi + 1}"
-        for name in ("ddelta", "domega", "pg", "pg_rx", "dws", "wm", "z", "zhat"):
-            cols[f"{p}_{name}"] = np.zeros((n_steps, rt.n))
-        cols[f"{p}_xi1"] = np.zeros(n_steps)
-        cols[f"{p}_xi2"] = np.zeros(n_steps)
-        cols[f"{p}_flag"] = np.zeros(n_steps, dtype=int)
-        cols[f"{p}_ctrl"] = np.empty(n_steps, dtype=object)
-    return cols
-
-
-def _log_step(cols, rho: int, gi: int, rt: _GridRuntime, x, y_true, y_rx,
-              e_now) -> None:
-    p = f"mg{gi + 1}"
-    cols[f"{p}_ddelta"][rho] = x[0::2]
-    cols[f"{p}_domega"][rho] = x[1::2]
-    cols[f"{p}_pg"][rho] = y_true
-    cols[f"{p}_pg_rx"][rho] = y_rx
-    cols[f"{p}_dws"][rho] = rt.u_cmd
-    cols[f"{p}_wm"][rho] = e_now
-    cols[f"{p}_z"][rho] = rt.z.z
-    cols[f"{p}_zhat"][rho] = rt.obs.z_hat if rt.obs is not None else np.zeros(rt.n)
+def _log_step(rt: _GridRuntime, r: int, x, y_true, y_rx) -> None:
+    """Row r of the grid's log, all but the watermark the loop draws into it."""
+    log = rt.log
+    log["ddelta"][r] = x[0::2]
+    log["domega"][r] = x[1::2]
+    log["pg"][r] = y_true
+    log["pg_rx"][r] = y_rx
+    log["dws"][r] = rt.u_cmd
+    log["z"][r] = rt.z.z
+    if rt.obs is not None:
+        log["zhat"][r] = rt.obs.z_hat
     if rt.det_state is not None:
-        cols[f"{p}_xi1"][rho] = rt.det_state.xi1
-        cols[f"{p}_xi2"][rho] = rt.det_state.xi2
-        cols[f"{p}_flag"][rho] = int(rt.det_state.flag)
-    cols[f"{p}_ctrl"][rho] = rt.controller if rt.enabled else "off"
+        log["xi1"][r] = rt.det_state.xi1
+        log["xi2"][r] = rt.det_state.xi2
+        log["flag"][r] = int(rt.det_state.flag)
+    log["ctrl"][r] = rt.controller if rt.enabled else "off"
 
 
-def _finalize_columns(cols, time_axis, rts) -> TimeSeries:
+def _time_series(time_axis, rts) -> TimeSeries:
+    """The grids' logs without their leading row, one column per IBR value."""
     out: dict[str, np.ndarray] = {}
     for gi, rt in enumerate(rts):
         p = f"mg{gi + 1}"
-        for name in ("ddelta", "domega", "pg", "pg_rx", "dws", "wm", "z", "zhat"):
-            block = cols[f"{p}_{name}"]
-            for i in range(rt.n):
-                out[f"{p}_{name}_{i + 1}"] = block[:, i]
-        for name in ("xi1", "xi2", "flag", "ctrl"):
-            out[f"{p}_{name}"] = cols[f"{p}_{name}"]
+        for name, per_ibr, _ in _LOG:
+            col = rt.log[name][1:]
+            if per_ibr:
+                out.update({f"{p}_{name}_{i + 1}": col[:, i] for i in range(rt.n)})
+            else:
+                out[f"{p}_{name}"] = col
     return TimeSeries(time=time_axis, columns=out)
 
 
@@ -789,10 +771,9 @@ def summarize(ts: TimeSeries, scenario: Scenario) -> str:
         for atk in scenario.attacks:
             if atk.grid != gi:
                 continue
-            after = (ts.time >= atk.start) & (flags > 0)
-            latency = (
-                f"{ts.time[after][0] - atk.start:.6g}" if np.any(after) else "none"
-            )
+            start = whole_steps(atk.start, scenario.control_period, "start")
+            hits = np.flatnonzero(flags[start:])
+            latency = f"{ts.time[start + hits[0]] - atk.start:.6g}" if hits.size else "none"
             lines.append(
                 f"attack {atk.kind} at {atk.start:.6g}s: detection_latency_s = {latency}"
             )

@@ -488,6 +488,60 @@ class TestGridNumbering:
                  "grids are numbered [grid.1] to [grid.1], each once")
 
 
+class TestLibraryChecks:
+    """A value the library rejects exits 1 before anything runs or is written,
+    with the location of the section that feeds it."""
+
+    COLLABORATIVE = (CONFIGS / "collaborative.cfg").read_text()
+
+    @pytest.mark.parametrize("text, header, message, command", [
+        (MINIMAL.replace("seed = 11", "seed = 11\nauto_response = always"), "[sim]",
+         "unknown auto response 'always'", "simulate"),
+        (MINIMAL.replace("controller = optimal-z", "controller = fuzzy"), "[grid.1]",
+         "unknown controller 'fuzzy'", "simulate"),
+        (MINIMAL.replace("kind = step", "kind = ramp"), "[load_signal]",
+         "unknown load signal kind 'ramp'", "simulate"),
+        (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.3\nend_s = 0.2\n",
+         "[attack]", "attack start must precede end", "simulate"),
+        (MINIMAL + "\n[event]\ntime_s = 0.1\naction = explode\n", "[event]",
+         "unknown event action 'explode'", "simulate"),
+        (MINIMAL + "\n[identify]\ndt_prime_s = 0.001\n", "[identify]",
+         "pulse width dt_prime must exceed the sample time dt", "identify"),
+    ], ids=["sim", "grid", "load_signal", "attack", "event", "identify"])
+    def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, header,
+                                               message, command):
+        _rejects(tmp_path, capsys, text, f"line {_line(text, header)}: {header}: {message}",
+                 command)
+
+    def test_load_signal_on_undefined_grid(self, tmp_path, capsys):
+        text = MINIMAL.replace("[load_signal]\ngrid = 1", "[load_signal]\ngrid = 2")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, 'grid = 2')}: [load_signal] "
+                 "references grid 2 but it is not defined")
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("\ntime_s = 0.5\n", "\ntime_s = 0.5003\n", "events[0].time = 0.5003"),
+        ("horizon_s = 8.0", "horizon_s = 1.0025", "horizon = 1.0025"),
+    ], ids=["event", "horizon"])
+    def test_time_between_control_instants(self, tmp_path, capsys, old, new, field):
+        text = self.COLLABORATIVE.replace(old, new)
+        _rejects(tmp_path, capsys, text, f"line {_line(text, '[sim]')}: [sim]: {field} s "
+                 "is not a whole, non-negative number of 0.005 s steps")
+
+    def test_calibration_horizon_between_control_instants(self, tmp_path, capsys,
+                                                          demo_run):
+        work = tmp_path / "w"
+        shutil.copytree(demo_run, work)
+        baseline = (work / "baseline.txt").read_bytes()
+        cfg = tmp_path / "c.cfg"
+        text = (CONFIGS / "detection_demo.cfg").read_text().replace(
+            "horizon_s = 10.0", "horizon_s = 10.0025")
+        cfg.write_text(text)
+        assert run(["calibrate", "--config", cfg, "--out", work]) == cli.EXIT_USAGE
+        assert (f"{cfg}: line {_line(text, 'horizon_s = 10.0025')}: [calibrate] horizon_s: "
+                "horizon = 10.0025 s is not a whole" in capsys.readouterr().err)
+        assert (work / "baseline.txt").read_bytes() == baseline
+
+
 class TestKeyTables:
     def test_every_field_feeds_its_dataclass_or_is_read_by_hand(self, minimal_cfg):
         fields = set()

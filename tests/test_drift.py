@@ -46,3 +46,18 @@ def test_slow_lqr_pick_is_the_nine_regulate_jobs_of_that_controller():
     assert all("\ncontroller = slow-lqr\n" in job.config for job in picked)
     others = [job for job in single if job not in picked]
     assert not any("slow-lqr" in job.config for job in others)
+
+
+def test_attack_pick_is_the_first_job_of_each_attacked_detect_stratum():
+    sys.path.insert(0, str(BENCH.parent / "perfbench"))
+    import workload
+
+    strata = workload.library("detect")
+    picked = drift.first_jobs(strata, drift.ATTACK_STRATA)
+    assert [job.key for job in picked] == [
+        "detect-noise-00", "detect-replay-one-00", "detect-replay-all-00"]
+    assert [job.commands for job in picked] == [("simulate", "detect")] * 3
+    assert "\nkind = noise-injection\n" in picked[0].config
+    assert all("\nkind = replay\n" in job.config for job in picked[1:])
+    assert "\nchannels = 0 1 2\n" in picked[2].config
+    assert drift.first_jobs({"a": [1, 2], "b": [3]}, ("b", "a")) == [3, 1]

@@ -2,6 +2,8 @@
 signals, tie-line merging, and run-level invariants."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -199,23 +201,23 @@ class TestApplyAttack:
         spec = self.make_spec()
         rng = np.random.default_rng(0)
         meas = np.array([5.0, 6.0])
-        out = m.apply_attack(meas, spec, 0.5, np.zeros((10, 2)), 0.005, rng)
+        out = m.apply_attack(meas, spec, 100, np.zeros((10, 2)), 0.005, rng)
         np.testing.assert_array_equal(out, meas)
-        out = m.apply_attack(meas, spec, 2.0, np.zeros((10, 2)), 0.005, rng)
+        out = m.apply_attack(meas, spec, 400, np.zeros((10, 2)), 0.005, rng)
         np.testing.assert_array_equal(out, meas)
 
     def test_zero_std_identity(self):
         spec = self.make_spec(noise_std=0.0)
         rng = np.random.default_rng(0)
         meas = np.array([5.0, 6.0])
-        out = m.apply_attack(meas, spec, 1.5, np.zeros((10, 2)), 0.005, rng)
+        out = m.apply_attack(meas, spec, 300, np.zeros((10, 2)), 0.005, rng)
         np.testing.assert_array_equal(out, meas)
 
     def test_noise_targets_selected_channels_only(self):
         spec = self.make_spec(channels=(1,))
         rng = np.random.default_rng(1)
         meas = np.array([5.0, 6.0])
-        out = m.apply_attack(meas, spec, 1.5, np.zeros((10, 2)), 0.005, rng)
+        out = m.apply_attack(meas, spec, 300, np.zeros((10, 2)), 0.005, rng)
         assert out[0] == 5.0 and out[1] != 6.0
 
     def test_replay_substitutes_recorded_window_bit_exact(self):
@@ -224,9 +226,9 @@ class TestApplyAttack:
         spec = m.AttackSpec(kind="replay", channels=(0,), start=0.5, end=0.6,
                             replay_from=0.1, replay_to=0.15)
         rng = np.random.default_rng(2)
-        # source rows 20..29, cycling
-        for k_rel, t in enumerate(np.arange(0.5, 0.6, dt)):
-            out = m.apply_attack(np.array([-1.0, -2.0]), spec, t, hist, dt, rng)
+        # source rows 20..29, cycling over attack steps 100..119
+        for k_rel, k in enumerate(range(100, 120)):
+            out = m.apply_attack(np.array([-1.0, -2.0]), spec, k, hist, dt, rng)
             assert out[0] == hist[20 + (k_rel % 10), 0]
             assert out[1] == -2.0
 
@@ -384,6 +386,47 @@ class TestRunScenario:
         with pytest.raises(m.ScenarioError, match="not a node of grid 2"):
             m.Scenario(grids=(g, cs.grid2_spec()), horizon=1.0,
                        tie=m.TieSpec(node_a=4, node_b=3))
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("horizon", dict(horizon=1.0025)),
+        ("horizon", dict(horizon=-0.5)),
+        ("events[0].time", dict(events=(m.Event(time=0.5003, action="controller_off"),))),
+        ("attacks[0].start", dict(attacks=(m.AttackSpec(
+            kind="noise-injection", channels=(0,), start=0.5003, end=0.7),))),
+        ("attacks[0].end", dict(attacks=(m.AttackSpec(
+            kind="noise-injection", channels=(0,), start=0.5, end=0.7001),))),
+        ("attacks[0].replay_from", dict(attacks=(m.AttackSpec(
+            kind="replay", channels=(0,), start=0.5, end=0.7, replay_from=0.1001,
+            replay_to=0.2),))),
+        ("attacks[0].replay_to", dict(attacks=(m.AttackSpec(
+            kind="replay", channels=(0,), start=0.5, end=0.7, replay_from=0.1,
+            replay_to=0.2001),))),
+        ("grids[0].slow_hold = 0.1234", dict(grids=(replace(cs.grid1_spec(), slow_hold=0.1234),))),
+        ("grids[0].slow_hold = 0", dict(grids=(replace(cs.grid1_spec(), slow_hold=0.0),))),
+    ], ids=["horizon", "negative-horizon", "event", "start", "end", "replay_from",
+            "replay_to", "slow_hold", "slow_hold-zero"])
+    def test_times_must_be_whole_control_periods(self, field, kwargs):
+        args = dict(grids=(cs.grid1_spec(),), horizon=1.0) | kwargs
+        with pytest.raises(m.ScenarioError, match=re.escape(field)):
+            m.Scenario(**args)
+
+    def test_replay_attack_substitutes_the_logged_true_powers(self):
+        """Inside the window the attacked channels receive the true powers of
+        the source steps, cyclically and bit for bit; the rest receive pg."""
+        g = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0),
+                          load_signals=[cs.pulse_load_signal()])
+        atk = m.AttackSpec(kind="replay", channels=(0, 2), start=1.0, end=1.6,
+                           replay_from=0.3, replay_to=0.55)
+        ts = m.run_scenario(m.Scenario(grids=(g,), horizon=2.0, seed=9, attacks=(atk,)))
+        steps = np.arange(200, 320)
+        source = 60 + (steps - 200) % 50
+        outside = np.setdiff1d(np.arange(400), steps)
+        for c in (1, 3):  # channels 0 and 2
+            rx, pg = ts[f"mg1_pg_rx_{c}"], ts[f"mg1_pg_{c}"]
+            assert np.array_equal(rx[steps], pg[source])
+            assert not np.array_equal(rx[steps], pg[steps])
+            assert np.array_equal(rx[outside], pg[outside])
+        assert np.array_equal(ts["mg1_pg_rx_2"], ts["mg1_pg_2"])
 
     def test_untied_grids_run_independently(self):
         """Two grids without a tie share the world plant but not its physics:

@@ -15,10 +15,16 @@ scratch directory with relative output paths so that printed lines compare:
     Their saturated limit cycle is chaotic, so a last-bit change in the plant
     advance grows to O(1) differences within 20 s, where the shipped configs
     show it, if at all, in the last written digits;
+  - `simulate` on the first regulate library job of each law in
+    REGULATE_LAWS and the first `tie` job (controller off, then tie close);
   - the benchmark's detect model, trained by identify -> calibrate on the
     workload's `setup_config()` into `model/`, then simulate -> detect on the
     first library job of the `noise`, `replay-one` and `replay-all` detect
-    strata, so that noise and replay attacks are compared too.
+    strata, so that noise and replay attacks are compared too;
+  - the same on two auto-response runs built from the first `replay-all` job:
+    with `auto_response = observer`, and with the first tie job's grid 2 and
+    tie added and `auto_response = collaborative`, so that the flag engages
+    the observer law in one and closes the tie in the other.
 
 For every command it prints whether the exit code and the stdout lines are
 identical, then for every output file either "identical" or the number of
@@ -39,12 +45,14 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from pairs import ROOT, export, git
 
 CHAIN = ("identify", "calibrate", "simulate", "detect")
 ATTACK_STRATA = ("noise", "replay-one", "replay-all")  # detect strata compared
+REGULATE_LAWS = ("decentralized", "pi")  # first regulate job of each compared
 _CELL_SEP = re.compile(r"[,\s]+")
 
 
@@ -102,21 +110,45 @@ def first_jobs(strata: dict, names) -> list:
     return [strata[name][0] for name in names]
 
 
+def regulate_picks(strata: dict) -> list:
+    """The nine slow-lqr jobs, the first job of each law in REGULATE_LAWS, and
+    the first tie job of the regulate library."""
+    single = strata["single"]
+    return (controller_jobs(single, "slow-lqr")
+            + [controller_jobs(single, law)[0] for law in REGULATE_LAWS]
+            + first_jobs(strata, ("tie",)))
+
+
+def auto_response(job, mode: str, tie_job=None):
+    """job with `auto_response = mode` in its [sim] section, keyed auto-<mode>;
+    with tie_job, also tie_job's [grid.2] and [tie] sections."""
+    config = job.config.replace("\n[sim]\n", f"\n[sim]\nauto_response = {mode}\n", 1)
+    if tie_job is not None:
+        config += "".join("\n" + block.rstrip("\n") + "\n"
+                          for block in tie_job.config.split("\n\n")
+                          if block.startswith(("[grid.2]", "[tie]")))
+    return replace(job, key=f"auto-{mode}", config=config)
+
+
 def render_benchmark_jobs(directory: Path) -> list[tuple[str, list[list[str]]]]:
     """(output directory, commands) of the compared benchmark jobs, their
-    configs written into directory: the regulate library's slow-lqr jobs, the
-    detect model's training, then the first detect job of each attack stratum."""
+    configs written into directory: the regulate picks, the detect model's
+    training, the first detect job of each attack stratum, then the two
+    auto-response runs."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workload
 
-    slow = controller_jobs(workload.library("regulate")["single"], "slow-lqr")
+    regulate = workload.library("regulate")
     out = [(f"simulate-{cfg.stem}", [["simulate", "--config", str(cfg)]])
-           for cfg in workload.write_configs(slow, directory / "slow-lqr")]
+           for cfg in workload.write_configs(regulate_picks(regulate),
+                                             directory / "regulate")]
     setup = directory / workload.SETUP_CONFIG
     setup.write_text(workload.setup_config(), encoding="utf-8")
     out.append((workload.MODEL_DIR,  # the detect configs read ../model/
                 [[cmd, "--config", str(setup)] for cmd in ("identify", "calibrate")]))
     attacked = first_jobs(workload.library("detect"), ATTACK_STRATA)
+    attacked += [auto_response(attacked[-1], "observer"),
+                 auto_response(attacked[-1], "collaborative", regulate["tie"][0])]
     cfgs = workload.write_configs(attacked, directory / "detect")
     out += [(cfg.stem, [[cmd, "--config", str(cfg)] for cmd in job.commands])
             for job, cfg in zip(attacked, cfgs)]

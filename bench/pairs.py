@@ -17,10 +17,11 @@ the pairs won over at least ten pairs, and a median difference larger than
 the base runs' quartile distance. It also records every run, both commits
 and the machine.
 
-After the pairs of a workload, one `--trace 1` run per side (base first, seed
-FIRST_SEED) adds that workload's per-layer metrics: each side's value and the
-relative change, under "per_layer". They come from one run each, so they
-explain an end-to-end change; they are not a paired test.
+After the pairs of a workload, TRACED_RUNS `--trace 1` runs per side, in
+alternating pairs with seeds FIRST_SEED, FIRST_SEED + 1, ..., add that
+workload's per-layer metrics under "per_layer": each side's median over its
+traced runs and the relative change of the medians. They explain an
+end-to-end change; they are not a paired test.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 MIN_PAIRS_FOR_GAIN = 10  # fewer pairs cannot show a gain, whatever they read
+TRACED_RUNS = 3  # --trace 1 runs per side and workload
 
 
 def git(*args: str) -> str:
@@ -106,6 +108,18 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def median_metrics(results: list[dict]) -> dict:
+    """Per metric ({name: {"value", "unit"}}), the median value over the runs
+    that report it."""
+    names = sorted(set().union(*(r["metrics"] for r in results)))
+    out = {}
+    for name in names:
+        found = [r["metrics"][name] for r in results if name in r["metrics"]]
+        out[name] = {"value": float(np.median([m["value"] for m in found])),
+                     "unit": found[0]["unit"]}
+    return out
+
+
 def per_layer_table(base: dict, change: dict) -> dict:
     """Merge two traced runs' metrics ({name: {"value", "unit"}}) by name.
 
@@ -164,24 +178,27 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {i} seed {seed}: " + ", ".join(
                     f"{side} job_ms_p50 {pair[side]['metrics']['job_ms_p50']['value']:.1f}"
                     for side in order), flush=True)
-            traced = {side: run_once(sides[side], workload, args.first_seed, seconds,
-                                     trace=1) for side in sides}
-            for side in sides:
-                traced[side].pop("record")
+            traced = {side: [] for side in sides}
+            for k in range(TRACED_RUNS):
+                for side in (["base", "change"] if k % 2 == 0 else ["change", "base"]):
+                    result = run_once(sides[side], workload, args.first_seed + k, seconds,
+                                      trace=1)
+                    result.pop("record")
+                    traced[side].append(result)
             workloads[workload] = {
                 "pairs": n_pairs,
                 "failed": {s: sum(r[s]["failed"] for r in runs) for s in sides},
                 "attempted": {s: sum(r[s]["attempted"] for r in runs) for s in sides},
                 "metrics": summarize(runs, bench["end_to_end"]),
                 "runs": runs,
-                "traced_failed": {s: traced[s]["failed"] for s in sides},
-                "per_layer": per_layer_table(traced["base"]["metrics"],
-                                             traced["change"]["metrics"]),
+                "traced_failed": {s: sum(r["failed"] for r in traced[s]) for s in sides},
+                "per_layer": per_layer_table(median_metrics(traced["base"]),
+                                             median_metrics(traced["change"])),
             }
         result = {
             "command": ["perfbench/run.py", "--trace", "0", "--seconds", seconds],
             "per_layer_command": ["perfbench/run.py", "--trace", "1", "--seconds", seconds,
-                                  "--seed", args.first_seed],
+                                  "--seed", [args.first_seed + k for k in range(TRACED_RUNS)]],
             "base": {"commit": base_commit, "src_sha256": source_digest(base_dir)},
             "change": {"head": git("rev-parse", "HEAD"),
                        "uncommitted": bool(git("status", "--porcelain", "--", "src")),

@@ -32,7 +32,6 @@ from .netmodel import (  # noqa: F401
 )
 from .transform import (  # noqa: F401
     LeftNullTransform,
-    ZAccumulator,
     make_transform,
     z_from_state,
     z_update,

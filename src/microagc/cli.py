@@ -385,9 +385,15 @@ def write_detector_csv(ts: TimeSeries, scenario: Scenario, path) -> None:
 def cmd_simulate(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    scenario = build_scenario(sections, out, seed_override=args.seed)
-    ts = run_scenario(scenario)
+    created = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)  # model paths may resolve through it
+    try:
+        scenario = build_scenario(sections, out, seed_override=args.seed)
+        ts = run_scenario(scenario)
+    except Exception:
+        if created and not any(out.iterdir()):
+            out.rmdir()
+        raise
     ts.to_csv(out / "timeseries.csv")
     write_detector_csv(ts, scenario, out / "detector.csv")
     (out / "summary.txt").write_text(summarize(ts, scenario), encoding="utf-8")
@@ -405,15 +411,11 @@ def cmd_identify(args) -> int:
     sec = _first_section(sections, "identify")
     grid = _build_grid(sections["grid"][_named_grid(sections, sec)], sections, out,
                        with_detector=False)
-    out.mkdir(parents=True, exist_ok=True)
 
     sec.check("candidates", lambda c: min(c, default=1) >= 1,
               "must be orders >= 1, got {}")
     records_file = sec.value("records_file", None)
-    if records_file is not None:
-        t, u, y = load_records(out / records_file)
-        dt = float(t[1] - t[0]) if t.shape[0] > 1 else 0.0  # too short to fit anyway
-    else:
+    if records_file is None:
         # the library accepts beta = 0 (a zero record); a run would fit a zero model
         sec.check("beta", lambda b: np.isfinite(b) and b > 0.0,
                   "must be finite and > 0, got {}")
@@ -421,6 +423,11 @@ def cmd_identify(args) -> int:
         spec = sec.build(ExcitationSpec, seed=17)
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
+    out.mkdir(parents=True, exist_ok=True)
+    if records_file is not None:
+        t, u, y = load_records(out / records_file)
+        dt = float(t[1] - t[0]) if t.shape[0] > 1 else 0.0  # too short to fit anyway
+    else:
         t, u, y = identification_records(grid, spec)
         save_records(out / sec.value("record_file", "sysid_records.csv"), t, u, y)
         dt = spec.dt

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from . import defaults
 from .netmodel import LinearPlant, _readonly
-from .transform import LeftNullTransform, ZAccumulator, z_update
+from .transform import LeftNullTransform, z_update
 
 log = logging.getLogger(__name__)
 
@@ -203,9 +203,8 @@ def control_optimal(gain: ControllerGain, z: np.ndarray) -> np.ndarray:
     return -(gain.k @ np.asarray(z, dtype=float))
 
 
-def control_decentralized(ibrs, d_p_g: np.ndarray) -> np.ndarray:
-    """dws_i = m_p_i * dpg_i, computable from local measurements alone."""
-    m_p = np.array([p.m_p for p in ibrs])
+def control_decentralized(m_p: np.ndarray, d_p_g: np.ndarray) -> np.ndarray:
+    """dws_i = m_p_i * dpg_i (m_p per IBR), computable from local measurements alone."""
     return m_p * np.asarray(d_p_g, dtype=float)
 
 
@@ -217,17 +216,19 @@ def control_observer(gain: ControllerGain, obs: ObserverState) -> np.ndarray:
 def observer_update(
     obs: ObserverState,
     model,
-    ibrs,
+    omega_c: np.ndarray,
+    m_p: np.ndarray,
     d_omega_s_prev: np.ndarray,
     dt: float,
 ) -> None:
     """Advance the prediction-driven controller state one control period.
 
-    z_hat takes the z_update step with the power predicted at the interval
-    start, then the model state advances with the applied command.
+    z_hat takes the z_update step (per-IBR omega_c and m_p arrays) with the
+    power predicted at the interval start, then the model state advances with
+    the applied command.
     """
     u_prev = np.asarray(d_omega_s_prev, dtype=float)
-    obs.z_hat = z_update(ZAccumulator(obs.z_hat), u_prev, model.c_d @ obs.x_hat, dt, ibrs).z
+    obs.z_hat = z_update(obs.z_hat, u_prev, model.c_d @ obs.x_hat, dt, omega_c, m_p)
     obs.x_hat = model.a_d @ obs.x_hat + model.b_d @ u_prev
 
 

@@ -7,10 +7,11 @@ integrated between instants at a finer substep with all inputs held constant
 over each substep. Every run has one world plant: the grid plants side by side
 (block-diagonal) until the tie closes, the merged network's plant after, so
 all grids are measured and stepped together through one path, one block step
-per control period over a load schedule evaluated once per run. Scenario times
-are whole control periods (`whole_steps`), so the schedule is step indices set
-before the loop, and each grid's log is the run's record and only history.
-Identical scenario and seeds give bit-identical logs.
+per control period over a load schedule and its change mask evaluated once per
+run. Scenario times are whole control periods (`whole_steps`), so the schedule
+is step indices set before the loop, and each grid's log is the run's record and
+only history. A grid's law, which advances its z array, is bound once per law
+change. Identical scenario and seeds give bit-identical logs.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .netmodel import (
 )
 from .sysid import DiscreteModel
 from .textio import write_table
-from .transform import ZAccumulator, make_transform, z_update
+from .transform import make_transform, z_update
 from .watermark import (
     BaselineStats,
     DetectorState,
@@ -55,6 +56,8 @@ from .watermark import (
 )
 
 log = logging.getLogger(__name__)
+# the clip ufunc np.clip ends in (numpy.core before numpy 2), called without its dispatch
+_clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 CONTROLLERS = ("optimal-z", "decentralized", "observer", "pi", "slow-lqr", "none")
 
@@ -280,20 +283,34 @@ class ZohStepper:
         self.b_d = phi[:n, n:]
         self._n_u = plant.b1.shape[1]
         self._u = np.zeros(k)  # [d_omega_s, d_p_l] of the held input
+        self._tmp = np.zeros(n)  # a_d @ x
 
-    def step(self, x: np.ndarray, d_omega_s: np.ndarray, d_p_l: np.ndarray) -> np.ndarray:
+    def step(self, x: np.ndarray, d_omega_s: np.ndarray, d_p_l: np.ndarray,
+             changed=None) -> np.ndarray:
         """Advance one substep per row of d_p_l (a 1-D d_p_l is one substep) with
-        the command held; b_d @ u is recomputed only where a load row differs in
-        value from the one before, so each state equals one call per substep."""
-        u, rows = self._u, np.atleast_2d(d_p_l)
-        u[:self._n_u] = d_omega_s
-        changed = [True, *(rows[1:] != rows[:-1]).any(axis=1).tolist()]
-        for row, new in zip(rows, changed):
+        the command held, from a copy of x. b_d @ u is recomputed at the rows
+        that changed marks (default: every row); a run passes its row of
+        `_load_changes`, which marks the first row and every row that differs
+        from the one before, so each state equals one call per substep."""
+        rows = d_p_l if d_p_l.ndim == 2 else d_p_l[None]
+        u, tmp, n_u = self._u, self._tmp, self._n_u
+        u[:n_u] = d_omega_s
+        x = np.array(x, dtype=float)
+        for s, new in enumerate([True] * len(rows) if changed is None else changed):
             if new:
-                u[self._n_u:] = row
+                u[n_u:] = rows[s]
                 drive = self.b_d @ u
-            x = self.a_d @ x + drive
+            np.matmul(self.a_d, x, out=tmp)  # x = a_d @ x + drive, in place
+            np.add(tmp, drive, out=x)
         return x
+
+
+def _load_changes(loads: np.ndarray) -> np.ndarray:
+    """(steps, substeps) mask of a load schedule (steps, substeps, loads): each
+    period's first row, and every row that differs from the one before it."""
+    changed = np.ones(loads.shape[:2], dtype=bool)
+    changed[:, 1:] = (loads[:, 1:] != loads[:, :-1]).any(axis=2)
+    return changed
 
 
 def measure_power(plant: LinearPlant, x: np.ndarray, d_p_l: np.ndarray) -> np.ndarray:
@@ -440,6 +457,7 @@ def rms(values: np.ndarray) -> float:
 
 # A grid's log columns: name, one column per IBR (else one), dtype. Row 0 is
 # "before the run": step rho writes row rho + 1 and reads the step before in row rho.
+# The per-IBR columns are views of the world's log (_World).
 _LOG = (*((name, True, float) for name in
           ("ddelta", "domega", "pg", "pg_rx", "dws", "wm", "z", "zhat")),
         ("xi1", False, float), ("xi2", False, float), ("flag", False, int),
@@ -451,6 +469,7 @@ class _GridRuntime:
         self.spec = spec
         self.n = spec.network.n_ibr
         self.m = spec.network.n_load
+        self.dt = scenario.control_period
         self.op = solve_operating_point(spec.network, spec.p_injections)
         self.plant = assemble_plant(spec.ibrs, build_sensitivity(spec.network, self.op))
         self.controller = spec.controller
@@ -460,7 +479,9 @@ class _GridRuntime:
         if needs_gain or spec.detector is not None:
             weights = spec.weights or CostWeights.uniform(self.n)
             self.gain = lqr_gain(self.plant, weights, make_transform(spec.ibrs))
-        self.z = ZAccumulator.zeros(self.n)
+        self.omega_c = np.array([p.omega_c for p in spec.ibrs])
+        self.m_p = np.array([p.m_p for p in spec.ibrs])
+        self.z = np.zeros(self.n)
         self.obs: ObserverState | None = None
         if spec.controller == "observer":
             if spec.detector is None:
@@ -470,7 +491,6 @@ class _GridRuntime:
         self.pi_integ = np.zeros(self.n)
         self.sensor_y = np.zeros(self.n)
         self.slow_steps = whole_steps(spec.slow_hold, scenario.control_period, "slow_hold")
-        self.u_cmd = np.zeros(self.n)
         self.obs_fresh = False
         self.det_state: DetectorState | None = None
         self.wm_source: WatermarkSource | None = None
@@ -484,12 +504,55 @@ class _GridRuntime:
             self.wm_source = WatermarkSource(det.watermark)
             self.wm_active = True
         self.responded = False
-        self.log = {name: np.zeros((n_steps + 1, self.n) if per_ibr else n_steps + 1,
-                                   dtype=dtype) for name, per_ibr, dtype in _LOG}
+        self.log = {name: np.zeros(n_steps + 1, dtype=dtype)
+                    for name, per_ibr, dtype in _LOG if not per_ibr}
 
-    def applied(self, rho: int) -> np.ndarray:
-        """The command applied over control step rho - 1: its dws plus watermark."""
-        return self.log["dws"][rho] + self.log["wm"][rho]
+    def resolve_law(self, rho: int) -> None:
+        """Bind the active law from step rho on; label ctrl from row rho + 1 on."""
+        self.log["ctrl"][rho + 1:] = self.controller if self.enabled else "off"
+        self.law = _bind_law(self, self.controller if self.enabled else "none")
+
+
+def _bind_law(rt: _GridRuntime, name: str):
+    """Grid rt's law `name` with its constants bound, as law(rt, rho, y_rx): from
+    the grid's log and received powers y_rx at control step rho, it writes the
+    saturated command into rt.cmd (slow-lqr holds it in between); rt.applied is
+    the command applied over the step before. "none" is no law, a zero command.
+    The law takes rt as an argument, so that rt.law makes no reference cycle."""
+    gain, omega_c, m_p, dt, hold = rt.gain, rt.omega_c, rt.m_p, rt.dt, rt.slow_steps
+    u_prev, cmd, obs, spec = rt.applied, rt.cmd, rt.obs, rt.spec
+    pg_rx, domega = rt.log["pg_rx"], rt.log["domega"]
+    lo, hi = -spec.u_max, spec.u_max  # setpoints saturate, as inverter hardware does
+    kp, ki, tau = spec.pi_kp, spec.pi_ki, spec.sensor_tau
+    if name == "none":
+        cmd[:] = 0.0
+        return None
+    if name == "optimal-z":
+        def law(rt, rho, y_rx):  # at rho = 0 the zero row leaves z at 0
+            rt.z = z_update(rt.z, u_prev, pg_rx[rho], dt, omega_c, m_p)
+            _clip(control_optimal(gain, rt.z), lo, hi, out=cmd)
+    elif name == "decentralized":
+        def law(rt, rho, y_rx):
+            rt.z = z_update(rt.z, u_prev, pg_rx[rho], dt, omega_c, m_p)
+            _clip(control_decentralized(m_p, y_rx), lo, hi, out=cmd)
+    elif name == "observer":
+        def law(rt, rho, y_rx):
+            if rho > 0 and not rt.obs_fresh:
+                observer_update(obs, spec.detector.model, omega_c, m_p, u_prev, dt)
+            rt.obs_fresh = False
+            _clip(control_observer(gain, obs), lo, hi, out=cmd)
+    elif name == "pi":
+        def law(rt, rho, y_rx):
+            rt.sensor_y = measure_frequency_lagged(domega[rho + 1], rt.sensor_y, tau, dt)
+            u, rt.pi_integ = control_pi_baseline(kp, ki, rt.sensor_y, dt, rt.pi_integ)
+            _clip(u, lo, hi, out=cmd)
+    else:  # slow-lqr
+        def law(rt, rho, y_rx):
+            if rho % hold == 0:
+                if rho > 0:
+                    rt.z = z_update(rt.z, u_prev, y_rx, hold * dt, omega_c, m_p)
+                _clip(control_optimal(gain, rt.z), lo, hi, out=cmd)
+    return law
 
 
 def _side_by_side(plants: list[LinearPlant]) -> LinearPlant:
@@ -508,9 +571,12 @@ class _World:
     replaces it in place with the merged network's plant. Both order the nodes
     as every grid's IBRs, then every grid's loads: grid gi owns the state slice
     states[gi] and channel slice channels[gi], and one load schedule serves all.
+    Its log holds one array per per-IBR column, so that one row write serves
+    every grid; a grid's log columns are views of it, as are its held command
+    rt.cmd and its applied command rt.applied.
     """
 
-    def __init__(self, rts: list[_GridRuntime], h: float):
+    def __init__(self, rts: list[_GridRuntime], h: float, n_steps: int):
         self.rts = rts
         self.plant = _side_by_side([rt.plant for rt in rts])
         self.stepper = ZohStepper(self.plant, h)
@@ -518,11 +584,18 @@ class _World:
         self.tied = False
         self.states: list[slice] = []
         self.channels: list[slice] = []
+        n_ch = sum(rt.n for rt in rts)
+        self.log = {name: np.zeros((n_steps + 1, n_ch)) for name, per_ibr, _ in _LOG
+                    if per_ibr}
+        self.cmd, self.applied = np.zeros(n_ch), np.zeros(n_ch)
         signals: list[LoadSignalSpec] = []
         n0 = m0 = 0
         for rt in rts:
+            ch = slice(n0, n0 + rt.n)
             self.states.append(slice(2 * n0, 2 * (n0 + rt.n)))
-            self.channels.append(slice(n0, n0 + rt.n))
+            self.channels.append(ch)
+            rt.log.update({name: col[:, ch] for name, col in self.log.items()})
+            rt.cmd, rt.applied = self.cmd[ch], self.applied[ch]
             signals += [replace(sig, load_index=m0 + sig.load_index)
                         for sig in rt.spec.load_signals]
             n0, m0 = n0 + rt.n, m0 + rt.m
@@ -579,40 +652,47 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     received copies per the active attacks, step each enabled detector, apply
     the auto response when a flag first rises, update the active control law,
     superpose the watermark, then integrate the plant to the next instant.
-    Every time is a step index before the loop starts.
+    Every time is a step index, and the loads and their change mask are
+    evaluated, before the loop starts.
     """
     dt_c = scenario.control_period
     h = scenario.integrator_step
     n_sub = whole_steps(dt_c, h, "control_period")
     n_steps = whole_steps(scenario.horizon, dt_c, "horizon")
     rts = [_GridRuntime(g, scenario, n_steps) for g in scenario.grids]
-    world = _World(rts, h)
+    world = _World(rts, h, n_steps)
+    for rt in rts:
+        rt.resolve_law(0)
 
     schedule: dict[int, list[Event]] = {}  # control step -> its events, in time order
     for ev in sorted(scenario.events, key=lambda e: e.time):
         schedule.setdefault(whole_steps(ev.time, dt_c, "event time"), []).append(ev)
     atk_rngs = [np.random.default_rng([scenario.seed, 101, j])
                 for j in range(len(scenario.attacks))]
+    histories = [rts[atk.grid].log["pg"][1:] for atk in scenario.attacks]
 
     time_axis = np.arange(n_steps) * dt_c
     # load deviations at every substep time rho * dt_c + s * h of the run
     loads = load_vector(world.signals, time_axis[:, None] + np.arange(n_sub) * h,
                         world.plant.n_load)
+    changed = _load_changes(loads).tolist()
+    ddelta_log, domega_log, pg_log, dws_log, wm_log = (
+        world.log[k] for k in ("ddelta", "domega", "pg", "dws", "wm"))
 
     for rho in range(n_steps):
         t = rho * dt_c
+        r = rho + 1
 
         # events due now (scripted)
         for ev in schedule.get(rho, ()):
-            _apply_event(ev, scenario, rts, world, t, loads[rho, 0])
+            _apply_event(ev, scenario, rts, world, rho, loads[rho, 0])
 
         # true measurements, and the received ones: a replay reads earlier rows
-        y_all = measure_power(world.plant, world.x, loads[rho, 0])
-        y_true = [y_all[ch] for ch in world.channels]
-        y_rx = [y.copy() for y in y_true]
+        pg_log[r] = y_all = measure_power(world.plant, world.x, loads[rho, 0])
+        y_rx = [y_all[ch] for ch in world.channels]
         for j, atk in enumerate(scenario.attacks):
-            y_rx[atk.grid] = apply_attack(y_rx[atk.grid], atk, rho,
-                                          rts[atk.grid].log["pg"][1:], dt_c, atk_rngs[j])
+            y_rx[atk.grid] = apply_attack(y_rx[atk.grid], atk, rho, histories[j], dt_c,
+                                          atk_rngs[j])
 
         # detection and auto response
         for gi, rt in enumerate(rts):
@@ -623,79 +703,54 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
                               rt.log["dws"][rho], rt.log["wm"][rho])
             if flag and not rt.responded and scenario.auto_response != "none":
                 rt.responded = True
+                rt.wm_active = False
                 if scenario.auto_response == "observer" or scenario.tie is None:
                     rt.controller = "observer"
                     rt.obs = ObserverState(x_hat=rt.det_state.x_hat.copy(),
-                                           z_hat=rt.z.z.copy())
+                                           z_hat=rt.z.copy())
                     rt.obs_fresh = True
-                    rt.wm_active = False
+                    rt.resolve_law(rho)
                     log.info("grid %d: flag at t=%.4fs, observer law engaged", gi, t)
                 else:
                     rt.controller = "none"
                     rt.enabled = False
-                    rt.wm_active = False
+                    rt.resolve_law(rho)
                     _apply_event(Event(time=t, action="tie_close"), scenario, rts,
-                                 world, t, loads[rho, 0])
+                                 world, rho, loads[rho, 0])
                     log.info("grid %d: flag at t=%.4fs, networking with neighbor", gi, t)
 
         # control laws and watermark, logged
+        ddelta_log[r], domega_log[r] = world.x[0::2], world.x[1::2]
         for gi, rt in enumerate(rts):
-            x_grid = world.x[world.states[gi]]
-            _update_controller(rt, x_grid, y_rx[gi], rho, dt_c)
+            if rt.law is not None:
+                rt.law(rt, rho, y_rx[gi])
             if rt.wm_active and rt.enabled:
-                rt.log["wm"][rho + 1] = rt.wm_source.draw()
-            _log_step(rt, rho + 1, x_grid, y_true[gi], y_rx[gi])
+                rt.log["wm"][r] = rt.wm_source.draw()
+            rt.log["pg_rx"][r], rt.log["z"][r] = y_rx[gi], rt.z
+            if rt.obs is not None:
+                rt.log["zhat"][r] = rt.obs.z_hat
+            if rt.det_state is not None:
+                rt.log["xi1"][r] = rt.det_state.xi1
+                rt.log["xi2"][r] = rt.det_state.xi2
+                rt.log["flag"][r] = int(rt.det_state.flag)
+        dws_log[r] = world.cmd
 
         # integrate the applied commands to the next control instant
-        u = np.concatenate([rt.applied(rho + 1) for rt in rts])
-        world.x = world.stepper.step(world.x, u, loads[rho])
+        np.add(dws_log[r], wm_log[r], out=world.applied)
+        world.x = world.stepper.step(world.x, world.applied, loads[rho], changed[rho])
 
     return _time_series(time_axis, rts)
 
 
-def _update_controller(rt: _GridRuntime, x: np.ndarray, y_rx: np.ndarray, rho: int,
-                       dt_c: float) -> None:
-    law = rt.controller if rt.enabled else "none"
-    if law in ("optimal-z", "decentralized"):  # at rho = 0 the zero row leaves z at 0
-        rt.z = z_update(rt.z, rt.applied(rho), rt.log["pg_rx"][rho], dt_c, rt.spec.ibrs)
-    if law == "none":
-        rt.u_cmd = np.zeros(rt.n)
-    elif law == "optimal-z":
-        rt.u_cmd = control_optimal(rt.gain, rt.z.z)
-    elif law == "decentralized":
-        rt.u_cmd = control_decentralized(rt.spec.ibrs, y_rx)
-    elif law == "observer":
-        if rho > 0 and not rt.obs_fresh:
-            observer_update(rt.obs, rt.spec.detector.model, rt.spec.ibrs,
-                            rt.applied(rho), dt_c)
-        rt.obs_fresh = False
-        rt.u_cmd = control_observer(rt.gain, rt.obs)
-    elif law == "pi":
-        rt.sensor_y = measure_frequency_lagged(
-            x[1::2], rt.sensor_y, rt.spec.sensor_tau, dt_c
-        )
-        rt.u_cmd, rt.pi_integ = control_pi_baseline(
-            rt.spec.pi_kp, rt.spec.pi_ki, rt.sensor_y, dt_c, rt.pi_integ
-        )
-    elif law == "slow-lqr":
-        if rho % rt.slow_steps == 0:
-            if rho > 0:
-                rt.z = z_update(rt.z, rt.applied(rho), y_rx, rt.slow_steps * dt_c,
-                                rt.spec.ibrs)
-            rt.u_cmd = control_optimal(rt.gain, rt.z.z)
-    # inverter setpoints saturate; keeps mis-tuned laws bounded as hardware would
-    rt.u_cmd = np.clip(rt.u_cmd, -rt.spec.u_max, rt.spec.u_max)
-
-
 def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
-                 world: _World, t: float, d_p_l: np.ndarray) -> None:
-    if ev.action == "controller_on":
-        rts[ev.grid].enabled = True
-    elif ev.action == "controller_off":
-        rts[ev.grid].enabled = False
-        rts[ev.grid].u_cmd = np.zeros(rts[ev.grid].n)
+                 world: _World, rho: int, d_p_l: np.ndarray) -> None:
+    """Fire ev at control step rho, with load deviations d_p_l at that instant."""
+    t = rho * scenario.control_period
+    rt = rts[ev.grid] if ev.action != "tie_close" else None
+    if ev.action in ("controller_on", "controller_off"):
+        rt.enabled = ev.action == "controller_on"
+        rt.resolve_law(rho)
     elif ev.action == "observer_on":
-        rt = rts[ev.grid]
         if rt.spec.detector is None:
             raise SimulationError(
                 f"observer_on at t={t:.4f}s: grid {ev.grid} has no detector model"
@@ -706,9 +761,10 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
         # prediction state is one interval behind and must advance once
         x_hat = (rt.det_state.x_hat.copy() if rt.det_state is not None
                  else np.zeros(rt.spec.detector.model.order))
-        rt.obs = ObserverState(x_hat=x_hat, z_hat=rt.z.z.copy())
+        rt.obs = ObserverState(x_hat=x_hat, z_hat=rt.z.copy())
         rt.obs_fresh = False
         rt.wm_active = False
+        rt.resolve_law(rho)
     elif world.tied:
         log.warning("tie already closed; ignoring tie_close at t=%.4fs", t)
     else:
@@ -718,24 +774,6 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
                 rt.wm_active = False
                 rt.det_state = None
                 log.info("grid %d: detector retired after topology change", gi)
-
-
-def _log_step(rt: _GridRuntime, r: int, x, y_true, y_rx) -> None:
-    """Row r of the grid's log, all but the watermark the loop draws into it."""
-    log = rt.log
-    log["ddelta"][r] = x[0::2]
-    log["domega"][r] = x[1::2]
-    log["pg"][r] = y_true
-    log["pg_rx"][r] = y_rx
-    log["dws"][r] = rt.u_cmd
-    log["z"][r] = rt.z.z
-    if rt.obs is not None:
-        log["zhat"][r] = rt.obs.z_hat
-    if rt.det_state is not None:
-        log["xi1"][r] = rt.det_state.xi1
-        log["xi2"][r] = rt.det_state.xi2
-        log["flag"][r] = int(rt.det_state.flag)
-    log["ctrl"][r] = rt.controller if rt.enabled else "off"
 
 
 def _time_series(time_axis, rts) -> TimeSeries:

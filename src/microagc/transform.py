@@ -5,7 +5,8 @@ defines z_i = omega_c_i * ddelta_i + domega_i. The z vector is computable from
 real-power measurements alone by integrating
     dz_i/dt = omega_c_i * (dws_i - m_p_i * dpg_i),
 which is what makes a fast secondary controller possible without fast
-frequency sensing.
+frequency sensing. z is a plain array, z(0) = 0 unless re-seeded; z_update
+advances it with per-IBR omega_c and m_p arrays that a run builds once.
 """
 
 from __future__ import annotations
@@ -33,20 +34,6 @@ class LeftNullTransform:
         return self.t.shape[0]
 
 
-@dataclass(frozen=True)
-class ZAccumulator:
-    """Running z integral; starts from z(0) = 0 unless explicitly re-seeded."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "z", _readonly(self.z))
-
-    @classmethod
-    def zeros(cls, n: int) -> "ZAccumulator":
-        return cls(z=np.zeros(n))
-
-
 def make_transform(ibrs) -> LeftNullTransform:
     """Build t_i = [omega_c_i, 1] per IBR and the block-diagonal stack."""
     ibrs = tuple(ibrs)
@@ -69,21 +56,19 @@ def z_from_state(transform: LeftNullTransform, dx: np.ndarray) -> np.ndarray:
 
 
 def z_update(
-    acc: ZAccumulator,
+    z: np.ndarray,
     d_omega_s: np.ndarray,
     d_p_g: np.ndarray,
     dt: float,
-    ibrs,
-) -> ZAccumulator:
-    """Advance the z integral one control period.
+    omega_c: np.ndarray,
+    m_p: np.ndarray,
+) -> np.ndarray:
+    """Advance the z integral one control period; returns the new z.
 
     Forward Euler: z += omega_c * (dws - m_p * dpg) * dt, sampling the
-    integrand at the interval start.
+    integrand at the interval start; omega_c and m_p are per-IBR arrays.
     """
     if dt <= 0.0:
         raise ValueError(f"dt must be positive, got {dt}")
-    ibrs = tuple(ibrs)
-    omega_c = np.array([p.omega_c for p in ibrs])
-    m_p = np.array([p.m_p for p in ibrs])
     integrand = omega_c * (np.asarray(d_omega_s, float) - m_p * np.asarray(d_p_g, float))
-    return ZAccumulator(z=acc.z + integrand * dt)
+    return z + integrand * dt

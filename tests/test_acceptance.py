@@ -94,7 +94,8 @@ def test_criterion_02_observation_one_decay(study_grid, study_plant):
     budget = Budget(5.0)
     grid, plant = study_grid, study_plant
     sens = plant.h_red @ plant.e
-    k_law = np.column_stack([m.control_decentralized(grid.ibrs, col) for col in sens.T])
+    m_p = np.array([p.m_p for p in grid.ibrs])
+    k_law = np.column_stack([m.control_decentralized(m_p, col) for col in sens.T])
     a_cl = plant.a + plant.b1 @ k_law
     t_map = m.make_transform(grid.ibrs).t
     omega_c = np.array([p.omega_c for p in grid.ibrs])

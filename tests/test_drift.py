@@ -61,3 +61,36 @@ def test_attack_pick_is_the_first_job_of_each_attacked_detect_stratum():
     assert all("\nkind = replay\n" in job.config for job in picked[1:])
     assert "\nchannels = 0 1 2\n" in picked[2].config
     assert drift.first_jobs({"a": [1, 2], "b": [3]}, ("b", "a")) == [3, 1]
+
+
+def test_regulate_pick_adds_the_first_decentralized_pi_and_tie_jobs():
+    sys.path.insert(0, str(BENCH.parent / "perfbench"))
+    import workload
+
+    strata = workload.library("regulate")
+    picked = drift.regulate_picks(strata)
+    assert picked[:9] == drift.controller_jobs(strata["single"], "slow-lqr")
+    first = {law: next(j for j in strata["single"] if f"\ncontroller = {law}\n" in j.config)
+             for law in ("decentralized", "pi")}
+    assert picked[9:] == [first["decentralized"], first["pi"], strata["tie"][0]]
+    assert "\naction = tie_close\n" in picked[-1].config
+
+
+def test_auto_response_runs_are_the_first_replay_all_job_with_the_response_set():
+    sys.path.insert(0, str(BENCH.parent / "perfbench"))
+    import workload
+
+    replay = workload.library("detect")["replay-all"][0]
+    tie = workload.library("regulate")["tie"][0]
+    observer = drift.auto_response(replay, "observer")
+    collab = drift.auto_response(replay, "collaborative", tie)
+    assert (observer.key, collab.key) == ("auto-observer", "auto-collaborative")
+    assert observer.commands == collab.commands == replay.commands
+    assert observer.config == replay.config.replace(
+        "\n[sim]\n", "\n[sim]\nauto_response = observer\n")
+    assert collab.config.startswith(replay.config.replace(
+        "\n[sim]\n", "\n[sim]\nauto_response = collaborative\n"))
+    added = collab.config.split("\n\n")[len(replay.config.split("\n\n")):]
+    assert [block.splitlines()[0] for block in added] == ["[grid.2]", "[tie]"]
+    assert all(block.strip() in tie.config for block in added)
+    assert "\n[event]\n" not in collab.config  # the flag, not a script, closes the tie

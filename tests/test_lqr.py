@@ -105,11 +105,10 @@ class TestControlLaws:
         np.testing.assert_allclose(m.control_optimal(gain, e1), -gain.k[:, 0])
 
     def test_decentralized_elementwise(self):
-        prms = (m.IbrParams(omega_c=10.0, m_p=1e-3),
-                m.IbrParams(omega_c=10.0, m_p=2e-3))
-        out = m.control_decentralized(prms, np.array([100.0, -50.0]))
+        m_p = np.array([1e-3, 2e-3])
+        out = m.control_decentralized(m_p, np.array([100.0, -50.0]))
         np.testing.assert_allclose(out, [0.1, -0.1])
-        np.testing.assert_array_equal(m.control_decentralized(prms, np.zeros(2)), 0.0)
+        np.testing.assert_array_equal(m.control_decentralized(m_p, np.zeros(2)), 0.0)
 
     def test_observer_law_uses_predictions_only(self):
         _, _, _, gain = default_design()
@@ -124,9 +123,8 @@ class TestControlLaws:
             a_d=np.array([[0.9]]), b_d=np.array([[0.5]]),
             c_d=np.array([[2.0]]), dt=0.01, order=1,
         )
-        prms = (m.IbrParams(omega_c=10.0, m_p=1e-3),)
         obs = m.ObserverState(x_hat=np.array([1.0]), z_hat=np.array([0.0]))
-        observer_update(obs, model, prms, np.array([0.2]), 0.01)
+        observer_update(obs, model, np.array([10.0]), np.array([1e-3]), np.array([0.2]), 0.01)
         # z integrates omega_c (u - m_p * C x_prev) dt, then x advances
         assert obs.z_hat[0] == pytest.approx(10.0 * (0.2 - 1e-3 * 2.0) * 0.01)
         assert obs.x_hat[0] == pytest.approx(0.9 * 1.0 + 0.5 * 0.2)

@@ -1,5 +1,5 @@
 """The paired-run summary of bench/pairs.py: win counts, ties, the bound
-check, the gain rule, and the per-layer merge of the traced runs."""
+check, the gain rule, and the per-layer medians and merge of the traced runs."""
 
 import importlib.util
 from pathlib import Path
@@ -64,3 +64,13 @@ def test_per_layer_table_merges_both_sides_by_name():
                                  "change_rel": None}
     assert out["new.metric"] == {"unit": "ms", "base": None, "change": 2.0,
                                  "change_rel": None}
+
+
+def test_per_layer_values_are_medians_over_the_traced_runs():
+    def traced(**values):
+        return {"metrics": {k: {"value": v, "unit": "us"} for k, v in values.items()}}
+
+    runs3 = [traced(a=3.0, b=10.0), traced(a=1.0), traced(a=2.0, b=30.0)]
+    assert pairs.median_metrics(runs3) == {"a": {"value": 2.0, "unit": "us"},
+                                           "b": {"value": 20.0, "unit": "us"}}
+    assert pairs.TRACED_RUNS == 3

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import microagc as m
 from microagc import casestudy as cs
-from microagc.simcore import ZohStepper, load_vector, rms
+from microagc.simcore import ZohStepper, _clip, _load_changes, load_vector, rms
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +106,47 @@ def test_block_step_equals_one_substep_per_row(omega_c, m_p, h, data):
         x_ref = stepper.a_d @ x_ref + stepper.b_d @ np.concatenate([u, row])
     assert np.array_equal(block, x_rows)
     assert np.array_equal(block, x_ref)
+
+
+@pytest.mark.parametrize("period, width", [(0.0135, 0.006), (0.0072, 0.0031)])
+def test_step_over_the_change_mask_equals_one_row_at_a_time(period, width):
+    """A pulse whose edges fall inside control periods: stepping each period
+    over its row of the run's change mask gives, bit for bit, the states of
+    one-row steps, with the drive reused on unchanged rows."""
+    plant = cs.build_plant(cs.grid1_spec())
+    dt_c, h, n_sub = 0.005, 5e-4, 10
+    stepper = ZohStepper(plant, h)
+    pulse = m.LoadSignalSpec(kind="periodic-pulse", amplitude=900.0, load_index=1,
+                             period=period, width=width)
+    times = np.arange(40)[:, None] * dt_c + np.arange(n_sub) * h
+    loads = load_vector((pulse,), times, plant.n_load)
+    changed = _load_changes(loads)
+    assert changed.shape == (40, n_sub) and changed[:, 0].all()
+    assert changed[:, 1:].any() and not changed[:, 1:].all()  # edges inside periods
+    x_block = x_rows = np.zeros(plant.n_states)
+    for rho in range(40):
+        u = np.sin(np.arange(3) + 0.1 * rho) * 0.05
+        x_block = stepper.step(x_block, u, loads[rho], changed[rho].tolist())
+        for row in loads[rho]:
+            x_rows = stepper.step(x_rows, u, row)
+        assert np.array_equal(x_block, x_rows)
+
+
+_SATURATE = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 0.6, -0.6]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(values=st.lists(_SATURATE, min_size=1, max_size=6),
+       u_max=st.one_of(st.sampled_from([0.6, 1.0]),
+                       st.floats(0.0, 1e6, allow_subnormal=True)))
+def test_saturation_equals_np_clip_bit_for_bit(values, u_max):
+    """The loop's saturation, the clip ufunc into a buffer, gives the bits of
+    np.clip: NaN, signed zeros, infinities and values at exactly +-u_max."""
+    v = np.array(values + [u_max, -u_max])
+    out = np.full(v.shape, 7.0)
+    _clip(v, -u_max, u_max, out=out)
+    assert np.array_equal(out.view(np.int64), np.clip(v, -u_max, u_max).view(np.int64))
 
 
 def _scalar_load(sig, t: float) -> float:
@@ -335,6 +376,32 @@ class TestRunScenario:
         peak = np.max(np.abs(ts["mg1_domega_1"]))
         tail = np.max(np.abs(ts.window("mg1_domega_1", t0=1.0)))
         assert tail <= 0.05 * peak + 1e-12
+
+    def test_logged_z_is_the_z_update_recursion_of_the_logged_columns(
+            self, trained_detector_quiet):
+        """mg1_z at step k equals z_update applied to the logged dws + wm and
+        pg_rx of step k - 1 (zeros at k = 0), bit for bit, with a watermark
+        and a noise attack on the received powers."""
+        g = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0),
+                          detector=trained_detector_quiet,
+                          load_signals=[cs.pulse_load_signal()])
+        atk = m.AttackSpec(kind="noise-injection", channels=(1,), start=0.5,
+                           end=0.8, noise_std=300.0)
+        sc = m.Scenario(grids=(g,), horizon=1.0, seed=5, attacks=(atk,))
+        ts = m.run_scenario(sc)
+
+        def cols(name):
+            return np.column_stack([ts[f"mg1_{name}_{i + 1}"] for i in range(3)])
+
+        omega_c = np.array([p.omega_c for p in g.ibrs])
+        m_p = np.array([p.m_p for p in g.ibrs])
+        applied, pg_rx, logged = cols("dws") + cols("wm"), cols("pg_rx"), cols("z")
+        assert np.any(cols("wm")) and np.any(pg_rx != cols("pg"))
+        z = u_prev = pg_prev = np.zeros(3)
+        for k in range(len(ts.time)):
+            z = m.z_update(z, u_prev, pg_prev, sc.control_period, omega_c, m_p)
+            assert np.array_equal(z, logged[k])
+            u_prev, pg_prev = applied[k], pg_rx[k]
 
     def test_determinism_bit_identical_logs(self):
         sig = cs.pulse_load_signal()

@@ -13,6 +13,11 @@ def ibrs(*omega_c, m_p=1e-3):
     return tuple(m.IbrParams(omega_c=w, m_p=m_p) for w in omega_c)
 
 
+def rates(prms):
+    """The per-IBR omega_c and m_p arrays z_update takes."""
+    return np.array([p.omega_c for p in prms]), np.array([p.m_p for p in prms])
+
+
 class TestMakeTransform:
     def test_row_values(self):
         tr = m.make_transform(ibrs(31.4))
@@ -49,32 +54,28 @@ class TestZFromState:
 
 class TestZUpdate:
     def test_decentralized_law_freezes_z(self):
-        prms = ibrs(10.0, 25.0)
-        acc = m.ZAccumulator.zeros(2)
+        omega_c, m_p = rates(ibrs(10.0, 25.0))
         d_p_g = np.array([120.0, -40.0])
-        d_w_s = np.array([p.m_p for p in prms]) * d_p_g
-        out = m.z_update(acc, d_w_s, d_p_g, 0.005, prms)
-        np.testing.assert_array_equal(out.z, [0.0, 0.0])
+        out = m.z_update(np.zeros(2), m_p * d_p_g, d_p_g, 0.005, omega_c, m_p)
+        np.testing.assert_array_equal(out, [0.0, 0.0])
 
     def test_single_euler_step(self):
-        prms = ibrs(10.0)
-        acc = m.ZAccumulator.zeros(1)
-        out = m.z_update(acc, np.array([0.0]), np.array([100.0]), 0.005, prms)
-        assert out.z[0] == pytest.approx(-0.005, rel=1e-12)
+        out = m.z_update(np.zeros(1), np.array([0.0]), np.array([100.0]), 0.005,
+                         *rates(ibrs(10.0)))
+        assert out[0] == pytest.approx(-0.005, rel=1e-12)
 
     def test_two_half_steps_equal_one_for_constant_inputs(self):
-        prms = ibrs(31.41)
+        wc_mp = rates(ibrs(31.41))
         u = np.array([0.02])
         y = np.array([55.0])
-        one = m.z_update(m.ZAccumulator.zeros(1), u, y, 0.01, prms)
-        half = m.z_update(m.ZAccumulator.zeros(1), u, y, 0.005, prms)
-        two = m.z_update(half, u, y, 0.005, prms)
-        assert two.z[0] == pytest.approx(one.z[0], rel=1e-12)
+        one = m.z_update(np.zeros(1), u, y, 0.01, *wc_mp)
+        half = m.z_update(np.zeros(1), u, y, 0.005, *wc_mp)
+        two = m.z_update(half, u, y, 0.005, *wc_mp)
+        assert two[0] == pytest.approx(one[0], rel=1e-12)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValueError):
-            m.z_update(m.ZAccumulator.zeros(1), np.zeros(1), np.zeros(1), 0.0,
-                       ibrs(10.0))
+            m.z_update(np.zeros(1), np.zeros(1), np.zeros(1), 0.0, *rates(ibrs(10.0)))
 
 
 class TestIntegralTracksState:
@@ -87,17 +88,17 @@ class TestIntegralTracksState:
         dt = 0.5e-3
         stepper = ZohStepper(plant, dt)
         x = np.zeros(plant.n_states)
-        acc = m.ZAccumulator.zeros(3)
+        z = np.zeros(3)
         pl = np.array([900.0, 0.0])
         z_scale = 0.0
         for k in range(2000):  # 1 s at 0.5 ms
             z_true = m.z_from_state(tr, x)
             z_scale = max(z_scale, np.max(np.abs(z_true)))
-            u = -gain.k @ acc.z
+            u = -gain.k @ z
             y = measure_power(plant, x, pl)
             x = stepper.step(x, u, pl)
-            acc = m.z_update(acc, u, y, dt, grid.ibrs)
-        err = np.max(np.abs(acc.z - m.z_from_state(tr, x)))
+            z = m.z_update(z, u, y, dt, *rates(grid.ibrs))
+        err = np.max(np.abs(z - m.z_from_state(tr, x)))
         assert err <= 1e-3 * max(z_scale, 1e-9)
 
 
@@ -110,6 +111,7 @@ class TestFrequencyDecayObservation:
         u = 0 the same run leaves the envelope by a factor of ten."""
         wc, mp, k = 31.41, 1e-3, 500.0
         prms = ibrs(wc, wc, m_p=mp)
+        m_p = np.full(2, mp)
         hm = m.AngleSensitivity(h=np.array([[-k, k], [k, -k]]), n_ibr=2, n_load=0)
         plant = m.assemble_plant(prms, hm)
         dt = 0.5e-3
@@ -120,7 +122,7 @@ class TestFrequencyDecayObservation:
         for j in range(1, int(round(5.0 / wc / dt)) + 1):
             y = measure_power(plant, x, np.zeros(0))
             peak_power = max(peak_power, np.max(np.abs(y)))
-            u = m.control_decentralized(prms, y)
+            u = m.control_decentralized(m_p, y)
             x = stepper.step(x, u, np.zeros(0))
             ratio = x[1::2] / (w0 * np.exp(-wc * j * dt))
             assert np.max(np.abs(ratio - 1.0)) <= 0.05

@@ -385,14 +385,16 @@ def write_detector_csv(ts: TimeSeries, scenario: Scenario, path) -> None:
 def cmd_simulate(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
-    created = not out.exists()
+    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
     out.mkdir(parents=True, exist_ok=True)  # model paths may resolve through it
     try:
         scenario = build_scenario(sections, out, seed_override=args.seed)
         ts = run_scenario(scenario)
     except Exception:
-        if created and not any(out.iterdir()):
-            out.rmdir()
+        for d in made:  # the directories this call made, while they are empty
+            if any(d.iterdir()):
+                break
+            d.rmdir()
         raise
     ts.to_csv(out / "timeseries.csv")
     write_detector_csv(ts, scenario, out / "detector.csv")

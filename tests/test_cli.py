@@ -408,6 +408,16 @@ def _rejects(tmp_path, capsys, text, expected, command="simulate"):
     assert not out.exists()
 
 
+def test_rejected_simulate_removes_the_directories_it_made(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL.replace("controller = optimal-z", "controller = fuzzy"))
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "a" / "b" / "c", tmp_path / "kept" / "d"):
+        assert run(["simulate", "--config", cfg, "--out", out]) == cli.EXIT_USAGE
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
 class TestScenarioFileRejections:
     """A scenario file that does not parse exits 1 before anything runs or is
     written, with a message naming the file and the line."""

@@ -24,7 +24,10 @@ scratch directory with relative output paths so that printed lines compare:
   - the same on two auto-response runs built from the first `replay-all` job:
     with `auto_response = observer`, and with the first tie job's grid 2 and
     tie added and `auto_response = collaborative`, so that the flag engages
-    the observer law in one and closes the tie in the other.
+    the observer law in one and closes the tie in the other;
+  - the library's training pipeline, `casestudy.trained_detector`, as the
+    acceptance suite's two detector fixtures call it (TRAINED), its model and
+    baseline written with `save_model` and `save_baseline`.
 
 For every command it prints whether the exit code and the stdout lines are
 identical, then for every output file either "identical" or the number of
@@ -50,7 +53,13 @@ from pathlib import Path
 
 from pairs import ROOT, export, git
 
+BENCH = Path(__file__).resolve().parent
+
 CHAIN = ("identify", "calibrate", "simulate", "detect")
+# the acceptance fixtures of casestudy.trained_detector: (output, seed, loads)
+TRAINED = (("trained-pulsed", 5, "pulse"), ("trained-quiet", 6, "quiet"))
+# a "train SEED LOADS --out DIR" command: train_detector from the tree's sources
+_TRAIN = "import sys, drift; drift.train_detector(sys.argv[5], int(sys.argv[2]), sys.argv[3])"
 ATTACK_STRATA = ("noise", "replay-one", "replay-all")  # detect strata compared
 REGULATE_LAWS = ("decentralized", "pi")  # first regulate job of each compared
 _CELL_SEP = re.compile(r"[,\s]+")
@@ -92,12 +101,30 @@ def _describe(a: str, b: str) -> str:
 
 
 def run_cli(tree: Path, cwd: Path, argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one CLI command run from tree's sources."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-m", "microagc.cli", *argv], cwd=cwd,
+    """Exit code and stdout of one CLI command, or of a `train` command, run
+    from tree's sources."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(BENCH)]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    head = ["-c", _TRAIN] if argv[0] == "train" else ["-m", "microagc.cli"]
+    proc = subprocess.run([sys.executable, *head, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout
+
+
+def train_detector(out, seed: int, loads: str) -> None:
+    """casestudy.trained_detector on the acceptance suite's study grid with
+    seed, calibrated under the pulsating load ("pulse") or frozen loads
+    ("quiet"); its model and baseline are written into out."""
+    from microagc import casestudy, cli, defaults, sysid
+    from microagc.lqr import CostWeights
+
+    grid = casestudy.grid1_spec(weights=CostWeights.uniform(3, q=defaults.SCENARIO_Q_DIAG))
+    signals = [casestudy.pulse_load_signal()] if loads == "pulse" else []
+    det, _ = casestudy.trained_detector(grid, calibration_signals=signals, seed=seed)
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    sysid.save_model(det.model, out / "model.txt")
+    cli.save_baseline(det.baseline, det.eps1, det.eps2, out / "baseline.txt")
 
 
 def controller_jobs(jobs, controller: str) -> list:
@@ -157,11 +184,13 @@ def render_benchmark_jobs(directory: Path) -> list[tuple[str, list[list[str]]]]:
 
 def jobs(tree: Path, extra: list) -> list[tuple[str, list[list[str]]]]:
     """(output directory, commands) of every compared run: the shipped
-    configs of tree, the detection_demo chain, then the extra runs."""
+    configs of tree, the detection_demo chain, the TRAINED detectors, then
+    the extra runs."""
     out = [(f"simulate-{cfg.stem}", [["simulate", "--config", str(cfg)]])
            for cfg in sorted((tree / "configs").glob("*.cfg"))]
     demo = str(tree / "configs" / "detection_demo.cfg")
     out.append(("chain-detection_demo", [[cmd, "--config", demo] for cmd in CHAIN]))
+    out += [(name, [["train", str(seed), loads]]) for name, seed, loads in TRAINED]
     return out + extra
 
 

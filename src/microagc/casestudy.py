@@ -1,6 +1,7 @@
 """Canonical two-microgrid study system and the pipelines that prepare a
-detection-ready scenario (identify the prediction model, calibrate the
-baseline and thresholds).
+detection-ready scenario: identification records, and the training pipeline
+that identifies the prediction model and calibrates the detector through
+the CLI's one calibration recipe.
 
 Grid 1: three IBRs (nodes 0-2) feeding two load nodes; grid 2: two IBRs
 feeding one load node. Loads are resistive (25 / 20 / 33 ohm per phase)
@@ -28,21 +29,12 @@ from .simcore import (
     DetectorSetup,
     GridSpec,
     LoadSignalSpec,
-    Scenario,
     TieSpec,
-    TimeSeries,
     ZohStepper,
     measure_power,
-    run_scenario,
 )
-from .sysid import DiscreteModel, ExcitationSpec, generate_excitation, predict, select_order
-from .watermark import (
-    BaselineStats,
-    WatermarkConfig,
-    calibrate_baseline,
-    calibrate_thresholds,
-    window_statistics,
-)
+from .sysid import ExcitationSpec, generate_excitation, select_order
+from .watermark import WatermarkConfig
 
 LOAD_OHMS_GRID1 = (25.0, 20.0)
 LOAD_OHMS_GRID2 = (33.0,)
@@ -181,32 +173,6 @@ def identification_records(
     return t, u, y
 
 
-def calibration_scenario(grid: GridSpec, model: DiscreteModel, watermark: WatermarkConfig,
-                         window: int, **run) -> Scenario:
-    """Nominal run of the grid alone, its detector watermarked but never flagging.
-
-    The grid keeps its controller, loop settings and load signals; run holds
-    the Scenario's horizon, seed and timing (no tie, events or attacks).
-    """
-    n = grid.network.n_ibr
-    open_setup = DetectorSetup(
-        model=model,
-        baseline=BaselineStats(mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=window),
-        eps1=np.inf, eps2=np.inf, watermark=watermark, window=window,
-    )
-    return Scenario(grids=(replace(grid, detector=open_setup),), **run)
-
-
-def calibration_record(ts: TimeSeries, model: DiscreteModel) -> tuple[np.ndarray, np.ndarray]:
-    """Received powers of a calibration run and the model's predictions of
-    them, replayed from a zero state with the logged commands plus watermark."""
-    received, commands, marks = (
-        np.column_stack([ts[f"mg1_{name}_{i + 1}"] for i in range(model.n_inputs)])
-        for name in ("pg_rx", "dws", "wm")
-    )
-    return received, predict(model, np.zeros(model.order), commands + marks)
-
-
 def trained_detector(
     grid: GridSpec,
     excitation: ExcitationSpec | None = None,
@@ -218,27 +184,19 @@ def trained_detector(
     seed: int = 0,
     candidates=defaults.ORDER_CANDIDATES,
 ):
-    """Full detection pipeline: identify, calibrate baseline and thresholds.
+    """Full detection pipeline: identify, then calibrate as `microagc calibrate`
+    does (`cli.calibrate_detector`).
 
     Returns (DetectorSetup, OrderReport). The calibration run uses the grid's
-    controller and loop settings with the given calibration load signals, the
-    watermark active and thresholds still open (margin applied afterwards).
+    controller and loop settings with the given calibration load signals.
     """
+    from . import cli
+
     excitation = excitation or ExcitationSpec(seed=seed + 17)
     t, u, y = identification_records(grid, excitation)
     report, model = select_order(u, y, candidates=candidates, dt=excitation.dt)
-
-    wm_cfg = WatermarkConfig.isotropic(watermark_std, grid.network.n_ibr, seed=seed + 29)
-    calib_grid = replace(grid, load_signals=tuple(calibration_signals))
-    ts = run_scenario(calibration_scenario(calib_grid, model, wm_cfg, window,
-                                           horizon=calibration_horizon, seed=seed + 43))
-    received, predicted = calibration_record(ts, model)
-    baseline = calibrate_baseline(received, predicted, w=window)
-    nu = received - predicted
-    xi1, xi2 = np.transpose([window_statistics(nu[i - window : i], baseline)
-                             for i in range(window, nu.shape[0] + 1)])
-    eps1, eps2 = calibrate_thresholds(xi1, xi2, margin=margin)
-    return DetectorSetup(
-        model=model, baseline=baseline, eps1=eps1, eps2=eps2,
-        watermark=wm_cfg, window=window,
-    ), report
+    watermark = WatermarkConfig.isotropic(watermark_std, grid.network.n_ibr, seed=seed + 29)
+    setup = cli.calibrate_detector(
+        replace(grid, load_signals=tuple(calibration_signals)), model, watermark, window,
+        margin, horizon=calibration_horizon, seed=seed + 43)
+    return setup, report

@@ -40,12 +40,15 @@ from .simcore import (
     TimeSeries,
     run_scenario,
     summarize,
+    whole_steps,
 )
 from .sysid import (
+    DiscreteModel,
     ExcitationSpec,
     IdentificationError,
     load_model,
     load_records,
+    predict,
     save_model,
     save_records,
     select_order,
@@ -287,7 +290,7 @@ def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | Non
     model = load_model(base_dir / files[0])
     baseline, eps1, eps2 = load_baseline(base_dir / files[1])
     return DetectorSetup(model=model, baseline=baseline, eps1=eps1, eps2=eps2,
-                         watermark=_watermark(sec, n, default_seed=0), window=baseline.w)
+                         watermark=_watermark(sec, n, default_seed=0))
 
 
 def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path,
@@ -346,7 +349,29 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
 
 
 # ---------------------------------------------------------------------------
-# baseline persistence
+# detector calibration and baseline persistence
+
+
+def calibrate_detector(grid: GridSpec, model: DiscreteModel, watermark: WatermarkConfig,
+                       window: int, margin: float, **run) -> DetectorSetup:
+    """grid's detector calibrated on a nominal run of the grid alone: its controller,
+    loop settings and load signals, the watermark on and the thresholds open; run
+    holds the Scenario's horizon, seed and timing."""
+    n = grid.network.n_ibr
+    open_setup = DetectorSetup(
+        model=model, eps1=np.inf, eps2=np.inf, watermark=watermark,
+        baseline=BaselineStats(mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=window))
+    ts = run_scenario(Scenario(grids=(replace(grid, detector=open_setup),), **run))
+    received, commands, marks = (np.column_stack([ts[f"mg1_{name}_{i + 1}"] for i in range(n)])
+                                 for name in ("pg_rx", "dws", "wm"))
+    predicted = predict(model, np.zeros(model.order), commands + marks)
+    baseline = calibrate_baseline(received, predicted, w=window)
+    nu = received - predicted
+    xi1, xi2 = np.transpose([window_statistics(nu[i - window : i], baseline)
+                             for i in range(window, nu.shape[0] + 1)])
+    eps1, eps2 = calibrate_thresholds(xi1, xi2, margin=margin)
+    return DetectorSetup(model=model, baseline=baseline, eps1=eps1, eps2=eps2,
+                         watermark=watermark)
 
 
 def save_baseline(baseline: BaselineStats, eps1: float, eps2: float, path) -> None:
@@ -454,34 +479,30 @@ def cmd_identify(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from .casestudy import calibration_record, calibration_scenario
-
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "calibrate")
-    sec.check("horizon", lambda h: h > 0.0, "must be positive, got {}")
+    sec.check("window", lambda w: w >= 1, "must be >= 1, got {}")
     window = sec.value("window", defaults.DETECTOR_WINDOW)
     scenario = build_scenario(sections, out, seed_override=args.seed,
                               with_detectors=False)
+    horizon = sec.value("horizon", 10.0)
+    with sec.located("horizon"):
+        steps = whole_steps(horizon, scenario.control_period, "horizon")
+    if steps < window:
+        raise ConfigError(f"{sec.where('horizon')} must be at least window = {window} "
+                          f"control periods, got {horizon} s ({steps} periods)")
     grid = scenario.grids[_named_grid(sections, sec)]
     model = load_model(out / sec.value("model_file"))
-    wm = _watermark(sec, grid.network.n_ibr, default_seed=29)
-    with sec.located("horizon"):
-        calibration = calibration_scenario(
-            grid, model, wm, window, horizon=sec.value("horizon", 10.0), seed=scenario.seed,
-            control_period=scenario.control_period, integrator_step=scenario.integrator_step)
-    ts = run_scenario(calibration)
-    received, predicted = calibration_record(ts, model)
-    baseline = calibrate_baseline(received, predicted, w=window)
-    nu = received - predicted
-    xi1, xi2 = np.transpose([window_statistics(nu[i - window : i], baseline)
-                             for i in range(window, nu.shape[0] + 1)])
-    eps1, eps2 = calibrate_thresholds(
-        xi1, xi2, margin=sec.value("margin", defaults.THRESHOLD_MARGIN))
+    setup = calibrate_detector(
+        grid, model, _watermark(sec, grid.network.n_ibr, default_seed=29), window,
+        sec.value("margin", defaults.THRESHOLD_MARGIN), horizon=horizon, seed=scenario.seed,
+        control_period=scenario.control_period, integrator_step=scenario.integrator_step)
     out.mkdir(parents=True, exist_ok=True)
-    save_baseline(baseline, eps1, eps2, out / sec.value("baseline_file", "baseline.txt"))
+    save_baseline(setup.baseline, setup.eps1, setup.eps2,
+                  out / sec.value("baseline_file", "baseline.txt"))
     if not args.quiet:
-        print(f"eps1 = {eps1:.6g}, eps2 = {eps2:.6g}")
+        print(f"eps1 = {setup.eps1:.6g}, eps2 = {setup.eps2:.6g}")
     return EXIT_OK
 
 

@@ -129,6 +129,12 @@ class AttackSpec:
                 raise ScenarioError("replay source window must precede the attack")
 
 
+def _attack_steps(spec: AttackSpec, dt: float, what: str) -> tuple[int, ...]:
+    """(start, end, replay_from, replay_to) of spec as control steps of period dt."""
+    return tuple(whole_steps(getattr(spec, name), dt, f"{what}.{name}")
+                 for name in ("start", "end", "replay_from", "replay_to"))
+
+
 @dataclass(frozen=True)
 class TieSpec:
     """Switchable branch between a node of grid 0 and a node of grid 1."""
@@ -156,14 +162,13 @@ class Event:
 
 @dataclass(frozen=True)
 class DetectorSetup:
-    """Trained detection bundle: prediction model, baseline, thresholds, watermark."""
+    """Trained detection bundle: model, baseline (window w), thresholds, watermark."""
 
     model: DiscreteModel
     baseline: BaselineStats
     eps1: float
     eps2: float
     watermark: WatermarkConfig
-    window: int = defaults.DETECTOR_WINDOW
 
 
 @dataclass(frozen=True)
@@ -255,8 +260,7 @@ class Scenario:
             if ev.action != "tie_close" and not 0 <= ev.grid < len(self.grids):
                 raise ScenarioError(f"event targets unknown grid {ev.grid}")
         for i, atk in enumerate(self.attacks):
-            for name in ("start", "end", "replay_from", "replay_to"):
-                whole_steps(getattr(atk, name), dt, f"attacks[{i}].{name}")
+            _attack_steps(atk, dt, f"attacks[{i}]")
             if not 0 <= atk.grid < len(self.grids):
                 raise ScenarioError(f"attack targets unknown grid {atk.grid}")
             n = self.grids[atk.grid].network.n_ibr
@@ -355,24 +359,24 @@ def apply_attack(
     spec: AttackSpec,
     k: int,
     history: np.ndarray,
-    dt: float,
+    steps: tuple[int, ...],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Corrupt the received measurement of step k (period dt) inside the attack window.
+    """Corrupt the received measurement of step k inside the attack window;
+    steps is spec's (start, end, replay_from, replay_to) in control steps.
 
     Noise injection adds i.i.d. Gaussian noise on the target channels; replay
     substitutes history's rows (step i in row i) of the source window cyclically.
     """
     received = np.array(true_meas, dtype=float)
-    start = whole_steps(spec.start, dt, "start")
-    if not start <= k < whole_steps(spec.end, dt, "end"):
+    start, end, src, stop = steps
+    if not start <= k < end:
         return received
     if spec.kind == "noise-injection":
         for c in spec.channels:
             received[c] += rng.normal(0.0, spec.noise_std)
         return received
-    src = whole_steps(spec.replay_from, dt, "replay_from")
-    idx = src + (k - start) % max(1, whole_steps(spec.replay_to, dt, "replay_to") - src)
+    idx = src + (k - start) % max(1, stop - src)
     for c in spec.channels:
         received[c] = history[idx, c]
     return received
@@ -498,7 +502,7 @@ class _GridRuntime:
         if spec.detector is not None:
             det = spec.detector
             self.det_state = DetectorState(
-                w=det.window, n=self.n, x_hat=np.zeros(det.model.order),
+                w=det.baseline.w, n=self.n, x_hat=np.zeros(det.model.order),
                 eps1=det.eps1, eps2=det.eps2,
             )
             self.wm_source = WatermarkSource(det.watermark)
@@ -667,6 +671,7 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     schedule: dict[int, list[Event]] = {}  # control step -> its events, in time order
     for ev in sorted(scenario.events, key=lambda e: e.time):
         schedule.setdefault(whole_steps(ev.time, dt_c, "event time"), []).append(ev)
+    atk_steps = [_attack_steps(atk, dt_c, "attack") for atk in scenario.attacks]
     atk_rngs = [np.random.default_rng([scenario.seed, 101, j])
                 for j in range(len(scenario.attacks))]
     histories = [rts[atk.grid].log["pg"][1:] for atk in scenario.attacks]
@@ -691,8 +696,8 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
         pg_log[r] = y_all = measure_power(world.plant, world.x, loads[rho, 0])
         y_rx = [y_all[ch] for ch in world.channels]
         for j, atk in enumerate(scenario.attacks):
-            y_rx[atk.grid] = apply_attack(y_rx[atk.grid], atk, rho, histories[j], dt_c,
-                                          atk_rngs[j])
+            y_rx[atk.grid] = apply_attack(y_rx[atk.grid], atk, rho, histories[j],
+                                          atk_steps[j], atk_rngs[j])
 
         # detection and auto response
         for gi, rt in enumerate(rts):
@@ -701,6 +706,9 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
             det = rt.spec.detector
             flag, _ = dw_step(rt.det_state, det.baseline, det.model, y_rx[gi],
                               rt.log["dws"][rho], rt.log["wm"][rho])
+            # logged now: a response below may retire the detector
+            rt.log["xi1"][r], rt.log["xi2"][r] = rt.det_state.xi1, rt.det_state.xi2
+            rt.log["flag"][r] = flag
             if flag and not rt.responded and scenario.auto_response != "none":
                 rt.responded = True
                 rt.wm_active = False
@@ -729,10 +737,6 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
             rt.log["pg_rx"][r], rt.log["z"][r] = y_rx[gi], rt.z
             if rt.obs is not None:
                 rt.log["zhat"][r] = rt.obs.z_hat
-            if rt.det_state is not None:
-                rt.log["xi1"][r] = rt.det_state.xi1
-                rt.log["xi2"][r] = rt.det_state.xi2
-                rt.log["flag"][r] = int(rt.det_state.flag)
         dws_log[r] = world.cmd
 
         # integrate the applied commands to the next control instant

@@ -247,7 +247,7 @@ def test_criterion_06_identification_fidelity(study_grid, study_plant,
 def test_criterion_07_detection(study_grid, detector_pulsed):
     budget = Budget(60.0)
     det, _ = detector_pulsed
-    assert det.window == 100  # cadence pinned by the study setup
+    assert det.baseline.w == 100  # cadence pinned by the study setup
     sig = cs.pulse_load_signal()
 
     def grid_with(det_setup):
@@ -280,7 +280,7 @@ def test_criterion_07_detection(study_grid, detector_pulsed):
     replay_latency = float(hit_r[0] - 2.0) if hit_r.size else np.inf
 
     elapsed = budget.done()
-    print(f"ACCEPTANCE 7 PASS detection (W = {det.window}): false alarms = "
+    print(f"ACCEPTANCE 7 PASS detection (W = {det.baseline.w}): false alarms = "
           f"{false_alarms} over 10 s (xi2 peak {nominal_peak:.3g} < eps2 "
           f"{det.eps2:.3g}), noise latency = {noise_latency * 1e3:.0f} ms "
           f"(tol 50 ms), recovery = {recovery:.3f} s (tol 1.0 s), replay "

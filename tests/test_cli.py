@@ -203,6 +203,32 @@ class TestPipeline:
         assert f"[identify] {key} must be" in capsys.readouterr().err
         assert not (work / "model.txt").exists()
 
+    @pytest.mark.parametrize("line, key, message", [
+        ("window = 0", "window", "must be >= 1, got 0"),
+        ("window = -5", "window", "must be >= 1, got -5"),
+        ("horizon_s = 0.25", "horizon_s", "must be at least window = 100 control periods"),
+    ])
+    def test_calibrate_rejects_bad_settings_before_running(self, tmp_path, capsys,
+                                                           monkeypatch, demo_run, line,
+                                                           key, message):
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("calibrate simulated before checking its settings")
+
+        monkeypatch.setattr(cli, "run_scenario", no_simulation)
+        text = (CONFIGS / "detection_demo.cfg").read_text()
+        head, calibrate = text.split("[calibrate]")
+        old = next(s for s in calibrate.splitlines() if s.startswith(f"{key} = "))
+        text = head + "[calibrate]" + calibrate.replace(old, line)
+        cfg = tmp_path / "cal.cfg"
+        cfg.write_text(text)
+        work = tmp_path / "w"
+        work.mkdir()
+        shutil.copy(demo_run / "model.txt", work)
+        assert run(["calibrate", "--config", cfg, "--out", work]) == cli.EXIT_USAGE
+        assert (f"{cfg}: line {_line(text, line)}: [calibrate] {key} {message}"
+                in capsys.readouterr().err)
+        assert not (work / "baseline.txt").exists()
+
     @pytest.mark.parametrize("command, section, key, bad", [
         ("identify", "identify", "beta", "abc"),
         ("calibrate", "calibrate", "horizon_s", "ten"),

@@ -94,3 +94,21 @@ def test_auto_response_runs_are_the_first_replay_all_job_with_the_response_set()
     assert [block.splitlines()[0] for block in added] == ["[grid.2]", "[tie]"]
     assert all(block.strip() in tie.config for block in added)
     assert "\n[event]\n" not in collab.config  # the flag, not a script, closes the tie
+
+
+def test_train_command_writes_the_trained_detector_of_an_acceptance_fixture(tmp_path):
+    from microagc import casestudy as cs, cli, defaults
+    from microagc.lqr import CostWeights
+    from microagc.sysid import load_model
+
+    rc, _ = drift.run_cli(BENCH.parent, tmp_path, ["train", "6", "quiet", "--out", "q"])
+    assert rc == 0
+    grid = cs.grid1_spec(weights=CostWeights.uniform(3, q=defaults.SCENARIO_Q_DIAG))
+    det, _ = cs.trained_detector(grid, calibration_signals=(), seed=6)
+    model = load_model(tmp_path / "q" / "model.txt")
+    baseline, eps1, eps2 = cli.load_baseline(tmp_path / "q" / "baseline.txt")
+    assert (model.order, eps1, eps2, baseline.w) == (det.model.order, det.eps1, det.eps2, 100)
+    for name in ("a_d", "b_d", "c_d"):
+        assert (getattr(model, name) == getattr(det.model, name)).all()
+    assert (baseline.mu_star == det.baseline.mu_star).all()
+    assert (baseline.sigma_star == det.baseline.sigma_star).all()

@@ -242,34 +242,34 @@ class TestApplyAttack:
         spec = self.make_spec()
         rng = np.random.default_rng(0)
         meas = np.array([5.0, 6.0])
-        out = m.apply_attack(meas, spec, 100, np.zeros((10, 2)), 0.005, rng)
+        out = m.apply_attack(meas, spec, 100, np.zeros((10, 2)), (200, 400, 0, 0), rng)
         np.testing.assert_array_equal(out, meas)
-        out = m.apply_attack(meas, spec, 400, np.zeros((10, 2)), 0.005, rng)
+        out = m.apply_attack(meas, spec, 400, np.zeros((10, 2)), (200, 400, 0, 0), rng)
         np.testing.assert_array_equal(out, meas)
 
     def test_zero_std_identity(self):
         spec = self.make_spec(noise_std=0.0)
         rng = np.random.default_rng(0)
         meas = np.array([5.0, 6.0])
-        out = m.apply_attack(meas, spec, 300, np.zeros((10, 2)), 0.005, rng)
+        out = m.apply_attack(meas, spec, 300, np.zeros((10, 2)), (200, 400, 0, 0), rng)
         np.testing.assert_array_equal(out, meas)
 
     def test_noise_targets_selected_channels_only(self):
         spec = self.make_spec(channels=(1,))
         rng = np.random.default_rng(1)
         meas = np.array([5.0, 6.0])
-        out = m.apply_attack(meas, spec, 300, np.zeros((10, 2)), 0.005, rng)
+        out = m.apply_attack(meas, spec, 300, np.zeros((10, 2)), (200, 400, 0, 0), rng)
         assert out[0] == 5.0 and out[1] != 6.0
 
     def test_replay_substitutes_recorded_window_bit_exact(self):
-        dt = 0.005
         hist = np.arange(400.0).reshape(200, 2)
         spec = m.AttackSpec(kind="replay", channels=(0,), start=0.5, end=0.6,
                             replay_from=0.1, replay_to=0.15)
         rng = np.random.default_rng(2)
         # source rows 20..29, cycling over attack steps 100..119
         for k_rel, k in enumerate(range(100, 120)):
-            out = m.apply_attack(np.array([-1.0, -2.0]), spec, k, hist, dt, rng)
+            out = m.apply_attack(np.array([-1.0, -2.0]), spec, k, hist, (100, 120, 20, 30),
+                                 rng)
             assert out[0] == hist[20 + (k_rel % 10), 0]
             assert out[1] == -2.0
 
@@ -557,6 +557,23 @@ class TestRunScenario:
         tail = max(np.max(np.abs(ts.window(f"mg1_domega_{i + 1}", t0=4.5)))
                    for i in range(3))
         assert tail <= 1e-3
+
+    def test_auto_collaborative_response_logs_the_flag_step(self, trained_detector_quiet):
+        """The detector retired by the tie close still logs the step that flagged."""
+        g1 = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0),
+                           detector=trained_detector_quiet)
+        g2 = cs.grid2_spec(weights=m.CostWeights.uniform(2, q=10.0))
+        atk = m.AttackSpec(kind="noise-injection", channels=(0,), start=0.5,
+                           end=10.0, noise_std=800.0)
+        sc = m.Scenario(grids=(g1, g2), horizon=1.0, seed=17, attacks=(atk,),
+                        tie=cs.default_tie(), auto_response="collaborative")
+        ts = m.run_scenario(sc)
+        (steps,) = np.nonzero(ts["mg1_flag"])
+        (off,) = np.nonzero(ts["mg1_ctrl"] == "off")
+        assert steps.tolist() == [off[0]]
+        assert ts["mg1_xi1"][off[0]] > 0.0 and ts["mg1_xi2"][off[0]] > 0.0
+        latency = ts.time[off[0]] - 0.5
+        assert f"detection_latency_s = {latency:.6g}" in m.summarize(ts, sc)
 
     def test_summarize_contains_metrics(self):
         g = cs.grid1_spec(controller="optimal-z")

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import microagc as m
-from microagc import casestudy as cs
+from microagc import casestudy as cs, cli
 from microagc.watermark import DetectorState
 
 
@@ -240,8 +240,8 @@ def test_trained_detector_calibrates_the_grids_own_loop(monkeypatch):
     grid = replace(cs.grid1_spec(controller="pi", load_signals=[cs.pulse_load_signal()]),
                    pi_kp=0.3, pi_ki=3.0, sensor_tau=0.05, slow_hold=0.2, u_max=0.5)
     runs = []
-    run_scenario = cs.run_scenario
-    monkeypatch.setattr(cs, "run_scenario",
+    run_scenario = cli.run_scenario
+    monkeypatch.setattr(cli, "run_scenario",
                         lambda sc: runs.append(sc) or run_scenario(sc))
     setup, _ = cs.trained_detector(grid, calibration_horizon=1.0, candidates=(4,),
                                    seed=3)

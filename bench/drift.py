@@ -27,7 +27,12 @@ scratch directory with relative output paths so that printed lines compare:
     the observer law in one and closes the tie in the other;
   - the library's training pipeline, `casestudy.trained_detector`, as the
     acceptance suite's two detector fixtures call it (TRAINED), its model and
-    baseline written with `save_model` and `save_baseline`.
+    baseline written with `save_model` and `save_baseline`;
+  - one library run of the case-study two-grid system (`study_scenario`:
+    `casestudy.grid1_spec` and `grid2_spec` joined by `default_tie`, grid 1
+    switched off and then the tie closed by events), written with `to_csv`
+    and `summarize`, so that the study grids and the tie close are compared
+    as the library builds them, not only as the CLI does.
 
 For every command it prints whether the exit code and the stdout lines are
 identical, then for every output file either "identical" or the number of
@@ -58,8 +63,13 @@ BENCH = Path(__file__).resolve().parent
 CHAIN = ("identify", "calibrate", "simulate", "detect")
 # the acceptance fixtures of casestudy.trained_detector: (output, seed, loads)
 TRAINED = (("trained-pulsed", 5, "pulse"), ("trained-quiet", 6, "quiet"))
-# a "train SEED LOADS --out DIR" command: train_detector from the tree's sources
-_TRAIN = "import sys, drift; drift.train_detector(sys.argv[5], int(sys.argv[2]), sys.argv[3])"
+# library commands run from the tree's sources, by name: "train SEED LOADS --out DIR"
+# calls train_detector, "study --out DIR" calls study_run
+_LIBRARY = {
+    "train": "import sys, drift; drift.train_detector(sys.argv[5], int(sys.argv[2]), "
+             "sys.argv[3])",
+    "study": "import sys, drift; drift.study_run(sys.argv[3])",
+}
 ATTACK_STRATA = ("noise", "replay-one", "replay-all")  # detect strata compared
 REGULATE_LAWS = ("decentralized", "pi")  # first regulate job of each compared
 _CELL_SEP = re.compile(r"[,\s]+")
@@ -101,11 +111,11 @@ def _describe(a: str, b: str) -> str:
 
 
 def run_cli(tree: Path, cwd: Path, argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one CLI command, or of a `train` command, run
+    """Exit code and stdout of one CLI command, or of a _LIBRARY command, run
     from tree's sources."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(BENCH)]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    head = ["-c", _TRAIN] if argv[0] == "train" else ["-m", "microagc.cli"]
+    head = ["-c", _LIBRARY[argv[0]]] if argv[0] in _LIBRARY else ["-m", "microagc.cli"]
     proc = subprocess.run([sys.executable, *head, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout
@@ -125,6 +135,33 @@ def train_detector(out, seed: int, loads: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     sysid.save_model(det.model, out / "model.txt")
     cli.save_baseline(det.baseline, det.eps1, det.eps2, out / "baseline.txt")
+
+
+def study_scenario():
+    """The case-study system as the library builds it: grid 1 (optimal-z, pulse
+    load) and grid 2 (optimal-z) joined by the default tie; grid 1's controller
+    goes off at 0.5 s and the tie closes at 1 s."""
+    from microagc import casestudy, defaults
+    from microagc.lqr import CostWeights
+    from microagc.simcore import Event, Scenario
+
+    grids = (casestudy.grid1_spec(weights=CostWeights.uniform(3, q=defaults.SCENARIO_Q_DIAG),
+                                  load_signals=[casestudy.pulse_load_signal()]),
+             casestudy.grid2_spec(weights=CostWeights.uniform(2, q=defaults.SCENARIO_Q_DIAG)))
+    return Scenario(grids=grids, horizon=2.0, tie=casestudy.default_tie(), seed=3,
+                    events=(Event(0.5, "controller_off", 0), Event(1.0, "tie_close")))
+
+
+def study_run(out) -> None:
+    """study_scenario's run, its timeseries.csv and summary.txt written into out."""
+    from microagc.simcore import run_scenario, summarize
+
+    scenario = study_scenario()
+    ts = run_scenario(scenario)
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    ts.to_csv(out / "timeseries.csv")
+    (out / "summary.txt").write_text(summarize(ts, scenario), encoding="utf-8")
 
 
 def controller_jobs(jobs, controller: str) -> list:
@@ -184,13 +221,14 @@ def render_benchmark_jobs(directory: Path) -> list[tuple[str, list[list[str]]]]:
 
 def jobs(tree: Path, extra: list) -> list[tuple[str, list[list[str]]]]:
     """(output directory, commands) of every compared run: the shipped
-    configs of tree, the detection_demo chain, the TRAINED detectors, then
-    the extra runs."""
+    configs of tree, the detection_demo chain, the TRAINED detectors, the
+    two-grid study run, then the extra runs."""
     out = [(f"simulate-{cfg.stem}", [["simulate", "--config", str(cfg)]])
            for cfg in sorted((tree / "configs").glob("*.cfg"))]
     demo = str(tree / "configs" / "detection_demo.cfg")
     out.append(("chain-detection_demo", [[cmd, "--config", demo] for cmd in CHAIN]))
     out += [(name, [["train", str(seed), loads]]) for name, seed, loads in TRAINED]
+    out.append(("study-two-grid", [["study"]]))
     return out + extra
 
 

@@ -45,11 +45,19 @@ def load_power(ohms: float, v_star: float = defaults.V_STAR) -> float:
     return 3.0 * v_star**2 / ohms
 
 
-def make_ibrs(n: int, p_share: float, omega_c: float = defaults.OMEGA_C,
-              m_p: float = defaults.M_P) -> tuple[IbrParams, ...]:
-    return tuple(
-        IbrParams(omega_c=omega_c, m_p=m_p, p_g_star=p_share) for _ in range(n)
-    )
+def _study_grid(n_ibr: int, ohms, feeders, **settings) -> GridSpec:
+    """n_ibr IBRs with the default droop and filter, sharing equally the
+    resistive loads of the given ohms, one per load node (numbered after the
+    IBRs); each (i, k) in feeders is a branch of defaults.FEEDER_ADMITTANCE.
+    settings are the GridSpec's own fields."""
+    loads = [load_power(r) for r in ohms]
+    share = sum(loads) / n_ibr
+    network = NetworkSpec.from_branches(
+        n_ibr=n_ibr, n_load=len(loads),
+        branches=[(i, k, defaults.FEEDER_ADMITTANCE) for i, k in feeders])
+    ibrs = (IbrParams(omega_c=defaults.OMEGA_C, m_p=defaults.M_P),) * n_ibr
+    return GridSpec(network=network, ibrs=ibrs,
+                    p_injections=[share] * n_ibr + [-p for p in loads], **settings)
 
 
 def grid1_spec(
@@ -59,28 +67,9 @@ def grid1_spec(
     detector: DetectorSetup | None = None,
 ) -> GridSpec:
     """Three-IBR microgrid with loads 1 and 2; load node 1 is the tie point."""
-    loads = [load_power(r) for r in LOAD_OHMS_GRID1]
-    network = NetworkSpec.from_branches(
-        n_ibr=3,
-        n_load=2,
-        branches=[
-            (0, 3, defaults.FEEDER_ADMITTANCE),
-            (1, 3, defaults.FEEDER_ADMITTANCE),
-            (2, 4, defaults.FEEDER_ADMITTANCE),
-            (3, 4, defaults.FEEDER_ADMITTANCE),
-        ],
-    )
-    share = sum(loads) / 3.0
-    p_inj = np.array([share, share, share, -loads[0], -loads[1]])
-    return GridSpec(
-        network=network,
-        ibrs=make_ibrs(3, share),
-        p_injections=p_inj,
-        controller=controller,
-        weights=weights,
-        load_signals=tuple(load_signals),
-        detector=detector,
-    )
+    return _study_grid(3, LOAD_OHMS_GRID1, [(0, 3), (1, 3), (2, 4), (3, 4)],
+                       controller=controller, weights=weights,
+                       load_signals=load_signals, detector=detector)
 
 
 def grid2_spec(
@@ -90,26 +79,8 @@ def grid2_spec(
     detector: DetectorSetup | None = None,
 ) -> GridSpec:
     """Two-IBR microgrid with load 3 at its single load node."""
-    loads = [load_power(r) for r in LOAD_OHMS_GRID2]
-    network = NetworkSpec.from_branches(
-        n_ibr=2,
-        n_load=1,
-        branches=[
-            (0, 2, defaults.FEEDER_ADMITTANCE),
-            (1, 2, defaults.FEEDER_ADMITTANCE),
-        ],
-    )
-    share = sum(loads) / 2.0
-    p_inj = np.array([share, share, -loads[0]])
-    return GridSpec(
-        network=network,
-        ibrs=make_ibrs(2, share),
-        p_injections=p_inj,
-        controller=controller,
-        weights=weights,
-        load_signals=tuple(load_signals),
-        detector=detector,
-    )
+    return _study_grid(2, LOAD_OHMS_GRID2, [(0, 2), (1, 2)], controller=controller,
+                       weights=weights, load_signals=load_signals, detector=detector)
 
 
 def default_tie() -> TieSpec:

@@ -142,6 +142,9 @@ HAND_READ = frozenset({  # the fields a builder reads itself with Section.value
     "watermark_seed", "candidates", "records_file", "record_file", "report_file",
     "horizon", "window", "margin", "trace_file", "telemetry_file"})
 REPEATABLE = ("load_signal", "attack", "event")  # sections that may appear twice
+# (test, message) of Section.check for a number that must be finite and > 0 or >= 0
+POSITIVE = (lambda v: 0.0 < v < np.inf, "must be finite and > 0, got {}")
+NON_NEGATIVE = (lambda v: 0.0 <= v < np.inf, "must be finite and >= 0, got {}")
 
 
 class Section:
@@ -296,6 +299,7 @@ def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | Non
 def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path,
                 with_detector: bool = True) -> GridSpec:
     n, n_load = sec.value("n_ibr"), sec.value("n_load")
+    sec.check("watermark_std", *NON_NEGATIVE)
     branches = sec.value("branch", [])
     for i, vals in enumerate(branches):
         if len(vals) not in (3, 4):
@@ -313,8 +317,7 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
     p_inj = np.concatenate([np.full(n, share), -np.array(loads)])
     omega_c = _per_ibr(sec, "omega_c", n, defaults.OMEGA_C)
     m_p = _per_ibr(sec, "m_p", n, defaults.M_P)
-    ibrs = tuple(IbrParams(omega_c=float(w), m_p=float(m), p_g_star=share)
-                 for w, m in zip(omega_c, m_p))
+    ibrs = tuple(IbrParams(omega_c=float(w), m_p=float(m)) for w, m in zip(omega_c, m_p))
     weights = CostWeights(q=_per_ibr(sec, "q_weight", n, defaults.LQR_Q_DIAG),
                           r=_per_ibr(sec, "r_weight", n, defaults.LQR_R_DIAG))
     gi = _grid_index(sec.name[5:])
@@ -337,10 +340,12 @@ def _named_grid(sections: dict[str, list[Section]], sec: Section) -> int:
 def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
                    seed_override: int | None = None,
                    with_detectors: bool = True) -> Scenario:
+    grids = tuple(_build_grid(sec, sections, base_dir, with_detectors)
+                  for sec in sections["grid"])
+    for sec in sections["event"] + sections["attack"]:
+        _named_grid(sections, sec)
     scenario = _first_section(sections, "sim").build(
-        Scenario,
-        grids=tuple(_build_grid(sec, sections, base_dir, with_detectors)
-                    for sec in sections["grid"]),
+        Scenario, grids=grids,
         tie=sections["tie"][0].build(TieSpec) if sections["tie"] else None,
         events=tuple(sec.build(Event) for sec in sections["event"]),
         attacks=tuple(sec.build(AttackSpec, channels=(0,)) for sec in sections["attack"]),
@@ -444,8 +449,7 @@ def cmd_identify(args) -> int:
     records_file = sec.value("records_file", None)
     if records_file is None:
         # the library accepts beta = 0 (a zero record); a run would fit a zero model
-        sec.check("beta", lambda b: np.isfinite(b) and b > 0.0,
-                  "must be finite and > 0, got {}")
+        sec.check("beta", *POSITIVE)
         sec.check("k0", lambda k: k >= 1, "must be >= 1, got {}")
         spec = sec.build(ExcitationSpec, seed=17)
         if args.seed is not None:
@@ -483,6 +487,8 @@ def cmd_calibrate(args) -> int:
     out = Path(args.out)
     sec = _first_section(sections, "calibrate")
     sec.check("window", lambda w: w >= 1, "must be >= 1, got {}")
+    sec.check("margin", *POSITIVE)
+    sec.check("watermark_std", *NON_NEGATIVE)
     window = sec.value("window", defaults.DETECTOR_WINDOW)
     scenario = build_scenario(sections, out, seed_override=args.seed,
                               with_detectors=False)

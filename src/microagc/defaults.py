@@ -6,7 +6,6 @@ Every tunable that appears in more than one place is defined here once.
 import math
 
 # IBR droop / filter parameters
-OMEGA_NOM = 2.0 * math.pi * 50.0     # nominal frequency, rad/s (50 Hz grid)
 OMEGA_C = 31.41                      # power-filter cutoff, rad/s
 M_P = 9.4e-5                         # droop coefficient, (rad/s)/W
 V_STAR = 230.0                       # nominal node voltage magnitude, V

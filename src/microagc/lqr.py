@@ -87,15 +87,14 @@ def solve_care(
     b: np.ndarray,
     q: np.ndarray,
     r: np.ndarray,
-    rtol: float = defaults.CARE_RTOL,
-    max_refine: int = 20,
 ) -> np.ndarray:
     """Stabilizing solution of A'P + PA - P B R^-1 B' P + Q = 0.
 
     Stable invariant subspace of the Hamiltonian matrix via ordered real Schur
-    decomposition, then Newton-Kleinman refinement (each step a Lyapunov solve)
-    until the residual is below rtol relative to ||P||.
+    decomposition, then up to 20 Newton-Kleinman refinements (each a Lyapunov
+    solve) until the residual is below defaults.CARE_RTOL relative to ||P||.
     """
+    rtol = defaults.CARE_RTOL
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     q = np.asarray(q, dtype=float)
@@ -122,7 +121,7 @@ def solve_care(
     p = 0.5 * (p + p.T)
 
     p_norm = max(np.linalg.norm(p, "fro"), 1e-300)
-    for _ in range(max_refine):
+    for _ in range(20):
         if _care_residual(a, b, q, r_inv_bt, p) <= rtol * p_norm:
             break
         k = r_inv_bt @ p
@@ -164,7 +163,6 @@ def lqr_gain(
     plant: LinearPlant,
     weights: CostWeights,
     transform: LeftNullTransform,
-    rtol: float = defaults.CARE_RTOL,
 ) -> ControllerGain:
     """Design the z-space gain for a plant.
 
@@ -176,7 +174,7 @@ def lqr_gain(
     t = transform.t
     q_full = t.T @ np.diag(weights.q) @ t
     r_full = np.diag(weights.r)
-    p = solve_care(plant.a, plant.b1, q_full, r_full, rtol=rtol)
+    p = solve_care(plant.a, plant.b1, q_full, r_full)
     k_prime = np.linalg.solve(r_full, plant.b1.T @ p)
     k = np.linalg.solve(t @ t.T, (k_prime @ t.T).T).T
     resid = _care_residual(plant.a, plant.b1, q_full, np.linalg.solve(r_full, plant.b1.T), p)

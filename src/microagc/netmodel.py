@@ -9,7 +9,7 @@ frequencies in rad/s.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,58 +34,45 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class IbrParams:
-    """Droop and filter parameters of one inverter-based resource.
+    """Filter cutoff omega_c (rad/s) and droop coefficient m_p ((rad/s)/W) of
+    one inverter-based resource.
 
-    omega_s_star is the setpoint that holds the unit at nominal frequency while
-    generating p_g_star; it is derived when not given explicitly.
+    The model is in deviations from the operating point, so the nominal
+    frequency and setpoint never enter it.
     """
 
     omega_c: float
     m_p: float
-    omega_nom: float = defaults.OMEGA_NOM
-    p_g_star: float = 0.0
-    omega_s_star: float | None = None
 
     def __post_init__(self):
         if self.omega_c <= 0.0:
             raise ModelError(f"filter cutoff must be positive, got {self.omega_c}")
         if self.m_p <= 0.0:
             raise ModelError(f"droop coefficient must be positive, got {self.m_p}")
-        consistent = self.omega_nom + self.m_p * self.p_g_star
-        if self.omega_s_star is None:
-            object.__setattr__(self, "omega_s_star", consistent)
-        elif abs(self.omega_s_star - consistent) > 1e-9 * max(1.0, abs(self.omega_nom)):
-            raise ModelError(
-                "omega_s_star inconsistent with omega_nom + m_p * p_g_star: "
-                f"{self.omega_s_star} vs {consistent}"
-            )
 
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """Branch admittances, self-conductances, and nominal voltages of one microgrid.
+    """Branch admittances and nominal voltages of one microgrid.
 
     y_mag and y_ang are full symmetric (N+M)x(N+M) arrays; y_mag is zero where no
-    branch exists (y_ang is ignored there).
+    branch exists (y_ang is ignored there). Nodes have no shunt conductance.
     """
 
     n_ibr: int
     n_load: int
     y_mag: np.ndarray
     y_ang: np.ndarray
-    g_self: np.ndarray
     v_star: np.ndarray
 
     def __post_init__(self):
         n = self.n_nodes
         y_mag = _readonly(self.y_mag)
         y_ang = _readonly(self.y_ang)
-        g_self = _readonly(self.g_self)
         v_star = _readonly(self.v_star)
         for name, a, shape in (
             ("y_mag", y_mag, (n, n)),
             ("y_ang", y_ang, (n, n)),
-            ("g_self", g_self, (n,)),
             ("v_star", v_star, (n,)),
         ):
             if a.shape != shape:
@@ -99,7 +86,6 @@ class NetworkSpec:
             raise ModelError("nominal voltages must be positive")
         object.__setattr__(self, "y_mag", y_mag)
         object.__setattr__(self, "y_ang", y_ang)
-        object.__setattr__(self, "g_self", g_self)
         object.__setattr__(self, "v_star", v_star)
 
     @property
@@ -113,7 +99,6 @@ class NetworkSpec:
         n_load: int,
         branches,
         v_star: float | np.ndarray = defaults.V_STAR,
-        g_self: float | np.ndarray = 0.0,
     ) -> "NetworkSpec":
         """Build a spec from a branch list of (i, k, y_mag[, theta]) tuples."""
         n = n_ibr + n_load
@@ -134,7 +119,6 @@ class NetworkSpec:
             n_load=n_load,
             y_mag=y_mag,
             y_ang=y_ang,
-            g_self=np.broadcast_to(np.asarray(g_self, dtype=float), (n,)).copy(),
             v_star=np.broadcast_to(np.asarray(v_star, dtype=float), (n,)).copy(),
         )
 
@@ -205,12 +189,10 @@ class LinearPlant:
     e: np.ndarray
     h_red: np.ndarray
     f_map: np.ndarray
-    ibrs: tuple[IbrParams, ...] = field(default=())
 
     def __post_init__(self):
         for name in ("a", "b1", "b2", "f", "e", "h_red", "f_map"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
-        object.__setattr__(self, "ibrs", tuple(self.ibrs))
 
     @property
     def n_ibr(self) -> int:
@@ -228,7 +210,8 @@ class LinearPlant:
 def nonlinear_injection(network: NetworkSpec, delta: np.ndarray) -> np.ndarray:
     """Net real injection at every node for the given absolute angles.
 
-    P_i = V_i^2 g_ii + sum_k V_i V_k Y_ik cos(delta_i - delta_k - theta_ik).
+    P_i = sum_{k != i} V_i V_k Y_ik cos(delta_i - delta_k - theta_ik); with no
+    shunt conductance a node injects only into its branches.
     """
     delta = np.asarray(delta, dtype=float)
     n = network.n_nodes
@@ -238,7 +221,7 @@ def nonlinear_injection(network: NetworkSpec, delta: np.ndarray) -> np.ndarray:
     dik = delta[:, None] - delta[None, :]
     terms = (v[:, None] * v[None, :]) * network.y_mag * np.cos(dik - network.y_ang)
     np.fill_diagonal(terms, 0.0)
-    return v**2 * network.g_self + terms.sum(axis=1)
+    return terms.sum(axis=1)
 
 
 def build_sensitivity(network: NetworkSpec, op: OperatingPoint) -> AngleSensitivity:
@@ -309,45 +292,36 @@ def assemble_plant(ibrs, sens: AngleSensitivity) -> LinearPlant:
     h_red, f_map = kron_reduce(sens)
     a = a_g + b2 @ h_red @ e
     f = b2 @ f_map
-    return LinearPlant(a=a, b1=b1, b2=b2, f=f, e=e, h_red=h_red, f_map=f_map, ibrs=ibrs)
+    return LinearPlant(a=a, b1=b1, b2=b2, f=f, e=e, h_red=h_red, f_map=f_map)
 
 
-def solve_operating_point(
-    network: NetworkSpec,
-    p_injections: np.ndarray,
-    slack: int = 0,
-    tol: float = defaults.OP_TOL,
-    max_iter: int = defaults.OP_MAX_ITER,
-) -> OperatingPoint:
+def solve_operating_point(network: NetworkSpec, p_injections: np.ndarray) -> OperatingPoint:
     """Solve the network constraints for nominal angles by Newton iteration.
 
-    p_injections specifies the desired net injection at every node; the entry at
-    the slack node is ignored and recomputed from the solved angles. Flat start,
-    angle at the slack node pinned to zero.
+    p_injections specifies the desired net injection at every node. Node 0 is
+    the slack node: its entry is ignored and recomputed from the solved angles,
+    and its angle is pinned to zero. Flat start; converged when every other
+    node's mismatch is within defaults.OP_TOL of the power scale, else a
+    ModelError after defaults.OP_MAX_ITER iterations.
     """
     n = network.n_nodes
     p_spec = np.asarray(p_injections, dtype=float)
     if p_spec.shape != (n,):
         raise ModelError(f"injection vector must have {n} entries, got {p_spec.shape}")
-    if not 0 <= slack < n:
-        raise ModelError(f"slack node {slack} out of range")
-    free = [i for i in range(n) if i != slack]
     scale = max(1.0, float(np.max(np.abs(p_spec))), float(np.max(network.v_star) ** 2))
     delta = np.zeros(n)
-    for _ in range(max_iter):
+    for _ in range(defaults.OP_MAX_ITER):
         p_now = nonlinear_injection(network, delta)
-        resid = p_spec[free] - p_now[free]
-        if np.max(np.abs(resid)) <= tol * scale:
-            p_now = nonlinear_injection(network, delta)
+        resid = p_spec[1:] - p_now[1:]
+        if np.max(np.abs(resid)) <= defaults.OP_TOL * scale:
             return OperatingPoint(delta_star=delta, p_star=p_now)
         jac = build_sensitivity(network, OperatingPoint(delta_star=delta, p_star=p_now))
-        j_free = jac.h[np.ix_(free, free)]
         try:
-            step = np.linalg.solve(j_free, resid)
+            step = np.linalg.solve(jac.h[1:, 1:], resid)
         except np.linalg.LinAlgError as exc:
             raise ModelError(f"operating-point Jacobian is singular: {exc}") from exc
-        delta[free] += step
+        delta[1:] += step
     raise ModelError(
-        f"operating point did not converge in {max_iter} iterations "
+        f"operating point did not converge in {defaults.OP_MAX_ITER} iterations "
         f"(residual {np.max(np.abs(resid)):.3e} W)"
     )

@@ -121,6 +121,8 @@ class AttackSpec:
             raise ScenarioError(f"unknown attack kind {self.kind!r}")
         if not self.start < self.end:
             raise ScenarioError("attack start must precede end")
+        if not 0.0 <= self.noise_std < math.inf:
+            raise ScenarioError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
         if self.kind == "replay":
             if not self.replay_from < self.replay_to:
@@ -403,23 +405,18 @@ def close_tie_line(
     n_tot = na + nb + ma + mb
     y_mag = np.zeros((n_tot, n_tot))
     y_ang = np.zeros((n_tot, n_tot))
-    g_self = np.zeros(n_tot)
     v_star = np.zeros(n_tot)
     y_mag[np.ix_(map_a, map_a)] = net_a.y_mag
     y_ang[np.ix_(map_a, map_a)] = net_a.y_ang
     y_mag[np.ix_(map_b, map_b)] = net_b.y_mag
     y_ang[np.ix_(map_b, map_b)] = net_b.y_ang
-    g_self[map_a] = net_a.g_self
-    g_self[map_b] = net_b.g_self
     v_star[map_a] = net_a.v_star
     v_star[map_b] = net_b.v_star
     ia, ib = map_a[tie.node_a], map_b[tie.node_b]
     y_mag[ia, ib] = y_mag[ib, ia] = tie.y_mag
     y_ang[ia, ib] = y_ang[ib, ia] = tie.theta
-    merged = NetworkSpec(
-        n_ibr=na + nb, n_load=ma + mb, y_mag=y_mag, y_ang=y_ang,
-        g_self=g_self, v_star=v_star,
-    )
+    merged = NetworkSpec(n_ibr=na + nb, n_load=ma + mb, y_mag=y_mag, y_ang=y_ang,
+                         v_star=v_star)
     return merged, map_a, map_b
 
 
@@ -565,7 +562,7 @@ def _side_by_side(plants: list[LinearPlant]) -> LinearPlant:
         return plants[0]
     blocks = {name: scipy.linalg.block_diag(*(getattr(p, name) for p in plants))
               for name in ("a", "b1", "b2", "f", "e", "h_red", "f_map")}
-    return LinearPlant(**blocks, ibrs=sum((p.ibrs for p in plants), ()))
+    return LinearPlant(**blocks)
 
 
 class _World:

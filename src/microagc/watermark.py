@@ -139,17 +139,17 @@ def calibrate_thresholds(
     xi1_series: np.ndarray,
     xi2_series: np.ndarray,
     margin: float = defaults.THRESHOLD_MARGIN,
-    floor: float = defaults.THRESHOLD_FLOOR,
 ) -> tuple[float, float]:
     """Thresholds as margin times the nominal peak of each statistic.
 
-    The floor keeps the strict inequality tests decidable when a perfect model
-    yields identically zero statistics.
+    defaults.THRESHOLD_FLOOR bounds them from below, which keeps the strict
+    inequality tests decidable when a perfect model yields identically zero
+    statistics.
     """
     xi1 = np.asarray(xi1_series, dtype=float)
     xi2 = np.asarray(xi2_series, dtype=float)
-    eps1 = max(margin * float(np.max(xi1, initial=0.0)), floor)
-    eps2 = max(margin * float(np.max(xi2, initial=0.0)), floor)
+    eps1 = max(margin * float(np.max(xi1, initial=0.0)), defaults.THRESHOLD_FLOOR)
+    eps2 = max(margin * float(np.max(xi2, initial=0.0)), defaults.THRESHOLD_FLOOR)
     return eps1, eps2
 
 

@@ -207,6 +207,10 @@ class TestPipeline:
         ("window = 0", "window", "must be >= 1, got 0"),
         ("window = -5", "window", "must be >= 1, got -5"),
         ("horizon_s = 0.25", "horizon_s", "must be at least window = 100 control periods"),
+        ("margin = nan", "margin", "must be finite and > 0, got nan"),
+        ("margin = -1", "margin", "must be finite and > 0, got -1.0"),
+        ("margin = 0", "margin", "must be finite and > 0, got 0.0"),
+        ("watermark_std = -0.012", "watermark_std", "must be finite and >= 0, got -0.012"),
     ])
     def test_calibrate_rejects_bad_settings_before_running(self, tmp_path, capsys,
                                                            monkeypatch, demo_run, line,
@@ -397,7 +401,6 @@ class TestDefaultsRoundTrip:
         grid = sc.grids[0]
         assert grid.ibrs[0].omega_c == defaults.OMEGA_C
         assert grid.ibrs[0].m_p == defaults.M_P
-        assert grid.ibrs[0].omega_nom == defaults.OMEGA_NOM
         assert grid.pi_kp == defaults.PI_KP
         assert grid.pi_ki == defaults.PI_KI
         assert grid.sensor_tau == defaults.SENSOR_LAG_TAU
@@ -493,6 +496,19 @@ class TestScenarioFileRejections:
         section = "[sim]" if old.startswith("seed") else "[grid.1]"
         _rejects(tmp_path, capsys, text, f"line {_line(text, new)}: {section} {message}")
 
+    @pytest.mark.parametrize("value", ["-0.5", "nan", "inf"])
+    def test_watermark_std_is_finite_and_non_negative(self, tmp_path, capsys, value):
+        line = f"watermark_std = {value}"
+        text = MINIMAL.replace("q_weight = 10.0\n", f"q_weight = 10.0\n{line}\n")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, line)}: [grid.1] "
+                 f"watermark_std must be finite and >= 0, got {float(value)}")
+
+    def test_zero_watermark_std_is_valid(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINIMAL.replace("q_weight = 10.0\n",
+                                       "q_weight = 10.0\nwatermark_std = 0\n"))
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "out", "--quiet"]) == 0
+
     def test_detector_needs_both_files(self, tmp_path, capsys):
         text = MINIMAL.replace("q_weight = 10.0\n", "q_weight = 10.0\nmodel_file = m.txt\n")
         _rejects(tmp_path, capsys, text, f"line {_line(text, '[grid.1]')}: [grid.1] "
@@ -539,11 +555,18 @@ class TestLibraryChecks:
          "unknown load signal kind 'ramp'", "simulate"),
         (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.3\nend_s = 0.2\n",
          "[attack]", "attack start must precede end", "simulate"),
+        (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
+         "noise_std_w = -800.0\n", "[attack]", "noise_std must be finite and >= 0, got -800.0",
+         "simulate"),
+        (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
+         "noise_std_w = nan\n", "[attack]", "noise_std must be finite and >= 0, got nan",
+         "simulate"),
         (MINIMAL + "\n[event]\ntime_s = 0.1\naction = explode\n", "[event]",
          "unknown event action 'explode'", "simulate"),
         (MINIMAL + "\n[identify]\ndt_prime_s = 0.001\n", "[identify]",
          "pulse width dt_prime must exceed the sample time dt", "identify"),
-    ], ids=["sim", "grid", "load_signal", "attack", "event", "identify"])
+    ], ids=["sim", "grid", "load_signal", "attack", "attack-negative-noise",
+            "attack-nan-noise", "event", "identify"])
     def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, header,
                                                message, command):
         _rejects(tmp_path, capsys, text, f"line {_line(text, header)}: {header}: {message}",
@@ -553,6 +576,16 @@ class TestLibraryChecks:
         text = MINIMAL.replace("[load_signal]\ngrid = 1", "[load_signal]\ngrid = 2")
         _rejects(tmp_path, capsys, text, f"line {_line(text, 'grid = 2')}: [load_signal] "
                  "references grid 2 but it is not defined")
+
+    @pytest.mark.parametrize("section, gid", [
+        ("[event]\ntime_s = 0.1\naction = controller_off\ngrid = 2\n", 2),
+        ("[attack]\ngrid = 4\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n", 4),
+    ], ids=["event", "attack"])
+    def test_event_or_attack_on_undefined_grid(self, tmp_path, capsys, section, gid):
+        text = MINIMAL + "\n" + section
+        header = section.splitlines()[0]
+        _rejects(tmp_path, capsys, text, f"line {_line(text, f'grid = {gid}')}: {header} "
+                 f"references grid {gid} but it is not defined")
 
     @pytest.mark.parametrize("old, new, field", [
         ("\ntime_s = 0.5\n", "\ntime_s = 0.5003\n", "events[0].time = 0.5003"),

@@ -112,3 +112,21 @@ def test_train_command_writes_the_trained_detector_of_an_acceptance_fixture(tmp_
         assert (getattr(model, name) == getattr(det.model, name)).all()
     assert (baseline.mu_star == det.baseline.mu_star).all()
     assert (baseline.sigma_star == det.baseline.sigma_star).all()
+
+
+def test_study_command_writes_the_two_grid_case_study_run(tmp_path):
+    from microagc import casestudy as cs
+    from microagc.simcore import run_scenario
+
+    scenario = drift.study_scenario()
+    assert [g.network.n_ibr for g in scenario.grids] == [3, 2]
+    assert scenario.tie == cs.default_tie()
+    assert [(ev.time, ev.action) for ev in scenario.events] == [
+        (0.5, "controller_off"), (1.0, "tie_close")]
+    assert ("study-two-grid", [["study"]]) in drift.jobs(BENCH.parent, [])
+    rc, _ = drift.run_cli(BENCH.parent, tmp_path, ["study", "--out", "s"])
+    assert rc == 0
+    run_scenario(scenario).to_csv(tmp_path / "direct.csv")
+    written = (tmp_path / "s" / "timeseries.csv").read_bytes()
+    assert written == (tmp_path / "direct.csv").read_bytes()
+    assert (tmp_path / "s" / "summary.txt").read_text().startswith("run summary\n")

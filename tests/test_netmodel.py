@@ -205,15 +205,6 @@ class TestOperatingPoint:
 
 
 class TestIbrParams:
-    def test_setpoint_derived_when_omitted(self):
-        p = m.IbrParams(omega_c=31.41, m_p=9.4e-5, omega_nom=100.0, p_g_star=1000.0)
-        assert p.omega_s_star == pytest.approx(100.0 + 9.4e-5 * 1000.0)
-
-    def test_inconsistent_setpoint_rejected(self):
-        with pytest.raises(m.ModelError):
-            m.IbrParams(omega_c=31.41, m_p=9.4e-5, omega_nom=100.0,
-                        p_g_star=1000.0, omega_s_star=123.0)
-
     def test_positivity(self):
         with pytest.raises(m.ModelError):
             m.IbrParams(omega_c=-1.0, m_p=1e-4)

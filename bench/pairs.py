@@ -3,11 +3,14 @@
     python3 bench/pairs.py --base HEAD~1 --out BENCH_5.json train=10 regulate=3 detect=3
 
 Exports the committed files of the base commit with `git archive` into a
-scratch directory, then runs `perfbench/run.py --trace 0` from that copy and
-from this checkout in alternating pairs: for each WORKLOAD=PAIRS argument,
-pair i runs both sides with seed FIRST_SEED + i, the base side first on even
-pairs and the change side first on odd ones. Every run uses the benchmark's
-own run length, `run_seconds` in BENCHMARK.json.
+scratch directory, and copies the files git tracks in this checkout, as they
+are on disk (uncommitted edits included, untracked files left out), into
+another, so that both sides run from a fresh directory. It then runs
+`perfbench/run.py --trace 0` from the two copies in alternating pairs: for
+each WORKLOAD=PAIRS argument, pair i runs both sides with seed FIRST_SEED + i,
+the base side first on even pairs and the change side first on odd ones.
+Every run uses the benchmark's own run length, `run_seconds` in
+BENCHMARK.json.
 
 The output JSON holds, per workload and end-to-end metric, each side's median
 and quartiles, the number of pairs the change won (ties count for neither),
@@ -53,6 +56,19 @@ def export(commit: str, dest: Path) -> None:
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", commit],
                              check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def snapshot(checkout: Path, dest: Path) -> None:
+    """Copy the files git tracks in checkout, as they are on disk, into dest;
+    a tracked file deleted on disk is left out."""
+    dest.mkdir(parents=True)
+    listed = subprocess.run(["git", "-C", str(checkout), "ls-files", "-z"], check=True,
+                            capture_output=True).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        src = checkout / name
+        if src.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
 
 
 def source_digest(checkout: Path) -> str:
@@ -143,7 +159,7 @@ def parse_args(argv):
     p.add_argument("--out", required=True, type=Path, help="JSON file to write")
     p.add_argument("--first-seed", type=int, default=1)
     p.add_argument("--work", type=Path, default=None,
-                   help="scratch directory for the base export (default: a temp dir)")
+                   help="scratch directory for the two copies (default: a temp dir)")
     args = p.parse_args(argv)
     try:
         args.plan = [(w, int(n)) for w, _, n in (item.partition("=") for item in args.plan)]
@@ -161,9 +177,9 @@ def main(argv=None) -> int:
     base_commit = git("rev-parse", args.base)
     work = Path(tempfile.mkdtemp(dir=args.work))
     try:
-        base_dir = work / "base"
-        export(base_commit, base_dir)
-        sides = {"base": base_dir, "change": ROOT}
+        sides = {"base": work / "base", "change": work / "change"}
+        export(base_commit, sides["base"])
+        snapshot(ROOT, sides["change"])
         workloads, record = {}, []
         for workload, n_pairs in args.plan:
             runs = []
@@ -199,10 +215,10 @@ def main(argv=None) -> int:
             "command": ["perfbench/run.py", "--trace", "0", "--seconds", seconds],
             "per_layer_command": ["perfbench/run.py", "--trace", "1", "--seconds", seconds,
                                   "--seed", [args.first_seed + k for k in range(TRACED_RUNS)]],
-            "base": {"commit": base_commit, "src_sha256": source_digest(base_dir)},
+            "base": {"commit": base_commit, "src_sha256": source_digest(sides["base"])},
             "change": {"head": git("rev-parse", "HEAD"),
                        "uncommitted": bool(git("status", "--porcelain", "--", "src")),
-                       "src_sha256": source_digest(ROOT)},
+                       "src_sha256": source_digest(sides["change"])},
             "machine": record,
             "workloads": workloads,
         }

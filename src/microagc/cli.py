@@ -17,12 +17,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import logging
 import sys
 from dataclasses import MISSING, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import defaults, __version__
 from .lqr import ControlDesignError, CostWeights
@@ -298,7 +300,10 @@ def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | Non
 
 def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path,
                 with_detector: bool = True) -> GridSpec:
+    sec.check("n_ibr", lambda k: k >= 1, "must be >= 1, got {}")
+    sec.check("n_load", lambda k: k >= 0, "must be >= 0, got {}")
     n, n_load = sec.value("n_ibr"), sec.value("n_load")
+    sec.check("u_max", *POSITIVE)
     sec.check("watermark_std", *NON_NEGATIVE)
     branches = sec.value("branch", [])
     for i, vals in enumerate(branches):
@@ -307,9 +312,11 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
                               "expected 'from to admittance [theta]'")
     if not branches:
         raise ConfigError(f"{sec.where()} defines no branches")
-    network = NetworkSpec.from_branches(
-        n_ibr=n, n_load=n_load, v_star=_per_ibr(sec, "v_star", n + n_load, defaults.V_STAR),
-        branches=[(int(b[0]), int(b[1]), *b[2:]) for b in branches])
+    v_star = _per_ibr(sec, "v_star", n + n_load, defaults.V_STAR)
+    with sec.located():
+        network = NetworkSpec.from_branches(
+            n_ibr=n, n_load=n_load, v_star=v_star,
+            branches=[(int(b[0]), int(b[1]), *b[2:]) for b in branches])
     loads = sec.value("load_w")
     if len(loads) != n_load:
         raise ConfigError(f"{sec.where('load_w')}: needs {n_load} values, got {len(loads)}")
@@ -317,7 +324,8 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
     p_inj = np.concatenate([np.full(n, share), -np.array(loads)])
     omega_c = _per_ibr(sec, "omega_c", n, defaults.OMEGA_C)
     m_p = _per_ibr(sec, "m_p", n, defaults.M_P)
-    ibrs = tuple(IbrParams(omega_c=float(w), m_p=float(m)) for w, m in zip(omega_c, m_p))
+    with sec.located():
+        ibrs = tuple(IbrParams(omega_c=float(w), m_p=float(m)) for w, m in zip(omega_c, m_p))
     weights = CostWeights(q=_per_ibr(sec, "q_weight", n, defaults.LQR_Q_DIAG),
                           r=_per_ibr(sec, "r_weight", n, defaults.LQR_R_DIAG))
     gi = _grid_index(sec.name[5:])
@@ -356,6 +364,9 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
 # ---------------------------------------------------------------------------
 # detector calibration and baseline persistence
 
+# windows per window_statistics call: 1.2 MB of temporaries at w = 100 and n = 3
+WINDOW_CHUNK = 256
+
 
 def calibrate_detector(grid: GridSpec, model: DiscreteModel, watermark: WatermarkConfig,
                        window: int, margin: float, **run) -> DetectorSetup:
@@ -371,9 +382,10 @@ def calibrate_detector(grid: GridSpec, model: DiscreteModel, watermark: Watermar
                                  for name in ("pg_rx", "dws", "wm"))
     predicted = predict(model, np.zeros(model.order), commands + marks)
     baseline = calibrate_baseline(received, predicted, w=window)
-    nu = received - predicted
-    xi1, xi2 = np.transpose([window_statistics(nu[i - window : i], baseline)
-                             for i in range(window, nu.shape[0] + 1)])
+    windows = sliding_window_view(received - predicted, window, axis=0).swapaxes(1, 2)
+    chunks = [window_statistics(windows[i : i + WINDOW_CHUNK], baseline)
+              for i in range(0, windows.shape[0], WINDOW_CHUNK)]
+    xi1, xi2 = (np.concatenate(series) for series in zip(*chunks))
     eps1, eps2 = calibrate_thresholds(xi1, xi2, margin=margin)
     return DetectorSetup(model=model, baseline=baseline, eps1=eps1, eps2=eps2,
                          watermark=watermark)
@@ -597,16 +609,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "systems of AC microgrids",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, needs_config in (
-        ("simulate", cmd_simulate, True),
-        ("identify", cmd_identify, True),
-        ("calibrate", cmd_calibrate, True),
-        ("detect", cmd_detect, True),
-        ("plot", cmd_plot, False),
-        ("version", cmd_version, False),
-    ):
+    for name, needs_config in (("simulate", True), ("identify", True), ("calibrate", True),
+                               ("detect", True), ("plot", False), ("version", False)):
         p = sub.add_parser(name)
-        p.set_defaults(fn=fn)
         if needs_config:
             p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--out", default=".", help="output directory")
@@ -615,14 +620,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built on the first main call of the process."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one subcommand; it is looked up as cmd_<name> at each call, so a
+    rebinding of the module's cmd_* functions takes effect."""
+    args = _parser().parse_args(argv)
     logging.basicConfig(
         level=logging.WARNING if args.quiet else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.fn(args)
+        return globals()["cmd_" + args.command](args)
     except (ControlDesignError, IdentificationError, ModelError,
             SimulationError) as exc:
         print(f"error: {exc}", file=sys.stderr)

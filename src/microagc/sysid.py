@@ -14,8 +14,10 @@ Order selection fits every candidate order and scores it by prediction error.
 The score reuses the candidate's own fit: the B/x0 regressor already holds
 every row [forced response | C A^k], so the prediction over the record is one
 matrix product, not a replay of the recursion. Candidates with the same
-block-row count share one Hankel rank check, LQ factorization and L22 SVD
-through a FitWorkspace.
+block-row count share one LQ factorization of [U; Y], its L22 SVD and the
+input Hankel rank check through a FitWorkspace. The rank check needs no
+factorization of its own: U_h's singular values are those of the LQ factor's
+L11 block.
 """
 
 from __future__ import annotations
@@ -146,12 +148,13 @@ def _as_record(arr: np.ndarray) -> np.ndarray:
 class FitWorkspace:
     """What the candidate orders of one record share during order selection.
 
-    The input-Hankel rank check, the LQ factorization of [U; Y] and the SVD of
-    its L22 block depend only on the record and the block-row count i, so
-    identify keeps one result per i here (the SVD factors, or the excitation
-    error) and orders with the same i reuse it. identify also leaves the B/x0
-    regressor of its last fit in `regressor`, which `score` reads and drops.
-    A workspace belongs to the record of its first identify call.
+    The LQ factorization of [U; Y], the SVD of its L22 block and the one
+    Hankel rank check (on the singular values of its L11 block) depend only on
+    the record and the block-row count i, so identify keeps one result per i
+    here (the SVD factors, or the excitation error) and orders with the same i
+    reuse it. identify also leaves the B/x0 regressor of its last fit in
+    `regressor`, which `score` reads and drops. A workspace belongs to the
+    record of its first identify call.
     """
 
     def __init__(self):
@@ -194,24 +197,31 @@ class FitWorkspace:
 def _projected_factors(u: np.ndarray, y: np.ndarray, i: int):
     """Left singular vectors and singular values of the LQ block L22 of the
     i-block-row Hankels; raises InsufficientExcitationError when the input
-    Hankel is rank deficient."""
+    Hankel is rank deficient.
+
+    The rank check reads the singular values of the L11 block: U_h = L11 Q1^T
+    with orthonormal rows in Q1^T, so they are U_h's own. With fewer Hankel
+    columns j than input rows the slice is L's whole (m i, j) top block, and
+    the same holds.
+    """
     m = u.shape[1]
     j = u.shape[0] - i + 1
     u_h = _hankel(u, i, j)
     y_h = _hankel(y, i, j)
 
+    # LQ factorization of [U; Y]: the L22 block spans the output rows projected
+    # onto the orthogonal complement of the input rows.
+    stacked = np.vstack([u_h, y_h])
+    l_fac = np.linalg.qr(stacked.T, mode="r").T
+
     if np.any(np.abs(u) > 0.0):
-        u_sv = np.linalg.svd(u_h, compute_uv=False)
+        u_sv = np.linalg.svd(l_fac[: m * i, : m * i], compute_uv=False)
         if u_sv[-1] <= RANK_RTOL * u_sv[0]:
             raise InsufficientExcitationError(
                 f"input Hankel rank {int(np.sum(u_sv > RANK_RTOL * u_sv[0]))} "
                 f"< {u_h.shape[0]} rows; excitation not persistently exciting"
             )
 
-    # LQ factorization of [U; Y]: the L22 block spans the output rows projected
-    # onto the orthogonal complement of the input rows.
-    stacked = np.vstack([u_h, y_h])
-    l_fac = np.linalg.qr(stacked.T, mode="r").T
     l22 = l_fac[m * i :, m * i :]
     u_sv, s_sv, _ = np.linalg.svd(l22, full_matrices=False)
     return u_sv, s_sv
@@ -376,11 +386,11 @@ def select_order(
     samples; the report records that count for d*. A candidate is scored from
     its own fit: the prediction over the record is the fit's B/x0 regressor
     times [vec(B); x0], equal to prediction_error's replay up to rounding.
-    Candidates with the same block-row count share one Hankel rank check, LQ
-    factorization and L22 SVD (a FitWorkspace), so each model is the one a lone
-    identify call returns. Per-candidate identification failures are
-    recorded; the selection fails only if every candidate does. Ties break
-    toward the smallest order.
+    Candidates with the same block-row count share one LQ factorization, its
+    L22 SVD and the Hankel rank check read from its L11 block (a
+    FitWorkspace), so each model is the one a lone identify call returns.
+    Per-candidate identification failures are recorded; the selection fails
+    only if every candidate does. Ties break toward the smallest order.
     """
     candidates = tuple(sorted(set(int(c) for c in candidates)))
     if not candidates:

@@ -9,9 +9,10 @@ covariance are tested against an attack-free baseline:
     xi2 = | tr(Sigma_hat - Sigma_star) |  (variance shift)
 
 Either statistic at or above its threshold raises the attack flag. The
-statistics have one implementation, window_statistics; the streaming dw_step
-applies it to its sliding window and calibration applies it to every window
-of a nominal record.
+statistics have one implementation, window_statistics, which takes one window
+or a stack of them: the streaming dw_step passes its sliding window, and
+calibration passes every window of a nominal record as strided views, a chunk
+at a time, with each window's statistics bit-equal to the window alone.
 """
 
 from __future__ import annotations
@@ -182,20 +183,30 @@ class DetectorState:
         return self.count >= self.w
 
 
-def window_statistics(nu: np.ndarray, baseline: BaselineStats) -> tuple[float, float]:
-    """Mean shift xi1 and trace shift xi2 of one (w, n) innovation window.
+def window_statistics(nu: np.ndarray, baseline: BaselineStats):
+    """Mean shift xi1 and trace shift xi2 of one (w, n) innovation window, as
+    two floats, or of each window of a (k, w, n) stack, as two (k,) arrays.
 
     The trace is the centred sum of squares over w, so it cannot cancel
     catastrophically the way mean(|nu|^2) - |mu_hat|^2 would. Each step is
     the float arithmetic of nu.mean(axis=0), np.linalg.norm and np.sum spelt
-    with fewer numpy calls; the statistic runs once per detector step.
+    with fewer numpy calls, and a window of a stack (contiguous or a strided
+    view) gets the same bits as the window alone: the mean is reduced over the
+    w axis, each window's w * n centred squares are one reduction, and xi1 is
+    sqrt(shift @ shift) per window, since a vectorized sum of squares rounds
+    differently.
     """
-    w = nu.shape[0]
-    mu_hat = np.add.reduce(nu, axis=0) / w
+    w = nu.shape[-2]
+    mu_hat = np.add.reduce(nu, axis=-2) / w
     shift = mu_hat - baseline.mu_star
-    centred = nu - mu_hat
-    tr_hat = float(np.add.reduce((centred * centred).ravel())) / w
-    return math.sqrt(shift @ shift), abs(tr_hat - baseline.trace)
+    if nu.ndim == 2:  # the detector's per-step call stays scalar arithmetic
+        centred = nu - mu_hat
+        tr_hat = float(np.add.reduce((centred * centred).ravel())) / w
+        return math.sqrt(shift @ shift), abs(tr_hat - baseline.trace)
+    centred = nu - mu_hat[:, None]
+    squares = (centred * centred).reshape(nu.shape[0], w * nu.shape[2])
+    tr_hat = np.add.reduce(squares, axis=1) / w
+    return np.array([math.sqrt(s @ s) for s in shift]), np.abs(tr_hat - baseline.trace)
 
 
 def dw_step(

@@ -490,6 +490,8 @@ class TestScenarioFileRejections:
         ("branch = 1 2 3.333", "branch = 1 2",
          "branch: expected 'from to admittance [theta]'"),
         ("seed = 11", "seed = 11.5", "seed: expected an integer, got '11.5'"),
+        ("n_ibr = 2", "n_ibr = 0", "n_ibr must be >= 1, got 0"),
+        ("n_load = 1", "n_load = -1", "n_load must be >= 0, got -1"),
     ])
     def test_bad_value_names_its_line(self, tmp_path, capsys, old, new, message):
         text = MINIMAL.replace(old, new)
@@ -502,6 +504,13 @@ class TestScenarioFileRejections:
         text = MINIMAL.replace("q_weight = 10.0\n", f"q_weight = 10.0\n{line}\n")
         _rejects(tmp_path, capsys, text, f"line {_line(text, line)}: [grid.1] "
                  f"watermark_std must be finite and >= 0, got {float(value)}")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+    def test_u_max_is_finite_and_positive(self, tmp_path, capsys, value):
+        line = f"u_max = {value}"
+        text = MINIMAL.replace("q_weight = 10.0\n", f"q_weight = 10.0\n{line}\n")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, line)}: [grid.1] "
+                 f"u_max must be finite and > 0, got {float(value)}")
 
     def test_zero_watermark_std_is_valid(self, tmp_path):
         cfg = tmp_path / "c.cfg"
@@ -565,8 +574,12 @@ class TestLibraryChecks:
          "unknown event action 'explode'", "simulate"),
         (MINIMAL + "\n[identify]\ndt_prime_s = 0.001\n", "[identify]",
          "pulse width dt_prime must exceed the sample time dt", "identify"),
+        (MINIMAL.replace("q_weight = 10.0", "q_weight = 10.0\nomega_c = -1"), "[grid.1]",
+         "filter cutoff must be positive, got -1.0", "simulate"),
+        (MINIMAL.replace("branch = 1 2 3.333", "branch = 1 5 3.333"), "[grid.1]",
+         "invalid branch endpoints (1, 5) for 3 nodes", "simulate"),
     ], ids=["sim", "grid", "load_signal", "attack", "attack-negative-noise",
-            "attack-nan-noise", "event", "identify"])
+            "attack-nan-noise", "event", "identify", "ibr", "network"])
     def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, header,
                                                message, command):
         _rejects(tmp_path, capsys, text, f"line {_line(text, header)}: {header}: {message}",
@@ -633,6 +646,24 @@ class TestKeyTables:
 
 
 class TestMisc:
+    def test_one_parser_serves_every_main_call_of_a_process(self, monkeypatch, tmp_path,
+                                                            minimal_cfg):
+        """Two main calls with different subcommands build the parser once and
+        dispatch through the module's current cmd_* bindings."""
+        built, ran = [], []
+        build_parser = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "cmd_simulate", lambda args: ran.append(args) or 0)
+        try:
+            assert run(["simulate", "--config", minimal_cfg, "--out", tmp_path,
+                        "--quiet"]) == cli.EXIT_OK
+            assert run(["plot", "--out", tmp_path / "none", "--quiet"]) == cli.EXIT_USAGE
+        finally:
+            cli._parser.cache_clear()
+        assert len(built) == 1
+        assert [(a.command, a.config) for a in ran] == [("simulate", str(minimal_cfg))]
+
     def test_version(self, capsys):
         assert run(["version"]) == cli.EXIT_OK
         assert "microagc" in capsys.readouterr().out

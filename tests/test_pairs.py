@@ -1,7 +1,9 @@
 """The paired-run summary of bench/pairs.py: win counts, ties, the bound
-check, the gain rule, and the per-layer medians and merge of the traced runs."""
+check, the gain rule, the per-layer medians and merge of the traced runs, and
+the copy of the checkout that the change side runs from."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -74,3 +76,26 @@ def test_per_layer_values_are_medians_over_the_traced_runs():
     assert pairs.median_metrics(runs3) == {"a": {"value": 2.0, "unit": "us"},
                                            "b": {"value": 20.0, "unit": "us"}}
     assert pairs.TRACED_RUNS == 3
+
+
+def test_snapshot_copies_the_tracked_files_as_they_are_on_disk(tmp_path):
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    git = ["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t"]
+    subprocess.run(git[:3] + ["init", "-q"], check=True)
+    for name, text in {"src/kept.py": "old\n", "src/edited.py": "old\n",
+                       "gone.txt": "old\n"}.items():
+        (repo / name).write_text(text)
+    subprocess.run(git + ["add", "-A"], check=True)
+    subprocess.run(git + ["commit", "-q", "-m", "start"], check=True)
+    (repo / "src" / "edited.py").write_text("uncommitted\n")
+    (repo / "src" / "staged.py").write_text("new\n")
+    subprocess.run(git + ["add", "src/staged.py"], check=True)
+    (repo / "untracked.txt").write_text("scratch\n")
+    (repo / "gone.txt").unlink()
+
+    pairs.snapshot(repo, tmp_path / "copy")
+    copied = {p.relative_to(tmp_path / "copy").as_posix(): p.read_text()
+              for p in (tmp_path / "copy").rglob("*") if p.is_file()}
+    assert copied == {"src/kept.py": "old\n", "src/edited.py": "uncommitted\n",
+                      "src/staged.py": "new\n"}

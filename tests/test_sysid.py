@@ -201,6 +201,37 @@ def test_workspace_belongs_to_one_record_and_shares_its_failures():
             sysid.identify(constant, constant, d, workspace=work)
 
 
+def _duplicated(u):
+    return np.column_stack([u, u])
+
+
+@pytest.mark.parametrize("n_samples, m_in, make, i", [
+    (200, 2, None, 8),                    # exciting
+    (200, 1, _duplicated, 8),             # two equal channels: rank 8 of 16 rows
+    (20, 2, None, 8),                     # j = 13 columns < m i = 16 rows
+    (20, 1, _duplicated, 8),              # short and duplicated
+    (100, 1, np.ones_like, 8),            # constant: rank 1
+    (100, 1, np.zeros_like, 8),           # zero input: no check
+    (60, 3, lambda u: u.round(0), 10),    # three-level input
+])
+def test_excitation_check_matches_the_input_hankel_svd(n_samples, m_in, make, i):
+    """The rank check on the LQ factor's L11 block takes the decision, and
+    counts the rank, that the input Hankel's own SVD gives."""
+    rng = np.random.default_rng(n_samples + m_in + i)
+    u = rng.uniform(-1.0, 1.0, size=(n_samples, m_in))
+    u = make(u) if make else u
+    y = rng.normal(size=(n_samples, 2))
+    u_h = sysid._hankel(u, i, n_samples - i + 1)
+    sv = np.linalg.svd(u_h, compute_uv=False)
+    if not np.any(u) or sv[-1] > sysid.RANK_RTOL * sv[0]:
+        sysid._projected_factors(u, y, i)
+    else:
+        rank = int(np.sum(sv > sysid.RANK_RTOL * sv[0]))
+        with pytest.raises(m.InsufficientExcitationError,
+                           match=f"input Hankel rank {rank} < {u_h.shape[0]} rows"):
+            sysid._projected_factors(u, y, i)
+
+
 class TestPredict:
     def test_zero_input_zero_state(self):
         model = m.DiscreteModel(a_d=np.eye(2) * 0.5, b_d=np.ones((2, 1)),

@@ -234,6 +234,27 @@ def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset,
         assert abs(xi2 - ref2) <= 1e-9 * scale2
 
 
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(w=st.integers(1, 130), n=st.integers(1, 4), k=st.integers(1, 40),
+       offset=st.floats(-1e4, 1e4), scale=st.floats(1e-3, 1e2),
+       contiguous=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_window_statistics_equal_each_window_alone(w, n, k, offset, scale,
+                                                           contiguous, seed):
+    """A (k, w, n) stack, as the strided view calibration passes or as a
+    contiguous copy, gives each window's statistics bit for bit."""
+    rng = np.random.default_rng(seed)
+    nu = offset + scale * rng.normal(size=(w + k - 1, n))
+    baseline = m.BaselineStats(mu_star=offset + rng.normal(size=n),
+                               sigma_star=np.diag(rng.uniform(0.1, 2.0, n)), w=w)
+    stack = np.lib.stride_tricks.sliding_window_view(nu, w, axis=0).swapaxes(1, 2)
+    if contiguous:
+        stack = np.ascontiguousarray(stack)
+    xi1, xi2 = m.window_statistics(stack, baseline)
+    alone = [m.window_statistics(nu[i : i + w], baseline) for i in range(k)]
+    assert xi1.shape == xi2.shape == (k,)
+    assert list(zip(xi1.tolist(), xi2.tolist())) == alone
+
+
 def test_trained_detector_calibrates_the_grids_own_loop(monkeypatch):
     """The calibration run keeps the grid's controller and loop settings and
     swaps in only the calibration load signals and the open detector."""

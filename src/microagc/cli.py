@@ -7,7 +7,7 @@ Exit codes: 0 success, 1 usage/config error, 2 numerical/design failure,
 
 Scenario files are structured text: `key = value` lines grouped under
 `[section]` headers. SECTIONS below declares every key a section takes, the
-field it feeds, its type, and whether it is a list or repeats (only `branch`).
+field it feeds, its domain, and whether it is a list or repeats (only `branch`).
 Grids are numbered from 1; node and channel indices are 0-based within each
 grid. See configs/ for worked fixtures of the two-microgrid experiments.
 """
@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import functools
 import logging
+import math
 import sys
 from dataclasses import MISSING, replace
 from pathlib import Path
@@ -77,76 +78,78 @@ EXIT_IO = 3
 
 LIST, REPEAT = "list", "repeat"
 
+# A key's domain, (kind, test, rule): kind converts each token into a value, and
+# Section.read rejects a value that fails test as "must be <rule>". GRID turns a
+# grid number of the file (from 1) into the library's index (from 0); its range
+# is _named_grid's.
+TEXT = (str, None, "")
+GRID = (lambda token: int(token) - 1, None, "")
+REAL = (float, math.isfinite, "finite")
+POSITIVE = (float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+NON_NEGATIVE = (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+COUNT = (int, lambda v: v >= 1, ">= 1")
+INDEX = (int, lambda v: v >= 0, ">= 0")
 
-def _grid_index(token: str) -> int:
-    """A grid number of the file (from 1) as the library's index (from 0)."""
-    return int(token) - 1
-
-
-# The keys of each section, key: (field, token type[, LIST or REPEAT]), and the
-# dataclass the section feeds. A field is a field of that dataclass or one of
-# the HAND_READ names its builder reads itself; a key the file leaves out keeps
-# the default. A LIST holds numbers separated by whitespace or commas; only a
-# REPEAT key may appear twice in a section, each line one such list.
+# The keys of each section, key: (field, domain[, LIST or REPEAT]), and the
+# dataclass the section feeds. A field the dataclass does not take is one of the
+# HAND_READ names its builder reads itself; a key the file leaves out keeps the
+# default. A LIST holds tokens separated by whitespace or commas; only a REPEAT
+# key may appear twice in a section, each line one such list.
 SECTIONS = {
-    "": (None, {"schema_version": ("schema_version", str)}),
+    "": (None, {"schema_version": ("schema_version", (str, "1".__eq__, "1"))}),
     "sim": (Scenario, {
-        "horizon_s": ("horizon", float), "control_period_s": ("control_period", float),
-        "integrator_step_s": ("integrator_step", float), "seed": ("seed", int),
-        "auto_response": ("auto_response", str)}),
+        "horizon_s": ("horizon", POSITIVE), "control_period_s": ("control_period", POSITIVE),
+        "integrator_step_s": ("integrator_step", POSITIVE), "seed": ("seed", INDEX),
+        "auto_response": ("auto_response", TEXT)}),
     "grid": (GridSpec, {
-        "n_ibr": ("n_ibr", int), "n_load": ("n_load", int), "u_max": ("u_max", float),
-        "branch": ("branch", float, REPEAT), "load_w": ("load_w", float, LIST),
-        "v_star": ("v_star", float, LIST), "omega_c": ("omega_c", float, LIST),
-        "m_p": ("m_p", float, LIST), "q_weight": ("q_weight", float, LIST),
-        "r_weight": ("r_weight", float, LIST), "controller": ("controller", str),
-        "pi_kp": ("pi_kp", float), "pi_ki": ("pi_ki", float),
-        "sensor_tau_s": ("sensor_tau", float), "slow_hold_s": ("slow_hold", float),
-        "model_file": ("model_file", str), "baseline_file": ("baseline_file", str),
-        "watermark_std": ("watermark_std", float),
-        "watermark_seed": ("watermark_seed", int)}),
+        "n_ibr": ("n_ibr", COUNT), "n_load": ("n_load", INDEX), "u_max": ("u_max", POSITIVE),
+        "branch": ("branch", REAL, REPEAT), "load_w": ("load_w", REAL, LIST),
+        "v_star": ("v_star", POSITIVE, LIST), "omega_c": ("omega_c", POSITIVE, LIST),
+        "m_p": ("m_p", POSITIVE, LIST), "q_weight": ("q_weight", POSITIVE, LIST),
+        "r_weight": ("r_weight", POSITIVE, LIST), "controller": ("controller", TEXT),
+        "pi_kp": ("pi_kp", REAL), "pi_ki": ("pi_ki", REAL),
+        "sensor_tau_s": ("sensor_tau", POSITIVE), "slow_hold_s": ("slow_hold", POSITIVE),
+        "model_file": ("model_file", TEXT), "baseline_file": ("baseline_file", TEXT),
+        "watermark_std": ("watermark_std", NON_NEGATIVE),
+        "watermark_seed": ("watermark_seed", INDEX)}),
     "load_signal": (LoadSignalSpec, {
-        "grid": ("grid", _grid_index), "load_index": ("load_index", int),
-        "kind": ("kind", str), "amplitude_w": ("amplitude", float),
-        "period_s": ("period", float), "width_s": ("width", float),
-        "step_time_s": ("step_time", float)}),
+        "grid": ("grid", GRID), "load_index": ("load_index", INDEX),
+        "kind": ("kind", TEXT), "amplitude_w": ("amplitude", REAL),
+        "period_s": ("period", POSITIVE), "width_s": ("width", POSITIVE),
+        "step_time_s": ("step_time", REAL)}),
     "attack": (AttackSpec, {
-        "grid": ("grid", _grid_index), "kind": ("kind", str), "start_s": ("start", float),
-        "end_s": ("end", float), "channels": ("channels", int, LIST),
-        "noise_std_w": ("noise_std", float), "replay_from_s": ("replay_from", float),
-        "replay_to_s": ("replay_to", float)}),
+        "grid": ("grid", GRID), "kind": ("kind", TEXT), "start_s": ("start", NON_NEGATIVE),
+        "end_s": ("end", NON_NEGATIVE), "channels": ("channels", INDEX, LIST),
+        "noise_std_w": ("noise_std", NON_NEGATIVE),
+        "replay_from_s": ("replay_from", NON_NEGATIVE),
+        "replay_to_s": ("replay_to", NON_NEGATIVE)}),
     "event": (Event, {
-        "time_s": ("time", float), "action": ("action", str),
-        "grid": ("grid", _grid_index)}),
+        "time_s": ("time", NON_NEGATIVE), "action": ("action", TEXT),
+        "grid": ("grid", GRID)}),
     "tie": (TieSpec, {
-        "node_a": ("node_a", int), "node_b": ("node_b", int),
-        "admittance_s": ("y_mag", float), "theta_rad": ("theta", float)}),
+        "node_a": ("node_a", INDEX), "node_b": ("node_b", INDEX),
+        "admittance_s": ("y_mag", POSITIVE), "theta_rad": ("theta", REAL)}),
     "identify": (ExcitationSpec, {
-        "grid": ("grid", _grid_index), "seed": ("seed", int), "beta": ("beta", float),
-        "k0": ("k0", int), "dt_s": ("dt", float), "dt_prime_s": ("dt_prime", float),
-        "candidates": ("candidates", int, LIST), "records_file": ("records_file", str),
-        "record_file": ("record_file", str), "model_file": ("model_file", str),
-        "report_file": ("report_file", str)}),
+        "grid": ("grid", GRID), "seed": ("seed", INDEX), "beta": ("beta", POSITIVE),
+        "k0": ("k0", COUNT), "dt_s": ("dt", POSITIVE), "dt_prime_s": ("dt_prime", POSITIVE),
+        "candidates": ("candidates", COUNT, LIST), "records_file": ("records_file", TEXT),
+        "record_file": ("record_file", TEXT), "model_file": ("model_file", TEXT),
+        "report_file": ("report_file", TEXT)}),
     "calibrate": (None, {
-        "grid": ("grid", _grid_index), "model_file": ("model_file", str),
-        "horizon_s": ("horizon", float), "window": ("window", int),
-        "margin": ("margin", float), "watermark_std": ("watermark_std", float),
-        "watermark_seed": ("watermark_seed", int),
-        "baseline_file": ("baseline_file", str)}),
+        "grid": ("grid", GRID), "model_file": ("model_file", TEXT),
+        "horizon_s": ("horizon", POSITIVE), "window": ("window", COUNT),
+        "margin": ("margin", POSITIVE), "watermark_std": ("watermark_std", NON_NEGATIVE),
+        "watermark_seed": ("watermark_seed", INDEX),
+        "baseline_file": ("baseline_file", TEXT)}),
     "detect": (None, {
-        "grid": ("grid", _grid_index), "model_file": ("model_file", str),
-        "baseline_file": ("baseline_file", str), "trace_file": ("trace_file", str),
-        "telemetry_file": ("telemetry_file", str)}),
+        "grid": ("grid", GRID), "model_file": ("model_file", TEXT),
+        "baseline_file": ("baseline_file", TEXT), "trace_file": ("trace_file", TEXT),
+        "telemetry_file": ("telemetry_file", TEXT)}),
 }
-HAND_READ = frozenset({  # the fields a builder reads itself with Section.value
-    "schema_version", "n_ibr", "n_load", "branch", "load_w", "v_star", "omega_c", "m_p",
-    "q_weight", "r_weight", "model_file", "baseline_file", "watermark_std", "grid",
-    "watermark_seed", "candidates", "records_file", "record_file", "report_file",
-    "horizon", "window", "margin", "trace_file", "telemetry_file"})
+HAND_READ = frozenset(  # the fields a builder reads itself with Section.value
+    field for cls, keys in SECTIONS.values() for field, *_ in keys.values()
+    if not cls or field not in {f.name for f in dataclasses.fields(cls)})
 REPEATABLE = ("load_signal", "attack", "event")  # sections that may appear twice
-# (test, message) of Section.check for a number that must be finite and > 0 or >= 0
-POSITIVE = (lambda v: 0.0 < v < np.inf, "must be finite and > 0, got {}")
-NON_NEGATIVE = (lambda v: 0.0 <= v < np.inf, "must be finite and >= 0, got {}")
 
 
 class Section:
@@ -161,17 +164,20 @@ class Section:
         self.lines: dict[str, list[int]] = {}   # field -> line of each occurrence
 
     def read(self, key: str, text: str, lineno: int) -> None:
-        at = f"{self.path}: line {lineno}: [{self.name}] {key}: "
+        at = f"{self.path}: line {lineno}: [{self.name}] {key}"
         if key not in self.keys:
-            raise ConfigError(at + "unknown key")
-        field, kind, *shape = self.keys[key]
+            raise ConfigError(at + ": unknown key")
+        field, (kind, test, rule), *shape = self.keys[key]
         if field in self.lines and shape != [REPEAT]:
-            raise ConfigError(at + f"repeated key (first at line {self.lines[field][0]})")
+            raise ConfigError(at + f": repeated key (first at line {self.lines[field][0]})")
         try:
             value = [kind(t) for t in text.replace(",", " ").split()] if shape else kind(text)
         except ValueError:
             noun = "a number" if kind is float else "an integer"
-            raise ConfigError(at + f"expected {noun}, got {text!r}") from None
+            raise ConfigError(at + f": expected {noun}, got {text!r}") from None
+        for v in value if shape else [value]:
+            if test and not test(v):
+                raise ConfigError(at + f" must be {rule}, got {v}")
         if shape == [REPEAT]:
             self.values.setdefault(field, []).append(value)
         else:
@@ -203,11 +209,6 @@ class Section:
             raise ConfigError(f"{self.where(field)}: missing required key")
         return self.values.get(field, default)
 
-    def check(self, field: str, ok, text: str) -> None:
-        """A ConfigError at field's line when the file sets it and ok(value) fails."""
-        if field in self.values and not ok(self.values[field]):
-            raise ConfigError(f"{self.where(field)} {text.format(self.values[field])}")
-
     def build(self, cls, **given):
         """cls from the file's values of its fields; a field the file leaves out
         takes its value from given, else its default, else it is missing."""
@@ -227,10 +228,11 @@ def parse_config(path) -> dict[str, list[Section]]:
     in SECTIONS, in file order; "grid" lists the [grid.N] sections in grid order.
 
     An unknown section or key, a repeated key or section, a value that does
-    not convert, grids not numbered [grid.1] to [grid.G] and a missing or
-    unsupported schema_version are ConfigErrors naming the file and line.
+    not convert or lies outside its key's domain, grids not numbered [grid.1]
+    to [grid.G] and a missing or unsupported schema_version are ConfigErrors
+    naming the file and line.
     """
-    current = Section("", 0, path, SECTIONS[""][1])
+    current = Section("", 1, path, SECTIONS[""][1])  # the file's top, before any header
     sections = {name: [] for name in SECTIONS} | {"": [current]}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -255,16 +257,13 @@ def parse_config(path) -> dict[str, list[Section]]:
         if not sep:
             raise ConfigError(at + "expected 'key = value'")
         current.read(key.strip(), value.strip(), lineno)
-    version = sections[""][0].values.get("schema_version")
-    if version != "1":
-        raise ConfigError(f"{path}: missing schema_version" if version is None
-                          else f"{path}: unsupported schema_version {version}")
+    sections[""][0].value("schema_version")  # required; its domain admits only "1"
     grids = sections["grid"]
     for sec in grids:
         if sec.name not in [f"grid.{n}" for n in range(1, len(grids) + 1)]:
             raise ConfigError(f"{sec.where()}: grids are numbered [grid.1] to "
                               f"[grid.{len(grids)}], each once")
-    grids.sort(key=lambda sec: _grid_index(sec.name[5:]))
+    grids.sort(key=lambda sec: int(sec.name[5:]))
     return sections
 
 
@@ -300,18 +299,12 @@ def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | Non
 
 def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path,
                 with_detector: bool = True) -> GridSpec:
-    sec.check("n_ibr", lambda k: k >= 1, "must be >= 1, got {}")
-    sec.check("n_load", lambda k: k >= 0, "must be >= 0, got {}")
     n, n_load = sec.value("n_ibr"), sec.value("n_load")
-    sec.check("u_max", *POSITIVE)
-    sec.check("watermark_std", *NON_NEGATIVE)
-    branches = sec.value("branch", [])
+    branches = sec.value("branch")
     for i, vals in enumerate(branches):
-        if len(vals) not in (3, 4):
+        if len(vals) not in (3, 4) or not vals[2] > 0.0:
             raise ConfigError(f"{sec.where('branch', i)}: "
-                              "expected 'from to admittance [theta]'")
-    if not branches:
-        raise ConfigError(f"{sec.where()} defines no branches")
+                              "expected 'from to admittance [theta]', admittance > 0")
     v_star = _per_ibr(sec, "v_star", n + n_load, defaults.V_STAR)
     with sec.located():
         network = NetworkSpec.from_branches(
@@ -328,7 +321,7 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
         ibrs = tuple(IbrParams(omega_c=float(w), m_p=float(m)) for w, m in zip(omega_c, m_p))
     weights = CostWeights(q=_per_ibr(sec, "q_weight", n, defaults.LQR_Q_DIAG),
                           r=_per_ibr(sec, "r_weight", n, defaults.LQR_R_DIAG))
-    gi = _grid_index(sec.name[5:])
+    gi = sections["grid"].index(sec)
     signals = tuple(s.build(LoadSignalSpec) for s in sections["load_signal"]
                     if _named_grid(sections, s) == gi)
     detector = _build_detector(sec, n, base_dir) if with_detector else None
@@ -350,9 +343,14 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
                    with_detectors: bool = True) -> Scenario:
     grids = tuple(_build_grid(sec, sections, base_dir, with_detectors)
                   for sec in sections["grid"])
+    sim = _first_section(sections, "sim")
+    period = sim.values.get("control_period", defaults.CONTROL_PERIOD)
     for sec in sections["event"] + sections["attack"]:
         _named_grid(sections, sec)
-    scenario = _first_section(sections, "sim").build(
+        for field in ("time", "start", "end", "replay_from", "replay_to"):
+            with sec.located(field):
+                whole_steps(sec.values.get(field, 0.0), period, field)
+    scenario = sim.build(
         Scenario, grids=grids,
         tie=sections["tie"][0].build(TieSpec) if sections["tie"] else None,
         events=tuple(sec.build(Event) for sec in sections["event"]),
@@ -424,20 +422,28 @@ def write_detector_csv(ts: TimeSeries, scenario: Scenario, path) -> None:
 # subcommands
 
 
-def cmd_simulate(args) -> int:
-    sections = parse_config(args.config)
-    out = Path(args.out)
-    made = [d for d in (out, *out.parents) if not d.exists()]  # innermost first
-    out.mkdir(parents=True, exist_ok=True)  # model paths may resolve through it
+@contextlib.contextmanager
+def _output_dir(out: Path):
+    """Make out and its missing parents; when the block raises, remove the
+    directories made here, innermost first, while they are empty."""
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    out.mkdir(parents=True, exist_ok=True)
     try:
-        scenario = build_scenario(sections, out, seed_override=args.seed)
-        ts = run_scenario(scenario)
+        yield
     except Exception:
-        for d in made:  # the directories this call made, while they are empty
+        for d in made:
             if any(d.iterdir()):
                 break
             d.rmdir()
         raise
+
+
+def cmd_simulate(args) -> int:
+    sections = parse_config(args.config)
+    out = Path(args.out)
+    with _output_dir(out):  # model paths may resolve through it
+        scenario = build_scenario(sections, out, seed_override=args.seed)
+        ts = run_scenario(scenario)
     ts.to_csv(out / "timeseries.csv")
     write_detector_csv(ts, scenario, out / "detector.csv")
     (out / "summary.txt").write_text(summarize(ts, scenario), encoding="utf-8")
@@ -456,26 +462,21 @@ def cmd_identify(args) -> int:
     grid = _build_grid(sections["grid"][_named_grid(sections, sec)], sections, out,
                        with_detector=False)
 
-    sec.check("candidates", lambda c: min(c, default=1) >= 1,
-              "must be orders >= 1, got {}")
     records_file = sec.value("records_file", None)
     if records_file is None:
-        # the library accepts beta = 0 (a zero record); a run would fit a zero model
-        sec.check("beta", *POSITIVE)
-        sec.check("k0", lambda k: k >= 1, "must be >= 1, got {}")
         spec = sec.build(ExcitationSpec, seed=17)
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
-    out.mkdir(parents=True, exist_ok=True)
-    if records_file is not None:
-        t, u, y = load_records(out / records_file)
-        dt = float(t[1] - t[0]) if t.shape[0] > 1 else 0.0  # too short to fit anyway
-    else:
-        t, u, y = identification_records(grid, spec)
-        save_records(out / sec.value("record_file", "sysid_records.csv"), t, u, y)
-        dt = spec.dt
-    report, model = select_order(
-        u, y, candidates=sec.value("candidates", defaults.ORDER_CANDIDATES), dt=dt)
+    with _output_dir(out):
+        if records_file is not None:
+            t, u, y = load_records(out / records_file)
+            dt = float(t[1] - t[0]) if t.shape[0] > 1 else 0.0  # too short to fit anyway
+        else:
+            t, u, y = identification_records(grid, spec)
+            save_records(out / sec.value("record_file", "sysid_records.csv"), t, u, y)
+            dt = spec.dt
+        report, model = select_order(
+            u, y, candidates=sec.value("candidates", defaults.ORDER_CANDIDATES), dt=dt)
     save_model(model, out / sec.value("model_file", "model.txt"))
     lines = ["order selection", "==============="]
     for d in report.candidates:
@@ -498,9 +499,6 @@ def cmd_calibrate(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "calibrate")
-    sec.check("window", lambda w: w >= 1, "must be >= 1, got {}")
-    sec.check("margin", *POSITIVE)
-    sec.check("watermark_std", *NON_NEGATIVE)
     window = sec.value("window", defaults.DETECTOR_WINDOW)
     scenario = build_scenario(sections, out, seed_override=args.seed,
                               with_detectors=False)
@@ -636,8 +634,8 @@ def main(argv=None) -> int:
     )
     try:
         return globals()["cmd_" + args.command](args)
-    except (ControlDesignError, IdentificationError, ModelError,
-            SimulationError) as exc:
+    except (ControlDesignError, IdentificationError, ModelError, SimulationError,
+            ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ScenarioError, ValueError) as exc:  # ConfigError is a ValueError

@@ -104,6 +104,8 @@ def solve_care(
     g = b @ r_inv_bt
 
     ham = np.block([[a, -g], [-q, -a.T]])
+    if not np.isfinite(ham).all():
+        raise ControlDesignError("Hamiltonian has non-finite entries")
     _, u, sdim = scipy.linalg.schur(ham, output="real", sort="lhp")
     if sdim != n:
         detail = _describe_unstabilizable(a, b)

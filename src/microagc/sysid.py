@@ -201,8 +201,8 @@ def _projected_factors(u: np.ndarray, y: np.ndarray, i: int):
 
     The rank check reads the singular values of the L11 block: U_h = L11 Q1^T
     with orthonormal rows in Q1^T, so they are U_h's own. With fewer Hankel
-    columns j than input rows the slice is L's whole (m i, j) top block, and
-    the same holds.
+    columns j than input rows the slice is L's whole (m i, j) top block, whose
+    j < m i singular values cannot give U_h full row rank.
     """
     m = u.shape[1]
     j = u.shape[0] - i + 1
@@ -216,7 +216,7 @@ def _projected_factors(u: np.ndarray, y: np.ndarray, i: int):
 
     if np.any(np.abs(u) > 0.0):
         u_sv = np.linalg.svd(l_fac[: m * i, : m * i], compute_uv=False)
-        if u_sv[-1] <= RANK_RTOL * u_sv[0]:
+        if u_sv.size < m * i or u_sv[-1] <= RANK_RTOL * u_sv[0]:
             raise InsufficientExcitationError(
                 f"input Hankel rank {int(np.sum(u_sv > RANK_RTOL * u_sv[0]))} "
                 f"< {u_h.shape[0]} rows; excitation not persistently exciting"

@@ -1,13 +1,17 @@
 """Command-line behavior: exit codes, artifact generation, idempotence, and
 the defaults round trip between config parsing and the defaults module."""
 
+import contextlib
 import dataclasses
+import io
 import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from microagc import cli, defaults
 from microagc.sysid import DiscreteModel, ExcitationSpec, save_model
@@ -447,6 +451,125 @@ def test_rejected_simulate_removes_the_directories_it_made(tmp_path, capsys):
     assert list((tmp_path / "kept").iterdir()) == []
 
 
+def test_rejected_identify_removes_the_directories_it_made(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text((CONFIGS / "detection_demo.cfg").read_text().replace(
+        "load_w = 6348.0 7935.0", "load_w = 6348.0e6 7935.0e6"))
+    out = tmp_path / "o" / "deeper"
+    assert run(["identify", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+    assert "error: operating point did not converge" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+class TestDomains:
+    """A value outside its key's domain in cli.SECTIONS exits 1 at the key's
+    own line, before anything runs or is written."""
+
+    DEMO = (CONFIGS / "detection_demo.cfg").read_text()
+    ATTACK = "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
+
+    @pytest.mark.parametrize("text, old, new, message, command", [
+        (MINIMAL, "q_weight = 10.0", "q_weight = 10.0\nsensor_tau_s = nan",
+         "[grid.1] sensor_tau_s must be finite and > 0, got nan", "simulate"),
+        (MINIMAL, "controller = optimal-z", "controller = pi\npi_kp = nan",
+         "[grid.1] pi_kp must be finite, got nan", "simulate"),
+        (MINIMAL, "amplitude_w = 800.0", "amplitude_w = nan",
+         "[load_signal] amplitude_w must be finite, got nan", "simulate"),
+        (MINIMAL, "step_time_s = 0.1", "step_time_s = 0.1\nwidth_s = -0.1",
+         "[load_signal] width_s must be finite and > 0, got -0.1", "simulate"),
+        (MINIMAL, "branch = 0 2 3.333", "branch = 0 2 -3",
+         "[grid.1] branch: expected 'from to admittance [theta]', admittance > 0",
+         "simulate"),
+        (MINIMAL, "branch = 0 2 3.333", "branch = 0 2 nan",
+         "[grid.1] branch must be finite, got nan", "simulate"),
+        (MINIMAL, "q_weight = 10.0", "q_weight = 10.0\nomega_c = nan",
+         "[grid.1] omega_c must be finite and > 0, got nan", "simulate"),
+        (MINIMAL, "q_weight = 10.0", "q_weight = 10.0\nm_p = nan",
+         "[grid.1] m_p must be finite and > 0, got nan", "simulate"),
+        (MINIMAL, "q_weight = 10.0", "q_weight = nan",
+         "[grid.1] q_weight must be finite and > 0, got nan", "simulate"),
+        (MINIMAL, "q_weight = 10.0", "q_weight = 10.0\nr_weight = nan",
+         "[grid.1] r_weight must be finite and > 0, got nan", "simulate"),
+        (MINIMAL, "q_weight = 10.0", "q_weight = 10.0\nv_star = nan",
+         "[grid.1] v_star must be finite and > 0, got nan", "simulate"),
+        (MINIMAL, "load_w = 5000.0", "load_w = nan",
+         "[grid.1] load_w must be finite, got nan", "simulate"),
+        (MINIMAL + ATTACK, "seed = 11", "seed = -3",
+         "[sim] seed must be >= 0, got -3", "simulate"),
+        (DEMO, "seed = 17", "seed = -1",
+         "[identify] seed must be >= 0, got -1", "identify"),
+        (DEMO, "dt_prime_s = 0.05", "dt_prime_s = nan",
+         "[identify] dt_prime_s must be finite and > 0, got nan", "identify"),
+        (MINIMAL, "schema_version = 1", "schema_version = 9",
+         "[] schema_version must be 1, got 9", "simulate"),
+    ], ids=["sensor_tau_s", "pi_kp", "amplitude_w", "width_s", "branch-admittance",
+            "branch-nan", "omega_c", "m_p", "q_weight", "r_weight", "v_star", "load_w",
+            "sim-seed", "identify-seed", "dt_prime_s", "schema_version"])
+    def test_value_outside_its_domain(self, tmp_path, capsys, text, old, new, message,
+                                      command):
+        text = text.replace(old, new, 1)
+        line = new.splitlines()[-1]
+        _rejects(tmp_path, capsys, text, f"line {_line(text, line)}: {message}", command)
+
+    def test_missing_schema_version_names_line_one(self, tmp_path, capsys):
+        _rejects(tmp_path, capsys, MINIMAL.replace("schema_version = 1\n", ""),
+                 "line 1: [] schema_version: missing required key")
+
+
+@st.composite
+def _mutant(draw, text: str) -> str:
+    """text with one mutation: a key line dropped, a line repeated, a value set
+    to nan, inf, -1, 0, 1e308 or text, or a section header renamed."""
+    lines = text.splitlines()
+    keys = [i for i, line in enumerate(lines) if "=" in line.split("#")[0]]
+    headers = [i for i, line in enumerate(lines) if line.startswith("[")]
+    kind = draw(st.sampled_from(["drop", "repeat", "value", "header"]))
+    i = draw(st.sampled_from({"header": headers, "repeat": keys + headers}.get(kind, keys)))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    elif kind == "value":
+        value = draw(st.sampled_from(["nan", "inf", "-1", "0", "1e308", "abc"]))
+        lines[i] = f"{lines[i].split('=')[0].strip()} = {value}"
+    else:
+        lines[i] = "[{}]".format(draw(st.sampled_from(
+            ["sim", "grid.1", "grid.2", "grid.3", "load_signal", "attack", "event", "tie",
+             "identify", "calibrate", "detect", "bogus"])))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow of the 1e308 mutants
+@pytest.mark.parametrize("name, command, examples", [
+    ("regulation_pulses.cfg", "simulate", 60),
+    ("collaborative.cfg", "simulate", 60),
+    ("detection_demo.cfg", "identify", 30),
+])
+def test_mutated_config_exits_cleanly(name, command, examples):
+    """A mutant of a shipped config raises nothing out of main: it exits 0, or
+    1 naming `file: line N` with no --out directory left behind, or 2 with an
+    error line."""
+
+    @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
+    @given(text=_mutant((CONFIGS / name).read_text()))
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg, out = Path(tmp) / "c.cfg", Path(tmp) / "o" / "out"
+            cfg.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = run([command, "--config", cfg, "--out", out, "--quiet"])
+            if rc == cli.EXIT_USAGE:
+                assert re.search(rf"^error: {re.escape(str(cfg))}: line \d+: ", err.getvalue(),
+                                 re.M), err.getvalue()
+                assert not out.parent.exists()
+            else:
+                assert rc in (cli.EXIT_OK, cli.EXIT_NUMERIC), err.getvalue()
+                assert rc == cli.EXIT_OK or re.search("^error: ", err.getvalue(), re.M)
+
+    check()
+
+
 class TestScenarioFileRejections:
     """A scenario file that does not parse exits 1 before anything runs or is
     written, with a message naming the file and the line."""
@@ -555,35 +678,36 @@ class TestLibraryChecks:
 
     COLLABORATIVE = (CONFIGS / "collaborative.cfg").read_text()
 
-    @pytest.mark.parametrize("text, header, message, command", [
+    @pytest.mark.parametrize("text, at, message, command", [
         (MINIMAL.replace("seed = 11", "seed = 11\nauto_response = always"), "[sim]",
-         "unknown auto response 'always'", "simulate"),
+         "[sim]: unknown auto response 'always'", "simulate"),
         (MINIMAL.replace("controller = optimal-z", "controller = fuzzy"), "[grid.1]",
-         "unknown controller 'fuzzy'", "simulate"),
+         "[grid.1]: unknown controller 'fuzzy'", "simulate"),
         (MINIMAL.replace("kind = step", "kind = ramp"), "[load_signal]",
-         "unknown load signal kind 'ramp'", "simulate"),
+         "[load_signal]: unknown load signal kind 'ramp'", "simulate"),
         (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.3\nend_s = 0.2\n",
-         "[attack]", "attack start must precede end", "simulate"),
+         "[attack]", "[attack]: attack start must precede end", "simulate"),
         (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
-         "noise_std_w = -800.0\n", "[attack]", "noise_std must be finite and >= 0, got -800.0",
-         "simulate"),
+         "noise_std_w = -800.0\n", "noise_std_w = -800.0",
+         "[attack] noise_std_w must be finite and >= 0, got -800.0", "simulate"),
         (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
-         "noise_std_w = nan\n", "[attack]", "noise_std must be finite and >= 0, got nan",
-         "simulate"),
+         "noise_std_w = nan\n", "noise_std_w = nan",
+         "[attack] noise_std_w must be finite and >= 0, got nan", "simulate"),
         (MINIMAL + "\n[event]\ntime_s = 0.1\naction = explode\n", "[event]",
-         "unknown event action 'explode'", "simulate"),
+         "[event]: unknown event action 'explode'", "simulate"),
         (MINIMAL + "\n[identify]\ndt_prime_s = 0.001\n", "[identify]",
-         "pulse width dt_prime must exceed the sample time dt", "identify"),
-        (MINIMAL.replace("q_weight = 10.0", "q_weight = 10.0\nomega_c = -1"), "[grid.1]",
-         "filter cutoff must be positive, got -1.0", "simulate"),
+         "[identify]: pulse width dt_prime must exceed the sample time dt", "identify"),
+        (MINIMAL.replace("q_weight = 10.0", "q_weight = 10.0\nomega_c = -1"), "omega_c = -1",
+         "[grid.1] omega_c must be finite and > 0, got -1.0", "simulate"),
         (MINIMAL.replace("branch = 1 2 3.333", "branch = 1 5 3.333"), "[grid.1]",
-         "invalid branch endpoints (1, 5) for 3 nodes", "simulate"),
+         "[grid.1]: invalid branch endpoints (1, 5) for 3 nodes", "simulate"),
     ], ids=["sim", "grid", "load_signal", "attack", "attack-negative-noise",
             "attack-nan-noise", "event", "identify", "ibr", "network"])
-    def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, header,
+    def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, at,
                                                message, command):
-        _rejects(tmp_path, capsys, text, f"line {_line(text, header)}: {header}: {message}",
-                 command)
+        """At the section's header; at the key's own line where the key's
+        domain already rejects the value (the attack noise and IBR cases)."""
+        _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: {message}", command)
 
     def test_load_signal_on_undefined_grid(self, tmp_path, capsys):
         text = MINIMAL.replace("[load_signal]\ngrid = 1", "[load_signal]\ngrid = 2")
@@ -600,13 +724,16 @@ class TestLibraryChecks:
         _rejects(tmp_path, capsys, text, f"line {_line(text, f'grid = {gid}')}: {header} "
                  f"references grid {gid} but it is not defined")
 
-    @pytest.mark.parametrize("old, new, field", [
-        ("\ntime_s = 0.5\n", "\ntime_s = 0.5003\n", "events[0].time = 0.5003"),
-        ("horizon_s = 8.0", "horizon_s = 1.0025", "horizon = 1.0025"),
-    ], ids=["event", "horizon"])
-    def test_time_between_control_instants(self, tmp_path, capsys, old, new, field):
+    @pytest.mark.parametrize("old, new, at, field", [
+        ("\ntime_s = 0.5\n", "\ntime_s = 0.5003\n", "time_s = 0.5003",
+         "[event] time_s: time = 0.5003"),
+        ("horizon_s = 8.0", "horizon_s = 1.0025", "[sim]", "[sim]: horizon = 1.0025"),
+        ("[tie]", "[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3001\n\n[tie]",
+         "end_s = 0.3001", "[attack] end_s: end = 0.3001"),
+    ], ids=["event", "horizon", "attack"])
+    def test_time_between_control_instants(self, tmp_path, capsys, old, new, at, field):
         text = self.COLLABORATIVE.replace(old, new)
-        _rejects(tmp_path, capsys, text, f"line {_line(text, '[sim]')}: [sim]: {field} s "
+        _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: {field} s "
                  "is not a whole, non-negative number of 0.005 s steps")
 
     def test_calibration_horizon_between_control_instants(self, tmp_path, capsys,
@@ -638,11 +765,17 @@ class TestKeyTables:
             sim.value("seed")  # a Scenario field, not read by hand
 
     def test_readme_lists_every_key(self):
-        rows = re.findall(r"^\| `\[([a-z_]+)(?:\.N)?\]` \| `(\w+)` \|",
+        """One README row per key, its domain column the key's SECTIONS domain."""
+        rows = re.findall(r"^\| `\[([a-z_]+)(?:\.N)?\]` \| `(\w+)` \| [^|]+ \| ([^|]+) \|",
                           (ROOT / "README.md").read_text(), re.M)
-        assert len(rows) == len(set(rows))
-        assert set(rows) == {(name, key) for name, (_, keys) in cli.SECTIONS.items()
-                             if name for key in keys}
+        domains = {(name, key): spec[1] for name, (_, keys) in cli.SECTIONS.items()
+                   if name for key, spec in keys.items()}
+        assert len(rows) == len({row[:2] for row in rows})
+        assert {row[:2] for row in rows} == set(domains)
+        nouns = {str: "text", float: "number", int: "integer", cli.GRID[0]: "grid number"}
+        for name, key, cell in rows:
+            kind, _, rule = domains[name, key]
+            assert cell == (f"{nouns[kind]}, {rule}" if rule else nouns[kind]), (name, key)
 
 
 class TestMisc:

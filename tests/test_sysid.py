@@ -216,17 +216,18 @@ def _duplicated(u):
 ])
 def test_excitation_check_matches_the_input_hankel_svd(n_samples, m_in, make, i):
     """The rank check on the LQ factor's L11 block takes the decision, and
-    counts the rank, that the input Hankel's own SVD gives."""
+    counts the rank, that the input Hankel's own SVD gives: full row rank or
+    an InsufficientExcitationError, also when j < m i columns cannot reach it."""
     rng = np.random.default_rng(n_samples + m_in + i)
     u = rng.uniform(-1.0, 1.0, size=(n_samples, m_in))
     u = make(u) if make else u
     y = rng.normal(size=(n_samples, 2))
     u_h = sysid._hankel(u, i, n_samples - i + 1)
     sv = np.linalg.svd(u_h, compute_uv=False)
-    if not np.any(u) or sv[-1] > sysid.RANK_RTOL * sv[0]:
+    rank = int(np.sum(sv > sysid.RANK_RTOL * sv[0]))
+    if not np.any(u) or rank == u_h.shape[0]:
         sysid._projected_factors(u, y, i)
     else:
-        rank = int(np.sum(sv > sysid.RANK_RTOL * sv[0]))
         with pytest.raises(m.InsufficientExcitationError,
                            match=f"input Hankel rank {rank} < {u_h.shape[0]} rows"):
             sysid._projected_factors(u, y, i)

@@ -27,7 +27,7 @@ scratch directory with relative output paths so that printed lines compare:
     the observer law in one and closes the tie in the other;
   - the library's training pipeline, `casestudy.trained_detector`, as the
     acceptance suite's two detector fixtures call it (TRAINED), its model and
-    baseline written with `save_model` and `save_baseline`;
+    baseline written in the formats of `save_model` and `save_baseline`;
   - one library run of the case-study two-grid system (`study_scenario`:
     `casestudy.grid1_spec` and `grid2_spec` joined by `default_tie`, grid 1
     switched off and then the tie closed by events), written with `to_csv`
@@ -125,8 +125,9 @@ def train_detector(out, seed: int, loads: str) -> None:
     """casestudy.trained_detector on the acceptance suite's study grid with
     seed, calibrated under the pulsating load ("pulse") or frozen loads
     ("quiet"); its model and baseline are written into out."""
-    from microagc import casestudy, cli, defaults, sysid
+    from microagc import casestudy, defaults, sysid
     from microagc.lqr import CostWeights
+    from microagc.textio import BlockFile
 
     grid = casestudy.grid1_spec(weights=CostWeights.uniform(3, q=defaults.SCENARIO_Q_DIAG))
     signals = [casestudy.pulse_load_signal()] if loads == "pulse" else []
@@ -134,7 +135,13 @@ def train_detector(out, seed: int, loads: str) -> None:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     sysid.save_model(det.model, out / "model.txt")
-    cli.save_baseline(det.baseline, det.eps1, det.eps2, out / "baseline.txt")
+    # save_baseline's format; the thresholds sit on the baseline, or beside it
+    # in a base tree from before they moved there
+    base = det.baseline
+    eps = base if hasattr(base, "eps1") else det
+    BlockFile.write(out / "baseline.txt", {"window": base.w, "eps1": eps.eps1,
+                                           "eps2": eps.eps2},
+                    {"mu": base.mu_star, "sigma": base.sigma_star})
 
 
 def study_scenario():

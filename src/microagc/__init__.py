@@ -67,6 +67,7 @@ from .watermark import (  # noqa: F401
     calibrate_baseline,
     calibrate_thresholds,
     dw_step,
+    innovation_statistics,
     predict_step,
     window_statistics,
 )

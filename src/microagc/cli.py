@@ -25,7 +25,6 @@ from dataclasses import MISSING, replace
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import defaults, __version__
 from .lqr import ControlDesignError, CostWeights
@@ -64,7 +63,7 @@ from .watermark import (
     calibrate_baseline,
     calibrate_thresholds,
     dw_step,
-    window_statistics,
+    innovation_statistics,
 )
 
 EXIT_OK = 0
@@ -285,15 +284,32 @@ def _watermark(sec: Section, n: int, default_seed: int) -> WatermarkConfig:
                                      n, seed=sec.value("watermark_seed", default_seed))
 
 
+def _detector_model(sec: Section, n: int, base_dir: Path) -> DiscreteModel:
+    """The model_file's model, which must map n commands to n powers."""
+    model = load_model(base_dir / sec.value("model_file"))
+    if not model.n_inputs == model.n_outputs == n:
+        raise ConfigError(f"{sec.where('model_file')}: the model has {model.n_inputs} "
+                          f"inputs and {model.n_outputs} outputs, the grid {n} IBRs")
+    return model
+
+
+def _detector_baseline(sec: Section, n: int, base_dir: Path) -> BaselineStats:
+    """The baseline_file's baseline, which must have n channels."""
+    baseline = load_baseline(base_dir / sec.value("baseline_file"))
+    if baseline.mu_star.size != n:
+        raise ConfigError(f"{sec.where('baseline_file')}: the baseline has "
+                          f"{baseline.mu_star.size} channels, the model {n} outputs")
+    return baseline
+
+
 def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | None:
     files = sec.value("model_file", None), sec.value("baseline_file", None)
     if files == (None, None):
         return None
     if None in files:
         raise ConfigError(f"{sec.where()} a detector needs model_file and baseline_file")
-    model = load_model(base_dir / files[0])
-    baseline, eps1, eps2 = load_baseline(base_dir / files[1])
-    return DetectorSetup(model=model, baseline=baseline, eps1=eps1, eps2=eps2,
+    return DetectorSetup(model=_detector_model(sec, n, base_dir),
+                         baseline=_detector_baseline(sec, n, base_dir),
                          watermark=_watermark(sec, n, default_seed=0))
 
 
@@ -305,6 +321,9 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
         if len(vals) not in (3, 4) or not vals[2] > 0.0:
             raise ConfigError(f"{sec.where('branch', i)}: "
                               "expected 'from to admittance [theta]', admittance > 0")
+        if any(v < 0 or v % 1 for v in vals[:2]):
+            raise ConfigError(f"{sec.where('branch', i)}: endpoints must be integers "
+                              f">= 0, got {vals[0]:g} {vals[1]:g}")
     v_star = _per_ibr(sec, "v_star", n + n_load, defaults.V_STAR)
     with sec.located():
         network = NetworkSpec.from_branches(
@@ -362,9 +381,6 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
 # ---------------------------------------------------------------------------
 # detector calibration and baseline persistence
 
-# windows per window_statistics call: 1.2 MB of temporaries at w = 100 and n = 3
-WINDOW_CHUNK = 256
-
 
 def calibrate_detector(grid: GridSpec, model: DiscreteModel, watermark: WatermarkConfig,
                        window: int, margin: float, **run) -> DetectorSetup:
@@ -372,34 +388,29 @@ def calibrate_detector(grid: GridSpec, model: DiscreteModel, watermark: Watermar
     loop settings and load signals, the watermark on and the thresholds open; run
     holds the Scenario's horizon, seed and timing."""
     n = grid.network.n_ibr
-    open_setup = DetectorSetup(
-        model=model, eps1=np.inf, eps2=np.inf, watermark=watermark,
-        baseline=BaselineStats(mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=window))
+    open_setup = DetectorSetup(model=model, watermark=watermark, baseline=BaselineStats(
+        mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=window))
     ts = run_scenario(Scenario(grids=(replace(grid, detector=open_setup),), **run))
     received, commands, marks = (np.column_stack([ts[f"mg1_{name}_{i + 1}"] for i in range(n)])
                                  for name in ("pg_rx", "dws", "wm"))
     predicted = predict(model, np.zeros(model.order), commands + marks)
     baseline = calibrate_baseline(received, predicted, w=window)
-    windows = sliding_window_view(received - predicted, window, axis=0).swapaxes(1, 2)
-    chunks = [window_statistics(windows[i : i + WINDOW_CHUNK], baseline)
-              for i in range(0, windows.shape[0], WINDOW_CHUNK)]
-    xi1, xi2 = (np.concatenate(series) for series in zip(*chunks))
+    xi1, xi2 = innovation_statistics(received - predicted, baseline)
     eps1, eps2 = calibrate_thresholds(xi1, xi2, margin=margin)
-    return DetectorSetup(model=model, baseline=baseline, eps1=eps1, eps2=eps2,
+    return DetectorSetup(model=model, baseline=replace(baseline, eps1=eps1, eps2=eps2),
                          watermark=watermark)
 
 
-def save_baseline(baseline: BaselineStats, eps1: float, eps2: float, path) -> None:
-    BlockFile.write(path, {"window": baseline.w, "eps1": eps1, "eps2": eps2},
+def save_baseline(baseline: BaselineStats, path) -> None:
+    BlockFile.write(path, {"window": baseline.w, "eps1": baseline.eps1, "eps2": baseline.eps2},
                     {"mu": baseline.mu_star, "sigma": baseline.sigma_star})
 
 
-def load_baseline(path) -> tuple[BaselineStats, float, float]:
+def load_baseline(path) -> BaselineStats:
     f = BlockFile(path)
     mu = f.block("mu")
-    baseline = BaselineStats(mu_star=mu, sigma_star=f.block("sigma", mu.size, mu.size),
-                             w=int(f.value("window")))
-    return baseline, f.value("eps1"), f.value("eps2")
+    return BaselineStats(mu_star=mu, sigma_star=f.block("sigma", mu.size, mu.size),
+                         w=int(f.value("window")), eps1=f.value("eps1"), eps2=f.value("eps2"))
 
 
 # ---------------------------------------------------------------------------
@@ -413,8 +424,8 @@ def write_detector_csv(ts: TimeSeries, scenario: Scenario, path) -> None:
             continue
         p = f"mg{gi + 1}"
         names += [f"{p}_xi1", f"{p}_xi2", f"{p}_eps1", f"{p}_eps2", f"{p}_flag"]
-        cols += [ts[f"{p}_xi1"], ts[f"{p}_xi2"], np.full(ts.time.shape, det.eps1),
-                 np.full(ts.time.shape, det.eps2), ts[f"{p}_flag"]]
+        cols += [ts[f"{p}_xi1"], ts[f"{p}_xi2"], np.full(ts.time.shape, det.baseline.eps1),
+                 np.full(ts.time.shape, det.baseline.eps2), ts[f"{p}_flag"]]
     write_table(path, names, cols)
 
 
@@ -509,16 +520,15 @@ def cmd_calibrate(args) -> int:
         raise ConfigError(f"{sec.where('horizon')} must be at least window = {window} "
                           f"control periods, got {horizon} s ({steps} periods)")
     grid = scenario.grids[_named_grid(sections, sec)]
-    model = load_model(out / sec.value("model_file"))
+    n = grid.network.n_ibr
     setup = calibrate_detector(
-        grid, model, _watermark(sec, grid.network.n_ibr, default_seed=29), window,
+        grid, _detector_model(sec, n, out), _watermark(sec, n, default_seed=29), window,
         sec.value("margin", defaults.THRESHOLD_MARGIN), horizon=horizon, seed=scenario.seed,
         control_period=scenario.control_period, integrator_step=scenario.integrator_step)
     out.mkdir(parents=True, exist_ok=True)
-    save_baseline(setup.baseline, setup.eps1, setup.eps2,
-                  out / sec.value("baseline_file", "baseline.txt"))
+    save_baseline(setup.baseline, out / sec.value("baseline_file", "baseline.txt"))
     if not args.quiet:
-        print(f"eps1 = {setup.eps1:.6g}, eps2 = {setup.eps2:.6g}")
+        print(f"eps1 = {setup.baseline.eps1:.6g}, eps2 = {setup.baseline.eps2:.6g}")
     return EXIT_OK
 
 
@@ -528,11 +538,10 @@ def cmd_detect(args) -> int:
     sec = _first_section(sections, "detect")
     gid = _named_grid(sections, sec) + 1
     model = load_model(out / sec.value("model_file"))
-    baseline, eps1, eps2 = load_baseline(out / sec.value("baseline_file"))
+    baseline = _detector_baseline(sec, model.n_outputs, out)
     t, u, e, y = _load_trace(out / sec.value("trace_file"), gid, model.n_inputs)
     n_steps = t.shape[0]
-    state = DetectorState(w=baseline.w, n=model.n_outputs,
-                          x_hat=np.zeros(model.order), eps1=eps1, eps2=eps2)
+    state = DetectorState.start(model, baseline)
     out.mkdir(parents=True, exist_ok=True)
     xi = np.zeros((n_steps, 2))
     flags = np.zeros(n_steps, dtype=int)
@@ -543,7 +552,8 @@ def cmd_detect(args) -> int:
         xi[k] = state.xi1, state.xi2
     write_table(out / sec.value("telemetry_file", "detector.csv"),
                 ["t", "xi1", "xi2", "eps1", "eps2", "flag"],
-                [t, *xi.T, np.full(n_steps, eps1), np.full(n_steps, eps2), flags])
+                [t, *xi.T, np.full(n_steps, baseline.eps1), np.full(n_steps, baseline.eps2),
+                 flags])
     if n_steps < baseline.w and not args.quiet:
         print(f"note: trace shorter than the window ({n_steps} < {baseline.w}); "
               "warm-up only, no decisions made")
@@ -600,8 +610,28 @@ def cmd_version(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, its usage errors raised as ConfigErrors, so that main
+    reports them as every other usage error: `error: ...` and exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _seed(token: str) -> int:
+    """--seed's value, in the domain of the config's seed keys (INDEX)."""
+    kind, test, rule = INDEX
+    try:
+        value = kind(token)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {token!r}") from None
+    if not test(value):
+        raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="microagc",
         description="frequency regulation and FDI-attack resilience for "
                     "systems of AC microgrids",
@@ -613,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_config:
             p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override run seed")
+        p.add_argument("--seed", type=_seed, default=None, help="override run seed")
         p.add_argument("--quiet", action="store_true")
     return parser
 
@@ -627,12 +657,12 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one subcommand; it is looked up as cmd_<name> at each call, so a
     rebinding of the module's cmd_* functions takes effect."""
-    args = _parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.WARNING if args.quiet else logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
+        args = _parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.WARNING if args.quiet else logging.INFO,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return globals()["cmd_" + args.command](args)
     except (ControlDesignError, IdentificationError, ModelError, SimulationError,
             ArithmeticError, np.linalg.LinAlgError) as exc:

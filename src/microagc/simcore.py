@@ -164,12 +164,10 @@ class Event:
 
 @dataclass(frozen=True)
 class DetectorSetup:
-    """Trained detection bundle: model, baseline (window w), thresholds, watermark."""
+    """Trained detection bundle: model, baseline (window w and thresholds), watermark."""
 
     model: DiscreteModel
     baseline: BaselineStats
-    eps1: float
-    eps2: float
     watermark: WatermarkConfig
 
 
@@ -497,12 +495,8 @@ class _GridRuntime:
         self.wm_source: WatermarkSource | None = None
         self.wm_active = False
         if spec.detector is not None:
-            det = spec.detector
-            self.det_state = DetectorState(
-                w=det.baseline.w, n=self.n, x_hat=np.zeros(det.model.order),
-                eps1=det.eps1, eps2=det.eps2,
-            )
-            self.wm_source = WatermarkSource(det.watermark)
+            self.det_state = DetectorState.start(spec.detector.model, spec.detector.baseline)
+            self.wm_source = WatermarkSource(spec.detector.watermark)
             self.wm_active = True
         self.responded = False
         self.log = {name: np.zeros(n_steps + 1, dtype=dtype)
@@ -641,6 +635,24 @@ class _World:
         self.stepper = ZohStepper(self.plant, self.stepper.h)
         self.tied = True
 
+    def check_finite(self, time_axis: np.ndarray) -> None:
+        """Raise SimulationError naming the time and column of the first value
+        of the per-IBR log that is not finite: the run diverged."""
+        first = []  # (step, column order, name) of each log array's first bad row
+        for order, (name, col) in enumerate(self.log.items()):
+            rows_ok = np.isfinite(col[1:]).all(axis=1)
+            if not rows_ok.all():
+                first.append((int(np.argmin(rows_ok)), order, name))
+        if not first:
+            return
+        rho, _, name = min(first)
+        row = self.log[name][rho + 1]
+        ch = int(np.argmin(np.isfinite(row)))
+        gi = next(gi for gi, sl in enumerate(self.channels) if ch < sl.stop)
+        raise SimulationError(
+            f"the run diverged at t={time_axis[rho]:.4f}s: "
+            f"mg{gi + 1}_{name}_{ch - self.channels[gi].start + 1} = {row[ch]}")
+
 
 # ---------------------------------------------------------------------------
 # the orchestration loop
@@ -654,7 +666,8 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     the auto response when a flag first rises, update the active control law,
     superpose the watermark, then integrate the plant to the next instant.
     Every time is a step index, and the loads and their change mask are
-    evaluated, before the loop starts.
+    evaluated, before the loop starts. A log value that is not finite after
+    the loop is a SimulationError.
     """
     dt_c = scenario.control_period
     h = scenario.integrator_step
@@ -740,6 +753,7 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
         np.add(dws_log[r], wm_log[r], out=world.applied)
         world.x = world.stepper.step(world.x, world.applied, loads[rho], changed[rho])
 
+    world.check_finite(time_axis)
     return _time_series(time_axis, rts)
 
 

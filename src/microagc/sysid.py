@@ -100,10 +100,9 @@ class DiscreteModel:
 
 @dataclass(frozen=True)
 class OrderReport:
-    """Prediction error per candidate order and the selected minimizer.
-
-    near_tie_tol is the absolute slack under which two eta values count as
-    tied (numerical noise); ties resolve to the smallest order.
+    """Prediction error per candidate order and the selected minimizer; eta
+    values within numerical noise of the minimum tie, and a tie resolves to the
+    smallest order.
     """
 
     candidates: tuple[int, ...]
@@ -111,7 +110,6 @@ class OrderReport:
     d_star: int
     failures: dict[int, str] = field(default_factory=dict)
     init_state_samples: int = 0
-    near_tie_tol: float = 0.0
 
 
 def generate_excitation(spec: ExcitationSpec, n_channels: int) -> np.ndarray:
@@ -426,7 +424,6 @@ def select_order(
         d_star=d_star,
         failures=failures,
         init_state_samples=max(2 * d_star, 20),
-        near_tie_tol=tol,
     )
     return report, models[d_star]
 

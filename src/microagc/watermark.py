@@ -8,11 +8,11 @@ covariance are tested against an attack-free baseline:
     xi1 = || mu_hat - mu_star ||_2        (mean shift)
     xi2 = | tr(Sigma_hat - Sigma_star) |  (variance shift)
 
-Either statistic at or above its threshold raises the attack flag. The
-statistics have one implementation, window_statistics, which takes one window
-or a stack of them: the streaming dw_step passes its sliding window, and
-calibration passes every window of a nominal record as strided views, a chunk
-at a time, with each window's statistics bit-equal to the window alone.
+Either statistic at or above its BaselineStats threshold raises the attack
+flag. The statistics have one implementation, window_statistics, for one window
+or a stack of them: the streaming dw_step passes its sliding window, and the
+record-level innovation_statistics every window of a record as strided views, a
+chunk at a time, each window's statistics bit-equal to the window alone.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import defaults
 from .netmodel import _readonly
@@ -95,7 +96,8 @@ def predict_step(
 
 @dataclass(frozen=True)
 class BaselineStats:
-    """Attack-free innovation statistics over a window of length w.
+    """Attack-free innovation statistics over a window of length w and the
+    thresholds on xi1 and xi2, open (math.inf) until calibrated.
 
     trace is tr(sigma_star), computed once for window_statistics.
     """
@@ -103,6 +105,8 @@ class BaselineStats:
     mu_star: np.ndarray
     sigma_star: np.ndarray
     w: int
+    eps1: float = math.inf
+    eps2: float = math.inf
     trace: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -156,31 +160,23 @@ def calibrate_thresholds(
 
 @dataclass
 class DetectorState:
-    """Streaming detector: prediction state, innovation window, running flag.
+    """Streaming detector: prediction state, innovation window, statistics.
 
     nu holds the last w innovations (received minus predicted power) in
     chronological order, oldest first; count is the number of samples seen.
     Until count reaches w the window still holds leading zeros.
     """
 
-    w: int
-    n: int
     x_hat: np.ndarray
-    eps1: float
-    eps2: float
-    nu: np.ndarray = field(init=False)
-    count: int = field(init=False, default=0)
-    xi1: float = field(init=False, default=0.0)
-    xi2: float = field(init=False, default=0.0)
-    flag: bool = field(init=False, default=False)
+    nu: np.ndarray
+    count: int = 0
+    xi1: float = 0.0
+    xi2: float = 0.0
 
-    def __post_init__(self):
-        self.x_hat = np.array(self.x_hat, dtype=float)
-        self.nu = np.zeros((self.w, self.n))
-
-    @property
-    def warmed_up(self) -> bool:
-        return self.count >= self.w
+    @classmethod
+    def start(cls, model: DiscreteModel, baseline: BaselineStats) -> "DetectorState":
+        """The state before the first sample: zero prediction state, zero window."""
+        return cls(x_hat=np.zeros(model.order), nu=np.zeros((baseline.w, model.n_outputs)))
 
 
 def window_statistics(nu: np.ndarray, baseline: BaselineStats):
@@ -209,6 +205,22 @@ def window_statistics(nu: np.ndarray, baseline: BaselineStats):
     return np.array([math.sqrt(s @ s) for s in shift]), np.abs(tr_hat - baseline.trace)
 
 
+# windows per window_statistics call: 1.2 MB of temporaries at w = 100 and n = 3
+WINDOW_CHUNK = 256
+
+
+def innovation_statistics(nu: np.ndarray, baseline: BaselineStats):
+    """xi1 and xi2 of a (k, n) innovation record as two (k,) arrays: row j is
+    bit-equal to what dw_step leaves in its state after j + 1 innovations,
+    zeros until the window is warm."""
+    w = baseline.w
+    xi = np.zeros((2, nu.shape[0]))
+    for i in range(w - 1, nu.shape[0], WINDOW_CHUNK):  # i: the chunk's first row
+        windows = sliding_window_view(nu[i - w + 1 : i + WINDOW_CHUNK], w, axis=0)
+        xi[:, i : i + WINDOW_CHUNK] = window_statistics(windows.swapaxes(1, 2), baseline)
+    return xi[0], xi[1]
+
+
 def dw_step(
     state: DetectorState,
     baseline: BaselineStats,
@@ -228,8 +240,7 @@ def dw_step(
     state.nu[:-1] = state.nu[1:]
     state.nu[-1] = np.asarray(received_p, dtype=float) - p_hat
     state.count += 1
-    if not state.warmed_up:  # xi1, xi2 and flag keep their initial zeros
+    if state.count < baseline.w:  # xi1 and xi2 keep their initial zeros
         return False, state
     state.xi1, state.xi2 = window_statistics(state.nu, baseline)
-    state.flag = (state.xi1 >= state.eps1) or (state.xi2 >= state.eps2)
-    return state.flag, state
+    return (state.xi1 >= baseline.eps1) or (state.xi2 >= baseline.eps2), state

@@ -282,7 +282,7 @@ def test_criterion_07_detection(study_grid, detector_pulsed):
     elapsed = budget.done()
     print(f"ACCEPTANCE 7 PASS detection (W = {det.baseline.w}): false alarms = "
           f"{false_alarms} over 10 s (xi2 peak {nominal_peak:.3g} < eps2 "
-          f"{det.eps2:.3g}), noise latency = {noise_latency * 1e3:.0f} ms "
+          f"{det.baseline.eps2:.3g}), noise latency = {noise_latency * 1e3:.0f} ms "
           f"(tol 50 ms), recovery = {recovery:.3f} s (tol 1.0 s), replay "
           f"latency = {replay_latency * 1e3:.0f} ms (tol 200 ms) ({elapsed:.2f}s)")
     assert false_alarms == 0

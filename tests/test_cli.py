@@ -4,6 +4,7 @@ the defaults round trip between config parsing and the defaults module."""
 import contextlib
 import dataclasses
 import io
+import math
 import re
 import shutil
 import tempfile
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from microagc import cli, defaults
 from microagc.sysid import DiscreteModel, ExcitationSpec, save_model
@@ -384,8 +385,8 @@ class TestCorruptDetectorFiles:
         model = DiscreteModel(a_d=0.5 * np.eye(2), b_d=np.eye(2), c_d=np.eye(2),
                               dt=0.005, order=2)
         save_model(model, work / "model.txt")
-        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), sigma_star=np.eye(2), w=4),
-                          1.0, 1.0, work / "baseline.txt")
+        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), sigma_star=np.eye(2), w=4,
+                                        eps1=1.0, eps2=1.0), work / "baseline.txt")
         path = work / name
         path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
         cfg = tmp_path / "d.cfg"
@@ -394,6 +395,45 @@ class TestCorruptDetectorFiles:
         assert rc == cli.EXIT_USAGE
         err = capsys.readouterr().err
         assert str(path) in err and expected in err
+
+
+class TestDetectorFilesFitTheGrid:
+    """A model or baseline whose channel count does not fit its grid or its
+    model exits 1 at its model_file or baseline_file line, before anything
+    runs."""
+
+    CONFIG = TestCorruptDetectorFiles.CONFIG + (
+        "\n[calibrate]\ngrid = 1\nmodel_file = model.txt\n")
+
+    @pytest.mark.parametrize("command, section, key, model_n, baseline_n, message", [
+        ("simulate", "[grid.1]", "model_file", 3, 2,
+         "the model has 3 inputs and 3 outputs, the grid 2 IBRs"),
+        ("simulate", "[grid.1]", "baseline_file", 2, 3,
+         "the baseline has 3 channels, the model 2 outputs"),
+        ("calibrate", "[calibrate]", "model_file", 3, 2,
+         "the model has 3 inputs and 3 outputs, the grid 2 IBRs"),
+        ("detect", "[detect]", "baseline_file", 2, 3,
+         "the baseline has 3 channels, the model 2 outputs"),
+    ], ids=["simulate-model", "simulate-baseline", "calibrate-model", "detect-baseline"])
+    def test_mismatch_names_its_line(self, tmp_path, capsys, command, section, key,
+                                     model_n, baseline_n, message):
+        work = tmp_path / "w"
+        work.mkdir()
+        eye = np.eye(model_n)
+        save_model(DiscreteModel(a_d=0.5 * eye, b_d=eye, c_d=eye, dt=0.005, order=model_n),
+                   work / "model.txt")
+        cli.save_baseline(BaselineStats(mu_star=np.zeros(baseline_n),
+                                        sigma_star=np.eye(baseline_n), w=4),
+                          work / "baseline.txt")
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(self.CONFIG)
+        lines = self.CONFIG.splitlines()
+        start = lines.index(section)
+        line = next(i for i in range(start, len(lines)) if lines[i].startswith(key)) + 1
+        assert run([command, "--config", cfg, "--out", work]) == cli.EXIT_USAGE
+        assert (f"error: {cfg}: line {line}: {section} {key}: {message}"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in work.iterdir()) == ["baseline.txt", "model.txt"]
 
 
 class TestDefaultsRoundTrip:
@@ -449,6 +489,18 @@ def test_rejected_simulate_removes_the_directories_it_made(tmp_path, capsys):
         assert run(["simulate", "--config", cfg, "--out", out]) == cli.EXIT_USAGE
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "kept"]
     assert list((tmp_path / "kept").iterdir()) == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_diverged_simulate_exits_2_and_removes_the_directories_it_made(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text((CONFIGS / "regulation_pulses.cfg").read_text().replace(
+        "amplitude_w = 1904.4", "amplitude_w = 1e308"))
+    out = tmp_path / "o" / "deeper"
+    assert run(["simulate", "--config", cfg, "--out", out]) == cli.EXIT_NUMERIC
+    assert re.search(r"^error: the run diverged at t=\d+\.\d{4}s: mg1_\w+_\d = (nan|-?inf)$",
+                     capsys.readouterr().err, re.M)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
 def test_rejected_identify_removes_the_directories_it_made(tmp_path, capsys):
@@ -546,12 +598,16 @@ def _mutant(draw, text: str) -> str:
     ("detection_demo.cfg", "identify", 30),
 ])
 def test_mutated_config_exits_cleanly(name, command, examples):
-    """A mutant of a shipped config raises nothing out of main: it exits 0, or
-    1 naming `file: line N` with no --out directory left behind, or 2 with an
-    error line."""
+    """A mutant of a shipped config raises nothing out of main: it exits 0,
+    for simulate with every value in summary.txt finite, or 1 naming
+    `file: line N` with no --out directory left behind, or 2 with an error
+    line."""
+
+    text = (CONFIGS / name).read_text()
 
     @settings(max_examples=examples, derandomize=True, deadline=None, database=None)
-    @given(text=_mutant((CONFIGS / name).read_text()))
+    @given(text=_mutant(text))
+    @example(text=re.sub(r"amplitude_w = \S+", "amplitude_w = 1e308", text))  # diverges
     def check(text):
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "c.cfg", Path(tmp) / "o" / "out"
@@ -563,9 +619,12 @@ def test_mutated_config_exits_cleanly(name, command, examples):
                 assert re.search(rf"^error: {re.escape(str(cfg))}: line \d+: ", err.getvalue(),
                                  re.M), err.getvalue()
                 assert not out.parent.exists()
-            else:
-                assert rc in (cli.EXIT_OK, cli.EXIT_NUMERIC), err.getvalue()
-                assert rc == cli.EXIT_OK or re.search("^error: ", err.getvalue(), re.M)
+            elif rc == cli.EXIT_OK and command == "simulate":
+                values = re.findall(r"= (\S+)", (out / "summary.txt").read_text())
+                assert all(math.isfinite(float(v)) for v in values if v != "none"), values
+            elif rc != cli.EXIT_OK:
+                assert rc == cli.EXIT_NUMERIC, err.getvalue()
+                assert re.search("^error: ", err.getvalue(), re.M)
 
     check()
 
@@ -613,6 +672,10 @@ class TestScenarioFileRejections:
         ("branch = 1 2 3.333", "branch = 1 2",
          "branch: expected 'from to admittance [theta]'"),
         ("seed = 11", "seed = 11.5", "seed: expected an integer, got '11.5'"),
+        ("branch = 0 2 3.333", "branch = 0.7 2 3.333",
+         "branch: endpoints must be integers >= 0, got 0.7 2"),
+        ("branch = 1 2 3.333", "branch = 1 -2 3.333",
+         "branch: endpoints must be integers >= 0, got 1 -2"),
         ("n_ibr = 2", "n_ibr = 0", "n_ibr must be >= 1, got 0"),
         ("n_load = 1", "n_load = -1", "n_load must be >= 0, got -1"),
     ])
@@ -796,6 +859,21 @@ class TestMisc:
             cli._parser.cache_clear()
         assert len(built) == 1
         assert [(a.command, a.config) for a in ran] == [("simulate", str(minimal_cfg))]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["simulate"], "the following arguments are required: --config"),
+        (["identify", "--config", CONFIGS / "detection_demo.cfg", "--seed", "abc"],
+         "argument --seed: expected an integer, got 'abc'"),
+        (["identify", "--config", CONFIGS / "detection_demo.cfg", "--seed", "-3"],
+         "argument --seed: must be >= 0, got -3"),
+        (["fly"], "argument command: invalid choice: 'fly'"),
+    ], ids=["missing-config", "seed-not-integer", "seed-negative", "unknown-command"])
+    def test_usage_error_exits_1_naming_the_argument(self, tmp_path, capsys, argv,
+                                                     message):
+        out = tmp_path / "out"
+        assert run([*argv, "--out", out]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
 
     def test_version(self, capsys):
         assert run(["version"]) == cli.EXIT_OK

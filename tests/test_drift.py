@@ -106,8 +106,9 @@ def test_train_command_writes_the_trained_detector_of_an_acceptance_fixture(tmp_
     grid = cs.grid1_spec(weights=CostWeights.uniform(3, q=defaults.SCENARIO_Q_DIAG))
     det, _ = cs.trained_detector(grid, calibration_signals=(), seed=6)
     model = load_model(tmp_path / "q" / "model.txt")
-    baseline, eps1, eps2 = cli.load_baseline(tmp_path / "q" / "baseline.txt")
-    assert (model.order, eps1, eps2, baseline.w) == (det.model.order, det.eps1, det.eps2, 100)
+    baseline = cli.load_baseline(tmp_path / "q" / "baseline.txt")
+    assert (model.order, baseline.eps1, baseline.eps2, baseline.w) == (
+        det.model.order, det.baseline.eps1, det.baseline.eps2, 100)
     for name in ("a_d", "b_d", "c_d"):
         assert (getattr(model, name) == getattr(det.model, name)).all()
     assert (baseline.mu_star == det.baseline.mu_star).all()

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import microagc as m
-from microagc import casestudy as cs
+from microagc import casestudy as cs, simcore
 from microagc.simcore import ZohStepper, _clip, _load_changes, load_vector, rms
 
 
@@ -402,6 +402,26 @@ class TestRunScenario:
             z = m.z_update(z, u_prev, pg_prev, sc.control_period, omega_c, m_p)
             assert np.array_equal(z, logged[k])
             u_prev, pg_prev = applied[k], pg_rx[k]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_diverged_run_names_the_first_step_and_column_not_finite(self, monkeypatch):
+        """A run whose log goes non-finite raises SimulationError at the first
+        such step, naming its time and the first such column of that step in
+        log order; the same run unchecked is the oracle."""
+        sig = m.LoadSignalSpec(kind="step", amplitude=1e308, load_index=0, step_time=0.3)
+        sc = m.Scenario(grids=(cs.grid1_spec(), cs.grid2_spec(load_signals=[sig])),
+                        horizon=1.0)
+        with pytest.raises(m.SimulationError) as err:
+            m.run_scenario(sc)
+        monkeypatch.setattr(simcore._World, "check_finite", lambda world, t: None)
+        ts = m.run_scenario(sc)
+        names = [f"mg{g}_{name}_{i + 1}" for name, per_ibr, _ in simcore._LOG if per_ibr
+                 for g, n in ((1, 3), (2, 2)) for i in range(n)]
+        bad = np.column_stack([~np.isfinite(ts[c]) for c in names])
+        k = np.flatnonzero(bad.any(axis=1))[0]
+        col = names[np.flatnonzero(bad[k])[0]]
+        assert ts.time[k] >= 0.3 and col.startswith("mg2_")
+        assert str(err.value) == f"the run diverged at t={ts.time[k]:.4f}s: {col} = {ts[col][k]}"
 
     def test_determinism_bit_identical_logs(self):
         sig = cs.pulse_load_signal()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import microagc as m
 from microagc import casestudy as cs, cli
-from microagc.watermark import DetectorState
+from microagc.watermark import WINDOW_CHUNK, DetectorState
 
 
 def toy_model(n=2):
@@ -133,9 +133,9 @@ class TestDwStep:
     def make_detector(self, w=4, n=1, eps1=0.5, eps2=0.5):
         model = m.DiscreteModel(a_d=np.array([[0.0]]), b_d=np.array([[0.0]]),
                                 c_d=np.array([[1.0]]), dt=0.005, order=1)
-        state = DetectorState(w=w, n=n, x_hat=np.zeros(1), eps1=eps1, eps2=eps2)
-        base = m.BaselineStats(mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=w)
-        return model, state, base
+        base = m.BaselineStats(mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=w,
+                               eps1=eps1, eps2=eps2)
+        return model, DetectorState.start(model, base), base
 
     def test_window_discipline_fifo(self):
         model, state, base = self.make_detector(w=4)
@@ -166,7 +166,7 @@ class TestDwStep:
         for _ in range(50):
             flag, _ = m.dw_step(state, base, model,
                                 rng.normal(size=1), np.zeros(1), np.zeros(1))
-            if state.warmed_up:
+            if state.count >= base.w:
                 assert flag == (state.xi1 >= 0.3 or state.xi2 >= 0.2)
 
     def test_replay_of_logged_inputs_reproduces_flags(self):
@@ -181,7 +181,7 @@ class TestDwStep:
             e_prev = es[k - 1] if k else np.zeros(1)
             flag, _ = m.dw_step(state, base, model, ys[k], u_prev, e_prev)
             flags.append(flag)
-        state2 = DetectorState(w=8, n=1, x_hat=np.zeros(1), eps1=0.3, eps2=0.2)
+        state2 = DetectorState.start(model, base)
         flags2 = []
         for k in range(60):
             u_prev = us[k - 1] if k else np.zeros(1)
@@ -195,9 +195,10 @@ class TestDwStep:
 @given(w=st.integers(1, 12), n=st.integers(1, 4), extra=st.integers(0, 30),
        offset=st.floats(-1e4, 1e4), seed=st.integers(0, 2**32 - 1))
 def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset, seed):
-    """dw_step on a stream gives exactly window_statistics on each window of
-    the replayed record; both match the mean/covariance definition to 1e-9
-    relative to the magnitude of the compared terms."""
+    """dw_step on a stream gives exactly innovation_statistics on the replayed
+    record, the warm-up zeros included, and window_statistics on each of its
+    windows; both match the mean/covariance definition to 1e-9 relative to the
+    magnitude of the compared terms."""
     rng = np.random.default_rng(seed)
     k = w + extra
     a = rng.normal(size=(n, n))
@@ -210,17 +211,19 @@ def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset,
     baseline = m.BaselineStats(mu_star=offset + rng.normal(size=n),
                                sigma_star=np.diag(rng.uniform(0.1, 2.0, n)), w=w)
 
-    state = DetectorState(w=w, n=n, x_hat=np.zeros(n), eps1=np.inf, eps2=np.inf)
+    state = DetectorState.start(model, baseline)
     streamed = []
     for i in range(k):
         prev = (commands[i - 1], marks[i - 1]) if i else (np.zeros(n), np.zeros(n))
         m.dw_step(state, baseline, model, received[i], *prev)
-        if state.warmed_up:
-            streamed.append((state.xi1, state.xi2))
+        streamed.append((state.xi1, state.xi2))
 
     nu = received - m.predict(model, np.zeros(n), commands + marks)
+    xi1, xi2 = m.innovation_statistics(nu, baseline)
+    assert list(zip(xi1.tolist(), xi2.tolist())) == streamed
+    assert streamed[: w - 1] == [(0.0, 0.0)] * (w - 1)
     batch = [m.window_statistics(nu[i - w : i], baseline) for i in range(w, k + 1)]
-    assert streamed == batch
+    assert streamed[w - 1 :] == batch
 
     for (xi1, xi2), i in zip(batch, range(w, k + 1)):
         win = nu[i - w : i]
@@ -232,6 +235,20 @@ def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset,
         scale2 = np.trace(cov) + np.trace(baseline.sigma_star)
         assert abs(xi1 - ref1) <= 1e-9 * scale1
         assert abs(xi2 - ref2) <= 1e-9 * scale2
+
+
+@pytest.mark.parametrize("w, k", [(1, 2 * WINDOW_CHUNK), (5, 3 * WINDOW_CHUNK + 7),
+                                  (100, 2001), (9, 8)])
+def test_innovation_statistics_rows_across_chunks(w, k):
+    """Past warm-up each row holds the statistics of the window ending there,
+    across chunk edges; before it, and on a record shorter than the window,
+    rows are zero."""
+    rng = np.random.default_rng(w + k)
+    nu = rng.normal(size=(k, 3))
+    baseline = m.BaselineStats(mu_star=rng.normal(size=3), sigma_star=np.eye(3), w=w)
+    xi1, xi2 = m.innovation_statistics(nu, baseline)
+    alone = [m.window_statistics(nu[j - w + 1 : j + 1], baseline) for j in range(w - 1, k)]
+    assert list(zip(xi1.tolist(), xi2.tolist())) == ([(0.0, 0.0)] * (w - 1) + alone)[:k]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -271,7 +288,7 @@ def test_trained_detector_calibrates_the_grids_own_loop(monkeypatch):
     assert [getattr(calib, f) for f in loop] == [getattr(grid, f) for f in loop]
     assert calib.network is grid.network and calib.load_signals == ()
     assert calib.detector.watermark == setup.watermark
-    assert calib.detector.eps1 == np.inf and calib.detector.eps2 == np.inf
+    assert calib.detector.baseline.eps1 == np.inf and calib.detector.baseline.eps2 == np.inf
 
 
 @pytest.fixture(scope="module")

@@ -9,7 +9,8 @@ scratch directory with relative output paths so that printed lines compare:
   - `simulate` on each shipped config in `configs/` (`detection_demo.cfg`
     alone has no model to load yet, so that run compares exit code 3);
   - the `configs/detection_demo.cfg` chain identify -> calibrate -> simulate
-    -> detect in one workspace;
+    -> detect in one workspace, and again with `[grid.1] watermark_std = 0`,
+    whose draws must stay +0.0 (a `wm` cell of `-0` would differ);
   - `simulate` on the nine `slow-lqr` jobs of the benchmark's regulate
     library, rendered from `perfbench/workload.py` into the scratch directory.
     Their saturated limit cycle is chaotic, so a last-bit change in the plant
@@ -27,7 +28,7 @@ scratch directory with relative output paths so that printed lines compare:
     the observer law in one and closes the tie in the other;
   - the library's training pipeline, `casestudy.trained_detector`, as the
     acceptance suite's two detector fixtures call it (TRAINED), its model and
-    baseline written in the formats of `save_model` and `save_baseline`;
+    baseline written by `save_model` and `save_baseline`;
   - one library run of the case-study two-grid system (`study_scenario`:
     `casestudy.grid1_spec` and `grid2_spec` joined by `default_tie`, grid 1
     switched off and then the tie closed by events), written with `to_csv`
@@ -125,9 +126,8 @@ def train_detector(out, seed: int, loads: str) -> None:
     """casestudy.trained_detector on the acceptance suite's study grid with
     seed, calibrated under the pulsating load ("pulse") or frozen loads
     ("quiet"); its model and baseline are written into out."""
-    from microagc import casestudy, defaults, sysid
+    from microagc import casestudy, cli, defaults, sysid
     from microagc.lqr import CostWeights
-    from microagc.textio import BlockFile
 
     grid = casestudy.grid1_spec(weights=CostWeights.uniform(3, q=defaults.SCENARIO_Q_DIAG))
     signals = [casestudy.pulse_load_signal()] if loads == "pulse" else []
@@ -135,13 +135,7 @@ def train_detector(out, seed: int, loads: str) -> None:
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     sysid.save_model(det.model, out / "model.txt")
-    # save_baseline's format; the thresholds sit on the baseline, or beside it
-    # in a base tree from before they moved there
-    base = det.baseline
-    eps = base if hasattr(base, "eps1") else det
-    BlockFile.write(out / "baseline.txt", {"window": base.w, "eps1": eps.eps1,
-                                           "eps2": eps.eps2},
-                    {"mu": base.mu_star, "sigma": base.sigma_star})
+    cli.save_baseline(det.baseline, out / "baseline.txt")
 
 
 def study_scenario():
@@ -169,6 +163,20 @@ def study_run(out) -> None:
     out.mkdir(parents=True, exist_ok=True)
     ts.to_csv(out / "timeseries.csv")
     (out / "summary.txt").write_text(summarize(ts, scenario), encoding="utf-8")
+
+
+def zero_watermark_chain(directory: Path) -> tuple[str, list[list[str]]]:
+    """(output directory, commands) of the detection_demo chain with grid 1's
+    watermark_std set to 0, its config written into directory; calibration
+    keeps its own [calibrate] watermark."""
+    text = (ROOT / "configs" / "detection_demo.cfg").read_text(encoding="utf-8")
+    grid = text.index("\n[grid.1]\n")
+    end = text.index("\n[", grid + 1)
+    section = re.sub(r"\nwatermark_std = \S+", "\nwatermark_std = 0", text[grid:end])
+    cfg = directory / "detection_demo_zero_watermark.cfg"
+    cfg.parent.mkdir(parents=True, exist_ok=True)
+    cfg.write_text(text[:grid] + section + text[end:], encoding="utf-8")
+    return "chain-zero-watermark", [[cmd, "--config", str(cfg)] for cmd in CHAIN]
 
 
 def controller_jobs(jobs, controller: str) -> list:
@@ -281,7 +289,7 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp())
     try:
         export(base_commit, work / "tree")
-        extra = render_benchmark_jobs(work / "cfg")
+        extra = [zero_watermark_chain(work / "cfg"), *render_benchmark_jobs(work / "cfg")]
         sides = {}
         for side, tree in (("base", work / "tree"), ("change", ROOT)):
             (work / side).mkdir()

@@ -33,7 +33,6 @@ from .netmodel import (  # noqa: F401
 from .transform import (  # noqa: F401
     LeftNullTransform,
     make_transform,
-    z_from_state,
     z_update,
 )
 from .lqr import (  # noqa: F401

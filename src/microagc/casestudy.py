@@ -166,7 +166,7 @@ def trained_detector(
     excitation = excitation or ExcitationSpec(seed=seed + 17)
     t, u, y = identification_records(grid, excitation)
     report, model = select_order(u, y, candidates=candidates, dt=excitation.dt)
-    watermark = WatermarkConfig.isotropic(watermark_std, grid.network.n_ibr, seed=seed + 29)
+    watermark = WatermarkConfig(watermark_std, seed=seed + 29)
     setup = cli.calibrate_detector(
         replace(grid, load_signals=tuple(calibration_signals)), model, watermark, window,
         margin, horizon=calibration_horizon, seed=seed + 43)

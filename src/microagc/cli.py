@@ -19,7 +19,6 @@ import contextlib
 import dataclasses
 import functools
 import logging
-import math
 import sys
 from dataclasses import MISSING, replace
 from pathlib import Path
@@ -55,7 +54,8 @@ from .sysid import (
     save_records,
     select_order,
 )
-from .textio import BlockFile, ConfigError, read_table, write_table
+from .textio import COUNT, INDEX, NON_NEGATIVE, POSITIVE, REAL, TEXT  # the key domains
+from .textio import BlockFile, ConfigError, parse_value, read_table, write_table
 from .watermark import (
     BaselineStats,
     DetectorState,
@@ -77,17 +77,9 @@ EXIT_IO = 3
 
 LIST, REPEAT = "list", "repeat"
 
-# A key's domain, (kind, test, rule): kind converts each token into a value, and
-# Section.read rejects a value that fails test as "must be <rule>". GRID turns a
-# grid number of the file (from 1) into the library's index (from 0); its range
-# is _named_grid's.
-TEXT = (str, None, "")
+# A key's domain is textio's (kind, test, rule). GRID turns a grid number of the
+# file (from 1) into the library's index (from 0); its range is _named_grid's.
 GRID = (lambda token: int(token) - 1, None, "")
-REAL = (float, math.isfinite, "finite")
-POSITIVE = (float, lambda v: 0.0 < v < math.inf, "finite and > 0")
-NON_NEGATIVE = (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
-COUNT = (int, lambda v: v >= 1, ">= 1")
-INDEX = (int, lambda v: v >= 0, ">= 0")
 
 # The keys of each section, key: (field, domain[, LIST or REPEAT]), and the
 # dataclass the section feeds. A field the dataclass does not take is one of the
@@ -163,20 +155,17 @@ class Section:
         self.lines: dict[str, list[int]] = {}   # field -> line of each occurrence
 
     def read(self, key: str, text: str, lineno: int) -> None:
-        at = f"{self.path}: line {lineno}: [{self.name}] {key}"
+        at = f"{self.path}: line {lineno}: [{self.name}] "
         if key not in self.keys:
-            raise ConfigError(at + ": unknown key")
-        field, (kind, test, rule), *shape = self.keys[key]
+            raise ConfigError(at + f"{key}: unknown key")
+        field, domain, *shape = self.keys[key]
         if field in self.lines and shape != [REPEAT]:
-            raise ConfigError(at + f": repeated key (first at line {self.lines[field][0]})")
+            raise ConfigError(at + f"{key}: repeated key (first at line "
+                              f"{self.lines[field][0]})")
         try:
-            value = [kind(t) for t in text.replace(",", " ").split()] if shape else kind(text)
-        except ValueError:
-            noun = "a number" if kind is float else "an integer"
-            raise ConfigError(at + f": expected {noun}, got {text!r}") from None
-        for v in value if shape else [value]:
-            if test and not test(v):
-                raise ConfigError(at + f" must be {rule}, got {v}")
+            value = parse_value(domain, key, text, many=bool(shape))
+        except ValueError as exc:
+            raise ConfigError(at + str(exc)) from None
         if shape == [REPEAT]:
             self.values.setdefault(field, []).append(value)
         else:
@@ -279,9 +268,9 @@ def _per_ibr(sec: Section, field: str, n: int, default: float) -> np.ndarray:
     return np.full(n, vals[0]) if len(vals) == 1 else np.array(vals)
 
 
-def _watermark(sec: Section, n: int, default_seed: int) -> WatermarkConfig:
-    return WatermarkConfig.isotropic(sec.value("watermark_std", defaults.WATERMARK_STD),
-                                     n, seed=sec.value("watermark_seed", default_seed))
+def _watermark(sec: Section, default_seed: int) -> WatermarkConfig:
+    return WatermarkConfig(sec.value("watermark_std", defaults.WATERMARK_STD),
+                           seed=sec.value("watermark_seed", default_seed))
 
 
 def _detector_model(sec: Section, n: int, base_dir: Path) -> DiscreteModel:
@@ -310,7 +299,7 @@ def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | Non
         raise ConfigError(f"{sec.where()} a detector needs model_file and baseline_file")
     return DetectorSetup(model=_detector_model(sec, n, base_dir),
                          baseline=_detector_baseline(sec, n, base_dir),
-                         watermark=_watermark(sec, n, default_seed=0))
+                         watermark=_watermark(sec, default_seed=0))
 
 
 def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path,
@@ -344,6 +333,9 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
     signals = tuple(s.build(LoadSignalSpec) for s in sections["load_signal"]
                     if _named_grid(sections, s) == gi)
     detector = _build_detector(sec, n, base_dir) if with_detector else None
+    if with_detector and detector is None and sec.values.get("controller") == "observer":
+        raise ConfigError(f"{sec.where('controller')}: the observer controller needs a "
+                          "detector (model_file and baseline_file)")
     return sec.build(GridSpec, network=network, ibrs=ibrs, p_injections=p_inj,
                      weights=weights, load_signals=signals, detector=detector)
 
@@ -365,7 +357,11 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
     sim = _first_section(sections, "sim")
     period = sim.values.get("control_period", defaults.CONTROL_PERIOD)
     for sec in sections["event"] + sections["attack"]:
-        _named_grid(sections, sec)
+        gi = _named_grid(sections, sec)
+        if (with_detectors and sec.values.get("action") == "observer_on"
+                and grids[gi].detector is None):
+            raise ConfigError(f"{sec.where('action')}: grid {gi + 1} has no detector "
+                              "(model_file and baseline_file)")
         for field in ("time", "start", "end", "replay_from", "replay_to"):
             with sec.located(field):
                 whole_steps(sec.values.get(field, 0.0), period, field)
@@ -406,11 +402,20 @@ def save_baseline(baseline: BaselineStats, path) -> None:
                     {"mu": baseline.mu_star, "sigma": baseline.sigma_star})
 
 
+# a threshold is > 0; inf, the open threshold of BaselineStats, is one
+THRESHOLD = (float, lambda v: v > 0.0, "> 0")
+BASELINE_KEYS = {"window": COUNT, "eps1": THRESHOLD, "eps2": THRESHOLD}
+
+
 def load_baseline(path) -> BaselineStats:
-    f = BlockFile(path)
+    f = BlockFile(path, BASELINE_KEYS)
     mu = f.block("mu")
-    return BaselineStats(mu_star=mu, sigma_star=f.block("sigma", mu.size, mu.size),
-                         w=int(f.value("window")), eps1=f.value("eps1"), eps2=f.value("eps2"))
+    sigma = f.block("sigma", mu.size, mu.size)
+    try:
+        return BaselineStats(mu_star=mu, sigma_star=sigma, w=f.value("window"),
+                             eps1=f.value("eps1"), eps2=f.value("eps2"))
+    except ValueError as exc:  # e.g. a covariance that is not symmetric
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +527,7 @@ def cmd_calibrate(args) -> int:
     grid = scenario.grids[_named_grid(sections, sec)]
     n = grid.network.n_ibr
     setup = calibrate_detector(
-        grid, _detector_model(sec, n, out), _watermark(sec, n, default_seed=29), window,
+        grid, _detector_model(sec, n, out), _watermark(sec, default_seed=29), window,
         sec.value("margin", defaults.THRESHOLD_MARGIN), horizon=horizon, seed=scenario.seed,
         control_period=scenario.control_period, integrator_step=scenario.integrator_step)
     out.mkdir(parents=True, exist_ok=True)

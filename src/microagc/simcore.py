@@ -496,7 +496,7 @@ class _GridRuntime:
         self.wm_active = False
         if spec.detector is not None:
             self.det_state = DetectorState.start(spec.detector.model, spec.detector.baseline)
-            self.wm_source = WatermarkSource(spec.detector.watermark)
+            self.wm_source = WatermarkSource(spec.detector.watermark, self.n)
             self.wm_active = True
         self.responded = False
         self.log = {name: np.zeros(n_steps + 1, dtype=dtype)

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import defaults
 from .netmodel import _readonly
-from .textio import BlockFile, ConfigError, read_table, write_table
+from .textio import COUNT, INDEX, REAL, BlockFile, ConfigError, read_table, write_table
 
 log = logging.getLogger(__name__)
 
@@ -364,14 +364,6 @@ def estimate_initial_state(
     return x0
 
 
-def prediction_error(model: DiscreteModel, x0: np.ndarray, u: np.ndarray,
-                     y: np.ndarray) -> float:
-    """Mean per-sample 2-norm prediction error over the record (W/sample)."""
-    y = _as_record(y)
-    y_hat = predict(model, x0, u)
-    return float(np.mean(np.linalg.norm(y_hat - y, axis=1)))
-
-
 def select_order(
     u: np.ndarray,
     y: np.ndarray,
@@ -383,7 +375,7 @@ def select_order(
     The initial state for scoring is estimated from the first max(2d, 20)
     samples; the report records that count for d*. A candidate is scored from
     its own fit: the prediction over the record is the fit's B/x0 regressor
-    times [vec(B); x0], equal to prediction_error's replay up to rounding.
+    times [vec(B); x0], equal to predict's replay from x0 up to rounding.
     Candidates with the same block-row count share one LQ factorization, its
     L22 SVD and the Hankel rank check read from its L11 block (a
     FitWorkspace), so each model is the one a lone identify call returns.
@@ -436,14 +428,18 @@ def save_model(model: DiscreteModel, path) -> None:
     }, {"a": model.a_d, "b": model.b_d, "c": model.c_d})
 
 
+MODEL_KEYS = {"order": COUNT, "effective_order": INDEX, "dt": REAL, "n_inputs": COUNT,
+              "n_outputs": COUNT}  # a model file's header keys and their domains
+
+
 def load_model(path) -> DiscreteModel:
     """Read a model persisted by save_model."""
-    f = BlockFile(path)
-    order, n_in, n_out = (int(f.value(k)) for k in ("order", "n_inputs", "n_outputs"))
+    f = BlockFile(path, MODEL_KEYS)
+    order, n_in, n_out = (f.value(k) for k in ("order", "n_inputs", "n_outputs"))
     return DiscreteModel(
         a_d=f.block("a", order, order), b_d=f.block("b", order, n_in),
         c_d=f.block("c", n_out, order), dt=f.value("dt"), order=order,
-        effective_order=int(f.value("effective_order", order)),
+        effective_order=f.value("effective_order", order),
     )
 
 

@@ -1,10 +1,13 @@
 """File formats of the command-line stages, written and read only here: CSV
 tables (run logs, detector telemetry, identification records) and the block
-files of models and baselines. Malformed input raises ConfigError naming the
-file, and the line where there is one; an unreadable file raises OSError.
+files of models and baselines, and the value domains of scenario and block
+file keys. Malformed input raises ConfigError naming the file, and the line
+where there is one; an unreadable file raises OSError.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -14,8 +17,33 @@ _CELL = {"f": "%.9g", "i": "%d", "u": "%d", "b": "%d", "O": "%s", "U": "%s"}
 _BLOCK_ROWS = 256  # rows held as Python objects at once: bounds the writer's memory
 
 
+# A key's domain, (kind, test, rule): kind converts each token into a value, and
+# parse_value rejects a value that fails test as "must be <rule>".
+TEXT = (str, None, "")
+REAL = (float, math.isfinite, "finite")
+POSITIVE = (float, lambda v: 0.0 < v < math.inf, "finite and > 0")
+NON_NEGATIVE = (float, lambda v: 0.0 <= v < math.inf, "finite and >= 0")
+COUNT = (int, lambda v: v >= 1, ">= 1")
+INDEX = (int, lambda v: v >= 0, ">= 0")
+
+
 class ConfigError(ValueError):
     """Input file problem; message carries file and line."""
+
+
+def parse_value(domain, key: str, text: str, many: bool = False):
+    """text converted by domain's kind, or for many each of its tokens split at
+    whitespace and commas, and checked by its test; a ValueError names key."""
+    kind, test, rule = domain
+    try:
+        value = [kind(t) for t in text.replace(",", " ").split()] if many else kind(text)
+    except ValueError:
+        noun = "a number" if kind is float else "an integer"
+        raise ValueError(f"{key}: expected {noun}, got {text!r}") from None
+    for v in value if many else [value]:
+        if test and not test(v):
+            raise ValueError(f"{key} must be {rule}, got {v}")
+    return value
 
 
 def write_table(path, names, columns) -> None:
@@ -63,15 +91,17 @@ def read_table(path, names=None) -> tuple[list[str], np.ndarray]:
 
 class BlockFile:
     """Structured text of model and baseline files: `key = value` header
-    lines of numbers, then `[name]` blocks of whitespace-separated numbers.
+    lines, each key declared with its domain, then `[name]` blocks of
+    whitespace-separated finite numbers.
 
-    Malformed lines, missing keys and missing or mis-sized blocks raise
+    Malformed lines, unknown or repeated keys, values outside their domain,
+    repeated blocks, missing keys and missing or mis-sized blocks raise
     ConfigError naming the file, and the line where there is one.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, keys: dict):
         self.path = path
-        self._header: dict[str, float] = {}
+        self._header: dict = {}
         self._blocks: dict[str, list[float]] = {}
         block = None
         with open(path, "r", encoding="utf-8") as fh:
@@ -79,12 +109,19 @@ class BlockFile:
                 line = raw.strip()
                 try:
                     if line.startswith("[") and line.endswith("]"):
-                        block = self._blocks.setdefault(line[1:-1], [])
+                        if line[1:-1] in self._blocks:
+                            raise ValueError(f"block {line} appears twice")
+                        name = line
+                        block = self._blocks[line[1:-1]] = []
                     elif block is not None:
-                        block.extend(float(v) for v in line.split())
+                        block.extend(parse_value(REAL, name, v) for v in line.split())
                     elif "=" in line:
-                        key, _, value = line.partition("=")
-                        self._header[key.strip()] = float(value)
+                        key, _, value = (part.strip() for part in line.partition("="))
+                        if key not in keys:
+                            raise ValueError(f"{key}: unknown key")
+                        if key in self._header:
+                            raise ValueError(f"{key}: repeated key")
+                        self._header[key] = parse_value(keys[key], key, value)
                     elif line:
                         raise ValueError("expected 'key = value'")
                 except ValueError as exc:
@@ -100,8 +137,8 @@ class BlockFile:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
-    def value(self, key: str, default: float | None = None) -> float:
-        """Header value; default when the key is absent."""
+    def value(self, key: str, default=None):
+        """Header value, of its domain's kind; default when the key is absent."""
         value = self._header.get(key, default)
         if value is None:
             raise ConfigError(f"{self.path}: missing header key {key!r}")

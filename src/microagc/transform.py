@@ -45,16 +45,6 @@ def make_transform(ibrs) -> LeftNullTransform:
     return LeftNullTransform(t_blocks=blocks, t=t)
 
 
-def z_from_state(transform: LeftNullTransform, dx: np.ndarray) -> np.ndarray:
-    """z = T dx, the transformed coordinates from the full deviation state."""
-    dx = np.asarray(dx, dtype=float)
-    if dx.shape != (2 * transform.n_ibr,):
-        raise ValueError(
-            f"state must have {2 * transform.n_ibr} entries, got {dx.shape}"
-        )
-    return transform.t @ dx
-
-
 def z_update(
     z: np.ndarray,
     d_omega_s: np.ndarray,

@@ -30,47 +30,27 @@ from .sysid import DiscreteModel
 
 @dataclass(frozen=True)
 class WatermarkConfig:
-    """Covariance and seed of the secret watermark sequence."""
+    """Isotropic secret watermark: each channel draws N(0, std^2), from seed."""
 
-    sigma: np.ndarray
+    std: float
     seed: int = 0
 
     def __post_init__(self):
-        sigma = _readonly(np.atleast_2d(self.sigma))
-        if sigma.shape[0] != sigma.shape[1]:
-            raise ValueError("watermark covariance must be square")
-        if not np.allclose(sigma, sigma.T):
-            raise ValueError("watermark covariance must be symmetric")
-        if sigma.size and np.min(np.linalg.eigvalsh(sigma)) < -1e-12 * max(
-            1.0, float(np.max(np.abs(sigma)))
-        ):
-            raise ValueError("watermark covariance must be positive semidefinite")
-        object.__setattr__(self, "sigma", sigma)
-
-    @classmethod
-    def isotropic(cls, std: float, n: int, seed: int = 0) -> "WatermarkConfig":
-        return cls(sigma=(std**2) * np.eye(n), seed=seed)
-
-    @property
-    def n_channels(self) -> int:
-        return self.sigma.shape[0]
+        if not 0.0 <= self.std < math.inf:
+            raise ValueError(f"watermark std must be finite and >= 0, got {self.std}")
 
 
 class WatermarkSource:
-    """Deterministic stream of watermark draws for one run (seeded)."""
+    """Deterministic stream of watermark draws on n channels for one run."""
 
-    def __init__(self, cfg: WatermarkConfig):
-        self.cfg = cfg
+    def __init__(self, cfg: WatermarkConfig, n: int):
         self._rng = np.random.default_rng(cfg.seed)
-        # PSD coloring factor; eigen route covers singular covariances.
-        try:
-            self._factor = np.linalg.cholesky(cfg.sigma)
-        except np.linalg.LinAlgError:
-            w, v = np.linalg.eigh(cfg.sigma)
-            self._factor = v @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
+        self._n = n
+        # a product, not std * z: at std = 0 every draw stays +0.0, never -0.0
+        self._factor = cfg.std * np.eye(n)
 
     def draw(self) -> np.ndarray:
-        return self._factor @ self._rng.standard_normal(self.cfg.n_channels)
+        return self._factor @ self._rng.standard_normal(self._n)
 
 
 def predict_step(

@@ -377,6 +377,39 @@ class TestCorruptDetectorFiles:
                      "[c] block needs 2 x 2 values, got 2", id="short-block"),
         pytest.param("model.txt", lambda lines: lines[1:],
                      "missing header key 'order'", id="missing-order"),
+        pytest.param("baseline.txt", _set_line(0, "window = 0"),
+                     "line 1: window must be >= 1, got 0", id="zero-window"),
+        pytest.param("baseline.txt", _set_line(0, "window = -5"),
+                     "line 1: window must be >= 1, got -5", id="negative-window"),
+        pytest.param("baseline.txt", _set_line(0, "window = 100.7"),
+                     "line 1: window: expected an integer, got '100.7'", id="real-window"),
+        pytest.param("baseline.txt", _set_line(1, "eps1 = nan"),
+                     "line 2: eps1 must be > 0, got nan", id="nan-eps1"),
+        pytest.param("baseline.txt", _set_line(2, "eps2 = nan"),
+                     "line 3: eps2 must be > 0, got nan", id="nan-eps2"),
+        pytest.param("baseline.txt", _set_line(2, "eps2 = 0"),
+                     "line 3: eps2 must be > 0, got 0.0", id="zero-eps2"),
+        pytest.param("baseline.txt", lambda lines: lines[:1] + lines,
+                     "line 2: window: repeated key", id="repeated-window"),
+        pytest.param("baseline.txt", lambda lines: lines + lines[3:5],
+                     "line 9: block [mu] appears twice", id="repeated-mu"),
+        pytest.param("baseline.txt", lambda lines: ["margin = 2.0"] + lines,
+                     "line 1: margin: unknown key", id="unknown-key"),
+        pytest.param("baseline.txt", _set_line(6, "nan 0.0"),
+                     "line 7: [sigma] must be finite, got nan", id="nan-sigma"),
+        pytest.param("baseline.txt", _set_line(6, "1.0 2.5"),
+                     "baseline covariance must be symmetric", id="asymmetric-sigma"),
+        pytest.param("model.txt", _set_line(0, "order = 4.9"),
+                     "line 1: order: expected an integer, got '4.9'", id="real-order"),
+        pytest.param("model.txt", _set_line(1, "effective_order = -3"),
+                     "line 2: effective_order must be >= 0, got -3",
+                     id="negative-effective-order"),
+        pytest.param("model.txt", _set_line(2, "dt = nan"),
+                     "line 3: dt must be finite, got nan", id="nan-dt"),
+        pytest.param("model.txt", _set_line(3, "n_inputs = 3.5"),
+                     "line 4: n_inputs: expected an integer, got '3.5'", id="real-n-inputs"),
+        pytest.param("model.txt", _set_line(4, "n_outputs = 0"),
+                     "line 5: n_outputs must be >= 1, got 0", id="zero-n-outputs"),
     ])
     def test_reports_file_and_place(self, tmp_path, capsys, command, name, corrupt,
                                     expected):
@@ -393,8 +426,7 @@ class TestCorruptDetectorFiles:
         cfg.write_text(self.CONFIG)
         rc = run([command, "--config", cfg, "--out", work])
         assert rc == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert str(path) in err and expected in err
+        assert f"error: {path}: {expected}" in capsys.readouterr().err
 
 
 class TestDetectorFilesFitTheGrid:
@@ -568,6 +600,25 @@ class TestDomains:
                  "line 1: [] schema_version: missing required key")
 
 
+def _exits_cleanly(argv, usage: str) -> int:
+    """argv's exit code, once it is shown to keep the fuzzers' contract: main
+    raises nothing, and it exits 0, for simulate with every value in
+    summary.txt finite, or 1 with an error matching the regex usage, or 2 with
+    an error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run(argv)
+    if rc == cli.EXIT_USAGE:
+        assert re.search(usage, err.getvalue(), re.M), err.getvalue()
+    elif rc == cli.EXIT_OK and argv[0] == "simulate":
+        values = re.findall(r"= (\S+)", (Path(argv[argv.index("--out") + 1]) / "summary.txt").read_text())
+        assert all(math.isfinite(float(v)) for v in values if v != "none"), values
+    elif rc != cli.EXIT_OK:
+        assert rc == cli.EXIT_NUMERIC, err.getvalue()
+        assert re.search("^error: ", err.getvalue(), re.M)
+    return rc
+
+
 @st.composite
 def _mutant(draw, text: str) -> str:
     """text with one mutation: a key line dropped, a line repeated, a value set
@@ -612,19 +663,61 @@ def test_mutated_config_exits_cleanly(name, command, examples):
         with tempfile.TemporaryDirectory() as tmp:
             cfg, out = Path(tmp) / "c.cfg", Path(tmp) / "o" / "out"
             cfg.write_text(text)
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                rc = run([command, "--config", cfg, "--out", out, "--quiet"])
-            if rc == cli.EXIT_USAGE:
-                assert re.search(rf"^error: {re.escape(str(cfg))}: line \d+: ", err.getvalue(),
-                                 re.M), err.getvalue()
-                assert not out.parent.exists()
-            elif rc == cli.EXIT_OK and command == "simulate":
-                values = re.findall(r"= (\S+)", (out / "summary.txt").read_text())
-                assert all(math.isfinite(float(v)) for v in values if v != "none"), values
-            elif rc != cli.EXIT_OK:
-                assert rc == cli.EXIT_NUMERIC, err.getvalue()
-                assert re.search("^error: ", err.getvalue(), re.M)
+            rc = _exits_cleanly([command, "--config", cfg, "--out", out, "--quiet"],
+                                rf"^error: {re.escape(str(cfg))}: line \d+: ")
+            assert rc != cli.EXIT_USAGE or not out.parent.exists()
+
+    check()
+
+
+@st.composite
+def _block_mutant(draw, text: str) -> str:
+    """A model or baseline file's text with one mutation: a line dropped or
+    repeated, or a header value or one number of a block row set to nan, inf,
+    -1, 0, 2.5, 1e308 or text."""
+    lines = text.splitlines()
+    kind = draw(st.sampled_from(["drop", "repeat", "value"]))
+    values = [i for i, line in enumerate(lines) if not line.startswith("[")]
+    i = draw(st.sampled_from(values if kind == "value" else range(len(lines))))
+    if kind == "drop":
+        del lines[i]
+    elif kind == "repeat":
+        lines.insert(i, lines[i])
+    else:
+        value = draw(st.sampled_from(["nan", "inf", "-1", "0", "2.5", "1e308", "abc"]))
+        if "=" in lines[i]:
+            lines[i] = f"{lines[i].split('=')[0].strip()} = {value}"
+        else:
+            cells = lines[i].split()
+            cells[draw(st.integers(0, len(cells) - 1))] = value
+            lines[i] = " ".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow of the 1e308 mutants
+def test_mutated_detector_files_exit_cleanly(demo_run):
+    """simulate and then detect, on the detection_demo.cfg chain with a mutant
+    of its model.txt or baseline.txt, keep the fuzzers' contract
+    (_exits_cleanly), an exit 1 naming the mutated file."""
+    files = {name: (demo_run / name).read_text() for name in ("baseline.txt", "model.txt")}
+    mutants = st.sampled_from(sorted(files)).flatmap(
+        lambda name: _block_mutant(files[name]).map(lambda text: (name, text)))
+    baseline = files["baseline.txt"]
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(mutant=mutants)
+    @example(mutant=("baseline.txt", re.sub(r"window = \S+", "window = 0", baseline)))
+    @example(mutant=("baseline.txt", re.sub(r"eps1 = \S+", "eps1 = nan", baseline)))
+    def check(mutant):
+        name, text = mutant
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp)
+            for kept in ("model.txt", "baseline.txt", "timeseries.csv"):
+                shutil.copy(demo_run / kept, out / kept)
+            (out / name).write_text(text)
+            for command in ("simulate", "detect"):
+                _exits_cleanly([command, "--config", CONFIGS / "detection_demo.cfg", "--out",
+                                out, "--quiet"], rf"^error: {re.escape(str(out / name))}: ")
 
     check()
 
@@ -735,6 +828,10 @@ class TestGridNumbering:
                  "grids are numbered [grid.1] to [grid.1], each once")
 
 
+OBSERVER_CONTROLLER = MINIMAL.replace("controller = optimal-z", "controller = observer")
+OBSERVER_EVENT = MINIMAL + "\n[event]\ntime_s = 0.1\naction = observer_on\n"
+
+
 class TestLibraryChecks:
     """A value the library rejects exits 1 before anything runs or is written,
     with the location of the section that feeds it."""
@@ -764,13 +861,30 @@ class TestLibraryChecks:
          "[grid.1] omega_c must be finite and > 0, got -1.0", "simulate"),
         (MINIMAL.replace("branch = 1 2 3.333", "branch = 1 5 3.333"), "[grid.1]",
          "[grid.1]: invalid branch endpoints (1, 5) for 3 nodes", "simulate"),
+        (OBSERVER_CONTROLLER, "controller = observer", "[grid.1] controller: the observer "
+         "controller needs a detector (model_file and baseline_file)", "simulate"),
+        (OBSERVER_EVENT, "action = observer_on", "[event] action: grid 1 has no detector "
+         "(model_file and baseline_file)", "simulate"),
     ], ids=["sim", "grid", "load_signal", "attack", "attack-negative-noise",
-            "attack-nan-noise", "event", "identify", "ibr", "network"])
+            "attack-nan-noise", "event", "identify", "ibr", "network", "observer-controller",
+            "observer-event"])
     def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, at,
                                                message, command):
         """At the section's header; at the key's own line where the key's
-        domain already rejects the value (the attack noise and IBR cases)."""
+        domain already rejects the value (the attack noise and IBR cases) or
+        where it asks for a detector the grid lacks (the observer cases)."""
         _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: {message}", command)
+
+    def test_identify_takes_an_observer_grid_without_a_detector(self, tmp_path):
+        """identify and calibrate build no detector, so the observer checks of
+        simulate do not apply to them."""
+        text = OBSERVER_EVENT.replace("controller = optimal-z", "controller = observer")
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text + "\n[identify]\ngrid = 1\nk0 = 400\ncandidates = 2\n")
+        assert run(["identify", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == 0
+        sections = cli.parse_config(cfg)
+        scenario = cli.build_scenario(sections, tmp_path, with_detectors=False)
+        assert scenario.grids[0].controller == "observer"
 
     def test_load_signal_on_undefined_grid(self, tmp_path, capsys):
         text = MINIMAL.replace("[load_signal]\ngrid = 1", "[load_signal]\ngrid = 2")

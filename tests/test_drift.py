@@ -96,6 +96,21 @@ def test_auto_response_runs_are_the_first_replay_all_job_with_the_response_set()
     assert "\n[event]\n" not in collab.config  # the flag, not a script, closes the tie
 
 
+def test_zero_watermark_chain_zeroes_only_the_grid_watermark(tmp_path):
+    from microagc import cli
+
+    name, commands = drift.zero_watermark_chain(tmp_path)
+    assert name == "chain-zero-watermark"
+    assert [argv[0] for argv in commands] == list(drift.CHAIN)
+    values = {kind: [sec.values for sec in secs]
+              for kind, secs in cli.parse_config(commands[0][2]).items()}
+    demo = {kind: [sec.values for sec in secs] for kind, secs in
+            cli.parse_config(drift.ROOT / "configs" / "detection_demo.cfg").items()}
+    assert values["calibrate"][0]["watermark_std"] == 0.012
+    demo["grid"][0]["watermark_std"] = 0.0
+    assert values == demo
+
+
 def test_train_command_writes_the_trained_detector_of_an_acceptance_fixture(tmp_path):
     from microagc import casestudy as cs, cli, defaults
     from microagc.lqr import CostWeights

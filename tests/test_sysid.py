@@ -18,6 +18,14 @@ def random_discrete_system(n, m_in, l_out, rng, radius=0.9):
     return a, b, c
 
 
+def prediction_error(model, x0, u, y):
+    """Mean per-sample 2-norm error of the model's replay from x0 over the
+    record (W/sample): the reference select_order's fit-based score is
+    checked against."""
+    y_hat = m.predict(model, x0, u)
+    return float(np.mean(np.linalg.norm(y_hat - np.reshape(y, y_hat.shape), axis=1)))
+
+
 def simulate(a, b, c, u, x0=None):
     x = np.zeros(a.shape[0]) if x0 is None else np.array(x0, dtype=float)
     y = np.empty((u.shape[0], c.shape[0]))
@@ -94,7 +102,7 @@ class TestIdentify:
         y = np.zeros((200, 1))
         model = m.identify(u, y, 2)
         assert model.effective_order == 0
-        err = sysid.prediction_error(model, np.zeros(2), u, y)
+        err = prediction_error(model, np.zeros(2), u, y)
         assert err == 0.0
 
     def test_overspecified_order_does_not_worsen_fit(self):
@@ -106,7 +114,7 @@ class TestIdentify:
         for d in (2, 3, 4):
             model = m.identify(u, y, d)
             x0 = sysid.estimate_initial_state(model, u, y, max(2 * d, 20))
-            etas.append(sysid.prediction_error(model, x0, u, y))
+            etas.append(prediction_error(model, x0, u, y))
         scale = float(np.mean(np.abs(y)))
         for earlier, later in zip(etas, etas[1:]):
             assert later <= earlier + 1e-9 * scale
@@ -181,7 +189,7 @@ def test_fit_score_is_the_replayed_prediction_error(n, m_in, l_out, noise, seed)
         x0 = sysid.estimate_initial_state(shared, u, y, max(2 * d, 20))
         scores[d] = work.score(shared, x0, y)
         assert work.regressor is None
-        replayed = sysid.prediction_error(shared, x0, u, y)
+        replayed = prediction_error(shared, x0, u, y)
         assert abs(scores[d] - replayed) <= 1e-12 * np.max(np.abs(y))
     report, _ = m.select_order(u, y, candidates=orders)
     assert report.eta == scores
@@ -336,7 +344,7 @@ class TestSelectOrder:
 
         def rescore(n_samples):
             x0 = sysid.estimate_initial_state(model, u, y, n_samples)
-            return sysid.prediction_error(model, x0, u, y)
+            return prediction_error(model, x0, u, y)
 
         tol = 1e-12 * float(np.max(np.abs(y)))
         assert abs(rescore(report.init_state_samples) - report.eta[3]) <= tol

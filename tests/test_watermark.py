@@ -23,29 +23,31 @@ def toy_model(n=2):
 
 class TestWatermarkSource:
     def test_zero_covariance_draws_zero(self):
-        src = m.WatermarkSource(m.WatermarkConfig(sigma=np.zeros((2, 2)), seed=1))
-        np.testing.assert_array_equal(src.draw(), 0.0)
-
-    def test_sample_covariance_matches(self):
-        cov = np.array([[4.0, 1.0], [1.0, 2.0]])
-        src = m.WatermarkSource(m.WatermarkConfig(sigma=cov, seed=2))
-        draws = np.array([src.draw() for _ in range(100_000)])
-        sample = draws.T @ draws / draws.shape[0]
-        np.testing.assert_allclose(sample, cov, rtol=0.05)
-        assert np.max(np.abs(draws.mean(axis=0))) < 0.05
+        src = m.WatermarkSource(m.WatermarkConfig(0.0, seed=1), 2)
+        for _ in range(100):
+            draw = src.draw()
+            np.testing.assert_array_equal(draw, 0.0)
+            assert not np.signbit(draw).any()  # +0.0, so the log never reads -0
 
     def test_fixed_seed_bit_identical(self):
-        cfg = m.WatermarkConfig.isotropic(0.02, 3, seed=7)
-        a = m.WatermarkSource(cfg)
-        b = m.WatermarkSource(cfg)
+        cfg = m.WatermarkConfig(0.02, seed=7)
+        a = m.WatermarkSource(cfg, 3)
+        b = m.WatermarkSource(cfg, 3)
         for _ in range(100):
             np.testing.assert_array_equal(a.draw(), b.draw())
 
-    def test_covariance_validation(self):
-        with pytest.raises(ValueError):
-            m.WatermarkConfig(sigma=np.array([[1.0, 2.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            m.WatermarkConfig(sigma=np.array([[-1.0]]))
+    @pytest.mark.parametrize("std, n, seed", [(0.012, 3, 29), (0.02, 1, 7), (3.5, 6, 0),
+                                              (1e-150, 2, 4)])
+    def test_draws_are_std_times_standard_normals(self, std, n, seed):
+        src = m.WatermarkSource(m.WatermarkConfig(std, seed=seed), n)
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            np.testing.assert_array_equal(src.draw(), std * rng.standard_normal(n))
+
+    def test_std_validation(self):
+        for std in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="watermark std must be finite and >= 0"):
+                m.WatermarkConfig(std)
 
 
 class TestPredictStep:

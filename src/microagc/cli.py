@@ -39,6 +39,7 @@ from .simcore import (
     SimulationError,
     TieSpec,
     TimeSeries,
+    check_finite,
     run_scenario,
     summarize,
     whole_steps,
@@ -541,10 +542,11 @@ def cmd_detect(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "detect")
-    gid = _named_grid(sections, sec) + 1
-    model = load_model(out / sec.value("model_file"))
-    baseline = _detector_baseline(sec, model.n_outputs, out)
-    t, u, e, y = _load_trace(out / sec.value("trace_file"), gid, model.n_inputs)
+    gi = _named_grid(sections, sec)
+    n = sections["grid"][gi].value("n_ibr")
+    model = _detector_model(sec, n, out)
+    baseline = _detector_baseline(sec, n, out)
+    t, u, e, y = _load_trace(out / sec.value("trace_file"), gi + 1, n)
     n_steps = t.shape[0]
     state = DetectorState.start(model, baseline)
     out.mkdir(parents=True, exist_ok=True)
@@ -555,6 +557,7 @@ def cmd_detect(args) -> int:
         e_prev = e[k - 1] if k > 0 else np.zeros(model.n_inputs)
         flags[k], _ = dw_step(state, baseline, model, y[k], u_prev, e_prev)
         xi[k] = state.xi1, state.xi2
+    check_finite("the replay", t, [(["xi1", "xi2"], xi)])
     write_table(out / sec.value("telemetry_file", "detector.csv"),
                 ["t", "xi1", "xi2", "eps1", "eps2", "flag"],
                 [t, *xi.T, np.full(n_steps, baseline.eps1), np.full(n_steps, baseline.eps2),

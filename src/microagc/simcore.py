@@ -637,21 +637,34 @@ class _World:
 
     def check_finite(self, time_axis: np.ndarray) -> None:
         """Raise SimulationError naming the time and column of the first value
-        of the per-IBR log that is not finite: the run diverged."""
-        first = []  # (step, column order, name) of each log array's first bad row
-        for order, (name, col) in enumerate(self.log.items()):
-            rows_ok = np.isfinite(col[1:]).all(axis=1)
-            if not rows_ok.all():
-                first.append((int(np.argmin(rows_ok)), order, name))
-        if not first:
-            return
-        rho, _, name = min(first)
-        row = self.log[name][rho + 1]
-        ch = int(np.argmin(np.isfinite(row)))
-        gi = next(gi for gi, sl in enumerate(self.channels) if ch < sl.stop)
-        raise SimulationError(
-            f"the run diverged at t={time_axis[rho]:.4f}s: "
-            f"mg{gi + 1}_{name}_{ch - self.channels[gi].start + 1} = {row[ch]}")
+        of the per-IBR log, or of a grid's detector statistics, that is not
+        finite: the run diverged."""
+        ibrs = [(gi + 1, i + 1) for gi, rt in enumerate(self.rts) for i in range(rt.n)]
+        columns = [([f"mg{g}_{name}_{i}" for g, i in ibrs], col[1:])
+                   for name, col in self.log.items()]
+        columns += [([f"mg{gi + 1}_{name}"], rt.log[name][1:, None])
+                    for gi, rt in enumerate(self.rts) for name in ("xi1", "xi2")]
+        check_finite("the run", time_axis, columns)
+
+
+def check_finite(what: str, time_axis: np.ndarray,
+                 columns: list[tuple[list[str], np.ndarray]]) -> None:
+    """Raise SimulationError naming the time and column of the first value of
+    columns, (names, (steps, len(names)) array) pairs, that is not finite: what
+    diverged. Of two such values at one step, the earlier column in columns
+    order is named."""
+    first = []  # (step, index in columns) of each array's first bad row
+    for order, (_, values) in enumerate(columns):
+        rows_ok = np.isfinite(values).all(axis=1)
+        if not rows_ok.all():
+            first.append((int(np.argmin(rows_ok)), order))
+    if not first:
+        return
+    k, order = min(first)
+    names, values = columns[order]
+    ch = int(np.argmin(np.isfinite(values[k])))
+    raise SimulationError(
+        f"{what} diverged at t={time_axis[k]:.4f}s: {names[ch]} = {values[k, ch]}")
 
 
 # ---------------------------------------------------------------------------

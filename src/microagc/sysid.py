@@ -13,16 +13,23 @@ basis dependent.
 Order selection fits every candidate order and scores it by prediction error.
 The score reuses the candidate's own fit: the B/x0 regressor already holds
 every row [forced response | C A^k], so the prediction over the record is one
-matrix product, not a replay of the recursion. Candidates with the same
-block-row count share one LQ factorization of [U; Y], its L22 SVD and the
-input Hankel rank check through a FitWorkspace. The rank check needs no
-factorization of its own: U_h's singular values are those of the LQ factor's
-L11 block.
+matrix product, not a replay of the recursion. The regressor itself comes from
+a blocked recursion: the K samples are cut into blocks of p = ceil(sqrt(K)),
+every block's local recursion runs at once, a second recursion over the
+blocks carries their starts forward by A^p, and one batched product with the
+powers A^0..A^(p-1) joins the two, so a fit takes about 3 sqrt(K) Python steps
+(191 for K = 4,001) instead of K. Its rows equal the sample-by-sample
+recursion up to rounding; predict keeps the sample-by-sample form, bit-equal
+to the streaming detector's. Candidates with the same block-row count share
+one LQ factorization of [U; Y], its L22 SVD and the input Hankel rank check
+through a FitWorkspace. The rank check needs no factorization of its own:
+U_h's singular values are those of the LQ factor's L11 block.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -301,26 +308,47 @@ def _fit_input_matrix(a, c, u, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     builds the whole regressor: block j < m starts at zero and is driven by
     D[k]_j = u_j[k] C, giving the rows of y[k] in column j of B; the last
     block starts at C and is never driven, giving C A^k, the rows of x0.
+
+    The recursion runs in two levels of about sqrt(K) steps each over the K
+    samples, cut into blocks of p = ceil(sqrt(K)) samples (the last one padded
+    with zero drive): every block's local recursion L[q, s] from a zero start
+    at once, then the block starts S[q + 1] = S[q] A^p + L[q, p], and every row
+    R[q p + s] = S[q] A^s + L[q, s] in one batched product. The rows equal the
+    sample-by-sample recursion up to rounding.
+
     Returns B, x0 and the (samples * n_out, (m + 1) n) regressor, whose
     product with [vec(B); x0] (vec input-major) is the model's prediction.
     """
     n = a.shape[0]
     n_out, _ = c.shape
     n_samples, m = u.shape
-    drive = np.zeros((n_samples, m + 1, n_out, n))
-    drive[:, :m] = u[:, :, None, None] * c
-    drive = drive.reshape(n_samples, (m + 1) * n_out, n)
-    r = np.zeros(((m + 1) * n_out, n))
-    r[m * n_out :] = c
-    rows = np.empty((n_samples, (m + 1) * n_out, n))
-    for k in range(n_samples):
-        rows[k] = r
-        r = r @ a + drive[k]
-    del drive
+    width = (m + 1) * n_out
+    p = math.isqrt(n_samples - 1) + 1  # ceil(sqrt(K))
+    n_blocks = -(-n_samples // p)
+    drive = np.zeros((n_blocks * p, m + 1, n_out, n))
+    drive[:n_samples, :m] = u[:, :, None, None] * c
+    drive = drive.reshape(n_blocks, p, width, n)
+    rows = np.empty((n_blocks, p, width, n))  # L[q, s], then R[q p + s]
+    local = np.zeros((n_blocks, width, n))
+    for s in range(p):
+        rows[:, s] = local
+        local = local @ a + drive[:, s]
+    del drive  # local is L[q, p]
+    powers = np.empty((p + 1, n, n))
+    powers[0] = np.eye(n)
+    for s in range(p):
+        powers[s + 1] = powers[s] @ a
+    starts = np.empty((n_blocks, width, n))
+    start = np.zeros((width, n))
+    start[m * n_out :] = c
+    for q in range(n_blocks):
+        starts[q] = start
+        start = start @ powers[p] + local[q]
+    rows += starts[:, None] @ powers[:p]
+    rows = rows.reshape(n_blocks * p, m + 1, n_out, n)[:n_samples]
     # (sample, block, output, state) -> (sample, output, block, state): each
     # output row reads [vec(B) input-major | x0]
-    reg = rows.reshape(n_samples, m + 1, n_out, n).transpose(0, 2, 1, 3)
-    reg = reg.reshape(n_samples * n_out, (m + 1) * n)
+    reg = rows.transpose(0, 2, 1, 3).reshape(n_samples * n_out, (m + 1) * n)
     del rows
     sol, *_ = np.linalg.lstsq(reg, y.reshape(-1), rcond=None)
     b = sol[: m * n].reshape(m, n).T     # vec with input-major blocks

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from microagc import cli, defaults
+from microagc import cli, defaults, simcore
 from microagc.sysid import DiscreteModel, ExcitationSpec, save_model
 from microagc.watermark import BaselineStats
 
@@ -446,7 +446,10 @@ class TestDetectorFilesFitTheGrid:
          "the model has 3 inputs and 3 outputs, the grid 2 IBRs"),
         ("detect", "[detect]", "baseline_file", 2, 3,
          "the baseline has 3 channels, the model 2 outputs"),
-    ], ids=["simulate-model", "simulate-baseline", "calibrate-model", "detect-baseline"])
+        ("detect", "[detect]", "model_file", 1, 1,
+         "the model has 1 inputs and 1 outputs, the grid 2 IBRs"),
+    ], ids=["simulate-model", "simulate-baseline", "calibrate-model", "detect-baseline",
+            "detect-model"])
     def test_mismatch_names_its_line(self, tmp_path, capsys, command, section, key,
                                      model_n, baseline_n, message):
         work = tmp_path / "w"
@@ -533,6 +536,44 @@ def test_diverged_simulate_exits_2_and_removes_the_directories_it_made(tmp_path,
     assert re.search(r"^error: the run diverged at t=\d+\.\d{4}s: mg1_\w+_\d = (nan|-?inf)$",
                      capsys.readouterr().err, re.M)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_diverged_detector_statistics_exit_2(tmp_path, capsys, monkeypatch, demo_run):
+    """With an unstable model (one [a] entry of the chain's model.txt set to
+    2.5), simulate exits 2 at the first step and column whose value is not
+    finite, a detector statistic here, and writes nothing; detect's replay of
+    the nominal trace through that model exits 2 at the same step and
+    statistic. The run with the check off is the oracle."""
+    cfg = CONFIGS / "detection_demo.cfg"
+    work = tmp_path / "w"
+    shutil.copytree(demo_run, work)
+    lines = (work / "model.txt").read_text().splitlines()
+    row = lines.index("[a]") + 1
+    lines[row] = " ".join(["2.5"] + lines[row].split()[1:])
+    (work / "model.txt").write_text("\n".join(lines) + "\n")
+    out = tmp_path / "o"
+    out.mkdir()
+    for name in ("model.txt", "baseline.txt"):
+        shutil.copy(work / name, out / name)
+
+    assert run(["simulate", "--config", cfg, "--out", out, "--quiet"]) == cli.EXIT_NUMERIC
+    err = capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["baseline.txt", "model.txt"]
+    monkeypatch.setattr(simcore._World, "check_finite", lambda world, t: None)
+    ts = simcore.run_scenario(cli.build_scenario(cli.parse_config(cfg), out))
+    names = [f"mg1_{name}_{i + 1}" for name, per_ibr, _ in simcore._LOG if per_ibr
+             for i in range(3)] + ["mg1_xi1", "mg1_xi2"]
+    bad = np.column_stack([~np.isfinite(ts[c]) for c in names])
+    k = np.flatnonzero(bad.any(axis=1))[0]
+    col = names[np.flatnonzero(bad[k])[0]]
+    assert col in ("mg1_xi1", "mg1_xi2")
+    assert f"error: the run diverged at t={ts.time[k]:.4f}s: {col} = {ts[col][k]}\n" in err
+
+    assert run(["detect", "--config", cfg, "--out", work, "--quiet"]) == cli.EXIT_NUMERIC
+    assert (f"error: the replay diverged at t={ts.time[k]:.4f}s: {col[4:]} = {ts[col][k]}\n"
+            in capsys.readouterr().err)
+    assert not (work / "detector_replay.csv").exists()
 
 
 def test_rejected_identify_removes_the_directories_it_made(tmp_path, capsys):

@@ -3,7 +3,7 @@ similarity-invariant quantities: Markov parameters and prediction error."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import microagc as m
 from microagc import sysid
@@ -163,6 +163,45 @@ def test_input_matrix_fit_reproduces_noise_free_output(n, m_in, l_out, seed):
     assert b_hat.shape == (n, m_in) and x0_hat.shape == (n,)
     y_hat = simulate(a, b_hat, c, u, x0_hat)
     assert np.max(np.abs(y_hat - y)) <= 1e-8 * np.max(np.abs(y))
+
+
+def stepwise_regressor(a, c, u):
+    """The B/x0 regressor by the sample-by-sample recursion R[k+1] = R[k] A + D[k]:
+    rows [u[0..k-1] forced response per input | C A^k] of every output."""
+    n, (n_out, _), (n_samples, m_in) = a.shape[0], c.shape, u.shape
+    r = np.zeros((m_in + 1, n_out, n))
+    r[m_in] = c
+    reg = np.empty((n_samples, n_out, m_in + 1, n))
+    for k in range(n_samples):
+        reg[k] = r.transpose(1, 0, 2)
+        r = r @ a
+        r[:m_in] += u[k][:, None, None] * c
+    return reg.reshape(n_samples * n_out, (m_in + 1) * n)
+
+
+# squares, squares +- 1 (a padded last block) and primes, from identify's
+# 10-sample minimum to the 4,001 samples of the shipped record
+RECORD_LENGTHS = [10, 15, 16, 17, 63, 64, 65, 97, 99, 100, 101, 257, 4001]
+
+
+@pytest.mark.parametrize("n_samples", RECORD_LENGTHS)
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), m_in=st.integers(1, 3), l_out=st.integers(1, 3),
+       radius=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=3, m_in=2, l_out=3, radius=1.0, seed=0)
+def test_blocked_regressor_is_the_stepwise_recursion(n_samples, n, m_in, l_out, radius,
+                                                     seed):
+    """_fit_input_matrix's blocked recursion builds the regressor the
+    sample-by-sample recursion builds, to 1e-12 of each column's peak."""
+    rng = np.random.default_rng(seed)
+    a, _, c = random_discrete_system(n, m_in, l_out, rng, radius=radius)
+    u = rng.uniform(-1.0, 1.0, size=(n_samples, m_in))
+    y = rng.normal(size=(n_samples, l_out))
+    _, _, reg = sysid._fit_input_matrix(a, c, u, y)
+    ref = stepwise_regressor(a, c, u)
+    assert reg.shape == ref.shape
+    assert np.all(np.abs(reg - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)

@@ -45,6 +45,7 @@ from .simcore import (
     whole_steps,
 )
 from .sysid import (
+    UNSTABLE_RADIUS,
     DiscreteModel,
     ExcitationSpec,
     IdentificationError,
@@ -275,11 +276,16 @@ def _watermark(sec: Section, default_seed: int) -> WatermarkConfig:
 
 
 def _detector_model(sec: Section, n: int, base_dir: Path) -> DiscreteModel:
-    """The model_file's model, which must map n commands to n powers."""
+    """The model_file's model, which must map n commands to n powers and be
+    stable: the detector reads an unstable model's growing free response as an
+    attack."""
     model = load_model(base_dir / sec.value("model_file"))
     if not model.n_inputs == model.n_outputs == n:
         raise ConfigError(f"{sec.where('model_file')}: the model has {model.n_inputs} "
                           f"inputs and {model.n_outputs} outputs, the grid {n} IBRs")
+    if model.spectral_radius >= UNSTABLE_RADIUS:
+        raise ConfigError(f"{sec.where('model_file')}: the model's [a] block is unstable "
+                          f"(spectral radius {model.spectral_radius:.6g})")
     return model
 
 

@@ -20,10 +20,18 @@ blocks carries their starts forward by A^p, and one batched product with the
 powers A^0..A^(p-1) joins the two, so a fit takes about 3 sqrt(K) Python steps
 (191 for K = 4,001) instead of K. Its rows equal the sample-by-sample
 recursion up to rounding; predict keeps the sample-by-sample form, bit-equal
-to the streaming detector's. Candidates with the same block-row count share
-one LQ factorization of [U; Y], its L22 SVD and the input Hankel rank check
-through a FitWorkspace. The rank check needs no factorization of its own:
-U_h's singular values are those of the LQ factor's L11 block.
+to the streaming detector's.
+
+The candidates of a record share one QR through a FitWorkspace. The LQ factor
+of [U; Y] at the largest block-row count, top, is a QR of the transposed
+stack taken LQ_CHUNK_ROWS rows at a time, whose bits do not depend on the BLAS
+thread count. Every smaller count's Hankels are a row subset of that stack
+plus a few tail columns, so its factor is a small QR of the top factor's
+columns of those rows with the tail columns stacked under them (the TSQR
+idea). A lone identify is the one-count case: at the top count the model is
+bit-equal to the lone one, at smaller counts equal up to rounding. The input
+Hankel rank check needs no factorization of its own: U_h's singular values are
+those of the LQ factor's L11 block.
 """
 
 from __future__ import annotations
@@ -41,6 +49,8 @@ from .textio import COUNT, INDEX, REAL, BlockFile, ConfigError, read_table, writ
 log = logging.getLogger(__name__)
 
 RANK_RTOL = 1e-10  # singular values below this (relative) carry no signal
+UNSTABLE_RADIUS = 1.0 + 1e-9  # a model whose A reaches this spectral radius is unstable
+LQ_CHUNK_ROWS = 512  # Hankel columns per QR step of the LQ factorization
 
 
 class IdentificationError(RuntimeError):
@@ -91,10 +101,14 @@ class DiscreteModel:
         object.__setattr__(self, "c_d", _readonly(self.c_d))
         if self.effective_order < 0:
             object.__setattr__(self, "effective_order", self.order)
-        if self.order > 0:
-            rho = float(np.max(np.abs(np.linalg.eigvals(self.a_d))))
-            if rho >= 1.0 + 1e-9:
-                log.warning("identified model is unstable (spectral radius %.6f)", rho)
+        if self.spectral_radius >= UNSTABLE_RADIUS:
+            log.warning("identified model is unstable (spectral radius %.6f)",
+                        self.spectral_radius)
+
+    @property
+    def spectral_radius(self) -> float:
+        """Largest eigenvalue modulus of a_d (0 for an order-0 model)."""
+        return float(np.max(np.abs(np.linalg.eigvals(self.a_d)), initial=0.0))
 
     @property
     def n_inputs(self) -> int:
@@ -153,31 +167,35 @@ def _as_record(arr: np.ndarray) -> np.ndarray:
 class FitWorkspace:
     """What the candidate orders of one record share during order selection.
 
-    The LQ factorization of [U; Y], the SVD of its L22 block and the one
-    Hankel rank check (on the singular values of its L11 block) depend only on
-    the record and the block-row count i, so identify keeps one result per i
-    here (the SVD factors, or the excitation error) and orders with the same i
-    reuse it. identify also leaves the B/x0 regressor of its last fit in
-    `regressor`, which `score` reads and drops. A workspace belongs to the
-    record of its first identify call.
+    The workspace is built from the record and its candidate orders. The
+    block-row counts i = max(2d, 8) of the orders that pass identify's
+    record-length check are known up front, so one QR of the stacked Hankel at
+    the largest count gives every count's LQ factor, L22 SVD and Hankel rank
+    check (_projected_factors); the workspace keeps one result per count (the
+    SVD factors, or the excitation error) and identify reads it. identify also
+    leaves the B/x0 regressor of its last fit in `regressor`, which `score`
+    reads and drops. identify must be called with the same (samples, channels)
+    arrays the workspace was built from.
     """
 
-    def __init__(self):
-        self._record: tuple[np.ndarray, np.ndarray] | None = None
-        self._factors: dict[int, tuple[np.ndarray, np.ndarray] | IdentificationError] = {}
+    def __init__(self, u: np.ndarray, y: np.ndarray, orders):
+        self._record = (u, y)
+        counts = set()
+        for d in orders:
+            try:
+                _check_order(u.shape[0], u.shape[1], y.shape[1], d)
+                counts.add(_block_rows(d))
+            except IdentificationError:
+                pass  # identify rejects the order before it reads a factor
+        self._factors = _projected_factors(u, y, counts) if counts else {}
         self.regressor: np.ndarray | None = None
 
     def factors(self, u: np.ndarray, y: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """_projected_factors(u, y, i), computed once per i."""
-        if self._record is None:
-            self._record = (u, y)
-        elif self._record[0] is not u or self._record[1] is not y:
+        """The left singular vectors and singular values of count i's L22."""
+        if self._record[0] is not u or self._record[1] is not y:
             raise ValueError("workspace was built for another record")
         if i not in self._factors:
-            try:
-                self._factors[i] = _projected_factors(u, y, i)
-            except InsufficientExcitationError as exc:
-                self._factors[i] = exc
+            raise ValueError(f"workspace was built without block-row count {i}")
         found = self._factors[i]
         if isinstance(found, IdentificationError):
             raise found
@@ -199,10 +217,61 @@ class FitWorkspace:
         return float(np.mean(np.linalg.norm(y_hat - y, axis=1)))
 
 
-def _projected_factors(u: np.ndarray, y: np.ndarray, i: int):
+def _block_rows(d: int) -> int:
+    """Block-row count i of the Hankels an order-d fit reads."""
+    return max(2 * d, 8)
+
+
+def _check_order(n_samples: int, m: int, n_out: int, d: int) -> None:
+    """Raise IdentificationError unless the record supports an order-d fit."""
+    if d < 1:
+        raise IdentificationError(f"model order must be >= 1, got {d}")
+    if n_samples < 10 * d * max(m, n_out):
+        raise IdentificationError(
+            f"record too short: {n_samples} samples for order {d} with "
+            f"{m} inputs / {n_out} outputs"
+        )
+
+
+def _r_factor(rows: np.ndarray) -> np.ndarray:
+    """R of a QR of rows, with R^T R = rows^T rows, taken LQ_CHUNK_ROWS rows at
+    a time: R <- qr([R; next chunk]). Each QR stays small, and its bits do not
+    depend on the BLAS thread count, which a single QR of a long record's
+    Hankel does."""
+    r = rows[:0]
+    for start in range(0, rows.shape[0], LQ_CHUNK_ROWS):
+        r = np.linalg.qr(np.vstack([r, rows[start : start + LQ_CHUNK_ROWS]]), mode="r")
+    return r
+
+
+def _lq_factors(u: np.ndarray, y: np.ndarray, counts) -> dict[int, np.ndarray]:
+    """The lower-triangular LQ factor L_i of [U_i; Y_i], the i-block-row
+    Hankels of the record, for every count i in counts, from one QR.
+
+    The QR is of the transposed stack at the largest count, top. For i < top,
+    U_i's and Y_i's rows are rows of that stack, over its j columns plus
+    top - i tail columns of their own. So R's columns of those rows, with the
+    tail columns stacked under them, have the Gram matrix H_i H_i^T, and a
+    small QR of that block gives L_i (L_i L_i^T = H_i H_i^T).
+    """
+    m, n_out = u.shape[1], y.shape[1]
+    top = max(counts)
+    j = u.shape[0] - top + 1
+    r = _r_factor(np.vstack([_hankel(u, top, j), _hankel(y, top, j)]).T)
+    factors = {top: r.T}
+    for i in set(counts) - {top}:
+        picked = np.r_[0 : m * i, m * top : m * top + n_out * i]  # U_i's, Y_i's rows
+        tail = np.vstack([_hankel(u[j:], i, top - i), _hankel(y[j:], i, top - i)]).T
+        factors[i] = _r_factor(np.vstack([r[:, picked], tail])).T
+    return factors
+
+
+def _projected_factors(
+    u: np.ndarray, y: np.ndarray, counts
+) -> dict[int, tuple[np.ndarray, np.ndarray] | InsufficientExcitationError]:
     """Left singular vectors and singular values of the LQ block L22 of the
-    i-block-row Hankels; raises InsufficientExcitationError when the input
-    Hankel is rank deficient.
+    i-block-row Hankels, for every count i in counts; an i whose input Hankel
+    is rank deficient maps to its InsufficientExcitationError instead.
 
     The rank check reads the singular values of the L11 block: U_h = L11 Q1^T
     with orthonormal rows in Q1^T, so they are U_h's own. With fewer Hankel
@@ -210,26 +279,22 @@ def _projected_factors(u: np.ndarray, y: np.ndarray, i: int):
     j < m i singular values cannot give U_h full row rank.
     """
     m = u.shape[1]
-    j = u.shape[0] - i + 1
-    u_h = _hankel(u, i, j)
-    y_h = _hankel(y, i, j)
-
-    # LQ factorization of [U; Y]: the L22 block spans the output rows projected
-    # onto the orthogonal complement of the input rows.
-    stacked = np.vstack([u_h, y_h])
-    l_fac = np.linalg.qr(stacked.T, mode="r").T
-
-    if np.any(np.abs(u) > 0.0):
-        u_sv = np.linalg.svd(l_fac[: m * i, : m * i], compute_uv=False)
-        if u_sv.size < m * i or u_sv[-1] <= RANK_RTOL * u_sv[0]:
-            raise InsufficientExcitationError(
-                f"input Hankel rank {int(np.sum(u_sv > RANK_RTOL * u_sv[0]))} "
-                f"< {u_h.shape[0]} rows; excitation not persistently exciting"
-            )
-
-    l22 = l_fac[m * i :, m * i :]
-    u_sv, s_sv, _ = np.linalg.svd(l22, full_matrices=False)
-    return u_sv, s_sv
+    excited = bool(np.any(np.abs(u) > 0.0))
+    found = {}
+    for i, l_fac in _lq_factors(u, y, counts).items():
+        mi = m * i
+        if excited:
+            u_sv = np.linalg.svd(l_fac[:mi, :mi], compute_uv=False)
+            if u_sv.size < mi or u_sv[-1] <= RANK_RTOL * u_sv[0]:
+                found[i] = InsufficientExcitationError(
+                    f"input Hankel rank {int(np.sum(u_sv > RANK_RTOL * u_sv[0]))} "
+                    f"< {mi} rows; excitation not persistently exciting"
+                )
+                continue
+        # L22 spans the output rows projected onto the orthogonal complement
+        # of the input rows
+        found[i] = tuple(np.linalg.svd(l_fac[mi:, mi:], full_matrices=False)[:2])
+    return found
 
 
 def identify(
@@ -244,9 +309,11 @@ def identify(
 
     Raises InsufficientExcitationError when the input Hankel is rank deficient.
     When the projected output data supports fewer than d modes, the unsupported
-    modes are zero-padded and effective_order records the supported count. With a
-    workspace, the factors of the record are shared with the workspace's other
-    orders and the B/x0 regressor of the fit is left in it.
+    modes are zero-padded and effective_order records the supported count.
+    Without a workspace the fit reads a one-order FitWorkspace of its own, the
+    one-count case of the shared QR. With one, the factors come from the
+    workspace's QR at its largest block-row count, and the B/x0 regressor of
+    the fit is left in it.
     """
     u = _as_record(u)
     y = _as_record(y)
@@ -258,18 +325,9 @@ def identify(
         )
     n_samples, m = u.shape
     n_out = y.shape[1]
-    if d < 1:
-        raise IdentificationError(f"model order must be >= 1, got {d}")
-    if n_samples < 10 * d * max(m, n_out):
-        raise IdentificationError(
-            f"record too short: {n_samples} samples for order {d} with "
-            f"{m} inputs / {n_out} outputs"
-        )
-    i = max(2 * d, 8)
-    if workspace is None:
-        u_sv, s_sv = _projected_factors(u, y, i)
-    else:
-        u_sv, s_sv = workspace.factors(u, y, i)
+    _check_order(n_samples, m, n_out, d)
+    work = workspace if workspace is not None else FitWorkspace(u, y, (d,))
+    u_sv, s_sv = work.factors(u, y, _block_rows(d))
 
     s_max = s_sv[0] if s_sv.size else 0.0
     rank = int(np.sum(s_sv > RANK_RTOL * max(s_max, 1e-300)))
@@ -287,9 +345,7 @@ def identify(
     a_core, *_ = np.linalg.lstsq(gamma[:-n_out], gamma[n_out:], rcond=None)
     c_core = gamma[:n_out]
 
-    b_core, _, reg = _fit_input_matrix(a_core, c_core, u, y)
-    if workspace is not None:
-        workspace.regressor = reg
+    b_core, _, work.regressor = _fit_input_matrix(a_core, c_core, u, y)
 
     a_d = np.zeros((d, d))
     b_d = np.zeros((d, m))
@@ -404,18 +460,20 @@ def select_order(
     samples; the report records that count for d*. A candidate is scored from
     its own fit: the prediction over the record is the fit's B/x0 regressor
     times [vec(B); x0], equal to predict's replay from x0 up to rounding.
-    Candidates with the same block-row count share one LQ factorization, its
-    L22 SVD and the Hankel rank check read from its L11 block (a
-    FitWorkspace), so each model is the one a lone identify call returns.
-    Per-candidate identification failures are recorded; the selection fails
-    only if every candidate does. Ties break toward the smallest order.
+    All candidates share one QR of the stacked Hankel (a FitWorkspace): each
+    block-row count's LQ factor, L22 SVD and Hankel rank check derive from the
+    factor at the largest count. A model at that count is the one a lone
+    identify call returns bit for bit; one at a smaller count equals it up to
+    rounding (Markov parameters within 1e-12 of their peak). Per-candidate
+    identification failures are recorded; the selection fails only if every
+    candidate does. Ties break toward the smallest order.
     """
     candidates = tuple(sorted(set(int(c) for c in candidates)))
     if not candidates:
         raise IdentificationError("candidate order set is empty")
     u = _as_record(u)
     y = _as_record(y)
-    work = FitWorkspace()
+    work = FitWorkspace(u, y, candidates)
     eta: dict[int, float] = {}
     failures: dict[int, str] = {}
     models: dict[int, DiscreteModel] = {}

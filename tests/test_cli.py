@@ -5,8 +5,11 @@ import contextlib
 import dataclasses
 import io
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -470,6 +473,30 @@ class TestDetectorFilesFitTheGrid:
                 in capsys.readouterr().err)
         assert sorted(p.name for p in work.iterdir()) == ["baseline.txt", "model.txt"]
 
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", "[grid.1]"), ("calibrate", "[calibrate]"), ("detect", "[detect]")])
+    @pytest.mark.parametrize("radius", [1.02, 1.0 + 2e-9])
+    def test_unstable_model_names_its_line(self, tmp_path, capsys, command, section, radius):
+        """A model whose [a] block has spectral radius >= 1 + 1e-9 exits 1 at
+        its model_file line, before anything runs: the detector would read
+        its growing free response as an attack."""
+        work = tmp_path / "w"
+        work.mkdir()
+        save_model(DiscreteModel(a_d=np.diag([0.5, radius]), b_d=np.eye(2), c_d=np.eye(2),
+                                 dt=0.005, order=2), work / "model.txt")
+        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), sigma_star=np.eye(2), w=4),
+                          work / "baseline.txt")
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(self.CONFIG)
+        lines = self.CONFIG.splitlines()
+        start = lines.index(section)
+        line = next(i for i in range(start, len(lines)) if lines[i].startswith("model_file"))
+        assert run([command, "--config", cfg, "--out", work]) == cli.EXIT_USAGE
+        assert (f"error: {cfg}: line {line + 1}: {section} model_file: the model's [a] "
+                f"block is unstable (spectral radius {radius:.6g})"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in work.iterdir()) == ["baseline.txt", "model.txt"]
+
 
 class TestDefaultsRoundTrip:
     def test_config_defaults_match_defaults_module(self, minimal_cfg):
@@ -540,17 +567,17 @@ def test_diverged_simulate_exits_2_and_removes_the_directories_it_made(tmp_path,
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
 def test_diverged_detector_statistics_exit_2(tmp_path, capsys, monkeypatch, demo_run):
-    """With an unstable model (one [a] entry of the chain's model.txt set to
-    2.5), simulate exits 2 at the first step and column whose value is not
-    finite, a detector statistic here, and writes nothing; detect's replay of
-    the nominal trace through that model exits 2 at the same step and
+    """With a stable model whose first [c] entry (of the chain's model.txt) is
+    set to 1e300, simulate exits 2 at the first step and column whose value is
+    not finite, a detector statistic here, and writes nothing; detect's replay
+    of the nominal trace through that model exits 2 at the same step and
     statistic. The run with the check off is the oracle."""
     cfg = CONFIGS / "detection_demo.cfg"
     work = tmp_path / "w"
     shutil.copytree(demo_run, work)
     lines = (work / "model.txt").read_text().splitlines()
-    row = lines.index("[a]") + 1
-    lines[row] = " ".join(["2.5"] + lines[row].split()[1:])
+    row = lines.index("[c]") + 1
+    lines[row] = " ".join(["1e300"] + lines[row].split()[1:])
     (work / "model.txt").write_text("\n".join(lines) + "\n")
     out = tmp_path / "o"
     out.mkdir()
@@ -574,6 +601,22 @@ def test_diverged_detector_statistics_exit_2(tmp_path, capsys, monkeypatch, demo
     assert (f"error: the replay diverged at t={ts.time[k]:.4f}s: {col[4:]} = {ts[col][k]}\n"
             in capsys.readouterr().err)
     assert not (work / "detector_replay.csv").exists()
+
+
+def test_identify_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """identify on detection_demo.cfg writes the same order_report.txt and
+    model.txt, byte for byte, with one OpenBLAS thread and with two."""
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        subprocess.run([sys.executable, "-c", "import sys; from microagc.cli import main; "
+                        "sys.exit(main())", "identify", "--config",
+                        str(CONFIGS / "detection_demo.cfg"), "--out", str(out), "--quiet"],
+                       env=env, check=True)
+        written.append([(out / name).read_bytes() for name in ("order_report.txt", "model.txt")])
+    assert written[0] == written[1]
 
 
 def test_rejected_identify_removes_the_directories_it_made(tmp_path, capsys):
@@ -739,11 +782,13 @@ def _block_mutant(draw, text: str) -> str:
 def test_mutated_detector_files_exit_cleanly(demo_run):
     """simulate and then detect, on the detection_demo.cfg chain with a mutant
     of its model.txt or baseline.txt, keep the fuzzers' contract
-    (_exits_cleanly), an exit 1 naming the mutated file."""
+    (_exits_cleanly), an exit 1 naming the mutated file, or, for a model that
+    reads but is unstable, its model_file line."""
     files = {name: (demo_run / name).read_text() for name in ("baseline.txt", "model.txt")}
     mutants = st.sampled_from(sorted(files)).flatmap(
         lambda name: _block_mutant(files[name]).map(lambda text: (name, text)))
     baseline = files["baseline.txt"]
+    cfg = CONFIGS / "detection_demo.cfg"
 
     @settings(max_examples=60, derandomize=True, deadline=None, database=None)
     @given(mutant=mutants)
@@ -756,9 +801,12 @@ def test_mutated_detector_files_exit_cleanly(demo_run):
             for kept in ("model.txt", "baseline.txt", "timeseries.csv"):
                 shutil.copy(demo_run / kept, out / kept)
             (out / name).write_text(text)
+            usage = rf"^error: {re.escape(str(out / name))}: "
+            if name == "model.txt":
+                usage += (rf"|^error: {re.escape(str(cfg))}: line \d+: \[(grid\.1|detect)\] "
+                          r"model_file: the model's \[a\] block is unstable")
             for command in ("simulate", "detect"):
-                _exits_cleanly([command, "--config", CONFIGS / "detection_demo.cfg", "--out",
-                                out, "--quiet"], rf"^error: {re.escape(str(out / name))}: ")
+                _exits_cleanly([command, "--config", cfg, "--out", out, "--quiet"], usage)
 
     check()
 

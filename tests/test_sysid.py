@@ -204,27 +204,41 @@ def test_blocked_regressor_is_the_stepwise_recursion(n_samples, n, m_in, l_out, 
     assert np.all(np.abs(reg - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
 
 
+# Markov parameters of a shared-factor model agree with the lone model's to
+# this fraction of their peak; the worst of 300 random draws of the test below
+# was 3.1e-14
+MARKOV_RTOL = 1e-12
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(n=st.integers(1, 4), m_in=st.integers(1, 3), l_out=st.integers(1, 3),
        noise=st.sampled_from([0.0, 1e-3]), seed=st.integers(0, 2**32 - 1))
 def test_fit_score_is_the_replayed_prediction_error(n, m_in, l_out, noise, seed):
     """Orders 1..n+2 (block-row counts 8, 8, ..., 12) fitted through one
-    workspace give the models of lone identify calls bit for bit, and each
-    fit-based score equals prediction_error's replay up to rounding; the
-    scores are select_order's eta."""
+    workspace give the model of a lone identify call bit for bit at the top
+    count, and at the other counts models whose Markov parameters agree with
+    the lone ones to MARKOV_RTOL; each fit-based score equals
+    prediction_error's replay up to rounding, and the scores are
+    select_order's eta."""
     rng = np.random.default_rng(seed)
     a, b, c = random_discrete_system(n, m_in, l_out, rng)
     u = rng.uniform(-1.0, 1.0, size=(300, m_in))
     y = simulate(a, b, c, u, rng.normal(size=n)) + noise * rng.normal(size=(300, l_out))
     orders = range(1, n + 3)
-    work = sysid.FitWorkspace()
+    top = max(sysid._block_rows(d) for d in orders)
+    work = sysid.FitWorkspace(u, y, orders)
     scores = {}
     for d in orders:
         shared = sysid.identify(u, y, d, workspace=work)
         lone = sysid.identify(u, y, d)
-        for field in ("a_d", "b_d", "c_d"):
-            assert np.array_equal(getattr(shared, field), getattr(lone, field))
         assert shared.effective_order == lone.effective_order
+        if sysid._block_rows(d) == top:
+            for field in ("a_d", "b_d", "c_d"):
+                assert np.array_equal(getattr(shared, field), getattr(lone, field))
+        else:
+            ref = markov_params(lone.a_d, lone.b_d, lone.c_d, 20)
+            got = markov_params(shared.a_d, shared.b_d, shared.c_d, 20)
+            assert np.max(np.abs(got - ref)) <= MARKOV_RTOL * np.max(np.abs(ref))
         x0 = sysid.estimate_initial_state(shared, u, y, max(2 * d, 20))
         scores[d] = work.score(shared, x0, y)
         assert work.regressor is None
@@ -237,15 +251,52 @@ def test_fit_score_is_the_replayed_prediction_error(n, m_in, l_out, noise, seed)
 def test_workspace_belongs_to_one_record_and_shares_its_failures():
     rng = np.random.default_rng(3)
     u = rng.uniform(-1.0, 1.0, size=(200, 1))
-    work = sysid.FitWorkspace()
-    sysid.identify(u, u.copy(), 1, workspace=work)
+    y = u.copy()
+    work = sysid.FitWorkspace(u, y, (1,))
+    sysid.identify(u, y, 1, workspace=work)
     with pytest.raises(ValueError, match="another record"):
         sysid.identify(u, u.copy(), 1, workspace=work)
+    with pytest.raises(ValueError, match="without block-row count 10"):
+        sysid.identify(u, y, 5, workspace=work)
     constant = np.ones((200, 1))
-    work = sysid.FitWorkspace()
+    work = sysid.FitWorkspace(constant, constant, (1, 2))
     for d in (1, 2):                       # one block-row count, i = 8
         with pytest.raises(m.InsufficientExcitationError):
             sysid.identify(constant, constant, d, workspace=work)
+
+
+def test_workspace_takes_only_the_orders_the_record_supports(monkeypatch):
+    """Orders the record-length check rejects add no block-row count: order 3
+    needs 30 samples per channel, so a 25-sample record factors at i = 8."""
+    counts = []
+    real = sysid._projected_factors
+    monkeypatch.setattr(sysid, "_projected_factors",
+                        lambda u, y, c: counts.append(set(c)) or real(u, y, c))
+    u = np.random.default_rng(4).uniform(-1.0, 1.0, size=(25, 1))
+    report, _ = m.select_order(u, u.copy(), candidates=(1, 2, 3, 9))
+    assert counts == [{8}]
+    assert sorted(report.failures) == [3, 9]
+
+
+def test_select_order_factors_the_stacked_hankel_once(monkeypatch):
+    """select_order makes one chunked QR pass over the stacked Hankel at the
+    largest block-row count, top, and one small QR per other count, of at most
+    (m + p) top + top - i rows."""
+    shapes = []
+    real = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or real(a, mode))
+    rng = np.random.default_rng(5)
+    u = rng.uniform(-1.0, 1.0, size=(1400, 2))
+    y = rng.normal(size=(1400, 1))
+    m.select_order(u, y, candidates=range(1, 8))      # counts 8, 10, 12, 14
+    top, j = 14, 1400 - 14 + 1
+    chunks = -(-j // sysid.LQ_CHUNK_ROWS)
+    assert [cols for _, cols in shapes[:chunks]] == [3 * top] * chunks
+    assert sum(rows for rows, _ in shapes[:chunks]) == j + (chunks - 1) * 3 * top
+    small = sorted(shapes[chunks:], key=lambda shape: shape[1])
+    assert [cols for _, cols in small] == [3 * 8, 3 * 10, 3 * 12]
+    for (rows, _), i in zip(small, (8, 10, 12)):
+        assert rows <= 3 * top + top - i
 
 
 def _duplicated(u):
@@ -264,7 +315,9 @@ def _duplicated(u):
 def test_excitation_check_matches_the_input_hankel_svd(n_samples, m_in, make, i):
     """The rank check on the LQ factor's L11 block takes the decision, and
     counts the rank, that the input Hankel's own SVD gives: full row rank or
-    an InsufficientExcitationError, also when j < m i columns cannot reach it."""
+    an InsufficientExcitationError, also when j < m i columns cannot reach it.
+    It does so for count i alone and beside a larger count, top, from whose QR
+    its factor is derived."""
     rng = np.random.default_rng(n_samples + m_in + i)
     u = rng.uniform(-1.0, 1.0, size=(n_samples, m_in))
     u = make(u) if make else u
@@ -272,12 +325,72 @@ def test_excitation_check_matches_the_input_hankel_svd(n_samples, m_in, make, i)
     u_h = sysid._hankel(u, i, n_samples - i + 1)
     sv = np.linalg.svd(u_h, compute_uv=False)
     rank = int(np.sum(sv > sysid.RANK_RTOL * sv[0]))
-    if not np.any(u) or rank == u_h.shape[0]:
-        sysid._projected_factors(u, y, i)
-    else:
-        with pytest.raises(m.InsufficientExcitationError,
-                           match=f"input Hankel rank {rank} < {u_h.shape[0]} rows"):
-            sysid._projected_factors(u, y, i)
+    for top in (i, i + 4):
+        found = sysid._projected_factors(u, y, {i, top})[i]
+        if not np.any(u) or rank == u_h.shape[0]:
+            assert isinstance(found, tuple)
+        else:
+            assert isinstance(found, m.InsufficientExcitationError)
+            assert str(found).startswith(f"input Hankel rank {rank} < {u_h.shape[0]} rows")
+
+
+def direct_lq(u, y, i):
+    """The LQ factor of [U_i; Y_i] from a QR of its own, the per-count route."""
+    j = u.shape[0] - i + 1
+    h = np.vstack([sysid._hankel(u, i, j), sysid._hankel(y, i, j)])
+    return h, np.linalg.qr(h.T, mode="r").T
+
+
+INPUTS = {
+    "uniform": lambda rng, k, m_in: rng.uniform(-1.0, 1.0, size=(k, m_in)),
+    "zero": lambda rng, k, m_in: np.zeros((k, m_in)),
+    "constant": lambda rng, k, m_in: np.full((k, m_in), 0.7),
+    "duplicated": lambda rng, k, m_in: np.repeat(rng.uniform(-1.0, 1.0, size=(k, 1)),
+                                                 m_in, axis=1),
+}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(m_in=st.integers(1, 3), l_out=st.integers(1, 3),
+       counts=st.sets(st.sampled_from([8, 10, 12, 14, 20]), min_size=1, max_size=4),
+       extra=st.integers(0, 300), kind=st.sampled_from(sorted(INPUTS)),
+       chunk=st.sampled_from([sysid.LQ_CHUNK_ROWS, 7]), seed=st.integers(0, 2**32 - 1))
+@example(m_in=2, l_out=3, counts={8, 12, 20}, extra=1200, kind="uniform",
+         chunk=sysid.LQ_CHUNK_ROWS, seed=1)
+def test_shared_lq_factor_is_each_counts_own(m_in, l_out, counts, extra, kind, chunk, seed):
+    """One QR at the largest count gives, for every count i, an L_i with
+    L_i L_i^T = H_i H_i^T to 1e-12 of its largest entry, L22 singular values
+    equal to those of the count's own LQ to 1e-12 of the largest, and the
+    excitation decision and message that the count's own factor gives. Records
+    run from j < (m + p) i Hankel columns up to a few hundred samples (one long
+    example spans several chunks), and a chunk of 7 rows makes every record
+    span several."""
+    rng = np.random.default_rng(seed)
+    n_samples = max(counts) + extra
+    u = INPUTS[kind](rng, n_samples, m_in)
+    y = rng.normal(size=(n_samples, l_out))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sysid, "LQ_CHUNK_ROWS", chunk)
+        shared = sysid._lq_factors(u, y, counts)
+        found = sysid._projected_factors(u, y, counts)
+    for i in counts:
+        h, l_own = direct_lq(u, y, i)
+        gram = h @ h.T
+        assert np.max(np.abs(shared[i] @ shared[i].T - gram)) <= 1e-12 * np.max(np.abs(gram))
+        mi = m_in * i
+        u_sv = np.linalg.svd(l_own[:mi, :mi], compute_uv=False)
+        if np.any(u) and (u_sv.size < mi or u_sv[-1] <= sysid.RANK_RTOL * u_sv[0]):
+            rank = int(np.sum(u_sv > sysid.RANK_RTOL * u_sv[0]))
+            assert isinstance(found[i], m.InsufficientExcitationError)
+            assert str(found[i]) == (f"input Hankel rank {rank} < {mi} rows; "
+                                     "excitation not persistently exciting")
+            continue
+        assert isinstance(found[i], tuple)
+        s_own = np.linalg.svd(l_own[mi:, mi:], compute_uv=False)
+        s_shared = found[i][1]
+        assert s_shared.shape == s_own.shape
+        s_max = s_own[0] if s_own.size else 0.0
+        assert np.all(np.abs(s_shared - s_own) <= 1e-12 * s_max)
 
 
 class TestPredict:

@@ -31,7 +31,6 @@ from .netmodel import (  # noqa: F401
     solve_operating_point,
 )
 from .transform import (  # noqa: F401
-    LeftNullTransform,
     make_transform,
     z_update,
 )

@@ -185,11 +185,13 @@ class Section:
     @contextlib.contextmanager
     def located(self, field: str | None = None):
         """Re-raise a value the library rejects, e.g. a dataclass's ScenarioError,
-        as a ConfigError at field's line (the header line for None)."""
+        as a ConfigError at the line of the field the error names, else at
+        field's line (the header line for None)."""
         try:
             yield
         except ValueError as exc:
-            raise ConfigError(f"{self.where(field)}: {exc}") from exc
+            raise ConfigError(f"{self.where(getattr(exc, 'field', None) or field)}: "
+                              f"{exc}") from exc
 
     def value(self, field: str, default=MISSING):
         """A HAND_READ field's value; without a default the file must set it."""
@@ -363,6 +365,10 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
                   for sec in sections["grid"])
     sim = _first_section(sections, "sim")
     period = sim.values.get("control_period", defaults.CONTROL_PERIOD)
+    for sec, grid in zip(sections["grid"], grids):
+        if grid.controller == "slow-lqr":  # the one law that reads slow_hold
+            with sec.located("slow_hold" if "slow_hold" in sec.values else "controller"):
+                grid.hold_steps(period)
     for sec in sections["event"] + sections["attack"]:
         gi = _named_grid(sections, sec)
         if (with_detectors and sec.values.get("action") == "observer_on"
@@ -372,12 +378,14 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
         for field in ("time", "start", "end", "replay_from", "replay_to"):
             with sec.located(field):
                 whole_steps(sec.values.get(field, 0.0), period, field)
-    scenario = sim.build(
-        Scenario, grids=grids,
-        tie=sections["tie"][0].build(TieSpec) if sections["tie"] else None,
-        events=tuple(sec.build(Event) for sec in sections["event"]),
-        attacks=tuple(sec.build(AttackSpec, channels=(0,)) for sec in sections["attack"]),
-    )
+    ties = [sec.build(TieSpec) for sec in sections["tie"]]
+    events = tuple(sec.build(Event) for sec in sections["event"])
+    attacks = tuple(sec.build(AttackSpec, channels=(0,)) for sec in sections["attack"])
+    for sec, part in zip(sections["tie"] + sections["attack"], ties + list(attacks)):
+        with sec.located():  # at the key the check names
+            part.check(grids)
+    scenario = sim.build(Scenario, grids=grids, tie=ties[0] if ties else None,
+                         events=events, attacks=attacks)
     return scenario if seed_override is None else replace(scenario, seed=seed_override)
 
 

@@ -21,7 +21,7 @@ import scipy.linalg
 
 from . import defaults
 from .netmodel import LinearPlant, _readonly
-from .transform import LeftNullTransform, z_update
+from .transform import z_update
 
 log = logging.getLogger(__name__)
 
@@ -164,16 +164,16 @@ def _describe_unstabilizable(a: np.ndarray, b: np.ndarray) -> str:
 def lqr_gain(
     plant: LinearPlant,
     weights: CostWeights,
-    transform: LeftNullTransform,
+    t: np.ndarray,
 ) -> ControllerGain:
-    """Design the z-space gain for a plant.
+    """Design the z-space gain for a plant and the transform t = T of
+    `make_transform`.
 
     K' = R^-1 B1' P from the Riccati solution with state cost T' Q T;
     K = K' T' (T T')^-1 minimizes ||K' - K T||_F. The projected closed loop
     A - B1 K T is checked and a warning is logged if it is not stable (the
     projection is an approximation; LQR theory only covers A - B1 K').
     """
-    t = transform.t
     q_full = t.T @ np.diag(weights.q) @ t
     r_full = np.diag(weights.r)
     p = solve_care(plant.a, plant.b1, q_full, r_full)

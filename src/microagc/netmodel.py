@@ -184,14 +184,13 @@ class LinearPlant:
 
     a: np.ndarray
     b1: np.ndarray
-    b2: np.ndarray
     f: np.ndarray
     e: np.ndarray
     h_red: np.ndarray
     f_map: np.ndarray
 
     def __post_init__(self):
-        for name in ("a", "b1", "b2", "f", "e", "h_red", "f_map"):
+        for name in ("a", "b1", "f", "e", "h_red", "f_map"):
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
     @property
@@ -292,7 +291,7 @@ def assemble_plant(ibrs, sens: AngleSensitivity) -> LinearPlant:
     h_red, f_map = kron_reduce(sens)
     a = a_g + b2 @ h_red @ e
     f = b2 @ f_map
-    return LinearPlant(a=a, b1=b1, b2=b2, f=f, e=e, h_red=h_red, f_map=f_map)
+    return LinearPlant(a=a, b1=b1, f=f, e=e, h_red=h_red, f_map=f_map)
 
 
 def solve_operating_point(network: NetworkSpec, p_injections: np.ndarray) -> OperatingPoint:

@@ -63,7 +63,11 @@ CONTROLLERS = ("optimal-z", "decentralized", "observer", "pi", "slow-lqr", "none
 
 
 class ScenarioError(ValueError):
-    """Raised for inconsistent scenario definitions."""
+    """Raised for inconsistent scenario definitions; field names the field at fault."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class SimulationError(RuntimeError):
@@ -130,6 +134,16 @@ class AttackSpec:
             if self.replay_to > self.start:
                 raise ScenarioError("replay source window must precede the attack")
 
+    def check(self, grids) -> None:
+        """The target grid and channels exist among grids."""
+        if not 0 <= self.grid < len(grids):
+            raise ScenarioError(f"attack targets unknown grid {self.grid}")
+        n = grids[self.grid].network.n_ibr
+        for c in self.channels:
+            if not 0 <= c < n:
+                raise ScenarioError(f"attack channel {c} is out of range: grid "
+                                    f"{self.grid + 1} has {n} IBRs", "channels")
+
 
 def _attack_steps(spec: AttackSpec, dt: float, what: str) -> tuple[int, ...]:
     """(start, end, replay_from, replay_to) of spec as control steps of period dt."""
@@ -145,6 +159,16 @@ class TieSpec:
     node_b: int
     y_mag: float = defaults.TIE_ADMITTANCE
     theta: float = defaults.BRANCH_THETA
+
+    def check(self, grids) -> None:
+        """grids are two, and each endpoint is a node of its grid."""
+        if len(grids) != 2:
+            raise ScenarioError(f"a tie needs exactly two grids, scenario has {len(grids)}")
+        for k, field in enumerate(("node_a", "node_b")):
+            node = getattr(self, field)
+            if not 0 <= node < grids[k].network.n_nodes:
+                raise ScenarioError(f"tie endpoint {node} is not a node of grid {k + 1}",
+                                    field)
 
 
 @dataclass(frozen=True)
@@ -216,6 +240,14 @@ class GridSpec:
                     f"{self.network.n_load} loads"
                 )
 
+    def hold_steps(self, dt: float, what: str = "slow_hold") -> int:
+        """slow_hold in whole control periods dt, at least one; only slow-lqr reads it."""
+        steps = whole_steps(self.slow_hold, dt, what)
+        if steps < 1:
+            raise ScenarioError(f"{what} = {self.slow_hold} s is shorter than one "
+                                f"control period ({dt} s)")
+        return steps
+
 
 @dataclass(frozen=True)
 class Scenario:
@@ -243,16 +275,10 @@ class Scenario:
         whole_steps(dt, self.integrator_step, "control_period")
         whole_steps(self.horizon, dt, "horizon")
         for gi, g in enumerate(self.grids):
-            if whole_steps(g.slow_hold, dt, f"grids[{gi}].slow_hold") < 1:
-                raise ScenarioError(f"grids[{gi}].slow_hold = {g.slow_hold} s is "
-                                    f"shorter than one control period ({dt} s)")
+            if g.controller == "slow-lqr":
+                g.hold_steps(dt, f"grids[{gi}].slow_hold")
         if self.tie is not None:
-            if len(self.grids) != 2:
-                raise ScenarioError(f"a tie needs exactly two grids, "
-                                    f"scenario has {len(self.grids)}")
-            for k, node in enumerate((self.tie.node_a, self.tie.node_b)):
-                if not 0 <= node < self.grids[k].network.n_nodes:
-                    raise ScenarioError(f"tie endpoint {node} is not a node of grid {k + 1}")
+            self.tie.check(self.grids)
         for i, ev in enumerate(self.events):
             whole_steps(ev.time, dt, f"events[{i}].time")
             if ev.action == "tie_close" and self.tie is None:
@@ -261,11 +287,7 @@ class Scenario:
                 raise ScenarioError(f"event targets unknown grid {ev.grid}")
         for i, atk in enumerate(self.attacks):
             _attack_steps(atk, dt, f"attacks[{i}]")
-            if not 0 <= atk.grid < len(self.grids):
-                raise ScenarioError(f"attack targets unknown grid {atk.grid}")
-            n = self.grids[atk.grid].network.n_ibr
-            if any(not 0 <= c < n for c in atk.channels):
-                raise ScenarioError("attack channel out of range")
+            atk.check(self.grids)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +511,6 @@ class _GridRuntime:
                                      z_hat=np.zeros(self.n))
         self.pi_integ = np.zeros(self.n)
         self.sensor_y = np.zeros(self.n)
-        self.slow_steps = whole_steps(spec.slow_hold, scenario.control_period, "slow_hold")
         self.obs_fresh = False
         self.det_state: DetectorState | None = None
         self.wm_source: WatermarkSource | None = None
@@ -514,7 +535,7 @@ def _bind_law(rt: _GridRuntime, name: str):
     saturated command into rt.cmd (slow-lqr holds it in between); rt.applied is
     the command applied over the step before. "none" is no law, a zero command.
     The law takes rt as an argument, so that rt.law makes no reference cycle."""
-    gain, omega_c, m_p, dt, hold = rt.gain, rt.omega_c, rt.m_p, rt.dt, rt.slow_steps
+    gain, omega_c, m_p, dt = rt.gain, rt.omega_c, rt.m_p, rt.dt
     u_prev, cmd, obs, spec = rt.applied, rt.cmd, rt.obs, rt.spec
     pg_rx, domega = rt.log["pg_rx"], rt.log["domega"]
     lo, hi = -spec.u_max, spec.u_max  # setpoints saturate, as inverter hardware does
@@ -542,6 +563,8 @@ def _bind_law(rt: _GridRuntime, name: str):
             u, rt.pi_integ = control_pi_baseline(kp, ki, rt.sensor_y, dt, rt.pi_integ)
             _clip(u, lo, hi, out=cmd)
     else:  # slow-lqr
+        hold = spec.hold_steps(dt)
+
         def law(rt, rho, y_rx):
             if rho % hold == 0:
                 if rho > 0:
@@ -555,7 +578,7 @@ def _side_by_side(plants: list[LinearPlant]) -> LinearPlant:
     if len(plants) == 1:
         return plants[0]
     blocks = {name: scipy.linalg.block_diag(*(getattr(p, name) for p in plants))
-              for name in ("a", "b1", "b2", "f", "e", "h_red", "f_map")}
+              for name in ("a", "b1", "f", "e", "h_red", "f_map")}
     return LinearPlant(**blocks)
 
 
@@ -675,9 +698,10 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     """Execute the scenario at the control period and return the full log.
 
     Per control instant: fire due events, measure true powers, corrupt the
-    received copies per the active attacks, step each enabled detector, apply
-    the auto response when a flag first rises, update the active control law,
-    superpose the watermark, then integrate the plant to the next instant.
+    received copies per the active attacks, step each enabled detector, fire
+    the auto response's events when a flag first rises, update the active
+    control law, superpose the watermark, then integrate the plant to the next
+    instant.
     Every time is a step index, and the loads and their change mask are
     evaluated, before the loop starts. A log value that is not finite after
     the loop is a SimulationError.
@@ -734,21 +758,14 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
             rt.log["flag"][r] = flag
             if flag and not rt.responded and scenario.auto_response != "none":
                 rt.responded = True
-                rt.wm_active = False
-                if scenario.auto_response == "observer" or scenario.tie is None:
-                    rt.controller = "observer"
-                    rt.obs = ObserverState(x_hat=rt.det_state.x_hat.copy(),
-                                           z_hat=rt.z.copy())
+                observe = scenario.auto_response == "observer" or scenario.tie is None
+                log.info("grid %d: flag at t=%.4fs, %s", gi + 1, t,
+                         "observer law engaged" if observe else "networking with neighbor")
+                for ev in ([Event(t, "observer_on", gi)] if observe else
+                           [Event(t, "controller_off", gi), Event(t, "tie_close")]):
+                    _apply_event(ev, scenario, rts, world, rho, loads[rho, 0])
+                if observe:  # this step's dw_step has already advanced x_hat
                     rt.obs_fresh = True
-                    rt.resolve_law(rho)
-                    log.info("grid %d: flag at t=%.4fs, observer law engaged", gi, t)
-                else:
-                    rt.controller = "none"
-                    rt.enabled = False
-                    rt.resolve_law(rho)
-                    _apply_event(Event(time=t, action="tie_close"), scenario, rts,
-                                 world, rho, loads[rho, 0])
-                    log.info("grid %d: flag at t=%.4fs, networking with neighbor", gi, t)
 
         # control laws and watermark, logged
         ddelta_log[r], domega_log[r] = world.x[0::2], world.x[1::2]
@@ -772,7 +789,8 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
 
 def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
                  world: _World, rho: int, d_p_l: np.ndarray) -> None:
-    """Fire ev at control step rho, with load deviations d_p_l at that instant."""
+    """Fire ev at control step rho, with load deviations d_p_l at that instant:
+    the one place a run changes a grid's law, observer, watermark or detector."""
     t = rho * scenario.control_period
     rt = rts[ev.grid] if ev.action != "tie_close" else None
     if ev.action in ("controller_on", "controller_off"):
@@ -781,7 +799,7 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
     elif ev.action == "observer_on":
         if rt.spec.detector is None:
             raise SimulationError(
-                f"observer_on at t={t:.4f}s: grid {ev.grid} has no detector model"
+                f"observer_on at t={t:.4f}s: grid {ev.grid + 1} has no detector model"
             )
         rt.controller = "observer"
         rt.enabled = True
@@ -801,7 +819,7 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
             if rt.det_state is not None:
                 rt.wm_active = False
                 rt.det_state = None
-                log.info("grid %d: detector retired after topology change", gi)
+                log.info("grid %d: detector retired after topology change", gi + 1)
 
 
 def _time_series(time_axis, rts) -> TimeSeries:

@@ -130,7 +130,6 @@ class OrderReport:
     eta: dict[int, float]
     d_star: int
     failures: dict[int, str] = field(default_factory=dict)
-    init_state_samples: int = 0
 
 
 def generate_excitation(spec: ExcitationSpec, n_channels: int) -> np.ndarray:
@@ -496,13 +495,7 @@ def select_order(
     tol = 1e-9 * max(y_scale, 1.0)
     eta_min = min(eta.values())
     d_star = min(d for d, v in eta.items() if v <= eta_min + tol)
-    report = OrderReport(
-        candidates=candidates,
-        eta=eta,
-        d_star=d_star,
-        failures=failures,
-        init_state_samples=max(2 * d_star, 20),
-    )
+    report = OrderReport(candidates=candidates, eta=eta, d_star=d_star, failures=failures)
     return report, models[d_star]
 
 

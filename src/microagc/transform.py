@@ -11,38 +11,19 @@ advances it with per-IBR omega_c and m_p arrays that a run builds once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .netmodel import _readonly
 
 
-@dataclass(frozen=True)
-class LeftNullTransform:
-    """Block-diagonal map from the 2N-dim deviation state to the N-dim z vector."""
-
-    t_blocks: np.ndarray  # (N, 2) rows [omega_c_i, 1]
-    t: np.ndarray         # (N, 2N) block-diagonal assembly
-
-    def __post_init__(self):
-        object.__setattr__(self, "t_blocks", _readonly(self.t_blocks))
-        object.__setattr__(self, "t", _readonly(self.t))
-
-    @property
-    def n_ibr(self) -> int:
-        return self.t.shape[0]
-
-
-def make_transform(ibrs) -> LeftNullTransform:
-    """Build t_i = [omega_c_i, 1] per IBR and the block-diagonal stack."""
+def make_transform(ibrs) -> np.ndarray:
+    """The read-only (N, 2N) block-diagonal T with row i's block t_i = [omega_c_i, 1]:
+    the map from the 2N-dim deviation state to the N-dim z vector."""
     ibrs = tuple(ibrs)
-    n = len(ibrs)
-    blocks = np.array([[p.omega_c, 1.0] for p in ibrs])
-    t = np.zeros((n, 2 * n))
-    for i in range(n):
-        t[i, 2 * i : 2 * i + 2] = blocks[i]
-    return LeftNullTransform(t_blocks=blocks, t=t)
+    t = np.zeros((len(ibrs), 2 * len(ibrs)))
+    for i, p in enumerate(ibrs):
+        t[i, 2 * i : 2 * i + 2] = p.omega_c, 1.0
+    return _readonly(t)
 
 
 def z_update(

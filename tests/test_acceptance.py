@@ -78,9 +78,9 @@ def test_criterion_01_rank_one_structure():
     worst_sv = 0.0
     for wc, mp in configs:
         ibr = m.IbrParams(omega_c=wc, m_p=mp)
-        tr = m.make_transform([ibr])
+        t_i = m.make_transform([ibr])[0]  # one IBR's T is its block t_i
         a_i = np.array([[0.0, 1.0], [0.0, -wc]])
-        worst_null = max(worst_null, float(np.max(np.abs(tr.t_blocks[0] @ a_i))))
+        worst_null = max(worst_null, float(np.max(np.abs(t_i @ a_i))))
         sv = np.linalg.svd(a_i, compute_uv=False)
         worst_sv = max(worst_sv, sv[-1] / sv[0])
     elapsed = budget.done()
@@ -97,7 +97,7 @@ def test_criterion_02_observation_one_decay(study_grid, study_plant):
     m_p = np.array([p.m_p for p in grid.ibrs])
     k_law = np.column_stack([m.control_decentralized(m_p, col) for col in sens.T])
     a_cl = plant.a + plant.b1 @ k_law
-    t_map = m.make_transform(grid.ibrs).t
+    t_map = m.make_transform(grid.ibrs)
     omega_c = np.array([p.omega_c for p in grid.ibrs])
     x0 = np.zeros(plant.n_states)
     x0[1::2] = [0.1, -0.05, 0.02]
@@ -179,7 +179,7 @@ def test_criterion_04_lqr_correctness(study_grid, study_plant):
     gain = m.lqr_gain(study_plant, weights(3), tr)
     p_norm = float(np.linalg.norm(gain.care_solution, "fro"))
     rel_resid = gain.care_residual / p_norm
-    normal_eq = float(np.max(np.abs((gain.k_prime - gain.k @ tr.t) @ tr.t.T)))
+    normal_eq = float(np.max(np.abs((gain.k_prime - gain.k @ tr) @ tr.T)))
     normal_scale = max(1.0, float(np.max(np.abs(gain.k_prime))))
     elapsed = budget.done()
     print(f"ACCEPTANCE 4 PASS lqr: riccati residual {rel_resid:.3g} (tol 1e-8), "

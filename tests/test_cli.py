@@ -954,15 +954,44 @@ class TestLibraryChecks:
          "controller needs a detector (model_file and baseline_file)", "simulate"),
         (OBSERVER_EVENT, "action = observer_on", "[event] action: grid 1 has no detector "
          "(model_file and baseline_file)", "simulate"),
+        (COLLABORATIVE.replace("node_a = 4", "node_a = 9"), "node_a = 9",
+         "[tie] node_a: tie endpoint 9 is not a node of grid 1", "simulate"),
+        (MINIMAL + "\n[tie]\nnode_a = 2\nnode_b = 0\n", "[tie]",
+         "[tie]: a tie needs exactly two grids, scenario has 1", "simulate"),
+        (COLLABORATIVE + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
+         "channels = 0 7\n", "channels = 0 7",
+         "[attack] channels: attack channel 7 is out of range: grid 1 has 3 IBRs", "simulate"),
     ], ids=["sim", "grid", "load_signal", "attack", "attack-negative-noise",
             "attack-nan-noise", "event", "identify", "ibr", "network", "observer-controller",
-            "observer-event"])
+            "observer-event", "tie-node", "tie-one-grid", "attack-channel"])
     def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, at,
                                                message, command):
         """At the section's header; at the key's own line where the key's
         domain already rejects the value (the attack noise and IBR cases) or
         where it asks for a detector the grid lacks (the observer cases)."""
         _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: {message}", command)
+
+    @pytest.mark.parametrize("controller, at", [
+        ("optimal-z", None),
+        ("slow-lqr", "controller = slow-lqr"),
+        ("slow-lqr\nslow_hold_s = 0.1", "slow_hold_s = 0.1"),
+    ], ids=["optimal-z", "slow-lqr", "slow-lqr-hold-set"])
+    def test_slow_hold_is_checked_only_on_slow_lqr_grids(self, tmp_path, capsys,
+                                                          controller, at):
+        """The 0.1 s default hold is no whole number of 0.04 s control periods.
+        Only the slow-lqr law reads it, so only a slow-lqr grid exits 1: at its
+        slow_hold_s line, or at its controller line when the file leaves the
+        hold at its default."""
+        text = MINIMAL.replace("horizon_s = 0.5", "horizon_s = 2.0\ncontrol_period_s = 0.04")
+        text = text.replace("controller = optimal-z", f"controller = {controller}")
+        if at is None:
+            cfg = tmp_path / "c.cfg"
+            cfg.write_text(text)
+            assert run(["simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == 0
+            return
+        _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: [grid.1] "
+                 f"{at.split(' = ')[0]}: slow_hold = 0.1 s is not a whole, non-negative "
+                 "number of 0.04 s steps")
 
     def test_identify_takes_an_observer_grid_without_a_detector(self, tmp_path):
         """identify and calibrate build no detector, so the observer checks of

@@ -65,14 +65,14 @@ class TestLqrGain:
 
     def test_projection_satisfies_normal_equations(self):
         _, _, tr, gain = default_design()
-        resid = (gain.k_prime - gain.k @ tr.t) @ tr.t.T
+        resid = (gain.k_prime - gain.k @ tr) @ tr.T
         assert np.max(np.abs(resid)) <= 1e-10 * max(1.0, np.max(np.abs(gain.k_prime)))
 
     def test_closed_loop_spectra_negative(self):
         _, plant, tr, gain = default_design()
         assert gain.closed_loop_abscissa < 0.0
         assert gain.projected_abscissa < 0.0
-        direct = np.max(np.linalg.eigvals(plant.a - plant.b1 @ gain.k @ tr.t).real)
+        direct = np.max(np.linalg.eigvals(plant.a - plant.b1 @ gain.k @ tr).real)
         assert direct == pytest.approx(gain.projected_abscissa, abs=1e-9)
 
     def test_weight_scaling_homogeneity(self):

@@ -156,7 +156,10 @@ class TestAssemblePlant:
         plant = m.assemble_plant([ibr], hm)
         np.testing.assert_allclose(plant.a, [[0.0, 1.0], [0.0, -10.0]])
         np.testing.assert_allclose(plant.b1, [[0.0], [10.0]])
-        np.testing.assert_allclose(plant.b2, [[0.0], [-1e-2]])
+        # the network enters through b2 = [0, -m_p omega_c]': a gains b2 h_red e
+        coupled = m.assemble_plant([ibr], m.AngleSensitivity(h=np.array([[2.0]]), n_ibr=1,
+                                                             n_load=0))
+        np.testing.assert_allclose(coupled.a - plant.a, [[0.0, 0.0], [-2e-2, 0.0]])
 
     def test_block_eigenvalues_and_rank_deficiency(self):
         for wc in (10.0, 31.41, 80.0):
@@ -169,6 +172,9 @@ class TestAssemblePlant:
     def test_network_coupling_consistency_along_trajectory(self):
         grid = cs.grid1_spec()
         plant = cs.build_plant(grid)
+        b2 = np.zeros((6, 3))  # the power input's matrix, [0, -m_p omega_c]' per IBR
+        for i, p in enumerate(grid.ibrs):
+            b2[2 * i + 1, i] = -p.m_p * p.omega_c
         rng = np.random.default_rng(2)
         for _ in range(10):
             x = rng.normal(0.0, 0.1, plant.n_states)
@@ -176,8 +182,8 @@ class TestAssemblePlant:
             pl = rng.normal(0.0, 300.0, 2)
             dp_g = m.measure_power(plant, x, pl)
             lhs = plant.a @ x + plant.b1 @ u + plant.f @ pl
-            a_g = plant.a - plant.b2 @ plant.h_red @ plant.e
-            rhs = a_g @ x + plant.b1 @ u + plant.b2 @ dp_g
+            a_g = plant.a - b2 @ plant.h_red @ plant.e
+            rhs = a_g @ x + plant.b1 @ u + b2 @ dp_g
             scale = max(1.0, np.max(np.abs(lhs)))
             np.testing.assert_allclose(lhs, rhs, atol=1e-10 * scale)
 

@@ -1,9 +1,11 @@
 """Scenario engine tests: integrator exactness, sensors, attacks, load
 signals, tie-line merging, and run-level invariants."""
 
+import ast
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +30,7 @@ class TestIntegrateStep:
     def test_pure_integrator(self):
         plant = m.LinearPlant(
             a=np.zeros((2, 2)), b1=np.array([[1.0], [0.0]]),
-            b2=np.zeros((2, 1)), f=np.zeros((2, 0)), e=np.zeros((1, 2)),
+            f=np.zeros((2, 0)), e=np.zeros((1, 2)),
             h_red=np.zeros((1, 1)), f_map=np.zeros((1, 0)),
         )
         x1 = ZohStepper(plant, 0.25).step(np.zeros(2), np.array([3.0]), np.zeros(0))
@@ -36,7 +38,7 @@ class TestIntegrateStep:
 
     def test_scalar_exponential_decay(self):
         plant = m.LinearPlant(
-            a=np.array([[-1.0]]), b1=np.zeros((1, 1)), b2=np.zeros((1, 1)),
+            a=np.array([[-1.0]]), b1=np.zeros((1, 1)),
             f=np.zeros((1, 0)), e=np.zeros((1, 1)), h_red=np.zeros((1, 1)),
             f_map=np.zeros((1, 0)),
         )
@@ -488,8 +490,10 @@ class TestRunScenario:
         ("attacks[0].replay_to", dict(attacks=(m.AttackSpec(
             kind="replay", channels=(0,), start=0.5, end=0.7, replay_from=0.1,
             replay_to=0.2001),))),
-        ("grids[0].slow_hold = 0.1234", dict(grids=(replace(cs.grid1_spec(), slow_hold=0.1234),))),
-        ("grids[0].slow_hold = 0", dict(grids=(replace(cs.grid1_spec(), slow_hold=0.0),))),
+        ("grids[0].slow_hold = 0.1234",
+         dict(grids=(replace(cs.grid1_spec("slow-lqr"), slow_hold=0.1234),))),
+        ("grids[0].slow_hold = 0",
+         dict(grids=(replace(cs.grid1_spec("slow-lqr"), slow_hold=0.0),))),
     ], ids=["horizon", "negative-horizon", "event", "start", "end", "replay_from",
             "replay_to", "slow_hold", "slow_hold-zero"])
     def test_times_must_be_whole_control_periods(self, field, kwargs):
@@ -595,6 +599,37 @@ class TestRunScenario:
         latency = ts.time[off[0]] - 0.5
         assert f"detection_latency_s = {latency:.6g}" in m.summarize(ts, sc)
 
+    def test_auto_observer_response_switches_a_grid_that_was_off(
+            self, trained_detector_quiet):
+        """The response is the observer_on event: it switches on a grid whose
+        own controller is none, from the row that flagged."""
+        g = cs.grid1_spec(controller="none", weights=m.CostWeights.uniform(3, q=10.0),
+                          detector=trained_detector_quiet)
+        atk = m.AttackSpec(kind="noise-injection", channels=(0,), start=0.5,
+                           end=10.0, noise_std=800.0)
+        ts = m.run_scenario(m.Scenario(grids=(g,), horizon=1.0, seed=13, attacks=(atk,),
+                                       auto_response="observer"))
+        first = int(np.flatnonzero(ts["mg1_flag"])[0])
+        assert set(ts["mg1_ctrl"][:first]) == {"off"}
+        assert set(ts["mg1_ctrl"][first:]) == {"observer"}
+
+    def test_controller_on_after_a_collaborative_response_restores_the_grid_law(
+            self, trained_detector_quiet):
+        """The response switches the grid off without forgetting its law, so a
+        later controller_on event brings that law back."""
+        g1 = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0),
+                           detector=trained_detector_quiet)
+        g2 = cs.grid2_spec(weights=m.CostWeights.uniform(2, q=10.0))
+        atk = m.AttackSpec(kind="noise-injection", channels=(0,), start=0.5,
+                           end=10.0, noise_std=800.0)
+        sc = m.Scenario(grids=(g1, g2), horizon=3.5, seed=17, attacks=(atk,),
+                        tie=cs.default_tie(), auto_response="collaborative",
+                        events=(m.Event(time=3.0, action="controller_on"),))
+        ts = m.run_scenario(sc)
+        assert "off" in set(ts.window("mg1_ctrl", t1=3.0))
+        assert set(ts.window("mg1_ctrl", t0=3.0)) == {"optimal-z"}
+        assert np.any(ts.window("mg1_dws_1", t0=3.0) != 0.0)
+
     def test_summarize_contains_metrics(self):
         g = cs.grid1_spec(controller="optimal-z")
         sc = m.Scenario(grids=(g,), horizon=0.5, seed=0)
@@ -605,3 +640,33 @@ class TestRunScenario:
     def test_rms_helper(self):
         assert rms(np.array([3.0, 4.0])) == pytest.approx(np.sqrt(12.5))
         assert rms(np.array([])) == 0.0
+
+
+def test_only_apply_event_changes_a_grid_mid_run():
+    """A grid runtime's law, observer, watermark and detector are set when it is
+    built or its law is bound, and changed during a run only by _apply_event:
+    an auto-response fires the events it stands for."""
+    guarded = {"controller", "enabled", "obs", "wm_active", "det_state", "law"}
+    writers: dict[str, set[str]] = {}
+
+    def scan(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            written = None
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store):
+                written = child.attr
+            elif (isinstance(child, ast.Call) and len(child.args) > 1
+                  and isinstance(child.args[1], ast.Constant)
+                  and getattr(child.func, "id", getattr(child.func, "attr", None))
+                  in ("setattr", "__setattr__")):
+                written = child.args[1].value
+            if written in guarded:
+                writers.setdefault(scope, set()).add(written)
+            scan(child, inner)
+
+    scan(ast.parse(Path(simcore.__file__).read_text()), "")
+    assert set(writers) == {"_GridRuntime.__init__", "_GridRuntime.resolve_law",
+                            "_apply_event"}, writers
+    assert writers["_apply_event"] == guarded - {"law"}

@@ -472,7 +472,7 @@ class TestSelectOrder:
         y = simulate(a, b, c, u)
         y = y + 1e-3 * np.random.default_rng(6).normal(size=y.shape)
         report, model = m.select_order(u, y, candidates=[3])
-        x0 = sysid.estimate_initial_state(model, u, y, report.init_state_samples)
+        x0 = sysid.estimate_initial_state(model, u, y, max(2 * 3, 20))  # as d = 3 is scored
         y_hat = simulate(model.a_d, model.b_d, model.c_d, u, x0)
         eta = float(np.mean(np.linalg.norm(y_hat - y, axis=1)))
         assert eta > 1e-4
@@ -492,14 +492,13 @@ class TestSelectOrder:
         y = y + 3e-7 * np.random.default_rng(5).normal(size=y.shape)
         report, model = m.select_order(u, y, candidates=[3, 12])
         assert report.d_star == 3 and 12 in report.eta
-        assert report.init_state_samples == 20
 
         def rescore(n_samples):
             x0 = sysid.estimate_initial_state(model, u, y, n_samples)
             return prediction_error(model, x0, u, y)
 
         tol = 1e-12 * float(np.max(np.abs(y)))
-        assert abs(rescore(report.init_state_samples) - report.eta[3]) <= tol
+        assert abs(rescore(max(2 * report.d_star, 20)) - report.eta[3]) <= tol
         assert abs(rescore(24) - report.eta[3]) > tol
 
     def test_empty_candidates(self):

@@ -31,9 +31,8 @@ from .simcore import (
     LoadSignalSpec,
     TieSpec,
     ZohStepper,
-    measure_power,
 )
-from .sysid import ExcitationSpec, generate_excitation, select_order
+from .sysid import ExcitationSpec, _recursion_rows, generate_excitation, select_order
 from .watermark import WatermarkConfig
 
 LOAD_OHMS_GRID1 = (25.0, 20.0)
@@ -115,17 +114,15 @@ def simulate_open_loop(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drive the plant with a setpoint sequence held at dt, loads frozen.
 
-    Returns (t, y) with y[k] the power deviation sampled before applying u[k];
-    the hold makes the exact ZOH step sufficient with no substeps.
+    Returns (t, y) with y[k] the power deviation sampled before applying u[k]:
+    x[k+1] = a_d x[k] + b_d u[k] of `ZohStepper(plant, dt)` from rest, by
+    `sysid._recursion_rows`, and y = h_red e x (`measure_power` at zero load).
+    The hold makes the exact ZOH step sufficient with no substeps.
     """
     stepper = ZohStepper(plant, dt)
-    zeros_l = np.zeros(plant.n_load)
-    x = np.zeros(plant.n_states)
-    y = np.empty((u.shape[0], plant.n_ibr))
-    for k in range(u.shape[0]):
-        y[k] = measure_power(plant, x, zeros_l)
-        x = stepper.step(x, u[k], zeros_l)
-    return np.arange(u.shape[0]) * dt, y
+    x = _recursion_rows(stepper.a_d.T, np.zeros(plant.n_states),
+                        u @ stepper.b_d[:, : plant.n_ibr].T)
+    return np.arange(u.shape[0]) * dt, x @ (plant.h_red @ plant.e).T
 
 
 def identification_records(

@@ -277,14 +277,23 @@ def _watermark(sec: Section, default_seed: int) -> WatermarkConfig:
                            seed=sec.value("watermark_seed", default_seed))
 
 
-def _detector_model(sec: Section, n: int, base_dir: Path) -> DiscreteModel:
-    """The model_file's model, which must map n commands to n powers and be
-    stable: the detector reads an unstable model's growing free response as an
-    attack."""
+def _control_period(sections: dict[str, list[Section]]) -> float:
+    """The run's control_period_s: [sim]'s, else the default."""
+    values = sections["sim"][0].values if sections["sim"] else {}
+    return values.get("control_period", defaults.CONTROL_PERIOD)
+
+
+def _detector_model(sec: Section, n: int, base_dir: Path, period: float) -> DiscreteModel:
+    """The model_file's model, which must map n commands to n powers, one per
+    control period, and be stable: the detector reads an unstable model's
+    growing free response as an attack."""
     model = load_model(base_dir / sec.value("model_file"))
     if not model.n_inputs == model.n_outputs == n:
         raise ConfigError(f"{sec.where('model_file')}: the model has {model.n_inputs} "
                           f"inputs and {model.n_outputs} outputs, the grid {n} IBRs")
+    if not abs(model.dt - period) <= 1e-9 * period:
+        raise ConfigError(f"{sec.where('model_file')}: the model's dt = {model.dt:.6g} s "
+                          f"is not the control period {period:.6g} s")
     if model.spectral_radius >= UNSTABLE_RADIUS:
         raise ConfigError(f"{sec.where('model_file')}: the model's [a] block is unstable "
                           f"(spectral radius {model.spectral_radius:.6g})")
@@ -300,13 +309,14 @@ def _detector_baseline(sec: Section, n: int, base_dir: Path) -> BaselineStats:
     return baseline
 
 
-def _build_detector(sec: Section, n: int, base_dir: Path) -> DetectorSetup | None:
+def _build_detector(sec: Section, n: int, base_dir: Path,
+                    period: float) -> DetectorSetup | None:
     files = sec.value("model_file", None), sec.value("baseline_file", None)
     if files == (None, None):
         return None
     if None in files:
         raise ConfigError(f"{sec.where()} a detector needs model_file and baseline_file")
-    return DetectorSetup(model=_detector_model(sec, n, base_dir),
+    return DetectorSetup(model=_detector_model(sec, n, base_dir, period),
                          baseline=_detector_baseline(sec, n, base_dir),
                          watermark=_watermark(sec, default_seed=0))
 
@@ -341,7 +351,8 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
     gi = sections["grid"].index(sec)
     signals = tuple(s.build(LoadSignalSpec) for s in sections["load_signal"]
                     if _named_grid(sections, s) == gi)
-    detector = _build_detector(sec, n, base_dir) if with_detector else None
+    detector = (_build_detector(sec, n, base_dir, _control_period(sections))
+                if with_detector else None)
     if with_detector and detector is None and sec.values.get("controller") == "observer":
         raise ConfigError(f"{sec.where('controller')}: the observer controller needs a "
                           "detector (model_file and baseline_file)")
@@ -364,7 +375,7 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
     grids = tuple(_build_grid(sec, sections, base_dir, with_detectors)
                   for sec in sections["grid"])
     sim = _first_section(sections, "sim")
-    period = sim.values.get("control_period", defaults.CONTROL_PERIOD)
+    period = _control_period(sections)
     for sec, grid in zip(sections["grid"], grids):
         if grid.controller == "slow-lqr":  # the one law that reads slow_hold
             with sec.located("slow_hold" if "slow_hold" in sec.values else "controller"):
@@ -542,7 +553,8 @@ def cmd_calibrate(args) -> int:
     grid = scenario.grids[_named_grid(sections, sec)]
     n = grid.network.n_ibr
     setup = calibrate_detector(
-        grid, _detector_model(sec, n, out), _watermark(sec, default_seed=29), window,
+        grid, _detector_model(sec, n, out, scenario.control_period),
+        _watermark(sec, default_seed=29), window,
         sec.value("margin", defaults.THRESHOLD_MARGIN), horizon=horizon, seed=scenario.seed,
         control_period=scenario.control_period, integrator_step=scenario.integrator_step)
     out.mkdir(parents=True, exist_ok=True)
@@ -558,7 +570,7 @@ def cmd_detect(args) -> int:
     sec = _first_section(sections, "detect")
     gi = _named_grid(sections, sec)
     n = sections["grid"][gi].value("n_ibr")
-    model = _detector_model(sec, n, out)
+    model = _detector_model(sec, n, out, _control_period(sections))
     baseline = _detector_baseline(sec, n, out)
     t, u, e, y = _load_trace(out / sec.value("trace_file"), gi + 1, n)
     n_steps = t.shape[0]

@@ -837,10 +837,10 @@ def _time_series(time_axis, rts) -> TimeSeries:
 
 
 def summarize(ts: TimeSeries, scenario: Scenario) -> str:
-    """Structured text report: RMS and steady-state deviations, detection latency."""
+    """Structured text report: RMS and steady-state deviations, detection latency.
+    The steady state is t >= 0.95 horizon, and at least the last control instant."""
     lines = ["run summary", "==========="]
-    horizon = scenario.horizon
-    tail = 0.95 * horizon
+    tail = min(0.95 * scenario.horizon, ts.time[-1])
     for gi, g in enumerate(scenario.grids):
         p = f"mg{gi + 1}"
         lines.append(f"[grid {gi + 1}]")

@@ -13,14 +13,12 @@ basis dependent.
 Order selection fits every candidate order and scores it by prediction error.
 The score reuses the candidate's own fit: the B/x0 regressor already holds
 every row [forced response | C A^k], so the prediction over the record is one
-matrix product, not a replay of the recursion. The regressor itself comes from
-a blocked recursion: the K samples are cut into blocks of p = ceil(sqrt(K)),
-every block's local recursion runs at once, a second recursion over the
-blocks carries their starts forward by A^p, and one batched product with the
-powers A^0..A^(p-1) joins the two, so a fit takes about 3 sqrt(K) Python steps
-(191 for K = 4,001) instead of K. Its rows equal the sample-by-sample
-recursion up to rounding; predict keeps the sample-by-sample form, bit-equal
-to the streaming detector's.
+matrix product, not a replay of the recursion. The regressor comes from
+_recursion_rows, the one blocked linear recursion, which also runs the plant
+for casestudy's identification records: about 3 sqrt(K) Python steps (191 for
+K = 4,001) instead of K, with rows equal to the sample-by-sample recursion up
+to rounding. predict keeps the sample-by-sample form, bit-equal to the
+streaming detector's.
 
 The candidates of a record share one QR through a FitWorkspace. The LQ factor
 of [U; Y] at the largest block-row count, top, is a QR of the transposed
@@ -74,10 +72,22 @@ class ExcitationSpec:
     def __post_init__(self):
         if self.dt_prime <= self.dt:
             raise ValueError("pulse width dt_prime must exceed the sample time dt")
+        self.pulse_samples  # a whole number of samples
         if not (np.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"amplitude bound beta must be finite and >= 0, got {self.beta}")
         if self.k0 < 1:
             raise ValueError(f"record length k0 must be >= 1, got {self.k0}")
+
+    @property
+    def pulse_samples(self) -> int:
+        """Samples per level, dt_prime / dt; a ScenarioError at dt_prime unless
+        whole (simcore.whole_steps)."""
+        from .simcore import ScenarioError, whole_steps  # simcore imports this module
+
+        try:
+            return whole_steps(self.dt_prime, self.dt, "dt_prime")
+        except ScenarioError as exc:
+            raise ScenarioError(str(exc), field="dt_prime") from None
 
 
 @dataclass(frozen=True)
@@ -136,10 +146,10 @@ def generate_excitation(spec: ExcitationSpec, n_channels: int) -> np.ndarray:
     """Sample the staircase excitation on all channels: (k0 + 1, n) array.
 
     Each channel holds an independent uniform [-beta, beta] level for
-    dt_prime / dt consecutive samples.
+    spec.pulse_samples = dt_prime / dt consecutive samples.
     """
     rng = np.random.default_rng(spec.seed)
-    per_pulse = int(round(spec.dt_prime / spec.dt))
+    per_pulse = spec.pulse_samples
     n_samples = spec.k0 + 1
     n_pulses = -(-n_samples // per_pulse)
     levels = rng.uniform(-spec.beta, spec.beta, size=(n_pulses, n_channels))
@@ -355,56 +365,59 @@ def identify(
     return DiscreteModel(a_d, b_d, c_d, dt=dt, order=d, effective_order=d_eff)
 
 
-def _fit_input_matrix(a, c, u, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Least squares for B and x0 with A, C fixed (no feedthrough term).
-
-    y[k] = C A^k x0 + sum_{tau<k} C A^(k-1-tau) B u[tau]. One stacked state
-    recursion R[k+1] = R[k] A + D[k] over (m + 1) row blocks of n_out rows
-    builds the whole regressor: block j < m starts at zero and is driven by
-    D[k]_j = u_j[k] C, giving the rows of y[k] in column j of B; the last
-    block starts at C and is never driven, giving C A^k, the rows of x0.
-
-    The recursion runs in two levels of about sqrt(K) steps each over the K
-    samples, cut into blocks of p = ceil(sqrt(K)) samples (the last one padded
-    with zero drive): every block's local recursion L[q, s] from a zero start
-    at once, then the block starts S[q + 1] = S[q] A^p + L[q, p], and every row
-    R[q p + s] = S[q] A^s + L[q, s] in one batched product. The rows equal the
-    sample-by-sample recursion up to rounding.
-
-    Returns B, x0 and the (samples * n_out, (m + 1) n) regressor, whose
-    product with [vec(B); x0] (vec input-major) is the model's prediction.
-    """
-    n = a.shape[0]
-    n_out, _ = c.shape
-    n_samples, m = u.shape
-    width = (m + 1) * n_out
+def _recursion_rows(a: np.ndarray, start: np.ndarray, drive: np.ndarray) -> np.ndarray:
+    """Rows R[0..K-1] of R[0] = start, R[k+1] = R[k] @ a + drive[k], for K drive
+    rows shaped like start, in two levels of about sqrt(K) steps: blocks of
+    p = ceil(sqrt(K)) samples (the last padded with zero drive) run their local
+    recursions L[q, s] from zero at once, the block starts follow
+    S[q + 1] = S[q] A^p + L[q, p], and R[q p + s] = S[q] A^s + L[q, s] is one
+    batched product. The rows equal the stepwise recursion up to rounding."""
+    shape, n_samples, n = np.shape(start), drive.shape[0], a.shape[0]
+    drive = drive.reshape(n_samples, -1, n)
+    width = drive.shape[1]
     p = math.isqrt(n_samples - 1) + 1  # ceil(sqrt(K))
     n_blocks = -(-n_samples // p)
-    drive = np.zeros((n_blocks * p, m + 1, n_out, n))
-    drive[:n_samples, :m] = u[:, :, None, None] * c
-    drive = drive.reshape(n_blocks, p, width, n)
     rows = np.empty((n_blocks, p, width, n))  # L[q, s], then R[q p + s]
     local = np.zeros((n_blocks, width, n))
     for s in range(p):
         rows[:, s] = local
-        local = local @ a + drive[:, s]
-    del drive  # local is L[q, p]
+        local = local @ a
+        local[: -(-(n_samples - s) // p)] += drive[s::p]  # the blocks that reach s
     powers = np.empty((p + 1, n, n))
     powers[0] = np.eye(n)
     for s in range(p):
         powers[s + 1] = powers[s] @ a
-    starts = np.empty((n_blocks, width, n))
-    start = np.zeros((width, n))
-    start[m * n_out :] = c
+    starts = np.empty_like(local)
+    start = np.reshape(start, (width, n))
     for q in range(n_blocks):
         starts[q] = start
         start = start @ powers[p] + local[q]
     rows += starts[:, None] @ powers[:p]
-    rows = rows.reshape(n_blocks * p, m + 1, n_out, n)[:n_samples]
+    return rows.reshape(n_blocks * p, width, n)[:n_samples].reshape(n_samples, *shape)
+
+
+def _fit_input_matrix(a, c, u, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least squares for B and x0 with A, C fixed (no feedthrough term).
+
+    y[k] = C A^k x0 + sum_{tau<k} C A^(k-1-tau) B u[tau]. One stacked state
+    recursion R[k+1] = R[k] A + D[k] (_recursion_rows) over (m + 1) row blocks
+    of n_out rows builds the whole regressor: block j < m starts at zero and is
+    driven by D[k]_j = u_j[k] C, giving the rows of y[k] in column j of B; the
+    last block starts at C and is never driven, giving C A^k, the rows of x0.
+
+    Returns B, x0 and the (samples * n_out, (m + 1) n) regressor, whose
+    product with [vec(B); x0] (vec input-major) is the model's prediction.
+    """
+    (n_samples, m), (n_out, n) = u.shape, c.shape
+    drive = np.zeros((n_samples, m + 1, n_out, n))
+    drive[:, :m] = u[:, :, None, None] * c
+    start = np.zeros((m + 1, n_out, n))
+    start[m] = c
     # (sample, block, output, state) -> (sample, output, block, state): each
     # output row reads [vec(B) input-major | x0]
-    reg = rows.transpose(0, 2, 1, 3).reshape(n_samples * n_out, (m + 1) * n)
-    del rows
+    reg = _recursion_rows(a, start, drive).transpose(0, 2, 1, 3).reshape(
+        n_samples * n_out, (m + 1) * n)
+    del drive
     sol, *_ = np.linalg.lstsq(reg, y.reshape(-1), rcond=None)
     b = sol[: m * n].reshape(m, n).T     # vec with input-major blocks
     x0 = sol[m * n :]

@@ -475,6 +475,44 @@ class TestDetectorFilesFitTheGrid:
 
     @pytest.mark.parametrize("command, section", [
         ("simulate", "[grid.1]"), ("calibrate", "[calibrate]"), ("detect", "[detect]")])
+    @pytest.mark.parametrize("dt", [0.01, 0.005 * (1 + 2e-9)])
+    def test_model_at_another_period_names_its_line(self, tmp_path, capsys, command,
+                                                    section, dt):
+        """A model identified at another sample time than the run's 5 ms
+        control period exits 1 at its model_file line, before anything runs,
+        whether it is 10 ms (the demo chain with [identify] dt_s = 0.01) or
+        off by more than 1e-9 relative."""
+        work = tmp_path / "w"
+        work.mkdir()
+        save_model(DiscreteModel(a_d=0.5 * np.eye(2), b_d=np.eye(2), c_d=np.eye(2),
+                                 dt=dt, order=2), work / "model.txt")
+        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), sigma_star=np.eye(2), w=4),
+                          work / "baseline.txt")
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(self.CONFIG)
+        lines = self.CONFIG.splitlines()
+        start = lines.index(section)
+        line = next(i for i in range(start, len(lines)) if lines[i].startswith("model_file"))
+        assert run([command, "--config", cfg, "--out", work]) == cli.EXIT_USAGE
+        assert (f"error: {cfg}: line {line + 1}: {section} model_file: the model's "
+                f"dt = {dt:.6g} s is not the control period 0.005 s"
+                in capsys.readouterr().err)
+        assert sorted(p.name for p in work.iterdir()) == ["baseline.txt", "model.txt"]
+
+    def test_model_within_rounding_of_the_period_runs(self, tmp_path):
+        """The period check has whole_steps's 1e-9 relative tolerance."""
+        work = tmp_path / "w"
+        work.mkdir()
+        save_model(DiscreteModel(a_d=0.5 * np.eye(2), b_d=np.eye(2), c_d=np.eye(2),
+                                 dt=0.005 * (1 + 1e-12), order=2), work / "model.txt")
+        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), sigma_star=np.eye(2), w=4),
+                          work / "baseline.txt")
+        cfg = tmp_path / "d.cfg"
+        cfg.write_text(self.CONFIG)
+        assert run(["simulate", "--config", cfg, "--out", work, "--quiet"]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", "[grid.1]"), ("calibrate", "[calibrate]"), ("detect", "[detect]")])
     @pytest.mark.parametrize("radius", [1.02, 1.0 + 2e-9])
     def test_unstable_model_names_its_line(self, tmp_path, capsys, command, section, radius):
         """A model whose [a] block has spectral radius >= 1 + 1e-9 exits 1 at
@@ -541,6 +579,25 @@ def _rejects(tmp_path, capsys, text, expected, command="simulate"):
     assert run([command, "--config", cfg, "--out", out]) == cli.EXIT_USAGE
     assert f"{cfg}: {expected}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_steady_state_of_a_horizon_without_a_tail_instant(tmp_path):
+    """At horizon_s = 0.48 and control_period_s = 0.04 the last control instant,
+    0.44 s, precedes 0.95 horizon: the steady-state value is |domega| there,
+    not the nan of an empty window."""
+    text = (CONFIGS / "regulation_pulses.cfg").read_text().replace(
+        "horizon_s = 10.0", "horizon_s = 0.48").replace(
+        "control_period_s = 0.005", "control_period_s = 0.04")
+    cfg, out = tmp_path / "c.cfg", tmp_path / "out"
+    cfg.write_text(text)
+    assert run(["simulate", "--config", cfg, "--out", out, "--quiet"]) == cli.EXIT_OK
+    steady = re.findall(r"steady_abs_domega_rad_s = (\S+)",
+                        (out / "summary.txt").read_text())
+    _, data = cli.read_table(out / "timeseries.csv",
+                             ["t"] + [f"mg1_domega_{i}" for i in (1, 2, 3)])
+    assert data[-1, 0] == pytest.approx(0.44)
+    assert steady == [f"{abs(v):.6g}" for v in data[-1, 1:]]
+    assert all(math.isfinite(float(v)) for v in steady)
 
 
 def test_rejected_simulate_removes_the_directories_it_made(tmp_path, capsys):
@@ -804,7 +861,8 @@ def test_mutated_detector_files_exit_cleanly(demo_run):
             usage = rf"^error: {re.escape(str(out / name))}: "
             if name == "model.txt":
                 usage += (rf"|^error: {re.escape(str(cfg))}: line \d+: \[(grid\.1|detect)\] "
-                          r"model_file: the model's \[a\] block is unstable")
+                          r"model_file: the model's (\[a\] block is unstable|dt = \S+ s "
+                          r"is not the control period)")
             for command in ("simulate", "detect"):
                 _exits_cleanly([command, "--config", cfg, "--out", out, "--quiet"], usage)
 
@@ -1030,6 +1088,15 @@ class TestLibraryChecks:
         text = self.COLLABORATIVE.replace(old, new)
         _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: {field} s "
                  "is not a whole, non-negative number of 0.005 s steps")
+
+    def test_pulse_width_between_samples(self, tmp_path, capsys):
+        """dt_prime_s = 0.0074, 1.48 samples of the 5 ms dt_s, exits 1 at its
+        line rather than run with one sample per level."""
+        text = (CONFIGS / "detection_demo.cfg").read_text().replace(
+            "dt_prime_s = 0.05", "dt_prime_s = 0.0074")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, 'dt_prime_s = 0.0074')}: "
+                 "[identify] dt_prime_s: dt_prime = 0.0074 s is not a whole, "
+                 "non-negative number of 0.005 s steps", "identify")
 
     def test_calibration_horizon_between_control_instants(self, tmp_path, capsys,
                                                           demo_run):

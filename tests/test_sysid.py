@@ -75,6 +75,25 @@ class TestGenerateExcitation:
         with pytest.raises(ValueError):
             m.ExcitationSpec(dt=0.01, dt_prime=0.01)
 
+    @pytest.mark.parametrize("dt_prime", [0.0074, 0.0125, 0.05 * (1 + 1e-8)])
+    def test_pulse_width_is_whole_samples(self, dt_prime):
+        """A pulse of 1.48 samples is rejected at dt_prime, not rounded to one
+        sample per level."""
+        with pytest.raises(m.ScenarioError, match=f"dt_prime = {dt_prime} s is not a "
+                           "whole, non-negative number of 0.005 s steps") as err:
+            m.ExcitationSpec(dt=0.005, dt_prime=dt_prime)
+        assert err.value.field == "dt_prime"
+
+    @pytest.mark.parametrize("dt, dt_prime, samples", [
+        (0.005, 0.015, 3), (0.005, 0.05 * (1 + 1e-12), 10), (0.01, 0.05, 5)])
+    def test_levels_last_whole_samples(self, dt, dt_prime, samples):
+        """Within whole_steps's 1e-9 relative tolerance (0.015 / 0.005 is
+        2.9999999999999996 in floating point)."""
+        spec = m.ExcitationSpec(dt=dt, dt_prime=dt_prime, beta=0.1, k0=99, seed=2)
+        assert spec.pulse_samples == samples
+        u = m.generate_excitation(spec, 1)[:, 0]
+        assert np.all(u == np.repeat(u[::samples], samples)[:100])
+
     @pytest.mark.parametrize("setting", [
         {"beta": float("nan")}, {"beta": float("inf")}, {"beta": -0.1}, {"k0": -5},
         {"k0": 0},
@@ -202,6 +221,59 @@ def test_blocked_regressor_is_the_stepwise_recursion(n_samples, n, m_in, l_out, 
     ref = stepwise_regressor(a, c, u)
     assert reg.shape == ref.shape
     assert np.all(np.abs(reg - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
+
+
+def stepwise_rows(a, start, drive):
+    """R[0..K-1] of R[0] = start, R[k+1] = R[k] @ a + drive[k], one sample at
+    a time."""
+    rows = np.empty(drive.shape)
+    r = np.array(start, dtype=float)
+    for k in range(drive.shape[0]):
+        rows[k] = r
+        r = r @ a + drive[k]
+    return rows
+
+
+def record_layout(rng, n, m_in, n_samples, a):
+    """A plant record's state recursion x[k+1] = A x[k] + B u[k] from rest, as
+    rows: x[k+1]^T = x[k]^T A^T + (B u[k])^T."""
+    b = rng.normal(size=(n, m_in))
+    u = rng.uniform(-1.0, 1.0, size=(n_samples, m_in))
+    return a.T, np.zeros(n), u @ b.T
+
+
+def regressor_layout(rng, n, m_in, n_samples, a, l_out=2):
+    """_fit_input_matrix's (m + 1) row blocks of C: blocks j < m from zero,
+    driven by u_j[k] C; the last from C, undriven."""
+    c = rng.normal(size=(l_out, n))
+    u = rng.uniform(-1.0, 1.0, size=(n_samples, m_in))
+    start = np.zeros((m_in + 1, l_out, n))
+    start[m_in] = c
+    drive = np.zeros((n_samples, m_in + 1, l_out, n))
+    drive[:, :m_in] = u[:, :, None, None] * c
+    return a, start, drive
+
+
+@pytest.mark.parametrize("layout", [record_layout, regressor_layout])
+@pytest.mark.parametrize("n_samples", RECORD_LENGTHS)
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 6), m_in=st.integers(1, 3),
+       radius=st.one_of(st.just(1.0), st.floats(0.05, 1.0)),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=6, m_in=3, radius=1.0, seed=0)
+def test_recursion_rows_are_the_stepwise_recursion(layout, n_samples, n, m_in, radius,
+                                                   seed):
+    """The blocked recursion of both its callers, the identification record
+    and the B/x0 regressor, gives the sample-by-sample rows to 1e-12 of each
+    column's peak, on padded and unpadded record lengths."""
+    rng = np.random.default_rng(seed)
+    a, _, _ = random_discrete_system(n, 1, 1, rng, radius=radius)
+    a, start, drive = layout(rng, n, m_in, n_samples, a)
+    rows = sysid._recursion_rows(a, start, drive)
+    ref = stepwise_rows(a, start, drive)
+    assert rows.shape == ref.shape == (n_samples, *np.shape(start))
+    err = np.abs(rows - ref).reshape(n_samples, -1)
+    assert np.all(err <= 1e-12 * np.max(np.abs(ref.reshape(n_samples, -1)), axis=0))
 
 
 # Markov parameters of a shared-factor model agree with the lone model's to
@@ -546,6 +618,25 @@ class TestPersistence:
 
 
 class TestOnDefaultPlant:
+    @pytest.mark.parametrize("spec", [m.ExcitationSpec(seed=17),
+                                      m.ExcitationSpec(k0=1500, dt_prime=0.02, seed=23)])
+    def test_records_are_the_stepped_plant(self, spec):
+        """identification_records' blocked recursion gives the record of a
+        ZohStepper.step + measure_power loop, to 1e-12 of each column's peak."""
+        grid = cs.grid1_spec()
+        t, u, y = cs.identification_records(grid, spec)
+        plant = cs.build_plant(grid)
+        stepper = m.ZohStepper(plant, spec.dt)
+        no_load = np.zeros(plant.n_load)
+        x = np.zeros(plant.n_states)
+        ref = np.empty((u.shape[0], plant.n_ibr))
+        for k in range(u.shape[0]):
+            ref[k] = m.measure_power(plant, x, no_load)
+            x = stepper.step(x, u[k], no_load)
+        assert np.array_equal(t, np.arange(spec.k0 + 1) * spec.dt)
+        assert y.shape == ref.shape
+        assert np.all(np.abs(y - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))
+
     def test_noise_free_identification_of_study_grid(self):
         grid = cs.grid1_spec()
         spec = m.ExcitationSpec(k0=1500, seed=23)

@@ -83,6 +83,7 @@ from .simcore import (  # noqa: F401
     ZohStepper,
     apply_attack,
     close_tie_line,
+    grid_plant,
     load_signal,
     measure_frequency_lagged,
     measure_power,

@@ -18,19 +18,14 @@ import numpy as np
 
 from . import defaults
 from .lqr import CostWeights
-from .netmodel import (
-    IbrParams,
-    NetworkSpec,
-    assemble_plant,
-    build_sensitivity,
-    solve_operating_point,
-)
+from .netmodel import IbrParams, NetworkSpec
 from .simcore import (
     DetectorSetup,
     GridSpec,
     LoadSignalSpec,
     TieSpec,
     ZohStepper,
+    grid_plant,
 )
 from .sysid import ExcitationSpec, _recursion_rows, generate_excitation, select_order
 from .watermark import WatermarkConfig
@@ -39,9 +34,9 @@ LOAD_OHMS_GRID1 = (25.0, 20.0)
 LOAD_OHMS_GRID2 = (33.0,)
 
 
-def load_power(ohms: float, v_star: float = defaults.V_STAR) -> float:
+def load_power(ohms: float) -> float:
     """Three-phase power of a per-phase resistive load at nominal voltage."""
-    return 3.0 * v_star**2 / ohms
+    return 3.0 * defaults.V_STAR**2 / ohms
 
 
 def _study_grid(n_ibr: int, ohms, feeders, **settings) -> GridSpec:
@@ -49,14 +44,12 @@ def _study_grid(n_ibr: int, ohms, feeders, **settings) -> GridSpec:
     resistive loads of the given ohms, one per load node (numbered after the
     IBRs); each (i, k) in feeders is a branch of defaults.FEEDER_ADMITTANCE.
     settings are the GridSpec's own fields."""
-    loads = [load_power(r) for r in ohms]
-    share = sum(loads) / n_ibr
     network = NetworkSpec.from_branches(
-        n_ibr=n_ibr, n_load=len(loads),
+        n_ibr=n_ibr, n_load=len(ohms),
         branches=[(i, k, defaults.FEEDER_ADMITTANCE) for i, k in feeders])
     ibrs = (IbrParams(omega_c=defaults.OMEGA_C, m_p=defaults.M_P),) * n_ibr
-    return GridSpec(network=network, ibrs=ibrs,
-                    p_injections=[share] * n_ibr + [-p for p in loads], **settings)
+    return GridSpec(network=network, ibrs=ibrs, loads=[load_power(r) for r in ohms],
+                    **settings)
 
 
 def grid1_spec(
@@ -75,38 +68,22 @@ def grid2_spec(
     controller: str = "optimal-z",
     weights: CostWeights | None = None,
     load_signals=(),
-    detector: DetectorSetup | None = None,
 ) -> GridSpec:
     """Two-IBR microgrid with load 3 at its single load node."""
     return _study_grid(2, LOAD_OHMS_GRID2, [(0, 2), (1, 2)], controller=controller,
-                       weights=weights, load_signals=load_signals, detector=detector)
+                       weights=weights, load_signals=load_signals)
 
 
 def default_tie() -> TieSpec:
     return TieSpec(node_a=4, node_b=2, y_mag=defaults.TIE_ADMITTANCE)
 
 
-def pulse_load_signal(
-    fraction: float = defaults.LOAD_PULSE_FRACTION,
-    load_index: int = 0,
-    period: float = defaults.LOAD_PULSE_PERIOD,
-    width: float = defaults.LOAD_PULSE_WIDTH,
-) -> LoadSignalSpec:
+def pulse_load_signal() -> LoadSignalSpec:
     """Periodic pulses on load 1, amplitude as a fraction of its nominal power."""
     return LoadSignalSpec(
         kind="periodic-pulse",
-        amplitude=fraction * load_power(LOAD_OHMS_GRID1[0]),
-        load_index=load_index,
-        period=period,
-        width=width,
+        amplitude=defaults.LOAD_PULSE_FRACTION * load_power(LOAD_OHMS_GRID1[0]),
     )
-
-
-def build_plant(grid: GridSpec):
-    """Operating point, sensitivity, and assembled plant for a grid spec."""
-    op = solve_operating_point(grid.network, grid.p_injections)
-    sens = build_sensitivity(grid.network, op)
-    return assemble_plant(grid.ibrs, sens)
 
 
 def simulate_open_loop(
@@ -135,7 +112,7 @@ def identification_records(
     replaced by the excitation); the power response is sampled at the same
     cadence with loads frozen.
     """
-    plant = build_plant(grid)
+    _, plant = grid_plant(grid)
     u = generate_excitation(spec, grid.network.n_ibr)
     t, y = simulate_open_loop(plant, u, spec.dt)
     return t, u, y
@@ -143,28 +120,26 @@ def identification_records(
 
 def trained_detector(
     grid: GridSpec,
-    excitation: ExcitationSpec | None = None,
-    watermark_std: float = defaults.WATERMARK_STD,
-    window: int = defaults.DETECTOR_WINDOW,
-    margin: float = defaults.THRESHOLD_MARGIN,
     calibration_signals=(),
     calibration_horizon: float = 10.0,
     seed: int = 0,
     candidates=defaults.ORDER_CANDIDATES,
 ):
     """Full detection pipeline: identify, then calibrate as `microagc calibrate`
-    does (`cli.calibrate_detector`).
+    does (`cli.calibrate_detector`), at the default excitation, watermark,
+    window and margin.
 
     Returns (DetectorSetup, OrderReport). The calibration run uses the grid's
     controller and loop settings with the given calibration load signals.
     """
     from . import cli
 
-    excitation = excitation or ExcitationSpec(seed=seed + 17)
-    t, u, y = identification_records(grid, excitation)
+    excitation = ExcitationSpec(seed=seed + 17)
+    _, u, y = identification_records(grid, excitation)
     report, model = select_order(u, y, candidates=candidates, dt=excitation.dt)
-    watermark = WatermarkConfig(watermark_std, seed=seed + 29)
+    watermark = WatermarkConfig(defaults.WATERMARK_STD, seed=seed + 29)
     setup = cli.calibrate_detector(
-        replace(grid, load_signals=tuple(calibration_signals)), model, watermark, window,
-        margin, horizon=calibration_horizon, seed=seed + 43)
+        replace(grid, load_signals=tuple(calibration_signals)), model, watermark,
+        defaults.DETECTOR_WINDOW, defaults.THRESHOLD_MARGIN, horizon=calibration_horizon,
+        seed=seed + 43)
     return setup, report

@@ -39,6 +39,7 @@ from .simcore import (
     SimulationError,
     TieSpec,
     TimeSeries,
+    before_horizon,
     check_finite,
     run_scenario,
     summarize,
@@ -340,8 +341,6 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
     loads = sec.value("load_w")
     if len(loads) != n_load:
         raise ConfigError(f"{sec.where('load_w')}: needs {n_load} values, got {len(loads)}")
-    share = sum(loads) / n
-    p_inj = np.concatenate([np.full(n, share), -np.array(loads)])
     omega_c = _per_ibr(sec, "omega_c", n, defaults.OMEGA_C)
     m_p = _per_ibr(sec, "m_p", n, defaults.M_P)
     with sec.located():
@@ -356,7 +355,7 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
     if with_detector and detector is None and sec.values.get("controller") == "observer":
         raise ConfigError(f"{sec.where('controller')}: the observer controller needs a "
                           "detector (model_file and baseline_file)")
-    return sec.build(GridSpec, network=network, ibrs=ibrs, p_injections=p_inj,
+    return sec.build(GridSpec, network=network, ibrs=ibrs, loads=loads,
                      weights=weights, load_signals=signals, detector=detector)
 
 
@@ -376,6 +375,7 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
                   for sec in sections["grid"])
     sim = _first_section(sections, "sim")
     period = _control_period(sections)
+    horizon = sim.values.get("horizon", np.inf)
     for sec, grid in zip(sections["grid"], grids):
         if grid.controller == "slow-lqr":  # the one law that reads slow_hold
             with sec.located("slow_hold" if "slow_hold" in sec.values else "controller"):
@@ -387,8 +387,11 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
             raise ConfigError(f"{sec.where('action')}: grid {gi + 1} has no detector "
                               "(model_file and baseline_file)")
         for field in ("time", "start", "end", "replay_from", "replay_to"):
+            value = sec.values.get(field, 0.0)
             with sec.located(field):
-                whole_steps(sec.values.get(field, 0.0), period, field)
+                whole_steps(value, period, field)
+                if field in ("time", "start"):  # an end past the horizon cuts the attack
+                    before_horizon(value, horizon, field)
     ties = [sec.build(TieSpec) for sec in sections["tie"]]
     events = tuple(sec.build(Event) for sec in sections["event"])
     attacks = tuple(sec.build(AttackSpec, channels=(0,)) for sec in sections["attack"])

@@ -40,6 +40,7 @@ from .netmodel import (
     LinearPlant,
     ModelError,
     NetworkSpec,
+    OperatingPoint,
     assemble_plant,
     build_sensitivity,
     solve_operating_point,
@@ -137,7 +138,7 @@ class AttackSpec:
     def check(self, grids) -> None:
         """The target grid and channels exist among grids."""
         if not 0 <= self.grid < len(grids):
-            raise ScenarioError(f"attack targets unknown grid {self.grid}")
+            raise ScenarioError(f"attack targets unknown grid {self.grid + 1}")
         n = grids[self.grid].network.n_ibr
         for c in self.channels:
             if not 0 <= c < n:
@@ -197,11 +198,11 @@ class DetectorSetup:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """One microgrid: physics, nominal injections, controller, detection."""
+    """One microgrid: physics, loads, controller, detection."""
 
     network: NetworkSpec
     ibrs: tuple[IbrParams, ...]
-    p_injections: np.ndarray
+    loads: tuple[float, ...]  # W drawn at each load node
     controller: str = "optimal-z"
     weights: CostWeights | None = None
     load_signals: tuple[LoadSignalSpec, ...] = ()
@@ -217,18 +218,14 @@ class GridSpec:
             raise ScenarioError(f"unknown controller {self.controller!r}")
         object.__setattr__(self, "ibrs", tuple(self.ibrs))
         object.__setattr__(self, "load_signals", tuple(self.load_signals))
-        object.__setattr__(self, "p_injections",
-                           np.array(self.p_injections, dtype=float))
+        object.__setattr__(self, "loads", tuple(float(p) for p in self.loads))
         n = self.network.n_ibr
         if len(self.ibrs) != n:
             raise ScenarioError(
                 f"{len(self.ibrs)} IBR parameter sets for {n} IBR nodes"
             )
-        if self.p_injections.shape != (self.network.n_nodes,):
-            raise ScenarioError(
-                f"p_injections needs {self.network.n_nodes} entries, "
-                f"got {self.p_injections.shape}"
-            )
+        if len(self.loads) != self.network.n_load:
+            raise ScenarioError(f"{len(self.loads)} loads for {self.network.n_load} load nodes")
         if self.weights is not None and self.weights.q.shape != (n,):
             raise ScenarioError(
                 f"cost weights sized {self.weights.q.shape} for {n} IBRs"
@@ -240,6 +237,13 @@ class GridSpec:
                     f"{self.network.n_load} loads"
                 )
 
+    @property
+    def p_injections(self) -> np.ndarray:
+        """Nominal net injection at every node: the IBRs share the loads equally
+        (node 0's share is the slack's, which the operating point sets)."""
+        n = self.network.n_ibr
+        return np.array([sum(self.loads) / n] * n + [-p for p in self.loads])
+
     def hold_steps(self, dt: float, what: str = "slow_hold") -> int:
         """slow_hold in whole control periods dt, at least one; only slow-lqr reads it."""
         steps = whole_steps(self.slow_hold, dt, what)
@@ -247,6 +251,18 @@ class GridSpec:
             raise ScenarioError(f"{what} = {self.slow_hold} s is shorter than one "
                                 f"control period ({dt} s)")
         return steps
+
+
+def grid_plant(grid: GridSpec) -> tuple[OperatingPoint, LinearPlant]:
+    """grid's operating point at its nominal injections, and its plant there."""
+    op = solve_operating_point(grid.network, grid.p_injections)
+    return op, assemble_plant(grid.ibrs, build_sensitivity(grid.network, op))
+
+
+def before_horizon(seconds: float, horizon: float, what: str) -> None:
+    """A ScenarioError naming what unless it happens before the horizon."""
+    if not seconds < horizon:
+        raise ScenarioError(f"{what} = {seconds} s is not before the horizon, {horizon} s")
 
 
 @dataclass(frozen=True)
@@ -281,12 +297,14 @@ class Scenario:
             self.tie.check(self.grids)
         for i, ev in enumerate(self.events):
             whole_steps(ev.time, dt, f"events[{i}].time")
+            before_horizon(ev.time, self.horizon, f"events[{i}].time")
             if ev.action == "tie_close" and self.tie is None:
                 raise ScenarioError("tie_close event without a tie specification")
             if ev.action != "tie_close" and not 0 <= ev.grid < len(self.grids):
-                raise ScenarioError(f"event targets unknown grid {ev.grid}")
+                raise ScenarioError(f"event targets unknown grid {ev.grid + 1}")
         for i, atk in enumerate(self.attacks):
             _attack_steps(atk, dt, f"attacks[{i}]")
+            before_horizon(atk.start, self.horizon, f"attacks[{i}].start")
             atk.check(self.grids)
 
 
@@ -491,8 +509,7 @@ class _GridRuntime:
         self.n = spec.network.n_ibr
         self.m = spec.network.n_load
         self.dt = scenario.control_period
-        self.op = solve_operating_point(spec.network, spec.p_injections)
-        self.plant = assemble_plant(spec.ibrs, build_sensitivity(spec.network, self.op))
+        self.op, self.plant = grid_plant(spec)
         self.controller = spec.controller
         self.enabled = spec.controller != "none"
         needs_gain = spec.controller in ("optimal-z", "observer", "slow-lqr")

@@ -38,7 +38,7 @@ def study_grid():
 
 @pytest.fixture(scope="module")
 def study_plant(study_grid):
-    return cs.build_plant(study_grid)
+    return m.grid_plant(study_grid)[1]
 
 
 @pytest.fixture(scope="module")

@@ -1089,6 +1089,29 @@ class TestLibraryChecks:
         _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: {field} s "
                  "is not a whole, non-negative number of 0.005 s steps")
 
+    @pytest.mark.parametrize("section, at, field", [
+        ("[event]\ntime_s = 5.0\naction = controller_off\n", "time_s = 5.0",
+         "[event] time_s: time = 5.0"),
+        ("[event]\ntime_s = 0.5\naction = controller_off\n", "time_s = 0.5",
+         "[event] time_s: time = 0.5"),
+        ("[attack]\nkind = noise-injection\nstart_s = 2.0\nend_s = 2.5\n", "start_s = 2.0",
+         "[attack] start_s: start = 2.0"),
+    ], ids=["event-past", "event-at", "attack-past"])
+    def test_time_at_or_past_the_horizon(self, tmp_path, capsys, section, at, field):
+        """An event or attack that would never happen in the 0.5 s run exits 1
+        at its line, not 0 with the event unfired or the attack unrun."""
+        text = MINIMAL + "\n" + section
+        _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: {field} s is not "
+                 "before the horizon, 0.5 s")
+
+    def test_attack_may_end_past_the_horizon(self, tmp_path):
+        """end_s past horizon_s is valid: the attack is cut at the horizon."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\n"
+                       "end_s = 2.0\nnoise_std_w = 100.0\n")
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == 0
+        assert "attack noise-injection at 0.2s" in (tmp_path / "o" / "summary.txt").read_text()
+
     def test_pulse_width_between_samples(self, tmp_path, capsys):
         """dt_prime_s = 0.0074, 1.48 samples of the 5 ms dt_s, exits 1 at its
         line rather than run with one sample per level."""

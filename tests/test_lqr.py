@@ -12,7 +12,7 @@ from microagc.sysid import DiscreteModel
 
 def default_design(q=1.0):
     grid = cs.grid1_spec()
-    plant = cs.build_plant(grid)
+    plant = m.grid_plant(grid)[1]
     tr = m.make_transform(grid.ibrs)
     gain = m.lqr_gain(plant, m.CostWeights.uniform(3, q=q), tr)
     return grid, plant, tr, gain
@@ -148,7 +148,7 @@ class TestControlLaws:
                                step_time=0.5)
         grid = cs.grid1_spec(controller="pi", load_signals=[sig])
         grid = m.GridSpec(
-            network=grid.network, ibrs=grid.ibrs, p_injections=grid.p_injections,
+            network=grid.network, ibrs=grid.ibrs, loads=grid.loads,
             controller="pi", load_signals=grid.load_signals, sensor_tau=1e-4,
         )
         sc = m.Scenario(grids=(grid,), horizon=4.0, seed=0)

@@ -171,7 +171,7 @@ class TestAssemblePlant:
 
     def test_network_coupling_consistency_along_trajectory(self):
         grid = cs.grid1_spec()
-        plant = cs.build_plant(grid)
+        plant = m.grid_plant(grid)[1]
         b2 = np.zeros((6, 3))  # the power input's matrix, [0, -m_p omega_c]' per IBR
         for i, p in enumerate(grid.ibrs):
             b2[2 * i + 1, i] = -p.m_p * p.omega_c

@@ -47,7 +47,7 @@ class TestIntegrateStep:
 
     def test_semigroup_two_half_steps(self):
         grid = cs.grid1_spec()
-        plant = cs.build_plant(grid)
+        plant = m.grid_plant(grid)[1]
         rng = np.random.default_rng(1)
         x = rng.normal(0.0, 0.05, plant.n_states)
         u = rng.normal(0.0, 0.05, 3)
@@ -61,7 +61,7 @@ class TestIntegrateStep:
         """Substeps at h vs h/64 with inputs held on the same h grid: the exact
         ZOH update must agree to 1e-9 relative."""
         grid = cs.grid1_spec()
-        plant = cs.build_plant(grid)
+        plant = m.grid_plant(grid)[1]
         h = 0.005
         fine = ZohStepper(plant, h / 64)
         coarse = ZohStepper(plant, h)
@@ -115,7 +115,7 @@ def test_step_over_the_change_mask_equals_one_row_at_a_time(period, width):
     """A pulse whose edges fall inside control periods: stepping each period
     over its row of the run's change mask gives, bit for bit, the states of
     one-row steps, with the drive reused on unchanged rows."""
-    plant = cs.build_plant(cs.grid1_spec())
+    plant = m.grid_plant(cs.grid1_spec())[1]
     dt_c, h, n_sub = 0.005, 5e-4, 10
     stepper = ZohStepper(plant, h)
     pulse = m.LoadSignalSpec(kind="periodic-pulse", amplitude=900.0, load_index=1,
@@ -195,13 +195,13 @@ def test_load_vector_on_a_time_array_equals_scalar_evaluation(sigs, data):
 
 class TestMeasurement:
     def test_zero_state_zero_load(self):
-        plant = cs.build_plant(cs.grid1_spec())
+        plant = m.grid_plant(cs.grid1_spec())[1]
         np.testing.assert_array_equal(
             m.measure_power(plant, np.zeros(6), np.zeros(2)), 0.0
         )
 
     def test_uniform_angle_shift_moves_no_power(self):
-        plant = cs.build_plant(cs.grid1_spec())
+        plant = m.grid_plant(cs.grid1_spec())[1]
         x = np.zeros(6)
         x[0::2] = 0.37
         p = m.measure_power(plant, x, np.zeros(2))
@@ -500,6 +500,28 @@ class TestRunScenario:
         args = dict(grids=(cs.grid1_spec(),), horizon=1.0) | kwargs
         with pytest.raises(m.ScenarioError, match=re.escape(field)):
             m.Scenario(**args)
+
+    @pytest.mark.parametrize("message, kwargs", [
+        ("events[0].time = 1.0 s", dict(events=(m.Event(1.0, "controller_off"),))),
+        ("events[1].time = 5.0 s", dict(events=(m.Event(0.5, "controller_off"),
+                                                m.Event(5.0, "controller_on")))),
+        ("attacks[0].start = 2.0 s", dict(attacks=(m.AttackSpec(
+            kind="noise-injection", channels=(0,), start=2.0, end=2.5),))),
+    ], ids=["event-at", "event-past", "attack-past"])
+    def test_times_must_fall_before_the_horizon(self, message, kwargs):
+        with pytest.raises(m.ScenarioError,
+                           match=re.escape(f"{message} is not before the horizon, 1.0 s")):
+            m.Scenario(grids=(cs.grid1_spec(),), horizon=1.0, **kwargs)
+
+    def test_unknown_grids_are_numbered_from_one(self):
+        """With two grids, an index of 2 names a third grid: grid 3."""
+        grids = (cs.grid1_spec(), cs.grid2_spec())
+        atk = m.AttackSpec(kind="noise-injection", channels=(0,), start=0.1, end=0.2,
+                           grid=2)
+        with pytest.raises(m.ScenarioError, match="attack targets unknown grid 3$"):
+            atk.check(grids)
+        with pytest.raises(m.ScenarioError, match="event targets unknown grid 3$"):
+            m.Scenario(grids=grids, horizon=1.0, events=(m.Event(0.1, "controller_off", 2),))
 
     def test_replay_attack_substitutes_the_logged_true_powers(self):
         """Inside the window the attacked channels receive the true powers of

@@ -625,7 +625,7 @@ class TestOnDefaultPlant:
         ZohStepper.step + measure_power loop, to 1e-12 of each column's peak."""
         grid = cs.grid1_spec()
         t, u, y = cs.identification_records(grid, spec)
-        plant = cs.build_plant(grid)
+        plant = m.grid_plant(grid)[1]
         stepper = m.ZohStepper(plant, spec.dt)
         no_load = np.zeros(plant.n_load)
         x = np.zeros(plant.n_states)

@@ -91,7 +91,7 @@ class TestIntegralTracksState:
     def test_accumulator_matches_state_transform_along_trajectory(self):
         """Euler z accumulation vs z = T x along a driven closed-loop run."""
         grid = cs.grid1_spec()
-        plant = cs.build_plant(grid)
+        plant = m.grid_plant(grid)[1]
         tr = m.make_transform(grid.ibrs)
         gain = m.lqr_gain(plant, m.CostWeights.uniform(3, q=10.0), tr)
         dt = 0.5e-3

@@ -39,7 +39,6 @@ from .simcore import (
     SimulationError,
     TieSpec,
     TimeSeries,
-    before_horizon,
     check_finite,
     run_scenario,
     summarize,
@@ -97,7 +96,7 @@ SECTIONS = {
         "auto_response": ("auto_response", TEXT)}),
     "grid": (GridSpec, {
         "n_ibr": ("n_ibr", COUNT), "n_load": ("n_load", INDEX), "u_max": ("u_max", POSITIVE),
-        "branch": ("branch", REAL, REPEAT), "load_w": ("load_w", REAL, LIST),
+        "branch": ("branch", REAL, REPEAT), "load_w": ("loads", REAL, LIST),
         "v_star": ("v_star", POSITIVE, LIST), "omega_c": ("omega_c", POSITIVE, LIST),
         "m_p": ("m_p", POSITIVE, LIST), "q_weight": ("q_weight", POSITIVE, LIST),
         "r_weight": ("r_weight", POSITIVE, LIST), "controller": ("controller", TEXT),
@@ -187,10 +186,13 @@ class Section:
     def located(self, field: str | None = None):
         """Re-raise a value the library rejects, e.g. a dataclass's ScenarioError,
         as a ConfigError at the line of the field the error names, else at
-        field's line (the header line for None)."""
+        field's line (the header line for None). A Scenario's error that names
+        its record passes, to be located in that record's section."""
         try:
             yield
         except ValueError as exc:
+            if getattr(exc, "record", None):
+                raise
             raise ConfigError(f"{self.where(getattr(exc, 'field', None) or field)}: "
                               f"{exc}") from exc
 
@@ -338,9 +340,6 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
         network = NetworkSpec.from_branches(
             n_ibr=n, n_load=n_load, v_star=v_star,
             branches=[(int(b[0]), int(b[1]), *b[2:]) for b in branches])
-    loads = sec.value("load_w")
-    if len(loads) != n_load:
-        raise ConfigError(f"{sec.where('load_w')}: needs {n_load} values, got {len(loads)}")
     omega_c = _per_ibr(sec, "omega_c", n, defaults.OMEGA_C)
     m_p = _per_ibr(sec, "m_p", n, defaults.M_P)
     with sec.located():
@@ -355,8 +354,8 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
     if with_detector and detector is None and sec.values.get("controller") == "observer":
         raise ConfigError(f"{sec.where('controller')}: the observer controller needs a "
                           "detector (model_file and baseline_file)")
-    return sec.build(GridSpec, network=network, ibrs=ibrs, loads=loads,
-                     weights=weights, load_signals=signals, detector=detector)
+    return sec.build(GridSpec, network=network, ibrs=ibrs, weights=weights,
+                     load_signals=signals, detector=detector)
 
 
 def _named_grid(sections: dict[str, list[Section]], sec: Section) -> int:
@@ -374,32 +373,24 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
     grids = tuple(_build_grid(sec, sections, base_dir, with_detectors)
                   for sec in sections["grid"])
     sim = _first_section(sections, "sim")
-    period = _control_period(sections)
-    horizon = sim.values.get("horizon", np.inf)
-    for sec, grid in zip(sections["grid"], grids):
-        if grid.controller == "slow-lqr":  # the one law that reads slow_hold
-            with sec.located("slow_hold" if "slow_hold" in sec.values else "controller"):
-                grid.hold_steps(period)
     for sec in sections["event"] + sections["attack"]:
         gi = _named_grid(sections, sec)
         if (with_detectors and sec.values.get("action") == "observer_on"
                 and grids[gi].detector is None):
             raise ConfigError(f"{sec.where('action')}: grid {gi + 1} has no detector "
                               "(model_file and baseline_file)")
-        for field in ("time", "start", "end", "replay_from", "replay_to"):
-            value = sec.values.get(field, 0.0)
-            with sec.located(field):
-                whole_steps(value, period, field)
-                if field in ("time", "start"):  # an end past the horizon cuts the attack
-                    before_horizon(value, horizon, field)
     ties = [sec.build(TieSpec) for sec in sections["tie"]]
     events = tuple(sec.build(Event) for sec in sections["event"])
     attacks = tuple(sec.build(AttackSpec, channels=(0,)) for sec in sections["attack"])
-    for sec, part in zip(sections["tie"] + sections["attack"], ties + list(attacks)):
-        with sec.located():  # at the key the check names
-            part.check(grids)
-    scenario = sim.build(Scenario, grids=grids, tie=ties[0] if ties else None,
-                         events=events, attacks=attacks)
+    try:  # Scenario checks its rules; an error naming a record is in its section
+        scenario = sim.build(Scenario, grids=grids, tie=ties[0] if ties else None,
+                             events=events, attacks=attacks)
+    except ScenarioError as exc:
+        name, _, i = exc.record.partition("[")  # "events[1]" is sections["event"][1]
+        sec, field = sections[name.removesuffix("s")][int(i.strip("]") or 0)], exc.field
+        if field == "slow_hold" and field not in sec.values:
+            field = "controller"  # the default hold, read because of the slow-lqr law
+        raise ConfigError(f"{sec.where(field)}: {exc.message}") from exc
     return scenario if seed_override is None else replace(scenario, seed=seed_override)
 
 

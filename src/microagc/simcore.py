@@ -16,6 +16,7 @@ change. Identical scenario and seeds give bit-identical logs.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -64,11 +65,25 @@ CONTROLLERS = ("optimal-z", "decentralized", "observer", "pi", "slow-lqr", "none
 
 
 class ScenarioError(ValueError):
-    """Raised for inconsistent scenario definitions; field names the field at fault."""
+    """Raised for inconsistent scenario definitions; field names the field at
+    fault, record the Scenario's record that holds it, message the text without it."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
-        self.field = field
+        self.message, self.field, self.record = message, field, None
+
+
+@contextlib.contextmanager
+def _record(record: str, field: str | None = None):
+    """Name record ("grids[0]", "events[1]", "attacks[0]" or "tie") on a ScenarioError
+    raised inside; one naming no field is of field's value, "record.field = ..."."""
+    try:
+        yield
+    except ScenarioError as exc:
+        exc.record = record
+        if exc.field is None and field is not None:
+            exc.field, exc.args = field, (f"{record}.{exc.message}",)
+        raise
 
 
 class SimulationError(RuntimeError):
@@ -138,18 +153,12 @@ class AttackSpec:
     def check(self, grids) -> None:
         """The target grid and channels exist among grids."""
         if not 0 <= self.grid < len(grids):
-            raise ScenarioError(f"attack targets unknown grid {self.grid + 1}")
+            raise ScenarioError(f"attack targets unknown grid {self.grid + 1}", "grid")
         n = grids[self.grid].network.n_ibr
         for c in self.channels:
             if not 0 <= c < n:
                 raise ScenarioError(f"attack channel {c} is out of range: grid "
                                     f"{self.grid + 1} has {n} IBRs", "channels")
-
-
-def _attack_steps(spec: AttackSpec, dt: float, what: str) -> tuple[int, ...]:
-    """(start, end, replay_from, replay_to) of spec as control steps of period dt."""
-    return tuple(whole_steps(getattr(spec, name), dt, f"{what}.{name}")
-                 for name in ("start", "end", "replay_from", "replay_to"))
 
 
 @dataclass(frozen=True)
@@ -161,13 +170,13 @@ class TieSpec:
     y_mag: float = defaults.TIE_ADMITTANCE
     theta: float = defaults.BRANCH_THETA
 
-    def check(self, grids) -> None:
-        """grids are two, and each endpoint is a node of its grid."""
-        if len(grids) != 2:
-            raise ScenarioError(f"a tie needs exactly two grids, scenario has {len(grids)}")
+    def check(self, networks) -> None:
+        """networks are two, and each endpoint is a node of its network."""
+        if len(networks) != 2:
+            raise ScenarioError(f"a tie needs exactly two grids, scenario has {len(networks)}")
         for k, field in enumerate(("node_a", "node_b")):
             node = getattr(self, field)
-            if not 0 <= node < grids[k].network.n_nodes:
+            if not 0 <= node < networks[k].n_nodes:
                 raise ScenarioError(f"tie endpoint {node} is not a node of grid {k + 1}",
                                     field)
 
@@ -225,7 +234,8 @@ class GridSpec:
                 f"{len(self.ibrs)} IBR parameter sets for {n} IBR nodes"
             )
         if len(self.loads) != self.network.n_load:
-            raise ScenarioError(f"{len(self.loads)} loads for {self.network.n_load} load nodes")
+            raise ScenarioError(f"{len(self.loads)} loads for {self.network.n_load} load nodes",
+                                "loads")
         if self.weights is not None and self.weights.q.shape != (n,):
             raise ScenarioError(
                 f"cost weights sized {self.weights.q.shape} for {n} IBRs"
@@ -244,14 +254,6 @@ class GridSpec:
         n = self.network.n_ibr
         return np.array([sum(self.loads) / n] * n + [-p for p in self.loads])
 
-    def hold_steps(self, dt: float, what: str = "slow_hold") -> int:
-        """slow_hold in whole control periods dt, at least one; only slow-lqr reads it."""
-        steps = whole_steps(self.slow_hold, dt, what)
-        if steps < 1:
-            raise ScenarioError(f"{what} = {self.slow_hold} s is shorter than one "
-                                f"control period ({dt} s)")
-        return steps
-
 
 def grid_plant(grid: GridSpec) -> tuple[OperatingPoint, LinearPlant]:
     """grid's operating point at its nominal injections, and its plant there."""
@@ -259,15 +261,9 @@ def grid_plant(grid: GridSpec) -> tuple[OperatingPoint, LinearPlant]:
     return op, assemble_plant(grid.ibrs, build_sensitivity(grid.network, op))
 
 
-def before_horizon(seconds: float, horizon: float, what: str) -> None:
-    """A ScenarioError naming what unless it happens before the horizon."""
-    if not seconds < horizon:
-        raise ScenarioError(f"{what} = {seconds} s is not before the horizon, {horizon} s")
-
-
 @dataclass(frozen=True)
 class Scenario:
-    """Complete description of one deterministic run."""
+    """Complete description of one deterministic run; the one place its rules are checked."""
 
     grids: tuple[GridSpec, ...]
     horizon: float
@@ -289,23 +285,36 @@ class Scenario:
             raise ScenarioError(f"unknown auto response {self.auto_response!r}")
         dt = self.control_period
         whole_steps(dt, self.integrator_step, "control_period")
-        whole_steps(self.horizon, dt, "horizon")
+        n_steps = whole_steps(self.horizon, dt, "horizon")
+
+        def before_horizon(seconds: float, field: str) -> None:
+            # in steps: a time that whole_steps rounds to the horizon's step is not before it
+            if not whole_steps(seconds, dt, field) < n_steps:
+                raise ScenarioError(f"{field} = {seconds} s is not before the horizon, "
+                                    f"{self.horizon} s")
+
         for gi, g in enumerate(self.grids):
-            if g.controller == "slow-lqr":
-                g.hold_steps(dt, f"grids[{gi}].slow_hold")
+            with _record(f"grids[{gi}]", "slow_hold"):  # only the slow-lqr law reads it
+                if g.controller == "slow-lqr" and whole_steps(g.slow_hold, dt, "slow_hold") < 1:
+                    raise ScenarioError(f"slow_hold = {g.slow_hold} s is shorter than one "
+                                        f"control period ({dt} s)")
         if self.tie is not None:
-            self.tie.check(self.grids)
+            with _record("tie"):
+                self.tie.check([g.network for g in self.grids])
         for i, ev in enumerate(self.events):
-            whole_steps(ev.time, dt, f"events[{i}].time")
-            before_horizon(ev.time, self.horizon, f"events[{i}].time")
-            if ev.action == "tie_close" and self.tie is None:
-                raise ScenarioError("tie_close event without a tie specification")
-            if ev.action != "tie_close" and not 0 <= ev.grid < len(self.grids):
-                raise ScenarioError(f"event targets unknown grid {ev.grid + 1}")
+            with _record(f"events[{i}]", "time"):
+                before_horizon(ev.time, "time")
+                if ev.action == "tie_close" and self.tie is None:
+                    raise ScenarioError("tie_close event without a tie specification", "action")
+                if ev.action != "tie_close" and not 0 <= ev.grid < len(self.grids):
+                    raise ScenarioError(f"event targets unknown grid {ev.grid + 1}", "grid")
         for i, atk in enumerate(self.attacks):
-            _attack_steps(atk, dt, f"attacks[{i}]")
-            before_horizon(atk.start, self.horizon, f"attacks[{i}].start")
-            atk.check(self.grids)
+            with _record(f"attacks[{i}]", "start"):
+                before_horizon(atk.start, "start")
+                atk.check(self.grids)
+            for name in ("end", "replay_from", "replay_to"):  # an end past the horizon cuts it
+                with _record(f"attacks[{i}]", name):
+                    whole_steps(getattr(atk, name), dt, name)
 
 
 # ---------------------------------------------------------------------------
@@ -430,12 +439,9 @@ def close_tie_line(
     Node ordering of the merged grid: A IBRs, B IBRs, A loads, B loads.
     Returns the merged spec and the old-to-new index maps for each grid.
     """
+    tie.check((net_a, net_b))
     na, ma = net_a.n_ibr, net_a.n_load
     nb, mb = net_b.n_ibr, net_b.n_load
-    if not 0 <= tie.node_a < na + ma:
-        raise ScenarioError(f"tie endpoint {tie.node_a} not in grid A")
-    if not 0 <= tie.node_b < nb + mb:
-        raise ScenarioError(f"tie endpoint {tie.node_b} not in grid B")
     map_a = np.array([i if i < na else na + nb + (i - na) for i in range(na + ma)])
     map_b = np.array(
         [na + i if i < nb else na + nb + ma + (i - nb) for i in range(nb + mb)]
@@ -580,7 +586,7 @@ def _bind_law(rt: _GridRuntime, name: str):
             u, rt.pi_integ = control_pi_baseline(kp, ki, rt.sensor_y, dt, rt.pi_integ)
             _clip(u, lo, hi, out=cmd)
     else:  # slow-lqr
-        hold = spec.hold_steps(dt)
+        hold = whole_steps(spec.slow_hold, dt, "slow_hold")
 
         def law(rt, rho, y_rx):
             if rho % hold == 0:
@@ -735,7 +741,8 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     schedule: dict[int, list[Event]] = {}  # control step -> its events, in time order
     for ev in sorted(scenario.events, key=lambda e: e.time):
         schedule.setdefault(whole_steps(ev.time, dt_c, "event time"), []).append(ev)
-    atk_steps = [_attack_steps(atk, dt_c, "attack") for atk in scenario.attacks]
+    atk_steps = [tuple(whole_steps(getattr(atk, name), dt_c, name) for name in
+                       ("start", "end", "replay_from", "replay_to")) for atk in scenario.attacks]
     atk_rngs = [np.random.default_rng([scenario.seed, 101, j])
                 for j in range(len(scenario.attacks))]
     histories = [rts[atk.grid].log["pg"][1:] for atk in scenario.attacks]

@@ -1,8 +1,10 @@
 """Command-line behavior: exit codes, artifact generation, idempotence, and
 the defaults round trip between config parsing and the defaults module."""
 
+import ast
 import contextlib
 import dataclasses
+import inspect
 import io
 import math
 import os
@@ -907,7 +909,7 @@ class TestScenarioFileRejections:
                  f"line {_line(text, header)}: {header} {key}: missing required key")
 
     @pytest.mark.parametrize("old, new, message", [
-        ("load_w = 5000.0", "load_w = 5000.0 100.0", "load_w: needs 1 values, got 2"),
+        ("load_w = 5000.0", "load_w = 5000.0 100.0", "load_w: 2 loads for 1 load nodes"),
         ("q_weight = 10.0", "q_weight = 10.0 1 1", "q_weight: needs 1 or 2 values, got 3"),
         ("branch = 1 2 3.333", "branch = 1 2",
          "branch: expected 'from to admittance [theta]'"),
@@ -1096,13 +1098,24 @@ class TestLibraryChecks:
          "[event] time_s: time = 0.5"),
         ("[attack]\nkind = noise-injection\nstart_s = 2.0\nend_s = 2.5\n", "start_s = 2.0",
          "[attack] start_s: start = 2.0"),
-    ], ids=["event-past", "event-at", "attack-past"])
+        ("[event]\ntime_s = 0.4999999999995\naction = controller_off\n",
+         "time_s = 0.4999999999995", "[event] time_s: time = 0.4999999999995"),
+    ], ids=["event-past", "event-at", "attack-past", "event-rounds-to-horizon"])
     def test_time_at_or_past_the_horizon(self, tmp_path, capsys, section, at, field):
         """An event or attack that would never happen in the 0.5 s run exits 1
         at its line, not 0 with the event unfired or the attack unrun."""
         text = MINIMAL + "\n" + section
         _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: {field} s is not "
                  "before the horizon, 0.5 s")
+
+    def test_build_scenario_leaves_the_scenario_rules_to_scenario(self):
+        """Scenario is the one place its rules are checked: build_scenario
+        converts no time or hold to steps and runs no record's check itself."""
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(ast.parse(inspect.getsource(cli.build_scenario)))
+                  if isinstance(node, ast.Call)}
+        assert not called & {"whole_steps", "hold_steps", "before_horizon", "check"}
+        assert not hasattr(simcore, "before_horizon")
 
     def test_attack_may_end_past_the_horizon(self, tmp_path):
         """end_s past horizon_s is valid: the attack is cut at the horizon."""

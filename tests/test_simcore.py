@@ -513,6 +513,18 @@ class TestRunScenario:
                            match=re.escape(f"{message} is not before the horizon, 1.0 s")):
             m.Scenario(grids=(cs.grid1_spec(),), horizon=1.0, **kwargs)
 
+    def test_time_that_rounds_to_the_horizon_is_not_before_it(self):
+        """0.5 (1 - 1e-12) s is step 100 of a 100-step run to whole_steps's
+        tolerance, so the event would never fire. The error names its record
+        and field, and its message is the text without the record."""
+        t = 0.5 * (1 - 1e-12)
+        with pytest.raises(m.ScenarioError, match=re.escape(
+                f"events[0].time = {t} s is not before the horizon, 0.5 s")) as info:
+            m.Scenario(grids=(cs.grid1_spec(),), horizon=0.5,
+                       events=(m.Event(t, "controller_off"),))
+        assert (info.value.record, info.value.field) == ("events[0]", "time")
+        assert info.value.message == f"time = {t} s is not before the horizon, 0.5 s"
+
     def test_unknown_grids_are_numbered_from_one(self):
         """With two grids, an index of 2 names a third grid: grid 3."""
         grids = (cs.grid1_spec(), cs.grid2_spec())

@@ -9,8 +9,10 @@ scratch directory with relative output paths so that printed lines compare:
   - `simulate` on each shipped config in `configs/` (`detection_demo.cfg`
     alone has no model to load yet, so that run compares exit code 3);
   - the `configs/detection_demo.cfg` chain identify -> calibrate -> simulate
-    -> detect in one workspace, and again with `[grid.1] watermark_std = 0`,
-    whose draws must stay +0.0 (a `wm` cell of `-0` would differ);
+    -> detect in one workspace, again with `[grid.1] watermark_std = 0`,
+    whose draws must stay +0.0 (a `wm` cell of `-0` would differ), and again
+    with `[grid.1] controller = observer`, whose calibration run carries the
+    open detector that the observer law runs from;
   - `simulate` on the nine `slow-lqr` jobs of the benchmark's regulate
     library, rendered from `perfbench/workload.py` into the scratch directory.
     Their saturated limit cycle is chaotic, so a last-bit change in the plant
@@ -165,18 +167,31 @@ def study_run(out) -> None:
     (out / "summary.txt").write_text(summarize(ts, scenario), encoding="utf-8")
 
 
-def zero_watermark_chain(directory: Path) -> tuple[str, list[list[str]]]:
-    """(output directory, commands) of the detection_demo chain with grid 1's
-    watermark_std set to 0, its config written into directory; calibration
-    keeps its own [calibrate] watermark."""
+def grid1_chain(directory: Path, key: str, value: str,
+                name: str) -> tuple[str, list[list[str]]]:
+    """(output directory chain-<name>, commands) of the detection_demo chain
+    with `key = value` in its [grid.1] section, its config written into
+    directory."""
     text = (ROOT / "configs" / "detection_demo.cfg").read_text(encoding="utf-8")
     grid = text.index("\n[grid.1]\n")
     end = text.index("\n[", grid + 1)
-    section = re.sub(r"\nwatermark_std = \S+", "\nwatermark_std = 0", text[grid:end])
-    cfg = directory / "detection_demo_zero_watermark.cfg"
+    section = re.sub(rf"\n{key} = \S+", f"\n{key} = {value}", text[grid:end])
+    cfg = directory / f"detection_demo_{name}.cfg"
     cfg.parent.mkdir(parents=True, exist_ok=True)
     cfg.write_text(text[:grid] + section + text[end:], encoding="utf-8")
-    return "chain-zero-watermark", [[cmd, "--config", str(cfg)] for cmd in CHAIN]
+    return f"chain-{name}", [[cmd, "--config", str(cfg)] for cmd in CHAIN]
+
+
+def zero_watermark_chain(directory: Path) -> tuple[str, list[list[str]]]:
+    """The chain with grid 1's watermark_std set to 0; calibration keeps its
+    own [calibrate] watermark."""
+    return grid1_chain(directory, "watermark_std", "0", "zero-watermark")
+
+
+def observer_chain(directory: Path) -> tuple[str, list[list[str]]]:
+    """The chain with grid 1's controller set to observer: identify and
+    calibrate take the grid without its detector files."""
+    return grid1_chain(directory, "controller", "observer", "observer")
 
 
 def controller_jobs(jobs, controller: str) -> list:
@@ -289,7 +304,8 @@ def main(argv=None) -> int:
     work = Path(tempfile.mkdtemp())
     try:
         export(base_commit, work / "tree")
-        extra = [zero_watermark_chain(work / "cfg"), *render_benchmark_jobs(work / "cfg")]
+        extra = [zero_watermark_chain(work / "cfg"), observer_chain(work / "cfg"),
+                 *render_benchmark_jobs(work / "cfg")]
         sides = {}
         for side, tree in (("base", work / "tree"), ("change", ROOT)):
             (work / side).mkdir()

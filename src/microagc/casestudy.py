@@ -23,6 +23,7 @@ from .simcore import (
     DetectorSetup,
     GridSpec,
     LoadSignalSpec,
+    Scenario,
     TieSpec,
     ZohStepper,
     grid_plant,
@@ -138,8 +139,7 @@ def trained_detector(
     _, u, y = identification_records(grid, excitation)
     report, model = select_order(u, y, candidates=candidates, dt=excitation.dt)
     watermark = WatermarkConfig(defaults.WATERMARK_STD, seed=seed + 29)
-    setup = cli.calibrate_detector(
-        replace(grid, load_signals=tuple(calibration_signals)), model, watermark,
-        defaults.DETECTOR_WINDOW, defaults.THRESHOLD_MARGIN, horizon=calibration_horizon,
-        seed=seed + 43)
-    return setup, report
+    grid = replace(grid, load_signals=tuple(calibration_signals),
+                   detector=cli.open_detector(model, watermark, defaults.DETECTOR_WINDOW))
+    run = Scenario(grids=(grid,), horizon=calibration_horizon, seed=seed + 43)
+    return cli.calibrate_detector(run, defaults.THRESHOLD_MARGIN), report

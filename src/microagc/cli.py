@@ -42,7 +42,6 @@ from .simcore import (
     check_finite,
     run_scenario,
     summarize,
-    whole_steps,
 )
 from .sysid import (
     UNSTABLE_RADIUS,
@@ -80,7 +79,7 @@ EXIT_IO = 3
 LIST, REPEAT = "list", "repeat"
 
 # A key's domain is textio's (kind, test, rule). GRID turns a grid number of the
-# file (from 1) into the library's index (from 0); its range is _named_grid's.
+# file (from 1) into the library's index (from 0); Scenario or _named_grid checks it.
 GRID = (lambda token: int(token) - 1, None, "")
 
 # The keys of each section, key: (field, domain[, LIST or REPEAT]), and the
@@ -312,20 +311,19 @@ def _detector_baseline(sec: Section, n: int, base_dir: Path) -> BaselineStats:
     return baseline
 
 
-def _build_detector(sec: Section, n: int, base_dir: Path,
-                    period: float) -> DetectorSetup | None:
+def _build_detector(sec: Section, base_dir: Path, period: float) -> DetectorSetup | None:
     files = sec.value("model_file", None), sec.value("baseline_file", None)
     if files == (None, None):
         return None
     if None in files:
         raise ConfigError(f"{sec.where()} a detector needs model_file and baseline_file")
-    return DetectorSetup(model=_detector_model(sec, n, base_dir, period),
-                         baseline=_detector_baseline(sec, n, base_dir),
+    return DetectorSetup(model=_detector_model(sec, sec.value("n_ibr"), base_dir, period),
+                         baseline=_detector_baseline(sec, sec.value("n_ibr"), base_dir),
                          watermark=_watermark(sec, default_seed=0))
 
 
-def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path,
-                with_detector: bool = True) -> GridSpec:
+def _build_grid(sec: Section, sections: dict[str, list[Section]]) -> GridSpec:
+    """The grid of a [grid.N] section with its load signals, and no detector."""
     n, n_load = sec.value("n_ibr"), sec.value("n_load")
     branches = sec.value("branch")
     for i, vals in enumerate(branches):
@@ -349,13 +347,8 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]], base_dir: Path
     gi = sections["grid"].index(sec)
     signals = tuple(s.build(LoadSignalSpec) for s in sections["load_signal"]
                     if _named_grid(sections, s) == gi)
-    detector = (_build_detector(sec, n, base_dir, _control_period(sections))
-                if with_detector else None)
-    if with_detector and detector is None and sec.values.get("controller") == "observer":
-        raise ConfigError(f"{sec.where('controller')}: the observer controller needs a "
-                          "detector (model_file and baseline_file)")
     return sec.build(GridSpec, network=network, ibrs=ibrs, weights=weights,
-                     load_signals=signals, detector=detector)
+                     load_signals=signals)
 
 
 def _named_grid(sections: dict[str, list[Section]], sec: Section) -> int:
@@ -367,30 +360,31 @@ def _named_grid(sections: dict[str, list[Section]], sec: Section) -> int:
     return gi
 
 
-def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
-                   seed_override: int | None = None,
-                   with_detectors: bool = True) -> Scenario:
-    grids = tuple(_build_grid(sec, sections, base_dir, with_detectors)
-                  for sec in sections["grid"])
-    sim = _first_section(sections, "sim")
-    for sec in sections["event"] + sections["attack"]:
-        gi = _named_grid(sections, sec)
-        if (with_detectors and sec.values.get("action") == "observer_on"
-                and grids[gi].detector is None):
-            raise ConfigError(f"{sec.where('action')}: grid {gi + 1} has no detector "
-                              "(model_file and baseline_file)")
-    ties = [sec.build(TieSpec) for sec in sections["tie"]]
-    events = tuple(sec.build(Event) for sec in sections["event"])
-    attacks = tuple(sec.build(AttackSpec, channels=(0,)) for sec in sections["attack"])
-    try:  # Scenario checks its rules; an error naming a record is in its section
-        scenario = sim.build(Scenario, grids=grids, tie=ties[0] if ties else None,
-                             events=events, attacks=attacks)
+@contextlib.contextmanager
+def _records_located(sections: dict[str, list[Section]]):
+    """Re-raise a Scenario's error that names its record as a ConfigError in its section."""
+    try:
+        yield
     except ScenarioError as exc:
+        if not exc.record:
+            raise
         name, _, i = exc.record.partition("[")  # "events[1]" is sections["event"][1]
         sec, field = sections[name.removesuffix("s")][int(i.strip("]") or 0)], exc.field
         if field == "slow_hold" and field not in sec.values:
             field = "controller"  # the default hold, read because of the slow-lqr law
         raise ConfigError(f"{sec.where(field)}: {exc.message}") from exc
+
+
+def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
+                   seed_override: int | None = None) -> Scenario:
+    grids = tuple(replace(_build_grid(sec, sections), detector=_build_detector(
+        sec, base_dir, _control_period(sections))) for sec in sections["grid"])
+    ties = [sec.build(TieSpec) for sec in sections["tie"]]
+    events = tuple(sec.build(Event) for sec in sections["event"])
+    attacks = tuple(sec.build(AttackSpec, channels=(0,)) for sec in sections["attack"])
+    with _records_located(sections):  # Scenario checks its rules
+        scenario = _first_section(sections, "sim").build(
+            Scenario, grids=grids, tie=ties[0] if ties else None, events=events, attacks=attacks)
     return scenario if seed_override is None else replace(scenario, seed=seed_override)
 
 
@@ -398,23 +392,27 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
 # detector calibration and baseline persistence
 
 
-def calibrate_detector(grid: GridSpec, model: DiscreteModel, watermark: WatermarkConfig,
-                       window: int, margin: float, **run) -> DetectorSetup:
-    """grid's detector calibrated on a nominal run of the grid alone: its controller,
-    loop settings and load signals, the watermark on and the thresholds open; run
-    holds the Scenario's horizon, seed and timing."""
-    n = grid.network.n_ibr
-    open_setup = DetectorSetup(model=model, watermark=watermark, baseline=BaselineStats(
+def open_detector(model: DiscreteModel, watermark: WatermarkConfig, window: int) -> DetectorSetup:
+    """model's DetectorSetup with watermark, its window-long thresholds open: it never flags."""
+    n = model.n_outputs
+    return DetectorSetup(model=model, watermark=watermark, baseline=BaselineStats(
         mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=window))
-    ts = run_scenario(Scenario(grids=(replace(grid, detector=open_setup),), **run))
+
+
+def calibrate_detector(run: Scenario, margin: float) -> DetectorSetup:
+    """The detector of run's one grid calibrated on run, a nominal run of the grid
+    alone (its controller, loop settings and load signals) that carries the grid's
+    open_detector: its model, watermark and window."""
+    det = run.grids[0].detector
+    model, n, window = det.model, det.model.n_outputs, det.baseline.w
+    ts = run_scenario(run)
     received, commands, marks = (np.column_stack([ts[f"mg1_{name}_{i + 1}"] for i in range(n)])
                                  for name in ("pg_rx", "dws", "wm"))
     predicted = predict(model, np.zeros(model.order), commands + marks)
     baseline = calibrate_baseline(received, predicted, w=window)
     xi1, xi2 = innovation_statistics(received - predicted, baseline)
     eps1, eps2 = calibrate_thresholds(xi1, xi2, margin=margin)
-    return DetectorSetup(model=model, baseline=replace(baseline, eps1=eps1, eps2=eps2),
-                         watermark=watermark)
+    return replace(det, baseline=replace(baseline, eps1=eps1, eps2=eps2))
 
 
 def save_baseline(baseline: BaselineStats, path) -> None:
@@ -495,8 +493,7 @@ def cmd_identify(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
     sec = _first_section(sections, "identify")
-    grid = _build_grid(sections["grid"][_named_grid(sections, sec)], sections, out,
-                       with_detector=False)
+    grid = _build_grid(sections["grid"][_named_grid(sections, sec)], sections)
 
     records_file = sec.value("records_file", None)
     if records_file is None:
@@ -534,23 +531,24 @@ def cmd_identify(args) -> int:
 def cmd_calibrate(args) -> int:
     sections = parse_config(args.config)
     out = Path(args.out)
-    sec = _first_section(sections, "calibrate")
-    window = sec.value("window", defaults.DETECTOR_WINDOW)
-    scenario = build_scenario(sections, out, seed_override=args.seed,
-                              with_detectors=False)
-    horizon = sec.value("horizon", 10.0)
-    with sec.located("horizon"):
-        steps = whole_steps(horizon, scenario.control_period, "horizon")
-    if steps < window:
+    sec, sim = _first_section(sections, "calibrate"), _first_section(sections, "sim")
+    window, horizon = sec.value("window", defaults.DETECTOR_WINDOW), sec.value("horizon", 10.0)
+    grid_sec = sections["grid"][_named_grid(sections, sec)]
+    grid = _build_grid(grid_sec, sections)
+    model = _detector_model(sec, grid.network.n_ibr, out, _control_period(sections))
+    detector = open_detector(model, _watermark(sec, default_seed=29), window)
+    timing = {f: sim.values[f] for f in ("control_period", "integrator_step", "seed")
+              if f in sim.values} | ({} if args.seed is None else {"seed": args.seed})
+    try:  # the calibration run: the grid alone, [sim]'s timing, [calibrate]'s horizon
+        with _records_located({"grid": [grid_sec]}):
+            run = Scenario(grids=(replace(grid, detector=detector),), horizon=horizon, **timing)
+    except ScenarioError as exc:  # whole_steps names the value first: horizon, else [sim]'s
+        at = sec.where("horizon") if exc.message.startswith("horizon") else sim.where()
+        raise ConfigError(f"{at}: {exc}") from exc
+    if run.n_steps < window:
         raise ConfigError(f"{sec.where('horizon')} must be at least window = {window} "
-                          f"control periods, got {horizon} s ({steps} periods)")
-    grid = scenario.grids[_named_grid(sections, sec)]
-    n = grid.network.n_ibr
-    setup = calibrate_detector(
-        grid, _detector_model(sec, n, out, scenario.control_period),
-        _watermark(sec, default_seed=29), window,
-        sec.value("margin", defaults.THRESHOLD_MARGIN), horizon=horizon, seed=scenario.seed,
-        control_period=scenario.control_period, integrator_step=scenario.integrator_step)
+                          f"control periods, got {horizon} s ({run.n_steps} periods)")
+    setup = calibrate_detector(run, sec.value("margin", defaults.THRESHOLD_MARGIN))
     out.mkdir(parents=True, exist_ok=True)
     save_baseline(setup.baseline, out / sec.value("baseline_file", "baseline.txt"))
     if not args.quiet:

@@ -285,19 +285,23 @@ class Scenario:
             raise ScenarioError(f"unknown auto response {self.auto_response!r}")
         dt = self.control_period
         whole_steps(dt, self.integrator_step, "control_period")
-        n_steps = whole_steps(self.horizon, dt, "horizon")
+        n_steps = self.n_steps
 
-        def before_horizon(seconds: float, field: str) -> None:
+        def before_horizon(seconds: float, field: str) -> int:
             # in steps: a time that whole_steps rounds to the horizon's step is not before it
-            if not whole_steps(seconds, dt, field) < n_steps:
+            if not (k := whole_steps(seconds, dt, field)) < n_steps:
                 raise ScenarioError(f"{field} = {seconds} s is not before the horizon, "
                                     f"{self.horizon} s")
+            return k
 
         for gi, g in enumerate(self.grids):
             with _record(f"grids[{gi}]", "slow_hold"):  # only the slow-lqr law reads it
                 if g.controller == "slow-lqr" and whole_steps(g.slow_hold, dt, "slow_hold") < 1:
                     raise ScenarioError(f"slow_hold = {g.slow_hold} s is shorter than one "
                                         f"control period ({dt} s)")
+                if g.controller == "observer" and g.detector is None:
+                    raise ScenarioError("the observer controller needs a detector "
+                                        "(model_file and baseline_file)", "controller")
         if self.tie is not None:
             with _record("tie"):
                 self.tie.check([g.network for g in self.grids])
@@ -308,13 +312,25 @@ class Scenario:
                     raise ScenarioError("tie_close event without a tie specification", "action")
                 if ev.action != "tie_close" and not 0 <= ev.grid < len(self.grids):
                     raise ScenarioError(f"event targets unknown grid {ev.grid + 1}", "grid")
+                if ev.action == "observer_on" and self.grids[ev.grid].detector is None:
+                    raise ScenarioError(f"grid {ev.grid + 1} has no detector "
+                                        "(model_file and baseline_file)", "action")
         for i, atk in enumerate(self.attacks):
             with _record(f"attacks[{i}]", "start"):
-                before_horizon(atk.start, "start")
+                steps = [before_horizon(atk.start, "start")]
                 atk.check(self.grids)
             for name in ("end", "replay_from", "replay_to"):  # an end past the horizon cuts it
                 with _record(f"attacks[{i}]", name):
-                    whole_steps(getattr(atk, name), dt, name)
+                    steps.append(whole_steps(getattr(atk, name), dt, name))
+            with _record(f"attacks[{i}]"):  # AttackSpec orders the times; as steps they may meet
+                if steps[0] == steps[1] or atk.kind == "replay" and steps[2] == steps[3]:
+                    raise ScenarioError(f"{'replay source' if steps[0] < steps[1] else 'attack'} "
+                                        "window rounds to zero control steps")
+
+    @property
+    def n_steps(self) -> int:
+        """The run's length in control steps: the horizon in whole control periods."""
+        return whole_steps(self.horizon, self.control_period, "horizon")
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +441,7 @@ def apply_attack(
         for c in spec.channels:
             received[c] += rng.normal(0.0, spec.noise_std)
         return received
-    idx = src + (k - start) % max(1, stop - src)
+    idx = src + (k - start) % (stop - src)
     for c in spec.channels:
         received[c] = history[idx, c]
     return received
@@ -528,8 +544,6 @@ class _GridRuntime:
         self.z = np.zeros(self.n)
         self.obs: ObserverState | None = None
         if spec.controller == "observer":
-            if spec.detector is None:
-                raise ScenarioError("observer controller needs a detector model")
             self.obs = ObserverState(x_hat=np.zeros(spec.detector.model.order),
                                      z_hat=np.zeros(self.n))
         self.pi_integ = np.zeros(self.n)
@@ -732,7 +746,7 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     dt_c = scenario.control_period
     h = scenario.integrator_step
     n_sub = whole_steps(dt_c, h, "control_period")
-    n_steps = whole_steps(scenario.horizon, dt_c, "horizon")
+    n_steps = scenario.n_steps
     rts = [_GridRuntime(g, scenario, n_steps) for g in scenario.grids]
     world = _World(rts, h, n_steps)
     for rt in rts:
@@ -821,10 +835,6 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
         rt.enabled = ev.action == "controller_on"
         rt.resolve_law(rho)
     elif ev.action == "observer_on":
-        if rt.spec.detector is None:
-            raise SimulationError(
-                f"observer_on at t={t:.4f}s: grid {ev.grid + 1} has no detector model"
-            )
         rt.controller = "observer"
         rt.enabled = True
         # events fire before this step's detector update, so the copied

@@ -17,7 +17,7 @@ def test_config_grid_is_the_case_study_grid():
     """detection_demo.cfg's [grid.1] and grid1_spec at q = 10 derive the same
     injections, operating point and plant, bit for bit."""
     sections = cli.parse_config(ROOT / "configs" / "detection_demo.cfg")
-    from_file = cli._build_grid(sections["grid"][0], sections, ROOT, with_detector=False)
+    from_file = cli._build_grid(sections["grid"][0], sections)
     from_library = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0))
     assert np.array_equal(from_file.p_injections, from_library.p_injections)
     (op_f, plant_f), (op_l, plant_l) = m.grid_plant(from_file), m.grid_plant(from_library)

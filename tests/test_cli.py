@@ -243,6 +243,31 @@ class TestPipeline:
                 in capsys.readouterr().err)
         assert not (work / "baseline.txt").exists()
 
+    @pytest.mark.parametrize("old, new, at, message", [
+        ("controller = optimal-z", "controller = slow-lqr\nslow_hold_s = 0.0123",
+         "slow_hold_s = 0.0123", "[grid.1] slow_hold_s: slow_hold = 0.0123 s is not a whole, "
+         "non-negative number of 0.005 s steps"),
+        ("integrator_step_s = 0.0005", "integrator_step_s = 0.002", "[sim]",
+         "[sim]: control_period = 0.005 s is not a whole, non-negative number of 0.002 s steps"),
+    ], ids=["grid-slow-hold", "sim-timing"])
+    def test_calibrate_locates_its_run_rules_in_their_sections(
+            self, tmp_path, capsys, monkeypatch, demo_run, old, new, at, message):
+        """The calibration run takes the grid from [grid.N] and the timing from
+        [sim]; a rule of the run they break is reported there, before it runs."""
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("calibrate simulated before checking its run")
+
+        monkeypatch.setattr(cli, "run_scenario", no_simulation)
+        text = (CONFIGS / "detection_demo.cfg").read_text().replace(old, new)
+        cfg = tmp_path / "cal.cfg"
+        cfg.write_text(text)
+        work = tmp_path / "w"
+        work.mkdir()
+        shutil.copy(demo_run / "model.txt", work)
+        assert run(["calibrate", "--config", cfg, "--out", work]) == cli.EXIT_USAGE
+        assert f"{cfg}: line {_line(text, at)}: {message}" in capsys.readouterr().err
+        assert not (work / "baseline.txt").exists()
+
     @pytest.mark.parametrize("command, section, key, bad", [
         ("identify", "identify", "beta", "abc"),
         ("calibrate", "calibrate", "horizon_s", "ten"),
@@ -1021,9 +1046,16 @@ class TestLibraryChecks:
         (COLLABORATIVE + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
          "channels = 0 7\n", "channels = 0 7",
          "[attack] channels: attack channel 7 is out of range: grid 1 has 3 IBRs", "simulate"),
+        (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\n"
+         "end_s = 0.2000000000002\n", "[attack]",
+         "[attack]: attack window rounds to zero control steps", "simulate"),
+        (MINIMAL + "\n[attack]\nkind = replay\nstart_s = 0.3\nend_s = 0.4\n"
+         "replay_from_s = 0.1\nreplay_to_s = 0.1000000000001\n", "[attack]",
+         "[attack]: replay source window rounds to zero control steps", "simulate"),
     ], ids=["sim", "grid", "load_signal", "attack", "attack-negative-noise",
             "attack-nan-noise", "event", "identify", "ibr", "network", "observer-controller",
-            "observer-event", "tie-node", "tie-one-grid", "attack-channel"])
+            "observer-event", "tie-node", "tie-one-grid", "attack-channel",
+            "attack-zero-steps", "replay-source-zero-steps"])
     def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, at,
                                                message, command):
         """At the section's header; at the key's own line where the key's
@@ -1053,16 +1085,22 @@ class TestLibraryChecks:
                  f"{at.split(' = ')[0]}: slow_hold = 0.1 s is not a whole, non-negative "
                  "number of 0.04 s steps")
 
-    def test_identify_takes_an_observer_grid_without_a_detector(self, tmp_path):
-        """identify and calibrate build no detector, so the observer checks of
-        simulate do not apply to them."""
+    def test_identify_and_calibrate_take_an_observer_grid_without_a_detector(self, tmp_path):
+        """identify builds the grid alone and calibrate its own run, whose grid
+        carries the detector it calibrates, so the file's observer grid and
+        observer_on event, which simulate rejects without a detector, do not
+        stop them, nor does an [attack] that only simulate runs."""
         text = OBSERVER_EVENT.replace("controller = optimal-z", "controller = observer")
         cfg = tmp_path / "c.cfg"
-        cfg.write_text(text + "\n[identify]\ngrid = 1\nk0 = 400\ncandidates = 2\n")
-        assert run(["identify", "--config", cfg, "--out", tmp_path / "o", "--quiet"]) == 0
-        sections = cli.parse_config(cfg)
-        scenario = cli.build_scenario(sections, tmp_path, with_detectors=False)
-        assert scenario.grids[0].controller == "observer"
+        cfg.write_text(text + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\n"
+                       "end_s = 0.3\nchannels = 7\n"
+                       "\n[identify]\ngrid = 1\nk0 = 400\ncandidates = 2\n"
+                       "\n[calibrate]\ngrid = 1\nmodel_file = model.txt\nhorizon_s = 1.0\n")
+        out = tmp_path / "o"
+        for command in ("identify", "calibrate"):
+            assert run([command, "--config", cfg, "--out", out, "--quiet"]) == 0
+        assert cli.load_baseline(out / "baseline.txt").eps2 < math.inf
+        assert run(["simulate", "--config", cfg, "--out", tmp_path / "s"]) == cli.EXIT_USAGE
 
     def test_load_signal_on_undefined_grid(self, tmp_path, capsys):
         text = MINIMAL.replace("[load_signal]\ngrid = 1", "[load_signal]\ngrid = 2")
@@ -1077,7 +1115,7 @@ class TestLibraryChecks:
         text = MINIMAL + "\n" + section
         header = section.splitlines()[0]
         _rejects(tmp_path, capsys, text, f"line {_line(text, f'grid = {gid}')}: {header} "
-                 f"references grid {gid} but it is not defined")
+                 f"grid: {header[1:-1]} targets unknown grid {gid}")
 
     @pytest.mark.parametrize("old, new, at, field", [
         ("\ntime_s = 0.5\n", "\ntime_s = 0.5003\n", "time_s = 0.5003",
@@ -1110,11 +1148,13 @@ class TestLibraryChecks:
 
     def test_build_scenario_leaves_the_scenario_rules_to_scenario(self):
         """Scenario is the one place its rules are checked: build_scenario
-        converts no time or hold to steps and runs no record's check itself."""
+        converts no time or hold to steps, runs no record's check itself and
+        checks no grid number of [event] or [attack]."""
         called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                   for node in ast.walk(ast.parse(inspect.getsource(cli.build_scenario)))
                   if isinstance(node, ast.Call)}
-        assert not called & {"whole_steps", "hold_steps", "before_horizon", "check"}
+        assert not called & {"whole_steps", "hold_steps", "before_horizon", "check",
+                             "_named_grid"}
         assert not hasattr(simcore, "before_horizon")
 
     def test_attack_may_end_past_the_horizon(self, tmp_path):

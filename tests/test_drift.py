@@ -111,6 +111,20 @@ def test_zero_watermark_chain_zeroes_only_the_grid_watermark(tmp_path):
     assert values == demo
 
 
+def test_observer_chain_sets_only_the_grid_controller(tmp_path):
+    from microagc import cli
+
+    name, commands = drift.observer_chain(tmp_path)
+    assert name == "chain-observer"
+    assert [argv[0] for argv in commands] == list(drift.CHAIN)
+    values = {kind: [sec.values for sec in secs]
+              for kind, secs in cli.parse_config(commands[0][2]).items()}
+    demo = {kind: [sec.values for sec in secs] for kind, secs in
+            cli.parse_config(drift.ROOT / "configs" / "detection_demo.cfg").items()}
+    demo["grid"][0]["controller"] = "observer"
+    assert values == demo
+
+
 def test_train_command_writes_the_trained_detector_of_an_acceptance_fixture(tmp_path):
     from microagc import casestudy as cs, cli, defaults
     from microagc.lqr import CostWeights

@@ -525,6 +525,32 @@ class TestRunScenario:
         assert (info.value.record, info.value.field) == ("events[0]", "time")
         assert info.value.message == f"time = {t} s is not before the horizon, 0.5 s"
 
+    @pytest.mark.parametrize("record, field, kwargs", [
+        ("grids[0]", "controller", dict(grids=(cs.grid1_spec("observer"),))),
+        ("events[0]", "action", dict(events=(m.Event(0.5, "observer_on"),))),
+    ], ids=["observer-grid", "observer-event"])
+    def test_observer_law_needs_a_detector(self, record, field, kwargs):
+        """An observer grid or an observer_on event without the grid's detector
+        is rejected when the scenario is built, not when the run reaches it."""
+        args = dict(grids=(cs.grid1_spec(),), horizon=1.0) | kwargs
+        with pytest.raises(m.ScenarioError, match="detector") as info:
+            m.Scenario(**args)
+        assert (info.value.record, info.value.field) == (record, field)
+
+    @pytest.mark.parametrize("message, attack", [
+        ("attack window", dict(kind="noise-injection", start=0.2, end=0.2000000000002)),
+        ("replay source window", dict(kind="replay", start=0.5, end=0.7, replay_from=0.1,
+                                      replay_to=0.1000000000001)),
+    ], ids=["attack", "replay-source"])
+    def test_attack_windows_span_a_control_step(self, message, attack):
+        """Times within whole_steps's tolerance of each other are one step: a
+        window whose ends round to the same step would never run or replay."""
+        with pytest.raises(m.ScenarioError,
+                           match=f"^{message} rounds to zero control steps$") as info:
+            m.Scenario(grids=(cs.grid1_spec(),), horizon=1.0,
+                       attacks=(m.AttackSpec(channels=(0,), **attack),))
+        assert (info.value.record, info.value.field) == ("attacks[0]", None)
+
     def test_unknown_grids_are_numbered_from_one(self):
         """With two grids, an index of 2 names a third grid: grid 3."""
         grids = (cs.grid1_spec(), cs.grid2_spec())

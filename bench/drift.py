@@ -12,7 +12,9 @@ scratch directory with relative output paths so that printed lines compare:
     -> detect in one workspace, again with `[grid.1] watermark_std = 0`,
     whose draws must stay +0.0 (a `wm` cell of `-0` would differ), and again
     with `[grid.1] controller = observer`, whose calibration run carries the
-    open detector that the observer law runs from;
+    open detector that the observer law runs from, and again with an `[event]`
+    that engages grid 1's observer law at 2.1 s (the scheduled handover; the
+    auto-response runs below take the flag-fired one);
   - `simulate` on the nine `slow-lqr` jobs of the benchmark's regulate
     library, rendered from `perfbench/workload.py` into the scratch directory.
     Their saturated limit cycle is chaotic, so a last-bit change in the plant
@@ -167,19 +169,26 @@ def study_run(out) -> None:
     (out / "summary.txt").write_text(summarize(ts, scenario), encoding="utf-8")
 
 
-def grid1_chain(directory: Path, key: str, value: str,
-                name: str) -> tuple[str, list[list[str]]]:
+def demo_chain(directory: Path, name: str, edit) -> tuple[str, list[list[str]]]:
     """(output directory chain-<name>, commands) of the detection_demo chain
-    with `key = value` in its [grid.1] section, its config written into
-    directory."""
+    whose config text is edit(text), its config written into directory."""
     text = (ROOT / "configs" / "detection_demo.cfg").read_text(encoding="utf-8")
-    grid = text.index("\n[grid.1]\n")
-    end = text.index("\n[", grid + 1)
-    section = re.sub(rf"\n{key} = \S+", f"\n{key} = {value}", text[grid:end])
     cfg = directory / f"detection_demo_{name}.cfg"
     cfg.parent.mkdir(parents=True, exist_ok=True)
-    cfg.write_text(text[:grid] + section + text[end:], encoding="utf-8")
+    cfg.write_text(edit(text), encoding="utf-8")
     return f"chain-{name}", [[cmd, "--config", str(cfg)] for cmd in CHAIN]
+
+
+def grid1_chain(directory: Path, key: str, value: str,
+                name: str) -> tuple[str, list[list[str]]]:
+    """The detection_demo chain with `key = value` in its [grid.1] section."""
+    def edit(text: str) -> str:
+        grid = text.index("\n[grid.1]\n")
+        end = text.index("\n[", grid + 1)
+        section = re.sub(rf"\n{key} = \S+", f"\n{key} = {value}", text[grid:end])
+        return text[:grid] + section + text[end:]
+
+    return demo_chain(directory, name, edit)
 
 
 def zero_watermark_chain(directory: Path) -> tuple[str, list[list[str]]]:
@@ -192,6 +201,14 @@ def observer_chain(directory: Path) -> tuple[str, list[list[str]]]:
     """The chain with grid 1's controller set to observer: identify and
     calibrate take the grid without its detector files."""
     return grid1_chain(directory, "controller", "observer", "observer")
+
+
+def scheduled_observer_chain(directory: Path) -> tuple[str, list[list[str]]]:
+    """The chain with an [event] that engages grid 1's observer law at 2.1 s,
+    inside the demo's attack: the scheduled handover, which copies the detector
+    state and then advances it once (the flag-fired one copies it advanced)."""
+    return demo_chain(directory, "scheduled-observer", lambda text: text + (
+        "\n[event]\ngrid = 1\ntime_s = 2.1\naction = observer_on\n"))
 
 
 def controller_jobs(jobs, controller: str) -> list:
@@ -305,7 +322,7 @@ def main(argv=None) -> int:
     try:
         export(base_commit, work / "tree")
         extra = [zero_watermark_chain(work / "cfg"), observer_chain(work / "cfg"),
-                 *render_benchmark_jobs(work / "cfg")]
+                 scheduled_observer_chain(work / "cfg"), *render_benchmark_jobs(work / "cfg")]
         sides = {}
         for side, tree in (("base", work / "tree"), ("change", ROOT)):
             (work / side).mkdir()

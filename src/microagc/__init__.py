@@ -38,9 +38,7 @@ from .lqr import (  # noqa: F401
     ControlDesignError,
     ControllerGain,
     CostWeights,
-    ObserverState,
     control_decentralized,
-    control_observer,
     control_optimal,
     control_pi_baseline,
     lqr_gain,

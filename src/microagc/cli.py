@@ -182,18 +182,17 @@ class Section:
         return f"{self.path}: line {line}: [{self.name}]" + (f" {name}" if name else "")
 
     @contextlib.contextmanager
-    def located(self, field: str | None = None):
+    def located(self):
         """Re-raise a value the library rejects, e.g. a dataclass's ScenarioError,
-        as a ConfigError at the line of the field the error names, else at
-        field's line (the header line for None). A Scenario's error that names
-        its record passes, to be located in that record's section."""
+        as a ConfigError at the line of the field the error names, else at the
+        header line. A Scenario's error that names its record passes, to be
+        located in that record's section."""
         try:
             yield
         except ValueError as exc:
             if getattr(exc, "record", None):
                 raise
-            raise ConfigError(f"{self.where(getattr(exc, 'field', None) or field)}: "
-                              f"{exc}") from exc
+            raise ConfigError(f"{self.where(getattr(exc, 'field', None))}: {exc}") from exc
 
     def value(self, field: str, default=MISSING):
         """A HAND_READ field's value; without a default the file must set it."""
@@ -404,10 +403,9 @@ def calibrate_detector(run: Scenario, margin: float) -> DetectorSetup:
     alone (its controller, loop settings and load signals) that carries the grid's
     open_detector: its model, watermark and window."""
     det = run.grids[0].detector
-    model, n, window = det.model, det.model.n_outputs, det.baseline.w
-    ts = run_scenario(run)
-    received, commands, marks = (np.column_stack([ts[f"mg1_{name}_{i + 1}"] for i in range(n)])
-                                 for name in ("pg_rx", "dws", "wm"))
+    model, window = det.model, det.baseline.w
+    log = run_scenario(run).grids[0]
+    received, commands, marks = log["pg_rx"], log["dws"], log["wm"]
     predicted = predict(model, np.zeros(model.order), commands + marks)
     baseline = calibrate_baseline(received, predicted, w=window)
     xi1, xi2 = innovation_statistics(received - predicted, baseline)
@@ -445,10 +443,10 @@ def write_detector_csv(ts: TimeSeries, scenario: Scenario, path) -> None:
     for gi, det in enumerate(g.detector for g in scenario.grids):
         if det is None:
             continue
-        p = f"mg{gi + 1}"
-        names += [f"{p}_xi1", f"{p}_xi2", f"{p}_eps1", f"{p}_eps2", f"{p}_flag"]
-        cols += [ts[f"{p}_xi1"], ts[f"{p}_xi2"], np.full(ts.time.shape, det.baseline.eps1),
-                 np.full(ts.time.shape, det.baseline.eps2), ts[f"{p}_flag"]]
+        log = ts.grids[gi]
+        names += [ts.column(gi, name) for name in ("xi1", "xi2", "eps1", "eps2", "flag")]
+        cols += [log["xi1"], log["xi2"], np.full(ts.time.shape, det.baseline.eps1),
+                 np.full(ts.time.shape, det.baseline.eps2), log["flag"]]
     write_table(path, names, cols)
 
 
@@ -564,7 +562,7 @@ def cmd_detect(args) -> int:
     n = sections["grid"][gi].value("n_ibr")
     model = _detector_model(sec, n, out, _control_period(sections))
     baseline = _detector_baseline(sec, n, out)
-    t, u, e, y = _load_trace(out / sec.value("trace_file"), gi + 1, n)
+    t, u, e, y = _load_trace(out / sec.value("trace_file"), gi, n)
     n_steps = t.shape[0]
     state = DetectorState.start(model, baseline)
     out.mkdir(parents=True, exist_ok=True)
@@ -593,10 +591,9 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-def _load_trace(path, gid: int, n: int):
-    """Read (t, commands, watermarks, received) for grid gid from a run CSV."""
-    p = f"mg{gid}"
-    _, data = read_table(path, ["t"] + [f"{p}_{name}_{i + 1}" for name in
+def _load_trace(path, gi: int, n: int):
+    """Read (t, commands, watermarks, received) of grid gi's n IBRs from a run CSV."""
+    _, data = read_table(path, ["t"] + [TimeSeries.column(gi, name, i) for name in
                                         ("dws", "wm", "pg_rx") for i in range(n)])
     return data[:, 0], data[:, 1 : n + 1], data[:, n + 1 : 2 * n + 1], data[:, 2 * n + 1 :]
 

@@ -7,7 +7,8 @@ solution of K T ~ K'. Runtime laws:
 
   optimal        dws = -K z            (z integrated from power measurements)
   decentralized  dws_i = m_p_i dpg_i   (zeroes dz/dt locally)
-  observer       dws = -K z_hat        (z_hat driven by model predictions only)
+  observer       dws = -K z_hat        (z_hat integrated from the detector model's
+                                        predicted powers; simcore's _bind_law)
   pi             discrete PI on lagged frequency measurements (baseline)
 """
 
@@ -21,7 +22,6 @@ import scipy.linalg
 
 from . import defaults
 from .netmodel import LinearPlant, _readonly
-from .transform import z_update
 
 log = logging.getLogger(__name__)
 
@@ -67,14 +67,6 @@ class ControllerGain:
         object.__setattr__(self, "k_prime", _readonly(self.k_prime))
         object.__setattr__(self, "k", _readonly(self.k))
         object.__setattr__(self, "care_solution", _readonly(self.care_solution))
-
-
-@dataclass
-class ObserverState:
-    """Prediction-driven controller state: model state x_hat and z_hat integral."""
-
-    x_hat: np.ndarray
-    z_hat: np.ndarray
 
 
 def _care_residual(a, b, q, r_inv_bt, p) -> float:
@@ -206,30 +198,6 @@ def control_optimal(gain: ControllerGain, z: np.ndarray) -> np.ndarray:
 def control_decentralized(m_p: np.ndarray, d_p_g: np.ndarray) -> np.ndarray:
     """dws_i = m_p_i * dpg_i (m_p per IBR), computable from local measurements alone."""
     return m_p * np.asarray(d_p_g, dtype=float)
-
-
-def control_observer(gain: ControllerGain, obs: ObserverState) -> np.ndarray:
-    """dws = -K z_hat; independent of (possibly corrupted) measurements."""
-    return -(gain.k @ obs.z_hat)
-
-
-def observer_update(
-    obs: ObserverState,
-    model,
-    omega_c: np.ndarray,
-    m_p: np.ndarray,
-    d_omega_s_prev: np.ndarray,
-    dt: float,
-) -> None:
-    """Advance the prediction-driven controller state one control period.
-
-    z_hat takes the z_update step (per-IBR omega_c and m_p arrays) with the
-    power predicted at the interval start, then the model state advances with
-    the applied command.
-    """
-    u_prev = np.asarray(d_omega_s_prev, dtype=float)
-    obs.z_hat = z_update(obs.z_hat, u_prev, model.c_d @ obs.x_hat, dt, omega_c, m_p)
-    obs.x_hat = model.a_d @ obs.x_hat + model.b_d @ u_prev
 
 
 def control_pi_baseline(

@@ -17,6 +17,7 @@ change. Identical scenario and seeds give bit-identical logs.
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import math
 from dataclasses import dataclass, replace
@@ -28,13 +29,10 @@ from . import defaults
 from .lqr import (
     ControllerGain,
     CostWeights,
-    ObserverState,
     control_decentralized,
-    control_observer,
     control_optimal,
     control_pi_baseline,
     lqr_gain,
-    observer_update,
 )
 from .netmodel import (
     IbrParams,
@@ -486,10 +484,23 @@ def close_tie_line(
 
 @dataclass
 class TimeSeries:
-    """Uniformly sampled run log with a fixed column schema."""
+    """Uniformly sampled run log as the run wrote it: grids[gi] maps every log
+    name to grid gi's rows, (steps, n_ibr) for a per-IBR name, else (steps,)."""
 
     time: np.ndarray
-    columns: dict[str, np.ndarray]
+    grids: list[dict[str, np.ndarray]]
+
+    @staticmethod
+    def column(gi: int, name: str, i: int | None = None) -> str:
+        """The CSV name of grid gi's log name, of IBR i for a per-IBR name."""
+        return f"mg{gi + 1}_{name}" + ("" if i is None else f"_{i + 1}")
+
+    @functools.cached_property
+    def columns(self) -> dict[str, np.ndarray]:
+        """Every grid's log as named 1-D columns, one per IBR value."""
+        return {self.column(gi, name, i): col for gi, log in enumerate(self.grids)
+                for name, rows in log.items()
+                for i, col in (enumerate(rows.T) if rows.ndim == 2 else [(None, rows)])}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.columns[name]
@@ -542,10 +553,9 @@ class _GridRuntime:
         self.omega_c = np.array([p.omega_c for p in spec.ibrs])
         self.m_p = np.array([p.m_p for p in spec.ibrs])
         self.z = np.zeros(self.n)
-        self.obs: ObserverState | None = None
+        self.x_hat = self.z_hat = None  # the observer law's model state and z
         if spec.controller == "observer":
-            self.obs = ObserverState(x_hat=np.zeros(spec.detector.model.order),
-                                     z_hat=np.zeros(self.n))
+            self.x_hat, self.z_hat = np.zeros(spec.detector.model.order), np.zeros(self.n)
         self.pi_integ = np.zeros(self.n)
         self.sensor_y = np.zeros(self.n)
         self.obs_fresh = False
@@ -573,7 +583,7 @@ def _bind_law(rt: _GridRuntime, name: str):
     the command applied over the step before. "none" is no law, a zero command.
     The law takes rt as an argument, so that rt.law makes no reference cycle."""
     gain, omega_c, m_p, dt = rt.gain, rt.omega_c, rt.m_p, rt.dt
-    u_prev, cmd, obs, spec = rt.applied, rt.cmd, rt.obs, rt.spec
+    u_prev, cmd, spec = rt.applied, rt.cmd, rt.spec
     pg_rx, domega = rt.log["pg_rx"], rt.log["domega"]
     lo, hi = -spec.u_max, spec.u_max  # setpoints saturate, as inverter hardware does
     kp, ki, tau = spec.pi_kp, spec.pi_ki, spec.sensor_tau
@@ -588,12 +598,15 @@ def _bind_law(rt: _GridRuntime, name: str):
         def law(rt, rho, y_rx):
             rt.z = z_update(rt.z, u_prev, pg_rx[rho], dt, omega_c, m_p)
             _clip(control_decentralized(m_p, y_rx), lo, hi, out=cmd)
-    elif name == "observer":
+    elif name == "observer":  # z_hat integrates the model's predicted power
+        model = spec.detector.model
+
         def law(rt, rho, y_rx):
             if rho > 0 and not rt.obs_fresh:
-                observer_update(obs, spec.detector.model, omega_c, m_p, u_prev, dt)
+                rt.z_hat[:] = z_update(rt.z_hat, u_prev, model.c_d @ rt.x_hat, dt, omega_c, m_p)
+                rt.x_hat[:] = model.a_d @ rt.x_hat + model.b_d @ u_prev
             rt.obs_fresh = False
-            _clip(control_observer(gain, obs), lo, hi, out=cmd)
+            _clip(control_optimal(gain, rt.z_hat), lo, hi, out=cmd)
     elif name == "pi":
         def law(rt, rho, y_rx):
             rt.sensor_y = measure_frequency_lagged(domega[rho + 1], rt.sensor_y, tau, dt)
@@ -699,10 +712,10 @@ class _World:
         """Raise SimulationError naming the time and column of the first value
         of the per-IBR log, or of a grid's detector statistics, that is not
         finite: the run diverged."""
-        ibrs = [(gi + 1, i + 1) for gi, rt in enumerate(self.rts) for i in range(rt.n)]
-        columns = [([f"mg{g}_{name}_{i}" for g, i in ibrs], col[1:])
+        ibrs = [(gi, i) for gi, rt in enumerate(self.rts) for i in range(rt.n)]
+        columns = [([TimeSeries.column(gi, name, i) for gi, i in ibrs], col[1:])
                    for name, col in self.log.items()]
-        columns += [([f"mg{gi + 1}_{name}"], rt.log[name][1:, None])
+        columns += [([TimeSeries.column(gi, name)], rt.log[name][1:, None])
                     for gi, rt in enumerate(self.rts) for name in ("xi1", "xi2")]
         check_finite("the run", time_axis, columns)
 
@@ -813,8 +826,8 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
             if rt.wm_active and rt.enabled:
                 rt.log["wm"][r] = rt.wm_source.draw()
             rt.log["pg_rx"][r], rt.log["z"][r] = y_rx[gi], rt.z
-            if rt.obs is not None:
-                rt.log["zhat"][r] = rt.obs.z_hat
+            if rt.z_hat is not None:
+                rt.log["zhat"][r] = rt.z_hat
         dws_log[r] = world.cmd
 
         # integrate the applied commands to the next control instant
@@ -822,7 +835,7 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
         world.x = world.stepper.step(world.x, world.applied, loads[rho], changed[rho])
 
     world.check_finite(time_axis)
-    return _time_series(time_axis, rts)
+    return TimeSeries(time_axis, [{name: rt.log[name][1:] for name, _, _ in _LOG} for rt in rts])
 
 
 def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
@@ -839,9 +852,9 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
         rt.enabled = True
         # events fire before this step's detector update, so the copied
         # prediction state is one interval behind and must advance once
-        x_hat = (rt.det_state.x_hat.copy() if rt.det_state is not None
-                 else np.zeros(rt.spec.detector.model.order))
-        rt.obs = ObserverState(x_hat=x_hat, z_hat=rt.z.copy())
+        rt.x_hat = (rt.det_state.x_hat.copy() if rt.det_state is not None
+                    else np.zeros(rt.spec.detector.model.order))
+        rt.z_hat = rt.z.copy()
         rt.obs_fresh = False
         rt.wm_active = False
         rt.resolve_law(rho)
@@ -856,36 +869,19 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
                 log.info("grid %d: detector retired after topology change", gi + 1)
 
 
-def _time_series(time_axis, rts) -> TimeSeries:
-    """The grids' logs without their leading row, one column per IBR value."""
-    out: dict[str, np.ndarray] = {}
-    for gi, rt in enumerate(rts):
-        p = f"mg{gi + 1}"
-        for name, per_ibr, _ in _LOG:
-            col = rt.log[name][1:]
-            if per_ibr:
-                out.update({f"{p}_{name}_{i + 1}": col[:, i] for i in range(rt.n)})
-            else:
-                out[f"{p}_{name}"] = col
-    return TimeSeries(time=time_axis, columns=out)
-
-
 def summarize(ts: TimeSeries, scenario: Scenario) -> str:
     """Structured text report: RMS and steady-state deviations, detection latency.
     The steady state is t >= 0.95 horizon, and at least the last control instant."""
     lines = ["run summary", "==========="]
     tail = min(0.95 * scenario.horizon, ts.time[-1])
-    for gi, g in enumerate(scenario.grids):
-        p = f"mg{gi + 1}"
+    for gi, log in enumerate(ts.grids):
         lines.append(f"[grid {gi + 1}]")
-        for i in range(g.network.n_ibr):
-            w = ts[f"{p}_domega_{i + 1}"]
-            ss = ts.window(f"{p}_domega_{i + 1}", t0=tail)
+        for i, w in enumerate(log["domega"].T):
             lines.append(
                 f"node {i + 1}: rms_domega_rad_s = {rms(w):.6g}  "
-                f"steady_abs_domega_rad_s = {np.mean(np.abs(ss)):.6g}"
+                f"steady_abs_domega_rad_s = {np.mean(np.abs(w[ts.time >= tail])):.6g}"
             )
-        flags = ts[f"{p}_flag"]
+        flags = log["flag"]
         for atk in scenario.attacks:
             if atk.grid != gi:
                 continue

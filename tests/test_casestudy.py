@@ -1,7 +1,10 @@
-"""The case-study builders: the grids they derive, and the parameters they take."""
+"""The case-study builders and the grids they derive, and the guard that every
+defaulted public parameter of the package has a caller that sets it."""
 
 import ast
+import importlib
 import inspect
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -47,22 +50,41 @@ def test_a_grid_takes_one_load_per_load_node():
         m.GridSpec(network=grid.network, ibrs=grid.ibrs, loads=(1.0, 2.0))
 
 
-def test_every_defaulted_casestudy_parameter_is_set_by_a_caller():
-    """A parameter of a public casestudy function that has a default is passed,
-    by position or by name, by at least one call in src, bench, perfbench or
-    tests: a parameter that no caller sets is a constant."""
+def _public_callables():
+    """(name, called as, function, leading parameters a call skips) of every public
+    function and public-class method defined in src/microagc; a class's __init__
+    is called by the class's name. Functions a dataclass generates are left out:
+    their code is not the module's (Section.build sets their fields by keyword)."""
+    for info in pkgutil.iter_modules(m.__path__):
+        mod = importlib.import_module(f"microagc.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield name, name, obj, 0
+            elif inspect.isclass(obj):
+                for attr, member in vars(obj).items():
+                    fn = inspect.unwrap(getattr(member, "__func__", member))
+                    if (inspect.isfunction(fn) and fn.__code__.co_filename == mod.__file__
+                            and (attr == "__init__" or not attr.startswith("_"))):
+                        yield (f"{name}.{attr}", name if attr == "__init__" else attr, fn,
+                               0 if isinstance(member, staticmethod) else 1)
+
+
+def test_every_defaulted_public_parameter_is_set_by_a_caller():
+    """A parameter that has a default, of a public function or public-class method
+    in src/microagc, is passed, by position or by name, by at least one call in
+    src, bench, perfbench or tests: a parameter that no caller sets is a constant."""
     calls = [node for d in ("src", "bench", "perfbench", "tests")
              for path in sorted((ROOT / d).rglob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Call)]
     unset = []
-    for name, fn in inspect.getmembers(cs, inspect.isfunction):
-        if name.startswith("_") or fn.__module__ != cs.__name__:
-            continue
-        params = list(inspect.signature(fn).parameters.values())
+    for name, called_as, fn, skip in _public_callables():
+        params = list(inspect.signature(fn).parameters.values())[skip:]
         set_by_a_call = set()
         for call in calls:
-            if name in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
+            if called_as in (getattr(call.func, "id", None), getattr(call.func, "attr", None)):
                 set_by_a_call |= {p.name for p in params[:len(call.args)]}
                 set_by_a_call |= {k.arg for k in call.keywords}
         unset += [f"{name}({p.name})" for p in params

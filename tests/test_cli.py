@@ -627,6 +627,28 @@ def test_steady_state_of_a_horizon_without_a_tail_instant(tmp_path):
     assert all(math.isfinite(float(v)) for v in steady)
 
 
+def test_run_log_names_round_trip_through_the_csv(tmp_path):
+    """The case-study two-grid run written by to_csv has the header
+    ["t", *ts.columns], and _load_trace reads grid 2's commands, watermarks and
+    received powers back from it to the file's 9 significant digits."""
+    from microagc import casestudy as cs
+
+    step = simcore.LoadSignalSpec(kind="step", amplitude=900.0, load_index=0, step_time=0.1)
+    sc = simcore.Scenario(grids=(cs.grid1_spec(load_signals=[cs.pulse_load_signal()]),
+                                 cs.grid2_spec(load_signals=[step])),
+                          tie=cs.default_tie(), horizon=0.5, seed=3)
+    ts = simcore.run_scenario(sc)
+    path = tmp_path / "timeseries.csv"
+    ts.to_csv(path)
+    assert cli.read_table(path, [])[0] == ["t", *ts.columns]
+    t, *rows = cli._load_trace(path, 1, 2)
+    nine = np.vectorize(lambda v: float(f"{v:.9g}"))
+    assert np.array_equal(t, nine(ts.time))
+    for got, name in zip(rows, ("dws", "wm", "pg_rx")):
+        assert got.shape == ts.grids[1][name].shape and np.any(got) == (name != "wm")
+        assert np.array_equal(got, nine(ts.grids[1][name])), name
+
+
 def test_rejected_simulate_removes_the_directories_it_made(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text(MINIMAL.replace("controller = optimal-z", "controller = fuzzy"))

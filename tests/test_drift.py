@@ -125,6 +125,21 @@ def test_observer_chain_sets_only_the_grid_controller(tmp_path):
     assert values == demo
 
 
+def test_scheduled_observer_chain_adds_only_the_observer_event(tmp_path):
+    from microagc import cli
+
+    name, commands = drift.scheduled_observer_chain(tmp_path)
+    assert name == "chain-scheduled-observer"
+    assert [argv[0] for argv in commands] == list(drift.CHAIN)
+    values = {kind: [sec.values for sec in secs]
+              for kind, secs in cli.parse_config(commands[0][2]).items()}
+    demo = {kind: [sec.values for sec in secs] for kind, secs in
+            cli.parse_config(drift.ROOT / "configs" / "detection_demo.cfg").items()}
+    assert demo["event"] == []
+    demo["event"] = [{"grid": 0, "time": 2.1, "action": "observer_on"}]
+    assert values == demo
+
+
 def test_train_command_writes_the_trained_detector_of_an_acceptance_fixture(tmp_path):
     from microagc import casestudy as cs, cli, defaults
     from microagc.lqr import CostWeights

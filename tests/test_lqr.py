@@ -6,8 +6,6 @@ import pytest
 
 import microagc as m
 from microagc import casestudy as cs
-from microagc.lqr import observer_update
-from microagc.sysid import DiscreteModel
 
 
 def default_design(q=1.0):
@@ -109,25 +107,6 @@ class TestControlLaws:
         out = m.control_decentralized(m_p, np.array([100.0, -50.0]))
         np.testing.assert_allclose(out, [0.1, -0.1])
         np.testing.assert_array_equal(m.control_decentralized(m_p, np.zeros(2)), 0.0)
-
-    def test_observer_law_uses_predictions_only(self):
-        _, _, _, gain = default_design()
-        obs = m.ObserverState(x_hat=np.zeros(4), z_hat=np.array([0.1, 0.0, -0.2]))
-        np.testing.assert_allclose(m.control_observer(gain, obs),
-                                   -(gain.k @ obs.z_hat))
-        obs0 = m.ObserverState(x_hat=np.zeros(4), z_hat=np.zeros(3))
-        np.testing.assert_array_equal(m.control_observer(gain, obs0), 0.0)
-
-    def test_observer_update_recursion(self):
-        model = DiscreteModel(
-            a_d=np.array([[0.9]]), b_d=np.array([[0.5]]),
-            c_d=np.array([[2.0]]), dt=0.01, order=1,
-        )
-        obs = m.ObserverState(x_hat=np.array([1.0]), z_hat=np.array([0.0]))
-        observer_update(obs, model, np.array([10.0]), np.array([1e-3]), np.array([0.2]), 0.01)
-        # z integrates omega_c (u - m_p * C x_prev) dt, then x advances
-        assert obs.z_hat[0] == pytest.approx(10.0 * (0.2 - 1e-3 * 2.0) * 0.01)
-        assert obs.x_hat[0] == pytest.approx(0.9 * 1.0 + 0.5 * 0.2)
 
     def test_pi_zero_input(self):
         u, integ = m.control_pi_baseline(0.6, 6.0, np.zeros(3), 0.005, np.zeros(3))

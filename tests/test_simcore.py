@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import microagc as m
 from microagc import casestudy as cs, simcore
 from microagc.simcore import ZohStepper, _clip, _load_changes, load_vector, rms
+from microagc.sysid import DiscreteModel
 
 
 @pytest.fixture(scope="module")
@@ -702,11 +703,62 @@ class TestRunScenario:
         assert rms(np.array([])) == 0.0
 
 
+def _observer_run(attacks=()):
+    """(scenario, log) of one study grid on the observer law from the start, with
+    a hand-built order-1 detector model, the pulse load and a watermark; the
+    detector's thresholds are open, so it never flags."""
+    model = DiscreteModel(a_d=np.array([[0.9]]), b_d=np.array([[0.5, 0.2, -0.1]]),
+                          c_d=np.array([[2000.0], [1000.0], [-500.0]]), dt=0.005, order=1)
+    det = m.DetectorSetup(model=model, watermark=m.WatermarkConfig(0.012, seed=4),
+                          baseline=m.BaselineStats(np.zeros(3), np.zeros((3, 3)), w=20))
+    g = cs.grid1_spec(controller="observer", weights=m.CostWeights.uniform(3, q=10.0),
+                      detector=det, load_signals=[cs.pulse_load_signal()])
+    sc = m.Scenario(grids=(g,), horizon=1.0, seed=5, attacks=attacks)
+    return sc, m.run_scenario(sc)
+
+
+def _ibr_rows(ts, name, n=3):
+    return np.column_stack([ts[f"mg1_{name}_{i + 1}"] for i in range(n)])
+
+
+def test_observer_law_runs_on_the_model_prediction():
+    """The logged zhat and dws rows follow the observer law, bit for bit:
+    z_hat+ = z_hat + omega_c (u - m_p C x_hat) dt and x_hat+ = A x_hat + B u with
+    u = dws + wm of the row before (zeros before row 0), and dws = clip(-K z_hat)."""
+    sc, ts = _observer_run()
+    g = sc.grids[0]
+    model = g.detector.model
+    gain = m.lqr_gain(m.grid_plant(g)[1], g.weights, m.make_transform(g.ibrs))
+    omega_c = np.array([p.omega_c for p in g.ibrs])
+    m_p = np.array([p.m_p for p in g.ibrs])
+    zhat, dws, wm = _ibr_rows(ts, "zhat"), _ibr_rows(ts, "dws"), _ibr_rows(ts, "wm")
+    assert np.any(wm) and np.any(zhat) and set(ts["mg1_ctrl"]) == {"observer"}
+    x_hat, z_hat, u = np.zeros(1), np.zeros(3), np.zeros(3)
+    for k in range(len(ts.time)):
+        if k > 0:
+            z_hat = z_hat + omega_c * (u - m_p * (model.c_d @ x_hat)) * sc.control_period
+            x_hat = model.a_d @ x_hat + model.b_d @ u
+        assert np.array_equal(zhat[k], z_hat)
+        assert np.array_equal(dws[k], np.clip(-(gain.k @ z_hat), -g.u_max, g.u_max))
+        u = dws[k] + wm[k]
+
+
+def test_observer_law_ignores_the_received_powers():
+    """Two runs that differ only by a noise attack on the received powers log
+    the same observer commands and z_hat."""
+    atk = m.AttackSpec(kind="noise-injection", channels=(0, 2), start=0.3, end=0.8,
+                       noise_std=800.0)
+    (_, clean), (_, attacked) = _observer_run(), _observer_run((atk,))
+    assert not np.array_equal(_ibr_rows(attacked, "pg_rx"), _ibr_rows(clean, "pg_rx"))
+    for name in ("dws", "zhat"):
+        assert np.array_equal(_ibr_rows(attacked, name), _ibr_rows(clean, name)), name
+
+
 def test_only_apply_event_changes_a_grid_mid_run():
     """A grid runtime's law, observer, watermark and detector are set when it is
     built or its law is bound, and changed during a run only by _apply_event:
     an auto-response fires the events it stands for."""
-    guarded = {"controller", "enabled", "obs", "wm_active", "det_state", "law"}
+    guarded = {"controller", "enabled", "x_hat", "z_hat", "wm_active", "det_state", "law"}
     writers: dict[str, set[str]] = {}
 
     def scan(node, scope):

@@ -131,7 +131,7 @@ def trained_detector(
     window and margin.
 
     Returns (DetectorSetup, OrderReport). The calibration run uses the grid's
-    controller and loop settings with the given calibration load signals.
+    controller and weights with the given calibration load signals.
     """
     from . import cli
 

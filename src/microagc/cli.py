@@ -94,13 +94,11 @@ SECTIONS = {
         "integrator_step_s": ("integrator_step", POSITIVE), "seed": ("seed", INDEX),
         "auto_response": ("auto_response", TEXT)}),
     "grid": (GridSpec, {
-        "n_ibr": ("n_ibr", COUNT), "n_load": ("n_load", INDEX), "u_max": ("u_max", POSITIVE),
+        "n_ibr": ("n_ibr", COUNT), "n_load": ("n_load", INDEX),
         "branch": ("branch", REAL, REPEAT), "load_w": ("loads", REAL, LIST),
         "v_star": ("v_star", POSITIVE, LIST), "omega_c": ("omega_c", POSITIVE, LIST),
         "m_p": ("m_p", POSITIVE, LIST), "q_weight": ("q_weight", POSITIVE, LIST),
         "r_weight": ("r_weight", POSITIVE, LIST), "controller": ("controller", TEXT),
-        "pi_kp": ("pi_kp", REAL), "pi_ki": ("pi_ki", REAL),
-        "sensor_tau_s": ("sensor_tau", POSITIVE), "slow_hold_s": ("slow_hold", POSITIVE),
         "model_file": ("model_file", TEXT), "baseline_file": ("baseline_file", TEXT),
         "watermark_std": ("watermark_std", NON_NEGATIVE),
         "watermark_seed": ("watermark_seed", INDEX)}),
@@ -123,7 +121,7 @@ SECTIONS = {
         "admittance_s": ("y_mag", POSITIVE), "theta_rad": ("theta", REAL)}),
     "identify": (ExcitationSpec, {
         "grid": ("grid", GRID), "seed": ("seed", INDEX), "beta": ("beta", POSITIVE),
-        "k0": ("k0", COUNT), "dt_s": ("dt", POSITIVE), "dt_prime_s": ("dt_prime", POSITIVE),
+        "k0": ("k0", COUNT), "dt_prime_s": ("dt_prime", POSITIVE),
         "candidates": ("candidates", COUNT, LIST), "records_file": ("records_file", TEXT),
         "record_file": ("record_file", TEXT), "model_file": ("model_file", TEXT),
         "report_file": ("report_file", TEXT)}),
@@ -368,10 +366,8 @@ def _records_located(sections: dict[str, list[Section]]):
         if not exc.record:
             raise
         name, _, i = exc.record.partition("[")  # "events[1]" is sections["event"][1]
-        sec, field = sections[name.removesuffix("s")][int(i.strip("]") or 0)], exc.field
-        if field == "slow_hold" and field not in sec.values:
-            field = "controller"  # the default hold, read because of the slow-lqr law
-        raise ConfigError(f"{sec.where(field)}: {exc.message}") from exc
+        sec = sections[name.removesuffix("s")][int(i.strip("]") or 0)]
+        raise ConfigError(f"{sec.where(exc.field)}: {exc.message}") from exc
 
 
 def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
@@ -400,7 +396,7 @@ def open_detector(model: DiscreteModel, watermark: WatermarkConfig, window: int)
 
 def calibrate_detector(run: Scenario, margin: float) -> DetectorSetup:
     """The detector of run's one grid calibrated on run, a nominal run of the grid
-    alone (its controller, loop settings and load signals) that carries the grid's
+    alone (its controller, weights and load signals) that carries the grid's
     open_detector: its model, watermark and window."""
     det = run.grids[0].detector
     model, window = det.model, det.baseline.w
@@ -495,7 +491,7 @@ def cmd_identify(args) -> int:
 
     records_file = sec.value("records_file", None)
     if records_file is None:
-        spec = sec.build(ExcitationSpec, seed=17)
+        spec = sec.build(ExcitationSpec, seed=17, dt=_control_period(sections))
         if args.seed is not None:
             spec = replace(spec, seed=args.seed)
     with _output_dir(out):
@@ -540,8 +536,8 @@ def cmd_calibrate(args) -> int:
     try:  # the calibration run: the grid alone, [sim]'s timing, [calibrate]'s horizon
         with _records_located({"grid": [grid_sec]}):
             run = Scenario(grids=(replace(grid, detector=detector),), horizon=horizon, **timing)
-    except ScenarioError as exc:  # whole_steps names the value first: horizon, else [sim]'s
-        at = sec.where("horizon") if exc.message.startswith("horizon") else sim.where()
+    except ScenarioError as exc:  # the horizon is [calibrate]'s, the other fields [sim]'s
+        at = sec.where("horizon") if exc.field == "horizon" else sim.where(exc.field)
         raise ConfigError(f"{at}: {exc}") from exc
     if run.n_steps < window:
         raise ConfigError(f"{sec.where('horizon')} must be at least window = {window} "

@@ -22,17 +22,17 @@ OP_MAX_ITER = 50
 # Simulation cadence
 CONTROL_PERIOD = 5e-3                # controller / measurement period, s
 INTEGRATOR_STEP = 0.5e-3             # plant integration substep, s
-SLOW_LQR_HOLD = 0.1                  # slow-baseline command hold, s
-SENSOR_LAG_TAU = 0.1                 # first-order frequency-sensor lag, s
+SLOW_LQR_HOLD = 0.1                  # slow-baseline command hold, s (a fixed loop constant)
+SENSOR_LAG_TAU = 0.1                 # PI baseline's frequency-sensor lag, s (fixed)
 
 # Controller design
 LQR_Q_DIAG = 1.0                     # default per-node state weight
 LQR_R_DIAG = 1.0                     # default per-node command weight
 SCENARIO_Q_DIAG = 10.0               # canonical study-scenario state weight
 CARE_RTOL = 1e-8                     # Riccati residual tolerance (relative)
-PI_KP = 0.6
+PI_KP = 0.6                          # PI baseline gains (fixed)
 PI_KI = 6.0
-COMMAND_LIMIT = 1.0                  # setpoint-deviation saturation, rad/s
+COMMAND_LIMIT = 1.0                  # setpoint-deviation saturation, rad/s (fixed)
 
 # Identification
 SYSID_BETA = 0.1                     # excitation amplitude bound, rad/s

@@ -72,15 +72,17 @@ class ScenarioError(ValueError):
 
 
 @contextlib.contextmanager
-def _record(record: str, field: str | None = None):
-    """Name record ("grids[0]", "events[1]", "attacks[0]" or "tie") on a ScenarioError
-    raised inside; one naming no field is of field's value, "record.field = ..."."""
+def _record(record: str | None, field: str | None = None):
+    """Name record ("grids[0]", "events[1]", "attacks[0]", "tie", or None for the
+    Scenario's own fields) on a ScenarioError raised inside; one naming no field
+    is of field's value, "record.field = ..."."""
     try:
         yield
     except ScenarioError as exc:
         exc.record = record
         if exc.field is None and field is not None:
-            exc.field, exc.args = field, (f"{record}.{exc.message}",)
+            exc.field = field
+            exc.args = (f"{record}.{exc.message}",) if record else exc.args
         raise
 
 
@@ -142,6 +144,8 @@ class AttackSpec:
         if not 0.0 <= self.noise_std < math.inf:
             raise ScenarioError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
+        if len(set(self.channels)) < len(self.channels):  # each would add its own noise draw
+            raise ScenarioError(f"attack channels {self.channels} repeat a channel", "channels")
         if self.kind == "replay":
             if not self.replay_from < self.replay_to:
                 raise ScenarioError("replay source window is empty")
@@ -214,11 +218,6 @@ class GridSpec:
     weights: CostWeights | None = None
     load_signals: tuple[LoadSignalSpec, ...] = ()
     detector: DetectorSetup | None = None
-    pi_kp: float = defaults.PI_KP
-    pi_ki: float = defaults.PI_KI
-    sensor_tau: float = defaults.SENSOR_LAG_TAU
-    slow_hold: float = defaults.SLOW_LQR_HOLD
-    u_max: float = defaults.COMMAND_LIMIT
 
     def __post_init__(self):
         if self.controller not in CONTROLLERS:
@@ -282,8 +281,10 @@ class Scenario:
         if self.auto_response not in ("none", "observer", "collaborative"):
             raise ScenarioError(f"unknown auto response {self.auto_response!r}")
         dt = self.control_period
-        whole_steps(dt, self.integrator_step, "control_period")
-        n_steps = self.n_steps
+        with _record(None, "control_period"):
+            whole_steps(dt, self.integrator_step, "control_period")
+        with _record(None, "horizon"):
+            n_steps = self.n_steps
 
         def before_horizon(seconds: float, field: str) -> int:
             # in steps: a time that whole_steps rounds to the horizon's step is not before it
@@ -293,10 +294,9 @@ class Scenario:
             return k
 
         for gi, g in enumerate(self.grids):
-            with _record(f"grids[{gi}]", "slow_hold"):  # only the slow-lqr law reads it
-                if g.controller == "slow-lqr" and whole_steps(g.slow_hold, dt, "slow_hold") < 1:
-                    raise ScenarioError(f"slow_hold = {g.slow_hold} s is shorter than one "
-                                        f"control period ({dt} s)")
+            with _record(f"grids[{gi}]", "controller"):  # the slow-lqr law's fixed hold
+                if g.controller == "slow-lqr":
+                    whole_steps(defaults.SLOW_LQR_HOLD, dt, "slow_hold")
                 if g.controller == "observer" and g.detector is None:
                     raise ScenarioError("the observer controller needs a detector "
                                         "(model_file and baseline_file)", "controller")
@@ -502,21 +502,8 @@ class TimeSeries:
                 for name, rows in log.items()
                 for i, col in (enumerate(rows.T) if rows.ndim == 2 else [(None, rows)])}
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.columns[name]
-
     def to_csv(self, path) -> None:
         write_table(path, ["t", *self.columns], [self.time, *self.columns.values()])
-
-    def window(self, name: str, t0: float | None = None,
-               t1: float | None = None) -> np.ndarray:
-        """Column values restricted to t0 <= t < t1."""
-        mask = np.ones_like(self.time, dtype=bool)
-        if t0 is not None:
-            mask &= self.time >= t0
-        if t1 is not None:
-            mask &= self.time < t1
-        return self.columns[name][mask]
 
 
 def rms(values: np.ndarray) -> float:
@@ -585,8 +572,10 @@ def _bind_law(rt: _GridRuntime, name: str):
     gain, omega_c, m_p, dt = rt.gain, rt.omega_c, rt.m_p, rt.dt
     u_prev, cmd, spec = rt.applied, rt.cmd, rt.spec
     pg_rx, domega = rt.log["pg_rx"], rt.log["domega"]
-    lo, hi = -spec.u_max, spec.u_max  # setpoints saturate, as inverter hardware does
-    kp, ki, tau = spec.pi_kp, spec.pi_ki, spec.sensor_tau
+    # setpoints saturate, as inverter hardware does; the loop constants are read at
+    # each bind, so that a test may patch them
+    lo, hi = -defaults.COMMAND_LIMIT, defaults.COMMAND_LIMIT
+    kp, ki, tau = defaults.PI_KP, defaults.PI_KI, defaults.SENSOR_LAG_TAU
     if name == "none":
         cmd[:] = 0.0
         return None
@@ -613,7 +602,7 @@ def _bind_law(rt: _GridRuntime, name: str):
             u, rt.pi_integ = control_pi_baseline(kp, ki, rt.sensor_y, dt, rt.pi_integ)
             _clip(u, lo, hi, out=cmd)
     else:  # slow-lqr
-        hold = whole_steps(spec.slow_hold, dt, "slow_hold")
+        hold = whole_steps(defaults.SLOW_LQR_HOLD, dt, "slow_hold")
 
         def law(rt, rho, y_rx):
             if rho % hold == 0:

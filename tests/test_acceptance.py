@@ -200,7 +200,7 @@ def test_criterion_05_regulation_under_fast_fluctuations():
         g = cs.grid1_spec(controller=ctrl, weights=weights(3), load_signals=[sig])
         ts = m.run_scenario(m.Scenario(grids=(g,), horizon=8.0, seed=1))
         results[ctrl] = np.array([
-            float(np.sqrt(np.mean(ts[f"mg1_domega_{i + 1}"] ** 2)))
+            float(np.sqrt(np.mean(ts.columns[f"mg1_domega_{i + 1}"] ** 2)))
             for i in range(3)
         ])
     prop = results["optimal-z"]
@@ -256,19 +256,19 @@ def test_criterion_07_detection(study_grid, detector_pulsed):
 
     # zero false alarms over 10 s nominal
     ts = m.run_scenario(m.Scenario(grids=(grid_with(det),), horizon=10.0, seed=77))
-    false_alarms = int(ts["mg1_flag"].sum())
-    nominal_peak = float(ts["mg1_xi2"].max())
+    false_alarms = int(ts.grids[0]["flag"].sum())
+    nominal_peak = float(ts.grids[0]["xi2"].max())
 
     # temporary noise injection: latency and recovery
     atk = m.AttackSpec(kind="noise-injection", channels=(0,), start=2.0, end=2.2,
                        noise_std=800.0)
     ts_n = m.run_scenario(
         m.Scenario(grids=(grid_with(det),), horizon=4.0, seed=78, attacks=(atk,)))
-    flags = ts_n["mg1_flag"]
+    flags, xi2_n = ts_n.grids[0]["flag"], ts_n.grids[0]["xi2"]
     hit = ts_n.time[(ts_n.time >= 2.0) & (flags > 0)]
     noise_latency = float(hit[0] - 2.0) if hit.size else np.inf
-    nominal_peak_n = float(ts_n.window("mg1_xi2", t1=2.0).max())
-    below = ts_n.time[(ts_n.time >= 2.2) & (ts_n["mg1_xi2"] < nominal_peak_n)]
+    nominal_peak_n = float(xi2_n[ts_n.time < 2.0].max())
+    below = ts_n.time[(ts_n.time >= 2.2) & (xi2_n < nominal_peak_n)]
     recovery = float(below[0] - 2.2) if below.size else np.inf
 
     # replay attack
@@ -276,7 +276,7 @@ def test_criterion_07_detection(study_grid, detector_pulsed):
                          replay_from=1.0, replay_to=1.5)
     ts_r = m.run_scenario(
         m.Scenario(grids=(grid_with(det),), horizon=3.5, seed=79, attacks=(atk_r,)))
-    hit_r = ts_r.time[(ts_r.time >= 2.0) & (ts_r["mg1_flag"] > 0)]
+    hit_r = ts_r.time[(ts_r.time >= 2.0) & (ts_r.grids[0]["flag"] > 0)]
     replay_latency = float(hit_r[0] - 2.0) if hit_r.size else np.inf
 
     elapsed = budget.done()
@@ -300,11 +300,13 @@ def test_criterion_08_observer_correction(study_grid, detector_quiet):
     ev = m.Event(time=1.0, action="observer_on", grid=0)
     ts = m.run_scenario(
         m.Scenario(grids=(g,), horizon=3.0, seed=9, attacks=(atk,), events=(ev,)))
+    attacked = (ts.time >= 0.72) & (ts.time < 1.0)
+    post = (ts.time >= 1.2) & (ts.time < 3.0)
     var_attacked = max(
-        float(np.var(ts.window(f"mg1_domega_{i + 1}", 0.72, 1.0))) for i in range(3)
+        float(np.var(ts.columns[f"mg1_domega_{i + 1}"][attacked])) for i in range(3)
     )
     var_post = max(
-        float(np.var(ts.window(f"mg1_domega_{i + 1}", 1.2, 3.0))) for i in range(3)
+        float(np.var(ts.columns[f"mg1_domega_{i + 1}"][post])) for i in range(3)
     )
     ratio = var_post / var_attacked
     elapsed = budget.done()
@@ -328,14 +330,12 @@ def test_criterion_09_collaborative_correction():
                 m.Event(time=0.7, action="tie_close")),
     )
     ts = m.run_scenario(sc)
-    ss_w = max(float(np.max(np.abs(ts.window(f"mg1_domega_{i + 1}", t0=7.6))))
-               for i in range(3))
-    ss_p = max(float(np.max(np.abs(ts.window(f"mg1_pg_{i + 1}", t0=7.6))))
-               for i in range(3))
-    pre = max(float(np.max(np.abs(ts.window(f"mg1_domega_{i + 1}", 0.5, 0.7))))
-              for i in range(3))
-    ripple = max(float(np.max(np.abs(ts.window(f"mg2_domega_{i + 1}", 0.7, 1.0))))
-                 for i in range(2))
+    g1_log, g2_log = ts.grids
+    steady = ts.time >= 7.6
+    ss_w = float(np.max(np.abs(g1_log["domega"][steady])))
+    ss_p = float(np.max(np.abs(g1_log["pg"][steady])))
+    pre = float(np.max(np.abs(g1_log["domega"][(ts.time >= 0.5) & (ts.time < 0.7)])))
+    ripple = float(np.max(np.abs(g2_log["domega"][(ts.time >= 0.7) & (ts.time < 1.0)])))
     elapsed = budget.done()
     print(f"ACCEPTANCE 9 PASS collaborative correction: steady |domega| = "
           f"{ss_w:.3g} (tol 1e-3), steady |dpg| = {ss_p:.3g} W (tol "

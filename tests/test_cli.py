@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from microagc import cli, defaults, simcore
-from microagc.sysid import DiscreteModel, ExcitationSpec, save_model
+from microagc.sysid import DiscreteModel, ExcitationSpec, load_model, save_model
 from microagc.watermark import BaselineStats
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -243,27 +243,34 @@ class TestPipeline:
                 in capsys.readouterr().err)
         assert not (work / "baseline.txt").exists()
 
-    @pytest.mark.parametrize("old, new, at, message", [
-        ("controller = optimal-z", "controller = slow-lqr\nslow_hold_s = 0.0123",
-         "slow_hold_s = 0.0123", "[grid.1] slow_hold_s: slow_hold = 0.0123 s is not a whole, "
-         "non-negative number of 0.005 s steps"),
-        ("integrator_step_s = 0.0005", "integrator_step_s = 0.002", "[sim]",
-         "[sim]: control_period = 0.005 s is not a whole, non-negative number of 0.002 s steps"),
+    @pytest.mark.parametrize("edits, at, message", [
+        ({"controller = optimal-z": "controller = slow-lqr",
+          "control_period_s = 0.005": "control_period_s = 0.04"}, "controller = slow-lqr",
+         "[grid.1] controller: slow_hold = 0.1 s is not a whole, non-negative number of "
+         "0.04 s steps"),
+        ({"integrator_step_s = 0.0005": "integrator_step_s = 0.002"},
+         "control_period_s = 0.005", "[sim] control_period_s: control_period = 0.005 s is "
+         "not a whole, non-negative number of 0.002 s steps"),
     ], ids=["grid-slow-hold", "sim-timing"])
     def test_calibrate_locates_its_run_rules_in_their_sections(
-            self, tmp_path, capsys, monkeypatch, demo_run, old, new, at, message):
+            self, tmp_path, capsys, monkeypatch, demo_run, edits, at, message):
         """The calibration run takes the grid from [grid.N] and the timing from
-        [sim]; a rule of the run they break is reported there, before it runs."""
+        [sim]; a rule of the run they break is reported there, before it runs.
+        The model is the demo's at the file's control period, which it must match."""
         def no_simulation(*args, **kwargs):
             raise AssertionError("calibrate simulated before checking its run")
 
         monkeypatch.setattr(cli, "run_scenario", no_simulation)
-        text = (CONFIGS / "detection_demo.cfg").read_text().replace(old, new)
+        text = (CONFIGS / "detection_demo.cfg").read_text()
+        for old, new in edits.items():
+            text = text.replace(old, new)
         cfg = tmp_path / "cal.cfg"
         cfg.write_text(text)
         work = tmp_path / "w"
         work.mkdir()
-        shutil.copy(demo_run / "model.txt", work)
+        period = float(re.search(r"control_period_s = (\S+)", text)[1])
+        save_model(dataclasses.replace(load_model(demo_run / "model.txt"), dt=period),
+                   work / "model.txt")
         assert run(["calibrate", "--config", cfg, "--out", work]) == cli.EXIT_USAGE
         assert f"{cfg}: line {_line(text, at)}: {message}" in capsys.readouterr().err
         assert not (work / "baseline.txt").exists()
@@ -507,8 +514,8 @@ class TestDetectorFilesFitTheGrid:
                                                     section, dt):
         """A model identified at another sample time than the run's 5 ms
         control period exits 1 at its model_file line, before anything runs,
-        whether it is 10 ms (the demo chain with [identify] dt_s = 0.01) or
-        off by more than 1e-9 relative."""
+        whether it is 10 ms (identified at control_period_s = 0.01) or off by
+        more than 1e-9 relative."""
         work = tmp_path / "w"
         work.mkdir()
         save_model(DiscreteModel(a_d=0.5 * np.eye(2), b_d=np.eye(2), c_d=np.eye(2),
@@ -572,11 +579,6 @@ class TestDefaultsRoundTrip:
         grid = sc.grids[0]
         assert grid.ibrs[0].omega_c == defaults.OMEGA_C
         assert grid.ibrs[0].m_p == defaults.M_P
-        assert grid.pi_kp == defaults.PI_KP
-        assert grid.pi_ki == defaults.PI_KI
-        assert grid.sensor_tau == defaults.SENSOR_LAG_TAU
-        assert grid.slow_hold == defaults.SLOW_LQR_HOLD
-        assert grid.u_max == defaults.COMMAND_LIMIT
         assert np.all(grid.network.v_star == defaults.V_STAR)
         r = grid.weights.r
         assert np.all(r == defaults.LQR_R_DIAG)
@@ -697,14 +699,15 @@ def test_diverged_detector_statistics_exit_2(tmp_path, capsys, monkeypatch, demo
     ts = simcore.run_scenario(cli.build_scenario(cli.parse_config(cfg), out))
     names = [f"mg1_{name}_{i + 1}" for name, per_ibr, _ in simcore._LOG if per_ibr
              for i in range(3)] + ["mg1_xi1", "mg1_xi2"]
-    bad = np.column_stack([~np.isfinite(ts[c]) for c in names])
+    bad = np.column_stack([~np.isfinite(ts.columns[c]) for c in names])
     k = np.flatnonzero(bad.any(axis=1))[0]
     col = names[np.flatnonzero(bad[k])[0]]
+    value = ts.columns[col][k]
     assert col in ("mg1_xi1", "mg1_xi2")
-    assert f"error: the run diverged at t={ts.time[k]:.4f}s: {col} = {ts[col][k]}\n" in err
+    assert f"error: the run diverged at t={ts.time[k]:.4f}s: {col} = {value}\n" in err
 
     assert run(["detect", "--config", cfg, "--out", work, "--quiet"]) == cli.EXIT_NUMERIC
-    assert (f"error: the replay diverged at t={ts.time[k]:.4f}s: {col[4:]} = {ts[col][k]}\n"
+    assert (f"error: the replay diverged at t={ts.time[k]:.4f}s: {col[4:]} = {value}\n"
             in capsys.readouterr().err)
     assert not (work / "detector_replay.csv").exists()
 
@@ -725,6 +728,25 @@ def test_identify_does_not_depend_on_the_blas_thread_count(tmp_path):
     assert written[0] == written[1]
 
 
+def test_identify_samples_at_the_control_period(tmp_path, capsys):
+    """identify excites and samples the grid at [sim] control_period_s: at 10 ms
+    its model has dt = 0.01, which a 5 ms simulate rejects at its model_file line."""
+    demo = (CONFIGS / "detection_demo.cfg").read_text()
+    slow = tmp_path / "slow.cfg"
+    slow.write_text(demo.replace("control_period_s = 0.005", "control_period_s = 0.01")
+                    .replace("k0 = 4000", "k0 = 400")
+                    .replace("candidates = 1 2 3 4 5 6 7 8 9 10", "candidates = 2"))
+    work = tmp_path / "w"
+    assert run(["identify", "--config", slow, "--out", work, "--quiet"]) == cli.EXIT_OK
+    assert load_model(work / "model.txt").dt == 0.01
+    cfg = tmp_path / "demo.cfg"
+    cfg.write_text(demo)
+    assert run(["simulate", "--config", cfg, "--out", work]) == cli.EXIT_USAGE
+    assert (f"{cfg}: line {_line(demo, 'model_file = model.txt')}: [grid.1] model_file: "
+            "the model's dt = 0.01 s is not the control period 0.005 s"
+            in capsys.readouterr().err)
+
+
 def test_rejected_identify_removes_the_directories_it_made(tmp_path, capsys):
     cfg = tmp_path / "c.cfg"
     cfg.write_text((CONFIGS / "detection_demo.cfg").read_text().replace(
@@ -743,10 +765,6 @@ class TestDomains:
     ATTACK = "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
 
     @pytest.mark.parametrize("text, old, new, message, command", [
-        (MINIMAL, "q_weight = 10.0", "q_weight = 10.0\nsensor_tau_s = nan",
-         "[grid.1] sensor_tau_s must be finite and > 0, got nan", "simulate"),
-        (MINIMAL, "controller = optimal-z", "controller = pi\npi_kp = nan",
-         "[grid.1] pi_kp must be finite, got nan", "simulate"),
         (MINIMAL, "amplitude_w = 800.0", "amplitude_w = nan",
          "[load_signal] amplitude_w must be finite, got nan", "simulate"),
         (MINIMAL, "step_time_s = 0.1", "step_time_s = 0.1\nwidth_s = -0.1",
@@ -776,7 +794,7 @@ class TestDomains:
          "[identify] dt_prime_s must be finite and > 0, got nan", "identify"),
         (MINIMAL, "schema_version = 1", "schema_version = 9",
          "[] schema_version must be 1, got 9", "simulate"),
-    ], ids=["sensor_tau_s", "pi_kp", "amplitude_w", "width_s", "branch-admittance",
+    ], ids=["amplitude_w", "width_s", "branch-admittance",
             "branch-nan", "omega_c", "m_p", "q_weight", "r_weight", "v_star", "load_w",
             "sim-seed", "identify-seed", "dt_prime_s", "schema_version"])
     def test_value_outside_its_domain(self, tmp_path, capsys, text, old, new, message,
@@ -784,6 +802,19 @@ class TestDomains:
         text = text.replace(old, new, 1)
         line = new.splitlines()[-1]
         _rejects(tmp_path, capsys, text, f"line {_line(text, line)}: {message}", command)
+
+    @pytest.mark.parametrize("section, line", [
+        ("[grid.1]", "u_max = 0.5"), ("[grid.1]", "pi_kp = 0.3"), ("[grid.1]", "pi_ki = 3.0"),
+        ("[grid.1]", "sensor_tau_s = 0.05"), ("[grid.1]", "slow_hold_s = 0.2"),
+        ("[identify]", "dt_s = 0.01")],
+        ids=["u_max", "pi_kp", "pi_ki", "sensor_tau_s", "slow_hold_s", "identify-dt_s"])
+    def test_loop_constants_are_no_keys(self, tmp_path, capsys, section, line):
+        """The PI gains, the sensor lag, the slow-lqr hold and the command limit
+        are fixed, and identify samples at [sim] control_period_s."""
+        text = self.DEMO.replace(f"\n{section}\n", f"\n{section}\n{line}\n")
+        command = "identify" if section == "[identify]" else "simulate"
+        _rejects(tmp_path, capsys, text, f"line {_line(text, line)}: {section} "
+                 f"{line.split(' = ')[0]}: unknown key", command)
 
     def test_missing_schema_version_names_line_one(self, tmp_path, capsys):
         _rejects(tmp_path, capsys, MINIMAL.replace("schema_version = 1\n", ""),
@@ -980,13 +1011,6 @@ class TestScenarioFileRejections:
         _rejects(tmp_path, capsys, text, f"line {_line(text, line)}: [grid.1] "
                  f"watermark_std must be finite and >= 0, got {float(value)}")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-    def test_u_max_is_finite_and_positive(self, tmp_path, capsys, value):
-        line = f"u_max = {value}"
-        text = MINIMAL.replace("q_weight = 10.0\n", f"q_weight = 10.0\n{line}\n")
-        _rejects(tmp_path, capsys, text, f"line {_line(text, line)}: [grid.1] "
-                 f"u_max must be finite and > 0, got {float(value)}")
-
     def test_zero_watermark_std_is_valid(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(MINIMAL.replace("q_weight = 10.0\n",
@@ -1068,6 +1092,9 @@ class TestLibraryChecks:
         (COLLABORATIVE + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
          "channels = 0 7\n", "channels = 0 7",
          "[attack] channels: attack channel 7 is out of range: grid 1 has 3 IBRs", "simulate"),
+        (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
+         "channels = 0 0\n", "channels = 0 0",
+         "[attack] channels: attack channels (0, 0) repeat a channel", "simulate"),
         (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\n"
          "end_s = 0.2000000000002\n", "[attack]",
          "[attack]: attack window rounds to zero control steps", "simulate"),
@@ -1077,7 +1104,7 @@ class TestLibraryChecks:
     ], ids=["sim", "grid", "load_signal", "attack", "attack-negative-noise",
             "attack-nan-noise", "event", "identify", "ibr", "network", "observer-controller",
             "observer-event", "tie-node", "tie-one-grid", "attack-channel",
-            "attack-zero-steps", "replay-source-zero-steps"])
+            "attack-repeated-channel", "attack-zero-steps", "replay-source-zero-steps"])
     def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, at,
                                                message, command):
         """At the section's header; at the key's own line where the key's
@@ -1088,14 +1115,12 @@ class TestLibraryChecks:
     @pytest.mark.parametrize("controller, at", [
         ("optimal-z", None),
         ("slow-lqr", "controller = slow-lqr"),
-        ("slow-lqr\nslow_hold_s = 0.1", "slow_hold_s = 0.1"),
-    ], ids=["optimal-z", "slow-lqr", "slow-lqr-hold-set"])
+    ], ids=["optimal-z", "slow-lqr"])
     def test_slow_hold_is_checked_only_on_slow_lqr_grids(self, tmp_path, capsys,
                                                           controller, at):
-        """The 0.1 s default hold is no whole number of 0.04 s control periods.
-        Only the slow-lqr law reads it, so only a slow-lqr grid exits 1: at its
-        slow_hold_s line, or at its controller line when the file leaves the
-        hold at its default."""
+        """The fixed 0.1 s hold is no whole number of 0.04 s control periods.
+        Only the slow-lqr law reads it, so only a slow-lqr grid exits 1, at its
+        controller line."""
         text = MINIMAL.replace("horizon_s = 0.5", "horizon_s = 2.0\ncontrol_period_s = 0.04")
         text = text.replace("controller = optimal-z", f"controller = {controller}")
         if at is None:
@@ -1142,7 +1167,8 @@ class TestLibraryChecks:
     @pytest.mark.parametrize("old, new, at, field", [
         ("\ntime_s = 0.5\n", "\ntime_s = 0.5003\n", "time_s = 0.5003",
          "[event] time_s: time = 0.5003"),
-        ("horizon_s = 8.0", "horizon_s = 1.0025", "[sim]", "[sim]: horizon = 1.0025"),
+        ("horizon_s = 8.0", "horizon_s = 1.0025", "horizon_s = 1.0025",
+         "[sim] horizon_s: horizon = 1.0025"),
         ("[tie]", "[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3001\n\n[tie]",
          "end_s = 0.3001", "[attack] end_s: end = 0.3001"),
     ], ids=["event", "horizon", "attack"])
@@ -1188,8 +1214,8 @@ class TestLibraryChecks:
         assert "attack noise-injection at 0.2s" in (tmp_path / "o" / "summary.txt").read_text()
 
     def test_pulse_width_between_samples(self, tmp_path, capsys):
-        """dt_prime_s = 0.0074, 1.48 samples of the 5 ms dt_s, exits 1 at its
-        line rather than run with one sample per level."""
+        """dt_prime_s = 0.0074, 1.48 samples of the 5 ms control period, exits 1
+        at its line rather than run with one sample per level."""
         text = (CONFIGS / "detection_demo.cfg").read_text().replace(
             "dt_prime_s = 0.05", "dt_prime_s = 0.0074")
         _rejects(tmp_path, capsys, text, f"line {_line(text, 'dt_prime_s = 0.0074')}: "

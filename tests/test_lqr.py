@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import microagc as m
-from microagc import casestudy as cs
+from microagc import casestudy as cs, defaults
 
 
 def default_design(q=1.0):
@@ -121,18 +121,15 @@ class TestControlLaws:
             u, integ = m.control_pi_baseline(kp, ki, err, dt, integ)
             assert u[0] == pytest.approx(-(kp * err[0] + ki * err[0] * k * dt))
 
-    def test_pi_regulates_slow_disturbance_with_clean_sensor(self):
+    def test_pi_regulates_slow_disturbance_with_clean_sensor(self, monkeypatch):
         """Lag-free sensor and slow load steps: PI restores frequency."""
+        monkeypatch.setattr(defaults, "SENSOR_LAG_TAU", 1e-4)
         sig = m.LoadSignalSpec(kind="step", amplitude=1500.0, load_index=0,
                                step_time=0.5)
         grid = cs.grid1_spec(controller="pi", load_signals=[sig])
-        grid = m.GridSpec(
-            network=grid.network, ibrs=grid.ibrs, loads=grid.loads,
-            controller="pi", load_signals=grid.load_signals, sensor_tau=1e-4,
-        )
         sc = m.Scenario(grids=(grid,), horizon=4.0, seed=0)
         ts = m.run_scenario(sc)
-        peak = max(abs(ts[f"mg1_domega_{i + 1}"]).max() for i in range(3))
-        tail = max(abs(ts.window(f"mg1_domega_{i + 1}", t0=3.5)).max()
-                   for i in range(3))
+        domega = ts.grids[0]["domega"]
+        peak = max(abs(domega[:, i]).max() for i in range(3))
+        tail = max(abs(domega[ts.time >= 3.5, i]).max() for i in range(3))
         assert tail <= 0.05 * peak

@@ -4,7 +4,6 @@ signals, tie-line merging, and run-level invariants."""
 import ast
 import math
 import re
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import microagc as m
-from microagc import casestudy as cs, simcore
+from microagc import casestudy as cs, defaults, simcore
 from microagc.simcore import ZohStepper, _clip, _load_changes, load_vector, rms
 from microagc.sysid import DiscreteModel
 
@@ -283,6 +282,13 @@ class TestApplyAttack:
         with pytest.raises(m.ScenarioError):
             m.AttackSpec(kind="noise-injection", channels=(0,), start=2.0, end=1.0)
 
+    def test_repeated_channel_is_rejected(self):
+        """A repeated channel would add one noise draw per repeat, sqrt(2) times
+        the configured std on channel 0 here, so the spec names its channels."""
+        with pytest.raises(m.ScenarioError, match=re.escape("(0, 1, 0) repeat")) as info:
+            self.make_spec(channels=(0, 1, 0))
+        assert info.value.field == "channels"
+
 
 class TestLoadSignal:
     def test_constant(self):
@@ -354,7 +360,7 @@ class TestCloseTieLine:
         ts = m.run_scenario(sc)
         for col in ("mg1_domega_1", "mg1_domega_2", "mg1_domega_3",
                     "mg2_domega_1", "mg2_domega_2", "mg1_pg_1", "mg2_pg_1"):
-            assert np.max(np.abs(ts[col])) <= 1e-9
+            assert np.max(np.abs(ts.columns[col])) <= 1e-9
 
 
 class TestRunScenario:
@@ -363,9 +369,9 @@ class TestRunScenario:
         sc = m.Scenario(grids=(g,), horizon=1.0, seed=0)
         ts = m.run_scenario(sc)
         for i in range(3):
-            assert np.max(np.abs(ts[f"mg1_domega_{i + 1}"])) <= 1e-9
-            assert np.max(np.abs(ts[f"mg1_ddelta_{i + 1}"])) <= 1e-9
-            assert np.max(np.abs(ts[f"mg1_dws_{i + 1}"])) <= 1e-9
+            assert np.max(np.abs(ts.columns[f"mg1_domega_{i + 1}"])) <= 1e-9
+            assert np.max(np.abs(ts.columns[f"mg1_ddelta_{i + 1}"])) <= 1e-9
+            assert np.max(np.abs(ts.columns[f"mg1_dws_{i + 1}"])) <= 1e-9
 
     def test_z_frozen_under_decentralized_law(self):
         """Constant load deviation, local law: z stays at zero through the
@@ -375,9 +381,9 @@ class TestRunScenario:
         sc = m.Scenario(grids=(g,), horizon=1.5, seed=0)
         ts = m.run_scenario(sc)
         for i in range(3):
-            assert np.max(np.abs(ts[f"mg1_z_{i + 1}"])) <= 1e-12
-        peak = np.max(np.abs(ts["mg1_domega_1"]))
-        tail = np.max(np.abs(ts.window("mg1_domega_1", t0=1.0)))
+            assert np.max(np.abs(ts.columns[f"mg1_z_{i + 1}"])) <= 1e-12
+        peak = np.max(np.abs(ts.columns["mg1_domega_1"]))
+        tail = np.max(np.abs(ts.columns["mg1_domega_1"][ts.time >= 1.0]))
         assert tail <= 0.05 * peak + 1e-12
 
     def test_logged_z_is_the_z_update_recursion_of_the_logged_columns(
@@ -391,17 +397,13 @@ class TestRunScenario:
         atk = m.AttackSpec(kind="noise-injection", channels=(1,), start=0.5,
                            end=0.8, noise_std=300.0)
         sc = m.Scenario(grids=(g,), horizon=1.0, seed=5, attacks=(atk,))
-        ts = m.run_scenario(sc)
-
-        def cols(name):
-            return np.column_stack([ts[f"mg1_{name}_{i + 1}"] for i in range(3)])
-
+        log = m.run_scenario(sc).grids[0]
         omega_c = np.array([p.omega_c for p in g.ibrs])
         m_p = np.array([p.m_p for p in g.ibrs])
-        applied, pg_rx, logged = cols("dws") + cols("wm"), cols("pg_rx"), cols("z")
-        assert np.any(cols("wm")) and np.any(pg_rx != cols("pg"))
+        applied, pg_rx, logged = log["dws"] + log["wm"], log["pg_rx"], log["z"]
+        assert np.any(log["wm"]) and np.any(pg_rx != log["pg"])
         z = u_prev = pg_prev = np.zeros(3)
-        for k in range(len(ts.time)):
+        for k in range(len(logged)):
             z = m.z_update(z, u_prev, pg_prev, sc.control_period, omega_c, m_p)
             assert np.array_equal(z, logged[k])
             u_prev, pg_prev = applied[k], pg_rx[k]
@@ -420,11 +422,12 @@ class TestRunScenario:
         ts = m.run_scenario(sc)
         names = [f"mg{g}_{name}_{i + 1}" for name, per_ibr, _ in simcore._LOG if per_ibr
                  for g, n in ((1, 3), (2, 2)) for i in range(n)]
-        bad = np.column_stack([~np.isfinite(ts[c]) for c in names])
+        bad = np.column_stack([~np.isfinite(ts.columns[c]) for c in names])
         k = np.flatnonzero(bad.any(axis=1))[0]
         col = names[np.flatnonzero(bad[k])[0]]
         assert ts.time[k] >= 0.3 and col.startswith("mg2_")
-        assert str(err.value) == f"the run diverged at t={ts.time[k]:.4f}s: {col} = {ts[col][k]}"
+        assert (str(err.value)
+                == f"the run diverged at t={ts.time[k]:.4f}s: {col} = {ts.columns[col][k]}")
 
     def test_determinism_bit_identical_logs(self):
         sig = cs.pulse_load_signal()
@@ -437,10 +440,10 @@ class TestRunScenario:
         ts1 = m.run_scenario(sc)
         ts2 = m.run_scenario(sc)
         for name in ts1.columns:
-            if ts1[name].dtype == object:
-                assert list(ts1[name]) == list(ts2[name])
+            if ts1.columns[name].dtype == object:
+                assert list(ts1.columns[name]) == list(ts2.columns[name])
             else:
-                np.testing.assert_array_equal(ts1[name], ts2[name])
+                np.testing.assert_array_equal(ts1.columns[name], ts2.columns[name])
 
     def test_events_toggle_controller(self):
         sig = m.LoadSignalSpec(kind="constant", amplitude=1500.0, load_index=0)
@@ -452,10 +455,9 @@ class TestRunScenario:
             events=(m.Event(time=1.0, action="controller_off", grid=0),),
         )
         ts = m.run_scenario(sc)
-        on = ts.window("mg1_ctrl", t1=1.0)
-        off = ts.window("mg1_ctrl", t0=1.0)
-        assert set(on) == {"optimal-z"} and set(off) == {"off"}
-        assert np.max(np.abs(ts.window("mg1_dws_1", t0=1.0))) == 0.0
+        log, after = ts.grids[0], ts.time >= 1.0
+        assert set(log["ctrl"][~after]) == {"optimal-z"} and set(log["ctrl"][after]) == {"off"}
+        assert np.max(np.abs(log["dws"][after])) == 0.0
 
     def test_scenario_validation(self):
         g = cs.grid1_spec()
@@ -491,16 +493,27 @@ class TestRunScenario:
         ("attacks[0].replay_to", dict(attacks=(m.AttackSpec(
             kind="replay", channels=(0,), start=0.5, end=0.7, replay_from=0.1,
             replay_to=0.2001),))),
-        ("grids[0].slow_hold = 0.1234",
-         dict(grids=(replace(cs.grid1_spec("slow-lqr"), slow_hold=0.1234),))),
-        ("grids[0].slow_hold = 0",
-         dict(grids=(replace(cs.grid1_spec("slow-lqr"), slow_hold=0.0),))),
+        ("grids[0].slow_hold = 0.1 s is not a whole, non-negative number of 0.04 s steps",
+         dict(grids=(cs.grid1_spec("slow-lqr"),), control_period=0.04)),
     ], ids=["horizon", "negative-horizon", "event", "start", "end", "replay_from",
-            "replay_to", "slow_hold", "slow_hold-zero"])
+            "replay_to", "slow_hold"])
     def test_times_must_be_whole_control_periods(self, field, kwargs):
         args = dict(grids=(cs.grid1_spec(),), horizon=1.0) | kwargs
         with pytest.raises(m.ScenarioError, match=re.escape(field)):
             m.Scenario(**args)
+
+    @pytest.mark.parametrize("record, field, kwargs", [
+        (None, "horizon", dict(horizon=1.0025)),
+        (None, "control_period", dict(control_period=0.0052)),
+        ("grids[0]", "controller", dict(grids=(cs.grid1_spec("slow-lqr"),),
+                                        control_period=0.04)),
+    ], ids=["horizon", "control_period", "slow-lqr-hold"])
+    def test_timing_errors_name_their_field(self, record, field, kwargs):
+        """The horizon and the control period are the Scenario's own fields; the
+        fixed slow-lqr hold is the controller's, the one law that reads it."""
+        with pytest.raises(m.ScenarioError, match="is not a whole") as info:
+            m.Scenario(**dict(grids=(cs.grid1_spec(),), horizon=1.0) | kwargs)
+        assert (info.value.record, info.value.field) == (record, field)
 
     @pytest.mark.parametrize("message, kwargs", [
         ("events[0].time = 1.0 s", dict(events=(m.Event(1.0, "controller_off"),))),
@@ -574,11 +587,11 @@ class TestRunScenario:
         source = 60 + (steps - 200) % 50
         outside = np.setdiff1d(np.arange(400), steps)
         for c in (1, 3):  # channels 0 and 2
-            rx, pg = ts[f"mg1_pg_rx_{c}"], ts[f"mg1_pg_{c}"]
+            rx, pg = ts.columns[f"mg1_pg_rx_{c}"], ts.columns[f"mg1_pg_{c}"]
             assert np.array_equal(rx[steps], pg[source])
             assert not np.array_equal(rx[steps], pg[steps])
             assert np.array_equal(rx[outside], pg[outside])
-        assert np.array_equal(ts["mg1_pg_rx_2"], ts["mg1_pg_2"])
+        assert np.array_equal(ts.columns["mg1_pg_rx_2"], ts.columns["mg1_pg_2"])
 
     def test_untied_grids_run_independently(self):
         """Two grids without a tie share the world plant but not its physics:
@@ -592,12 +605,12 @@ class TestRunScenario:
         for gi, g in enumerate((g1, g2)):
             alone = m.run_scenario(m.Scenario(grids=(g,), horizon=1.0, seed=0))
             for name in alone.columns:
-                col = both[f"mg{gi + 1}" + name[len("mg1"):]]
-                if alone[name].dtype == object:
-                    assert list(col) == list(alone[name])
+                col = both.columns[f"mg{gi + 1}" + name[len("mg1"):]]
+                if alone.columns[name].dtype == object:
+                    assert list(col) == list(alone.columns[name])
                 else:
-                    peak = np.max(np.abs(alone[name]))
-                    assert np.max(np.abs(col - alone[name])) <= 1e-12 * peak
+                    peak = np.max(np.abs(alone.columns[name]))
+                    assert np.max(np.abs(col - alone.columns[name])) <= 1e-12 * peak
 
     def test_auto_observer_response_engages_on_flag(self, trained_detector_quiet):
         """Flag up with no neighbor: the law switches to observer; the
@@ -609,15 +622,14 @@ class TestRunScenario:
         sc = m.Scenario(grids=(g,), horizon=2.0, seed=13, attacks=(atk,),
                         auto_response="observer")
         ts = m.run_scenario(sc)
-        assert "observer" in set(ts["mg1_ctrl"])
-        switched = ts.time[ts["mg1_ctrl"] == "observer"]
+        assert "observer" in set(ts.columns["mg1_ctrl"])
+        switched = ts.time[ts.columns["mg1_ctrl"] == "observer"]
         assert switched.size and switched[0] - 0.5 <= 0.1
         # watermark stops after the switch
-        post_wm = ts.window("mg1_wm_1", t0=switched[0] + 0.01)
+        post_wm = ts.columns["mg1_wm_1"][ts.time >= switched[0] + 0.01]
         assert np.max(np.abs(post_wm)) == 0.0
         # frequencies settle despite the ongoing attack
-        tail = max(np.max(np.abs(ts.window(f"mg1_domega_{i + 1}", t0=1.5)))
-                   for i in range(3))
+        tail = np.max(np.abs(ts.grids[0]["domega"][ts.time >= 1.5]))
         assert tail <= 1e-3
 
     def test_auto_collaborative_response_closes_tie(self, trained_detector_quiet):
@@ -634,13 +646,13 @@ class TestRunScenario:
         sc = m.Scenario(grids=(g1, g2), horizon=5.0, seed=17, attacks=(atk,),
                         tie=cs.default_tie(), auto_response="collaborative")
         ts = m.run_scenario(sc)
-        off = ts.time[ts["mg1_ctrl"] == "off"]
+        off = ts.time[ts.columns["mg1_ctrl"] == "off"]
         assert off.size and off[0] - 0.5 <= 0.1
-        assert np.max(np.abs(ts.window("mg1_dws_1", t0=off[0] + 0.01))) == 0.0
-        assert np.max(np.abs(ts.window("mg1_wm_1", t0=off[0] + 0.01))) == 0.0
+        after = ts.time >= off[0] + 0.01
+        assert np.max(np.abs(ts.columns["mg1_dws_1"][after])) == 0.0
+        assert np.max(np.abs(ts.columns["mg1_wm_1"][after])) == 0.0
         # the neighbor regulates everyone in steady state
-        tail = max(np.max(np.abs(ts.window(f"mg1_domega_{i + 1}", t0=4.5)))
-                   for i in range(3))
+        tail = np.max(np.abs(ts.grids[0]["domega"][ts.time >= 4.5]))
         assert tail <= 1e-3
 
     def test_auto_collaborative_response_logs_the_flag_step(self, trained_detector_quiet):
@@ -653,10 +665,10 @@ class TestRunScenario:
         sc = m.Scenario(grids=(g1, g2), horizon=1.0, seed=17, attacks=(atk,),
                         tie=cs.default_tie(), auto_response="collaborative")
         ts = m.run_scenario(sc)
-        (steps,) = np.nonzero(ts["mg1_flag"])
-        (off,) = np.nonzero(ts["mg1_ctrl"] == "off")
+        (steps,) = np.nonzero(ts.columns["mg1_flag"])
+        (off,) = np.nonzero(ts.columns["mg1_ctrl"] == "off")
         assert steps.tolist() == [off[0]]
-        assert ts["mg1_xi1"][off[0]] > 0.0 and ts["mg1_xi2"][off[0]] > 0.0
+        assert ts.columns["mg1_xi1"][off[0]] > 0.0 and ts.columns["mg1_xi2"][off[0]] > 0.0
         latency = ts.time[off[0]] - 0.5
         assert f"detection_latency_s = {latency:.6g}" in m.summarize(ts, sc)
 
@@ -670,9 +682,9 @@ class TestRunScenario:
                            end=10.0, noise_std=800.0)
         ts = m.run_scenario(m.Scenario(grids=(g,), horizon=1.0, seed=13, attacks=(atk,),
                                        auto_response="observer"))
-        first = int(np.flatnonzero(ts["mg1_flag"])[0])
-        assert set(ts["mg1_ctrl"][:first]) == {"off"}
-        assert set(ts["mg1_ctrl"][first:]) == {"observer"}
+        first = int(np.flatnonzero(ts.columns["mg1_flag"])[0])
+        assert set(ts.columns["mg1_ctrl"][:first]) == {"off"}
+        assert set(ts.columns["mg1_ctrl"][first:]) == {"observer"}
 
     def test_controller_on_after_a_collaborative_response_restores_the_grid_law(
             self, trained_detector_quiet):
@@ -687,9 +699,10 @@ class TestRunScenario:
                         tie=cs.default_tie(), auto_response="collaborative",
                         events=(m.Event(time=3.0, action="controller_on"),))
         ts = m.run_scenario(sc)
-        assert "off" in set(ts.window("mg1_ctrl", t1=3.0))
-        assert set(ts.window("mg1_ctrl", t0=3.0)) == {"optimal-z"}
-        assert np.any(ts.window("mg1_dws_1", t0=3.0) != 0.0)
+        log, after = ts.grids[0], ts.time >= 3.0
+        assert "off" in set(log["ctrl"][~after])
+        assert set(log["ctrl"][after]) == {"optimal-z"}
+        assert np.any(log["dws"][after, 0] != 0.0)
 
     def test_summarize_contains_metrics(self):
         g = cs.grid1_spec(controller="optimal-z")
@@ -717,10 +730,6 @@ def _observer_run(attacks=()):
     return sc, m.run_scenario(sc)
 
 
-def _ibr_rows(ts, name, n=3):
-    return np.column_stack([ts[f"mg1_{name}_{i + 1}"] for i in range(n)])
-
-
 def test_observer_law_runs_on_the_model_prediction():
     """The logged zhat and dws rows follow the observer law, bit for bit:
     z_hat+ = z_hat + omega_c (u - m_p C x_hat) dt and x_hat+ = A x_hat + B u with
@@ -731,15 +740,16 @@ def test_observer_law_runs_on_the_model_prediction():
     gain = m.lqr_gain(m.grid_plant(g)[1], g.weights, m.make_transform(g.ibrs))
     omega_c = np.array([p.omega_c for p in g.ibrs])
     m_p = np.array([p.m_p for p in g.ibrs])
-    zhat, dws, wm = _ibr_rows(ts, "zhat"), _ibr_rows(ts, "dws"), _ibr_rows(ts, "wm")
-    assert np.any(wm) and np.any(zhat) and set(ts["mg1_ctrl"]) == {"observer"}
+    zhat, dws, wm, ctrl = (ts.grids[0][name] for name in ("zhat", "dws", "wm", "ctrl"))
+    assert np.any(wm) and np.any(zhat) and set(ctrl) == {"observer"}
     x_hat, z_hat, u = np.zeros(1), np.zeros(3), np.zeros(3)
     for k in range(len(ts.time)):
         if k > 0:
             z_hat = z_hat + omega_c * (u - m_p * (model.c_d @ x_hat)) * sc.control_period
             x_hat = model.a_d @ x_hat + model.b_d @ u
         assert np.array_equal(zhat[k], z_hat)
-        assert np.array_equal(dws[k], np.clip(-(gain.k @ z_hat), -g.u_max, g.u_max))
+        limit = defaults.COMMAND_LIMIT
+        assert np.array_equal(dws[k], np.clip(-(gain.k @ z_hat), -limit, limit))
         u = dws[k] + wm[k]
 
 
@@ -749,9 +759,10 @@ def test_observer_law_ignores_the_received_powers():
     atk = m.AttackSpec(kind="noise-injection", channels=(0, 2), start=0.3, end=0.8,
                        noise_std=800.0)
     (_, clean), (_, attacked) = _observer_run(), _observer_run((atk,))
-    assert not np.array_equal(_ibr_rows(attacked, "pg_rx"), _ibr_rows(clean, "pg_rx"))
+    attacked, clean = attacked.grids[0], clean.grids[0]
+    assert not np.array_equal(attacked["pg_rx"], clean["pg_rx"])
     for name in ("dws", "zhat"):
-        assert np.array_equal(_ibr_rows(attacked, name), _ibr_rows(clean, name)), name
+        assert np.array_equal(attacked[name], clean[name]), name
 
 
 def test_only_apply_event_changes_a_grid_mid_run():

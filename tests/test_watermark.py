@@ -1,8 +1,6 @@
 """Watermark and detector tests: draw statistics, prediction recursion,
 window discipline, flag semantics, and the replay-attack property."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -275,10 +273,10 @@ def test_stacked_window_statistics_equal_each_window_alone(w, n, k, offset, scal
 
 
 def test_trained_detector_calibrates_the_grids_own_loop(monkeypatch):
-    """The calibration run keeps the grid's controller and loop settings and
-    swaps in only the calibration load signals and the open detector."""
-    grid = replace(cs.grid1_spec(controller="pi", load_signals=[cs.pulse_load_signal()]),
-                   pi_kp=0.3, pi_ki=3.0, sensor_tau=0.05, slow_hold=0.2, u_max=0.5)
+    """The calibration run keeps the grid's controller and weights and swaps in
+    only the calibration load signals and the open detector."""
+    grid = cs.grid1_spec(controller="pi", weights=m.CostWeights.uniform(3, q=10.0),
+                         load_signals=[cs.pulse_load_signal()])
     runs = []
     run_scenario = cli.run_scenario
     monkeypatch.setattr(cli, "run_scenario",
@@ -286,8 +284,7 @@ def test_trained_detector_calibrates_the_grids_own_loop(monkeypatch):
     setup, _ = cs.trained_detector(grid, calibration_horizon=1.0, candidates=(4,),
                                    seed=3)
     (calib,) = [g for sc in runs for g in sc.grids]
-    loop = ("controller", "pi_kp", "pi_ki", "sensor_tau", "slow_hold", "u_max")
-    assert [getattr(calib, f) for f in loop] == [getattr(grid, f) for f in loop]
+    assert calib.controller == "pi" and calib.weights is grid.weights
     assert calib.network is grid.network and calib.load_signals == ()
     assert calib.detector.watermark == setup.watermark
     assert calib.detector.baseline.eps1 == np.inf and calib.detector.baseline.eps2 == np.inf
@@ -310,7 +307,7 @@ class TestEndToEndDetection:
                            replay_from=1.0, replay_to=1.5)
         sc = m.Scenario(grids=(g,), horizon=3.5, seed=31, attacks=(atk,))
         ts = m.run_scenario(sc)
-        flags = ts["mg1_flag"]
+        flags = ts.grids[0]["flag"]
         nominal = flags[ts.time < 2.0]
         assert nominal.sum() == 0
         first = ts.time[(ts.time >= 2.0) & (flags > 0)]
@@ -343,10 +340,10 @@ class TestEndToEndDetection:
         # true physics diverge (the corrupted z feeds back), but the commands
         # before the attack are identical, so early predictions coincide
         pre = ts_att.time < 1.0
-        np.testing.assert_array_equal(ts_att["mg1_xi2"][pre], ts_nom["mg1_xi2"][pre])
+        np.testing.assert_array_equal(ts_att.grids[0]["xi2"][pre], ts_nom.grids[0]["xi2"][pre])
 
 
 def _max_rms(ts):
     return max(
-        float(np.sqrt(np.mean(ts[f"mg1_domega_{i + 1}"] ** 2))) for i in range(3)
+        float(np.sqrt(np.mean(ts.columns[f"mg1_domega_{i + 1}"] ** 2))) for i in range(3)
     )

@@ -21,7 +21,9 @@ scratch directory with relative output paths so that printed lines compare:
     advance grows to O(1) differences within 20 s, where the shipped configs
     show it, if at all, in the last written digits;
   - `simulate` on the first regulate library job of each law in
-    REGULATE_LAWS and the first `tie` job (controller off, then tie close);
+    REGULATE_LAWS (`optimal-z`, `decentralized` and `pi`, the laws whose
+    runs are one closed-loop recursion) and the first `tie` job (controller
+    off, then tie close);
   - the benchmark's detect model, trained by identify -> calibrate on the
     workload's `setup_config()` into `model/`, then simulate -> detect on the
     first library job of the `noise`, `replay-one` and `replay-all` detect
@@ -76,7 +78,7 @@ _LIBRARY = {
     "study": "import sys, drift; drift.study_run(sys.argv[3])",
 }
 ATTACK_STRATA = ("noise", "replay-one", "replay-all")  # detect strata compared
-REGULATE_LAWS = ("decentralized", "pi")  # first regulate job of each compared
+REGULATE_LAWS = ("optimal-z", "decentralized", "pi")  # first regulate job of each compared
 _CELL_SEP = re.compile(r"[,\s]+")
 
 

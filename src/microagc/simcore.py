@@ -4,14 +4,17 @@ control orchestration (detect, then correct locally or collaboratively).
 
 One scenario is one sequential loop over control instants; the plant is
 integrated between instants at a finer substep with all inputs held constant
-over each substep. Every run has one world plant: the grid plants side by side
-(block-diagonal) until the tie closes, the merged network's plant after, so
-all grids are measured and stepped together through one path, one block step
-per control period over a load schedule and its change mask evaluated once per
-run. Scenario times are whole control periods (`whole_steps`), so the schedule
-is step indices set before the loop, and each grid's log is the run's record and
-only history. A grid's law, which advances its z array, is bound once per law
-change. Identical scenario and seeds give bit-identical logs.
+over each substep. A run of linear laws alone, with no event, attack, tie or
+detector, is instead one closed-loop recursion of the same loop's one-period
+map, unless a command would saturate. Every run has one world plant: the grid
+plants side by side (block-diagonal) until the tie closes, the merged
+network's plant after, so all grids are measured and stepped together through
+one path, one block step per control period over a load schedule and its
+change mask evaluated once per run. Scenario times are whole control periods
+(`whole_steps`), so the schedule is step indices set before the loop, and each
+grid's log is the run's record and only history. A grid's law, which advances
+its z array, is bound once per law change. Identical scenario and seeds give
+bit-identical logs.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .netmodel import (
     build_sensitivity,
     solve_operating_point,
 )
-from .sysid import DiscreteModel
+from .sysid import DiscreteModel, _recursion_rows
 from .textio import write_table
 from .transform import make_transform, z_update
 from .watermark import (
@@ -60,6 +63,7 @@ log = logging.getLogger(__name__)
 _clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 CONTROLLERS = ("optimal-z", "decentralized", "observer", "pi", "slow-lqr", "none")
+_LINEAR_LAWS = ("optimal-z", "decentralized", "pi", "none")  # linear in the loop state, every step
 
 
 class ScenarioError(ValueError):
@@ -736,24 +740,118 @@ def check_finite(what: str, time_axis: np.ndarray,
 def run_scenario(scenario: Scenario) -> TimeSeries:
     """Execute the scenario at the control period and return the full log.
 
-    Per control instant: fire due events, measure true powers, corrupt the
-    received copies per the active attacks, step each enabled detector, fire
-    the auto response's events when a flag first rises, update the active
-    control law, superpose the watermark, then integrate the plant to the next
-    instant.
-    Every time is a step index, and the loads and their change mask are
-    evaluated, before the loop starts. A log value that is not finite after
-    the loop is a SimulationError.
+    A run with no event, attack, tie or detector, whose every law is linear
+    (_LINEAR_LAWS), is one closed-loop recursion (_run_linear) unless a
+    command leaves the linear range; every other run, and that one then, is
+    stepped (_run_stepped). The loads at every substep are evaluated before
+    either starts. A log value that is not finite after the run is a
+    SimulationError.
     """
+    n_steps = scenario.n_steps
+    linear = (n_steps > 0 and not (scenario.events or scenario.attacks)
+              and scenario.tie is None
+              and all(g.controller in _LINEAR_LAWS and g.detector is None
+                      for g in scenario.grids))
     dt_c = scenario.control_period
     h = scenario.integrator_step
     n_sub = whole_steps(dt_c, h, "control_period")
-    n_steps = scenario.n_steps
     rts = [_GridRuntime(g, scenario, n_steps) for g in scenario.grids]
     world = _World(rts, h, n_steps)
     for rt in rts:
         rt.resolve_law(0)
+    time_axis = np.arange(n_steps) * dt_c
+    # load deviations at every substep time rho * dt_c + s * h of the run
+    loads = load_vector(world.signals, time_axis[:, None] + np.arange(n_sub) * h,
+                        world.plant.n_load)
+    if not (linear and _run_linear(world, loads)):
+        _run_stepped(scenario, world, loads)
+    world.check_finite(time_axis)
+    return TimeSeries(time_axis, [{name: rt.log[name][1:] for name, _, _ in _LOG} for rt in rts])
 
+
+def _loop_map(world: _World, n_sub: int):
+    """The world's loop over one control period, every grid's law linear
+    (_LINEAR_LAWS) and unsaturated, on the state s = (x, z, PI sensor lag,
+    PI integrator) of a control instant, one (channels,) block each after x:
+    s+ = m s + sum_j drive[j] d_j over the period's n_sub substep load rows
+    d_j, and the step's command is u = c_u s + d_u d_0. m is world.stepper's
+    substep map composed n_sub times, in run_scenario's update order: measure,
+    update each law, then hold the command over the substeps. z and the PI
+    states of a channel whose law does not use them stay 0. Returns
+    (m, drive, c_u, d_u), drive shaped (n_sub, states, loads)."""
+    plant, dt = world.plant, world.rts[0].dt
+    n, n_x = len(world.cmd), plant.n_states
+    a_d, b_u, b_l = world.stepper.a_d, world.stepper.b_d[:, :n], world.stepper.b_d[:, n:]
+    sub = [np.eye(n_x)]  # sub[j] = a_d^(n_sub - 1 - j): substep j's input at the period's end
+    for _ in range(n_sub - 1):
+        sub.insert(0, a_d @ sub[0])
+    sub = np.stack(sub)
+    x, z, lag, integ = (slice(0, n_x), *(slice(n_x + k * n, n_x + (k + 1) * n)
+                                         for k in range(3)))
+    m = np.zeros((integ.stop, integ.stop))
+    drive = np.zeros((n_sub, integ.stop, plant.n_load))
+    c_u, d_u = np.zeros((n, integ.stop)), np.zeros((n, plant.n_load))
+    pg_s = np.zeros((n, integ.stop))
+    pg_s[:, x] = plant.h_red @ plant.e  # measure_power's map of s; of d_0, f_map
+    decay = math.exp(-dt / defaults.SENSOR_LAG_TAU)  # measure_frequency_lagged's
+    for rt, ch in zip(world.rts, world.channels):
+        idx = np.arange(ch.start, ch.stop)
+        if rt.controller == "optimal-z":
+            c_u[ch, z][:, ch] = -rt.gain.k
+        elif rt.controller == "decentralized":
+            c_u[ch], d_u[ch] = rt.m_p[:, None] * pg_s[ch], rt.m_p[:, None] * plant.f_map[ch]
+        elif rt.controller == "pi":  # the new sensor output, then the integrator over it
+            m[idx + lag.start, 2 * idx + 1], m[idx + lag.start, idx + lag.start] = 1 - decay, decay
+            m[idx + integ.start, idx + integ.start] = 1.0
+            m[integ][ch] += dt * m[lag][ch]
+            c_u[ch] = -(defaults.PI_KP * m[lag][ch] + defaults.PI_KI * m[integ][ch])
+        if rt.controller in ("optimal-z", "decentralized"):  # z_update of u and pg
+            gain = dt * rt.omega_c[:, None]
+            m[z][ch] = gain * (c_u[ch] - rt.m_p[:, None] * pg_s[ch])
+            m[idx + z.start, idx + z.start] += 1.0
+            drive[0, z][ch] = gain * (d_u[ch] - rt.m_p[:, None] * plant.f_map[ch])
+    hold = (sub @ b_u).sum(axis=0)  # the command held over the period
+    m[x, x] = a_d @ sub[0]
+    m[x] += hold @ c_u
+    drive[:, x] = sub @ b_l
+    drive[0, x] += hold @ d_u
+    return m, drive, c_u, d_u
+
+
+def _run_linear(world: _World, loads: np.ndarray) -> bool:
+    """Fill the world's log from one recursion of its loop map (_loop_map)
+    over the load schedule loads, (steps, substeps, loads), and return True;
+    return False and write nothing if a state is not finite or a command
+    leaves +-COMMAND_LIMIT, where the stepped loop would saturate it."""
+    m, drive, c_u, d_u = _loop_map(world, loads.shape[1])
+    s = _recursion_rows(m.T, np.zeros(m.shape[0]),
+                        np.einsum("ksl,sil->ki", loads, drive, optimize=True))  # one gemm
+    # optimal-z and pi command -(...), whose zero is -0.0, as their stepped laws do
+    sign = np.concatenate([[-1.0 if rt.controller in ("optimal-z", "pi") else 1.0] * rt.n
+                           for rt in world.rts])
+    u = sign * (s @ (sign[:, None] * c_u).T + loads[:, 0] @ (sign[:, None] * d_u).T)
+    if not (np.isfinite(s).all() and (np.abs(u) <= defaults.COMMAND_LIMIT).all()):
+        return False
+    n_x, n = world.plant.n_states, len(world.cmd)
+    x = s[:, :n_x]
+    pg = measure_power(world.plant, x.T, loads[:, 0].T).T
+    for name, rows in (("ddelta", x[:, 0::2]), ("domega", x[:, 1::2]), ("pg", pg),
+                       ("pg_rx", pg), ("dws", u), ("z", s[:, n_x:n_x + n])):
+        world.log[name][1:] = rows
+    return True
+
+
+def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
+    """Fill the world's log by one sequential loop over control instants.
+
+    Per control instant: fire due events, measure true powers, corrupt the
+    received copies per the active attacks, step each enabled detector, fire
+    the auto response's events when a flag first rises, update the active
+    control law, superpose the watermark, then integrate the plant to the next
+    instant over the substep rows of loads. Every time is a step index, and
+    the loads' change mask is evaluated, before the loop starts.
+    """
+    rts, dt_c, n_steps = world.rts, scenario.control_period, loads.shape[0]
     schedule: dict[int, list[Event]] = {}  # control step -> its events, in time order
     for ev in sorted(scenario.events, key=lambda e: e.time):
         schedule.setdefault(whole_steps(ev.time, dt_c, "event time"), []).append(ev)
@@ -762,11 +860,6 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     atk_rngs = [np.random.default_rng([scenario.seed, 101, j])
                 for j in range(len(scenario.attacks))]
     histories = [rts[atk.grid].log["pg"][1:] for atk in scenario.attacks]
-
-    time_axis = np.arange(n_steps) * dt_c
-    # load deviations at every substep time rho * dt_c + s * h of the run
-    loads = load_vector(world.signals, time_axis[:, None] + np.arange(n_sub) * h,
-                        world.plant.n_load)
     changed = _load_changes(loads).tolist()
     ddelta_log, domega_log, pg_log, dws_log, wm_log = (
         world.log[k] for k in ("ddelta", "domega", "pg", "dws", "wm"))
@@ -822,9 +915,6 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
         # integrate the applied commands to the next control instant
         np.add(dws_log[r], wm_log[r], out=world.applied)
         world.x = world.stepper.step(world.x, world.applied, loads[rho], changed[rho])
-
-    world.check_finite(time_axis)
-    return TimeSeries(time_axis, [{name: rt.log[name][1:] for name, _, _ in _LOG} for rt in rts])
 
 
 def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],

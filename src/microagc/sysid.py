@@ -70,8 +70,11 @@ class ExcitationSpec:
     seed: int = 0
 
     def __post_init__(self):
+        from .simcore import ScenarioError  # simcore imports this module
+
         if self.dt_prime <= self.dt:
-            raise ValueError("pulse width dt_prime must exceed the sample time dt")
+            raise ScenarioError(f"pulse width dt_prime = {self.dt_prime} s must exceed the "
+                                f"control period {self.dt} s", field="dt_prime")
         self.pulse_samples  # a whole number of samples
         if not (np.isfinite(self.beta) and self.beta >= 0.0):
             raise ValueError(f"amplitude bound beta must be finite and >= 0, got {self.beta}")

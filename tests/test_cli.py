@@ -712,6 +712,43 @@ def test_diverged_detector_statistics_exit_2(tmp_path, capsys, monkeypatch, demo
     assert not (work / "detector_replay.csv").exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+def test_diverged_linear_run_exits_2_as_the_stepped_run(tmp_path, capsys, monkeypatch):
+    """A 1.7e308 W load step on an optimal-z grid, a run the closed-loop recursion
+    would take, drives its commands out of range: simulate exits 2 with the
+    stepped loop's message, naming the same step and column, and writes nothing."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(MINIMAL.replace("amplitude_w = 800.0", "amplitude_w = 1.7e308"))
+    errors = []
+    for linear in (simcore._run_linear, lambda world, loads: False):
+        monkeypatch.setattr(simcore, "_run_linear", linear)
+        out = tmp_path / f"o{len(errors)}"
+        assert run(["simulate", "--config", cfg, "--out", out, "--quiet"]) == cli.EXIT_NUMERIC
+        assert not out.exists()
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert "error: the run diverged at t=0.3900s: mg1_pg_1 = -inf\n" in errors[0]
+
+
+def _simulate_with_threads(tmp_path, config: Path, threads: str) -> Path:
+    """The output directory of simulate on config run with `threads` OpenBLAS threads."""
+    out = tmp_path / threads
+    path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    subprocess.run([sys.executable, "-c", "import sys; from microagc.cli import main; "
+                    "sys.exit(main())", "simulate", "--config", str(config), "--out", str(out),
+                    "--quiet"], env=env, check=True)
+    return out
+
+
+def test_simulate_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """simulate on regulation_pulses.cfg, a closed-loop recursion, writes the
+    same timeseries.csv, byte for byte, with one OpenBLAS thread and with two."""
+    written = [(_simulate_with_threads(tmp_path, CONFIGS / "regulation_pulses.cfg", threads)
+                / "timeseries.csv").read_bytes() for threads in ("1", "2")]
+    assert written[0] == written[1]
+
+
 def test_identify_does_not_depend_on_the_blas_thread_count(tmp_path):
     """identify on detection_demo.cfg writes the same order_report.txt and
     model.txt, byte for byte, with one OpenBLAS thread and with two."""
@@ -1075,8 +1112,9 @@ class TestLibraryChecks:
          "[attack] noise_std_w must be finite and >= 0, got nan", "simulate"),
         (MINIMAL + "\n[event]\ntime_s = 0.1\naction = explode\n", "[event]",
          "[event]: unknown event action 'explode'", "simulate"),
-        (MINIMAL + "\n[identify]\ndt_prime_s = 0.001\n", "[identify]",
-         "[identify]: pulse width dt_prime must exceed the sample time dt", "identify"),
+        (MINIMAL + "\n[identify]\ndt_prime_s = 0.001\n", "dt_prime_s = 0.001",
+         "[identify] dt_prime_s: pulse width dt_prime = 0.001 s must exceed the control "
+         "period 0.005 s", "identify"),
         (MINIMAL.replace("q_weight = 10.0", "q_weight = 10.0\nomega_c = -1"), "omega_c = -1",
          "[grid.1] omega_c must be finite and > 0, got -1.0", "simulate"),
         (MINIMAL.replace("branch = 1 2 3.333", "branch = 1 5 3.333"), "[grid.1]",
@@ -1108,8 +1146,9 @@ class TestLibraryChecks:
     def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, at,
                                                message, command):
         """At the section's header; at the key's own line where the key's
-        domain already rejects the value (the attack noise and IBR cases) or
-        where it asks for a detector the grid lacks (the observer cases)."""
+        domain already rejects the value (the attack noise and IBR cases),
+        where it asks for a detector the grid lacks (the observer cases) or
+        where the record names its field (the identify case)."""
         _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: {message}", command)
 
     @pytest.mark.parametrize("controller, at", [
@@ -1221,6 +1260,15 @@ class TestLibraryChecks:
         _rejects(tmp_path, capsys, text, f"line {_line(text, 'dt_prime_s = 0.0074')}: "
                  "[identify] dt_prime_s: dt_prime = 0.0074 s is not a whole, "
                  "non-negative number of 0.005 s steps", "identify")
+
+    def test_pulse_width_of_one_sample(self, tmp_path, capsys):
+        """dt_prime_s = 0.005, one sample of the 5 ms control period, is no
+        pulse: it exits 1 at its line, naming the control period."""
+        text = (CONFIGS / "detection_demo.cfg").read_text().replace(
+            "dt_prime_s = 0.05", "dt_prime_s = 0.005")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, 'dt_prime_s = 0.005')}: "
+                 "[identify] dt_prime_s: pulse width dt_prime = 0.005 s must exceed "
+                 "the control period 0.005 s", "identify")
 
     def test_calibration_horizon_between_control_instants(self, tmp_path, capsys,
                                                           demo_run):

@@ -63,7 +63,7 @@ def test_attack_pick_is_the_first_job_of_each_attacked_detect_stratum():
     assert drift.first_jobs({"a": [1, 2], "b": [3]}, ("b", "a")) == [3, 1]
 
 
-def test_regulate_pick_adds_the_first_decentralized_pi_and_tie_jobs():
+def test_regulate_pick_adds_the_first_optimal_z_decentralized_pi_and_tie_jobs():
     sys.path.insert(0, str(BENCH.parent / "perfbench"))
     import workload
 
@@ -71,8 +71,9 @@ def test_regulate_pick_adds_the_first_decentralized_pi_and_tie_jobs():
     picked = drift.regulate_picks(strata)
     assert picked[:9] == drift.controller_jobs(strata["single"], "slow-lqr")
     first = {law: next(j for j in strata["single"] if f"\ncontroller = {law}\n" in j.config)
-             for law in ("decentralized", "pi")}
-    assert picked[9:] == [first["decentralized"], first["pi"], strata["tie"][0]]
+             for law in ("optimal-z", "decentralized", "pi")}
+    assert picked[9:] == [first["optimal-z"], first["decentralized"], first["pi"],
+                          strata["tie"][0]]
     assert "\naction = tie_close\n" in picked[-1].config
 
 

@@ -793,3 +793,102 @@ def test_only_apply_event_changes_a_grid_mid_run():
     assert set(writers) == {"_GridRuntime.__init__", "_GridRuntime.resolve_law",
                             "_apply_event"}, writers
     assert writers["_apply_event"] == guarded - {"law"}
+
+
+# ---------------------------------------------------------------------------
+# the closed-loop recursion of a linear run, against the stepped loop
+
+_RAD = ("ddelta", "domega", "dws", "z")  # the log names in rad or rad/s
+
+
+def _runs(scenario):
+    """(log, stepped log, whether the recursion filled the log) of scenario:
+    as run_scenario runs it, and with _run_linear declining, the stepped loop."""
+    taken = []
+    inner = simcore._run_linear
+
+    def spy(world, loads):
+        taken.append(inner(world, loads))
+        return taken[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simcore, "_run_linear", spy)
+        ts = m.run_scenario(scenario)
+        mp.setattr(simcore, "_run_linear", lambda world, loads: False)
+        return ts, m.run_scenario(scenario), taken == [True]
+
+
+@st.composite
+def _edge_loads(draw, horizon: float, n_load: int):
+    """A step or a periodic pulse of 1 to 1,500 W whose edges fall between substeps."""
+    amplitude = draw(st.sampled_from((-1.0, 1.0))) * draw(st.floats(1.0, 1500.0))
+    load_index = draw(st.integers(0, n_load - 1))
+    if draw(st.booleans()):
+        return m.LoadSignalSpec(kind="step", amplitude=amplitude, load_index=load_index,
+                                step_time=draw(st.floats(0.0, horizon)))
+    period = draw(st.floats(0.02, 0.5))
+    return m.LoadSignalSpec(kind="periodic-pulse", amplitude=amplitude, load_index=load_index,
+                            period=period, width=draw(st.floats(0.1, 0.9)) * period)
+
+
+@st.composite
+def _linear_scenarios(draw):
+    """One or two study grids side by side, each on a linear law, up to 2 s."""
+    horizon = draw(st.integers(1, 400)) * defaults.CONTROL_PERIOD
+    grids = []
+    for make, n_load in ((cs.grid1_spec, 2), (cs.grid2_spec, 1))[:draw(st.integers(1, 2))]:
+        signals = draw(st.lists(_edge_loads(horizon, n_load), max_size=2))
+        grids.append(make(controller=draw(st.sampled_from(simcore._LINEAR_LAWS)),
+                          load_signals=signals))
+    return m.Scenario(grids=tuple(grids), horizon=horizon)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(scenario=_linear_scenarios())
+def test_linear_run_is_the_stepped_run_up_to_rounding(scenario):
+    """Every log column of the recursion is within 1e-11 of its peak of the
+    stepped one; a rad or rad/s column whose peak is round-off (a decentralized
+    law cancels a load exactly) within 1e-12 absolute. Labels are equal."""
+    ts, stepped, linear = _runs(scenario)
+    assert linear
+    for name, col in stepped.columns.items():
+        if col.dtype == object:
+            assert list(ts.columns[name]) == list(col)
+            continue
+        floor = 1e-12 if name.split("_")[1] in _RAD else 0.0
+        bound = max(1e-11 * np.max(np.abs(col), initial=0.0), floor)
+        assert np.max(np.abs(ts.columns[name] - col), initial=0.0) <= bound, name
+
+
+def test_saturating_run_is_the_stepped_run_bit_for_bit():
+    """A load step that drives the optimal-z commands to +-COMMAND_LIMIT leaves
+    the linear range: the run returns the stepped log, bit for bit."""
+    sig = m.LoadSignalSpec(kind="step", amplitude=40000.0, load_index=0, step_time=0.1)
+    ts, stepped, linear = _runs(m.Scenario(grids=(cs.grid1_spec(load_signals=[sig]),),
+                                           horizon=1.0))
+    assert not linear
+    assert np.max(np.abs(ts.grids[0]["dws"])) == defaults.COMMAND_LIMIT
+    for name, col in stepped.columns.items():
+        assert np.array_equal(ts.columns[name], col), name
+
+
+@pytest.mark.parametrize("kind", ["linear", "slow-lqr", "detector", "event", "attack", "tie"])
+def test_only_a_linear_run_skips_the_stepper(monkeypatch, trained_detector_quiet, kind):
+    """A slow-lqr, detector, event, attack or tie run makes one ZohStepper.step
+    call per control step; a run of linear laws alone makes none."""
+    calls = []
+    step = simcore.ZohStepper.step
+    monkeypatch.setattr(simcore.ZohStepper, "step",
+                        lambda *args: calls.append(1) or step(*args))
+    g = cs.grid1_spec(controller="slow-lqr" if kind == "slow-lqr" else "optimal-z",
+                      weights=m.CostWeights.uniform(3, q=10.0),
+                      detector=trained_detector_quiet if kind == "detector" else None,
+                      load_signals=[cs.pulse_load_signal()])
+    sc = m.Scenario(
+        grids=(g, cs.grid2_spec()) if kind == "tie" else (g,), horizon=0.5,
+        tie=cs.default_tie() if kind == "tie" else None,
+        events=(m.Event(0.2, "controller_off"),) if kind == "event" else (),
+        attacks=((m.AttackSpec(kind="noise-injection", channels=(0,), start=0.1, end=0.3,
+                               noise_std=100.0),) if kind == "attack" else ()))
+    m.run_scenario(sc)
+    assert len(calls) == (0 if kind == "linear" else sc.n_steps)

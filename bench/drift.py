@@ -46,14 +46,17 @@ identical, then for every output file either "identical" or the number of
 differing cells and their largest relative difference. Cells are the fields
 of a line split on commas and whitespace; a cell that differs and is not a
 number on both sides, and a cell present on one side only, counts as an
-infinite relative difference. Exits 0 when everything is identical, 1 when
-anything drifted.
+infinite relative difference. For a CSV file it also prints the largest
+peak-relative difference, |a - b| / max |column| over both sides, which tells
+a round-off change of a near-zero cell (a large relative difference) from a
+real one. Exits 0 when everything is identical, 1 when anything drifted.
 """
 
 from __future__ import annotations
 
 import argparse
 import itertools
+import math
 import os
 import re
 import shutil
@@ -110,11 +113,32 @@ def cell_diff(a: str, b: str) -> tuple[int, float]:
     return count, worst
 
 
-def _describe(a: str, b: str) -> str:
+def peak_diff(a: str, b: str) -> float:
+    """The largest per-column |a - b| / max |column| between two CSV texts, the
+    peak over the finite numbers of the column on both sides; a cell that
+    differs and is not a number on both sides, or is NaN on one, counts as inf."""
+    peak, diff = {}, {}
+    for line_a, line_b in itertools.zip_longest(a.splitlines(), b.splitlines(),
+                                                fillvalue=""):
+        for j, (x, y) in enumerate(itertools.zip_longest(line_a.split(","),
+                                                         line_b.split(","))):
+            fx, fy = _number(x or ""), _number(y or "")
+            for f in (fx, fy):
+                if f is not None and math.isfinite(f):
+                    peak[j] = max(peak.get(j, 0.0), abs(f))
+            if x != y:
+                d = math.inf if fx is None or fy is None else abs(fx - fy)
+                diff[j] = max(diff.get(j, 0.0), math.inf if math.isnan(d) else d)
+    return max((d / peak[j] if 0.0 < d < math.inf else d for j, d in diff.items()),
+               default=0.0)
+
+
+def _describe(a: str, b: str, csv: bool = False) -> str:
     if a == b:
         return "identical"
     count, worst = cell_diff(a, b)
-    return f"{count} cells differ, max rel diff {worst:.3g}"
+    peak = f", max peak-rel diff {peak_diff(a, b):.3g}" if csv else ""
+    return f"{count} cells differ, max rel diff {worst:.3g}{peak}"
 
 
 def run_cli(tree: Path, cwd: Path, argv: list[str]) -> tuple[int, str]:
@@ -311,7 +335,8 @@ def report(base: dict, change: dict) -> tuple[list[str], bool]:
                 lines.append(f"  {fname}: only in {side}")
             else:
                 same = same and base_files[fname] == change_files[fname]
-                lines.append(f"  {fname}: {_describe(base_files[fname], change_files[fname])}")
+                lines.append(f"  {fname}: " + _describe(base_files[fname], change_files[fname],
+                                                         fname.endswith(".csv")))
     return lines, same
 
 

@@ -72,6 +72,9 @@ EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 EXIT_IO = 3
 
+CONFIG_COMMANDS = ("simulate", "identify", "calibrate", "detect")  # cmd_x(sections, out, args)
+SEEDED_COMMANDS = ("simulate", "identify", "calibrate")  # the commands that read --seed
+
 
 # ---------------------------------------------------------------------------
 # config parsing
@@ -180,17 +183,20 @@ class Section:
         return f"{self.path}: line {line}: [{self.name}]" + (f" {name}" if name else "")
 
     @contextlib.contextmanager
-    def located(self):
+    def located(self, sections=None):
         """Re-raise a value the library rejects, e.g. a dataclass's ScenarioError,
         as a ConfigError at the line of the field the error names, else at the
-        header line. A Scenario's error that names its record passes, to be
-        located in that record's section."""
+        header line, in the section of the Scenario record it names, if any
+        ("events[1]" is sections["event"][1]), else in this one."""
         try:
             yield
         except ValueError as exc:
-            if getattr(exc, "record", None):
-                raise
-            raise ConfigError(f"{self.where(getattr(exc, 'field', None))}: {exc}") from exc
+            sec, record = self, getattr(exc, "record", None)
+            if record:
+                name, _, i = record.partition("[")
+                sec = sections[name.removesuffix("s")][int(i.strip("]") or 0)]
+            raise ConfigError(f"{sec.where(getattr(exc, 'field', None))}: "
+                              f"{exc.message if record else exc}") from exc
 
     def value(self, field: str, default=MISSING):
         """A HAND_READ field's value; without a default the file must set it."""
@@ -200,9 +206,10 @@ class Section:
             raise ConfigError(f"{self.where(field)}: missing required key")
         return self.values.get(field, default)
 
-    def build(self, cls, **given):
+    def build(self, cls, sections=None, **given):
         """cls from the file's values of its fields; a field the file leaves out
-        takes its value from given, else its default, else it is missing."""
+        takes its value from given, else its default, else it is missing. Its
+        errors are located, in the sections of the records they name."""
         fields = dataclasses.fields(cls)
         kwargs = given | {f.name: self.values[f.name] for f in fields
                           if f.name in self.values}
@@ -210,7 +217,7 @@ class Section:
             if (f.name not in kwargs and f.default is MISSING
                     and f.default_factory is MISSING):
                 raise ConfigError(f"{self.where(f.name)}: missing required key")
-        with self.located():
+        with self.located(sections):
             return cls(**kwargs)
 
 
@@ -357,30 +364,15 @@ def _named_grid(sections: dict[str, list[Section]], sec: Section) -> int:
     return gi
 
 
-@contextlib.contextmanager
-def _records_located(sections: dict[str, list[Section]]):
-    """Re-raise a Scenario's error that names its record as a ConfigError in its section."""
-    try:
-        yield
-    except ScenarioError as exc:
-        if not exc.record:
-            raise
-        name, _, i = exc.record.partition("[")  # "events[1]" is sections["event"][1]
-        sec = sections[name.removesuffix("s")][int(i.strip("]") or 0)]
-        raise ConfigError(f"{sec.where(exc.field)}: {exc.message}") from exc
-
-
-def build_scenario(sections: dict[str, list[Section]], base_dir: Path,
-                   seed_override: int | None = None) -> Scenario:
+def build_scenario(sections: dict[str, list[Section]], base_dir: Path) -> Scenario:
     grids = tuple(replace(_build_grid(sec, sections), detector=_build_detector(
         sec, base_dir, _control_period(sections))) for sec in sections["grid"])
     ties = [sec.build(TieSpec) for sec in sections["tie"]]
     events = tuple(sec.build(Event) for sec in sections["event"])
     attacks = tuple(sec.build(AttackSpec, channels=(0,)) for sec in sections["attack"])
-    with _records_located(sections):  # Scenario checks its rules
-        scenario = _first_section(sections, "sim").build(
-            Scenario, grids=grids, tie=ties[0] if ties else None, events=events, attacks=attacks)
-    return scenario if seed_override is None else replace(scenario, seed=seed_override)
+    return _first_section(sections, "sim").build(  # Scenario checks its rules
+        Scenario, sections, grids=grids, tie=ties[0] if ties else None, events=events,
+        attacks=attacks)
 
 
 # ---------------------------------------------------------------------------
@@ -466,44 +458,34 @@ def _output_dir(out: Path):
         raise
 
 
-def cmd_simulate(args) -> int:
-    sections = parse_config(args.config)
-    out = Path(args.out)
-    with _output_dir(out):  # model paths may resolve through it
-        scenario = build_scenario(sections, out, seed_override=args.seed)
-        ts = run_scenario(scenario)
+def cmd_simulate(sections: dict[str, list[Section]], out: Path, args) -> None:
+    scenario = build_scenario(sections, out)  # model paths may resolve through out
+    ts = run_scenario(scenario)
     ts.to_csv(out / "timeseries.csv")
     write_detector_csv(ts, scenario, out / "detector.csv")
     (out / "summary.txt").write_text(summarize(ts, scenario), encoding="utf-8")
     for name in ("timeseries.csv", "detector.csv", "summary.txt"):
         if not args.quiet:
             print(f"wrote {out / name}")
-    return EXIT_OK
 
 
-def cmd_identify(args) -> int:
+def cmd_identify(sections: dict[str, list[Section]], out: Path, args) -> None:
     from .casestudy import identification_records
 
-    sections = parse_config(args.config)
-    out = Path(args.out)
     sec = _first_section(sections, "identify")
     grid = _build_grid(sections["grid"][_named_grid(sections, sec)], sections)
 
     records_file = sec.value("records_file", None)
-    if records_file is None:
+    if records_file is not None:
+        t, u, y = load_records(out / records_file)
+        dt = float(t[1] - t[0]) if t.shape[0] > 1 else 0.0  # too short to fit anyway
+    else:
         spec = sec.build(ExcitationSpec, seed=17, dt=_control_period(sections))
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-    with _output_dir(out):
-        if records_file is not None:
-            t, u, y = load_records(out / records_file)
-            dt = float(t[1] - t[0]) if t.shape[0] > 1 else 0.0  # too short to fit anyway
-        else:
-            t, u, y = identification_records(grid, spec)
-            save_records(out / sec.value("record_file", "sysid_records.csv"), t, u, y)
-            dt = spec.dt
-        report, model = select_order(
-            u, y, candidates=sec.value("candidates", defaults.ORDER_CANDIDATES), dt=dt)
+        t, u, y = identification_records(grid, spec)
+        save_records(out / sec.value("record_file", "sysid_records.csv"), t, u, y)
+        dt = spec.dt
+    report, model = select_order(
+        u, y, candidates=sec.value("candidates", defaults.ORDER_CANDIDATES), dt=dt)
     save_model(model, out / sec.value("model_file", "model.txt"))
     lines = ["order selection", "==============="]
     for d in report.candidates:
@@ -519,12 +501,9 @@ def cmd_identify(args) -> int:
     if not args.quiet:
         print(f"selected order {report.d_star}; "
               f"eta = {report.eta[report.d_star]:.6g} W/sample")
-    return EXIT_OK
 
 
-def cmd_calibrate(args) -> int:
-    sections = parse_config(args.config)
-    out = Path(args.out)
+def cmd_calibrate(sections: dict[str, list[Section]], out: Path, args) -> None:
     sec, sim = _first_section(sections, "calibrate"), _first_section(sections, "sim")
     window, horizon = sec.value("window", defaults.DETECTOR_WINDOW), sec.value("horizon", 10.0)
     grid_sec = sections["grid"][_named_grid(sections, sec)]
@@ -532,27 +511,22 @@ def cmd_calibrate(args) -> int:
     model = _detector_model(sec, grid.network.n_ibr, out, _control_period(sections))
     detector = open_detector(model, _watermark(sec, default_seed=29), window)
     timing = {f: sim.values[f] for f in ("control_period", "integrator_step", "seed")
-              if f in sim.values} | ({} if args.seed is None else {"seed": args.seed})
+              if f in sim.values}
     try:  # the calibration run: the grid alone, [sim]'s timing, [calibrate]'s horizon
-        with _records_located({"grid": [grid_sec]}):
-            run = Scenario(grids=(replace(grid, detector=detector),), horizon=horizon, **timing)
+        run = Scenario(grids=(replace(grid, detector=detector),), horizon=horizon, **timing)
     except ScenarioError as exc:  # the horizon is [calibrate]'s, the other fields [sim]'s
-        at = sec.where("horizon") if exc.field == "horizon" else sim.where(exc.field)
-        raise ConfigError(f"{at}: {exc}") from exc
+        with (sec if exc.field == "horizon" else sim).located({"grid": [grid_sec]}):
+            raise
     if run.n_steps < window:
         raise ConfigError(f"{sec.where('horizon')} must be at least window = {window} "
                           f"control periods, got {horizon} s ({run.n_steps} periods)")
     setup = calibrate_detector(run, sec.value("margin", defaults.THRESHOLD_MARGIN))
-    out.mkdir(parents=True, exist_ok=True)
     save_baseline(setup.baseline, out / sec.value("baseline_file", "baseline.txt"))
     if not args.quiet:
         print(f"eps1 = {setup.baseline.eps1:.6g}, eps2 = {setup.baseline.eps2:.6g}")
-    return EXIT_OK
 
 
-def cmd_detect(args) -> int:
-    sections = parse_config(args.config)
-    out = Path(args.out)
+def cmd_detect(sections: dict[str, list[Section]], out: Path, args) -> None:
     sec = _first_section(sections, "detect")
     gi = _named_grid(sections, sec)
     n = sections["grid"][gi].value("n_ibr")
@@ -561,7 +535,6 @@ def cmd_detect(args) -> int:
     t, u, e, y = _load_trace(out / sec.value("trace_file"), gi, n)
     n_steps = t.shape[0]
     state = DetectorState.start(model, baseline)
-    out.mkdir(parents=True, exist_ok=True)
     xi = np.zeros((n_steps, 2))
     flags = np.zeros(n_steps, dtype=int)
     for k in range(n_steps):
@@ -584,7 +557,6 @@ def cmd_detect(args) -> int:
                   f"({int(flags.sum())} flagged steps)")
         else:
             print("no flags raised")
-    return EXIT_OK
 
 
 def _load_trace(path, gi: int, n: int):
@@ -594,7 +566,7 @@ def _load_trace(path, gi: int, n: int):
     return data[:, 0], data[:, 1 : n + 1], data[:, n + 1 : 2 * n + 1], data[:, 2 * n + 1 :]
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> None:
     out = Path(args.out)
     ts_csv = out / "timeseries.csv"
     det_csv = out / "detector.csv"
@@ -621,12 +593,10 @@ def cmd_plot(args) -> int:
     (out / "plots.gp").write_text("\n".join(lines) + "\n", encoding="utf-8")
     if not args.quiet:
         print(f"wrote {out / 'plots.gp'}")
-    return EXIT_OK
 
 
-def cmd_version(args) -> int:
+def cmd_version(args) -> None:
     print(f"microagc {__version__}")
-    return EXIT_OK
 
 
 class _Parser(argparse.ArgumentParser):
@@ -656,13 +626,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "systems of AC microgrids",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, needs_config in (("simulate", True), ("identify", True), ("calibrate", True),
-                               ("detect", True), ("plot", False), ("version", False)):
+    for name in (*CONFIG_COMMANDS, "plot", "version"):
         p = sub.add_parser(name)
-        if needs_config:
+        if name in CONFIG_COMMANDS:
             p.add_argument("--config", required=True, help="scenario file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=_seed, default=None, help="override run seed")
+        if name in SEEDED_COMMANDS:
+            p.add_argument("--seed", type=_seed, default=None, help="override run seed")
         p.add_argument("--quiet", action="store_true")
     return parser
 
@@ -675,14 +645,27 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one subcommand; it is looked up as cmd_<name> at each call, so a
-    rebinding of the module's cmd_* functions takes effect."""
+    rebinding of the module's cmd_* functions takes effect. A config command
+    runs on the parsed --config, --seed set as every [sim] and [identify] seed,
+    inside _output_dir(--out)."""
     try:
         args = _parser().parse_args(argv)
         logging.basicConfig(
             level=logging.WARNING if args.quiet else logging.INFO,
             format="%(levelname)s %(name)s: %(message)s",
         )
-        return globals()["cmd_" + args.command](args)
+        command = globals()["cmd_" + args.command]
+        if args.command in CONFIG_COMMANDS:
+            sections = parse_config(args.config)
+            if (seed := vars(args).get("seed")) is not None:
+                for sec in sections["sim"] + sections["identify"]:
+                    sec.values["seed"] = seed
+            out = Path(args.out)
+            with _output_dir(out):
+                command(sections, out, args)
+        else:
+            command(args)
+        return EXIT_OK
     except (ControlDesignError, IdentificationError, ModelError, SimulationError,
             ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

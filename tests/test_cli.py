@@ -794,6 +794,44 @@ def test_rejected_identify_removes_the_directories_it_made(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg"]
 
 
+@pytest.mark.parametrize("command", cli.CONFIG_COMMANDS)
+def test_command_missing_an_input_removes_the_directories_it_made(tmp_path, capsys,
+                                                                  command):
+    """Each config command exits 3 on an input file its --out does not hold (the
+    model, or identify's records_file) and leaves no directory it made."""
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text((CONFIGS / "detection_demo.cfg").read_text().replace(
+        "[identify]\n", "[identify]\nrecords_file = records.csv\n"))
+    (tmp_path / "kept").mkdir()
+    for out in (tmp_path / "a" / "b", tmp_path / "kept" / "c"):
+        assert run([command, "--config", cfg, "--out", out]) == cli.EXIT_IO
+        assert "error: " in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.cfg", "kept"]
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
+@pytest.mark.parametrize("command, seed_line", [
+    ("simulate", "seed = 77"), ("identify", "seed = 17"), ("calibrate", "seed = 77")])
+def test_seed_option_writes_what_the_config_seed_writes(tmp_path, demo_run, command,
+                                                        seed_line):
+    """--seed 3 writes byte for byte what the config with its [sim] (simulate,
+    calibrate) or [identify] (identify) seed set to 3 writes."""
+    cfg = tmp_path / "seeded.cfg"
+    cfg.write_text((CONFIGS / "detection_demo.cfg").read_text().replace(seed_line,
+                                                                        "seed = 3"))
+    outputs = []
+    for name, argv in (("option", [CONFIGS / "detection_demo.cfg", "--seed", 3]),
+                       ("config", [cfg])):
+        work = tmp_path / name
+        shutil.copytree(demo_run, work)
+        assert run([command, "--config", *argv, "--out", work, "--quiet"]) == cli.EXIT_OK
+        outputs.append({p.name: p.read_bytes() for p in work.iterdir()})
+    assert outputs[0] == outputs[1]
+    unseeded = {p.name: p.read_bytes() for p in demo_run.iterdir()}
+    # the [sim] seed draws only attack noise, and the calibration run has no attack
+    assert (outputs[0] != unseeded) == (command != "calibrate")
+
+
 class TestDomains:
     """A value outside its key's domain in cli.SECTIONS exits 1 at the key's
     own line, before anything runs or is written."""
@@ -1244,6 +1282,20 @@ class TestLibraryChecks:
                              "_named_grid"}
         assert not hasattr(simcore, "before_horizon")
 
+    def test_config_commands_leave_the_shared_steps_to_main(self):
+        """main parses the config, applies --seed, makes --out and returns the
+        exit code: no config command does any of these, and build_scenario
+        takes no seed."""
+        for name in cli.CONFIG_COMMANDS:
+            tree = ast.parse(inspect.getsource(getattr(cli, "cmd_" + name)))
+            called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                      for node in ast.walk(tree) if isinstance(node, ast.Call)}
+            assert not called & {"parse_config", "_output_dir", "Path", "mkdir"}, name
+            assert not [node for node in ast.walk(tree)
+                        if isinstance(node, ast.Return) and node.value is not None], name
+        assert list(inspect.signature(cli.build_scenario).parameters) == [
+            "sections", "base_dir"]
+
     def test_attack_may_end_past_the_horizon(self, tmp_path):
         """end_s past horizon_s is valid: the attack is cut at the horizon."""
         cfg = tmp_path / "c.cfg"
@@ -1321,7 +1373,7 @@ class TestMisc:
         build_parser = cli.build_parser
         monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
         cli._parser.cache_clear()
-        monkeypatch.setattr(cli, "cmd_simulate", lambda args: ran.append(args) or 0)
+        monkeypatch.setattr(cli, "cmd_simulate", lambda sections, out, args: ran.append(args))
         try:
             assert run(["simulate", "--config", minimal_cfg, "--out", tmp_path,
                         "--quiet"]) == cli.EXIT_OK
@@ -1338,7 +1390,12 @@ class TestMisc:
         (["identify", "--config", CONFIGS / "detection_demo.cfg", "--seed", "-3"],
          "argument --seed: must be >= 0, got -3"),
         (["fly"], "argument command: invalid choice: 'fly'"),
-    ], ids=["missing-config", "seed-not-integer", "seed-negative", "unknown-command"])
+        (["detect", "--config", CONFIGS / "detection_demo.cfg", "--seed", "3"],
+         "unrecognized arguments: --seed 3"),
+        (["plot", "--seed", "3"], "unrecognized arguments: --seed 3"),
+        (["version", "--seed", "3"], "unrecognized arguments: --seed 3"),
+    ], ids=["missing-config", "seed-not-integer", "seed-negative", "unknown-command",
+            "seed-on-detect", "seed-on-plot", "seed-on-version"])
     def test_usage_error_exits_1_naming_the_argument(self, tmp_path, capsys, argv,
                                                      message):
         out = tmp_path / "out"

@@ -1,5 +1,6 @@
 """The cell comparison of bench/drift.py: differing cells are counted once
-each and the largest relative difference is reported."""
+each and the largest relative difference is reported, and for a CSV the
+largest difference relative to its column's peak."""
 
 import importlib.util
 import math
@@ -176,3 +177,20 @@ def test_study_command_writes_the_two_grid_case_study_run(tmp_path):
     written = (tmp_path / "s" / "timeseries.csv").read_bytes()
     assert written == (tmp_path / "direct.csv").read_bytes()
     assert (tmp_path / "s" / "summary.txt").read_text().startswith("run summary\n")
+
+
+def test_peak_relative_difference_tells_round_off_from_a_real_change():
+    """A near-zero cell that changes sign at the round-off floor reads a
+    relative difference above 1, but under 1e-12 of its column's peak."""
+    base = "t,x,y\n0,1e-13,5\n0.005,1.0,5\n"
+    change = "t,x,y\n0,-1e-13,5\n0.005,1.0,5\n"
+    count, worst = drift.cell_diff(base, change)
+    assert count == 1 and worst > 1.0
+    assert drift.peak_diff(base, change) < 1e-12
+    assert math.isclose(drift.peak_diff(base, change), 2e-13, rel_tol=1e-9)
+    assert math.isclose(drift.peak_diff("x\n1\n-4\n", "x\n2\n-4\n"), 0.25)
+    assert drift.peak_diff(base, base) == 0.0
+    assert drift.peak_diff("x\n1\n", "x\nnan\n") == math.inf
+    assert drift.peak_diff("x,y\n1,2\n", "x\n1\n") == math.inf
+    assert drift._describe(base, change, csv=True) == (
+        "1 cells differ, max rel diff 2, max peak-rel diff 2e-13")

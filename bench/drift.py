@@ -39,14 +39,22 @@ scratch directory with relative output paths so that printed lines compare:
     `casestudy.grid1_spec` and `grid2_spec` joined by `default_tie`, grid 1
     switched off and then the tie closed by events), written with `to_csv`
     and `summarize`, so that the study grids and the tie close are compared
-    as the library builds them, not only as the CLI does.
+    as the library builds them, not only as the CLI does;
+  - `simulate` on the shipped configs of DIVERGING with their load step's
+    `amplitude_w` set to 1.7e308, so that the run diverges, exits 2 and
+    names the step and column in its error line. The `regulation_pulses`
+    run is one the closed-loop recursion hands back to the stepped loop;
+    in the `collaborative` run both grids go non-finite at the tie close.
 
-For every command it prints whether the exit code and the stdout lines are
-identical, then for every output file either "identical" or the number of
-differing cells and their largest relative difference. Cells are the fields
-of a line split on commas and whitespace; a cell that differs and is not a
-number on both sides, and a cell present on one side only, counts as an
-infinite relative difference. For a CSV file it also prints the largest
+For every command it prints whether the exit code, the stdout lines and the
+program's own stderr lines are identical: `main`'s `error: ...` lines and the
+package loggers' `LEVEL microagc.<module>: ...` lines. Python warnings are
+left out, since they carry the source path and line of each tree. A stderr
+that differs is printed, both sides. Then for every output file it prints
+either "identical" or the number of differing cells and their largest
+relative difference. Cells are the fields of a line split on commas and
+whitespace; a cell that differs and is not a number on both sides, and a
+cell present on one side only, counts as an infinite relative difference. For a CSV file it also prints the largest
 peak-relative difference, |a - b| / max |column| over both sides, which tells
 a round-off change of a near-zero cell (a large relative difference) from a
 real one. Exits 0 when everything is identical, 1 when anything drifted.
@@ -82,7 +90,9 @@ _LIBRARY = {
 }
 ATTACK_STRATA = ("noise", "replay-one", "replay-all")  # detect strata compared
 REGULATE_LAWS = ("optimal-z", "decentralized", "pi")  # first regulate job of each compared
+DIVERGING = ("regulation_pulses", "collaborative")  # shipped configs run to divergence
 _CELL_SEP = re.compile(r"[,\s]+")
+_PROGRAM_LINE = re.compile(r"error: |[A-Z]+ microagc[\w.]*: ")  # main's and the loggers'
 
 
 def _number(cell: str) -> float | None:
@@ -141,15 +151,22 @@ def _describe(a: str, b: str, csv: bool = False) -> str:
     return f"{count} cells differ, max rel diff {worst:.3g}{peak}"
 
 
-def run_cli(tree: Path, cwd: Path, argv: list[str]) -> tuple[int, str]:
-    """Exit code and stdout of one CLI command, or of a _LIBRARY command, run
-    from tree's sources."""
+def program_stderr(text: str) -> str:
+    """The lines of a stderr text that the program writes: main's `error: ...`
+    and the package loggers' `LEVEL microagc.<module>: ...`."""
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if _PROGRAM_LINE.match(line))
+
+
+def run_cli(tree: Path, cwd: Path, argv: list[str]) -> tuple[int, str, str]:
+    """Exit code, stdout and program_stderr of one CLI command, or of a
+    _LIBRARY command, run from tree's sources."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tree / "src"), str(BENCH)]),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     head = ["-c", _LIBRARY[argv[0]]] if argv[0] in _LIBRARY else ["-m", "microagc.cli"]
     proc = subprocess.run([sys.executable, *head, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True)
-    return proc.returncode, proc.stdout
+    return proc.returncode, proc.stdout, program_stderr(proc.stderr)
 
 
 def train_detector(out, seed: int, loads: str) -> None:
@@ -237,6 +254,20 @@ def scheduled_observer_chain(directory: Path) -> tuple[str, list[list[str]]]:
         "\n[event]\ngrid = 1\ntime_s = 2.1\naction = observer_on\n"))
 
 
+def diverging_runs(directory: Path) -> list[tuple[str, list[list[str]]]]:
+    """(output directory, commands) of simulate on each DIVERGING config with
+    every amplitude_w set to 1.7e308, its config written into directory."""
+    out = []
+    for stem in DIVERGING:
+        text = (ROOT / "configs" / f"{stem}.cfg").read_text(encoding="utf-8")
+        cfg = directory / f"{stem}_diverging.cfg"
+        cfg.parent.mkdir(parents=True, exist_ok=True)
+        cfg.write_text(re.sub(r"\namplitude_w = \S+", "\namplitude_w = 1.7e308", text),
+                       encoding="utf-8")
+        out.append((f"simulate-{stem}-diverging", [["simulate", "--config", str(cfg)]]))
+    return out
+
+
 def controller_jobs(jobs, controller: str) -> list:
     """The benchmark jobs whose config sets `controller = <controller>`."""
     return [job for job in jobs if f"\ncontroller = {controller}\n" in job.config]
@@ -306,7 +337,8 @@ def jobs(tree: Path, extra: list) -> list[tuple[str, list[list[str]]]]:
 
 
 def run_side(tree: Path, work: Path, extra: list) -> dict:
-    """Per job: the (exit code, stdout) of each command, and the output files."""
+    """Per job: the (exit code, stdout, stderr) of each command, and the output
+    files."""
     results = {}
     for name, commands in jobs(tree, extra):
         calls = [run_cli(tree, work, [*argv, "--out", name]) for argv in commands]
@@ -317,17 +349,22 @@ def run_side(tree: Path, work: Path, extra: list) -> dict:
 
 
 def report(base: dict, change: dict) -> tuple[list[str], bool]:
-    """Report lines, and whether every exit code, stdout and file is identical."""
+    """Report lines, and whether every exit code, stdout, stderr and file is
+    identical."""
     lines, same = [], True
     for name in base:
         commands, base_calls, base_files = base[name]
         _, change_calls, change_files = change[name]
         lines.append(name)
-        for argv, (rc_b, out_b), (rc_c, out_c) in zip(commands, base_calls, change_calls):
-            same = same and rc_b == rc_c and out_b == out_c
+        for argv, (rc_b, out_b, err_b), (rc_c, out_c, err_c) in zip(
+                commands, base_calls, change_calls):
+            same = same and rc_b == rc_c and out_b == out_c and err_b == err_c
             code = "identical" if rc_b == rc_c else f"{rc_b} -> {rc_c}"
             lines.append(f"  {argv[0]}: exit code {code} ({rc_c}); "
-                         f"stdout {_describe(out_b, out_c)}")
+                         f"stdout {_describe(out_b, out_c)}; stderr {_describe(err_b, err_c)}")
+            if err_b != err_c:
+                lines += [f"    {side} stderr: {line}" for side, err in
+                          (("base", err_b), ("change", err_c)) for line in err.splitlines()]
         for fname in sorted(set(base_files) | set(change_files)):
             if fname not in change_files or fname not in base_files:
                 same = False
@@ -349,7 +386,8 @@ def main(argv=None) -> int:
     try:
         export(base_commit, work / "tree")
         extra = [zero_watermark_chain(work / "cfg"), observer_chain(work / "cfg"),
-                 scheduled_observer_chain(work / "cfg"), *render_benchmark_jobs(work / "cfg")]
+                 scheduled_observer_chain(work / "cfg"), *render_benchmark_jobs(work / "cfg"),
+                 *diverging_runs(work / "cfg")]
         sides = {}
         for side, tree in (("base", work / "tree"), ("change", ROOT)):
             (work / side).mkdir()

@@ -141,5 +141,5 @@ def trained_detector(
     watermark = WatermarkConfig(defaults.WATERMARK_STD, seed=seed + 29)
     grid = replace(grid, load_signals=tuple(calibration_signals),
                    detector=cli.open_detector(model, watermark, defaults.DETECTOR_WINDOW))
-    run = Scenario(grids=(grid,), horizon=calibration_horizon, seed=seed + 43)
+    run = Scenario(grids=(grid,), horizon=calibration_horizon)
     return cli.calibrate_detector(run, defaults.THRESHOLD_MARGIN), report

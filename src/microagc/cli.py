@@ -73,7 +73,7 @@ EXIT_NUMERIC = 2
 EXIT_IO = 3
 
 CONFIG_COMMANDS = ("simulate", "identify", "calibrate", "detect")  # cmd_x(sections, out, args)
-SEEDED_COMMANDS = ("simulate", "identify", "calibrate")  # the commands that read --seed
+SEEDED_COMMANDS = ("simulate", "identify")  # the commands that read --seed
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +510,7 @@ def cmd_calibrate(sections: dict[str, list[Section]], out: Path, args) -> None:
     grid = _build_grid(grid_sec, sections)
     model = _detector_model(sec, grid.network.n_ibr, out, _control_period(sections))
     detector = open_detector(model, _watermark(sec, default_seed=29), window)
-    timing = {f: sim.values[f] for f in ("control_period", "integrator_step", "seed")
-              if f in sim.values}
+    timing = {f: sim.values[f] for f in ("control_period", "integrator_step") if f in sim.values}
     try:  # the calibration run: the grid alone, [sim]'s timing, [calibrate]'s horizon
         run = Scenario(grids=(replace(grid, detector=detector),), horizon=horizon, **timing)
     except ScenarioError as exc:  # the horizon is [calibrate]'s, the other fields [sim]'s

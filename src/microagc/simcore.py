@@ -531,7 +531,6 @@ class _GridRuntime:
     def __init__(self, spec: GridSpec, scenario: Scenario, n_steps: int):
         self.spec = spec
         self.n = spec.network.n_ibr
-        self.m = spec.network.n_load
         self.dt = scenario.control_period
         self.op, self.plant = grid_plant(spec)
         self.controller = spec.controller
@@ -551,12 +550,10 @@ class _GridRuntime:
         self.sensor_y = np.zeros(self.n)
         self.obs_fresh = False
         self.det_state: DetectorState | None = None
-        self.wm_source: WatermarkSource | None = None
-        self.wm_active = False
+        self.wm_source: WatermarkSource | None = None  # None: draws no watermark
         if spec.detector is not None:
             self.det_state = DetectorState.start(spec.detector.model, spec.detector.baseline)
             self.wm_source = WatermarkSource(spec.detector.watermark, self.n)
-            self.wm_active = True
         self.responded = False
         self.log = {name: np.zeros(n_steps + 1, dtype=dtype)
                     for name, per_ibr, dtype in _LOG if not per_ibr}
@@ -630,8 +627,8 @@ class _World:
 
     Until the tie closes it is the grid plants side by side; closing the tie
     replaces it in place with the merged network's plant. Both order the nodes
-    as every grid's IBRs, then every grid's loads: grid gi owns the state slice
-    states[gi] and channel slice channels[gi], and one load schedule serves all.
+    as every grid's IBRs, then every grid's loads: grid gi owns the channels
+    channels[gi] and their states; one load schedule serves all.
     Its log holds one array per per-IBR column, so that one row write serves
     every grid; a grid's log columns are views of it, as are its held command
     rt.cmd and its applied command rt.applied.
@@ -643,7 +640,6 @@ class _World:
         self.stepper = ZohStepper(self.plant, h)
         self.x = np.zeros(self.plant.n_states)
         self.tied = False
-        self.states: list[slice] = []
         self.channels: list[slice] = []
         n_ch = sum(rt.n for rt in rts)
         self.log = {name: np.zeros((n_steps + 1, n_ch)) for name, per_ibr, _ in _LOG
@@ -653,13 +649,12 @@ class _World:
         n0 = m0 = 0
         for rt in rts:
             ch = slice(n0, n0 + rt.n)
-            self.states.append(slice(2 * n0, 2 * (n0 + rt.n)))
             self.channels.append(ch)
             rt.log.update({name: col[:, ch] for name, col in self.log.items()})
             rt.cmd, rt.applied = self.cmd[ch], self.applied[ch]
             signals += [replace(sig, load_index=m0 + sig.load_index)
                         for sig in rt.spec.load_signals]
-            n0, m0 = n0 + rt.n, m0 + rt.m
+            n0, m0 = n0 + rt.n, m0 + rt.spec.network.n_load
         self.signals = tuple(signals)
 
     def close_tie(self, tie: TieSpec, t: float, d_p_l: np.ndarray) -> None:
@@ -686,7 +681,7 @@ class _World:
             full = np.concatenate([ddelta_g, ddelta_l])
             return float(full[ia] - full[ib])
 
-        b_angles = np.arange(self.states[1].start, self.states[1].stop, 2)
+        b_angles = 2 * np.arange(self.channels[1].start, self.channels[1].stop)
         shifted = self.x.copy()
         shifted[b_angles] += 1.0
         gap0 = tie_angle_gap(self.x)
@@ -700,17 +695,6 @@ class _World:
         self.plant = assemble_plant(a.spec.ibrs + b.spec.ibrs, sens)
         self.stepper = ZohStepper(self.plant, self.stepper.h)
         self.tied = True
-
-    def check_finite(self, time_axis: np.ndarray) -> None:
-        """Raise SimulationError naming the time and column of the first value
-        of the per-IBR log, or of a grid's detector statistics, that is not
-        finite: the run diverged."""
-        ibrs = [(gi, i) for gi, rt in enumerate(self.rts) for i in range(rt.n)]
-        columns = [([TimeSeries.column(gi, name, i) for gi, i in ibrs], col[1:])
-                   for name, col in self.log.items()]
-        columns += [([TimeSeries.column(gi, name)], rt.log[name][1:, None])
-                    for gi, rt in enumerate(self.rts) for name in ("xi1", "xi2")]
-        check_finite("the run", time_axis, columns)
 
 
 def check_finite(what: str, time_axis: np.ndarray,
@@ -744,8 +728,9 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     (_LINEAR_LAWS), is one closed-loop recursion (_run_linear) unless a
     command leaves the linear range; every other run, and that one then, is
     stepped (_run_stepped). The loads at every substep are evaluated before
-    either starts. A log value that is not finite after the run is a
-    SimulationError.
+    either starts. A float value of the returned log that is not finite is a
+    SimulationError naming the first such step and, of that step, the first
+    such column in the CSV's order.
     """
     n_steps = scenario.n_steps
     linear = (n_steps > 0 and not (scenario.events or scenario.attacks)
@@ -765,8 +750,10 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
                         world.plant.n_load)
     if not (linear and _run_linear(world, loads)):
         _run_stepped(scenario, world, loads)
-    world.check_finite(time_axis)
-    return TimeSeries(time_axis, [{name: rt.log[name][1:] for name, _, _ in _LOG} for rt in rts])
+    ts = TimeSeries(time_axis, [{name: rt.log[name][1:] for name, _, _ in _LOG} for rt in rts])
+    check_finite("the run", time_axis, [([name], col[:, None]) for name, col in
+                                        ts.columns.items() if col.dtype == float])
+    return ts
 
 
 def _loop_map(world: _World, n_sub: int):
@@ -905,7 +892,7 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
         for gi, rt in enumerate(rts):
             if rt.law is not None:
                 rt.law(rt, rho, y_rx[gi])
-            if rt.wm_active and rt.enabled:
+            if rt.wm_source is not None and rt.enabled:
                 rt.log["wm"][r] = rt.wm_source.draw()
             rt.log["pg_rx"][r], rt.log["z"][r] = y_rx[gi], rt.z
             if rt.z_hat is not None:
@@ -935,7 +922,7 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
                     else np.zeros(rt.spec.detector.model.order))
         rt.z_hat = rt.z.copy()
         rt.obs_fresh = False
-        rt.wm_active = False
+        rt.wm_source = None
         rt.resolve_law(rho)
     elif world.tied:
         log.warning("tie already closed; ignoring tie_close at t=%.4fs", t)
@@ -943,8 +930,7 @@ def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
         world.close_tie(scenario.tie, t, d_p_l)
         for gi, rt in enumerate(rts):
             if rt.det_state is not None:
-                rt.wm_active = False
-                rt.det_state = None
+                rt.wm_source = rt.det_state = None
                 log.info("grid %d: detector retired after topology change", gi + 1)
 
 

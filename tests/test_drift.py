@@ -147,7 +147,7 @@ def test_train_command_writes_the_trained_detector_of_an_acceptance_fixture(tmp_
     from microagc.lqr import CostWeights
     from microagc.sysid import load_model
 
-    rc, _ = drift.run_cli(BENCH.parent, tmp_path, ["train", "6", "quiet", "--out", "q"])
+    rc, _, _ = drift.run_cli(BENCH.parent, tmp_path, ["train", "6", "quiet", "--out", "q"])
     assert rc == 0
     grid = cs.grid1_spec(weights=CostWeights.uniform(3, q=defaults.SCENARIO_Q_DIAG))
     det, _ = cs.trained_detector(grid, calibration_signals=(), seed=6)
@@ -171,7 +171,7 @@ def test_study_command_writes_the_two_grid_case_study_run(tmp_path):
     assert [(ev.time, ev.action) for ev in scenario.events] == [
         (0.5, "controller_off"), (1.0, "tie_close")]
     assert ("study-two-grid", [["study"]]) in drift.jobs(BENCH.parent, [])
-    rc, _ = drift.run_cli(BENCH.parent, tmp_path, ["study", "--out", "s"])
+    rc, _, _ = drift.run_cli(BENCH.parent, tmp_path, ["study", "--out", "s"])
     assert rc == 0
     run_scenario(scenario).to_csv(tmp_path / "direct.csv")
     written = (tmp_path / "s" / "timeseries.csv").read_bytes()
@@ -194,3 +194,34 @@ def test_peak_relative_difference_tells_round_off_from_a_real_change():
     assert drift.peak_diff("x,y\n1,2\n", "x\n1\n") == math.inf
     assert drift._describe(base, change, csv=True) == (
         "1 cells differ, max rel diff 2, max peak-rel diff 2e-13")
+
+
+def test_stderr_compares_the_program_lines_and_not_python_warnings():
+    """main's error line and the package loggers' lines are kept; a Python
+    warning, which names a source path and line, and its source line are not."""
+    program = ("INFO microagc.simcore: grid 1: detector retired after topology change\n"
+               "WARNING microagc.lqr: projected closed loop A - B1 K T is not stable\n"
+               "error: the run diverged at t=0.5400s: mg1_pg_2 = inf\n")
+    warning = ("/tree/src/microagc/simcore.py:812: RuntimeWarning: overflow encountered\n"
+               "  m[x] += hold @ c_u\n")
+    assert drift.program_stderr(warning + program) == program
+    first, *rest = program.splitlines(keepends=True)
+    assert drift.program_stderr(first + warning + "".join(rest)) == program
+    assert drift.program_stderr("INFO numpy.x: y\nerror:no space\n") == ""
+
+
+def test_diverging_runs_set_only_the_load_amplitude(tmp_path):
+    from microagc import cli
+
+    runs = drift.diverging_runs(tmp_path)
+    assert [name for name, _ in runs] == [
+        "simulate-regulation_pulses-diverging", "simulate-collaborative-diverging"]
+    for stem, (_, [argv]) in zip(drift.DIVERGING, runs):
+        assert argv[:2] == ["simulate", "--config"]
+        values = {kind: [sec.values for sec in secs]
+                  for kind, secs in cli.parse_config(argv[2]).items()}
+        shipped = {kind: [sec.values for sec in secs] for kind, secs in
+                   cli.parse_config(drift.ROOT / "configs" / f"{stem}.cfg").items()}
+        assert [sig["amplitude"] for sig in shipped["load_signal"]] == [1904.4]
+        shipped["load_signal"][0]["amplitude"] = 1.7e308
+        assert values == shipped

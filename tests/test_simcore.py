@@ -408,26 +408,48 @@ class TestRunScenario:
             assert np.array_equal(z, logged[k])
             u_prev, pg_prev = applied[k], pg_rx[k]
 
+    @staticmethod
+    def _diverged(sc, monkeypatch):
+        """(SimulationError of running sc, sc's log unchecked, step of its first
+        non-finite value, the float columns non-finite there in CSV order)."""
+        with pytest.raises(m.SimulationError) as err:
+            m.run_scenario(sc)
+        monkeypatch.setattr(simcore, "check_finite", lambda *args: None)
+        ts = m.run_scenario(sc)
+        names = [c for c, col in ts.columns.items() if col.dtype.kind == "f"]  # CSV order
+        bad = np.column_stack([~np.isfinite(ts.columns[c]) for c in names])
+        k = np.flatnonzero(bad.any(axis=1))[0]
+        return err.value, ts, k, [names[j] for j in np.flatnonzero(bad[k])]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
     def test_diverged_run_names_the_first_step_and_column_not_finite(self, monkeypatch):
         """A run whose log goes non-finite raises SimulationError at the first
         such step, naming its time and the first such column of that step in
-        log order; the same run unchecked is the oracle."""
+        the CSV's order; the same run unchecked is the oracle."""
         sig = m.LoadSignalSpec(kind="step", amplitude=1e308, load_index=0, step_time=0.3)
         sc = m.Scenario(grids=(cs.grid1_spec(), cs.grid2_spec(load_signals=[sig])),
                         horizon=1.0)
-        with pytest.raises(m.SimulationError) as err:
-            m.run_scenario(sc)
-        monkeypatch.setattr(simcore._World, "check_finite", lambda world, t: None)
-        ts = m.run_scenario(sc)
-        names = [f"mg{g}_{name}_{i + 1}" for name, per_ibr, _ in simcore._LOG if per_ibr
-                 for g, n in ((1, 3), (2, 2)) for i in range(n)]
-        bad = np.column_stack([~np.isfinite(ts.columns[c]) for c in names])
-        k = np.flatnonzero(bad.any(axis=1))[0]
-        col = names[np.flatnonzero(bad[k])[0]]
+        err, ts, k, bad = self._diverged(sc, monkeypatch)
+        col = bad[0]
         assert ts.time[k] >= 0.3 and col.startswith("mg2_")
-        assert (str(err.value)
-                == f"the run diverged at t={ts.time[k]:.4f}s: {col} = {ts.columns[col][k]}")
+        assert str(err) == f"the run diverged at t={ts.time[k]:.4f}s: {col} = {ts.columns[col][k]}"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflow itself
+    def test_two_grids_diverging_at_one_step_name_the_first_csv_column(self, monkeypatch):
+        """The case-study grids, grid 1 switched off under a 1.7e308 W load step
+        and the tie closed 0.2 s later: both grids go non-finite at the close,
+        and the error names the first such column in the CSV's order, grid 1's,
+        not the first of a per-IBR name over both grids."""
+        sig = m.LoadSignalSpec(kind="step", amplitude=1.7e308, load_index=0, step_time=0.5)
+        sc = m.Scenario(grids=(cs.grid1_spec(load_signals=[sig]), cs.grid2_spec()),
+                        horizon=1.0, tie=cs.default_tie(),
+                        events=(m.Event(0.5, "controller_off", 0), m.Event(0.7, "tie_close")))
+        err, ts, k, bad = self._diverged(sc, monkeypatch)
+        assert ts.time[k] == pytest.approx(0.7)
+        assert {c[:4] for c in bad} == {"mg1_", "mg2_"}
+        col = bad[0]
+        assert col.startswith("mg1_")
+        assert str(err) == f"the run diverged at t={ts.time[k]:.4f}s: {col} = {ts.columns[col][k]}"
 
     def test_determinism_bit_identical_logs(self):
         sig = cs.pulse_load_signal()
@@ -769,7 +791,7 @@ def test_only_apply_event_changes_a_grid_mid_run():
     """A grid runtime's law, observer, watermark and detector are set when it is
     built or its law is bound, and changed during a run only by _apply_event:
     an auto-response fires the events it stands for."""
-    guarded = {"controller", "enabled", "x_hat", "z_hat", "wm_active", "det_state", "law"}
+    guarded = {"controller", "enabled", "x_hat", "z_hat", "wm_source", "det_state", "law"}
     writers: dict[str, set[str]] = {}
 
     def scan(node, scope):

@@ -13,8 +13,8 @@ scratch directory with relative output paths so that printed lines compare:
     whose draws must stay +0.0 (a `wm` cell of `-0` would differ), and again
     with `[grid.1] controller = observer`, whose calibration run carries the
     open detector that the observer law runs from, and again with an `[event]`
-    that engages grid 1's observer law at 2.1 s (the scheduled handover; the
-    auto-response runs below take the flag-fired one);
+    that engages grid 1's observer law at 2.1 s (the auto-response runs below
+    engage it by the flag, by the same rule);
   - `simulate` on the nine `slow-lqr` jobs of the benchmark's regulate
     library, rendered from `perfbench/workload.py` into the scratch directory.
     Their saturated limit cycle is chaotic, so a last-bit change in the plant
@@ -28,10 +28,12 @@ scratch directory with relative output paths so that printed lines compare:
     workload's `setup_config()` into `model/`, then simulate -> detect on the
     first library job of the `noise`, `replay-one` and `replay-all` detect
     strata, so that noise and replay attacks are compared too;
-  - the same on two auto-response runs built from the first `replay-all` job:
-    with `auto_response = observer`, and with the first tie job's grid 2 and
-    tie added and `auto_response = collaborative`, so that the flag engages
-    the observer law in one and closes the tie in the other;
+  - the same on three auto-response runs built from the first `replay-all`
+    job: with `auto_response = observer`, with the first tie job's grid 2 and
+    tie added and `auto_response = collaborative`, and with `controller =
+    observer` and `auto_response = observer`, so that the flag engages the
+    observer law in the first, closes the tie in the second and finds its
+    response already in effect in the third;
   - the library's training pipeline, `casestudy.trained_detector`, as the
     acceptance suite's two detector fixtures call it (TRAINED), its model and
     baseline written by `save_model` and `save_baseline`;
@@ -248,8 +250,7 @@ def observer_chain(directory: Path) -> tuple[str, list[list[str]]]:
 
 def scheduled_observer_chain(directory: Path) -> tuple[str, list[list[str]]]:
     """The chain with an [event] that engages grid 1's observer law at 2.1 s,
-    inside the demo's attack: the scheduled handover, which copies the detector
-    state and then advances it once (the flag-fired one copies it advanced)."""
+    inside the demo's attack."""
     return demo_chain(directory, "scheduled-observer", lambda text: text + (
         "\n[event]\ngrid = 1\ntime_s = 2.1\naction = observer_on\n"))
 
@@ -298,10 +299,18 @@ def auto_response(job, mode: str, tie_job=None):
     return replace(job, key=f"auto-{mode}", config=config)
 
 
+def observer_grid_response(job):
+    """auto_response(job, "observer") with grid 1's `controller = observer`,
+    keyed auto-observer-grid: every flag finds the response in effect."""
+    run = auto_response(job, "observer")
+    return replace(run, key="auto-observer-grid", config=run.config.replace(
+        "\ncontroller = optimal-z\n", "\ncontroller = observer\n", 1))
+
+
 def render_benchmark_jobs(directory: Path) -> list[tuple[str, list[list[str]]]]:
     """(output directory, commands) of the compared benchmark jobs, their
     configs written into directory: the regulate picks, the detect model's
-    training, the first detect job of each attack stratum, then the two
+    training, the first detect job of each attack stratum, then the three
     auto-response runs."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workload
@@ -316,7 +325,8 @@ def render_benchmark_jobs(directory: Path) -> list[tuple[str, list[list[str]]]]:
                 [[cmd, "--config", str(setup)] for cmd in ("identify", "calibrate")]))
     attacked = first_jobs(workload.library("detect"), ATTACK_STRATA)
     attacked += [auto_response(attacked[-1], "observer"),
-                 auto_response(attacked[-1], "collaborative", regulate["tie"][0])]
+                 auto_response(attacked[-1], "collaborative", regulate["tie"][0]),
+                 observer_grid_response(attacked[-1])]
     cfgs = workload.write_configs(attacked, directory / "detect")
     out += [(cfg.stem, [[cmd, "--config", str(cfg)] for cmd in job.commands])
             for job, cfg in zip(attacked, cfgs)]

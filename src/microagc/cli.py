@@ -484,8 +484,9 @@ def cmd_identify(sections: dict[str, list[Section]], out: Path, args) -> None:
         t, u, y = identification_records(grid, spec)
         save_records(out / sec.value("record_file", "sysid_records.csv"), t, u, y)
         dt = spec.dt
-    report, model = select_order(
-        u, y, candidates=sec.value("candidates", defaults.ORDER_CANDIDATES), dt=dt)
+    with sec.located():  # an empty candidate set names its line
+        report, model = select_order(
+            u, y, candidates=sec.value("candidates", defaults.ORDER_CANDIDATES), dt=dt)
     save_model(model, out / sec.value("model_file", "model.txt"))
     lines = ["order selection", "==============="]
     for d in report.candidates:

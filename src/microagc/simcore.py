@@ -148,6 +148,8 @@ class AttackSpec:
         if not 0.0 <= self.noise_std < math.inf:
             raise ScenarioError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         object.__setattr__(self, "channels", tuple(int(c) for c in self.channels))
+        if not self.channels:  # it would inject nothing
+            raise ScenarioError("an attack needs at least one channel", "channels")
         if len(set(self.channels)) < len(self.channels):  # each would add its own noise draw
             raise ScenarioError(f"attack channels {self.channels} repeat a channel", "channels")
         if self.kind == "replay":
@@ -548,13 +550,11 @@ class _GridRuntime:
             self.x_hat, self.z_hat = np.zeros(spec.detector.model.order), np.zeros(self.n)
         self.pi_integ = np.zeros(self.n)
         self.sensor_y = np.zeros(self.n)
-        self.obs_fresh = False
         self.det_state: DetectorState | None = None
         self.wm_source: WatermarkSource | None = None  # None: draws no watermark
         if spec.detector is not None:
             self.det_state = DetectorState.start(spec.detector.model, spec.detector.baseline)
             self.wm_source = WatermarkSource(spec.detector.watermark, self.n)
-        self.responded = False
         self.log = {name: np.zeros(n_steps + 1, dtype=dtype)
                     for name, per_ibr, dtype in _LOG if not per_ibr}
 
@@ -592,10 +592,9 @@ def _bind_law(rt: _GridRuntime, name: str):
         model = spec.detector.model
 
         def law(rt, rho, y_rx):
-            if rho > 0 and not rt.obs_fresh:
+            if rho > 0:
                 rt.z_hat[:] = z_update(rt.z_hat, u_prev, model.c_d @ rt.x_hat, dt, omega_c, m_p)
                 rt.x_hat[:] = model.a_d @ rt.x_hat + model.b_d @ u_prev
-            rt.obs_fresh = False
             _clip(control_optimal(gain, rt.z_hat), lo, hi, out=cmd)
     elif name == "pi":
         def law(rt, rho, y_rx):
@@ -833,10 +832,10 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
 
     Per control instant: fire due events, measure true powers, corrupt the
     received copies per the active attacks, step each enabled detector, fire
-    the auto response's events when a flag first rises, update the active
-    control law, superpose the watermark, then integrate the plant to the next
-    instant over the substep rows of loads. Every time is a step index, and
-    the loads' change mask is evaluated, before the loop starts.
+    the auto response's events on a flag unless they are in effect, update
+    the active control law, superpose the watermark, then integrate the plant
+    to the next instant over the substep rows of loads. Every time is a step
+    index, and the loads' change mask is evaluated, before the loop starts.
     """
     rts, dt_c, n_steps = world.rts, scenario.control_period, loads.shape[0]
     schedule: dict[int, list[Event]] = {}  # control step -> its events, in time order
@@ -848,6 +847,7 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
                 for j in range(len(scenario.attacks))]
     histories = [rts[atk.grid].log["pg"][1:] for atk in scenario.attacks]
     changed = _load_changes(loads).tolist()
+    observe = scenario.auto_response == "observer" or scenario.tie is None  # else tie close
     ddelta_log, domega_log, pg_log, dws_log, wm_log = (
         world.log[k] for k in ("ddelta", "domega", "pg", "dws", "wm"))
 
@@ -870,22 +870,19 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
         for gi, rt in enumerate(rts):
             if rt.det_state is None:
                 continue
-            det = rt.spec.detector
+            det, x_hat = rt.spec.detector, rt.det_state.x_hat  # step rho's: dw_step rebinds it
             flag, _ = dw_step(rt.det_state, det.baseline, det.model, y_rx[gi],
                               rt.log["dws"][rho], rt.log["wm"][rho])
             # logged now: a response below may retire the detector
             rt.log["xi1"][r], rt.log["xi2"][r] = rt.det_state.xi1, rt.det_state.xi2
             rt.log["flag"][r] = flag
-            if flag and not rt.responded and scenario.auto_response != "none":
-                rt.responded = True
-                observe = scenario.auto_response == "observer" or scenario.tie is None
+            if flag and scenario.auto_response != "none" and not (
+                    observe and rt.controller == "observer"):  # else already in effect
                 log.info("grid %d: flag at t=%.4fs, %s", gi + 1, t,
                          "observer law engaged" if observe else "networking with neighbor")
                 for ev in ([Event(t, "observer_on", gi)] if observe else
                            [Event(t, "controller_off", gi), Event(t, "tie_close")]):
-                    _apply_event(ev, scenario, rts, world, rho, loads[rho, 0])
-                if observe:  # this step's dw_step has already advanced x_hat
-                    rt.obs_fresh = True
+                    _apply_event(ev, scenario, rts, world, rho, loads[rho, 0], x_hat)
 
         # control laws and watermark, logged
         ddelta_log[r], domega_log[r] = world.x[0::2], world.x[1::2]
@@ -904,25 +901,26 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
         world.x = world.stepper.step(world.x, world.applied, loads[rho], changed[rho])
 
 
-def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime],
-                 world: _World, rho: int, d_p_l: np.ndarray) -> None:
+def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime], world: _World,
+                 rho: int, d_p_l: np.ndarray, x_hat: np.ndarray | None = None) -> None:
     """Fire ev at control step rho, with load deviations d_p_l at that instant:
-    the one place a run changes a grid's law, observer, watermark or detector."""
+    the one place a run changes a grid's law, observer, watermark or detector.
+    observer_on starts the observer law from z(rho - 1) and x_hat, the detector's
+    prediction state at step rho's start (default: its state now); on a grid
+    whose law is already the observer it only switches the grid on."""
     t = rho * scenario.control_period
     rt = rts[ev.grid] if ev.action != "tie_close" else None
     if ev.action in ("controller_on", "controller_off"):
         rt.enabled = ev.action == "controller_on"
         rt.resolve_law(rho)
     elif ev.action == "observer_on":
-        rt.controller = "observer"
+        if rt.controller != "observer":
+            if x_hat is None:
+                x_hat = (rt.det_state.x_hat if rt.det_state is not None
+                         else np.zeros(rt.spec.detector.model.order))
+            rt.controller, rt.wm_source = "observer", None
+            rt.x_hat, rt.z_hat = x_hat.copy(), rt.z.copy()
         rt.enabled = True
-        # events fire before this step's detector update, so the copied
-        # prediction state is one interval behind and must advance once
-        rt.x_hat = (rt.det_state.x_hat.copy() if rt.det_state is not None
-                    else np.zeros(rt.spec.detector.model.order))
-        rt.z_hat = rt.z.copy()
-        rt.obs_fresh = False
-        rt.wm_source = None
         rt.resolve_law(rho)
     elif world.tied:
         log.warning("tie already closed; ignoring tie_close at t=%.4fs", t)

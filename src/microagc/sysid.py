@@ -483,9 +483,9 @@ def select_order(
     identification failures are recorded; the selection fails only if every
     candidate does. Ties break toward the smallest order.
     """
-    candidates = tuple(sorted(set(int(c) for c in candidates)))
-    if not candidates:
-        raise IdentificationError("candidate order set is empty")
+    from .simcore import ScenarioError  # simcore imports this module
+    if not (candidates := tuple(sorted(set(int(c) for c in candidates)))):
+        raise ScenarioError("candidate order set is empty", "candidates")
     u = _as_record(u)
     y = _as_record(y)
     work = FitWorkspace(u, y, candidates)

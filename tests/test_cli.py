@@ -1170,6 +1170,9 @@ class TestLibraryChecks:
         (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
          "channels = 0 0\n", "channels = 0 0",
          "[attack] channels: attack channels (0, 0) repeat a channel", "simulate"),
+        (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\nend_s = 0.3\n"
+         "channels =\n", "channels =",
+         "[attack] channels: an attack needs at least one channel", "simulate"),
         (MINIMAL + "\n[attack]\nkind = noise-injection\nstart_s = 0.2\n"
          "end_s = 0.2000000000002\n", "[attack]",
          "[attack]: attack window rounds to zero control steps", "simulate"),
@@ -1179,7 +1182,8 @@ class TestLibraryChecks:
     ], ids=["sim", "grid", "load_signal", "attack", "attack-negative-noise",
             "attack-nan-noise", "event", "identify", "ibr", "network", "observer-controller",
             "observer-event", "tie-node", "tie-one-grid", "attack-channel",
-            "attack-repeated-channel", "attack-zero-steps", "replay-source-zero-steps"])
+            "attack-repeated-channel", "attack-no-channel", "attack-zero-steps",
+            "replay-source-zero-steps"])
     def test_dataclass_check_names_its_section(self, tmp_path, capsys, text, at,
                                                message, command):
         """At the section's header; at the key's own line where the key's
@@ -1187,6 +1191,16 @@ class TestLibraryChecks:
         where it asks for a detector the grid lacks (the observer cases) or
         where the record names its field (the identify case)."""
         _rejects(tmp_path, capsys, text, f"line {_line(text, at)}: {message}", command)
+
+    def test_empty_candidate_set_exits_at_its_line(self, tmp_path, capsys):
+        """`candidates =` with no value is a setting at fault: exit 1 at its
+        line, not the numeric exit 2 of a failed fit."""
+        text = MINIMAL + "\n[identify]\nk0 = 400\ncandidates =\n"
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(text)
+        assert run(["identify", "--config", cfg, "--out", tmp_path / "o"]) == cli.EXIT_USAGE
+        assert (f"{cfg}: line {_line(text, 'candidates =')}: [identify] candidates: "
+                "candidate order set is empty") in capsys.readouterr().err
 
     @pytest.mark.parametrize("controller, at", [
         ("optimal-z", None),

@@ -98,6 +98,20 @@ def test_auto_response_runs_are_the_first_replay_all_job_with_the_response_set()
     assert "\n[event]\n" not in collab.config  # the flag, not a script, closes the tie
 
 
+def test_observer_grid_response_sets_only_the_controller_and_the_response():
+    sys.path.insert(0, str(BENCH.parent / "perfbench"))
+    import workload
+
+    replay = workload.library("detect")["replay-all"][0]
+    run = drift.observer_grid_response(replay)
+    assert run.key == "auto-observer-grid"
+    assert run.commands == replay.commands
+    assert "\ncontroller = optimal-z\n" in replay.config
+    assert run.config == drift.auto_response(replay, "observer").config.replace(
+        "\ncontroller = optimal-z\n", "\ncontroller = observer\n")
+    assert "\n[event]\n" not in run.config  # the flag, not a script, engages the law
+
+
 def test_zero_watermark_chain_zeroes_only_the_grid_watermark(tmp_path):
     from microagc import cli
 

@@ -2,6 +2,7 @@
 signals, tie-line merging, and run-level invariants."""
 
 import ast
+import logging
 import math
 import re
 from pathlib import Path
@@ -287,6 +288,12 @@ class TestApplyAttack:
         the configured std on channel 0 here, so the spec names its channels."""
         with pytest.raises(m.ScenarioError, match=re.escape("(0, 1, 0) repeat")) as info:
             self.make_spec(channels=(0, 1, 0))
+        assert info.value.field == "channels"
+
+    def test_attack_without_channels_is_rejected(self):
+        """An attack on no channel would inject nothing and go undetected."""
+        with pytest.raises(m.ScenarioError, match="at least one channel") as info:
+            self.make_spec(channels=())
         assert info.value.field == "channels"
 
 
@@ -736,6 +743,70 @@ class TestRunScenario:
     def test_rms_helper(self):
         assert rms(np.array([3.0, 4.0])) == pytest.approx(np.sqrt(12.5))
         assert rms(np.array([])) == 0.0
+
+
+# ---------------------------------------------------------------------------
+# engaging the observer law: one rule, whether a flag or an event engages it
+
+
+@pytest.fixture(scope="module")
+def trained_detector_pulsed():
+    grid = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0),
+                         load_signals=[cs.pulse_load_signal()])
+    det, _ = cs.trained_detector(grid, calibration_signals=grid.load_signals, seed=5)
+    return det
+
+
+def _noise_run(detector, controller="optimal-z", **kwargs):
+    """The log of study grid 1 (controller, pulse load, detector) under 800 W of
+    noise on channel 0 from 2 s to the 4 s horizon, with seed 1."""
+    g = cs.grid1_spec(controller, weights=m.CostWeights.uniform(3, q=10.0),
+                      load_signals=[cs.pulse_load_signal()], detector=detector)
+    atk = m.AttackSpec(kind="noise-injection", channels=(0,), start=2.0, end=4.0,
+                       noise_std=800.0)
+    return m.run_scenario(m.Scenario(grids=(g,), horizon=4.0, seed=1, attacks=(atk,),
+                                     **kwargs))
+
+
+def _assert_same_logs(a, b):
+    assert list(a.columns) == list(b.columns)
+    for name, col in a.columns.items():
+        assert np.array_equal(col, b.columns[name]), name
+
+
+def test_flag_and_scheduled_event_engage_the_observer_alike(trained_detector_pulsed):
+    """The flag-fired response and an observer_on event at the flag's step give
+    bit-identical logs: both start the law from z of the step before and the
+    detector's prediction state at the step's start, and integrate it once."""
+    auto = _noise_run(trained_detector_pulsed, auto_response="observer")
+    k = int(np.flatnonzero(auto.grids[0]["flag"])[0])
+    assert set(auto.grids[0]["ctrl"][:k]) == {"optimal-z"}
+    assert set(auto.grids[0]["ctrl"][k:]) == {"observer"}
+    scheduled = _noise_run(trained_detector_pulsed,
+                           events=(m.Event(auto.time[k], "observer_on"),))
+    _assert_same_logs(auto, scheduled)
+
+
+def test_a_flag_on_an_observer_grid_changes_nothing(trained_detector_pulsed, caplog):
+    """On a grid already on the observer law the observer response is in
+    effect: the flag fires nothing, so the run logs what the run without an
+    auto response logs, and z_hat integrates on through the flag."""
+    with caplog.at_level(logging.INFO, logger="microagc.simcore"):
+        auto = _noise_run(trained_detector_pulsed, "observer", auto_response="observer")
+    flags = np.flatnonzero(auto.grids[0]["flag"])
+    assert flags.size and set(auto.grids[0]["ctrl"]) == {"observer"}
+    assert "observer law engaged" not in caplog.text
+    _assert_same_logs(auto, _noise_run(trained_detector_pulsed, "observer"))
+    assert np.all(auto.grids[0]["zhat"][flags[0]] != 0.0)
+
+
+def test_an_observer_on_event_on_an_observer_grid_changes_nothing(trained_detector_pulsed):
+    """observer_on on a grid whose law is already the observer keeps the law's
+    state: z_hat integrates on, as in the run without the event."""
+    plain = _noise_run(trained_detector_pulsed, "observer")
+    event = _noise_run(trained_detector_pulsed, "observer",
+                       events=(m.Event(2.5, "observer_on"),))
+    _assert_same_logs(plain, event)
 
 
 def _observer_run(attacks=()):

@@ -574,8 +574,10 @@ class TestSelectOrder:
         assert abs(rescore(24) - report.eta[3]) > tol
 
     def test_empty_candidates(self):
-        with pytest.raises(m.IdentificationError):
+        """An empty candidate set is a setting at fault, not a failed fit."""
+        with pytest.raises(m.ScenarioError) as err:
             m.select_order(np.zeros((100, 1)), np.zeros((100, 1)), candidates=[])
+        assert err.value.field == "candidates"
 
 
 class TestPersistence:

@@ -34,6 +34,9 @@ scratch directory with relative output paths so that printed lines compare:
     observer` and `auto_response = observer`, so that the flag engages the
     observer law in the first, closes the tie in the second and finds its
     response already in effect in the third;
+  - the same on the first `nominal` detect job, which has no attack: its
+    grid's detector cannot act, so `simulate` runs it as one closed-loop
+    recursion with the streaming detector stepped over the finished log;
   - the library's training pipeline, `casestudy.trained_detector`, as the
     acceptance suite's two detector fixtures call it (TRAINED), its model and
     baseline written by `save_model` and `save_baseline`;
@@ -310,8 +313,8 @@ def observer_grid_response(job):
 def render_benchmark_jobs(directory: Path) -> list[tuple[str, list[list[str]]]]:
     """(output directory, commands) of the compared benchmark jobs, their
     configs written into directory: the regulate picks, the detect model's
-    training, the first detect job of each attack stratum, then the three
-    auto-response runs."""
+    training, the first detect job of each attack stratum, the three
+    auto-response runs, then the first nominal detect job."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workload
 
@@ -323,13 +326,14 @@ def render_benchmark_jobs(directory: Path) -> list[tuple[str, list[list[str]]]]:
     setup.write_text(workload.setup_config(), encoding="utf-8")
     out.append((workload.MODEL_DIR,  # the detect configs read ../model/
                 [[cmd, "--config", str(setup)] for cmd in ("identify", "calibrate")]))
-    attacked = first_jobs(workload.library("detect"), ATTACK_STRATA)
-    attacked += [auto_response(attacked[-1], "observer"),
-                 auto_response(attacked[-1], "collaborative", regulate["tie"][0]),
-                 observer_grid_response(attacked[-1])]
-    cfgs = workload.write_configs(attacked, directory / "detect")
+    detect = workload.library("detect")
+    attacked = first_jobs(detect, ATTACK_STRATA)
+    runs = attacked + [auto_response(attacked[-1], "observer"),
+                       auto_response(attacked[-1], "collaborative", regulate["tie"][0]),
+                       observer_grid_response(attacked[-1]), *first_jobs(detect, ("nominal",))]
+    cfgs = workload.write_configs(runs, directory / "detect")
     out += [(cfg.stem, [[cmd, "--config", str(cfg)] for cmd in job.commands])
-            for job, cfg in zip(attacked, cfgs)]
+            for job, cfg in zip(runs, cfgs)]
     return out
 
 

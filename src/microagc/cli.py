@@ -48,6 +48,7 @@ from .sysid import (
     DiscreteModel,
     ExcitationSpec,
     IdentificationError,
+    candidate_orders,
     load_model,
     load_records,
     predict,
@@ -474,6 +475,8 @@ def cmd_identify(sections: dict[str, list[Section]], out: Path, args) -> None:
 
     sec = _first_section(sections, "identify")
     grid = _build_grid(sections["grid"][_named_grid(sections, sec)], sections)
+    with sec.located():  # an empty candidate set names its line, before any run
+        candidates = candidate_orders(sec.value("candidates", defaults.ORDER_CANDIDATES))
 
     records_file = sec.value("records_file", None)
     if records_file is not None:
@@ -484,9 +487,7 @@ def cmd_identify(sections: dict[str, list[Section]], out: Path, args) -> None:
         t, u, y = identification_records(grid, spec)
         save_records(out / sec.value("record_file", "sysid_records.csv"), t, u, y)
         dt = spec.dt
-    with sec.located():  # an empty candidate set names its line
-        report, model = select_order(
-            u, y, candidates=sec.value("candidates", defaults.ORDER_CANDIDATES), dt=dt)
+    report, model = select_order(u, y, candidates=candidates, dt=dt)
     save_model(model, out / sec.value("model_file", "model.txt"))
     lines = ["order selection", "==============="]
     for d in report.candidates:

@@ -4,10 +4,12 @@ control orchestration (detect, then correct locally or collaboratively).
 
 One scenario is one sequential loop over control instants; the plant is
 integrated between instants at a finer substep with all inputs held constant
-over each substep. A run of linear laws alone, with no event, attack, tie or
-detector, is instead one closed-loop recursion of the same loop's one-period
-map, unless a command would saturate. Every run has one world plant: the grid
-plants side by side (block-diagonal) until the tie closes, the merged
+over each substep. A run of linear laws alone, with no event, attack or tie,
+whose detectors cannot act (no auto response, or no detector), is instead one
+closed-loop recursion of the same loop's one-period map, unless a command would
+saturate: its watermark, drawn in one block, is one more drive of that map,
+and its detectors step over the finished log. Every run has one world plant:
+the grid plants side by side (block-diagonal) until the tie closes, the merged
 network's plant after, so all grids are measured and stepped together through
 one path, one block step per control period over a load schedule and its
 change mask evaluated once per run. Scenario times are whole control periods
@@ -723,19 +725,23 @@ def check_finite(what: str, time_axis: np.ndarray,
 def run_scenario(scenario: Scenario) -> TimeSeries:
     """Execute the scenario at the control period and return the full log.
 
-    A run with no event, attack, tie or detector, whose every law is linear
-    (_LINEAR_LAWS), is one closed-loop recursion (_run_linear) unless a
-    command leaves the linear range; every other run, and that one then, is
-    stepped (_run_stepped). The loads at every substep are evaluated before
-    either starts. A float value of the returned log that is not finite is a
-    SimulationError naming the first such step and, of that step, the first
-    such column in the CSV's order.
+    A run with no event, attack or tie, whose every law is linear
+    (_LINEAR_LAWS) and whose detectors cannot act (auto_response "none", or
+    no detector: a flag changes a run only through the response), is one
+    closed-loop recursion (_run_linear) unless a command leaves the linear
+    range; every other run, and that one then, is stepped (_run_stepped).
+    Both give a detector the same inputs and draw the same watermark. The
+    loads at every substep are evaluated before either starts. A float value
+    of the returned log that is not finite is a SimulationError naming the
+    first such step and, of that step, the first such column in the CSV's
+    order.
     """
     n_steps = scenario.n_steps
     linear = (n_steps > 0 and not (scenario.events or scenario.attacks)
               and scenario.tie is None
-              and all(g.controller in _LINEAR_LAWS and g.detector is None
-                      for g in scenario.grids))
+              and all(g.controller in _LINEAR_LAWS for g in scenario.grids)
+              and (scenario.auto_response == "none"  # else a flag may change the run
+                   or all(g.detector is None for g in scenario.grids)))
     dt_c = scenario.control_period
     h = scenario.integrator_step
     n_sub = whole_steps(dt_c, h, "control_period")
@@ -763,8 +769,11 @@ def _loop_map(world: _World, n_sub: int):
     d_j, and the step's command is u = c_u s + d_u d_0. m is world.stepper's
     substep map composed n_sub times, in run_scenario's update order: measure,
     update each law, then hold the command over the substeps. z and the PI
-    states of a channel whose law does not use them stay 0. Returns
-    (m, drive, c_u, d_u), drive shaped (n_sub, states, loads)."""
+    states of a channel whose law does not use them stay 0. The step's
+    watermark w rides on the held command: it adds mark w to s+, through x
+    and through z, which integrates the applied command. Returns
+    (m, drive, mark, c_u, d_u), drive shaped (n_sub, states, loads) and mark
+    (states, channels)."""
     plant, dt = world.plant, world.rts[0].dt
     n, n_x = len(world.cmd), plant.n_states
     a_d, b_u, b_l = world.stepper.a_d, world.stepper.b_d[:, :n], world.stepper.b_d[:, n:]
@@ -777,6 +786,7 @@ def _loop_map(world: _World, n_sub: int):
     m = np.zeros((integ.stop, integ.stop))
     drive = np.zeros((n_sub, integ.stop, plant.n_load))
     c_u, d_u = np.zeros((n, integ.stop)), np.zeros((n, plant.n_load))
+    mark = np.zeros((integ.stop, n))  # the watermark rides on the held command
     pg_s = np.zeros((n, integ.stop))
     pg_s[:, x] = plant.h_red @ plant.e  # measure_power's map of s; of d_0, f_map
     decay = math.exp(-dt / defaults.SENSOR_LAG_TAU)  # measure_frequency_lagged's
@@ -796,35 +806,62 @@ def _loop_map(world: _World, n_sub: int):
             m[z][ch] = gain * (c_u[ch] - rt.m_p[:, None] * pg_s[ch])
             m[idx + z.start, idx + z.start] += 1.0
             drive[0, z][ch] = gain * (d_u[ch] - rt.m_p[:, None] * plant.f_map[ch])
+            mark[idx + z.start, idx] = gain[:, 0]  # z_update integrates cmd + wm
     hold = (sub @ b_u).sum(axis=0)  # the command held over the period
     m[x, x] = a_d @ sub[0]
     m[x] += hold @ c_u
     drive[:, x] = sub @ b_l
     drive[0, x] += hold @ d_u
-    return m, drive, c_u, d_u
+    mark[x] = hold
+    return m, drive, mark, c_u, d_u
 
 
 def _run_linear(world: _World, loads: np.ndarray) -> bool:
     """Fill the world's log from one recursion of its loop map (_loop_map)
-    over the load schedule loads, (steps, substeps, loads), and return True;
-    return False and write nothing if a state is not finite or a command
-    leaves +-COMMAND_LIMIT, where the stepped loop would saturate it."""
-    m, drive, c_u, d_u = _loop_map(world, loads.shape[1])
-    s = _recursion_rows(m.T, np.zeros(m.shape[0]),
-                        np.einsum("ksl,sil->ki", loads, drive, optimize=True))  # one gemm
+    over the load schedule loads, (steps, substeps, loads), and the run's
+    watermark, drawn in one block from a fresh copy of each grid's stream; then
+    step each detector over the finished log. Return True; return False and
+    write nothing if a state is not finite or a command leaves
+    +-COMMAND_LIMIT, where the stepped loop would saturate it."""
+    m, drive, mark, c_u, d_u = _loop_map(world, loads.shape[1])
+    n_steps, n_x, n = loads.shape[0], world.plant.n_states, len(world.cmd)
+    drives = np.einsum("ksl,sil->ki", loads, drive, optimize=True)  # one gemm
+    marked = [(rt, ch) for rt, ch in zip(world.rts, world.channels)
+              if rt.wm_source is not None and rt.enabled]
+    wm = np.zeros((n_steps, n))
+    for rt, ch in marked:  # a fresh stream: a declined run steps from rt.wm_source's start
+        wm[:, ch] = WatermarkSource(rt.spec.detector.watermark, rt.n).draw(n_steps)
+    if marked:  # a run without a watermark keeps its bits
+        drives += wm @ mark.T
+    s = _recursion_rows(m.T, np.zeros(m.shape[0]), drives)
     # optimal-z and pi command -(...), whose zero is -0.0, as their stepped laws do
     sign = np.concatenate([[-1.0 if rt.controller in ("optimal-z", "pi") else 1.0] * rt.n
                            for rt in world.rts])
     u = sign * (s @ (sign[:, None] * c_u).T + loads[:, 0] @ (sign[:, None] * d_u).T)
     if not (np.isfinite(s).all() and (np.abs(u) <= defaults.COMMAND_LIMIT).all()):
         return False
-    n_x, n = world.plant.n_states, len(world.cmd)
     x = s[:, :n_x]
     pg = measure_power(world.plant, x.T, loads[:, 0].T).T
     for name, rows in (("ddelta", x[:, 0::2]), ("domega", x[:, 1::2]), ("pg", pg),
-                       ("pg_rx", pg), ("dws", u), ("z", s[:, n_x:n_x + n])):
+                       ("pg_rx", pg), ("dws", u), ("wm", wm), ("z", s[:, n_x:n_x + n])):
         world.log[name][1:] = rows
+    for rt in world.rts:  # a detector that cannot act reads the log it would have read
+        if rt.det_state is not None:
+            for rho in range(n_steps):
+                _detect(rt, rho, rt.log["pg_rx"][rho + 1])
     return True
+
+
+def _detect(rt: _GridRuntime, rho: int, y_rx: np.ndarray) -> bool:
+    """Step grid rt's detector at control step rho on its received powers y_rx
+    and the command and watermark of the step before; log xi1, xi2 and the
+    flag in row rho + 1 and return the flag."""
+    det, r = rt.spec.detector, rho + 1
+    flag, _ = dw_step(rt.det_state, det.baseline, det.model, y_rx,
+                      rt.log["dws"][rho], rt.log["wm"][rho])
+    rt.log["xi1"][r], rt.log["xi2"][r] = rt.det_state.xi1, rt.det_state.xi2
+    rt.log["flag"][r] = flag
+    return flag
 
 
 def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
@@ -870,13 +907,9 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
         for gi, rt in enumerate(rts):
             if rt.det_state is None:
                 continue
-            det, x_hat = rt.spec.detector, rt.det_state.x_hat  # step rho's: dw_step rebinds it
-            flag, _ = dw_step(rt.det_state, det.baseline, det.model, y_rx[gi],
-                              rt.log["dws"][rho], rt.log["wm"][rho])
+            x_hat = rt.det_state.x_hat  # step rho's: dw_step rebinds it
             # logged now: a response below may retire the detector
-            rt.log["xi1"][r], rt.log["xi2"][r] = rt.det_state.xi1, rt.det_state.xi2
-            rt.log["flag"][r] = flag
-            if flag and scenario.auto_response != "none" and not (
+            if _detect(rt, rho, y_rx[gi]) and scenario.auto_response != "none" and not (
                     observe and rt.controller == "observer"):  # else already in effect
                 log.info("grid %d: flag at t=%.4fs, %s", gi + 1, t,
                          "observer law engaged" if observe else "networking with neighbor")

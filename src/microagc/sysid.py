@@ -463,6 +463,15 @@ def estimate_initial_state(
     return x0
 
 
+def candidate_orders(candidates) -> tuple[int, ...]:
+    """The candidate order set as sorted distinct ints; an empty set is a
+    ScenarioError of the field candidates."""
+    from .simcore import ScenarioError  # simcore imports this module
+    if not (orders := tuple(sorted(set(int(c) for c in candidates)))):
+        raise ScenarioError("candidate order set is empty", "candidates")
+    return orders
+
+
 def select_order(
     u: np.ndarray,
     y: np.ndarray,
@@ -483,9 +492,7 @@ def select_order(
     identification failures are recorded; the selection fails only if every
     candidate does. Ties break toward the smallest order.
     """
-    from .simcore import ScenarioError  # simcore imports this module
-    if not (candidates := tuple(sorted(set(int(c) for c in candidates)))):
-        raise ScenarioError("candidate order set is empty", "candidates")
+    candidates = candidate_orders(candidates)
     u = _as_record(u)
     y = _as_record(y)
     work = FitWorkspace(u, y, candidates)

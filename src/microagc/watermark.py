@@ -49,8 +49,10 @@ class WatermarkSource:
         # a product, not std * z: at std = 0 every draw stays +0.0, never -0.0
         self._factor = cfg.std * np.eye(n)
 
-    def draw(self) -> np.ndarray:
-        return self._factor @ self._rng.standard_normal(self._n)
+    def draw(self, k: int | None = None) -> np.ndarray:
+        """The next draw, (n,), or the next k as (k, n) rows, bit-equal to k
+        single draws: the factor is diagonal, so each cell is one product."""
+        return self._rng.standard_normal(self._n if k is None else (k, self._n)) @ self._factor.T
 
 
 def predict_step(

@@ -1202,6 +1202,14 @@ class TestLibraryChecks:
         assert (f"{cfg}: line {_line(text, 'candidates =')}: [identify] candidates: "
                 "candidate order set is empty") in capsys.readouterr().err
 
+    def test_empty_candidate_set_stops_identify_before_its_run(self, tmp_path, capsys):
+        """The candidate set is checked before the excitation run, so identify
+        writes no sysid_records.csv and leaves no output directory behind."""
+        text = (CONFIGS / "detection_demo.cfg").read_text().replace(
+            "candidates = 1 2 3 4 5 6 7 8 9 10", "candidates =")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, 'candidates =')}: [identify] "
+                 "candidates: candidate order set is empty", "identify")
+
     @pytest.mark.parametrize("controller, at", [
         ("optimal-z", None),
         ("slow-lqr", "controller = slow-lqr"),

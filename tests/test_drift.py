@@ -112,6 +112,17 @@ def test_observer_grid_response_sets_only_the_controller_and_the_response():
     assert "\n[event]\n" not in run.config  # the flag, not a script, engages the law
 
 
+def test_benchmark_jobs_end_with_the_first_nominal_detect_job(tmp_path):
+    """The nominal job comes after the attacked and auto-response runs, whose
+    output directories keep their names."""
+    names = [name for name, _ in drift.render_benchmark_jobs(tmp_path)]
+    assert names[names.index("model"):] == [
+        "model", "job000-detect-noise-00", "job001-detect-replay-one-00",
+        "job002-detect-replay-all-00", "job003-auto-observer", "job004-auto-collaborative",
+        "job005-auto-observer-grid", "job006-detect-nominal-00"]
+    assert "\n[attack]\n" not in (tmp_path / "detect" / "job006-detect-nominal-00.cfg").read_text()
+
+
 def test_zero_watermark_chain_zeroes_only_the_grid_watermark(tmp_path):
     from microagc import cli
 

@@ -5,6 +5,7 @@ import ast
 import logging
 import math
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import microagc as m
-from microagc import casestudy as cs, defaults, simcore
+from microagc import casestudy as cs, cli, defaults, simcore
 from microagc.simcore import ZohStepper, _clip, _load_changes, load_vector, rms
 from microagc.sysid import DiscreteModel
 
@@ -892,6 +893,7 @@ def test_only_apply_event_changes_a_grid_mid_run():
 # the closed-loop recursion of a linear run, against the stepped loop
 
 _RAD = ("ddelta", "domega", "dws", "z")  # the log names in rad or rad/s
+_XI = {"xi1": 1, "xi2": 2}  # the detector statistics, in W and W^2: their power of W
 
 
 def _runs(scenario):
@@ -924,31 +926,59 @@ def _edge_loads(draw, horizon: float, n_load: int):
                             period=period, width=draw(st.floats(0.1, 0.9)) * period)
 
 
+# grid 2's open detector model: it predicts zero power, so its innovations are pg
+_ZERO_MODEL = DiscreteModel(a_d=np.zeros((1, 1)), b_d=np.zeros((1, 2)), c_d=np.zeros((2, 1)),
+                            dt=defaults.CONTROL_PERIOD, order=1)
+
+
 @st.composite
-def _linear_scenarios(draw):
-    """One or two study grids side by side, each on a linear law, up to 2 s."""
+def _linear_scenarios(draw, trained):
+    """One or two study grids side by side, each on a linear law, up to 2 s,
+    each without a detector or with one that cannot act: open (grid 1 runs
+    trained's model, grid 2 _ZERO_MODEL) or, on grid 1, trained, each with
+    its own watermark, whose std may be 0."""
     horizon = draw(st.integers(1, 400)) * defaults.CONTROL_PERIOD
     grids = []
-    for make, n_load in ((cs.grid1_spec, 2), (cs.grid2_spec, 1))[:draw(st.integers(1, 2))]:
+    for gi, (make, n_load) in enumerate(((cs.grid1_spec, 2),
+                                         (cs.grid2_spec, 1))[:draw(st.integers(1, 2))]):
         signals = draw(st.lists(_edge_loads(horizon, n_load), max_size=2))
-        grids.append(make(controller=draw(st.sampled_from(simcore._LINEAR_LAWS)),
-                          load_signals=signals))
+        detector = draw(st.sampled_from((None, "open", "trained")[:3 - gi]))
+        if detector is not None:
+            watermark = m.WatermarkConfig(draw(st.sampled_from((0.0, defaults.WATERMARK_STD))),
+                                          seed=draw(st.integers(0, 99)))
+            detector = (replace(trained, watermark=watermark) if detector == "trained" else
+                        cli.open_detector(trained.model if gi == 0 else _ZERO_MODEL, watermark,
+                                          draw(st.sampled_from((10, defaults.DETECTOR_WINDOW)))))
+        grids.append(replace(make(controller=draw(st.sampled_from(simcore._LINEAR_LAWS)),
+                                  load_signals=signals), detector=detector))
     return m.Scenario(grids=tuple(grids), horizon=horizon)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(scenario=_linear_scenarios())
-def test_linear_run_is_the_stepped_run_up_to_rounding(scenario):
+@given(data=st.data())
+def test_linear_run_is_the_stepped_run_up_to_rounding(trained_detector_quiet, data):
     """Every log column of the recursion is within 1e-11 of its peak of the
     stepped one; a rad or rad/s column whose peak is round-off (a decentralized
-    law cancels a load exactly) within 1e-12 absolute. Labels are equal."""
+    law cancels a load exactly) within 1e-12 absolute, and a detector statistic
+    whose peak is round-off within 1e-11 of the received power's peak (xi1, in
+    W) or its square (xi2). Labels, flags and watermarks are equal, and no
+    watermark cell is -0."""
+    scenario = data.draw(_linear_scenarios(trained_detector_quiet))
     ts, stepped, linear = _runs(scenario)
     assert linear
     for name, col in stepped.columns.items():
         if col.dtype == object:
             assert list(ts.columns[name]) == list(col)
             continue
-        floor = 1e-12 if name.split("_")[1] in _RAD else 0.0
+        kind = name.split("_")[1]
+        if kind in ("flag", "wm"):
+            assert np.array_equal(ts.columns[name], col), name
+            assert not np.signbit(ts.columns[name][col == 0]).any(), name
+            continue
+        floor = 1e-12 if kind in _RAD else 0.0
+        if kind in _XI:  # statistics of received minus predicted power: at a round-off
+            # peak (a run without load to mispredict), within the received power's rounding
+            floor = (1e-11 * np.max(np.abs(stepped.grids[int(name[2]) - 1]["pg_rx"]))) ** _XI[kind]
         bound = max(1e-11 * np.max(np.abs(col), initial=0.0), floor)
         assert np.max(np.abs(ts.columns[name] - col), initial=0.0) <= bound, name
 
@@ -965,23 +995,42 @@ def test_saturating_run_is_the_stepped_run_bit_for_bit():
         assert np.array_equal(ts.columns[name], col), name
 
 
-@pytest.mark.parametrize("kind", ["linear", "slow-lqr", "detector", "event", "attack", "tie"])
+def test_saturating_detector_run_is_the_stepped_run_bit_for_bit(trained_detector_quiet):
+    """The same load step on a grid whose detector cannot act: the declined
+    recursion leaves the watermark stream at its start, so the stepped log it
+    returns, wm included, is the stepped run's, bit for bit."""
+    sig = m.LoadSignalSpec(kind="step", amplitude=40000.0, load_index=0, step_time=0.1)
+    g = cs.grid1_spec(load_signals=[sig], detector=trained_detector_quiet)
+    ts, stepped, linear = _runs(m.Scenario(grids=(g,), horizon=1.0))
+    assert not linear
+    assert np.max(np.abs(ts.grids[0]["dws"])) == defaults.COMMAND_LIMIT
+    assert np.abs(ts.grids[0]["wm"]).min() > 0.0
+    for name, col in stepped.columns.items():
+        assert (list(ts.columns[name]) == list(col) if col.dtype == object
+                else ts.columns[name].tobytes() == col.tobytes()), name
+
+
+@pytest.mark.parametrize("kind", ["linear", "slow-lqr", "detector", "event", "attack", "tie",
+                                  "auto-response"])
 def test_only_a_linear_run_skips_the_stepper(monkeypatch, trained_detector_quiet, kind):
-    """A slow-lqr, detector, event, attack or tie run makes one ZohStepper.step
-    call per control step; a run of linear laws alone makes none."""
+    """A slow-lqr, event, attack or tie run, and a detector run whose flag may
+    engage a response, make one ZohStepper.step call per control step; a run
+    of linear laws alone makes none, with a detector that cannot act or none."""
     calls = []
     step = simcore.ZohStepper.step
     monkeypatch.setattr(simcore.ZohStepper, "step",
                         lambda *args: calls.append(1) or step(*args))
     g = cs.grid1_spec(controller="slow-lqr" if kind == "slow-lqr" else "optimal-z",
                       weights=m.CostWeights.uniform(3, q=10.0),
-                      detector=trained_detector_quiet if kind == "detector" else None,
+                      detector=(trained_detector_quiet if kind in ("detector", "auto-response")
+                                else None),
                       load_signals=[cs.pulse_load_signal()])
     sc = m.Scenario(
         grids=(g, cs.grid2_spec()) if kind == "tie" else (g,), horizon=0.5,
         tie=cs.default_tie() if kind == "tie" else None,
         events=(m.Event(0.2, "controller_off"),) if kind == "event" else (),
         attacks=((m.AttackSpec(kind="noise-injection", channels=(0,), start=0.1, end=0.3,
-                               noise_std=100.0),) if kind == "attack" else ()))
+                               noise_std=100.0),) if kind == "attack" else ()),
+        auto_response="observer" if kind == "auto-response" else "none")
     m.run_scenario(sc)
-    assert len(calls) == (0 if kind == "linear" else sc.n_steps)
+    assert len(calls) == (0 if kind in ("linear", "detector") else sc.n_steps)

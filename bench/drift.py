@@ -34,6 +34,9 @@ scratch directory with relative output paths so that printed lines compare:
     observer` and `auto_response = observer`, so that the flag engages the
     observer law in the first, closes the tie in the second and finds its
     response already in effect in the third;
+  - the same on LATE_FLAG, the first attacked detect job whose first flag
+    falls after its attack window ends, so in the run's tail, which the
+    closed-loop recursion fills with the streaming detector stepped over it;
   - the same on the first `nominal` detect job, which has no attack: its
     grid's detector cannot act, so `simulate` runs it as one closed-loop
     recursion with the streaming detector stepped over the finished log;
@@ -49,7 +52,11 @@ scratch directory with relative output paths so that printed lines compare:
     `amplitude_w` set to 1.7e308, so that the run diverges, exits 2 and
     names the step and column in its error line. The `regulation_pulses`
     run is one the closed-loop recursion hands back to the stepped loop;
-    in the `collaborative` run both grids go non-finite at the tie close.
+    in the `collaborative` run both grids go non-finite at the tie close;
+  - `simulate` on `collaborative.cfg` with its load step's `amplitude_w` set
+    to SATURATING_W: after the tie close grid 2's commands reach the command
+    limit, so the recursion declines the run's tail, the loop steps on from
+    the tie close, and every output must stay identical.
 
 For every command it prints whether the exit code, the stdout lines and the
 program's own stderr lines are identical: `main`'s `error: ...` lines and the
@@ -96,6 +103,8 @@ _LIBRARY = {
 ATTACK_STRATA = ("noise", "replay-one", "replay-all")  # detect strata compared
 REGULATE_LAWS = ("optimal-z", "decentralized", "pi")  # first regulate job of each compared
 DIVERGING = ("regulation_pulses", "collaborative")  # shipped configs run to divergence
+SATURATING_W = "40000"  # collaborative.cfg's load step that saturates grid 2 after the tie close
+LATE_FLAG = "detect-noise-05"  # window 2.25-2.6 s, first flag at 2.605 s
 _CELL_SEP = re.compile(r"[,\s]+")
 _PROGRAM_LINE = re.compile(r"error: |[A-Z]+ microagc[\w.]*: ")  # main's and the loggers'
 
@@ -258,18 +267,27 @@ def scheduled_observer_chain(directory: Path) -> tuple[str, list[list[str]]]:
         "\n[event]\ngrid = 1\ntime_s = 2.1\naction = observer_on\n"))
 
 
+def amplitude_run(directory: Path, stem: str, amplitude: str,
+                  tag: str) -> tuple[str, list[list[str]]]:
+    """(output directory simulate-<stem>-<tag>, commands) of simulate on the
+    shipped config stem with every amplitude_w set to amplitude, its config
+    written into directory."""
+    text = (ROOT / "configs" / f"{stem}.cfg").read_text(encoding="utf-8")
+    cfg = directory / f"{stem}_{tag}.cfg"
+    cfg.parent.mkdir(parents=True, exist_ok=True)
+    cfg.write_text(re.sub(r"\namplitude_w = \S+", f"\namplitude_w = {amplitude}", text),
+                   encoding="utf-8")
+    return f"simulate-{stem}-{tag}", [["simulate", "--config", str(cfg)]]
+
+
 def diverging_runs(directory: Path) -> list[tuple[str, list[list[str]]]]:
-    """(output directory, commands) of simulate on each DIVERGING config with
-    every amplitude_w set to 1.7e308, its config written into directory."""
-    out = []
-    for stem in DIVERGING:
-        text = (ROOT / "configs" / f"{stem}.cfg").read_text(encoding="utf-8")
-        cfg = directory / f"{stem}_diverging.cfg"
-        cfg.parent.mkdir(parents=True, exist_ok=True)
-        cfg.write_text(re.sub(r"\namplitude_w = \S+", "\namplitude_w = 1.7e308", text),
-                       encoding="utf-8")
-        out.append((f"simulate-{stem}-diverging", [["simulate", "--config", str(cfg)]]))
-    return out
+    """amplitude_run of each DIVERGING config at 1.7e308 W."""
+    return [amplitude_run(directory, stem, "1.7e308", "diverging") for stem in DIVERGING]
+
+
+def saturating_run(directory: Path) -> tuple[str, list[list[str]]]:
+    """amplitude_run of collaborative.cfg at SATURATING_W."""
+    return amplitude_run(directory, "collaborative", SATURATING_W, "saturating")
 
 
 def controller_jobs(jobs, controller: str) -> list:
@@ -310,11 +328,16 @@ def observer_grid_response(job):
         "\ncontroller = optimal-z\n", "\ncontroller = observer\n", 1))
 
 
+def late_flag_job(strata: dict):
+    """The attacked detect job keyed LATE_FLAG."""
+    return next(job for name in ATTACK_STRATA for job in strata[name] if job.key == LATE_FLAG)
+
+
 def render_benchmark_jobs(directory: Path) -> list[tuple[str, list[list[str]]]]:
     """(output directory, commands) of the compared benchmark jobs, their
     configs written into directory: the regulate picks, the detect model's
     training, the first detect job of each attack stratum, the three
-    auto-response runs, then the first nominal detect job."""
+    auto-response runs, the LATE_FLAG job, then the first nominal detect job."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workload
 
@@ -330,7 +353,8 @@ def render_benchmark_jobs(directory: Path) -> list[tuple[str, list[list[str]]]]:
     attacked = first_jobs(detect, ATTACK_STRATA)
     runs = attacked + [auto_response(attacked[-1], "observer"),
                        auto_response(attacked[-1], "collaborative", regulate["tie"][0]),
-                       observer_grid_response(attacked[-1]), *first_jobs(detect, ("nominal",))]
+                       observer_grid_response(attacked[-1]), late_flag_job(detect),
+                       *first_jobs(detect, ("nominal",))]
     cfgs = workload.write_configs(runs, directory / "detect")
     out += [(cfg.stem, [[cmd, "--config", str(cfg)] for cmd in job.commands])
             for job, cfg in zip(runs, cfgs)]
@@ -401,7 +425,7 @@ def main(argv=None) -> int:
         export(base_commit, work / "tree")
         extra = [zero_watermark_chain(work / "cfg"), observer_chain(work / "cfg"),
                  scheduled_observer_chain(work / "cfg"), *render_benchmark_jobs(work / "cfg"),
-                 *diverging_runs(work / "cfg")]
+                 *diverging_runs(work / "cfg"), saturating_run(work / "cfg")]
         sides = {}
         for side, tree in (("base", work / "tree"), ("change", ROOT)):
             (work / side).mkdir()

@@ -2,17 +2,21 @@
 models, attack injection, load signals, tie-line switching, and the resilient
 control orchestration (detect, then correct locally or collaboratively).
 
-One scenario is one sequential loop over control instants; the plant is
-integrated between instants at a finer substep with all inputs held constant
-over each substep. A run of linear laws alone, with no event, attack or tie,
-whose detectors cannot act (no auto response, or no detector), is instead one
-closed-loop recursion of the same loop's one-period map, unless a command would
-saturate: its watermark, drawn in one block, is one more drive of that map,
-and its detectors step over the finished log. Every run has one world plant:
-the grid plants side by side (block-diagonal) until the tie closes, the merged
-network's plant after, so all grids are measured and stepped together through
-one path, one block step per control period over a load schedule and its
-change mask evaluated once per run. Scenario times are whole control periods
+One scenario is a sequential loop over control instants, the run's head,
+then one closed-loop recursion of the same loop's one-period map, its tail;
+the plant is integrated between instants at a finer substep with all inputs
+held constant over each substep. The tail starts, from the loop's exact
+state, at the handoff step: the first at which the run's scheduled events
+have fired, its attack windows have ended, every active law is linear and no
+detector can act (no auto response, or every detector retired). If a command
+would saturate, the loop steps on instead. The tail's watermark, drawn in one
+block from each grid's stream, is one more drive of that map, and its
+detectors step over the finished log. A run of linear laws with no event or
+attack is all tail; a slow-lqr or observer run is all head. Every run has
+one world plant: the grid plants side by side (block-diagonal) until the tie
+closes, the merged network's plant after, so all grids are measured and
+stepped together through one path, one block step per control period over a
+load schedule evaluated once per run. Scenario times are whole control periods
 (`whole_steps`), so the schedule is step indices set before the loop, and each
 grid's log is the run's record and only history. A grid's law, which advances
 its z array, is bound once per law change. Identical scenario and seeds give
@@ -22,6 +26,7 @@ bit-identical logs.
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import logging
 import math
@@ -560,10 +565,15 @@ class _GridRuntime:
         self.log = {name: np.zeros(n_steps + 1, dtype=dtype)
                     for name, per_ibr, dtype in _LOG if not per_ibr}
 
+    @property
+    def active_law(self) -> str:
+        """The law in effect: the grid's controller, "none" while it is off."""
+        return self.controller if self.enabled else "none"
+
     def resolve_law(self, rho: int) -> None:
         """Bind the active law from step rho on; label ctrl from row rho + 1 on."""
         self.log["ctrl"][rho + 1:] = self.controller if self.enabled else "off"
-        self.law = _bind_law(self, self.controller if self.enabled else "none")
+        self.law = _bind_law(self, self.active_law)
 
 
 def _bind_law(rt: _GridRuntime, name: str):
@@ -725,23 +735,24 @@ def check_finite(what: str, time_axis: np.ndarray,
 def run_scenario(scenario: Scenario) -> TimeSeries:
     """Execute the scenario at the control period and return the full log.
 
-    A run with no event, attack or tie, whose every law is linear
-    (_LINEAR_LAWS) and whose detectors cannot act (auto_response "none", or
-    no detector: a flag changes a run only through the response), is one
-    closed-loop recursion (_run_linear) unless a command leaves the linear
-    range; every other run, and that one then, is stepped (_run_stepped).
-    Both give a detector the same inputs and draw the same watermark. The
-    loads at every substep are evaluated before either starts. A float value
-    of the returned log that is not finite is a SimulationError naming the
-    first such step and, of that step, the first such column in the CSV's
-    order.
+    The stepped loop (_run_stepped) runs the head of the run, up to its
+    handoff step K0: the first step at which every scheduled event has
+    fired (those due at K0 included), every attack window has ended, every
+    grid's active law is linear (_LINEAR_LAWS; a grid that is off runs
+    "none") and no detector can act (auto_response "none", or every
+    detector gone: a flag changes a run only through the response). From K0
+    on, one closed-loop recursion (_run_linear) fills the rest of the log
+    from the loop's exact state, unless a command leaves the linear range;
+    then the loop steps on to the end. A run of linear laws with no event,
+    attack or tie close is all tail (K0 = 0); a run whose head never ends
+    (a slow-lqr or observer law, a detector whose flag may respond) is all
+    head. Both parts give a detector the same inputs and draw the same
+    watermark. The loads at every substep are evaluated before either
+    starts. A float value of the returned log that is not finite is a
+    SimulationError naming the first such step and, of that step, the
+    first such column in the CSV's order.
     """
     n_steps = scenario.n_steps
-    linear = (n_steps > 0 and not (scenario.events or scenario.attacks)
-              and scenario.tie is None
-              and all(g.controller in _LINEAR_LAWS for g in scenario.grids)
-              and (scenario.auto_response == "none"  # else a flag may change the run
-                   or all(g.detector is None for g in scenario.grids)))
     dt_c = scenario.control_period
     h = scenario.integrator_step
     n_sub = whole_steps(dt_c, h, "control_period")
@@ -753,8 +764,7 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     # load deviations at every substep time rho * dt_c + s * h of the run
     loads = load_vector(world.signals, time_axis[:, None] + np.arange(n_sub) * h,
                         world.plant.n_load)
-    if not (linear and _run_linear(world, loads)):
-        _run_stepped(scenario, world, loads)
+    _run_stepped(scenario, world, loads)
     ts = TimeSeries(time_axis, [{name: rt.log[name][1:] for name, _, _ in _LOG} for rt in rts])
     check_finite("the run", time_axis, [([name], col[:, None]) for name, col in
                                         ts.columns.items() if col.dtype == float])
@@ -762,18 +772,19 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
 
 
 def _loop_map(world: _World, n_sub: int):
-    """The world's loop over one control period, every grid's law linear
-    (_LINEAR_LAWS) and unsaturated, on the state s = (x, z, PI sensor lag,
-    PI integrator) of a control instant, one (channels,) block each after x:
-    s+ = m s + sum_j drive[j] d_j over the period's n_sub substep load rows
-    d_j, and the step's command is u = c_u s + d_u d_0. m is world.stepper's
-    substep map composed n_sub times, in run_scenario's update order: measure,
-    update each law, then hold the command over the substeps. z and the PI
-    states of a channel whose law does not use them stay 0. The step's
-    watermark w rides on the held command: it adds mark w to s+, through x
-    and through z, which integrates the applied command. Returns
-    (m, drive, mark, c_u, d_u), drive shaped (n_sub, states, loads) and mark
-    (states, channels)."""
+    """The world's loop over one control period, every grid's active law
+    linear (_LINEAR_LAWS) and unsaturated, on the state s = (x, z, PI sensor
+    lag, PI integrator) of a control instant, one (channels,) block each
+    after x: z as the step's law left it, the PI states as the step found
+    them. s+ = m s + sum_j drive[j] d_j over the period's n_sub substep load
+    rows d_j, and the step's command is u = c_u s + d_u d_0. m is
+    world.stepper's substep map composed n_sub times, in the stepped loop's
+    update order: measure, update each law, then hold the command over the
+    substeps. z and the PI states of a channel whose law does not use them
+    are held, as the stepped loop holds them. The step's watermark w rides
+    on the held command: it adds mark w to s+, through x and through z,
+    which integrates the applied command. Returns (m, drive, mark, c_u,
+    d_u), drive shaped (n_sub, states, loads) and mark (states, channels)."""
     plant, dt = world.plant, world.rts[0].dt
     n, n_x = len(world.cmd), plant.n_states
     a_d, b_u, b_l = world.stepper.a_d, world.stepper.b_d[:, :n], world.stepper.b_d[:, n:]
@@ -784,6 +795,7 @@ def _loop_map(world: _World, n_sub: int):
     x, z, lag, integ = (slice(0, n_x), *(slice(n_x + k * n, n_x + (k + 1) * n)
                                          for k in range(3)))
     m = np.zeros((integ.stop, integ.stop))
+    m[n_x:, n_x:] = np.eye(integ.stop - n_x)  # held, until a law below updates it
     drive = np.zeros((n_sub, integ.stop, plant.n_load))
     c_u, d_u = np.zeros((n, integ.stop)), np.zeros((n, plant.n_load))
     mark = np.zeros((integ.stop, n))  # the watermark rides on the held command
@@ -791,17 +803,16 @@ def _loop_map(world: _World, n_sub: int):
     pg_s[:, x] = plant.h_red @ plant.e  # measure_power's map of s; of d_0, f_map
     decay = math.exp(-dt / defaults.SENSOR_LAG_TAU)  # measure_frequency_lagged's
     for rt, ch in zip(world.rts, world.channels):
-        idx = np.arange(ch.start, ch.stop)
-        if rt.controller == "optimal-z":
+        idx, law = np.arange(ch.start, ch.stop), rt.active_law
+        if law == "optimal-z":
             c_u[ch, z][:, ch] = -rt.gain.k
-        elif rt.controller == "decentralized":
+        elif law == "decentralized":
             c_u[ch], d_u[ch] = rt.m_p[:, None] * pg_s[ch], rt.m_p[:, None] * plant.f_map[ch]
-        elif rt.controller == "pi":  # the new sensor output, then the integrator over it
+        elif law == "pi":  # the new sensor output, then the integrator over it
             m[idx + lag.start, 2 * idx + 1], m[idx + lag.start, idx + lag.start] = 1 - decay, decay
-            m[idx + integ.start, idx + integ.start] = 1.0
             m[integ][ch] += dt * m[lag][ch]
             c_u[ch] = -(defaults.PI_KP * m[lag][ch] + defaults.PI_KI * m[integ][ch])
-        if rt.controller in ("optimal-z", "decentralized"):  # z_update of u and pg
+        if law in ("optimal-z", "decentralized"):  # z_update of u and pg
             gain = dt * rt.omega_c[:, None]
             m[z][ch] = gain * (c_u[ch] - rt.m_p[:, None] * pg_s[ch])
             m[idx + z.start, idx + z.start] += 1.0
@@ -816,26 +827,34 @@ def _loop_map(world: _World, n_sub: int):
     return m, drive, mark, c_u, d_u
 
 
-def _run_linear(world: _World, loads: np.ndarray) -> bool:
-    """Fill the world's log from one recursion of its loop map (_loop_map)
-    over the load schedule loads, (steps, substeps, loads), and the run's
-    watermark, drawn in one block from a fresh copy of each grid's stream; then
-    step each detector over the finished log. Return True; return False and
-    write nothing if a state is not finite or a command leaves
+def _run_linear(world: _World, loads: np.ndarray, k0: int) -> bool:
+    """Fill the world's log rows k0 + 1... from one recursion of its loop map
+    (_loop_map) over the load schedule loads, (steps, substeps, loads), from
+    step k0 on: from the loop's state at step k0, its events fired, and the
+    rest of the run's watermark, drawn in one block from a copy of each
+    grid's stream; log the z_hat that a grid off its observer law holds;
+    then step each detector over the finished rows. Return True; return
+    False, and change nothing, if a state is not finite or a command leaves
     +-COMMAND_LIMIT, where the stepped loop would saturate it."""
     m, drive, mark, c_u, d_u = _loop_map(world, loads.shape[1])
+    loads = loads[k0:]
     n_steps, n_x, n = loads.shape[0], world.plant.n_states, len(world.cmd)
     drives = np.einsum("ksl,sil->ki", loads, drive, optimize=True)  # one gemm
     marked = [(rt, ch) for rt, ch in zip(world.rts, world.channels)
               if rt.wm_source is not None and rt.enabled]
     wm = np.zeros((n_steps, n))
-    for rt, ch in marked:  # a fresh stream: a declined run steps from rt.wm_source's start
-        wm[:, ch] = WatermarkSource(rt.spec.detector.watermark, rt.n).draw(n_steps)
+    for rt, ch in marked:  # a copy: a declined tail steps on from rt.wm_source's state
+        wm[:, ch] = copy.deepcopy(rt.wm_source).draw(n_steps)
     if marked:  # a run without a watermark keeps its bits
         drives += wm @ mark.T
-    s = _recursion_rows(m.T, np.zeros(m.shape[0]), drives)
+    # step k0's state: z as its law leaves it (z_update of the step before), the rest as found
+    z = [z_update(rt.z, rt.applied, rt.log["pg_rx"][k0], rt.dt, rt.omega_c, rt.m_p)
+         if rt.active_law in ("optimal-z", "decentralized") else rt.z for rt in world.rts]
+    start = np.concatenate([world.x, *z, *(rt.sensor_y for rt in world.rts),
+                            *(rt.pi_integ for rt in world.rts)])
+    s = _recursion_rows(m.T, start, drives)
     # optimal-z and pi command -(...), whose zero is -0.0, as their stepped laws do
-    sign = np.concatenate([[-1.0 if rt.controller in ("optimal-z", "pi") else 1.0] * rt.n
+    sign = np.concatenate([[-1.0 if rt.active_law in ("optimal-z", "pi") else 1.0] * rt.n
                            for rt in world.rts])
     u = sign * (s @ (sign[:, None] * c_u).T + loads[:, 0] @ (sign[:, None] * d_u).T)
     if not (np.isfinite(s).all() and (np.abs(u) <= defaults.COMMAND_LIMIT).all()):
@@ -844,10 +863,12 @@ def _run_linear(world: _World, loads: np.ndarray) -> bool:
     pg = measure_power(world.plant, x.T, loads[:, 0].T).T
     for name, rows in (("ddelta", x[:, 0::2]), ("domega", x[:, 1::2]), ("pg", pg),
                        ("pg_rx", pg), ("dws", u), ("wm", wm), ("z", s[:, n_x:n_x + n])):
-        world.log[name][1:] = rows
-    for rt in world.rts:  # a detector that cannot act reads the log it would have read
-        if rt.det_state is not None:
-            for rho in range(n_steps):
+        world.log[name][k0 + 1:] = rows
+    for rt in world.rts:
+        if rt.z_hat is not None:  # no tail law reads it: held, as the stepped loop logs it
+            rt.log["zhat"][k0 + 1:] = rt.z_hat
+        if rt.det_state is not None:  # it cannot act: it reads the log it would have read
+            for rho in range(k0, k0 + n_steps):
                 _detect(rt, rho, rt.log["pg_rx"][rho + 1])
     return True
 
@@ -865,14 +886,17 @@ def _detect(rt: _GridRuntime, rho: int, y_rx: np.ndarray) -> bool:
 
 
 def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
-    """Fill the world's log by one sequential loop over control instants.
+    """Fill the world's log by one sequential loop over control instants,
+    handing the rest of the run to _run_linear at the handoff step K0
+    (run_scenario).
 
-    Per control instant: fire due events, measure true powers, corrupt the
-    received copies per the active attacks, step each enabled detector, fire
-    the auto response's events on a flag unless they are in effect, update
-    the active control law, superpose the watermark, then integrate the plant
-    to the next instant over the substep rows of loads. Every time is a step
-    index, and the loads' change mask is evaluated, before the loop starts.
+    Per control instant: fire due events, hand off if the instant is K0,
+    measure true powers, corrupt the received copies per the active attacks,
+    step each enabled detector, fire the auto response's events on a flag
+    unless they are in effect, update the active control law, superpose the
+    watermark, then integrate the plant to the next instant over the substep
+    rows of loads. Every time is a step index before the loop starts, and
+    the loads' change mask is evaluated for each part of the run it steps.
     """
     rts, dt_c, n_steps = world.rts, scenario.control_period, loads.shape[0]
     schedule: dict[int, list[Event]] = {}  # control step -> its events, in time order
@@ -883,7 +907,9 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
     atk_rngs = [np.random.default_rng([scenario.seed, 101, j])
                 for j in range(len(scenario.attacks))]
     histories = [rts[atk.grid].log["pg"][1:] for atk in scenario.attacks]
-    changed = _load_changes(loads).tolist()
+    # no event or attack from here on: the first step that may be K0
+    handoff = max([*schedule, *(steps[1] for steps in atk_steps)], default=0)
+    changed = _load_changes(loads[:handoff]).tolist()  # the rest's when it is stepped
     observe = scenario.auto_response == "observer" or scenario.tie is None  # else tie close
     ddelta_log, domega_log, pg_log, dws_log, wm_log = (
         world.log[k] for k in ("ddelta", "domega", "pg", "dws", "wm"))
@@ -895,6 +921,17 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
         # events due now (scripted)
         for ev in schedule.get(rho, ()):
             _apply_event(ev, scenario, rts, world, rho, loads[rho, 0])
+
+        # the handoff: the recursion takes the rest, unless a flag may still change a law
+        if rho == handoff:
+            live = scenario.auto_response != "none" and any(
+                rt.det_state is not None for rt in rts)
+            if (not live and all(rt.active_law in _LINEAR_LAWS for rt in rts)
+                    and _run_linear(world, loads, rho)):
+                return
+            if len(changed) == rho:
+                changed += _load_changes(loads[rho:]).tolist()
+            handoff = rho + 1 if live else n_steps  # else the laws are fixed: step to the end
 
         # true measurements, and the received ones: a replay reads earlier rows
         pg_log[r] = y_all = measure_power(world.plant, world.x, loads[rho, 0])

@@ -371,32 +371,33 @@ def identify(
 def _recursion_rows(a: np.ndarray, start: np.ndarray, drive: np.ndarray) -> np.ndarray:
     """Rows R[0..K-1] of R[0] = start, R[k+1] = R[k] @ a + drive[k], for K drive
     rows shaped like start, in two levels of about sqrt(K) steps: blocks of
-    p = ceil(sqrt(K)) samples (the last padded with zero drive) run their local
-    recursions L[q, s] from zero at once, the block starts follow
-    S[q + 1] = S[q] A^p + L[q, p], and R[q p + s] = S[q] A^s + L[q, s] is one
-    batched product. The rows equal the stepwise recursion up to rounding."""
+    p = ceil(sqrt(K)) samples run their local recursions L[q, s] from zero at
+    once, the block starts follow S[q + 1] = S[q] A^p + L[q, p], and
+    R[q p + s] = S[q] A^s + L[q, s] is one product per block. The rows equal
+    the stepwise recursion up to rounding. They are written over drive, which
+    the caller gives up: no second array of the rows' size is held."""
     shape, n_samples, n = np.shape(start), drive.shape[0], a.shape[0]
-    drive = drive.reshape(n_samples, -1, n)
-    width = drive.shape[1]
+    rows = drive.reshape(n_samples, -1, n)  # D[k], then L[q, s], then R[k]
+    width = rows.shape[1]
     p = math.isqrt(n_samples - 1) + 1  # ceil(sqrt(K))
     n_blocks = -(-n_samples // p)
-    rows = np.empty((n_blocks, p, width, n))  # L[q, s], then R[q p + s]
     local = np.zeros((n_blocks, width, n))
     for s in range(p):
-        rows[:, s] = local
+        reach = -(-(n_samples - s) // p)  # the blocks that reach s
+        d = rows[s::p].copy()
+        rows[s::p] = local[:reach]
         local = local @ a
-        local[: -(-(n_samples - s) // p)] += drive[s::p]  # the blocks that reach s
+        local[:reach] += d
     powers = np.empty((p + 1, n, n))
     powers[0] = np.eye(n)
     for s in range(p):
         powers[s + 1] = powers[s] @ a
-    starts = np.empty_like(local)
     start = np.reshape(start, (width, n))
     for q in range(n_blocks):
-        starts[q] = start
+        block = rows[q * p:(q + 1) * p]
+        block += start @ powers[:len(block)]
         start = start @ powers[p] + local[q]
-    rows += starts[:, None] @ powers[:p]
-    return rows.reshape(n_blocks * p, width, n)[:n_samples].reshape(n_samples, *shape)
+    return rows.reshape(n_samples, *shape)
 
 
 def _fit_input_matrix(a, c, u, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -720,7 +720,7 @@ def test_diverged_linear_run_exits_2_as_the_stepped_run(tmp_path, capsys, monkey
     cfg = tmp_path / "c.cfg"
     cfg.write_text(MINIMAL.replace("amplitude_w = 800.0", "amplitude_w = 1.7e308"))
     errors = []
-    for linear in (simcore._run_linear, lambda world, loads: False):
+    for linear in (simcore._run_linear, lambda world, loads, k0: False):
         monkeypatch.setattr(simcore, "_run_linear", linear)
         out = tmp_path / f"o{len(errors)}"
         assert run(["simulate", "--config", cfg, "--out", out, "--quiet"]) == cli.EXIT_NUMERIC
@@ -741,10 +741,12 @@ def _simulate_with_threads(tmp_path, config: Path, threads: str) -> Path:
     return out
 
 
-def test_simulate_does_not_depend_on_the_blas_thread_count(tmp_path):
-    """simulate on regulation_pulses.cfg, a closed-loop recursion, writes the
-    same timeseries.csv, byte for byte, with one OpenBLAS thread and with two."""
-    written = [(_simulate_with_threads(tmp_path, CONFIGS / "regulation_pulses.cfg", threads)
+@pytest.mark.parametrize("config", ["regulation_pulses.cfg", "collaborative.cfg"])
+def test_simulate_does_not_depend_on_the_blas_thread_count(tmp_path, config):
+    """simulate on regulation_pulses.cfg, a closed-loop recursion, and on
+    collaborative.cfg, whose tail after the tie close is one, writes the same
+    timeseries.csv, byte for byte, with one OpenBLAS thread and with two."""
+    written = [(_simulate_with_threads(tmp_path, CONFIGS / config, threads)
                 / "timeseries.csv").read_bytes() for threads in ("1", "2")]
     assert written[0] == written[1]
 

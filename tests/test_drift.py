@@ -4,6 +4,7 @@ largest difference relative to its column's peak."""
 
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -113,14 +114,64 @@ def test_observer_grid_response_sets_only_the_controller_and_the_response():
 
 
 def test_benchmark_jobs_end_with_the_first_nominal_detect_job(tmp_path):
-    """The nominal job comes after the attacked and auto-response runs, whose
-    output directories keep their names."""
+    """The late-flag job and then the nominal job come after the attacked and
+    auto-response runs, whose output directories keep their names."""
     names = [name for name, _ in drift.render_benchmark_jobs(tmp_path)]
     assert names[names.index("model"):] == [
         "model", "job000-detect-noise-00", "job001-detect-replay-one-00",
         "job002-detect-replay-all-00", "job003-auto-observer", "job004-auto-collaborative",
-        "job005-auto-observer-grid", "job006-detect-nominal-00"]
-    assert "\n[attack]\n" not in (tmp_path / "detect" / "job006-detect-nominal-00.cfg").read_text()
+        "job005-auto-observer-grid", "job006-detect-noise-05", "job007-detect-nominal-00"]
+    assert "\n[attack]\n" not in (tmp_path / "detect" / "job007-detect-nominal-00.cfg").read_text()
+
+
+def test_late_flag_job_first_flags_after_its_attack_window(tmp_path):
+    """LATE_FLAG is the first job, in ATTACK_STRATA order, whose first flag on
+    the benchmark's detect model falls after its attack window ends, so in
+    the tail the closed-loop recursion fills; the jobs before it flag inside
+    their windows or not at all."""
+    sys.path.insert(0, str(BENCH.parent / "perfbench"))
+    import workload
+    from microagc import cli
+
+    (tmp_path / workload.SETUP_CONFIG).write_text(workload.setup_config(), encoding="utf-8")
+    for cmd in ("identify", "calibrate"):
+        assert cli.main([cmd, "--config", str(tmp_path / workload.SETUP_CONFIG),
+                         "--out", str(tmp_path / workload.MODEL_DIR), "--quiet"]) == 0
+    strata = workload.library("detect")
+    late = drift.late_flag_job(strata)
+    jobs = [job for name in drift.ATTACK_STRATA for job in strata[name]]
+    for job in jobs[:jobs.index(late) + 1]:
+        cfg = tmp_path / f"{job.key}.cfg"
+        cfg.write_text(job.config, encoding="utf-8")
+        assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / job.key),
+                         "--quiet"]) == 0
+        rows = (tmp_path / job.key / "detector.csv").read_text().splitlines()
+        flag = rows[0].split(",").index("mg1_flag")
+        flagged = [float(row.split(",")[0]) for row in rows[1:] if row.split(",")[flag] != "0"]
+        end = float(re.search(r"\nend_s = (\S+)\n", job.config).group(1))
+        assert (job is late) == bool(flagged and flagged[0] >= end), job.key
+    assert late.key == drift.LATE_FLAG
+
+
+def test_saturating_run_sets_only_the_load_amplitude(tmp_path):
+    """The saturating run is collaborative.cfg at SATURATING_W, which drives
+    grid 2's commands to the command limit after the tie close."""
+    from microagc import cli, defaults
+
+    name, [argv] = drift.saturating_run(tmp_path)
+    assert cli.main([*argv, "--out", str(tmp_path / name), "--quiet"]) == 0
+    rows = (tmp_path / name / "timeseries.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    grid2 = [j for j, col in enumerate(header) if col.startswith("mg2_dws_")]
+    assert max(abs(float(row.split(",")[j])) for row in rows[1:] for j in grid2) == (
+        defaults.COMMAND_LIMIT)
+    assert name == "simulate-collaborative-saturating"
+    values = {kind: [sec.values for sec in secs]
+              for kind, secs in cli.parse_config(argv[2]).items()}
+    shipped = {kind: [sec.values for sec in secs] for kind, secs in
+               cli.parse_config(drift.ROOT / "configs" / "collaborative.cfg").items()}
+    shipped["load_signal"][0]["amplitude"] = float(drift.SATURATING_W)
+    assert values == shipped
 
 
 def test_zero_watermark_chain_zeroes_only_the_grid_watermark(tmp_path):

@@ -398,12 +398,13 @@ class TestRunScenario:
             self, trained_detector_quiet):
         """mg1_z at step k equals z_update applied to the logged dws + wm and
         pg_rx of step k - 1 (zeros at k = 0), bit for bit, with a watermark
-        and a noise attack on the received powers."""
+        and a noise attack on the received powers up to the horizon, so the
+        whole run is stepped."""
         g = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0),
                           detector=trained_detector_quiet,
                           load_signals=[cs.pulse_load_signal()])
         atk = m.AttackSpec(kind="noise-injection", channels=(1,), start=0.5,
-                           end=0.8, noise_std=300.0)
+                           end=1.0, noise_std=300.0)
         sc = m.Scenario(grids=(g,), horizon=1.0, seed=5, attacks=(atk,))
         log = m.run_scenario(sc).grids[0]
         omega_c = np.array([p.omega_c for p in g.ibrs])
@@ -897,19 +898,20 @@ _XI = {"xi1": 1, "xi2": 2}  # the detector statistics, in W and W^2: their power
 
 
 def _runs(scenario):
-    """(log, stepped log, whether the recursion filled the log) of scenario:
-    as run_scenario runs it, and with _run_linear declining, the stepped loop."""
+    """(log, stepped log, whether the recursion filled the log's tail) of
+    scenario: as run_scenario runs it, and with _run_linear declining, the
+    stepped loop from start to end."""
     taken = []
     inner = simcore._run_linear
 
-    def spy(world, loads):
-        taken.append(inner(world, loads))
+    def spy(world, loads, k0):
+        taken.append(inner(world, loads, k0))
         return taken[-1]
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(simcore, "_run_linear", spy)
         ts = m.run_scenario(scenario)
-        mp.setattr(simcore, "_run_linear", lambda world, loads: False)
+        mp.setattr(simcore, "_run_linear", lambda world, loads, k0: False)
         return ts, m.run_scenario(scenario), taken == [True]
 
 
@@ -931,13 +933,29 @@ _ZERO_MODEL = DiscreteModel(a_d=np.zeros((1, 1)), b_d=np.zeros((1, 2)), c_d=np.z
                             dt=defaults.CONTROL_PERIOD, order=1)
 
 
+def _window(draw, n_steps: int, replay: bool) -> dict:
+    """An attack window, in seconds, that ends before step n_steps; a replay's
+    source window precedes it."""
+    dt = defaults.CONTROL_PERIOD
+    start = draw(st.integers(2 if replay else 0, n_steps - 2))
+    times = dict(start=start * dt, end=draw(st.integers(start + 1, n_steps - 1)) * dt)
+    if replay:
+        source = draw(st.integers(0, start - 1))
+        times.update(replay_from=source * dt,
+                     replay_to=draw(st.integers(source + 1, start)) * dt)
+    return times
+
+
 @st.composite
 def _linear_scenarios(draw, trained):
     """One or two study grids side by side, each on a linear law, up to 2 s,
     each without a detector or with one that cannot act: open (grid 1 runs
     trained's model, grid 2 _ZERO_MODEL) or, on grid 1, trained, each with
-    its own watermark, whose std may be 0."""
-    horizon = draw(st.integers(1, 400)) * defaults.CONTROL_PERIOD
+    its own watermark, whose std may be 0. The run may switch grids off and
+    on, close a tie between two grids, and attack grid 1's received powers
+    by noise or replay in a window that ends before the horizon."""
+    n_steps = draw(st.integers(1, 400))
+    horizon = n_steps * defaults.CONTROL_PERIOD
     grids = []
     for gi, (make, n_load) in enumerate(((cs.grid1_spec, 2),
                                          (cs.grid2_spec, 1))[:draw(st.integers(1, 2))]):
@@ -951,21 +969,31 @@ def _linear_scenarios(draw, trained):
                                           draw(st.sampled_from((10, defaults.DETECTOR_WINDOW)))))
         grids.append(replace(make(controller=draw(st.sampled_from(simcore._LINEAR_LAWS)),
                                   load_signals=signals), detector=detector))
-    return m.Scenario(grids=tuple(grids), horizon=horizon)
+    at = st.integers(0, n_steps - 1).map(lambda k: k * defaults.CONTROL_PERIOD)
+    events = draw(st.lists(st.builds(m.Event, at, st.sampled_from(("controller_off",
+                                                                   "controller_on")),
+                                     st.integers(0, len(grids) - 1)), max_size=2))
+    tie = cs.default_tie() if len(grids) == 2 and draw(st.booleans()) else None
+    if tie is not None and draw(st.booleans()):
+        events.append(m.Event(draw(at), "tie_close"))
+    attacks = ()
+    kind = draw(st.sampled_from((None, "noise-injection", "replay")[:1 + 2 * (n_steps >= 4)]))
+    if kind is not None:
+        channels = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+        attacks = (m.AttackSpec(kind=kind, channels=tuple(channels),
+                                noise_std=draw(st.floats(0.0, 300.0)),
+                                **_window(draw, n_steps, kind == "replay")),)
+    return m.Scenario(grids=tuple(grids), horizon=horizon, tie=tie, events=tuple(events),
+                      attacks=attacks)
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
-@given(data=st.data())
-def test_linear_run_is_the_stepped_run_up_to_rounding(trained_detector_quiet, data):
-    """Every log column of the recursion is within 1e-11 of its peak of the
-    stepped one; a rad or rad/s column whose peak is round-off (a decentralized
-    law cancels a load exactly) within 1e-12 absolute, and a detector statistic
-    whose peak is round-off within 1e-11 of the received power's peak (xi1, in
-    W) or its square (xi2). Labels, flags and watermarks are equal, and no
+def _assert_stepped_up_to_rounding(ts, stepped):
+    """Every log column of ts is within 1e-11 of its peak of the fully stepped
+    log's; a rad or rad/s column whose peak is round-off (a decentralized law
+    cancels a load exactly) within 1e-12 absolute, and a detector statistic
+    whose peak is round-off within 1e-11 of the received power's peak (xi1,
+    in W) or its square (xi2). Labels, flags and watermarks are equal, and no
     watermark cell is -0."""
-    scenario = data.draw(_linear_scenarios(trained_detector_quiet))
-    ts, stepped, linear = _runs(scenario)
-    assert linear
     for name, col in stepped.columns.items():
         if col.dtype == object:
             assert list(ts.columns[name]) == list(col)
@@ -981,6 +1009,30 @@ def test_linear_run_is_the_stepped_run_up_to_rounding(trained_detector_quiet, da
             floor = (1e-11 * np.max(np.abs(stepped.grids[int(name[2]) - 1]["pg_rx"]))) ** _XI[kind]
         bound = max(1e-11 * np.max(np.abs(col), initial=0.0), floor)
         assert np.max(np.abs(ts.columns[name] - col), initial=0.0) <= bound, name
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_linear_run_is_the_stepped_run_up_to_rounding(trained_detector_quiet, data):
+    """The recursion takes the run's tail after its last event and attack,
+    and its log is the fully stepped run's up to rounding."""
+    scenario = data.draw(_linear_scenarios(trained_detector_quiet))
+    ts, stepped, linear = _runs(scenario)
+    assert linear
+    _assert_stepped_up_to_rounding(ts, stepped)
+
+
+def test_a_switched_off_observer_grid_logs_its_held_z_hat():
+    """An observer grid switched off at 0.2 s runs no law, so the recursion
+    takes the rest of the run: it logs the z_hat the grid holds, bit for bit
+    as the stepped loop logs it, and the rest up to rounding."""
+    sc, _ = _observer_run()
+    ts, stepped, linear = _runs(replace(sc, events=(m.Event(0.2, "controller_off"),)))
+    assert linear
+    zhat = ts.grids[0]["zhat"]
+    assert np.all(zhat[40:] == zhat[39]) and np.all(zhat[39] != 0.0)
+    assert zhat.tobytes() == stepped.grids[0]["zhat"].tobytes()
+    _assert_stepped_up_to_rounding(ts, stepped)
 
 
 def test_saturating_run_is_the_stepped_run_bit_for_bit():
@@ -1010,27 +1062,76 @@ def test_saturating_detector_run_is_the_stepped_run_bit_for_bit(trained_detector
                 else ts.columns[name].tobytes() == col.tobytes()), name
 
 
+def _tie_saturating_run(detector=None) -> m.Scenario:
+    """The study grids with a tie: grid 1 (optimal-z, detector) goes off at
+    0.2 s, the tie closes at 0.3 s, and a 40 kW load step on grid 1 at 0.5 s
+    drives grid 2's commands to +-COMMAND_LIMIT."""
+    sig = m.LoadSignalSpec(kind="step", amplitude=40000.0, load_index=0, step_time=0.5)
+    return m.Scenario(grids=(cs.grid1_spec(load_signals=[sig], detector=detector),
+                             cs.grid2_spec()), horizon=1.0, tie=cs.default_tie(),
+                      events=(m.Event(0.2, "controller_off"), m.Event(0.3, "tie_close")))
+
+
+def _event_saturating_run(detector) -> m.Scenario:
+    """The study grids side by side: grid 2 goes off at 0.2 s, and a 40 kW load
+    step at 0.5 s drives the commands of grid 1 (optimal-z, detector) to
+    +-COMMAND_LIMIT, its detector and watermark live throughout."""
+    sig = m.LoadSignalSpec(kind="step", amplitude=40000.0, load_index=0, step_time=0.5)
+    return m.Scenario(grids=(cs.grid1_spec(load_signals=[sig], detector=detector),
+                             cs.grid2_spec()), horizon=1.0,
+                      events=(m.Event(0.2, "controller_off", 1),))
+
+
+@pytest.mark.parametrize("make", [_tie_saturating_run, _event_saturating_run],
+                         ids=["tie", "event"])
+def test_declined_tail_steps_on_to_the_stepped_run_bit_for_bit(trained_detector_quiet, make):
+    """A tail that would saturate is declined at its handoff step: stepping
+    resumes there from the state the tail left untouched, so the log, wm and
+    the detector columns included, is the fully stepped run's, bit for bit."""
+    ts, stepped, linear = _runs(make(trained_detector_quiet))
+    assert not linear
+    assert np.abs(ts.columns["mg2_dws_1" if make is _tie_saturating_run else "mg1_dws_1"]
+                  ).max() == defaults.COMMAND_LIMIT
+    assert np.abs(ts.grids[0]["wm"][:40]).min() > 0.0
+    for name, col in stepped.columns.items():
+        assert (list(ts.columns[name]) == list(col) if col.dtype == object
+                else ts.columns[name].tobytes() == col.tobytes()), name
+
+
 @pytest.mark.parametrize("kind", ["linear", "slow-lqr", "detector", "event", "attack", "tie",
-                                  "auto-response"])
+                                  "auto-response", "collaborative"])
 def test_only_a_linear_run_skips_the_stepper(monkeypatch, trained_detector_quiet, kind):
-    """A slow-lqr, event, attack or tie run, and a detector run whose flag may
-    engage a response, make one ZohStepper.step call per control step; a run
-    of linear laws alone makes none, with a detector that cannot act or none."""
+    """ZohStepper.step runs once per control step before the handoff step K0,
+    where the recursion takes the rest: K0 is the event's step, the attack
+    window's end, 0 for a linear run (a detector that cannot act, or a tie
+    that never closes, changes nothing), the step after the flag that closes
+    the tie for a collaborative response, and never (n_steps) for a slow-lqr
+    law or a detector whose flag engages the observer law."""
+    g = cs.grid1_spec(controller="slow-lqr" if kind == "slow-lqr" else "optimal-z",
+                      weights=m.CostWeights.uniform(3, q=10.0),
+                      detector=(trained_detector_quiet if kind in ("detector", "auto-response",
+                                                                   "collaborative")
+                                else None),
+                      load_signals=[cs.pulse_load_signal()])
+    attacked = kind in ("attack", "collaborative")
+    sc = m.Scenario(
+        grids=(g, cs.grid2_spec()) if kind in ("tie", "collaborative") else (g,),
+        horizon=0.5 if kind != "collaborative" else 1.0,
+        tie=cs.default_tie() if kind in ("tie", "collaborative") else None,
+        events=(m.Event(0.2, "controller_off"),) if kind == "event" else (),
+        attacks=((m.AttackSpec(kind="noise-injection", channels=(0,), start=0.1, end=0.3,
+                               noise_std=100.0 if kind == "attack" else 800.0),)
+                 if attacked else ()),
+        auto_response={"auto-response": "observer",
+                       "collaborative": "collaborative"}.get(kind, "none"))
+    k0 = {"linear": 0, "detector": 0, "tie": 0, "event": 40, "attack": 60,
+          "slow-lqr": sc.n_steps, "auto-response": sc.n_steps}.get(kind)
+    if kind == "collaborative":
+        k0 = int(np.flatnonzero(m.run_scenario(sc).grids[0]["flag"])[0]) + 1
+        assert k0 < sc.n_steps
     calls = []
     step = simcore.ZohStepper.step
     monkeypatch.setattr(simcore.ZohStepper, "step",
                         lambda *args: calls.append(1) or step(*args))
-    g = cs.grid1_spec(controller="slow-lqr" if kind == "slow-lqr" else "optimal-z",
-                      weights=m.CostWeights.uniform(3, q=10.0),
-                      detector=(trained_detector_quiet if kind in ("detector", "auto-response")
-                                else None),
-                      load_signals=[cs.pulse_load_signal()])
-    sc = m.Scenario(
-        grids=(g, cs.grid2_spec()) if kind == "tie" else (g,), horizon=0.5,
-        tie=cs.default_tie() if kind == "tie" else None,
-        events=(m.Event(0.2, "controller_off"),) if kind == "event" else (),
-        attacks=((m.AttackSpec(kind="noise-injection", channels=(0,), start=0.1, end=0.3,
-                               noise_std=100.0),) if kind == "attack" else ()),
-        auto_response="observer" if kind == "auto-response" else "none")
     m.run_scenario(sc)
-    assert len(calls) == (0 if kind in ("linear", "detector") else sc.n_steps)
+    assert len(calls) == k0

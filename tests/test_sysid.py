@@ -265,12 +265,14 @@ def test_recursion_rows_are_the_stepwise_recursion(layout, n_samples, n, m_in, r
                                                    seed):
     """The blocked recursion of both its callers, the identification record
     and the B/x0 regressor, gives the sample-by-sample rows to 1e-12 of each
-    column's peak, on padded and unpadded record lengths."""
+    column's peak, on padded and unpadded record lengths. It writes the rows
+    over its drive."""
     rng = np.random.default_rng(seed)
     a, _, _ = random_discrete_system(n, 1, 1, rng, radius=radius)
     a, start, drive = layout(rng, n, m_in, n_samples, a)
-    rows = sysid._recursion_rows(a, start, drive)
     ref = stepwise_rows(a, start, drive)
+    rows = sysid._recursion_rows(a, start, drive)
+    assert np.shares_memory(rows, drive)
     assert rows.shape == ref.shape == (n_samples, *np.shape(start))
     err = np.abs(rows - ref).reshape(n_samples, -1)
     assert np.all(err <= 1e-12 * np.max(np.abs(ref.reshape(n_samples, -1)), axis=0))

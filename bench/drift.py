@@ -66,10 +66,11 @@ that differs is printed, both sides. Then for every output file it prints
 either "identical" or the number of differing cells and their largest
 relative difference. Cells are the fields of a line split on commas and
 whitespace; a cell that differs and is not a number on both sides, and a
-cell present on one side only, counts as an infinite relative difference. For a CSV file it also prints the largest
-peak-relative difference, |a - b| / max |column| over both sides, which tells
-a round-off change of a near-zero cell (a large relative difference) from a
-real one. Exits 0 when everything is identical, 1 when anything drifted.
+cell present on one side only, counts as an infinite relative difference.
+For a CSV file it also prints the largest peak-relative difference,
+|a - b| / max |column| over both sides, which tells a round-off change of a
+near-zero cell (a large relative difference) from a real one. Exits 0 when
+everything is identical, 1 when anything drifted.
 """
 
 from __future__ import annotations

@@ -543,7 +543,7 @@ def cmd_detect(sections: dict[str, list[Section]], out: Path, args) -> None:
         e_prev = e[k - 1] if k > 0 else np.zeros(model.n_inputs)
         flags[k], _ = dw_step(state, baseline, model, y[k], u_prev, e_prev)
         xi[k] = state.xi1, state.xi2
-    check_finite("the replay", t, [(["xi1", "xi2"], xi)])
+    check_finite("the replay", t, {"xi1": xi[:, 0], "xi2": xi[:, 1]})
     write_table(out / sec.value("telemetry_file", "detector.csv"),
                 ["t", "xi1", "xi2", "eps1", "eps2", "flag"],
                 [t, *xi.T, np.full(n_steps, baseline.eps1), np.full(n_steps, baseline.eps2),

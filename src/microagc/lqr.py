@@ -10,6 +10,9 @@ solution of K T ~ K'. Runtime laws:
   observer       dws = -K z_hat        (z_hat integrated from the detector model's
                                         predicted powers; simcore's _bind_law)
   pi             discrete PI on lagged frequency measurements (baseline)
+
+Both simcore engines call these functions: the stepped loop on each step's
+values, the closed-loop map (_loop_map) on the basis of the loop's state.
 """
 
 from __future__ import annotations

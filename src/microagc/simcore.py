@@ -3,16 +3,13 @@ models, attack injection, load signals, tie-line switching, and the resilient
 control orchestration (detect, then correct locally or collaboratively).
 
 One scenario is a sequential loop over control instants, the run's head,
-then one closed-loop recursion of the same loop's one-period map, its tail;
-the plant is integrated between instants at a finer substep with all inputs
-held constant over each substep. The tail starts, from the loop's exact
-state, at the handoff step: the first at which the run's scheduled events
-have fired, its attack windows have ended, every active law is linear and no
-detector can act (no auto response, or every detector retired). If a command
-would saturate, the loop steps on instead. The tail's watermark, drawn in one
-block from each grid's stream, is one more drive of that map, and its
-detectors step over the finished log. A run of linear laws with no event or
-attack is all tail; a slow-lqr or observer run is all head. Every run has
+then one closed-loop recursion of the same loop's one-period map, its tail,
+from the loop's exact state at the handoff step K0 (run_scenario states
+when that is); the plant is integrated between instants at a finer substep
+with all inputs held constant over each substep. The map's law rows are the
+laws' own functions, evaluated on the basis of the loop's state. The tail's
+watermark, drawn in one block from each grid's stream, is one more drive of
+that map, and its detectors step over the finished log. Every run has
 one world plant: the grid plants side by side (block-diagonal) until the tie
 closes, the merged network's plant after, so all grids are measured and
 stepped together through one path, one block step per control period over a
@@ -708,24 +705,19 @@ class _World:
         self.tied = True
 
 
-def check_finite(what: str, time_axis: np.ndarray,
-                 columns: list[tuple[list[str], np.ndarray]]) -> None:
+def check_finite(what: str, time_axis: np.ndarray, columns: dict[str, np.ndarray]) -> None:
     """Raise SimulationError naming the time and column of the first value of
-    columns, (names, (steps, len(names)) array) pairs, that is not finite: what
-    diverged. Of two such values at one step, the earlier column in columns
-    order is named."""
-    first = []  # (step, index in columns) of each array's first bad row
-    for order, (_, values) in enumerate(columns):
-        rows_ok = np.isfinite(values).all(axis=1)
-        if not rows_ok.all():
-            first.append((int(np.argmin(rows_ok)), order))
-    if not first:
-        return
-    k, order = min(first)
-    names, values = columns[order]
-    ch = int(np.argmin(np.isfinite(values[k])))
-    raise SimulationError(
-        f"{what} diverged at t={time_axis[k]:.4f}s: {names[ch]} = {values[k, ch]}")
+    columns, {name: 1-D column}, that is not finite: what diverged. Of two
+    such values at one step, the earlier column in columns order is named."""
+    first = []  # (step, index in columns, name) of each column's first bad value
+    for order, (name, values) in enumerate(columns.items()):
+        ok = np.isfinite(values)
+        if not ok.all():
+            first.append((int(np.argmin(ok)), order, name))
+    if first:
+        k, _, name = min(first)
+        raise SimulationError(f"{what} diverged at t={time_axis[k]:.4f}s: "
+                              f"{name} = {columns[name][k]}")
 
 
 # ---------------------------------------------------------------------------
@@ -746,11 +738,11 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     then the loop steps on to the end. A run of linear laws with no event,
     attack or tie close is all tail (K0 = 0); a run whose head never ends
     (a slow-lqr or observer law, a detector whose flag may respond) is all
-    head. Both parts give a detector the same inputs and draw the same
-    watermark. The loads at every substep are evaluated before either
-    starts. A float value of the returned log that is not finite is a
-    SimulationError naming the first such step and, of that step, the
-    first such column in the CSV's order.
+    head. Both parts run the same law functions, give a detector the same
+    inputs and draw the same watermark. The loads at every substep are
+    evaluated before either starts. A float value of the returned log that
+    is not finite is a SimulationError naming the first such step and, of
+    that step, the first such column in the CSV's order.
     """
     n_steps = scenario.n_steps
     dt_c = scenario.control_period
@@ -766,8 +758,8 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
                         world.plant.n_load)
     _run_stepped(scenario, world, loads)
     ts = TimeSeries(time_axis, [{name: rt.log[name][1:] for name, _, _ in _LOG} for rt in rts])
-    check_finite("the run", time_axis, [([name], col[:, None]) for name, col in
-                                        ts.columns.items() if col.dtype == float])
+    check_finite("the run", time_axis,
+                 {name: col for name, col in ts.columns.items() if col.dtype == float})
     return ts
 
 
@@ -780,11 +772,14 @@ def _loop_map(world: _World, n_sub: int):
     rows d_j, and the step's command is u = c_u s + d_u d_0. m is
     world.stepper's substep map composed n_sub times, in the stepped loop's
     update order: measure, update each law, then hold the command over the
-    substeps. z and the PI states of a channel whose law does not use them
-    are held, as the stepped loop holds them. The step's watermark w rides
-    on the held command: it adds mark w to s+, through x and through z,
-    which integrates the applied command. Returns (m, drive, mark, c_u,
-    d_u), drive shaped (n_sub, states, loads) and mark (states, channels)."""
+    substeps. Its measurement and law rows are the functions the stepped
+    loop's laws call, each linear in its state and inputs, evaluated on the
+    basis of the step's inputs (s, d_0 and the watermark w), per-IBR
+    constants as columns. z and the PI states of a channel whose law does
+    not use them are held, as the stepped loop holds them. w rides on the
+    held command: it adds mark w to s+, through x and through z, which
+    integrates the applied command. Returns (m, drive, mark, c_u, d_u),
+    drive shaped (n_sub, states, loads) and mark (states, channels)."""
     plant, dt = world.plant, world.rts[0].dt
     n, n_x = len(world.cmd), plant.n_states
     a_d, b_u, b_l = world.stepper.a_d, world.stepper.b_d[:, :n], world.stepper.b_d[:, n:]
@@ -792,32 +787,30 @@ def _loop_map(world: _World, n_sub: int):
     for _ in range(n_sub - 1):
         sub.insert(0, a_d @ sub[0])
     sub = np.stack(sub)
-    x, z, lag, integ = (slice(0, n_x), *(slice(n_x + k * n, n_x + (k + 1) * n)
-                                         for k in range(3)))
-    m = np.zeros((integ.stop, integ.stop))
-    m[n_x:, n_x:] = np.eye(integ.stop - n_x)  # held, until a law below updates it
-    drive = np.zeros((n_sub, integ.stop, plant.n_load))
-    c_u, d_u = np.zeros((n, integ.stop)), np.zeros((n, plant.n_load))
-    mark = np.zeros((integ.stop, n))  # the watermark rides on the held command
-    pg_s = np.zeros((n, integ.stop))
-    pg_s[:, x] = plant.h_red @ plant.e  # measure_power's map of s; of d_0, f_map
-    decay = math.exp(-dt / defaults.SENSOR_LAG_TAU)  # measure_frequency_lagged's
+    bounds = np.cumsum([0, n_x, n, n, n, plant.n_load, n])  # s = (x, z, lag, integ), d_0, w
+    x, z, lag, integ, d_0, w = map(slice, bounds[:-1], bounds[1:])
+    n_s, basis = integ.stop, np.eye(bounds[-1])  # one column per input
+    pg, s = measure_power(plant, basis[x], basis[d_0]), basis[:, :n_s]
+    u = np.zeros((n, len(basis)))  # the law's command
+    new = basis[:n_s].copy()  # s+: z and the PI states held until a law updates them, x below
     for rt, ch in zip(world.rts, world.channels):
-        idx, law = np.arange(ch.start, ch.stop), rt.active_law
+        law, m_p = rt.active_law, rt.m_p[:, None]
         if law == "optimal-z":
-            c_u[ch, z][:, ch] = -rt.gain.k
+            u[ch, z][:, ch] = control_optimal(rt.gain, np.eye(rt.n))
         elif law == "decentralized":
-            c_u[ch], d_u[ch] = rt.m_p[:, None] * pg_s[ch], rt.m_p[:, None] * plant.f_map[ch]
-        elif law == "pi":  # the new sensor output, then the integrator over it
-            m[idx + lag.start, 2 * idx + 1], m[idx + lag.start, idx + lag.start] = 1 - decay, decay
-            m[integ][ch] += dt * m[lag][ch]
-            c_u[ch] = -(defaults.PI_KP * m[lag][ch] + defaults.PI_KI * m[integ][ch])
-        if law in ("optimal-z", "decentralized"):  # z_update of u and pg
-            gain = dt * rt.omega_c[:, None]
-            m[z][ch] = gain * (c_u[ch] - rt.m_p[:, None] * pg_s[ch])
-            m[idx + z.start, idx + z.start] += 1.0
-            drive[0, z][ch] = gain * (d_u[ch] - rt.m_p[:, None] * plant.f_map[ch])
-            mark[idx + z.start, idx] = gain[:, 0]  # z_update integrates cmd + wm
+            u[ch] = control_decentralized(m_p, pg[ch])
+        elif law == "pi":  # of s alone: the new sensor output, then the integrator over it
+            new[lag][ch, :n_s] = measure_frequency_lagged(s[x][1::2][ch], s[lag][ch],
+                                                          defaults.SENSOR_LAG_TAU, dt)
+            u[ch, :n_s], new[integ][ch, :n_s] = control_pi_baseline(
+                defaults.PI_KP, defaults.PI_KI, new[lag][ch, :n_s], dt, s[integ][ch])
+        if law in ("optimal-z", "decentralized"):  # z integrates the applied command, u + w
+            new[z][ch] = z_update(basis[z][ch], u[ch] + basis[w][ch], pg[ch], dt,
+                                  rt.omega_c[:, None], m_p)
+    c_u, d_u = u[:, :n_s], u[:, d_0]
+    m, mark = new[:, :n_s].copy(), new[:, w].copy()
+    drive = np.zeros((n_sub, n_s, plant.n_load))
+    drive[0] = new[:, d_0]
     hold = (sub @ b_u).sum(axis=0)  # the command held over the period
     m[x, x] = a_d @ sub[0]
     m[x] += hold @ c_u
@@ -830,8 +823,8 @@ def _loop_map(world: _World, n_sub: int):
 def _run_linear(world: _World, loads: np.ndarray, k0: int) -> bool:
     """Fill the world's log rows k0 + 1... from one recursion of its loop map
     (_loop_map) over the load schedule loads, (steps, substeps, loads), from
-    step k0 on: from the loop's state at step k0, its events fired, and the
-    rest of the run's watermark, drawn in one block from a copy of each
+    the handoff step k0 (run_scenario) on: from the loop's state at step k0,
+    its events fired, and the rest of the run's watermark, drawn in one block from a copy of each
     grid's stream; log the z_hat that a grid off its observer law holds;
     then step each detector over the finished rows. Return True; return
     False, and change nothing, if a state is not finite or a command leaves
@@ -920,7 +913,7 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
 
         # events due now (scripted)
         for ev in schedule.get(rho, ()):
-            _apply_event(ev, scenario, rts, world, rho, loads[rho, 0])
+            _apply_event(ev, scenario, world, rho, loads[rho, 0])
 
         # the handoff: the recursion takes the rest, unless a flag may still change a law
         if rho == handoff:
@@ -952,7 +945,7 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
                          "observer law engaged" if observe else "networking with neighbor")
                 for ev in ([Event(t, "observer_on", gi)] if observe else
                            [Event(t, "controller_off", gi), Event(t, "tie_close")]):
-                    _apply_event(ev, scenario, rts, world, rho, loads[rho, 0], x_hat)
+                    _apply_event(ev, scenario, world, rho, loads[rho, 0], x_hat)
 
         # control laws and watermark, logged
         ddelta_log[r], domega_log[r] = world.x[0::2], world.x[1::2]
@@ -971,14 +964,14 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
         world.x = world.stepper.step(world.x, world.applied, loads[rho], changed[rho])
 
 
-def _apply_event(ev: Event, scenario: Scenario, rts: list[_GridRuntime], world: _World,
-                 rho: int, d_p_l: np.ndarray, x_hat: np.ndarray | None = None) -> None:
+def _apply_event(ev: Event, scenario: Scenario, world: _World, rho: int, d_p_l: np.ndarray,
+                 x_hat: np.ndarray | None = None) -> None:
     """Fire ev at control step rho, with load deviations d_p_l at that instant:
     the one place a run changes a grid's law, observer, watermark or detector.
     observer_on starts the observer law from z(rho - 1) and x_hat, the detector's
     prediction state at step rho's start (default: its state now); on a grid
     whose law is already the observer it only switches the grid on."""
-    t = rho * scenario.control_period
+    t, rts = rho * scenario.control_period, world.rts
     rt = rts[ev.grid] if ev.action != "tie_close" else None
     if ev.action in ("controller_on", "controller_off"):
         rt.enabled = ev.action == "controller_on"

@@ -908,7 +908,8 @@ def _exits_cleanly(argv, usage: str) -> int:
     if rc == cli.EXIT_USAGE:
         assert re.search(usage, err.getvalue(), re.M), err.getvalue()
     elif rc == cli.EXIT_OK and argv[0] == "simulate":
-        values = re.findall(r"= (\S+)", (Path(argv[argv.index("--out") + 1]) / "summary.txt").read_text())
+        summary = Path(argv[argv.index("--out") + 1]) / "summary.txt"
+        values = re.findall(r"= (\S+)", summary.read_text())
         assert all(math.isfinite(float(v)) for v in values if v != "none"), values
     elif rc != cli.EXIT_OK:
         assert rc == cli.EXIT_NUMERIC, err.getvalue()

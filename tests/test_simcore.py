@@ -1022,6 +1022,26 @@ def test_linear_run_is_the_stepped_run_up_to_rounding(trained_detector_quiet, da
     _assert_stepped_up_to_rounding(ts, stepped)
 
 
+@pytest.mark.parametrize("law, name, variant", [
+    ("optimal-z", "z_update", lambda f: lambda z, u, pg, dt, omega_c, m_p:
+        f(z, u, pg, dt / 2, omega_c, m_p)),
+    ("decentralized", "control_decentralized", lambda f: lambda m_p, pg: f(m_p / 2, pg)),
+    ("pi", "measure_frequency_lagged", lambda f: lambda w, y, tau, h: f(w, y, tau / 10, h)),
+], ids=["optimal-z", "decentralized", "pi"])
+def test_the_recursion_runs_the_law_functions(monkeypatch, law, name, variant):
+    """The recursion's map is built from the law and sensor functions the
+    stepped loop calls: with one of them changed (still linear), a run whose
+    grid goes off and on again, so that it has a head and a tail, is the
+    fully stepped run up to rounding."""
+    monkeypatch.setattr(simcore, name, variant(getattr(simcore, name)))
+    sc = m.Scenario(grids=(cs.grid1_spec(controller=law, load_signals=[cs.pulse_load_signal()]),),
+                    horizon=0.5, events=(m.Event(0.1, "controller_off"),
+                                         m.Event(0.2, "controller_on")))
+    ts, stepped, linear = _runs(sc)
+    assert linear
+    _assert_stepped_up_to_rounding(ts, stepped)
+
+
 def test_a_switched_off_observer_grid_logs_its_held_z_hat():
     """An observer grid switched off at 0.2 s runs no law, so the recursion
     takes the rest of the run: it logs the z_hat the grid holds, bit for bit

@@ -268,7 +268,7 @@ def parse_config(path) -> dict[str, list[Section]]:
 
 def _first_section(sections: dict[str, list[Section]], name: str) -> Section:
     if not sections[name]:
-        raise ConfigError(f"config has no [{name}] section")
+        raise ConfigError(f"{sections[''][0].path}: config has no [{name}] section")
     return sections[name][0]
 
 
@@ -382,9 +382,8 @@ def build_scenario(sections: dict[str, list[Section]], base_dir: Path) -> Scenar
 
 def open_detector(model: DiscreteModel, watermark: WatermarkConfig, window: int) -> DetectorSetup:
     """model's DetectorSetup with watermark, its window-long thresholds open: it never flags."""
-    n = model.n_outputs
     return DetectorSetup(model=model, watermark=watermark, baseline=BaselineStats(
-        mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=window))
+        mu_star=np.zeros(model.n_outputs), trace=0.0, w=window))
 
 
 def calibrate_detector(run: Scenario, margin: float) -> DetectorSetup:
@@ -403,24 +402,21 @@ def calibrate_detector(run: Scenario, margin: float) -> DetectorSetup:
 
 
 def save_baseline(baseline: BaselineStats, path) -> None:
-    BlockFile.write(path, {"window": baseline.w, "eps1": baseline.eps1, "eps2": baseline.eps2},
-                    {"mu": baseline.mu_star, "sigma": baseline.sigma_star})
+    BlockFile.write(path, {"window": baseline.w, "eps1": baseline.eps1, "eps2": baseline.eps2,
+                           "trace": baseline.trace, "n_outputs": baseline.mu_star.size},
+                    {"mu": baseline.mu_star})
 
 
 # a threshold is > 0; inf, the open threshold of BaselineStats, is one
 THRESHOLD = (float, lambda v: v > 0.0, "> 0")
-BASELINE_KEYS = {"window": COUNT, "eps1": THRESHOLD, "eps2": THRESHOLD}
+BASELINE_KEYS = {"window": COUNT, "eps1": THRESHOLD, "eps2": THRESHOLD,
+                 "trace": NON_NEGATIVE, "n_outputs": COUNT}
 
 
 def load_baseline(path) -> BaselineStats:
     f = BlockFile(path, BASELINE_KEYS)
-    mu = f.block("mu")
-    sigma = f.block("sigma", mu.size, mu.size)
-    try:
-        return BaselineStats(mu_star=mu, sigma_star=sigma, w=f.value("window"),
-                             eps1=f.value("eps1"), eps2=f.value("eps2"))
-    except ValueError as exc:  # e.g. a covariance that is not symmetric
-        raise ConfigError(f"{path}: {exc}") from exc
+    return BaselineStats(mu_star=f.block("mu", f.value("n_outputs")), trace=f.value("trace"),
+                         w=f.value("window"), eps1=f.value("eps1"), eps2=f.value("eps2"))
 
 
 # ---------------------------------------------------------------------------

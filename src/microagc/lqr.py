@@ -103,18 +103,18 @@ def solve_care(
         raise ControlDesignError("Hamiltonian has non-finite entries")
     _, u, sdim = scipy.linalg.schur(ham, output="real", sort="lhp")
     if sdim != n:
-        detail = _describe_unstabilizable(a, b)
         raise ControlDesignError(
             f"Hamiltonian has {sdim} stable eigenvalues, expected {n}; "
             "the pair (A, B) is not stabilizable or (Q, A) not detectable"
-            + (f" ({detail})" if detail else "")
+            + _describe_unstabilizable(a, b)
         )
     u11 = u[:n, :n]
     u21 = u[n:, :n]
     try:
         p = np.linalg.solve(u11.T, u21.T).T
     except np.linalg.LinAlgError as exc:
-        raise ControlDesignError(f"stable subspace is degenerate: {exc}") from exc
+        raise ControlDesignError(f"stable subspace is degenerate: {exc}"
+                                 + _describe_unstabilizable(a, b)) from exc
     p = 0.5 * (p + p.T)
 
     p_norm = max(np.linalg.norm(p, "fro"), 1e-300)
@@ -144,7 +144,8 @@ def solve_care(
 
 
 def _describe_unstabilizable(a: np.ndarray, b: np.ndarray) -> str:
-    """PBH test at the unstable modes, naming any uncontrollable one."""
+    """PBH test at the unstable modes: ' (...)' naming each uncontrollable
+    one, or '' when there is none."""
     n = a.shape[0]
     found = []
     for lam in np.linalg.eigvals(a):
@@ -153,7 +154,7 @@ def _describe_unstabilizable(a: np.ndarray, b: np.ndarray) -> str:
             smin = np.linalg.svd(pbh, compute_uv=False)[-1]
             if smin < 1e-9 * max(1.0, np.linalg.norm(a)):
                 found.append(f"mode {lam:.6g} uncontrollable, PBH sv {smin:.3e}")
-    return "; ".join(found)
+    return f" ({'; '.join(found)})" if found else ""
 
 
 def lqr_gain(

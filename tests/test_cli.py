@@ -403,12 +403,12 @@ class TestCorruptDetectorFiles:
 
     @pytest.mark.parametrize("command", ["detect", "simulate"])
     @pytest.mark.parametrize("name, corrupt, expected", [
-        pytest.param("baseline.txt", lambda lines: lines[:3], "missing [mu] block",
+        pytest.param("baseline.txt", lambda lines: lines[:5], "missing [mu] block",
                      id="truncated-baseline"),
         pytest.param("baseline.txt", _set_line(1, "eps1 = x"), "line 2",
                      id="bad-threshold"),
-        pytest.param("baseline.txt", _set_line(7, "0.0 1.0 7.0"),
-                     "[sigma] block needs 2 x 2 values, got 5", id="oversized-sigma"),
+        pytest.param("baseline.txt", _set_line(6, "0.0 1.0 7.0"),
+                     "[mu] block needs 2 values, got 3", id="oversized-mu"),
         pytest.param("model.txt", _set_line(6, "0.5 x"), "line 7", id="bad-number"),
         pytest.param("model.txt", lambda lines: lines[:-1],
                      "[c] block needs 2 x 2 values, got 2", id="short-block"),
@@ -428,14 +428,19 @@ class TestCorruptDetectorFiles:
                      "line 3: eps2 must be > 0, got 0.0", id="zero-eps2"),
         pytest.param("baseline.txt", lambda lines: lines[:1] + lines,
                      "line 2: window: repeated key", id="repeated-window"),
-        pytest.param("baseline.txt", lambda lines: lines + lines[3:5],
-                     "line 9: block [mu] appears twice", id="repeated-mu"),
+        pytest.param("baseline.txt", lambda lines: lines + lines[5:7],
+                     "line 8: block [mu] appears twice", id="repeated-mu"),
         pytest.param("baseline.txt", lambda lines: ["margin = 2.0"] + lines,
                      "line 1: margin: unknown key", id="unknown-key"),
         pytest.param("baseline.txt", _set_line(6, "nan 0.0"),
-                     "line 7: [sigma] must be finite, got nan", id="nan-sigma"),
-        pytest.param("baseline.txt", _set_line(6, "1.0 2.5"),
-                     "baseline covariance must be symmetric", id="asymmetric-sigma"),
+                     "line 7: [mu] must be finite, got nan", id="nan-mu"),
+        pytest.param("baseline.txt", _set_line(3, "trace = -1"),
+                     "line 4: trace must be finite and >= 0, got -1.0", id="negative-trace"),
+        pytest.param("baseline.txt", _set_line(4, "n_outputs = 0"),
+                     "line 5: n_outputs must be >= 1, got 0", id="zero-n-outputs-baseline"),
+        pytest.param("baseline.txt", lambda lines: lines[:3] + lines[5:] + [
+                     "[sigma]", "1.0 0.0", "0.0 1.0"], "missing header key 'n_outputs'",
+                     id="older-baseline"),
         pytest.param("model.txt", _set_line(0, "order = 4.9"),
                      "line 1: order: expected an integer, got '4.9'", id="real-order"),
         pytest.param("model.txt", _set_line(1, "effective_order = -3"),
@@ -455,7 +460,7 @@ class TestCorruptDetectorFiles:
         model = DiscreteModel(a_d=0.5 * np.eye(2), b_d=np.eye(2), c_d=np.eye(2),
                               dt=0.005, order=2)
         save_model(model, work / "model.txt")
-        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), sigma_star=np.eye(2), w=4,
+        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), trace=2.0, w=4,
                                         eps1=1.0, eps2=1.0), work / "baseline.txt")
         path = work / name
         path.write_text("\n".join(corrupt(path.read_text().splitlines())) + "\n")
@@ -495,7 +500,7 @@ class TestDetectorFilesFitTheGrid:
         save_model(DiscreteModel(a_d=0.5 * eye, b_d=eye, c_d=eye, dt=0.005, order=model_n),
                    work / "model.txt")
         cli.save_baseline(BaselineStats(mu_star=np.zeros(baseline_n),
-                                        sigma_star=np.eye(baseline_n), w=4),
+                                        trace=float(baseline_n), w=4),
                           work / "baseline.txt")
         cfg = tmp_path / "d.cfg"
         cfg.write_text(self.CONFIG)
@@ -520,7 +525,7 @@ class TestDetectorFilesFitTheGrid:
         work.mkdir()
         save_model(DiscreteModel(a_d=0.5 * np.eye(2), b_d=np.eye(2), c_d=np.eye(2),
                                  dt=dt, order=2), work / "model.txt")
-        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), sigma_star=np.eye(2), w=4),
+        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), trace=2.0, w=4),
                           work / "baseline.txt")
         cfg = tmp_path / "d.cfg"
         cfg.write_text(self.CONFIG)
@@ -539,7 +544,7 @@ class TestDetectorFilesFitTheGrid:
         work.mkdir()
         save_model(DiscreteModel(a_d=0.5 * np.eye(2), b_d=np.eye(2), c_d=np.eye(2),
                                  dt=0.005 * (1 + 1e-12), order=2), work / "model.txt")
-        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), sigma_star=np.eye(2), w=4),
+        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), trace=2.0, w=4),
                           work / "baseline.txt")
         cfg = tmp_path / "d.cfg"
         cfg.write_text(self.CONFIG)
@@ -556,7 +561,7 @@ class TestDetectorFilesFitTheGrid:
         work.mkdir()
         save_model(DiscreteModel(a_d=np.diag([0.5, radius]), b_d=np.eye(2), c_d=np.eye(2),
                                  dt=0.005, order=2), work / "model.txt")
-        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), sigma_star=np.eye(2), w=4),
+        cli.save_baseline(BaselineStats(mu_star=np.zeros(2), trace=2.0, w=4),
                           work / "baseline.txt")
         cfg = tmp_path / "d.cfg"
         cfg.write_text(self.CONFIG)
@@ -1035,6 +1040,16 @@ class TestScenarioFileRejections:
         text = MINIMAL.replace("seed = 11\n", "seed = 11\nhorizon = 2.0\n")
         n = _line(text, "horizon = 2.0")
         _rejects(tmp_path, capsys, text, f"line {n}: [sim] horizon: unknown key", command)
+
+    @pytest.mark.parametrize("command, section", [
+        ("simulate", "sim"), ("identify", "identify"), ("calibrate", "calibrate"),
+        ("detect", "detect")])
+    def test_missing_command_section_names_the_file(self, tmp_path, capsys, command, section):
+        """regulation_pulses.cfg has no [identify], [calibrate] or [detect]
+        section, and a file of schema_version alone no [sim]."""
+        text = ("schema_version = 1\n" if command == "simulate"
+                else (CONFIGS / "regulation_pulses.cfg").read_text())
+        _rejects(tmp_path, capsys, text, f"config has no [{section}] section", command)
 
     @pytest.mark.parametrize("header", ["[simulation]", "[event.1]", "[]"])
     def test_unknown_section(self, tmp_path, capsys, header):

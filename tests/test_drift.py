@@ -234,7 +234,7 @@ def test_train_command_writes_the_trained_detector_of_an_acceptance_fixture(tmp_
     for name in ("a_d", "b_d", "c_d"):
         assert (getattr(model, name) == getattr(det.model, name)).all()
     assert (baseline.mu_star == det.baseline.mu_star).all()
-    assert (baseline.sigma_star == det.baseline.sigma_star).all()
+    assert baseline.trace == det.baseline.trace
 
 
 def test_study_command_writes_the_two_grid_case_study_run(tmp_path):

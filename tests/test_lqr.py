@@ -1,8 +1,11 @@
 """Controller design tests: Riccati solver against hand solutions and residual
 oracles, gain projection optimality, and the runtime law contracts."""
 
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import microagc as m
 from microagc import casestudy as cs, defaults
@@ -51,6 +54,41 @@ class TestSolveCare:
             m.solve_care(a, b, np.eye(2), np.eye(1))
 
 
+    @pytest.mark.parametrize("unstable, message", [
+        (1.0, "stable subspace is degenerate: Singular matrix (mode 1 uncontrollable"),
+        (2.0, "stable subspace is degenerate: Singular matrix (mode 2 uncontrollable"),
+        (0.0, "Hamiltonian has 1 stable eigenvalues, expected 2; the pair (A, B) is not "
+              "stabilizable or (Q, A) not detectable (mode 0 uncontrollable"),
+    ], ids=["degenerate-1", "degenerate-2", "imaginary-axis-0"])
+    def test_unstabilizable_pair_names_the_mode(self, unstable, message):
+        """The uncontrollable unstable mode is named whether the Hamiltonian's
+        stable subspace comes out degenerate or short of n eigenvalues."""
+        a = np.diag([unstable, -1.0])
+        b = np.array([[0.0], [1.0]])
+        with pytest.raises(m.ControlDesignError) as err:
+            m.solve_care(a, b, np.eye(2), np.eye(1))
+        assert str(err.value).startswith(message)
+
+    @pytest.mark.parametrize("rtol, solves", [(1e-8, 0), (1e-12, 1), (1e-14, 20)])
+    def test_newton_kleinman_refinement(self, monkeypatch, rtol, solves):
+        """On the study grid at q = 10 the Schur solution's residual (2.3e-9)
+        meets the default tolerance; at 1e-12 (about 1.5e-10 absolute) one
+        Lyapunov solve refines it to 7.9e-11; at 1e-14 the residual stays
+        near 7.7e-11 through 20 solves and the refinement stalls."""
+        monkeypatch.setattr(defaults, "CARE_RTOL", rtol)
+        calls = []
+        lyap = scipy.linalg.solve_continuous_lyapunov
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov",
+                            lambda *a: calls.append(1) or lyap(*a))
+        if solves == 20:
+            with pytest.raises(m.ControlDesignError, match="Riccati refinement stalled"):
+                default_design(q=10.0)
+        else:
+            gain = default_design(q=10.0)[3]
+            assert gain.care_residual <= rtol * np.linalg.norm(gain.care_solution, "fro")
+        assert len(calls) == solves
+
+
 class TestLqrGain:
     def test_zero_state_cost_gives_zero_gains_on_stable_plant(self):
         rng = np.random.default_rng(5)
@@ -85,6 +123,24 @@ class TestLqrGain:
         _, _, _, gain = default_design()
         p_norm = np.linalg.norm(gain.care_solution, "fro")
         assert gain.care_residual <= 1e-8 * p_norm
+
+
+    def test_unstable_projection_warns_with_its_spectrum(self, caplog):
+        """A two-IBR grid (omega_c 10 and 3.141 rad/s, m_p 9.4e-5 and 9.4e-4,
+        10 S branches to one 5 kW load, q = 10) whose full-state loop is
+        stable but whose projected z-space loop is not: the gain is returned
+        and a warning gives the projected spectrum."""
+        net = m.NetworkSpec.from_branches(n_ibr=2, n_load=1,
+                                          branches=[(0, 2, 10.0), (1, 2, 10.0)])
+        ibrs = (m.IbrParams(omega_c=10.0, m_p=9.4e-5), m.IbrParams(omega_c=3.141, m_p=9.4e-4))
+        plant = m.grid_plant(m.GridSpec(network=net, ibrs=ibrs, loads=[5000.0]))[1]
+        with caplog.at_level(logging.WARNING, logger="microagc.lqr"):
+            gain = m.lqr_gain(plant, m.CostWeights.uniform(2, q=10.0), m.make_transform(ibrs))
+        assert gain.projected_abscissa == pytest.approx(5.5939, abs=1e-4)
+        assert gain.closed_loop_abscissa == pytest.approx(-7.5589, abs=1e-4)
+        assert [r.getMessage() for r in caplog.records] == [
+            "projected closed loop A - B1 K T is not stable; spectrum: "
+            "[-45.7208-30.6283j -45.7208+30.6283j   5.5939 -8.0232j   5.5939 +8.0232j]"]
 
 
 class TestCostWeights:

@@ -818,7 +818,7 @@ def _observer_run(attacks=()):
     model = DiscreteModel(a_d=np.array([[0.9]]), b_d=np.array([[0.5, 0.2, -0.1]]),
                           c_d=np.array([[2000.0], [1000.0], [-500.0]]), dt=0.005, order=1)
     det = m.DetectorSetup(model=model, watermark=m.WatermarkConfig(0.012, seed=4),
-                          baseline=m.BaselineStats(np.zeros(3), np.zeros((3, 3)), w=20))
+                          baseline=m.BaselineStats(np.zeros(3), trace=0.0, w=20))
     g = cs.grid1_spec(controller="observer", weights=m.CostWeights.uniform(3, q=10.0),
                       detector=det, load_signals=[cs.pulse_load_signal()])
     sc = m.Scenario(grids=(g,), horizon=1.0, seed=5, attacks=attacks)
@@ -1053,6 +1053,22 @@ def test_a_switched_off_observer_grid_logs_its_held_z_hat():
     assert np.all(zhat[40:] == zhat[39]) and np.all(zhat[39] != 0.0)
     assert zhat.tobytes() == stepped.grids[0]["zhat"].tobytes()
     _assert_stepped_up_to_rounding(ts, stepped)
+
+
+def test_a_second_tie_close_is_ignored(caplog):
+    """A tie_close on a tied world logs a warning and changes nothing: the
+    study grids, grid 1 off at 0.5 s, closed at 0.7 s and again at 0.9 s, run
+    as the single close does, up to rounding (the second close moves the
+    handoff to the recursion from 0.7 s to 0.9 s)."""
+    grids = (cs.grid1_spec(load_signals=[cs.pulse_load_signal()]), cs.grid2_spec())
+    once, twice = (m.run_scenario(m.Scenario(
+        grids=grids, horizon=1.0, tie=cs.default_tie(),
+        events=(m.Event(0.5, "controller_off", 0),
+                *(m.Event(t, "tie_close") for t in closes))))
+        for closes in ((0.7,), (0.7, 0.9)))
+    assert [r.getMessage() for r in caplog.records if "tie" in r.getMessage()] == [
+        "tie already closed; ignoring tie_close at t=0.9000s"]
+    _assert_stepped_up_to_rounding(twice, once)
 
 
 def test_saturating_run_is_the_stepped_run_bit_for_bit():

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import microagc as m
 from microagc import casestudy as cs, cli
+from microagc.textio import ConfigError
 from microagc.watermark import WINDOW_CHUNK, DetectorState
 
 
@@ -82,7 +83,7 @@ class TestCalibrateBaseline:
         data = np.random.default_rng(3).normal(size=(150, 2))
         base = m.calibrate_baseline(data, data, w=100)
         np.testing.assert_array_equal(base.mu_star, 0.0)
-        np.testing.assert_array_equal(base.sigma_star, 0.0)
+        assert base.trace == 0.0
 
     def test_recomputation_bit_identical(self):
         rng = np.random.default_rng(4)
@@ -91,14 +92,14 @@ class TestCalibrateBaseline:
         b1 = m.calibrate_baseline(r, p, w=100)
         b2 = m.calibrate_baseline(r.copy(), p.copy(), w=100)
         np.testing.assert_array_equal(b1.mu_star, b2.mu_star)
-        np.testing.assert_array_equal(b1.sigma_star, b2.sigma_star)
+        assert b1.trace == b2.trace
 
     def test_normalization_is_one_over_w(self):
         r = np.array([[2.0], [0.0]])
         p = np.zeros((2, 1))
         base = m.calibrate_baseline(r, p, w=2)
         assert base.mu_star[0] == pytest.approx(1.0)
-        assert base.sigma_star[0, 0] == pytest.approx(1.0)  # ((2-1)^2+(0-1)^2)/2
+        assert base.trace == pytest.approx(1.0)  # ((2-1)^2+(0-1)^2)/2
 
     def test_disjoint_nominal_windows_agree_in_trace(self):
         """Stationarity sanity: two windows of one nominal run, 20% in trace."""
@@ -106,17 +107,22 @@ class TestCalibrateBaseline:
         nu = rng.normal(0.0, 1.0, size=(400, 2))
         b1 = m.calibrate_baseline(nu[:100], np.zeros((100, 2)), w=100)
         b2 = m.calibrate_baseline(nu[200:300], np.zeros((100, 2)), w=100)
-        t1, t2 = np.trace(b1.sigma_star), np.trace(b2.sigma_star)
+        t1, t2 = b1.trace, b2.trace
         assert abs(t1 - t2) <= 0.2 * max(t1, t2)
 
     def test_too_short_record(self):
         with pytest.raises(ValueError):
             m.calibrate_baseline(np.zeros((10, 1)), np.zeros((10, 1)), w=100)
 
-    def test_baseline_rejects_indefinite_covariance(self):
-        with pytest.raises(ValueError):
-            m.BaselineStats(mu_star=np.zeros(2),
-                            sigma_star=np.array([[1.0, 2.0], [2.0, 1.0]]), w=10)
+    def test_baseline_file_rejects_negative_and_non_finite_trace(self, tmp_path):
+        path = tmp_path / "baseline.txt"
+        cli.save_baseline(m.BaselineStats(mu_star=np.zeros(2), trace=1.0, w=10), path)
+        text = path.read_text()
+        for bad in ("-1.0", "-0.5", "nan", "inf"):
+            path.write_text(text.replace("trace = 1.0", f"trace = {bad}"))
+            with pytest.raises(ConfigError,
+                               match=f"line 4: trace must be finite and >= 0, got {bad}"):
+                cli.load_baseline(path)
 
 
 class TestThresholds:
@@ -135,7 +141,7 @@ class TestDwStep:
     def make_detector(self, w=4, n=1, eps1=0.5, eps2=0.5):
         model = m.DiscreteModel(a_d=np.array([[0.0]]), b_d=np.array([[0.0]]),
                                 c_d=np.array([[1.0]]), dt=0.005, order=1)
-        base = m.BaselineStats(mu_star=np.zeros(n), sigma_star=np.zeros((n, n)), w=w,
+        base = m.BaselineStats(mu_star=np.zeros(n), trace=0.0, w=w,
                                eps1=eps1, eps2=eps2)
         return model, DetectorState.start(model, base), base
 
@@ -211,7 +217,7 @@ def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset,
     marks = 0.01 * rng.normal(size=(k, n))
     received = offset + rng.normal(size=(k, n))
     baseline = m.BaselineStats(mu_star=offset + rng.normal(size=n),
-                               sigma_star=np.diag(rng.uniform(0.1, 2.0, n)), w=w)
+                               trace=float(np.sum(rng.uniform(0.1, 2.0, n))), w=w)
 
     state = DetectorState.start(model, baseline)
     streamed = []
@@ -232,9 +238,9 @@ def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset,
         mu = win.sum(axis=0) / w
         cov = (win - mu).T @ (win - mu) / w
         ref1 = np.linalg.norm(mu - baseline.mu_star)
-        ref2 = abs(np.trace(cov) - np.trace(baseline.sigma_star))
+        ref2 = abs(np.trace(cov) - baseline.trace)
         scale1 = np.linalg.norm(mu) + np.linalg.norm(baseline.mu_star)
-        scale2 = np.trace(cov) + np.trace(baseline.sigma_star)
+        scale2 = np.trace(cov) + baseline.trace
         assert abs(xi1 - ref1) <= 1e-9 * scale1
         assert abs(xi2 - ref2) <= 1e-9 * scale2
 
@@ -247,7 +253,7 @@ def test_innovation_statistics_rows_across_chunks(w, k):
     rows are zero."""
     rng = np.random.default_rng(w + k)
     nu = rng.normal(size=(k, 3))
-    baseline = m.BaselineStats(mu_star=rng.normal(size=3), sigma_star=np.eye(3), w=w)
+    baseline = m.BaselineStats(mu_star=rng.normal(size=3), trace=3.0, w=w)
     xi1, xi2 = m.innovation_statistics(nu, baseline)
     alone = [m.window_statistics(nu[j - w + 1 : j + 1], baseline) for j in range(w - 1, k)]
     assert list(zip(xi1.tolist(), xi2.tolist())) == ([(0.0, 0.0)] * (w - 1) + alone)[:k]
@@ -264,7 +270,7 @@ def test_stacked_window_statistics_equal_each_window_alone(w, n, k, offset, scal
     rng = np.random.default_rng(seed)
     nu = offset + scale * rng.normal(size=(w + k - 1, n))
     baseline = m.BaselineStats(mu_star=offset + rng.normal(size=n),
-                               sigma_star=np.diag(rng.uniform(0.1, 2.0, n)), w=w)
+                               trace=float(np.sum(rng.uniform(0.1, 2.0, n))), w=w)
     stack = np.lib.stride_tricks.sliding_window_view(nu, w, axis=0).swapaxes(1, 2)
     if contiguous:
         stack = np.ascontiguousarray(stack)

@@ -414,7 +414,7 @@ BASELINE_KEYS = {"window": COUNT, "eps1": THRESHOLD, "eps2": THRESHOLD,
 
 
 def load_baseline(path) -> BaselineStats:
-    f = BlockFile(path, BASELINE_KEYS)
+    f = BlockFile(path, BASELINE_KEYS, ("mu",))
     return BaselineStats(mu_star=f.block("mu", f.value("n_outputs")), trace=f.value("trace"),
                          w=f.value("window"), eps1=f.value("eps1"), eps2=f.value("eps2"))
 
@@ -531,18 +531,15 @@ def cmd_detect(sections: dict[str, list[Section]], out: Path, args) -> None:
     baseline = _detector_baseline(sec, n, out)
     t, u, e, y = _load_trace(out / sec.value("trace_file"), gi, n)
     n_steps = t.shape[0]
-    state = DetectorState.start(model, baseline)
-    xi = np.zeros((n_steps, 2))
-    flags = np.zeros(n_steps, dtype=int)
-    for k in range(n_steps):
-        u_prev = u[k - 1] if k > 0 else np.zeros(model.n_inputs)
-        e_prev = e[k - 1] if k > 0 else np.zeros(model.n_inputs)
-        flags[k], _ = dw_step(state, baseline, model, y[k], u_prev, e_prev)
-        xi[k] = state.xi1, state.xi2
-    check_finite("the replay", t, {"xi1": xi[:, 0], "xi2": xi[:, 1]})
+    u_prev, e_prev = np.zeros_like(u), np.zeros_like(e)  # the step before's; zero at first
+    u_prev[1:], e_prev[1:] = u[:-1], e[:-1]
+    xi1, xi2, flags = np.zeros(n_steps), np.zeros(n_steps), np.zeros(n_steps, dtype=int)
+    dw_step(DetectorState.start(model, baseline), baseline, model, y, u_prev, e_prev,
+            out=(xi1, xi2, flags))
+    check_finite("the replay", t, {"xi1": xi1, "xi2": xi2})
     write_table(out / sec.value("telemetry_file", "detector.csv"),
                 ["t", "xi1", "xi2", "eps1", "eps2", "flag"],
-                [t, *xi.T, np.full(n_steps, baseline.eps1), np.full(n_steps, baseline.eps2),
+                [t, xi1, xi2, np.full(n_steps, baseline.eps1), np.full(n_steps, baseline.eps2),
                  flags])
     if n_steps < baseline.w and not args.quiet:
         print(f"note: trace shorter than the window ({n_steps} < {baseline.w}); "

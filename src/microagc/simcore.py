@@ -826,9 +826,9 @@ def _run_linear(world: _World, loads: np.ndarray, k0: int) -> bool:
     the handoff step k0 (run_scenario) on: from the loop's state at step k0,
     its events fired, and the rest of the run's watermark, drawn in one block from a copy of each
     grid's stream; log the z_hat that a grid off its observer law holds;
-    then step each detector over the finished rows. Return True; return
-    False, and change nothing, if a state is not finite or a command leaves
-    +-COMMAND_LIMIT, where the stepped loop would saturate it."""
+    then advance each detector over the finished rows in one block. Return
+    True; return False, and change nothing, if a state is not finite or a
+    command leaves +-COMMAND_LIMIT, where the stepped loop would saturate it."""
     m, drive, mark, c_u, d_u = _loop_map(world, loads.shape[1])
     loads = loads[k0:]
     n_steps, n_x, n = loads.shape[0], world.plant.n_states, len(world.cmd)
@@ -860,9 +860,11 @@ def _run_linear(world: _World, loads: np.ndarray, k0: int) -> bool:
     for rt in world.rts:
         if rt.z_hat is not None:  # no tail law reads it: held, as the stepped loop logs it
             rt.log["zhat"][k0 + 1:] = rt.z_hat
-        if rt.det_state is not None:  # it cannot act: it reads the log it would have read
-            for rho in range(k0, k0 + n_steps):
-                _detect(rt, rho, rt.log["pg_rx"][rho + 1])
+        if rt.det_state is not None:  # it cannot act: one block over the log it would read
+            det, rows = rt.spec.detector, slice(k0 + 1, None)
+            dw_step(rt.det_state, det.baseline, det.model, rt.log["pg_rx"][rows],
+                    rt.log["dws"][k0:-1], rt.log["wm"][k0:-1],
+                    out=(rt.log["xi1"][rows], rt.log["xi2"][rows], rt.log["flag"][rows]))
     return True
 
 

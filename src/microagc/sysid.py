@@ -537,7 +537,7 @@ MODEL_KEYS = {"order": COUNT, "effective_order": INDEX, "dt": REAL, "n_inputs": 
 
 def load_model(path) -> DiscreteModel:
     """Read a model persisted by save_model."""
-    f = BlockFile(path, MODEL_KEYS)
+    f = BlockFile(path, MODEL_KEYS, ("a", "b", "c"))
     order, n_in, n_out = (f.value(k) for k in ("order", "n_inputs", "n_outputs"))
     return DiscreteModel(
         a_d=f.block("a", order, order), b_d=f.block("b", order, n_in),

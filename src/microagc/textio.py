@@ -92,14 +92,14 @@ def read_table(path, names=None) -> tuple[list[str], np.ndarray]:
 class BlockFile:
     """Structured text of model and baseline files: `key = value` header
     lines, each key declared with its domain, then `[name]` blocks of
-    whitespace-separated finite numbers.
+    whitespace-separated finite numbers, each name declared in blocks.
 
     Malformed lines, unknown or repeated keys, values outside their domain,
-    repeated blocks, missing keys and missing or mis-sized blocks raise
-    ConfigError naming the file, and the line where there is one.
+    unknown or repeated blocks, missing keys and missing or mis-sized blocks
+    raise ConfigError naming the file, and the line where there is one.
     """
 
-    def __init__(self, path, keys: dict):
+    def __init__(self, path, keys: dict, blocks: tuple[str, ...]):
         self.path = path
         self._header: dict = {}
         self._blocks: dict[str, list[float]] = {}
@@ -109,6 +109,8 @@ class BlockFile:
                 line = raw.strip()
                 try:
                     if line.startswith("[") and line.endswith("]"):
+                        if line[1:-1] not in blocks:
+                            raise ValueError(f"unknown block {line}")
                         if line[1:-1] in self._blocks:
                             raise ValueError(f"block {line} appears twice")
                         name = line

@@ -10,9 +10,10 @@ covariance trace are tested against an attack-free baseline:
 
 Either statistic at or above its BaselineStats threshold raises the attack
 flag. The statistics have one implementation, window_statistics, for one window
-or a stack of them: the streaming dw_step passes its sliding window, and the
-record-level innovation_statistics every window of a record as strided views, a
-chunk at a time, each window's statistics bit-equal to the window alone.
+or a stack of them: the streaming dw_step passes its sliding window for one
+sample, and the record-level innovation_statistics every window of a record
+as strided views, a chunk at a time, each window's statistics bit-equal to the
+window alone; dw_step on a block of samples takes the block's windows from it.
 """
 
 from __future__ import annotations
@@ -61,19 +62,30 @@ def predict_step(
     d_omega_s: np.ndarray,
     e: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the watermarked prediction recursion.
+    """One step of the watermarked prediction recursion, or one per row of a block.
 
-    Drives the model with the watermarked command: x+ = A x + B (u + e).
+    Drives the model with the watermarked command: x+ = A x + B (u + e), and
+    returns x+ and the predicted power C x+. Commands and marks of (k, n) rows
+    step k times, row by row, and return the last x+ and the (k, n) powers,
+    each row bit-equal to a one-sample step.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     u = np.asarray(d_omega_s, dtype=float)
     e = np.asarray(e, dtype=float)
     if x_hat.shape != (model.order,):
         raise ValueError(f"prediction state must have {model.order} entries")
-    if u.shape != (model.n_inputs,) or e.shape != (model.n_inputs,):
-        raise ValueError(f"command and watermark must have {model.n_inputs} entries")
-    x_next = model.a_d @ x_hat + model.b_d @ (u + e)
-    return x_next, model.c_d @ x_next
+    if u.shape != e.shape or u.ndim not in (1, 2) or u.shape[-1] != model.n_inputs:
+        raise ValueError(f"command and watermark must have {model.n_inputs} entries "
+                         "per row, in as many rows")
+    v = u + e
+    if v.ndim == 1:
+        x_next = model.a_d @ x_hat + model.b_d @ v
+        return x_next, model.c_d @ x_next
+    p = np.empty((v.shape[0], model.n_outputs))
+    for j, v_j in enumerate(v):  # a matrix product over the rows would round differently
+        x_hat = model.a_d @ x_hat + model.b_d @ v_j
+        p[j] = model.c_d @ x_hat
+    return x_hat, p
 
 
 @dataclass(frozen=True)
@@ -196,6 +208,7 @@ def dw_step(
     received_p: np.ndarray,
     d_omega_s_prev: np.ndarray,
     e_prev: np.ndarray,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> tuple[bool, DetectorState]:
     """One detector step: predict, slide the innovation window, test, flag.
 
@@ -203,12 +216,38 @@ def dw_step(
     previous control interval; the received measurement is the current sample.
     Until the window is warm the sample is only accumulated and the flag
     stays down.
+
+    Received powers, commands and marks of (k, n) rows step k samples at
+    once, bit-equal to k one-sample steps: the windows of the new rows take
+    their statistics from innovation_statistics, and the state is left as
+    those steps leave it. The flag returned is the last sample's (False for
+    k = 0); out, when given, receives each sample's xi1, xi2 and flag.
     """
-    state.x_hat, p_hat = predict_step(model, state.x_hat, d_omega_s_prev, e_prev)
-    state.nu[:-1] = state.nu[1:]
-    state.nu[-1] = np.asarray(received_p, dtype=float) - p_hat
-    state.count += 1
-    if state.count < baseline.w:  # xi1 and xi2 keep their initial zeros
-        return False, state
-    state.xi1, state.xi2 = window_statistics(state.nu, baseline)
-    return (state.xi1 >= baseline.eps1) or (state.xi2 >= baseline.eps2), state
+    received = np.asarray(received_p, dtype=float)
+    x_hat, p_hat = predict_step(model, state.x_hat, d_omega_s_prev, e_prev)
+    if received.shape != p_hat.shape:
+        raise ValueError(f"received powers must be shaped {p_hat.shape}, as the predicted, "
+                         "one row per command")
+    state.x_hat = x_hat
+    if received.ndim == 1:  # one sample: window_statistics' scalar branch
+        state.nu[:-1] = state.nu[1:]
+        state.nu[-1] = received - p_hat
+        state.count += 1
+        if state.count < baseline.w:  # xi1 and xi2 keep their initial zeros
+            return False, state
+        state.xi1, state.xi2 = window_statistics(state.nu, baseline)
+        return (state.xi1 >= baseline.eps1) or (state.xi2 >= baseline.eps2), state
+    w, k = baseline.w, received.shape[0]
+    nu = np.concatenate([state.nu, received - p_hat])
+    cold = min(max(w - 1 - state.count, 0), k)  # rows still in warm-up
+    xi = np.zeros((2, k))
+    xi[:, cold:] = np.array(innovation_statistics(nu[1 + cold :], baseline))[:, w - 1 :]
+    flags = (xi[0] >= baseline.eps1) | (xi[1] >= baseline.eps2)
+    flags[:cold] = False
+    state.nu[:], state.count = nu[k:], state.count + k
+    if cold < k:
+        state.xi1, state.xi2 = float(xi[0, -1]), float(xi[1, -1])
+    if out is not None:
+        for dest, rows in zip(out, (*xi, flags)):
+            dest[:] = rows
+    return bool(k) and bool(flags[-1]), state

@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from microagc import cli, defaults, simcore
 from microagc.sysid import DiscreteModel, ExcitationSpec, load_model, save_model
+from microagc.textio import read_table
 from microagc.watermark import BaselineStats
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -324,7 +325,13 @@ class TestPipeline:
         (work / "timeseries.csv").write_text("\n".join(ts[:40]) + "\n")
         rc = run(["detect", "--config", cfg, "--out", work])
         assert rc == cli.EXIT_OK
-        assert "warm-up" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "note: trace shorter than the window (39 < 100); warm-up only, no decisions "
+            "made\nno flags raised\n")
+        _, telem = read_table(work / "detector_replay.csv")
+        times = [float(row.split(",")[0]) for row in ts[1:40]]
+        assert telem[:, 0].tolist() == times
+        assert not telem[:, [1, 2, 5]].any()  # xi1, xi2 and the flag stay zero
 
     def test_detect_on_header_only_trace_notes_warmup(self, tmp_path, capsys, demo_run):
         work = tmp_path / "w"
@@ -334,6 +341,21 @@ class TestPipeline:
         rc = run(["detect", "--config", CONFIGS / "detection_demo.cfg", "--out", work])
         assert rc == cli.EXIT_OK
         assert "warm-up" in capsys.readouterr().out
+        assert ((work / "detector_replay.csv").read_text()
+                == "t,xi1,xi2,eps1,eps2,flag\n")
+
+    def test_detect_prints_the_replays_first_flag(self, tmp_path, capsys, demo_run):
+        """Without --quiet, detect prints the first flag and the flag count of
+        the telemetry it writes."""
+        work = tmp_path / "w"
+        shutil.copytree(demo_run, work)
+        rc = run(["detect", "--config", CONFIGS / "detection_demo.cfg", "--out", work])
+        assert rc == cli.EXIT_OK
+        _, telem = read_table(work / "detector_replay.csv")
+        flagged = telem[telem[:, 5] == 1, 0]
+        assert flagged.size and flagged[0] > 2.0  # the demo's attack starts at 2 s
+        assert capsys.readouterr().out == (
+            f"first flag at t = {flagged[0]:.6g}s ({flagged.size} flagged steps)\n")
 
     @pytest.mark.parametrize("cut", [200, 40])
     def test_detect_on_cut_trace_names_file_and_line(self, tmp_path, capsys, demo_run,
@@ -439,8 +461,12 @@ class TestCorruptDetectorFiles:
         pytest.param("baseline.txt", _set_line(4, "n_outputs = 0"),
                      "line 5: n_outputs must be >= 1, got 0", id="zero-n-outputs-baseline"),
         pytest.param("baseline.txt", lambda lines: lines[:3] + lines[5:] + [
-                     "[sigma]", "1.0 0.0", "0.0 1.0"], "missing header key 'n_outputs'",
+                     "[sigma]", "1.0 0.0", "0.0 1.0"], "line 6: unknown block [sigma]",
                      id="older-baseline"),
+        pytest.param("baseline.txt", lambda lines: lines + ["[sigma]", "1.0 0.0", "0.0 1.0"],
+                     "line 8: unknown block [sigma]", id="appended-sigma"),
+        pytest.param("model.txt", lambda lines: lines + ["[d]", "0.0 0.0"],
+                     "line 15: unknown block [d]", id="unknown-model-block"),
         pytest.param("model.txt", _set_line(0, "order = 4.9"),
                      "line 1: order: expected an integer, got '4.9'", id="real-order"),
         pytest.param("model.txt", _set_line(1, "effective_order = -3"),

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import microagc as m
 from microagc import casestudy as cs, cli
@@ -114,6 +114,11 @@ class TestCalibrateBaseline:
         with pytest.raises(ValueError):
             m.calibrate_baseline(np.zeros((10, 1)), np.zeros((10, 1)), w=100)
 
+    @pytest.mark.parametrize("predicted_shape", [(120, 3), (119, 2), (120,)])
+    def test_misaligned_records(self, predicted_shape):
+        with pytest.raises(ValueError, match="received and predicted records must align"):
+            m.calibrate_baseline(np.zeros((120, 2)), np.zeros(predicted_shape), w=100)
+
     def test_baseline_file_rejects_negative_and_non_finite_trace(self, tmp_path):
         path = tmp_path / "baseline.txt"
         cli.save_baseline(m.BaselineStats(mu_star=np.zeros(2), trace=1.0, w=10), path)
@@ -198,6 +203,24 @@ class TestDwStep:
             flags2.append(flag)
         assert flags == flags2
 
+    @pytest.mark.parametrize("received, commands, marks", [
+        ((5, 1), (4, 1), (4, 1)), ((4, 1), (5, 1), (5, 1)), ((5, 1), (5, 1), (4, 1)),
+        ((5, 2), (5, 1), (5, 1)), ((5, 1), (5,), (5,)), ((1,), (1, 1), (1, 1)),
+    ], ids=["received", "commands-and-marks", "marks", "received-width", "flat-commands",
+            "flat-received"])
+    def test_block_rows_must_agree(self, received, commands, marks):
+        """A block whose received, command and mark rows disagree raises, and
+        leaves the state as it was."""
+        model, state, base = self.make_detector(w=3)
+        m.dw_step(state, base, model, np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)))
+        before = (state.x_hat.copy(), state.nu.copy(), state.count, state.xi1, state.xi2)
+        with pytest.raises(ValueError):
+            m.dw_step(state, base, model, np.ones(received), np.ones(commands),
+                      np.ones(marks))
+        after = (state.x_hat, state.nu, state.count, state.xi1, state.xi2)
+        for was, now in zip(before, after):
+            np.testing.assert_array_equal(now, was)
+
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(w=st.integers(1, 12), n=st.integers(1, 4), extra=st.integers(0, 30),
@@ -243,6 +266,62 @@ def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset,
         scale2 = np.trace(cov) + baseline.trace
         assert abs(xi1 - ref1) <= 1e-9 * scale1
         assert abs(xi2 - ref2) <= 1e-9 * scale2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(w=st.integers(1, 12), n=st.integers(1, 3),
+       parts=st.lists(st.one_of(st.none(), st.integers(0, 30),
+                                st.integers(WINDOW_CHUNK - 2, WINDOW_CHUNK + 20)),
+                      min_size=1, max_size=6),
+       eps_scale=st.sampled_from([1.0, 0.0]), seed=st.integers(0, 2**32 - 1))
+@example(w=12, n=2, parts=[5, None, 3, 9, 0, None], eps_scale=1.0, seed=1)  # across warm-up
+@example(w=4, n=3, parts=[None, WINDOW_CHUNK + 9, 0, 2, None], eps_scale=1.0, seed=2)
+@example(w=1, n=1, parts=[0, 3, None, 1], eps_scale=0.0, seed=3)
+def test_blocks_step_as_one_sample_steps(w, n, parts, eps_scale, seed):
+    """One stream cut into one-sample rows (None) and blocks of k rows (k = 0
+    included) gives, bit for bit, the xi1, xi2 and flag of each sample and
+    the final prediction state, window and count of one-sample stepping. At
+    zero thresholds every warm sample flags, and still no sample in warm-up."""
+    rng = np.random.default_rng(seed)
+    k_all = sum(1 if part is None else part for part in parts)
+    a = rng.normal(size=(n, n))
+    a *= 0.9 / max(1e-3, float(np.max(np.abs(np.linalg.eigvals(a)))))
+    model = m.DiscreteModel(a_d=a, b_d=rng.normal(size=(n, n)),
+                            c_d=rng.normal(size=(n, n)), dt=0.005, order=n)
+    received = rng.normal(size=(k_all, n))
+    drawn = rng.normal(size=(2, k_all, n))
+    commands, marks = np.zeros((2, k_all, n))  # of the step before: zero at first
+    commands[1:], marks[1:] = drawn[0, :-1], 0.01 * drawn[1, :-1]
+    baseline = m.BaselineStats(mu_star=rng.normal(size=n), trace=float(n), w=w,
+                               eps1=eps_scale * rng.uniform(0.2, 1.0),
+                               eps2=eps_scale * rng.uniform(0.2, 2.0))
+
+    single = DetectorState.start(model, baseline)
+    expected = []
+    for i in range(k_all):
+        flag, _ = m.dw_step(single, baseline, model, received[i], commands[i], marks[i])
+        expected.append((single.xi1, single.xi2, flag))
+
+    state, got, i = DetectorState.start(model, baseline), [], 0
+    for part in parts:
+        if part is None:
+            flag, _ = m.dw_step(state, baseline, model, received[i], commands[i], marks[i])
+            got.append((state.xi1, state.xi2, flag))
+            i += 1
+            continue
+        xi1, xi2, flags = np.full(part, np.nan), np.full(part, np.nan), np.zeros(part, bool)
+        rows = slice(i, i + part)
+        flag, _ = m.dw_step(state, baseline, model, received[rows], commands[rows],
+                            marks[rows], out=(xi1, xi2, flags))
+        assert type(flag) is bool and flag == (part > 0 and bool(flags[-1]))
+        got += zip(xi1.tolist(), xi2.tolist(), flags.tolist())
+        if part:
+            assert (state.xi1, state.xi2) == got[-1][:2]
+        i += part
+    assert got == expected
+    assert (state.count, state.xi1, state.xi2) == (single.count, single.xi1, single.xi2)
+    assert state.x_hat.tobytes() == single.x_hat.tobytes()
+    assert state.nu.tobytes() == single.nu.tobytes()
 
 
 @pytest.mark.parametrize("w, k", [(1, 2 * WINDOW_CHUNK), (5, 3 * WINDOW_CHUNK + 7),

@@ -36,10 +36,11 @@ scratch directory with relative output paths so that printed lines compare:
     response already in effect in the third;
   - the same on LATE_FLAG, the first attacked detect job whose first flag
     falls after its attack window ends, so in the run's tail, which the
-    closed-loop recursion fills with the streaming detector stepped over it;
+    closed-loop recursion fills; its detector cannot act, so it advances over
+    every row of the finished log in one block at the run's end;
   - the same on the first `nominal` detect job, which has no attack: its
     grid's detector cannot act, so `simulate` runs it as one closed-loop
-    recursion with the streaming detector stepped over the finished log;
+    recursion and advances the detector over the finished log in one block;
   - the library's training pipeline, `casestudy.trained_detector`, as the
     acceptance suite's two detector fixtures call it (TRAINED), its model and
     baseline written by `save_model` and `save_baseline`;

@@ -9,8 +9,10 @@ when that is); the plant is integrated between instants at a finer substep
 with all inputs held constant over each substep. The map's law rows are the
 laws' own functions, evaluated on the basis of the loop's state. The tail's
 watermark, drawn in one block from each grid's stream, is one more drive of
-that map, and its detectors step over the finished log. Every run has
-one world plant: the grid plants side by side (block-diagonal) until the tie
+that map. A detector advances over the log rows it has not seen through one
+helper (_advance): with the loop while it can act, else in one block before
+anything reads or retires it and at the run's end. Every run has one world
+plant: the grid plants side by side (block-diagonal) until the tie
 closes, the merged network's plant after, so all grids are measured and
 stepped together through one path, one block step per control period over a
 load schedule evaluated once per run. Scenario times are whole control periods
@@ -738,11 +740,14 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     then the loop steps on to the end. A run of linear laws with no event,
     attack or tie close is all tail (K0 = 0); a run whose head never ends
     (a slow-lqr or observer law, a detector whose flag may respond) is all
-    head. Both parts run the same law functions, give a detector the same
-    inputs and draw the same watermark. The loads at every substep are
-    evaluated before either starts. A float value of the returned log that
-    is not finite is a SimulationError naming the first such step and, of
-    that step, the first such column in the CSV's order.
+    head. Both parts run the same law functions and draw the same watermark.
+    The loads at every substep are evaluated before either starts. A
+    detector that can act steps with the loop (_advance); one that cannot
+    advances over the log rows it has not seen in one block before a
+    scheduled observer_on reads its prediction state, before a tie close
+    retires it, and at the run's end over the rest. A float value of the
+    returned log that is not finite is a SimulationError naming the first
+    such step and, of that step, the first such column in the CSV's order.
     """
     n_steps = scenario.n_steps
     dt_c = scenario.control_period
@@ -757,6 +762,9 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     loads = load_vector(world.signals, time_axis[:, None] + np.arange(n_sub) * h,
                         world.plant.n_load)
     _run_stepped(scenario, world, loads)
+    for rt in rts:  # a detector that could not act advances over the rest of the log
+        if rt.det_state is not None:
+            _advance(rt, n_steps)
     ts = TimeSeries(time_axis, [{name: rt.log[name][1:] for name, _, _ in _LOG} for rt in rts])
     check_finite("the run", time_axis,
                  {name: col for name, col in ts.columns.items() if col.dtype == float})
@@ -824,11 +832,12 @@ def _run_linear(world: _World, loads: np.ndarray, k0: int) -> bool:
     """Fill the world's log rows k0 + 1... from one recursion of its loop map
     (_loop_map) over the load schedule loads, (steps, substeps, loads), from
     the handoff step k0 (run_scenario) on: from the loop's state at step k0,
-    its events fired, and the rest of the run's watermark, drawn in one block from a copy of each
-    grid's stream; log the z_hat that a grid off its observer law holds;
-    then advance each detector over the finished rows in one block. Return
-    True; return False, and change nothing, if a state is not finite or a
-    command leaves +-COMMAND_LIMIT, where the stepped loop would saturate it."""
+    its events fired, and the rest of the run's watermark, drawn in one block
+    from a copy of each grid's stream; log the z_hat that a grid off its
+    observer law holds. Its detectors advance over these rows at the run's
+    end. Return True; return False, and change nothing, if a state is not
+    finite or a command leaves +-COMMAND_LIMIT, where the stepped loop would
+    saturate it."""
     m, drive, mark, c_u, d_u = _loop_map(world, loads.shape[1])
     loads = loads[k0:]
     n_steps, n_x, n = loads.shape[0], world.plant.n_states, len(world.cmd)
@@ -860,24 +869,21 @@ def _run_linear(world: _World, loads: np.ndarray, k0: int) -> bool:
     for rt in world.rts:
         if rt.z_hat is not None:  # no tail law reads it: held, as the stepped loop logs it
             rt.log["zhat"][k0 + 1:] = rt.z_hat
-        if rt.det_state is not None:  # it cannot act: one block over the log it would read
-            det, rows = rt.spec.detector, slice(k0 + 1, None)
-            dw_step(rt.det_state, det.baseline, det.model, rt.log["pg_rx"][rows],
-                    rt.log["dws"][k0:-1], rt.log["wm"][k0:-1],
-                    out=(rt.log["xi1"][rows], rt.log["xi2"][rows], rt.log["flag"][rows]))
     return True
 
 
-def _detect(rt: _GridRuntime, rho: int, y_rx: np.ndarray) -> bool:
-    """Step grid rt's detector at control step rho on its received powers y_rx
-    and the command and watermark of the step before; log xi1, xi2 and the
-    flag in row rho + 1 and return the flag."""
-    det, r = rt.spec.detector, rho + 1
-    flag, _ = dw_step(rt.det_state, det.baseline, det.model, y_rx,
-                      rt.log["dws"][rho], rt.log["wm"][rho])
-    rt.log["xi1"][r], rt.log["xi2"][r] = rt.det_state.xi1, rt.det_state.xi2
-    rt.log["flag"][r] = flag
-    return flag
+def _advance(rt: _GridRuntime, upto: int) -> bool:
+    """Advance grid rt's detector over the log rows it has not seen, up to row
+    upto, in one dw_step call (none if it has seen them): row r's received
+    powers, of control step r - 1, with row r - 1's command and watermark.
+    Log each row's xi1, xi2 and flag, and return the last row's flag."""
+    state, det = rt.det_state, rt.spec.detector
+    if upto <= state.count:
+        return False
+    seen, rows = state.count, slice(state.count + 1, upto + 1)
+    return dw_step(state, det.baseline, det.model, rt.log["pg_rx"][rows],
+                   rt.log["dws"][seen:upto], rt.log["wm"][seen:upto],
+                   out=(rt.log["xi1"][rows], rt.log["xi2"][rows], rt.log["flag"][rows]))[0]
 
 
 def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
@@ -886,12 +892,13 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
     (run_scenario).
 
     Per control instant: fire due events, hand off if the instant is K0,
-    measure true powers, corrupt the received copies per the active attacks,
-    step each enabled detector, fire the auto response's events on a flag
-    unless they are in effect, update the active control law, superpose the
-    watermark, then integrate the plant to the next instant over the substep
-    rows of loads. Every time is a step index before the loop starts, and
-    the loads' change mask is evaluated for each part of the run it steps.
+    measure true powers, corrupt and log the received copies per the active
+    attacks, step each detector if it can act (an auto response), fire the
+    response's events on a flag unless they are in effect, update the active
+    control law, superpose the watermark, then integrate the plant to the
+    next instant over the substep rows of loads. Every time is a step index
+    before the loop starts, and the loads' change mask is evaluated for each
+    part of the run it steps.
     """
     rts, dt_c, n_steps = world.rts, scenario.control_period, loads.shape[0]
     schedule: dict[int, list[Event]] = {}  # control step -> its events, in time order
@@ -905,6 +912,7 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
     # no event or attack from here on: the first step that may be K0
     handoff = max([*schedule, *(steps[1] for steps in atk_steps)], default=0)
     changed = _load_changes(loads[:handoff]).tolist()  # the rest's when it is stepped
+    acts = scenario.auto_response != "none"  # else no detector steps with the loop
     observe = scenario.auto_response == "observer" or scenario.tie is None  # else tie close
     ddelta_log, domega_log, pg_log, dws_log, wm_log = (
         world.log[k] for k in ("ddelta", "domega", "pg", "dws", "wm"))
@@ -919,8 +927,7 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
 
         # the handoff: the recursion takes the rest, unless a flag may still change a law
         if rho == handoff:
-            live = scenario.auto_response != "none" and any(
-                rt.det_state is not None for rt in rts)
+            live = acts and any(rt.det_state is not None for rt in rts)
             if (not live and all(rt.active_law in _LINEAR_LAWS for rt in rts)
                     and _run_linear(world, loads, rho)):
                 return
@@ -935,14 +942,14 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
             y_rx[atk.grid] = apply_attack(y_rx[atk.grid], atk, rho, histories[j],
                                           atk_steps[j], atk_rngs[j])
 
-        # detection and auto response
+        # received powers logged, then detection and auto response
         for gi, rt in enumerate(rts):
-            if rt.det_state is None:
+            rt.log["pg_rx"][r] = y_rx[gi]
+            if rt.det_state is None or not acts:
                 continue
             x_hat = rt.det_state.x_hat  # step rho's: dw_step rebinds it
-            # logged now: a response below may retire the detector
-            if _detect(rt, rho, y_rx[gi]) and scenario.auto_response != "none" and not (
-                    observe and rt.controller == "observer"):  # else already in effect
+            # logged now: a response below may retire the detector; else already in effect
+            if _advance(rt, r) and not (observe and rt.controller == "observer"):
                 log.info("grid %d: flag at t=%.4fs, %s", gi + 1, t,
                          "observer law engaged" if observe else "networking with neighbor")
                 for ev in ([Event(t, "observer_on", gi)] if observe else
@@ -956,7 +963,7 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
                 rt.law(rt, rho, y_rx[gi])
             if rt.wm_source is not None and rt.enabled:
                 rt.log["wm"][r] = rt.wm_source.draw()
-            rt.log["pg_rx"][r], rt.log["z"][r] = y_rx[gi], rt.z
+            rt.log["z"][r] = rt.z
             if rt.z_hat is not None:
                 rt.log["zhat"][r] = rt.z_hat
         dws_log[r] = world.cmd
@@ -980,9 +987,11 @@ def _apply_event(ev: Event, scenario: Scenario, world: _World, rho: int, d_p_l: 
         rt.resolve_law(rho)
     elif ev.action == "observer_on":
         if rt.controller != "observer":
-            if x_hat is None:
-                x_hat = (rt.det_state.x_hat if rt.det_state is not None
-                         else np.zeros(rt.spec.detector.model.order))
+            if x_hat is None and rt.det_state is not None:  # its state at step rho's start
+                _advance(rt, rho)
+                x_hat = rt.det_state.x_hat
+            elif x_hat is None:
+                x_hat = np.zeros(rt.spec.detector.model.order)
             rt.controller, rt.wm_source = "observer", None
             rt.x_hat, rt.z_hat = x_hat.copy(), rt.z.copy()
         rt.enabled = True
@@ -992,7 +1001,8 @@ def _apply_event(ev: Event, scenario: Scenario, world: _World, rho: int, d_p_l: 
     else:
         world.close_tie(scenario.tie, t, d_p_l)
         for gi, rt in enumerate(rts):
-            if rt.det_state is not None:
+            if rt.det_state is not None:  # it has seen the rows before step rho
+                _advance(rt, rho)
                 rt.wm_source = rt.det_state = None
                 log.info("grid %d: detector retired after topology change", gi + 1)
 

@@ -9,11 +9,11 @@ covariance trace are tested against an attack-free baseline:
     xi2 = | tr Sigma_hat - tr Sigma_star |  (variance shift)
 
 Either statistic at or above its BaselineStats threshold raises the attack
-flag. The statistics have one implementation, window_statistics, for one window
-or a stack of them: the streaming dw_step passes its sliding window for one
-sample, and the record-level innovation_statistics every window of a record
-as strided views, a chunk at a time, each window's statistics bit-equal to the
-window alone; dw_step on a block of samples takes the block's windows from it.
+flag. The statistics have one implementation, window_statistics, over a stack
+of windows: the record-level innovation_statistics passes every window of a
+record as strided views, a chunk at a time, each window's statistics bit-equal
+to the window alone, and the streaming dw_step, which advances over a block of
+samples per call, takes the block's windows from it.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from . import defaults
 from .netmodel import _readonly
@@ -62,27 +62,22 @@ def predict_step(
     d_omega_s: np.ndarray,
     e: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One step of the watermarked prediction recursion, or one per row of a block.
+    """k steps of the watermarked prediction recursion, one per row of the
+    (k, n) commands and marks.
 
-    Drives the model with the watermarked command: x+ = A x + B (u + e), and
-    returns x+ and the predicted power C x+. Commands and marks of (k, n) rows
-    step k times, row by row, and return the last x+ and the (k, n) powers,
-    each row bit-equal to a one-sample step.
+    Drives the model with the watermarked command, x+ = A x + B (u + e), row
+    by row, and returns the last x+ and the (k, n) predicted powers C x+.
     """
     x_hat = np.asarray(x_hat, dtype=float)
     u = np.asarray(d_omega_s, dtype=float)
     e = np.asarray(e, dtype=float)
     if x_hat.shape != (model.order,):
         raise ValueError(f"prediction state must have {model.order} entries")
-    if u.shape != e.shape or u.ndim not in (1, 2) or u.shape[-1] != model.n_inputs:
+    if u.shape != e.shape or u.ndim != 2 or u.shape[1] != model.n_inputs:
         raise ValueError(f"command and watermark must have {model.n_inputs} entries "
                          "per row, in as many rows")
-    v = u + e
-    if v.ndim == 1:
-        x_next = model.a_d @ x_hat + model.b_d @ v
-        return x_next, model.c_d @ x_next
-    p = np.empty((v.shape[0], model.n_outputs))
-    for j, v_j in enumerate(v):  # a matrix product over the rows would round differently
+    p = np.empty((u.shape[0], model.n_outputs))
+    for j, v_j in enumerate(u + e):  # a matrix product over the rows would round differently
         x_hat = model.a_d @ x_hat + model.b_d @ v_j
         p[j] = model.c_d @ x_hat
     return x_hat, p
@@ -140,18 +135,17 @@ def calibrate_thresholds(
 
 @dataclass
 class DetectorState:
-    """Streaming detector: prediction state, innovation window, statistics.
+    """Streaming detector: prediction state and innovation window.
 
     nu holds the last w innovations (received minus predicted power) in
-    chronological order, oldest first; count is the number of samples seen.
-    Until count reaches w the window still holds leading zeros.
+    chronological order, oldest first; count is the number of samples seen
+    (a run's detector has advanced over its log rows 1 to count). Until count
+    reaches w the window still holds leading zeros.
     """
 
     x_hat: np.ndarray
     nu: np.ndarray
     count: int = 0
-    xi1: float = 0.0
-    xi2: float = 0.0
 
     @classmethod
     def start(cls, model: DiscreteModel, baseline: BaselineStats) -> "DetectorState":
@@ -160,28 +154,21 @@ class DetectorState:
 
 
 def window_statistics(nu: np.ndarray, baseline: BaselineStats):
-    """Mean shift xi1 and trace shift xi2 of one (w, n) innovation window, as
-    two floats, or of each window of a (k, w, n) stack, as two (k,) arrays.
+    """Mean shift xi1 and trace shift xi2 of each window of a (k, w, n) stack
+    of innovation windows, as two (k,) arrays.
 
     The trace is the centred sum of squares over w, so it cannot cancel
-    catastrophically the way mean(|nu|^2) - |mu_hat|^2 would. Each step is
-    the float arithmetic of nu.mean(axis=0), np.linalg.norm and np.sum spelt
-    with fewer numpy calls, and a window of a stack (contiguous or a strided
-    view) gets the same bits as the window alone: the mean is reduced over the
-    w axis, each window's w * n centred squares are one reduction, and xi1 is
-    sqrt(shift @ shift) per window, since a vectorized sum of squares rounds
-    differently.
+    catastrophically the way mean(|nu|^2) - |mu_hat|^2 would. A window gets
+    the same bits in any stack, contiguous or a strided view, as in a stack
+    of its own: the mean is reduced over the w axis, each window's w * n
+    centred squares are one reduction, and xi1 is sqrt(shift @ shift) per
+    window, since a vectorized sum of squares rounds differently.
     """
-    w = nu.shape[-2]
-    mu_hat = np.add.reduce(nu, axis=-2) / w
+    k, w, n = nu.shape
+    mu_hat = np.add.reduce(nu, axis=1) / w
     shift = mu_hat - baseline.mu_star
-    if nu.ndim == 2:  # the detector's per-step call stays scalar arithmetic
-        centred = nu - mu_hat
-        tr_hat = float(np.add.reduce((centred * centred).ravel())) / w
-        return math.sqrt(shift @ shift), abs(tr_hat - baseline.trace)
     centred = nu - mu_hat[:, None]
-    squares = (centred * centred).reshape(nu.shape[0], w * nu.shape[2])
-    tr_hat = np.add.reduce(squares, axis=1) / w
+    tr_hat = np.add.reduce((centred * centred).reshape(k, w * n), axis=1) / w
     return np.array([math.sqrt(s @ s) for s in shift]), np.abs(tr_hat - baseline.trace)
 
 
@@ -189,16 +176,19 @@ def window_statistics(nu: np.ndarray, baseline: BaselineStats):
 WINDOW_CHUNK = 256
 
 
-def innovation_statistics(nu: np.ndarray, baseline: BaselineStats):
-    """xi1 and xi2 of a (k, n) innovation record as two (k,) arrays: row j is
-    bit-equal to what dw_step leaves in its state after j + 1 innovations,
-    zeros until the window is warm."""
-    w = baseline.w
-    xi = np.zeros((2, nu.shape[0]))
-    for i in range(w - 1, nu.shape[0], WINDOW_CHUNK):  # i: the chunk's first row
-        windows = sliding_window_view(nu[i - w + 1 : i + WINDOW_CHUNK], w, axis=0)
-        xi[:, i : i + WINDOW_CHUNK] = window_statistics(windows.swapaxes(1, 2), baseline)
-    return xi[0], xi[1]
+def innovation_statistics(nu: np.ndarray, baseline: BaselineStats) -> np.ndarray:
+    """xi1 and xi2 of a (k, n) innovation record, as the rows of a (2, k)
+    array: column j holds the statistics of the window ending at row j, as
+    dw_step gives them for the record's sample j, and zeros until the window
+    is warm."""
+    w, (k, n) = baseline.w, nu.shape
+    xi = np.zeros((2, k))
+    for i in range(w - 1, k, WINDOW_CHUNK):  # i: the chunk's first row
+        rows = nu[i - w + 1 : i + WINDOW_CHUNK]
+        windows = as_strided(rows, (len(rows) - w + 1, w, n), (rows.strides[0], *rows.strides),
+                             writeable=False)
+        xi[:, i : i + WINDOW_CHUNK] = window_statistics(windows, baseline)
+    return xi
 
 
 def dw_step(
@@ -208,46 +198,33 @@ def dw_step(
     received_p: np.ndarray,
     d_omega_s_prev: np.ndarray,
     e_prev: np.ndarray,
-    out: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    out: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[bool, DetectorState]:
-    """One detector step: predict, slide the innovation window, test, flag.
+    """Advance the detector over k samples: predict, slide the innovation
+    window, test, flag.
 
-    The prediction advances with the command and watermark applied over the
-    previous control interval; the received measurement is the current sample.
-    Until the window is warm the sample is only accumulated and the flag
-    stays down.
-
-    Received powers, commands and marks of (k, n) rows step k samples at
-    once, bit-equal to k one-sample steps: the windows of the new rows take
-    their statistics from innovation_statistics, and the state is left as
-    those steps leave it. The flag returned is the last sample's (False for
-    k = 0); out, when given, receives each sample's xi1, xi2 and flag.
+    Row j of the (k, n) received powers is sample j; row j of the commands
+    and marks is what was applied over the control interval before it, which
+    advances the prediction. Until the window is warm a sample is only
+    accumulated, its statistics stay zero and its flag down. The windows of
+    the new samples take their statistics from innovation_statistics, so any
+    split of one stream into blocks gives the same bits. out receives each
+    sample's xi1, xi2 and flag; the flag returned is the last sample's
+    (False for k = 0).
     """
     received = np.asarray(received_p, dtype=float)
     x_hat, p_hat = predict_step(model, state.x_hat, d_omega_s_prev, e_prev)
     if received.shape != p_hat.shape:
         raise ValueError(f"received powers must be shaped {p_hat.shape}, as the predicted, "
                          "one row per command")
-    state.x_hat = x_hat
-    if received.ndim == 1:  # one sample: window_statistics' scalar branch
-        state.nu[:-1] = state.nu[1:]
-        state.nu[-1] = received - p_hat
-        state.count += 1
-        if state.count < baseline.w:  # xi1 and xi2 keep their initial zeros
-            return False, state
-        state.xi1, state.xi2 = window_statistics(state.nu, baseline)
-        return (state.xi1 >= baseline.eps1) or (state.xi2 >= baseline.eps2), state
     w, k = baseline.w, received.shape[0]
     nu = np.concatenate([state.nu, received - p_hat])
     cold = min(max(w - 1 - state.count, 0), k)  # rows still in warm-up
     xi = np.zeros((2, k))
-    xi[:, cold:] = np.array(innovation_statistics(nu[1 + cold :], baseline))[:, w - 1 :]
+    xi[:, cold:] = innovation_statistics(nu[1 + cold :], baseline)[:, w - 1 :]
     flags = (xi[0] >= baseline.eps1) | (xi[1] >= baseline.eps2)
     flags[:cold] = False
-    state.nu[:], state.count = nu[k:], state.count + k
-    if cold < k:
-        state.xi1, state.xi2 = float(xi[0, -1]), float(xi[1, -1])
-    if out is not None:
-        for dest, rows in zip(out, (*xi, flags)):
-            dest[:] = rows
+    state.x_hat, state.nu[:], state.count = x_hat, nu[k:], state.count + k
+    for dest, rows in zip(out, (*xi, flags)):
+        dest[:] = rows
     return bool(k) and bool(flags[-1]), state

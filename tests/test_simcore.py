@@ -1171,3 +1171,84 @@ def test_only_a_linear_run_skips_the_stepper(monkeypatch, trained_detector_quiet
                         lambda *args: calls.append(1) or step(*args))
     m.run_scenario(sc)
     assert len(calls) == k0
+
+
+@pytest.mark.parametrize("law", ["optimal-z", "pi"])
+def test_the_recursion_logs_the_stepped_sign_of_zero_commands(law):
+    """optimal-z and pi command -(...), so a zero command is -0.0 in the
+    stepped loop (row 1 of regulation_pulses.cfg's timeseries.csv reads -0):
+    the recursion logs the same sign on every zero dws cell."""
+    sc = m.Scenario(grids=(cs.grid1_spec(controller=law, load_signals=[cs.pulse_load_signal()]),),
+                    horizon=0.5)
+    ts, stepped, linear = _runs(sc)
+    assert linear
+    zero = stepped.grids[0]["dws"] == 0.0
+    assert np.signbit(stepped.grids[0]["dws"][zero]).any()
+    assert np.array_equal(ts.grids[0]["dws"] == 0.0, zero)
+    assert np.array_equal(np.signbit(ts.grids[0]["dws"][zero]),
+                          np.signbit(stepped.grids[0]["dws"][zero]))
+
+
+@pytest.mark.parametrize("kind", ["attacked", "tie-close", "live"])
+def test_a_detector_that_cannot_act_advances_in_one_call(monkeypatch, trained_detector_quiet,
+                                                         kind):
+    """A detector that cannot act makes one dw_step call over every log row it
+    sees: at the run's end, or at the tie close that retires it, whose rows
+    from the close on stay zero. A detector that can act makes one call per
+    stepped step."""
+    g = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0), detector=trained_detector_quiet,
+                      load_signals=[cs.pulse_load_signal()])
+    atk = m.AttackSpec(kind="noise-injection", channels=(0,), start=0.1, end=0.3,
+                       noise_std=100.0)
+    sc = m.Scenario(grids=(g,), horizon=1.0, seed=13, attacks=(atk,),
+                    auto_response="observer" if kind == "live" else "none")
+    if kind == "tie-close":
+        sc = replace(sc, grids=(g, cs.grid2_spec()), tie=cs.default_tie(), attacks=(),
+                     events=(m.Event(0.2, "controller_off"), m.Event(0.7, "tie_close")))
+    calls = []
+    dw_step = simcore.dw_step
+    monkeypatch.setattr(simcore, "dw_step", lambda *args, **kw: calls.append(1)
+                        or dw_step(*args, **kw))
+    log = m.run_scenario(sc).grids[0]
+    assert len(calls) == (sc.n_steps if kind == "live" else 1)
+    seen = 140 if kind == "tie-close" else sc.n_steps  # rows up to the close
+    assert seen > trained_detector_quiet.baseline.w
+    assert np.all(log["xi2"][trained_detector_quiet.baseline.w - 1 : seen] > 0.0)
+    assert not np.any(log["xi2"][seen:])
+
+
+def test_a_detector_logs_the_same_rows_whether_it_can_act_or_not(trained_detector_quiet):
+    """A slow-lqr grid is stepped throughout either way: with the detector's
+    thresholds open no flag fires, so the run whose detector can act (one
+    dw_step call per step) and the one whose detector cannot (one call at
+    the end) log every column bit for bit alike."""
+    det = replace(trained_detector_quiet, baseline=replace(
+        trained_detector_quiet.baseline, eps1=math.inf, eps2=math.inf))
+    g = cs.grid1_spec(controller="slow-lqr", weights=m.CostWeights.uniform(3, q=10.0),
+                      detector=det, load_signals=[cs.pulse_load_signal()])
+    atk = m.AttackSpec(kind="noise-injection", channels=(0,), start=0.5, end=0.8,
+                       noise_std=800.0)
+    none, live = (m.run_scenario(m.Scenario(grids=(g,), horizon=1.0, seed=13, attacks=(atk,),
+                                            auto_response=response))
+                  for response in ("none", "observer"))
+    assert np.any(none.grids[0]["xi1"] > 0.0)
+    for name, col in none.columns.items():
+        assert (list(live.columns[name]) == list(col) if col.dtype == object
+                else live.columns[name].tobytes() == col.tobytes()), name
+
+
+def test_an_observer_on_after_the_tie_close_starts_from_a_zero_prediction(
+        trained_detector_quiet):
+    """A tie close retires grid 1's detector and watermark; an observer_on
+    scheduled after it starts the observer law from z of the step before and
+    a zero prediction state, whose predicted power is zero."""
+    g1 = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0),
+                       detector=trained_detector_quiet, load_signals=[cs.pulse_load_signal()])
+    sc = m.Scenario(grids=(g1, cs.grid2_spec()), horizon=0.5, tie=cs.default_tie(),
+                    events=(m.Event(0.2, "tie_close"), m.Event(0.3, "observer_on")))
+    log = m.run_scenario(sc).grids[0]
+    assert set(log["ctrl"][60:]) == {"observer"} and not np.any(log["wm"][40:])
+    omega_c = np.array([p.omega_c for p in g1.ibrs])
+    m_p = np.array([p.m_p for p in g1.ibrs])
+    assert np.array_equal(log["zhat"][60], m.z_update(log["z"][59], log["dws"][59], np.zeros(3),
+                                                      sc.control_period, omega_c, m_p))

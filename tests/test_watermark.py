@@ -1,6 +1,7 @@
 """Watermark and detector tests: draw statistics, prediction recursion,
 window discipline, flag semantics, and the replay-attack property."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,26 @@ import microagc as m
 from microagc import casestudy as cs, cli
 from microagc.textio import ConfigError
 from microagc.watermark import WINDOW_CHUNK, DetectorState
+
+
+def _window_alone(win, baseline):
+    """xi1 and xi2 of one (w, n) window by the scalar arithmetic: the mean
+    over w, sqrt(shift @ shift), and the centred sum of squares over w."""
+    w = win.shape[0]
+    mu_hat = np.add.reduce(win, axis=0) / w
+    shift = mu_hat - baseline.mu_star
+    centred = win - mu_hat
+    tr_hat = float(np.add.reduce((centred * centred).ravel())) / w
+    return math.sqrt(shift @ shift), abs(tr_hat - baseline.trace)
+
+
+def _step(state, baseline, model, received, command, mark):
+    """One sample as a (1, n) block: (flag, xi1, xi2) as dw_step writes them."""
+    xi1, xi2, flags = np.full(1, np.nan), np.full(1, np.nan), np.zeros(1, bool)
+    flag, _ = m.dw_step(state, baseline, model, received[None], command[None], mark[None],
+                        out=(xi1, xi2, flags))
+    assert flag == flags[0]
+    return flag, float(xi1[0]), float(xi2[0])
 
 
 def toy_model(n=2):
@@ -55,27 +76,31 @@ class TestPredictStep:
     def test_no_watermark_reduces_to_model_recursion(self):
         model = toy_model()
         x = np.array([0.3, -0.1])
-        u = np.array([0.05, 0.02])
-        x1, p1 = m.predict_step(model, x, u, np.zeros(2))
-        np.testing.assert_allclose(x1, model.a_d @ x + model.b_d @ u)
-        np.testing.assert_allclose(p1, model.c_d @ x1)
+        u = np.array([[0.05, 0.02], [-0.01, 0.03]])
+        x2, p = m.predict_step(model, x, u, np.zeros((2, 2)))
+        x1 = model.a_d @ x + model.b_d @ u[0]
+        np.testing.assert_allclose(p[0], model.c_d @ x1)
+        np.testing.assert_allclose(x2, model.a_d @ x1 + model.b_d @ u[1])
+        np.testing.assert_allclose(p[1], model.c_d @ x2)
 
     def test_superposition_of_watermark(self):
         model = toy_model()
         x = np.array([0.3, -0.1])
-        u = np.array([0.05, 0.02])
-        e = np.array([0.01, -0.02])
+        u = np.array([[0.05, 0.02]])
+        e = np.array([[0.01, -0.02]])
         _, p_marked = m.predict_step(model, x, u, e)
-        _, p_plain = m.predict_step(model, x, u, np.zeros(2))
-        _, p_only = m.predict_step(model, np.zeros(2), np.zeros(2), e)
+        _, p_plain = m.predict_step(model, x, u, np.zeros((1, 2)))
+        _, p_only = m.predict_step(model, np.zeros(2), np.zeros((1, 2)), e)
         np.testing.assert_allclose(p_marked - p_plain, p_only, atol=1e-14)
 
     def test_dimension_checks(self):
         model = toy_model()
         with pytest.raises(ValueError):
-            m.predict_step(model, np.zeros(3), np.zeros(2), np.zeros(2))
+            m.predict_step(model, np.zeros(3), np.zeros((1, 2)), np.zeros((1, 2)))
         with pytest.raises(ValueError):
-            m.predict_step(model, np.zeros(2), np.zeros(1), np.zeros(2))
+            m.predict_step(model, np.zeros(2), np.zeros((1, 1)), np.zeros((1, 2)))
+        with pytest.raises(ValueError):  # one sample is a (1, n) row, not a flat vector
+            m.predict_step(model, np.zeros(2), np.zeros(2), np.zeros(2))
 
 
 class TestCalibrateBaseline:
@@ -153,8 +178,7 @@ class TestDwStep:
     def test_window_discipline_fifo(self):
         model, state, base = self.make_detector(w=4)
         for k in range(7):
-            m.dw_step(state, base, model, np.array([float(k)]), np.zeros(1),
-                      np.zeros(1))
+            _step(state, base, model, np.array([float(k)]), np.zeros(1), np.zeros(1))
         held = sorted(state.nu[:, 0].tolist())
         assert held == [3.0, 4.0, 5.0, 6.0]
         assert state.count == 7
@@ -162,25 +186,25 @@ class TestDwStep:
     def test_warmup_keeps_flag_down(self):
         model, state, base = self.make_detector(w=10, eps1=1e-12, eps2=1e-12)
         for k in range(9):
-            flag, _ = m.dw_step(state, base, model, np.array([100.0]),
-                                np.zeros(1), np.zeros(1))
+            flag, _, _ = _step(state, base, model, np.array([100.0]), np.zeros(1),
+                               np.zeros(1))
             assert not flag
 
     def test_perfect_prediction_zero_statistics(self):
         model, state, base = self.make_detector(w=4)
         for _ in range(10):
-            flag, _ = m.dw_step(state, base, model, np.array([0.0]),
-                                np.zeros(1), np.zeros(1))
-        assert state.xi1 == 0.0 and state.xi2 == 0.0 and not flag
+            flag, xi1, xi2 = _step(state, base, model, np.array([0.0]), np.zeros(1),
+                                   np.zeros(1))
+        assert xi1 == 0.0 and xi2 == 0.0 and not flag
 
     def test_flag_matches_decision_rule_after_each_step(self):
         rng = np.random.default_rng(6)
         model, state, base = self.make_detector(w=8, eps1=0.3, eps2=0.2)
         for _ in range(50):
-            flag, _ = m.dw_step(state, base, model,
-                                rng.normal(size=1), np.zeros(1), np.zeros(1))
+            flag, xi1, xi2 = _step(state, base, model, rng.normal(size=1), np.zeros(1),
+                                   np.zeros(1))
             if state.count >= base.w:
-                assert flag == (state.xi1 >= 0.3 or state.xi2 >= 0.2)
+                assert flag == (xi1 >= 0.3 or xi2 >= 0.2)
 
     def test_replay_of_logged_inputs_reproduces_flags(self):
         rng = np.random.default_rng(7)
@@ -192,15 +216,13 @@ class TestDwStep:
         for k in range(60):
             u_prev = us[k - 1] if k else np.zeros(1)
             e_prev = es[k - 1] if k else np.zeros(1)
-            flag, _ = m.dw_step(state, base, model, ys[k], u_prev, e_prev)
-            flags.append(flag)
+            flags.append(_step(state, base, model, ys[k], u_prev, e_prev))
         state2 = DetectorState.start(model, base)
         flags2 = []
         for k in range(60):
             u_prev = us[k - 1] if k else np.zeros(1)
             e_prev = es[k - 1] if k else np.zeros(1)
-            flag, _ = m.dw_step(state2, base, model, ys[k], u_prev, e_prev)
-            flags2.append(flag)
+            flags2.append(_step(state2, base, model, ys[k], u_prev, e_prev))
         assert flags == flags2
 
     @pytest.mark.parametrize("received, commands, marks", [
@@ -209,27 +231,30 @@ class TestDwStep:
     ], ids=["received", "commands-and-marks", "marks", "received-width", "flat-commands",
             "flat-received"])
     def test_block_rows_must_agree(self, received, commands, marks):
-        """A block whose received, command and mark rows disagree raises, and
-        leaves the state as it was."""
+        """A block whose received, command and mark rows disagree, or a flat
+        sample, raises, and leaves the state and out as they were."""
         model, state, base = self.make_detector(w=3)
-        m.dw_step(state, base, model, np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)))
-        before = (state.x_hat.copy(), state.nu.copy(), state.count, state.xi1, state.xi2)
+        m.dw_step(state, base, model, np.ones((2, 1)), np.ones((2, 1)), np.ones((2, 1)),
+                  out=np.zeros((3, 2)))
+        before = (state.x_hat.copy(), state.nu.copy(), state.count)
+        out = np.full((3, 5), np.nan)
         with pytest.raises(ValueError):
             m.dw_step(state, base, model, np.ones(received), np.ones(commands),
-                      np.ones(marks))
-        after = (state.x_hat, state.nu, state.count, state.xi1, state.xi2)
-        for was, now in zip(before, after):
+                      np.ones(marks), out=out)
+        for was, now in zip(before, (state.x_hat, state.nu, state.count)):
             np.testing.assert_array_equal(now, was)
+        assert np.isnan(out).all()
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
 @given(w=st.integers(1, 12), n=st.integers(1, 4), extra=st.integers(0, 30),
        offset=st.floats(-1e4, 1e4), seed=st.integers(0, 2**32 - 1))
 def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset, seed):
-    """dw_step on a stream gives exactly innovation_statistics on the replayed
-    record, the warm-up zeros included, and window_statistics on each of its
-    windows; both match the mean/covariance definition to 1e-9 relative to the
-    magnitude of the compared terms."""
+    """dw_step on a stream, one sample per call, gives exactly
+    innovation_statistics on the replayed record, the warm-up zeros included,
+    and the scalar arithmetic on each of its windows alone; both match the
+    mean/covariance definition to 1e-9 relative to the magnitude of the
+    compared terms."""
     rng = np.random.default_rng(seed)
     k = w + extra
     a = rng.normal(size=(n, n))
@@ -246,14 +271,13 @@ def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset,
     streamed = []
     for i in range(k):
         prev = (commands[i - 1], marks[i - 1]) if i else (np.zeros(n), np.zeros(n))
-        m.dw_step(state, baseline, model, received[i], *prev)
-        streamed.append((state.xi1, state.xi2))
+        streamed.append(_step(state, baseline, model, received[i], *prev)[1:])
 
     nu = received - m.predict(model, np.zeros(n), commands + marks)
     xi1, xi2 = m.innovation_statistics(nu, baseline)
     assert list(zip(xi1.tolist(), xi2.tolist())) == streamed
     assert streamed[: w - 1] == [(0.0, 0.0)] * (w - 1)
-    batch = [m.window_statistics(nu[i - w : i], baseline) for i in range(w, k + 1)]
+    batch = [_window_alone(nu[i - w : i], baseline) for i in range(w, k + 1)]
     assert streamed[w - 1 :] == batch
 
     for (xi1, xi2), i in zip(batch, range(w, k + 1)):
@@ -278,12 +302,14 @@ def test_streaming_statistics_equal_batch_window_statistics(w, n, extra, offset,
 @example(w=4, n=3, parts=[None, WINDOW_CHUNK + 9, 0, 2, None], eps_scale=1.0, seed=2)
 @example(w=1, n=1, parts=[0, 3, None, 1], eps_scale=0.0, seed=3)
 def test_blocks_step_as_one_sample_steps(w, n, parts, eps_scale, seed):
-    """One stream cut into one-sample rows (None) and blocks of k rows (k = 0
-    included) gives, bit for bit, the xi1, xi2 and flag of each sample and
-    the final prediction state, window and count of one-sample stepping. At
-    zero thresholds every warm sample flags, and still no sample in warm-up."""
+    """One stream cut into blocks of k rows (k = 0 included; None is a
+    one-sample block, k = 1) gives, bit for bit, the xi1, xi2 and flag of
+    each sample and the final prediction state, window and count of one
+    block over the whole stream, and so does one sample per call. At zero
+    thresholds every warm sample flags, and still no sample in warm-up."""
     rng = np.random.default_rng(seed)
-    k_all = sum(1 if part is None else part for part in parts)
+    sizes = [1 if part is None else part for part in parts]
+    k_all = sum(sizes)
     a = rng.normal(size=(n, n))
     a *= 0.9 / max(1e-3, float(np.max(np.abs(np.linalg.eigvals(a)))))
     model = m.DiscreteModel(a_d=a, b_d=rng.normal(size=(n, n)),
@@ -296,32 +322,29 @@ def test_blocks_step_as_one_sample_steps(w, n, parts, eps_scale, seed):
                                eps1=eps_scale * rng.uniform(0.2, 1.0),
                                eps2=eps_scale * rng.uniform(0.2, 2.0))
 
-    single = DetectorState.start(model, baseline)
-    expected = []
-    for i in range(k_all):
-        flag, _ = m.dw_step(single, baseline, model, received[i], commands[i], marks[i])
-        expected.append((single.xi1, single.xi2, flag))
+    def run(splits):
+        """(state, [(xi1, xi2, flag) of each sample]) of the stream cut into splits."""
+        state, got, i = DetectorState.start(model, baseline), [], 0
+        for part in splits:
+            out = np.full((3, part), np.nan)
+            rows = slice(i, i + part)
+            flag, _ = m.dw_step(state, baseline, model, received[rows], commands[rows],
+                                marks[rows], out=out)
+            assert type(flag) is bool and flag == (part > 0 and bool(out[2, -1]))
+            got += zip(out[0].tolist(), out[1].tolist(), (out[2] == 1).tolist())
+            i += part
+        return state, got
 
-    state, got, i = DetectorState.start(model, baseline), [], 0
-    for part in parts:
-        if part is None:
-            flag, _ = m.dw_step(state, baseline, model, received[i], commands[i], marks[i])
-            got.append((state.xi1, state.xi2, flag))
-            i += 1
-            continue
-        xi1, xi2, flags = np.full(part, np.nan), np.full(part, np.nan), np.zeros(part, bool)
-        rows = slice(i, i + part)
-        flag, _ = m.dw_step(state, baseline, model, received[rows], commands[rows],
-                            marks[rows], out=(xi1, xi2, flags))
-        assert type(flag) is bool and flag == (part > 0 and bool(flags[-1]))
-        got += zip(xi1.tolist(), xi2.tolist(), flags.tolist())
-        if part:
-            assert (state.xi1, state.xi2) == got[-1][:2]
-        i += part
-    assert got == expected
-    assert (state.count, state.xi1, state.xi2) == (single.count, single.xi1, single.xi2)
-    assert state.x_hat.tobytes() == single.x_hat.tobytes()
-    assert state.nu.tobytes() == single.nu.tobytes()
+    whole, expected = run([k_all])
+    for splits in (sizes, [1] * k_all):
+        state, got = run(splits)
+        assert got == expected
+        assert state.count == whole.count == k_all
+        assert state.x_hat.tobytes() == whole.x_hat.tobytes()
+        assert state.nu.tobytes() == whole.nu.tobytes()
+    assert [flag for _, _, flag in expected[: w - 1]] == [False] * min(w - 1, k_all)
+    if eps_scale == 0.0:
+        assert all(flag for _, _, flag in expected[w - 1 :])
 
 
 @pytest.mark.parametrize("w, k", [(1, 2 * WINDOW_CHUNK), (5, 3 * WINDOW_CHUNK + 7),
@@ -334,7 +357,7 @@ def test_innovation_statistics_rows_across_chunks(w, k):
     nu = rng.normal(size=(k, 3))
     baseline = m.BaselineStats(mu_star=rng.normal(size=3), trace=3.0, w=w)
     xi1, xi2 = m.innovation_statistics(nu, baseline)
-    alone = [m.window_statistics(nu[j - w + 1 : j + 1], baseline) for j in range(w - 1, k)]
+    alone = [_window_alone(nu[j - w + 1 : j + 1], baseline) for j in range(w - 1, k)]
     assert list(zip(xi1.tolist(), xi2.tolist())) == ([(0.0, 0.0)] * (w - 1) + alone)[:k]
 
 
@@ -345,7 +368,8 @@ def test_innovation_statistics_rows_across_chunks(w, k):
 def test_stacked_window_statistics_equal_each_window_alone(w, n, k, offset, scale,
                                                            contiguous, seed):
     """A (k, w, n) stack, as the strided view calibration passes or as a
-    contiguous copy, gives each window's statistics bit for bit."""
+    contiguous copy, gives each window's statistics bit for bit as the scalar
+    arithmetic on the window alone."""
     rng = np.random.default_rng(seed)
     nu = offset + scale * rng.normal(size=(w + k - 1, n))
     baseline = m.BaselineStats(mu_star=offset + rng.normal(size=n),
@@ -354,7 +378,7 @@ def test_stacked_window_statistics_equal_each_window_alone(w, n, k, offset, scal
     if contiguous:
         stack = np.ascontiguousarray(stack)
     xi1, xi2 = m.window_statistics(stack, baseline)
-    alone = [m.window_statistics(nu[i : i + w], baseline) for i in range(k)]
+    alone = [_window_alone(nu[i : i + w], baseline) for i in range(k)]
     assert xi1.shape == xi2.shape == (k,)
     assert list(zip(xi1.tolist(), xi2.tolist())) == alone
 
@@ -375,6 +399,20 @@ def test_trained_detector_calibrates_the_grids_own_loop(monkeypatch):
     assert calib.network is grid.network and calib.load_signals == ()
     assert calib.detector.watermark == setup.watermark
     assert calib.detector.baseline.eps1 == np.inf and calib.detector.baseline.eps2 == np.inf
+
+
+def test_calibrate_detector_scales_the_thresholds_by_the_margin(trained):
+    """Thresholds are margin times the nominal peaks: on a pulsed run, whose
+    model mispredicts the loads, margin 3 gives exactly 1.5 times the
+    thresholds of margin 2, both above the floor."""
+    grid, det, _ = trained
+    run = m.Scenario(grids=(replace(grid, load_signals=(cs.pulse_load_signal(),),
+                                    detector=cli.open_detector(det.model, det.watermark,
+                                                               det.baseline.w)),),
+                     horizon=2.0)
+    two, three = (cli.calibrate_detector(run, margin).baseline for margin in (2.0, 3.0))
+    assert min(two.eps1, two.eps2) > m.defaults.THRESHOLD_FLOOR
+    assert (three.eps1, three.eps2) == (1.5 * two.eps1, 1.5 * two.eps2)
 
 
 @pytest.fixture(scope="module")

@@ -10,7 +10,7 @@ scratch directory with relative output paths so that printed lines compare:
     alone has no model to load yet, so that run compares exit code 3);
   - the `configs/detection_demo.cfg` chain identify -> calibrate -> simulate
     -> detect in one workspace, again with `[grid.1] watermark_std = 0`,
-    whose draws must stay +0.0 (a `wm` cell of `-0` would differ), and again
+    whose `wm` cells read 0 (the writer writes every zero 0, never -0), and again
     with `[grid.1] controller = observer`, whose calibration run carries the
     open detector that the observer law runs from, and again with an `[event]`
     that engages grid 1's observer law at 2.1 s (the auto-response runs below

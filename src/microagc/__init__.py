@@ -59,7 +59,6 @@ from .watermark import (  # noqa: F401
     BaselineStats,
     DetectorState,
     WatermarkConfig,
-    WatermarkSource,
     calibrate_baseline,
     calibrate_thresholds,
     dw_step,

@@ -393,10 +393,9 @@ def calibrate_detector(run: Scenario, margin: float) -> DetectorSetup:
     det = run.grids[0].detector
     model, window = det.model, det.baseline.w
     log = run_scenario(run).grids[0]
-    received, commands, marks = log["pg_rx"], log["dws"], log["wm"]
-    predicted = predict(model, np.zeros(model.order), commands + marks)
-    baseline = calibrate_baseline(received, predicted, w=window)
-    xi1, xi2 = innovation_statistics(received - predicted, baseline)
+    nu = log["pg_rx"] - predict(model, np.zeros(model.order), log["dws"] + log["wm"])
+    baseline = calibrate_baseline(nu, w=window)
+    xi1, xi2 = innovation_statistics(nu, baseline)
     eps1, eps2 = calibrate_thresholds(xi1, xi2, margin=margin)
     return replace(det, baseline=replace(baseline, eps1=eps1, eps2=eps2))
 

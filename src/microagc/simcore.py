@@ -8,7 +8,7 @@ from the loop's exact state at the handoff step K0 (run_scenario states
 when that is); the plant is integrated between instants at a finer substep
 with all inputs held constant over each substep. The map's law rows are the
 laws' own functions, evaluated on the basis of the loop's state. The tail's
-watermark, drawn in one block from each grid's stream, is one more drive of
+watermark, drawn in one block from each grid's generator, is one more drive of
 that map. A detector advances over the log rows it has not seen through one
 helper (_advance): with the loop while it can act, else in one block before
 anything reads or retires it and at the run's end. Every run has one world
@@ -60,7 +60,6 @@ from .watermark import (
     BaselineStats,
     DetectorState,
     WatermarkConfig,
-    WatermarkSource,
     dw_step,
 )
 
@@ -70,6 +69,7 @@ _clip = (np._core if hasattr(np, "_core") else np.core).umath.clip
 
 CONTROLLERS = ("optimal-z", "decentralized", "observer", "pi", "slow-lqr", "none")
 _LINEAR_LAWS = ("optimal-z", "decentralized", "pi", "none")  # linear in the loop state, every step
+STEADY_FLOOR = 1e-12  # rad/s: summarize prints a steady |domega| below it, round-off, as 0
 
 
 class ScenarioError(ValueError):
@@ -365,19 +365,18 @@ class ZohStepper:
         self._tmp = np.zeros(n)  # a_d @ x
 
     def step(self, x: np.ndarray, d_omega_s: np.ndarray, d_p_l: np.ndarray,
-             changed=None) -> np.ndarray:
-        """Advance one substep per row of d_p_l (a 1-D d_p_l is one substep) with
-        the command held, from a copy of x. b_d @ u is recomputed at the rows
-        that changed marks (default: every row); a run passes its row of
-        `_load_changes`, which marks the first row and every row that differs
-        from the one before, so each state equals one call per substep."""
-        rows = d_p_l if d_p_l.ndim == 2 else d_p_l[None]
+             changed) -> np.ndarray:
+        """Advance one substep per row of d_p_l, (substeps, loads), with the
+        command held, from a copy of x. b_d @ u is recomputed at the rows that
+        changed marks, one entry per row (else ValueError); a run passes its
+        row of `_load_changes`, which marks the first row and every row that
+        differs from the one before, so each state equals one call per substep."""
         u, tmp, n_u = self._u, self._tmp, self._n_u
         u[:n_u] = d_omega_s
         x = np.array(x, dtype=float)
-        for s, new in enumerate([True] * len(rows) if changed is None else changed):
+        for s, new in zip(range(len(d_p_l)), changed, strict=True):  # only a changed row is read
             if new:
-                u[n_u:] = rows[s]
+                u[n_u:] = d_p_l[s]
                 drive = self.b_d @ u
             np.matmul(self.a_d, x, out=tmp)  # x = a_d @ x + drive, in place
             np.add(tmp, drive, out=x)
@@ -557,10 +556,10 @@ class _GridRuntime:
         self.pi_integ = np.zeros(self.n)
         self.sensor_y = np.zeros(self.n)
         self.det_state: DetectorState | None = None
-        self.wm_source: WatermarkSource | None = None  # None: draws no watermark
+        self.wm_rng: np.random.Generator | None = None  # the watermark's; None: draws none
         if spec.detector is not None:
             self.det_state = DetectorState.start(spec.detector.model, spec.detector.baseline)
-            self.wm_source = WatermarkSource(spec.detector.watermark, self.n)
+            self.wm_rng = np.random.default_rng(spec.detector.watermark.seed)
         self.log = {name: np.zeros(n_steps + 1, dtype=dtype)
                     for name, per_ibr, dtype in _LOG if not per_ibr}
 
@@ -781,13 +780,14 @@ def _loop_map(world: _World, n_sub: int):
     world.stepper's substep map composed n_sub times, in the stepped loop's
     update order: measure, update each law, then hold the command over the
     substeps. Its measurement and law rows are the functions the stepped
-    loop's laws call, each linear in its state and inputs, evaluated on the
-    basis of the step's inputs (s, d_0 and the watermark w), per-IBR
-    constants as columns. z and the PI states of a channel whose law does
-    not use them are held, as the stepped loop holds them. w rides on the
-    held command: it adds mark w to s+, through x and through z, which
-    integrates the applied command. Returns (m, drive, mark, c_u, d_u),
-    drive shaped (n_sub, states, loads) and mark (states, channels)."""
+    loop's laws call, each linear in its state and inputs, every law
+    evaluated on the whole basis of the step's inputs (s, d_0 and the
+    watermark w), per-IBR constants as columns. z and the PI states of a
+    channel whose law does not use them are held, as the stepped loop holds
+    them. w rides on the held command: it adds mark w to s+, through x and
+    through z, which integrates the applied command. Returns (m, drive,
+    mark, c_u, d_u), drive shaped (n_sub, states, loads) and mark (states,
+    channels)."""
     plant, dt = world.plant, world.rts[0].dt
     n, n_x = len(world.cmd), plant.n_states
     a_d, b_u, b_l = world.stepper.a_d, world.stepper.b_d[:, :n], world.stepper.b_d[:, n:]
@@ -798,7 +798,7 @@ def _loop_map(world: _World, n_sub: int):
     bounds = np.cumsum([0, n_x, n, n, n, plant.n_load, n])  # s = (x, z, lag, integ), d_0, w
     x, z, lag, integ, d_0, w = map(slice, bounds[:-1], bounds[1:])
     n_s, basis = integ.stop, np.eye(bounds[-1])  # one column per input
-    pg, s = measure_power(plant, basis[x], basis[d_0]), basis[:, :n_s]
+    pg = measure_power(plant, basis[x], basis[d_0])
     u = np.zeros((n, len(basis)))  # the law's command
     new = basis[:n_s].copy()  # s+: z and the PI states held until a law updates them, x below
     for rt, ch in zip(world.rts, world.channels):
@@ -807,11 +807,11 @@ def _loop_map(world: _World, n_sub: int):
             u[ch, z][:, ch] = control_optimal(rt.gain, np.eye(rt.n))
         elif law == "decentralized":
             u[ch] = control_decentralized(m_p, pg[ch])
-        elif law == "pi":  # of s alone: the new sensor output, then the integrator over it
-            new[lag][ch, :n_s] = measure_frequency_lagged(s[x][1::2][ch], s[lag][ch],
-                                                          defaults.SENSOR_LAG_TAU, dt)
-            u[ch, :n_s], new[integ][ch, :n_s] = control_pi_baseline(
-                defaults.PI_KP, defaults.PI_KI, new[lag][ch, :n_s], dt, s[integ][ch])
+        elif law == "pi":  # the new sensor output, then the integrator over it
+            new[lag][ch] = measure_frequency_lagged(basis[x][1::2][ch], basis[lag][ch],
+                                                    defaults.SENSOR_LAG_TAU, dt)
+            u[ch], new[integ][ch] = control_pi_baseline(defaults.PI_KP, defaults.PI_KI,
+                                                        new[lag][ch], dt, basis[integ][ch])
         if law in ("optimal-z", "decentralized"):  # z integrates the applied command, u + w
             new[z][ch] = z_update(basis[z][ch], u[ch] + basis[w][ch], pg[ch], dt,
                                   rt.omega_c[:, None], m_p)
@@ -833,32 +833,29 @@ def _run_linear(world: _World, loads: np.ndarray, k0: int) -> bool:
     (_loop_map) over the load schedule loads, (steps, substeps, loads), from
     the handoff step k0 (run_scenario) on: from the loop's state at step k0,
     its events fired, and the rest of the run's watermark, drawn in one block
-    from a copy of each grid's stream; log the z_hat that a grid off its
-    observer law holds. Its detectors advance over these rows at the run's
-    end. Return True; return False, and change nothing, if a state is not
-    finite or a command leaves +-COMMAND_LIMIT, where the stepped loop would
-    saturate it."""
+    from a copy of each grid's generator; log the z_hat that a grid off its
+    observer law holds. A logged zero may have another sign than the stepped
+    loop's; the writer writes both 0. Its detectors advance over these rows
+    at the run's end. Return True; return False, and change nothing, if a
+    state is not finite or a command leaves +-COMMAND_LIMIT, where the
+    stepped loop would saturate it."""
     m, drive, mark, c_u, d_u = _loop_map(world, loads.shape[1])
     loads = loads[k0:]
     n_steps, n_x, n = loads.shape[0], world.plant.n_states, len(world.cmd)
     drives = np.einsum("ksl,sil->ki", loads, drive, optimize=True)  # one gemm
-    marked = [(rt, ch) for rt, ch in zip(world.rts, world.channels)
-              if rt.wm_source is not None and rt.enabled]
     wm = np.zeros((n_steps, n))
-    for rt, ch in marked:  # a copy: a declined tail steps on from rt.wm_source's state
-        wm[:, ch] = copy.deepcopy(rt.wm_source).draw(n_steps)
-    if marked:  # a run without a watermark keeps its bits
-        drives += wm @ mark.T
+    for rt, ch in zip(world.rts, world.channels):
+        if rt.wm_rng is not None and rt.enabled:  # a copy: a declined tail steps on from its state
+            draws = copy.deepcopy(rt.wm_rng).standard_normal((n_steps, rt.n))
+            wm[:, ch] = rt.spec.detector.watermark.std * draws
+    drives += wm @ mark.T
     # step k0's state: z as its law leaves it (z_update of the step before), the rest as found
     z = [z_update(rt.z, rt.applied, rt.log["pg_rx"][k0], rt.dt, rt.omega_c, rt.m_p)
          if rt.active_law in ("optimal-z", "decentralized") else rt.z for rt in world.rts]
     start = np.concatenate([world.x, *z, *(rt.sensor_y for rt in world.rts),
                             *(rt.pi_integ for rt in world.rts)])
     s = _recursion_rows(m.T, start, drives)
-    # optimal-z and pi command -(...), whose zero is -0.0, as their stepped laws do
-    sign = np.concatenate([[-1.0 if rt.active_law in ("optimal-z", "pi") else 1.0] * rt.n
-                           for rt in world.rts])
-    u = sign * (s @ (sign[:, None] * c_u).T + loads[:, 0] @ (sign[:, None] * d_u).T)
+    u = s @ c_u.T + loads[:, 0] @ d_u.T
     if not (np.isfinite(s).all() and (np.abs(u) <= defaults.COMMAND_LIMIT).all()):
         return False
     x = s[:, :n_x]
@@ -961,8 +958,8 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
         for gi, rt in enumerate(rts):
             if rt.law is not None:
                 rt.law(rt, rho, y_rx[gi])
-            if rt.wm_source is not None and rt.enabled:
-                rt.log["wm"][r] = rt.wm_source.draw()
+            if rt.wm_rng is not None and rt.enabled:
+                rt.log["wm"][r] = rt.spec.detector.watermark.std * rt.wm_rng.standard_normal(rt.n)
             rt.log["z"][r] = rt.z
             if rt.z_hat is not None:
                 rt.log["zhat"][r] = rt.z_hat
@@ -992,7 +989,7 @@ def _apply_event(ev: Event, scenario: Scenario, world: _World, rho: int, d_p_l: 
                 x_hat = rt.det_state.x_hat
             elif x_hat is None:
                 x_hat = np.zeros(rt.spec.detector.model.order)
-            rt.controller, rt.wm_source = "observer", None
+            rt.controller, rt.wm_rng = "observer", None
             rt.x_hat, rt.z_hat = x_hat.copy(), rt.z.copy()
         rt.enabled = True
         rt.resolve_law(rho)
@@ -1003,7 +1000,7 @@ def _apply_event(ev: Event, scenario: Scenario, world: _World, rho: int, d_p_l: 
         for gi, rt in enumerate(rts):
             if rt.det_state is not None:  # it has seen the rows before step rho
                 _advance(rt, rho)
-                rt.wm_source = rt.det_state = None
+                rt.wm_rng = rt.det_state = None
                 log.info("grid %d: detector retired after topology change", gi + 1)
 
 
@@ -1015,10 +1012,9 @@ def summarize(ts: TimeSeries, scenario: Scenario) -> str:
     for gi, log in enumerate(ts.grids):
         lines.append(f"[grid {gi + 1}]")
         for i, w in enumerate(log["domega"].T):
-            lines.append(
-                f"node {i + 1}: rms_domega_rad_s = {rms(w):.6g}  "
-                f"steady_abs_domega_rad_s = {np.mean(np.abs(w[ts.time >= tail])):.6g}"
-            )
+            steady = np.mean(np.abs(w[ts.time >= tail]))
+            lines.append(f"node {i + 1}: rms_domega_rad_s = {rms(w):.6g}  steady_abs_domega_rad_s"
+                         f" = {0.0 if steady < STEADY_FLOOR else steady:.6g}")
         flags = log["flag"]
         for atk in scenario.attacks:
             if atk.grid != gi:

@@ -2,7 +2,8 @@
 tables (run logs, detector telemetry, identification records) and the block
 files of models and baselines, and the value domains of scenario and block
 file keys. Malformed input raises ConfigError naming the file, and the line
-where there is one; an unreadable file raises OSError.
+where there is one; an unreadable file raises OSError. The sign of zero is
+decided here alone: both writers add 0.0 to every float, so a zero is 0, never -0.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ def write_table(path, names, columns) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
         for start in range(0, len(columns[0]), _BLOCK_ROWS):
-            block = (col[start : start + _BLOCK_ROWS].tolist() for col in columns)
+            block = (col[start : start + _BLOCK_ROWS] for col in columns)
+            block = ((b + 0.0 if b.dtype.kind == "f" else b).tolist() for b in block)
             fh.writelines(row % cells for cells in zip(*block))
 
 
@@ -135,7 +137,7 @@ class BlockFile:
         lines = [f"{key} = {value}" for key, value in header.items()]
         for name, mat in blocks.items():
             lines.append(f"[{name}]")
-            lines += [" ".join(repr(float(v)) for v in row) for row in np.atleast_2d(mat)]
+            lines += [" ".join(map(repr, row)) for row in (np.atleast_2d(mat) + 0.0).tolist()]
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 

@@ -9,11 +9,11 @@ covariance trace are tested against an attack-free baseline:
     xi2 = | tr Sigma_hat - tr Sigma_star |  (variance shift)
 
 Either statistic at or above its BaselineStats threshold raises the attack
-flag. The statistics have one implementation, window_statistics, over a stack
-of windows: the record-level innovation_statistics passes every window of a
-record as strided views, a chunk at a time, each window's statistics bit-equal
-to the window alone, and the streaming dw_step, which advances over a block of
-samples per call, takes the block's windows from it.
+flag. The baseline and the statistics take the window moments from one
+function, _moments, over a stack of windows: the record-level
+innovation_statistics passes every window of a record as strided views, a
+chunk at a time, each window's statistics bit-equal to the window alone, and
+the streaming dw_step, a block of samples per call, takes its windows from it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .sysid import DiscreteModel
 
 @dataclass(frozen=True)
 class WatermarkConfig:
-    """Isotropic secret watermark: each channel draws N(0, std^2), from seed."""
+    """Isotropic secret watermark: each channel draws std * N(0, 1), from default_rng(seed)."""
 
     std: float
     seed: int = 0
@@ -39,21 +39,6 @@ class WatermarkConfig:
     def __post_init__(self):
         if not 0.0 <= self.std < math.inf:
             raise ValueError(f"watermark std must be finite and >= 0, got {self.std}")
-
-
-class WatermarkSource:
-    """Deterministic stream of watermark draws on n channels for one run."""
-
-    def __init__(self, cfg: WatermarkConfig, n: int):
-        self._rng = np.random.default_rng(cfg.seed)
-        self._n = n
-        # a product, not std * z: at std = 0 every draw stays +0.0, never -0.0
-        self._factor = cfg.std * np.eye(n)
-
-    def draw(self, k: int | None = None) -> np.ndarray:
-        """The next draw, (n,), or the next k as (k, n) rows, bit-equal to k
-        single draws: the factor is diagonal, so each cell is one product."""
-        return self._rng.standard_normal(self._n if k is None else (k, self._n)) @ self._factor.T
 
 
 def predict_step(
@@ -99,20 +84,13 @@ class BaselineStats:
         object.__setattr__(self, "mu_star", _readonly(self.mu_star))
 
 
-def calibrate_baseline(
-    received: np.ndarray, predicted: np.ndarray, w: int = defaults.DETECTOR_WINDOW
-) -> BaselineStats:
-    """Mean and covariance trace of the innovations over the first w samples."""
-    received = np.atleast_2d(np.asarray(received, dtype=float))
-    predicted = np.atleast_2d(np.asarray(predicted, dtype=float))
-    if received.shape != predicted.shape:
-        raise ValueError("received and predicted records must align")
-    if received.shape[0] < w:
-        raise ValueError(f"need at least {w} samples, got {received.shape[0]}")
-    nu = received[:w] - predicted[:w]
-    mu = nu.mean(axis=0)
-    centered = nu - mu
-    return BaselineStats(mu_star=mu, trace=float(np.trace(centered.T @ centered / w)), w=w)
+def calibrate_baseline(nu: np.ndarray, w: int = defaults.DETECTOR_WINDOW) -> BaselineStats:
+    """Mean and covariance trace of the first w rows of a (k, n) innovation
+    record (_moments): that window's statistics against it are exactly 0."""
+    if nu.shape[0] < w:
+        raise ValueError(f"need at least {w} samples, got {nu.shape[0]}")
+    mu, trace = _moments(nu[None, :w])
+    return BaselineStats(mu_star=mu[0], trace=float(trace[0]), w=w)
 
 
 def calibrate_thresholds(
@@ -153,22 +131,27 @@ class DetectorState:
         return cls(x_hat=np.zeros(model.order), nu=np.zeros((baseline.w, model.n_outputs)))
 
 
-def window_statistics(nu: np.ndarray, baseline: BaselineStats):
-    """Mean shift xi1 and trace shift xi2 of each window of a (k, w, n) stack
-    of innovation windows, as two (k,) arrays.
+def _moments(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean, (k, n), and covariance trace, (k,), of each window of a (k, w, n) stack.
 
     The trace is the centred sum of squares over w, so it cannot cancel
     catastrophically the way mean(|nu|^2) - |mu_hat|^2 would. A window gets
     the same bits in any stack, contiguous or a strided view, as in a stack
-    of its own: the mean is reduced over the w axis, each window's w * n
-    centred squares are one reduction, and xi1 is sqrt(shift @ shift) per
-    window, since a vectorized sum of squares rounds differently.
+    of its own: the mean is reduced over the w axis, and each window's w * n
+    centred squares are one reduction.
     """
     k, w, n = nu.shape
     mu_hat = np.add.reduce(nu, axis=1) / w
-    shift = mu_hat - baseline.mu_star
     centred = nu - mu_hat[:, None]
-    tr_hat = np.add.reduce((centred * centred).reshape(k, w * n), axis=1) / w
+    return mu_hat, np.add.reduce((centred * centred).reshape(k, w * n), axis=1) / w
+
+
+def window_statistics(nu: np.ndarray, baseline: BaselineStats):
+    """Mean shift xi1 and trace shift xi2 of each window of a (k, w, n) stack, as
+    two (k,) arrays; xi1 is sqrt(shift @ shift) per window, since a vectorized
+    sum of squares rounds differently."""
+    mu_hat, tr_hat = _moments(nu)
+    shift = mu_hat - baseline.mu_star
     return np.array([math.sqrt(s @ s) for s in shift]), np.abs(tr_hat - baseline.trace)
 
 

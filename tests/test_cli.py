@@ -782,6 +782,19 @@ def test_simulate_does_not_depend_on_the_blas_thread_count(tmp_path, config):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("config", ["regulation_pulses.cfg", "collaborative.cfg"])
+def test_simulate_writes_a_zero_as_0(tmp_path, config):
+    """simulate on a shipped config whose optimal-z law commands -(K z) with
+    z = 0 in its first step writes row 1's dws cells as 0, and no cell of
+    timeseries.csv as -0."""
+    out = tmp_path / "out"
+    assert run(["simulate", "--config", CONFIGS / config, "--out", out, "--quiet"]) == cli.EXIT_OK
+    header, *rows = [line.split(",") for line in
+                     (out / "timeseries.csv").read_text().splitlines()]
+    assert [rows[0][header.index(f"mg1_dws_{i}")] for i in (1, 2, 3)] == ["0", "0", "0"]
+    assert not any("-0" in row for row in rows)
+
+
 def test_identify_does_not_depend_on_the_blas_thread_count(tmp_path):
     """identify on detection_demo.cfg writes the same order_report.txt and
     model.txt, byte for byte, with one OpenBLAS thread and with two."""

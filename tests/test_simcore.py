@@ -35,7 +35,7 @@ class TestIntegrateStep:
             f=np.zeros((2, 0)), e=np.zeros((1, 2)),
             h_red=np.zeros((1, 1)), f_map=np.zeros((1, 0)),
         )
-        x1 = ZohStepper(plant, 0.25).step(np.zeros(2), np.array([3.0]), np.zeros(0))
+        x1 = ZohStepper(plant, 0.25).step(np.zeros(2), np.array([3.0]), np.zeros((1, 0)), [True])
         np.testing.assert_allclose(x1, [0.75, 0.0], atol=1e-15)
 
     def test_scalar_exponential_decay(self):
@@ -44,7 +44,7 @@ class TestIntegrateStep:
             f=np.zeros((1, 0)), e=np.zeros((1, 1)), h_red=np.zeros((1, 1)),
             f_map=np.zeros((1, 0)),
         )
-        x1 = ZohStepper(plant, 1.0).step(np.array([1.0]), np.zeros(1), np.zeros(0))
+        x1 = ZohStepper(plant, 1.0).step(np.array([1.0]), np.zeros(1), np.zeros((1, 0)), [True])
         assert x1[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_semigroup_two_half_steps(self):
@@ -53,10 +53,10 @@ class TestIntegrateStep:
         rng = np.random.default_rng(1)
         x = rng.normal(0.0, 0.05, plant.n_states)
         u = rng.normal(0.0, 0.05, 3)
-        pl = rng.normal(0.0, 200.0, 2)
-        one = ZohStepper(plant, 0.005).step(x, u, pl)
+        pl = rng.normal(0.0, 200.0, (1, 2))
+        one = ZohStepper(plant, 0.005).step(x, u, pl, [True])
         half_step = ZohStepper(plant, 0.0025).step
-        two = half_step(half_step(x, u, pl), u, pl)
+        two = half_step(half_step(x, u, pl, [True]), u, pl, [True])
         np.testing.assert_allclose(two, one, rtol=0, atol=1e-12 * max(1, np.max(np.abs(one))))
 
     def test_matches_dense_reference_over_one_second(self):
@@ -73,10 +73,10 @@ class TestIntegrateStep:
         scale = 0.0
         for k in range(200):  # 1 s
             u = np.sin(np.arange(3) + 0.013 * k) * 0.05
-            pl = np.cos(np.arange(2) + 0.029 * k) * 300.0
-            x_c = coarse.step(x_c, u, pl)
+            pl = np.cos(np.arange(2) + 0.029 * k)[None] * 300.0
+            x_c = coarse.step(x_c, u, pl, [True])
             for _ in range(64):
-                x_f = fine.step(x_f, u, pl)
+                x_f = fine.step(x_f, u, pl, [True])
             scale = max(scale, np.max(np.abs(x_c)))
         assert np.max(np.abs(x_c - x_f)) <= 1e-9 * scale
 
@@ -103,13 +103,24 @@ def test_block_step_equals_one_substep_per_row(omega_c, m_p, h, data):
     rows = np.array([pool[i] for i in picks]) + 0.0  # + 0.0 makes any -0.0 a 0.0
     x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6)))
     u = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
-    block = stepper.step(x0, u, rows)
+    block = stepper.step(x0, u, rows, [True] * len(rows))
     x_rows = x_ref = x0
     for row in rows:
-        x_rows = stepper.step(x_rows, u, row)
+        x_rows = stepper.step(x_rows, u, row[None], [True])
         x_ref = stepper.a_d @ x_ref + stepper.b_d @ np.concatenate([u, row])
     assert np.array_equal(block, x_rows)
     assert np.array_equal(block, x_ref)
+
+
+def test_step_needs_one_change_mark_per_load_row():
+    """step takes (substeps, loads) rows and one mark per row: a flat row of
+    loads, which it would read as one substep per load, or a short mask
+    raises ValueError instead of stepping."""
+    stepper = ZohStepper(m.assemble_plant(_GRID1.ibrs, _SENS1), 5e-4)
+    x, u = np.zeros(6), np.zeros(3)
+    for rows, changed in ((np.array([900.0, 0.0]), [True]), (np.zeros((3, 2)), [True, False])):
+        with pytest.raises(ValueError):
+            stepper.step(x, u, rows, changed)
 
 
 @pytest.mark.parametrize("period, width", [(0.0135, 0.006), (0.0072, 0.0031)])
@@ -132,7 +143,7 @@ def test_step_over_the_change_mask_equals_one_row_at_a_time(period, width):
         u = np.sin(np.arange(3) + 0.1 * rho) * 0.05
         x_block = stepper.step(x_block, u, loads[rho], changed[rho].tolist())
         for row in loads[rho]:
-            x_rows = stepper.step(x_rows, u, row)
+            x_rows = stepper.step(x_rows, u, row[None], [True])
         assert np.array_equal(x_block, x_rows)
 
 
@@ -742,6 +753,30 @@ class TestRunScenario:
         text = m.summarize(ts, sc)
         assert "rms_domega_rad_s" in text and "[grid 1]" in text
 
+    @pytest.mark.parametrize("horizon", [20.0, 10.0], ids=["settled", "settling"])
+    def test_summary_prints_a_round_off_steady_state_as_0(self, horizon):
+        """A tie run: grid 1 off at 0.5 s under a load step, the tie closed at
+        1 s, grid 2 regulating both. Settled at 20 s, every node's steady
+        |domega| is round-off, nonzero and below STEADY_FLOOR, and prints 0;
+        still settling at 10 s, each is above it and prints as it is. The RMS
+        values print as they are."""
+        sig = m.LoadSignalSpec(kind="step", amplitude=2000.0, load_index=0, step_time=0.5)
+        sc = m.Scenario(grids=(cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0),
+                                             load_signals=[sig]),
+                               cs.grid2_spec(weights=m.CostWeights.uniform(2, q=10.0))),
+                        horizon=horizon, tie=cs.default_tie(),
+                        events=(m.Event(0.5, "controller_off", 0), m.Event(1.0, "tie_close")))
+        ts = m.run_scenario(sc)
+        text = m.summarize(ts, sc)
+        omegas = [w for log in ts.grids for w in log["domega"].T]
+        steady = [np.mean(np.abs(w[ts.time >= 0.95 * horizon])) for w in omegas]
+        settled = horizon == 20.0
+        assert all(0.0 < v < simcore.STEADY_FLOOR if settled else v >= simcore.STEADY_FLOOR
+                   for v in steady)
+        assert re.findall(r"steady_abs_domega_rad_s = (\S+)", text) == (
+            ["0"] * 5 if settled else [f"{v:.6g}" for v in steady])
+        assert re.findall(r"rms_domega_rad_s = (\S+)", text) == [f"{rms(w):.6g}" for w in omegas]
+
     def test_rms_helper(self):
         assert rms(np.array([3.0, 4.0])) == pytest.approx(np.sqrt(12.5))
         assert rms(np.array([])) == 0.0
@@ -864,7 +899,7 @@ def test_only_apply_event_changes_a_grid_mid_run():
     """A grid runtime's law, observer, watermark and detector are set when it is
     built or its law is bound, and changed during a run only by _apply_event:
     an auto-response fires the events it stands for."""
-    guarded = {"controller", "enabled", "x_hat", "z_hat", "wm_source", "det_state", "law"}
+    guarded = {"controller", "enabled", "x_hat", "z_hat", "wm_rng", "det_state", "law"}
     writers: dict[str, set[str]] = {}
 
     def scan(node, scope):
@@ -992,8 +1027,7 @@ def _assert_stepped_up_to_rounding(ts, stepped):
     log's; a rad or rad/s column whose peak is round-off (a decentralized law
     cancels a load exactly) within 1e-12 absolute, and a detector statistic
     whose peak is round-off within 1e-11 of the received power's peak (xi1,
-    in W) or its square (xi2). Labels, flags and watermarks are equal, and no
-    watermark cell is -0."""
+    in W) or its square (xi2). Labels, flags and watermarks are equal."""
     for name, col in stepped.columns.items():
         if col.dtype == object:
             assert list(ts.columns[name]) == list(col)
@@ -1001,7 +1035,6 @@ def _assert_stepped_up_to_rounding(ts, stepped):
         kind = name.split("_")[1]
         if kind in ("flag", "wm"):
             assert np.array_equal(ts.columns[name], col), name
-            assert not np.signbit(ts.columns[name][col == 0]).any(), name
             continue
         floor = 1e-12 if kind in _RAD else 0.0
         if kind in _XI:  # statistics of received minus predicted power: at a round-off
@@ -1173,20 +1206,51 @@ def test_only_a_linear_run_skips_the_stepper(monkeypatch, trained_detector_quiet
     assert len(calls) == k0
 
 
+def _csv_cells(ts, path, kind: str) -> np.ndarray:
+    """The cells of ts's log columns of kind ("wm", "dws", ...) as its to_csv
+    writes them, a (steps, columns) array of strings."""
+    ts.to_csv(path)
+    header, *rows = [line.split(",") for line in path.read_text().splitlines()]
+    return np.array(rows)[:, [f"_{kind}_" in name for name in header]]
+
+
+@pytest.mark.parametrize("stds", [(defaults.WATERMARK_STD,), (0.0,), (0.02, 0.005)],
+                         ids=["std-0.012", "std-0", "two-grids"])
+def test_a_grid_logs_its_watermark_draws(trained_detector_quiet, tmp_path, stds):
+    """A grid's watermark rows are std * default_rng(seed).standard_normal((k, n)),
+    row for row, over a stepped head (an attack window to 0.2 s) and the
+    recursion's tail, bit for bit, each grid from its own generator; at std 0
+    every written wm cell reads 0."""
+    grids = (cs.grid1_spec(load_signals=[cs.pulse_load_signal()]), cs.grid2_spec())
+    grids = [replace(g, detector=replace(trained_detector_quiet if gi == 0 else
+                                         cli.open_detector(_ZERO_MODEL, None, 10),
+                                         watermark=m.WatermarkConfig(std, seed=11 + gi)))
+             for gi, (g, std) in enumerate(zip(grids, stds))]
+    atk = m.AttackSpec(kind="noise-injection", channels=(0,), start=0.05, end=0.2,
+                       noise_std=50.0)
+    sc = m.Scenario(grids=tuple(grids), horizon=0.5, attacks=(atk,))
+    ts, _, linear = _runs(sc)
+    assert linear
+    for gi, (log, std) in enumerate(zip(ts.grids, stds)):
+        expected = std * np.random.default_rng(11 + gi).standard_normal(log["wm"].shape)
+        assert log["wm"].tobytes() == expected.tobytes()
+    cells = set(_csv_cells(ts, tmp_path / "ts.csv", "wm").ravel())
+    assert (cells == {"0"}) if stds == (0.0,) else ("0" not in cells and len(cells) > 100)
+
+
 @pytest.mark.parametrize("law", ["optimal-z", "pi"])
-def test_the_recursion_logs_the_stepped_sign_of_zero_commands(law):
+def test_the_recursion_writes_the_stepped_zero_commands(tmp_path, law):
     """optimal-z and pi command -(...), so a zero command is -0.0 in the
-    stepped loop (row 1 of regulation_pulses.cfg's timeseries.csv reads -0):
-    the recursion logs the same sign on every zero dws cell."""
+    stepped loop (row 1 of regulation_pulses.cfg's run), and the recursion's
+    zero may be +0.0: both logs write every zero dws cell as 0."""
     sc = m.Scenario(grids=(cs.grid1_spec(controller=law, load_signals=[cs.pulse_load_signal()]),),
                     horizon=0.5)
     ts, stepped, linear = _runs(sc)
     assert linear
     zero = stepped.grids[0]["dws"] == 0.0
-    assert np.signbit(stepped.grids[0]["dws"][zero]).any()
-    assert np.array_equal(ts.grids[0]["dws"] == 0.0, zero)
-    assert np.array_equal(np.signbit(ts.grids[0]["dws"][zero]),
-                          np.signbit(stepped.grids[0]["dws"][zero]))
+    assert zero.any() and np.array_equal(ts.grids[0]["dws"] == 0.0, zero)
+    for i, log in enumerate((ts, stepped)):
+        assert set(_csv_cells(log, tmp_path / f"{i}.csv", "dws")[zero]) == {"0"}
 
 
 @pytest.mark.parametrize("kind", ["attacked", "tie-close", "live"])

@@ -631,12 +631,12 @@ class TestOnDefaultPlant:
         t, u, y = cs.identification_records(grid, spec)
         plant = m.grid_plant(grid)[1]
         stepper = m.ZohStepper(plant, spec.dt)
-        no_load = np.zeros(plant.n_load)
+        no_load = np.zeros((1, plant.n_load))
         x = np.zeros(plant.n_states)
         ref = np.empty((u.shape[0], plant.n_ibr))
         for k in range(u.shape[0]):
-            ref[k] = m.measure_power(plant, x, no_load)
-            x = stepper.step(x, u[k], no_load)
+            ref[k] = m.measure_power(plant, x, no_load[0])
+            x = stepper.step(x, u[k], no_load, [True])
         assert np.array_equal(t, np.arange(spec.k0 + 1) * spec.dt)
         assert y.shape == ref.shape
         assert np.all(np.abs(y - ref) <= 1e-12 * np.max(np.abs(ref), axis=0))

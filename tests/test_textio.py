@@ -1,16 +1,18 @@
 """The CSV layer: write_table formats cells exactly as the per-cell rule did,
-read_table gives back what was written to 9 significant digits, and a
-malformed table fails with the file and line."""
+a zero written 0, read_table gives back what was written to 9 significant
+digits, and a malformed table fails with the file and line; BlockFile.write
+writes a zero 0.0 by the same rule."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microagc.textio import ConfigError, read_table, write_table
+from microagc.textio import REAL, BlockFile, ConfigError, read_table, write_table
 
 
 def reference_csv(names, columns) -> str:
-    """The per-cell formatting rule the run logs were written with."""
+    """The per-cell formatting rule the run logs are written with: a float
+    plus 0.0, so that -0.0 is written 0."""
     lines = [",".join(names)]
     for k in range(len(columns[0])):
         parts = []
@@ -21,7 +23,7 @@ def reference_csv(names, columns) -> str:
             elif isinstance(v, (np.integer, int)):
                 parts.append(str(int(v)))
             else:
-                parts.append(f"{v:.9g}")
+                parts.append(f"{v + 0.0:.9g}")
         lines.append(",".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -40,6 +42,7 @@ SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -2.5e-310,
     pytest.param([np.zeros(0), np.zeros(0, dtype=int)], id="no-rows"),
     pytest.param([np.random.default_rng(3).normal(size=601) * 1e3, np.arange(601)],
                  id="several-blocks"),
+    pytest.param([np.tile(SPECIAL, 40), np.tile(SPECIAL[::-1], 40)], id="zeros-in-every-block"),
 ])
 def test_writer_matches_the_per_cell_rule(tmp_path, columns):
     names = [f"c{i}" for i in range(len(columns))]
@@ -119,6 +122,17 @@ def test_unread_columns_are_not_converted(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("t,x\n0,abc\n")
     np.testing.assert_array_equal(read_table(path, ["t"])[1], [[0.0]])
+
+
+def test_block_file_writes_a_zero_as_0_0(tmp_path):
+    """BlockFile.write writes -0.0 as 0.0, by write_table's rule, and every
+    other value as repr gives it."""
+    path = tmp_path / "b.txt"
+    BlockFile.write(path, {"x": 1.5}, {"m": np.array([[-0.0, 0.0], [-2.5, 1e-300]]),
+                                       "v": [-0.0]})
+    assert path.read_text() == "x = 1.5\n[m]\n0.0 0.0\n-2.5 1e-300\n[v]\n0.0\n"
+    f = BlockFile(path, {"x": REAL}, ("m", "v"))
+    assert not np.signbit(f.block("m", 2, 2)[0]).any()
 
 
 def test_missing_file_is_an_os_error(tmp_path):

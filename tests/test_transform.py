@@ -105,7 +105,7 @@ class TestIntegralTracksState:
             z_scale = max(z_scale, np.max(np.abs(z_true)))
             u = -gain.k @ z
             y = measure_power(plant, x, pl)
-            x = stepper.step(x, u, pl)
+            x = stepper.step(x, u, pl[None], [True])
             z = m.z_update(z, u, y, dt, *rates(grid.ibrs))
         err = np.max(np.abs(z - z_from_state(tr, x)))
         assert err <= 1e-3 * max(z_scale, 1e-9)
@@ -132,7 +132,7 @@ class TestFrequencyDecayObservation:
             y = measure_power(plant, x, np.zeros(0))
             peak_power = max(peak_power, np.max(np.abs(y)))
             u = m.control_decentralized(m_p, y)
-            x = stepper.step(x, u, np.zeros(0))
+            x = stepper.step(x, u, np.zeros((1, 0)), [True])
             ratio = x[1::2] / (w0 * np.exp(-wc * j * dt))
             assert np.max(np.abs(ratio - 1.0)) <= 0.05
         assert peak_power > 1.0

@@ -7,11 +7,12 @@ then one closed-loop recursion of the same loop's one-period map, its tail,
 from the loop's exact state at the handoff step K0 (run_scenario states
 when that is); the plant is integrated between instants at a finer substep
 with all inputs held constant over each substep. The map's law rows are the
-laws' own functions, evaluated on the basis of the loop's state. The tail's
-watermark, drawn in one block from each grid's generator, is one more drive of
-that map. A detector advances over the log rows it has not seen through one
-helper (_advance): with the loop while it can act, else in one block before
-anything reads or retires it and at the run's end. Every run has one world
+laws' own functions, evaluated on the basis of the loop's state. A run draws
+its watermark schedules and attack noise before the loop; both engines index
+them, and the tail's watermark rows are one more drive of that map. A detector
+advances over the log rows it has not seen through one helper (_advance):
+with the loop while it can act, else in one block before anything reads or
+retires it and at the run's end. Every run has one world
 plant: the grid plants side by side (block-diagonal) until the tie
 closes, the merged network's plant after, so all grids are measured and
 stepped together through one path, one block step per control period over a
@@ -25,7 +26,6 @@ bit-identical logs.
 from __future__ import annotations
 
 import contextlib
-import copy
 import functools
 import logging
 import math
@@ -434,21 +434,20 @@ def apply_attack(
     k: int,
     history: np.ndarray,
     steps: tuple[int, ...],
-    rng: np.random.Generator,
+    noise: np.ndarray | None,
 ) -> np.ndarray:
     """Corrupt the received measurement of step k inside the attack window;
     steps is spec's (start, end, replay_from, replay_to) in control steps.
 
-    Noise injection adds i.i.d. Gaussian noise on the target channels; replay
-    substitutes history's rows (step i in row i) of the source window cyclically.
+    Noise injection adds noise's row k - start (run_scenario's draws) on the target
+    channels; replay substitutes history's rows (step i in row i) of the source window.
     """
     received = np.array(true_meas, dtype=float)
     start, end, src, stop = steps
     if not start <= k < end:
         return received
     if spec.kind == "noise-injection":
-        for c in spec.channels:
-            received[c] += rng.normal(0.0, spec.noise_std)
+        received[list(spec.channels)] += noise[k - start]
         return received
     idx = src + (k - start) % (stop - src)
     for c in spec.channels:
@@ -556,10 +555,11 @@ class _GridRuntime:
         self.pi_integ = np.zeros(self.n)
         self.sensor_y = np.zeros(self.n)
         self.det_state: DetectorState | None = None
-        self.wm_rng: np.random.Generator | None = None  # the watermark's; None: draws none
+        self.wm: np.ndarray | None = None  # the watermark schedule: step k's in row k
         if spec.detector is not None:
             self.det_state = DetectorState.start(spec.detector.model, spec.detector.baseline)
-            self.wm_rng = np.random.default_rng(spec.detector.watermark.seed)
+            mark = spec.detector.watermark
+            self.wm = mark.std * np.random.default_rng(mark.seed).standard_normal((n_steps, self.n))
         self.log = {name: np.zeros(n_steps + 1, dtype=dtype)
                     for name, per_ibr, dtype in _LOG if not per_ibr}
 
@@ -739,8 +739,8 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     then the loop steps on to the end. A run of linear laws with no event,
     attack or tie close is all tail (K0 = 0); a run whose head never ends
     (a slow-lqr or observer law, a detector whose flag may respond) is all
-    head. Both parts run the same law functions and draw the same watermark.
-    The loads at every substep are evaluated before either starts. A
+    head. Both parts run the same law functions on the same inputs, all set
+    before either starts: the loads at every substep and the run's draws. A
     detector that can act steps with the loop (_advance); one that cannot
     advances over the log rows it has not seen in one block before a
     scheduled observer_on reads its prediction state, before a tie close
@@ -760,7 +760,12 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     # load deviations at every substep time rho * dt_c + s * h of the run
     loads = load_vector(world.signals, time_axis[:, None] + np.arange(n_sub) * h,
                         world.plant.n_load)
-    _run_stepped(scenario, world, loads)
+    atk_steps = [tuple(whole_steps(getattr(atk, name), dt_c, name) for name in
+                       ("start", "end", "replay_from", "replay_to")) for atk in scenario.attacks]
+    noise = [np.random.default_rng([scenario.seed, 101, j]).normal(0.0, atk.noise_std, (
+        min(end, n_steps) - start, len(atk.channels))) if atk.kind == "noise-injection" else None
+        for j, (atk, (start, end, _, _)) in enumerate(zip(scenario.attacks, atk_steps))]
+    _run_stepped(scenario, world, loads, atk_steps, noise)
     for rt in rts:  # a detector that could not act advances over the rest of the log
         if rt.det_state is not None:
             _advance(rt, n_steps)
@@ -832,22 +837,20 @@ def _run_linear(world: _World, loads: np.ndarray, k0: int) -> bool:
     """Fill the world's log rows k0 + 1... from one recursion of its loop map
     (_loop_map) over the load schedule loads, (steps, substeps, loads), from
     the handoff step k0 (run_scenario) on: from the loop's state at step k0,
-    its events fired, and the rest of the run's watermark, drawn in one block
-    from a copy of each grid's generator; log the z_hat that a grid off its
-    observer law holds. A logged zero may have another sign than the stepped
-    loop's; the writer writes both 0. Its detectors advance over these rows
-    at the run's end. Return True; return False, and change nothing, if a
-    state is not finite or a command leaves +-COMMAND_LIMIT, where the
-    stepped loop would saturate it."""
+    its events fired, and the watermark rows k0 on of each grid that is on;
+    log the z_hat that a grid off its observer law holds. A logged zero may
+    have another sign than the stepped loop's; the writer writes both 0. Its
+    detectors advance over these rows at the run's end. Return True; return
+    False, and change nothing, if a state is not finite or a command leaves
+    +-COMMAND_LIMIT, where the stepped loop would saturate it."""
     m, drive, mark, c_u, d_u = _loop_map(world, loads.shape[1])
     loads = loads[k0:]
     n_steps, n_x, n = loads.shape[0], world.plant.n_states, len(world.cmd)
     drives = np.einsum("ksl,sil->ki", loads, drive, optimize=True)  # one gemm
     wm = np.zeros((n_steps, n))
     for rt, ch in zip(world.rts, world.channels):
-        if rt.wm_rng is not None and rt.enabled:  # a copy: a declined tail steps on from its state
-            draws = copy.deepcopy(rt.wm_rng).standard_normal((n_steps, rt.n))
-            wm[:, ch] = rt.spec.detector.watermark.std * draws
+        if rt.wm is not None and rt.enabled:
+            wm[:, ch] = rt.wm[k0:]
     drives += wm @ mark.T
     # step k0's state: z as its law leaves it (z_update of the step before), the rest as found
     z = [z_update(rt.z, rt.applied, rt.log["pg_rx"][k0], rt.dt, rt.omega_c, rt.m_p)
@@ -883,10 +886,11 @@ def _advance(rt: _GridRuntime, upto: int) -> bool:
                    out=(rt.log["xi1"][rows], rt.log["xi2"][rows], rt.log["flag"][rows]))[0]
 
 
-def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
+def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray,
+                 atk_steps: list[tuple[int, ...]], noise: list[np.ndarray | None]) -> None:
     """Fill the world's log by one sequential loop over control instants,
     handing the rest of the run to _run_linear at the handoff step K0
-    (run_scenario).
+    (run_scenario), with attack j's steps atk_steps[j] and noise rows noise[j].
 
     Per control instant: fire due events, hand off if the instant is K0,
     measure true powers, corrupt and log the received copies per the active
@@ -901,10 +905,6 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
     schedule: dict[int, list[Event]] = {}  # control step -> its events, in time order
     for ev in sorted(scenario.events, key=lambda e: e.time):
         schedule.setdefault(whole_steps(ev.time, dt_c, "event time"), []).append(ev)
-    atk_steps = [tuple(whole_steps(getattr(atk, name), dt_c, name) for name in
-                       ("start", "end", "replay_from", "replay_to")) for atk in scenario.attacks]
-    atk_rngs = [np.random.default_rng([scenario.seed, 101, j])
-                for j in range(len(scenario.attacks))]
     histories = [rts[atk.grid].log["pg"][1:] for atk in scenario.attacks]
     # no event or attack from here on: the first step that may be K0
     handoff = max([*schedule, *(steps[1] for steps in atk_steps)], default=0)
@@ -937,7 +937,7 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
         y_rx = [y_all[ch] for ch in world.channels]
         for j, atk in enumerate(scenario.attacks):
             y_rx[atk.grid] = apply_attack(y_rx[atk.grid], atk, rho, histories[j],
-                                          atk_steps[j], atk_rngs[j])
+                                          atk_steps[j], noise[j])
 
         # received powers logged, then detection and auto response
         for gi, rt in enumerate(rts):
@@ -958,8 +958,8 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray) -> None:
         for gi, rt in enumerate(rts):
             if rt.law is not None:
                 rt.law(rt, rho, y_rx[gi])
-            if rt.wm_rng is not None and rt.enabled:
-                rt.log["wm"][r] = rt.spec.detector.watermark.std * rt.wm_rng.standard_normal(rt.n)
+            if rt.wm is not None and rt.enabled:
+                rt.log["wm"][r] = rt.wm[rho]
             rt.log["z"][r] = rt.z
             if rt.z_hat is not None:
                 rt.log["zhat"][r] = rt.z_hat
@@ -989,7 +989,7 @@ def _apply_event(ev: Event, scenario: Scenario, world: _World, rho: int, d_p_l: 
                 x_hat = rt.det_state.x_hat
             elif x_hat is None:
                 x_hat = np.zeros(rt.spec.detector.model.order)
-            rt.controller, rt.wm_rng = "observer", None
+            rt.controller, rt.wm = "observer", None
             rt.x_hat, rt.z_hat = x_hat.copy(), rt.z.copy()
         rt.enabled = True
         rt.resolve_law(rho)
@@ -1000,7 +1000,7 @@ def _apply_event(ev: Event, scenario: Scenario, world: _World, rho: int, d_p_l: 
         for gi, rt in enumerate(rts):
             if rt.det_state is not None:  # it has seen the rows before step rho
                 _advance(rt, rho)
-                rt.wm_rng = rt.det_state = None
+                rt.wm = rt.det_state = None
                 log.info("grid %d: detector retired after topology change", gi + 1)
 
 

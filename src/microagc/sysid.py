@@ -557,10 +557,23 @@ def save_records(path, t: np.ndarray, u: np.ndarray, y: np.ndarray) -> None:
 
 def load_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a record written by save_records; raises ConfigError naming the
-    bad line."""
+    bad line. Its samples are uniform: t_k = t_0 + k dt, with dt = t_1 - t_0
+    > 0, to the relative tolerance 1e-9 of simcore.whole_steps."""
     header, data = read_table(path)
     n_u = sum(1 for c in header if c.startswith("u"))
     n_y = sum(1 for c in header if c.startswith("y"))
     if header[0] != "time" or n_u == 0 or n_y == 0:
         raise ConfigError(f"{path}: line 1: bad record header {header!r}")
-    return data[:, 0], data[:, 1 : 1 + n_u], data[:, 1 + n_u :]
+    t, bad = data[:, 0], None
+    if t.shape[0] > 1 and not (dt := t[1] - t[0]) > 0:
+        bad, rule = 1, f"does not follow t_0 = {t[0]:.9g} s: the step t_1 - t_0 must be > 0"
+    elif t.shape[0] > 1:
+        ratio = (t - t[0]) / dt  # k at row k; a NaN fails the test too
+        if (rows := np.flatnonzero(~(np.abs(ratio - np.arange(t.shape[0])) <= 1e-9 * ratio))).size:
+            bad = rows[0]
+            rule = f"is not t_0 + {bad} dt = {t[0] + bad * dt:.9g} s, dt = t_1 - t_0 = {dt:.9g} s"
+    if bad is not None:
+        with open(path, encoding="utf-8") as fh:  # the row's line: read_table skips blank lines
+            line = [n for n, text in enumerate(fh, start=1) if text.strip()][bad + 1]
+        raise ConfigError(f"{path}: line {line}: time {t[bad]:.9g} s {rule}")
+    return t, data[:, 1 : 1 + n_u], data[:, 1 + n_u :]

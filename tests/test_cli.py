@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from microagc import cli, defaults, simcore
-from microagc.sysid import DiscreteModel, ExcitationSpec, load_model, save_model
+from microagc.sysid import (DiscreteModel, ExcitationSpec, load_model, load_records,
+                            save_model, select_order)
 from microagc.textio import read_table
 from microagc.watermark import BaselineStats
 
@@ -175,6 +176,81 @@ class TestPipeline:
         rc = run(["identify", "--config", cfg, "--out", work])
         assert rc == cli.EXIT_NUMERIC
         assert "record too short: 0 samples" in capsys.readouterr().err
+
+    @staticmethod
+    def _identify_from_records(tmp_path, demo_run, edit):
+        """Run identify on a copy of the demo's own sysid_records.csv whose time
+        cells, as written, are edit's; return (exit code, workspace)."""
+        header, *rows = (demo_run / "sysid_records.csv").read_text().splitlines(keepends=True)
+        times, rest = zip(*(row.split(",", 1) for row in rows))
+        work = tmp_path / "w"
+        work.mkdir()
+        (work / "records.csv").write_text(header + "".join(
+            f"{t},{r}" for t, r in zip(edit(list(times)), rest)))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text((CONFIGS / "detection_demo.cfg").read_text().replace(
+            "record_file = sysid_records.csv", "records_file = records.csv"))
+        return run(["identify", "--config", cfg, "--out", work, "--quiet"]), work
+
+    @pytest.mark.parametrize("edit, line, message", [
+        (lambda t: t[::-1], 3, "time 19.995 s does not follow t_0 = 20 s: the step t_1 - t_0 "
+                               "must be > 0"),
+        (lambda t: [f"{float(v) + 0.0025:.9g}" if k > 2000 and k % 2 else v
+                    for k, v in enumerate(t)], 2003,
+         "time 10.0075 s is not t_0 + 2001 dt = 10.005 s, dt = t_1 - t_0 = 0.005 s"),
+    ], ids=["reversed", "odd-rows-shifted"])
+    def test_identify_rejects_records_at_uneven_times(self, tmp_path, capsys, demo_run, edit,
+                                                      line, message):
+        """identify fits a records_file only at uniform times, t_k = t_0 + k dt
+        with dt = t_1 - t_0 > 0: with the times reversed, or the odd rows after
+        row 2000 shifted by 2.5 ms, it exits 1 at the first row that breaks it."""
+        rc, work = self._identify_from_records(tmp_path, demo_run, edit)
+        assert rc == cli.EXIT_USAGE
+        assert f"{work / 'records.csv'}: line {line}: {message}" in capsys.readouterr().err
+        assert not (work / "model.txt").exists()
+
+    def test_identify_fits_an_unedited_record_at_its_step(self, tmp_path, demo_run):
+        """The demo's own record, as save_records wrote it (%.9g times), passes
+        the time check, and identify writes the model select_order fits to it
+        at its 5 ms step, byte for byte."""
+        rc, work = self._identify_from_records(tmp_path, demo_run, lambda t: t)
+        assert rc == cli.EXIT_OK
+        assert ((work / "records.csv").read_bytes()
+                == (demo_run / "sysid_records.csv").read_bytes())
+        _, u, y = load_records(work / "records.csv")
+        save_model(select_order(u, y, candidates=range(1, 11), dt=0.005)[1], tmp_path / "fit.txt")
+        assert (work / "model.txt").read_bytes() == (tmp_path / "fit.txt").read_bytes()
+
+    def test_identify_reports_a_failed_candidate(self, tmp_path, capsys):
+        """A candidate order the record cannot support gets its failure line in
+        order_report.txt, and identify selects among the others and exits 0."""
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text((CONFIGS / "detection_demo.cfg").read_text().replace(
+            "candidates = 1 2 3 4 5 6 7 8 9 10", "candidates = 4 200"))
+        assert run(["identify", "--config", cfg, "--out", tmp_path / "w", "--quiet"]) == 0
+        lines = (tmp_path / "w" / "order_report.txt").read_text().splitlines()
+        assert lines[2].startswith("d = 4: eta = ") and lines[2].endswith(" W/sample *")
+        assert lines[3:] == ["d = 200: failed: record too short: 4001 samples for order 200 "
+                             "with 3 inputs / 3 outputs", "selected order = 4"]
+
+    def test_commands_print_what_they_wrote(self, tmp_path, capsys):
+        """Without --quiet, identify prints the starred order and its eta of
+        order_report.txt, calibrate the thresholds of baseline.txt's header,
+        each to 6 digits, and simulate one `wrote` line per output file."""
+        work, cfg = tmp_path / "w", CONFIGS / "detection_demo.cfg"
+        assert run(["identify", "--config", cfg, "--out", work]) == 0
+        d, eta = re.search(r"^d = (\d+): eta = (\S+) W/sample \*$",
+                           (work / "order_report.txt").read_text(), re.M).groups()
+        assert capsys.readouterr().out == f"selected order {d}; eta = {float(eta):.6g} W/sample\n"
+        assert run(["calibrate", "--config", cfg, "--out", work]) == 0
+        header = dict(re.findall(r"^(eps[12]) = (\S+)$", (work / "baseline.txt").read_text(),
+                                 re.M))
+        assert capsys.readouterr().out == (f"eps1 = {float(header['eps1']):.6g}, "
+                                           f"eps2 = {float(header['eps2']):.6g}\n")
+        assert run(["simulate", "--config", cfg, "--out", work]) == 0
+        names = ("timeseries.csv", "detector.csv", "summary.txt")
+        assert capsys.readouterr().out == "".join(f"wrote {work / name}\n" for name in names)
+        assert all((work / name).exists() for name in names)
 
     @pytest.mark.parametrize("command, old, new", [
         ("identify", "record_file = sysid_records.csv", "records_file = absent.csv"),

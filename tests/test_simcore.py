@@ -255,36 +255,35 @@ class TestApplyAttack:
 
     def test_identity_outside_window(self):
         spec = self.make_spec()
-        rng = np.random.default_rng(0)
+        noise = np.random.default_rng(0).normal(0.0, 10.0, (200, 1))
         meas = np.array([5.0, 6.0])
-        out = m.apply_attack(meas, spec, 100, np.zeros((10, 2)), (200, 400, 0, 0), rng)
+        out = m.apply_attack(meas, spec, 100, np.zeros((10, 2)), (200, 400, 0, 0), noise)
         np.testing.assert_array_equal(out, meas)
-        out = m.apply_attack(meas, spec, 400, np.zeros((10, 2)), (200, 400, 0, 0), rng)
+        out = m.apply_attack(meas, spec, 400, np.zeros((10, 2)), (200, 400, 0, 0), noise)
         np.testing.assert_array_equal(out, meas)
 
     def test_zero_std_identity(self):
         spec = self.make_spec(noise_std=0.0)
-        rng = np.random.default_rng(0)
+        noise = np.random.default_rng(0).normal(0.0, 0.0, (200, 1))
         meas = np.array([5.0, 6.0])
-        out = m.apply_attack(meas, spec, 300, np.zeros((10, 2)), (200, 400, 0, 0), rng)
+        out = m.apply_attack(meas, spec, 300, np.zeros((10, 2)), (200, 400, 0, 0), noise)
         np.testing.assert_array_equal(out, meas)
 
     def test_noise_targets_selected_channels_only(self):
         spec = self.make_spec(channels=(1,))
-        rng = np.random.default_rng(1)
+        noise = np.random.default_rng(1).normal(0.0, 10.0, (200, 1))
         meas = np.array([5.0, 6.0])
-        out = m.apply_attack(meas, spec, 300, np.zeros((10, 2)), (200, 400, 0, 0), rng)
-        assert out[0] == 5.0 and out[1] != 6.0
+        out = m.apply_attack(meas, spec, 300, np.zeros((10, 2)), (200, 400, 0, 0), noise)
+        assert out[0] == 5.0 and out[1] == 6.0 + noise[100, 0]
 
     def test_replay_substitutes_recorded_window_bit_exact(self):
         hist = np.arange(400.0).reshape(200, 2)
         spec = m.AttackSpec(kind="replay", channels=(0,), start=0.5, end=0.6,
                             replay_from=0.1, replay_to=0.15)
-        rng = np.random.default_rng(2)
-        # source rows 20..29, cycling over attack steps 100..119
+        # source rows 20..29, cycling over attack steps 100..119; a replay reads no noise
         for k_rel, k in enumerate(range(100, 120)):
             out = m.apply_attack(np.array([-1.0, -2.0]), spec, k, hist, (100, 120, 20, 30),
-                                 rng)
+                                 None)
             assert out[0] == hist[20 + (k_rel % 10), 0]
             assert out[1] == -2.0
 
@@ -899,7 +898,7 @@ def test_only_apply_event_changes_a_grid_mid_run():
     """A grid runtime's law, observer, watermark and detector are set when it is
     built or its law is bound, and changed during a run only by _apply_event:
     an auto-response fires the events it stands for."""
-    guarded = {"controller", "enabled", "x_hat", "z_hat", "wm_rng", "det_state", "law"}
+    guarded = {"controller", "enabled", "x_hat", "z_hat", "wm", "det_state", "law"}
     writers: dict[str, set[str]] = {}
 
     def scan(node, scope):
@@ -1236,6 +1235,74 @@ def test_a_grid_logs_its_watermark_draws(trained_detector_quiet, tmp_path, stds)
         assert log["wm"].tobytes() == expected.tobytes()
     cells = set(_csv_cells(ts, tmp_path / "ts.csv", "wm").ravel())
     assert (cells == {"0"}) if stds == (0.0,) else ("0" not in cells and len(cells) > 100)
+
+
+@pytest.mark.parametrize("attack_end", [None, 0.3], ids=["on-in-the-tail", "on-in-the-head"])
+def test_a_grid_switched_back_on_applies_its_schedules_row(trained_detector_quiet, attack_end):
+    """A watermarked grid's schedule, std * default_rng(seed).standard_normal((steps,
+    n)), is drawn before the run: at every step the grid is on its wm row is the
+    schedule's row of that step, switched off at 0.1 s and back on at 0.2 s
+    too, and while it is off the row is 0. The same holds fully stepped and
+    with the recursion's tail, which starts at the switch back on or, behind
+    an attack window to 0.3 s, after it."""
+    std = defaults.WATERMARK_STD
+    g = cs.grid1_spec(weights=m.CostWeights.uniform(3, q=10.0),
+                      load_signals=[cs.pulse_load_signal()],
+                      detector=replace(trained_detector_quiet, watermark=m.WatermarkConfig(std, 5)))
+    attacks = (() if attack_end is None else
+               (m.AttackSpec(kind="noise-injection", channels=(1,), start=0.05, end=attack_end,
+                             noise_std=50.0),))
+    sc = m.Scenario(grids=(g,), horizon=0.5, attacks=attacks,
+                    events=(m.Event(0.1, "controller_off"), m.Event(0.2, "controller_on")))
+    ts, stepped, linear = _runs(sc)
+    assert linear
+    schedule = std * np.random.default_rng(5).standard_normal((sc.n_steps, 3))
+    on = np.ones(sc.n_steps, dtype=bool)
+    on[20:40] = False
+    for log in (ts, stepped):
+        wm = log.grids[0]["wm"]
+        assert wm[on].tobytes() == schedule[on].tobytes()
+        assert not np.any(wm[~on])
+
+
+@pytest.mark.parametrize("end, seed", [(0.3, 13), (0.7, 14)], ids=["window", "cut-at-horizon"])
+def test_a_noise_attack_adds_its_pre_drawn_rows(end, seed):
+    """Noise attack j's received powers are the true ones plus row k - start of
+    default_rng([seed, 101, j]).normal(0, noise_std, (rows, channels)) on its
+    channels, column i on channels[i], at every step k of its window, cut at
+    the horizon (rows); every other received power is the true one."""
+    grids = (cs.grid1_spec(load_signals=[cs.pulse_load_signal()]), cs.grid2_spec())
+    attacks = (m.AttackSpec(kind="noise-injection", channels=(2, 0), start=0.1, end=end,
+                            noise_std=80.0),
+               m.AttackSpec(kind="noise-injection", channels=(1,), start=0.25, end=end,
+                            noise_std=30.0, grid=1))
+    sc = m.Scenario(grids=grids, horizon=0.5, attacks=attacks, seed=seed)
+    ts, stepped, _ = _runs(sc)
+    for j, atk in enumerate(attacks):
+        start = round(atk.start / sc.control_period)
+        stop = min(round(end / sc.control_period), sc.n_steps)  # the window, cut at the horizon
+        block = np.random.default_rng([seed, 101, j]).normal(0.0, atk.noise_std,
+                                                             (stop - start, len(atk.channels)))
+        for log in (ts.grids[atk.grid], stepped.grids[atk.grid]):
+            expected = log["pg"].copy()
+            expected[start:stop, list(atk.channels)] += block
+            assert log["pg_rx"].tobytes() == expected.tobytes()
+
+
+def test_a_run_draws_only_before_its_loop():
+    """A run draws its watermark schedules and attack noise at its set-up:
+    simcore imports no copy, and neither engine nor apply_attack makes a
+    generator, draws from one or copies one."""
+    tree = ast.parse(Path(simcore.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert "copy" not in imported
+    bodies = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    for name in ("_run_stepped", "_run_linear", "apply_attack"):
+        called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                  for node in ast.walk(bodies[name]) if isinstance(node, ast.Call)}
+        assert not called & {"default_rng", "standard_normal", "normal", "deepcopy"}, name
 
 
 @pytest.mark.parametrize("law", ["optimal-z", "pi"])

@@ -1,6 +1,8 @@
 """Identification tests. Correctness is asserted only through
 similarity-invariant quantities: Markov parameters and prediction error."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -581,6 +583,20 @@ class TestSelectOrder:
             m.select_order(np.zeros((100, 1)), np.zeros((100, 1)), candidates=[])
         assert err.value.field == "candidates"
 
+    def test_an_output_that_never_moves_selects_the_smallest_order(self, monkeypatch):
+        """An excited input whose output is all zeros supports no mode: every
+        candidate fits effective order 0, is scored as predicting zero, so at
+        eta 0, and the tie goes to the smallest candidate."""
+        scored = []
+        score = sysid.FitWorkspace.score
+        monkeypatch.setattr(sysid.FitWorkspace, "score", lambda self, model, x0, y: scored.append(
+            model.effective_order) or score(self, model, x0, y))
+        u = np.random.default_rng(21).uniform(-1.0, 1.0, size=(400, 2))
+        report, model = m.select_order(u, np.zeros((400, 2)), candidates=[4, 2, 3])
+        assert scored == [0, 0, 0]
+        assert report.eta == {2: 0.0, 3: 0.0, 4: 0.0} and not report.failures
+        assert report.d_star == 2 and (model.order, model.effective_order) == (2, 0)
+
 
 class TestPersistence:
     def test_model_round_trip(self, tmp_path):
@@ -618,6 +634,29 @@ class TestPersistence:
         path = tmp_path / "bad2.csv"
         path.write_text("time,u1,y1\n0.0,1.0\n")
         with pytest.raises(sysid.ConfigError, match="line 2"):
+            sysid.load_records(path)
+
+    @pytest.mark.parametrize("dt", [0.005, 0.01, 0.002, 0.001, 1e-4, 0.05])
+    def test_written_records_pass_the_time_check(self, tmp_path, dt):
+        """save_records writes times to 9 digits; a record at a control or
+        integrator step reads back with t_k = t_0 + k dt to whole_steps'
+        tolerance, over 4001 samples as identify's default record has."""
+        t = np.arange(4001) * dt
+        sysid.save_records(tmp_path / "rec.csv", t, np.zeros((4001, 1)), np.zeros((4001, 1)))
+        t2, _, _ = sysid.load_records(tmp_path / "rec.csv")
+        assert t2[1] - t2[0] == pytest.approx(dt, rel=1e-12)
+
+    @pytest.mark.parametrize("times, line, message", [
+        ("0.0 0.0 0.0", 4, "time 0 s does not follow t_0 = 0 s"),
+        ("0.0 0.005 0.01 nan", 6, "time nan s is not t_0 + 3 dt = 0.015 s"),
+        ("0.0 0.005 0.0100001 0.015", 5, "time 0.0100001 s is not t_0 + 2 dt = 0.01 s"),
+    ])
+    def test_uneven_times_report_their_line(self, tmp_path, times, line, message):
+        """A record's times must be t_0 + k dt, dt = t_1 - t_0 > 0; the first
+        row that breaks the rule is named at its line, blank lines counted."""
+        path = tmp_path / "rec.csv"
+        path.write_text("time,u1,y1\n\n" + "".join(f"{t},1.0,2.0\n" for t in times.split()))
+        with pytest.raises(sysid.ConfigError, match=re.escape(f"line {line}: {message}")):
             sysid.load_records(path)
 
 

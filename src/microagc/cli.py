@@ -187,8 +187,8 @@ class Section:
     def located(self, sections=None):
         """Re-raise a value the library rejects, e.g. a dataclass's ScenarioError,
         as a ConfigError at the line of the field the error names, else at the
-        header line, in the section of the Scenario record it names, if any
-        ("events[1]" is sections["event"][1]), else in this one."""
+        header line, in the section of the Scenario or GridSpec record it names,
+        if any ("events[1]" is sections["event"][1]), else in this one."""
         try:
             yield
         except ValueError as exc:
@@ -350,10 +350,10 @@ def _build_grid(sec: Section, sections: dict[str, list[Section]]) -> GridSpec:
     weights = CostWeights(q=_per_ibr(sec, "q_weight", n, defaults.LQR_Q_DIAG),
                           r=_per_ibr(sec, "r_weight", n, defaults.LQR_R_DIAG))
     gi = sections["grid"].index(sec)
-    signals = tuple(s.build(LoadSignalSpec) for s in sections["load_signal"]
-                    if _named_grid(sections, s) == gi)
-    return sec.build(GridSpec, network=network, ibrs=ibrs, weights=weights,
-                     load_signals=signals)
+    signal_secs = [s for s in sections["load_signal"] if _named_grid(sections, s) == gi]
+    signals = tuple(s.build(LoadSignalSpec) for s in signal_secs)
+    return sec.build(GridSpec, {"load_signal": signal_secs}, network=network, ibrs=ibrs,
+                     weights=weights, load_signals=signals)
 
 
 def _named_grid(sections: dict[str, list[Section]], sec: Section) -> int:

@@ -8,11 +8,12 @@ solution of K T ~ K'. Runtime laws:
   optimal        dws = -K z            (z integrated from power measurements)
   decentralized  dws_i = m_p_i dpg_i   (zeroes dz/dt locally)
   observer       dws = -K z_hat        (z_hat integrated from the detector model's
-                                        predicted powers; simcore's _bind_law)
+                                        predicted powers; simcore's _command)
   pi             discrete PI on lagged frequency measurements (baseline)
 
-Both simcore engines call these functions: the stepped loop on each step's
-values, the closed-loop map (_loop_map) on the basis of the loop's state.
+simcore's one law dispatch (_law) calls these functions, and both its engines
+call it: the stepped loop on each step's values, the closed-loop map
+(_loop_map) on the basis of the loop's state.
 """
 
 from __future__ import annotations

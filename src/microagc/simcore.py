@@ -18,9 +18,9 @@ closes, the merged network's plant after, so all grids are measured and
 stepped together through one path, one block step per control period over a
 load schedule evaluated once per run. Scenario times are whole control periods
 (`whole_steps`), so the schedule is step indices set before the loop, and each
-grid's log is the run's record and only history. A grid's law, which advances
-its z array, is bound once per law change. Identical scenario and seeds give
-bit-identical logs.
+grid's log is the run's record and only history. Every law is written once, as
+_law (its command and PI states) and _integrate (its z after a period), which
+both engines call. Identical scenario and seeds give bit-identical logs.
 """
 
 from __future__ import annotations
@@ -74,7 +74,8 @@ STEADY_FLOOR = 1e-12  # rad/s: summarize prints a steady |domega| below it, roun
 
 class ScenarioError(ValueError):
     """Raised for inconsistent scenario definitions; field names the field at
-    fault, record the Scenario's record that holds it, message the text without it."""
+    fault, record the Scenario's (or GridSpec's) record that holds it, message
+    the text without it."""
 
     def __init__(self, message: str, field: str | None = None):
         super().__init__(message)
@@ -83,9 +84,9 @@ class ScenarioError(ValueError):
 
 @contextlib.contextmanager
 def _record(record: str | None, field: str | None = None):
-    """Name record ("grids[0]", "events[1]", "attacks[0]", "tie", or None for the
-    Scenario's own fields) on a ScenarioError raised inside; one naming no field
-    is of field's value, "record.field = ..."."""
+    """Name record ("grids[0]", "events[1]", "attacks[0]", "tie", a GridSpec's
+    "load_signals[0]", or None for the Scenario's own fields) on a ScenarioError
+    raised inside; one naming no field is of field's value, "record.field = ..."."""
     try:
         yield
     except ScenarioError as exc:
@@ -249,12 +250,11 @@ class GridSpec:
             raise ScenarioError(
                 f"cost weights sized {self.weights.q.shape} for {n} IBRs"
             )
-        for sig in self.load_signals:
-            if not 0 <= sig.load_index < self.network.n_load:
-                raise ScenarioError(
-                    f"load signal targets node {sig.load_index} but grid has "
-                    f"{self.network.n_load} loads"
-                )
+        for i, sig in enumerate(self.load_signals):
+            with _record(f"load_signals[{i}]"):
+                if not 0 <= sig.load_index < self.network.n_load:
+                    raise ScenarioError(f"load signal targets node {sig.load_index} but grid "
+                                        f"has {self.network.n_load} loads", "load_index")
 
     @property
     def p_injections(self) -> np.ndarray:
@@ -549,6 +549,8 @@ class _GridRuntime:
         self.omega_c = np.array([p.omega_c for p in spec.ibrs])
         self.m_p = np.array([p.m_p for p in spec.ibrs])
         self.z = np.zeros(self.n)
+        if spec.controller == "slow-lqr":  # its fixed hold, in control steps
+            self.hold = whole_steps(defaults.SLOW_LQR_HOLD, self.dt, "slow_hold")
         self.x_hat = self.z_hat = None  # the observer law's model state and z
         if spec.controller == "observer":
             self.x_hat, self.z_hat = np.zeros(spec.detector.model.order), np.zeros(self.n)
@@ -562,64 +564,69 @@ class _GridRuntime:
             self.wm = mark.std * np.random.default_rng(mark.seed).standard_normal((n_steps, self.n))
         self.log = {name: np.zeros(n_steps + 1, dtype=dtype)
                     for name, per_ibr, dtype in _LOG if not per_ibr}
+        self.label(0)
 
     @property
     def active_law(self) -> str:
         """The law in effect: the grid's controller, "none" while it is off."""
         return self.controller if self.enabled else "none"
 
-    def resolve_law(self, rho: int) -> None:
-        """Bind the active law from step rho on; label ctrl from row rho + 1 on."""
+    def label(self, rho: int) -> None:
+        """Label ctrl from row rho + 1 on: the controller, "off" while it is off."""
         self.log["ctrl"][rho + 1:] = self.controller if self.enabled else "off"
-        self.law = _bind_law(self, self.active_law)
 
 
-def _bind_law(rt: _GridRuntime, name: str):
-    """Grid rt's law `name` with its constants bound, as law(rt, rho, y_rx): from
-    the grid's log and received powers y_rx at control step rho, it writes the
-    saturated command into rt.cmd (slow-lqr holds it in between); rt.applied is
-    the command applied over the step before. "none" is no law, a zero command.
-    The law takes rt as an argument, so that rt.law makes no reference cycle."""
-    gain, omega_c, m_p, dt = rt.gain, rt.omega_c, rt.m_p, rt.dt
-    u_prev, cmd, spec = rt.applied, rt.cmd, rt.spec
-    pg_rx, domega = rt.log["pg_rx"], rt.log["domega"]
-    # setpoints saturate, as inverter hardware does; the loop constants are read at
-    # each bind, so that a test may patch them
-    lo, hi = -defaults.COMMAND_LIMIT, defaults.COMMAND_LIMIT
-    kp, ki, tau = defaults.PI_KP, defaults.PI_KI, defaults.SENSOR_LAG_TAU
-    if name == "none":
-        cmd[:] = 0.0
-        return None
-    if name == "optimal-z":
-        def law(rt, rho, y_rx):  # at rho = 0 the zero row leaves z at 0
-            rt.z = z_update(rt.z, u_prev, pg_rx[rho], dt, omega_c, m_p)
-            _clip(control_optimal(gain, rt.z), lo, hi, out=cmd)
-    elif name == "decentralized":
-        def law(rt, rho, y_rx):
-            rt.z = z_update(rt.z, u_prev, pg_rx[rho], dt, omega_c, m_p)
-            _clip(control_decentralized(m_p, y_rx), lo, hi, out=cmd)
-    elif name == "observer":  # z_hat integrates the model's predicted power
-        model = spec.detector.model
+def _law(law: str, gain: ControllerGain | None, m_p: np.ndarray, dt: float, z: np.ndarray,
+         y_rx: np.ndarray, domega: np.ndarray, lag: np.ndarray, integ: np.ndarray):
+    """Law `law`'s unsaturated command at one control step, and its PI states
+    (sensor lag, integrator) after it: from the step's z (the observer's
+    z_hat), received powers y_rx, frequency deviations domega and the PI
+    states it found; m_p per IBR (a column on _loop_map's basis). The laws
+    that do not use the PI states return them; "none" commands zero."""
+    if law == "pi":  # the new sensor output, then the integrator over it
+        lag = measure_frequency_lagged(domega, lag, defaults.SENSOR_LAG_TAU, dt)
+        u, integ = control_pi_baseline(defaults.PI_KP, defaults.PI_KI, lag, dt, integ)
+    elif law == "decentralized":
+        u = control_decentralized(m_p, y_rx)
+    elif law == "none":
+        u = np.zeros(np.shape(z))
+    else:  # optimal-z, slow-lqr and observer
+        u = control_optimal(gain, z)
+    return u, lag, integ
 
-        def law(rt, rho, y_rx):
-            if rho > 0:
-                rt.z_hat[:] = z_update(rt.z_hat, u_prev, model.c_d @ rt.x_hat, dt, omega_c, m_p)
-                rt.x_hat[:] = model.a_d @ rt.x_hat + model.b_d @ u_prev
-            _clip(control_optimal(gain, rt.z_hat), lo, hi, out=cmd)
-    elif name == "pi":
-        def law(rt, rho, y_rx):
-            rt.sensor_y = measure_frequency_lagged(domega[rho + 1], rt.sensor_y, tau, dt)
-            u, rt.pi_integ = control_pi_baseline(kp, ki, rt.sensor_y, dt, rt.pi_integ)
-            _clip(u, lo, hi, out=cmd)
-    else:  # slow-lqr
-        hold = whole_steps(defaults.SLOW_LQR_HOLD, dt, "slow_hold")
 
-        def law(rt, rho, y_rx):
-            if rho % hold == 0:
-                if rho > 0:
-                    rt.z = z_update(rt.z, u_prev, y_rx, hold * dt, omega_c, m_p)
-                _clip(control_optimal(gain, rt.z), lo, hi, out=cmd)
-    return law
+def _integrate(law: str, z: np.ndarray, u: np.ndarray, pg: np.ndarray, dt: float,
+               omega_c: np.ndarray, m_p: np.ndarray) -> np.ndarray:
+    """Law `law`'s z after one control period of applied command u and measured
+    powers pg: z_update for the laws that integrate z, else z, held."""
+    if law in ("optimal-z", "decentralized"):
+        return z_update(z, u, pg, dt, omega_c, m_p)
+    return z
+
+
+def _command(rt: _GridRuntime, rho: int, y_rx: np.ndarray) -> None:
+    """Grid rt's active law at control step rho, with received powers y_rx:
+    advance its z from the step before (rt.applied was applied over it) and
+    write the saturated command into rt.cmd, as setpoint hardware saturates.
+    slow-lqr updates z and its command once per rt.hold steps and holds them
+    in between; the observer law advances its model and z_hat on the model's
+    predicted powers, not on y_rx."""
+    law = rt.active_law
+    if law == "slow-lqr" and rho % rt.hold:
+        return
+    dt, u_prev, omega_c, m_p = rt.dt, rt.applied, rt.omega_c, rt.m_p
+    rt.z = z = _integrate(law, rt.z, u_prev, rt.log["pg_rx"][rho], dt, omega_c, m_p)
+    if law == "slow-lqr" and rho > 0:
+        rt.z = z = z_update(z, u_prev, y_rx, rt.hold * dt, omega_c, m_p)
+    elif law == "observer":
+        model = rt.spec.detector.model
+        if rho > 0:
+            rt.z_hat[:] = z_update(rt.z_hat, u_prev, model.c_d @ rt.x_hat, dt, omega_c, m_p)
+            rt.x_hat[:] = model.a_d @ rt.x_hat + model.b_d @ u_prev
+        z = rt.z_hat
+    u, rt.sensor_y, rt.pi_integ = _law(law, rt.gain, m_p, dt, z, y_rx, rt.log["domega"][rho + 1],
+                                       rt.sensor_y, rt.pi_integ)
+    _clip(u, -defaults.COMMAND_LIMIT, defaults.COMMAND_LIMIT, out=rt.cmd)
 
 
 def _side_by_side(plants: list[LinearPlant]) -> LinearPlant:
@@ -754,8 +761,6 @@ def run_scenario(scenario: Scenario) -> TimeSeries:
     n_sub = whole_steps(dt_c, h, "control_period")
     rts = [_GridRuntime(g, scenario, n_steps) for g in scenario.grids]
     world = _World(rts, h, n_steps)
-    for rt in rts:
-        rt.resolve_law(0)
     time_axis = np.arange(n_steps) * dt_c
     # load deviations at every substep time rho * dt_c + s * h of the run
     loads = load_vector(world.signals, time_axis[:, None] + np.arange(n_sub) * h,
@@ -785,14 +790,13 @@ def _loop_map(world: _World, n_sub: int):
     world.stepper's substep map composed n_sub times, in the stepped loop's
     update order: measure, update each law, then hold the command over the
     substeps. Its measurement and law rows are the functions the stepped
-    loop's laws call, each linear in its state and inputs, every law
-    evaluated on the whole basis of the step's inputs (s, d_0 and the
-    watermark w), per-IBR constants as columns. z and the PI states of a
-    channel whose law does not use them are held, as the stepped loop holds
-    them. w rides on the held command: it adds mark w to s+, through x and
-    through z, which integrates the applied command. Returns (m, drive,
-    mark, c_u, d_u), drive shaped (n_sub, states, loads) and mark (states,
-    channels)."""
+    loop calls (measure_power, _law and _integrate), each linear in its
+    state and inputs, every law evaluated on the whole basis of the step's
+    inputs (s, d_0 and the watermark w), per-IBR constants as columns; a law
+    that does not use z or the PI states holds them. w rides on the held
+    command: it adds mark w to s+, through x and through z, which integrates
+    the applied command. Returns (m, drive, mark, c_u, d_u), drive shaped
+    (n_sub, states, loads) and mark (states, channels)."""
     plant, dt = world.plant, world.rts[0].dt
     n, n_x = len(world.cmd), plant.n_states
     a_d, b_u, b_l = world.stepper.a_d, world.stepper.b_d[:, :n], world.stepper.b_d[:, n:]
@@ -805,21 +809,14 @@ def _loop_map(world: _World, n_sub: int):
     n_s, basis = integ.stop, np.eye(bounds[-1])  # one column per input
     pg = measure_power(plant, basis[x], basis[d_0])
     u = np.zeros((n, len(basis)))  # the law's command
-    new = basis[:n_s].copy()  # s+: z and the PI states held until a law updates them, x below
+    new = basis[:n_s].copy()  # s+: the laws' rows, x below
     for rt, ch in zip(world.rts, world.channels):
         law, m_p = rt.active_law, rt.m_p[:, None]
-        if law == "optimal-z":
-            u[ch, z][:, ch] = control_optimal(rt.gain, np.eye(rt.n))
-        elif law == "decentralized":
-            u[ch] = control_decentralized(m_p, pg[ch])
-        elif law == "pi":  # the new sensor output, then the integrator over it
-            new[lag][ch] = measure_frequency_lagged(basis[x][1::2][ch], basis[lag][ch],
-                                                    defaults.SENSOR_LAG_TAU, dt)
-            u[ch], new[integ][ch] = control_pi_baseline(defaults.PI_KP, defaults.PI_KI,
-                                                        new[lag][ch], dt, basis[integ][ch])
-        if law in ("optimal-z", "decentralized"):  # z integrates the applied command, u + w
-            new[z][ch] = z_update(basis[z][ch], u[ch] + basis[w][ch], pg[ch], dt,
-                                  rt.omega_c[:, None], m_p)
+        u[ch], new[lag][ch], new[integ][ch] = _law(law, rt.gain, m_p, dt, basis[z][ch], pg[ch],
+                                                   basis[x][1::2][ch], basis[lag][ch],
+                                                   basis[integ][ch])
+        new[z][ch] = _integrate(law, basis[z][ch], u[ch] + basis[w][ch], pg[ch], dt,
+                                rt.omega_c[:, None], m_p)  # over the applied command, u + w
     c_u, d_u = u[:, :n_s], u[:, d_0]
     m, mark = new[:, :n_s].copy(), new[:, w].copy()
     drive = np.zeros((n_sub, n_s, plant.n_load))
@@ -852,9 +849,9 @@ def _run_linear(world: _World, loads: np.ndarray, k0: int) -> bool:
         if rt.wm is not None and rt.enabled:
             wm[:, ch] = rt.wm[k0:]
     drives += wm @ mark.T
-    # step k0's state: z as its law leaves it (z_update of the step before), the rest as found
-    z = [z_update(rt.z, rt.applied, rt.log["pg_rx"][k0], rt.dt, rt.omega_c, rt.m_p)
-         if rt.active_law in ("optimal-z", "decentralized") else rt.z for rt in world.rts]
+    # step k0's state: z as its law leaves it (integrated over the step before), the rest as found
+    z = [_integrate(rt.active_law, rt.z, rt.applied, rt.log["pg_rx"][k0], rt.dt, rt.omega_c,
+                    rt.m_p) for rt in world.rts]
     start = np.concatenate([world.x, *z, *(rt.sensor_y for rt in world.rts),
                             *(rt.pi_integ for rt in world.rts)])
     s = _recursion_rows(m.T, start, drives)
@@ -910,7 +907,7 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray,
     handoff = max([*schedule, *(steps[1] for steps in atk_steps)], default=0)
     changed = _load_changes(loads[:handoff]).tolist()  # the rest's when it is stepped
     acts = scenario.auto_response != "none"  # else no detector steps with the loop
-    observe = scenario.auto_response == "observer" or scenario.tie is None  # else tie close
+    observe = scenario.auto_response != "collaborative" or scenario.tie is None  # else tie close
     ddelta_log, domega_log, pg_log, dws_log, wm_log = (
         world.log[k] for k in ("ddelta", "domega", "pg", "dws", "wm"))
 
@@ -946,7 +943,8 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray,
                 continue
             x_hat = rt.det_state.x_hat  # step rho's: dw_step rebinds it
             # logged now: a response below may retire the detector; else already in effect
-            if _advance(rt, r) and not (observe and rt.controller == "observer"):
+            # (a grid with a z_hat runs the observer law)
+            if _advance(rt, r) and not (observe and rt.z_hat is not None):
                 log.info("grid %d: flag at t=%.4fs, %s", gi + 1, t,
                          "observer law engaged" if observe else "networking with neighbor")
                 for ev in ([Event(t, "observer_on", gi)] if observe else
@@ -956,8 +954,7 @@ def _run_stepped(scenario: Scenario, world: _World, loads: np.ndarray,
         # control laws and watermark, logged
         ddelta_log[r], domega_log[r] = world.x[0::2], world.x[1::2]
         for gi, rt in enumerate(rts):
-            if rt.law is not None:
-                rt.law(rt, rho, y_rx[gi])
+            _command(rt, rho, y_rx[gi])
             if rt.wm is not None and rt.enabled:
                 rt.log["wm"][r] = rt.wm[rho]
             rt.log["z"][r] = rt.z
@@ -981,7 +978,7 @@ def _apply_event(ev: Event, scenario: Scenario, world: _World, rho: int, d_p_l: 
     rt = rts[ev.grid] if ev.action != "tie_close" else None
     if ev.action in ("controller_on", "controller_off"):
         rt.enabled = ev.action == "controller_on"
-        rt.resolve_law(rho)
+        rt.label(rho)
     elif ev.action == "observer_on":
         if rt.controller != "observer":
             if x_hat is None and rt.det_state is not None:  # its state at step rho's start
@@ -992,7 +989,7 @@ def _apply_event(ev: Event, scenario: Scenario, world: _World, rho: int, d_p_l: 
             rt.controller, rt.wm = "observer", None
             rt.x_hat, rt.z_hat = x_hat.copy(), rt.z.copy()
         rt.enabled = True
-        rt.resolve_law(rho)
+        rt.label(rho)
     elif world.tied:
         log.warning("tie already closed; ignoring tie_close at t=%.4fs", t)
     else:

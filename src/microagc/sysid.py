@@ -556,14 +556,20 @@ def save_records(path, t: np.ndarray, u: np.ndarray, y: np.ndarray) -> None:
 
 
 def load_records(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a record written by save_records; raises ConfigError naming the
-    bad line. Its samples are uniform: t_k = t_0 + k dt, with dt = t_1 - t_0
-    > 0, to the relative tolerance 1e-9 of simcore.whole_steps."""
-    header, data = read_table(path)
-    n_u = sum(1 for c in header if c.startswith("u"))
-    n_y = sum(1 for c in header if c.startswith("y"))
-    if header[0] != "time" or n_u == 0 or n_y == 0:
-        raise ConfigError(f"{path}: line 1: bad record header {header!r}")
+    """Read a record written by save_records, its columns by name: time, u1..uN
+    and y1..yM, in any order, each once and no other; raises ConfigError naming
+    the bad line, at line 1 the bad or missing column. Its samples are uniform:
+    t_k = t_0 + k dt, with dt = t_1 - t_0 > 0, to the relative tolerance 1e-9
+    of simcore.whole_steps."""
+    with open(path, encoding="utf-8") as fh:  # the header, checked before any row is read
+        header = fh.readline().strip().split(",")
+    n_u, n_y = (max(1, sum(c[:1] == p and c[1:].isdigit() for c in header)) for p in "uy")
+    names = ["time", *(f"u{i + 1}" for i in range(n_u)), *(f"y{i + 1}" for i in range(n_y))]
+    for i, column in enumerate(header):
+        if column not in names or column in header[:i]:
+            raise ConfigError(f"{path}: line 1: unexpected record column {column!r}: a record "
+                              "holds time, u1..uN and y1..yM, each once")
+    _, data = read_table(path, names)  # a missing name is refused at line 1
     t, bad = data[:, 0], None
     if t.shape[0] > 1 and not (dt := t[1] - t[0]) > 0:
         bad, rule = 1, f"does not follow t_0 = {t[0]:.9g} s: the step t_1 - t_0 must be > 0"

@@ -221,6 +221,25 @@ class TestPipeline:
         save_model(select_order(u, y, candidates=range(1, 11), dt=0.005)[1], tmp_path / "fit.txt")
         assert (work / "model.txt").read_bytes() == (tmp_path / "fit.txt").read_bytes()
 
+    def test_identify_reads_record_columns_by_name(self, tmp_path, demo_run):
+        """The demo's own record with its y columns moved before its u columns
+        fits the model the unedited record fits, byte for byte."""
+        rows = [row.split(",") for row in
+                (demo_run / "sysid_records.csv").read_text().splitlines()]
+        assert rows[0] == ["time", "u1", "u2", "u3", "y1", "y2", "y3"]
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text((CONFIGS / "detection_demo.cfg").read_text().replace(
+            "record_file = sysid_records.csv", "records_file = records.csv"))
+        models = []
+        for order in ((0, 1, 2, 3, 4, 5, 6), (0, 4, 5, 6, 1, 2, 3)):
+            work = tmp_path / f"w{len(models)}"
+            work.mkdir()
+            (work / "records.csv").write_text("".join(
+                ",".join(row[i] for i in order) + "\n" for row in rows))
+            assert run(["identify", "--config", cfg, "--out", work, "--quiet"]) == cli.EXIT_OK
+            models.append((work / "model.txt").read_bytes())
+        assert models[0] == models[1]
+
     def test_identify_reports_a_failed_candidate(self, tmp_path, capsys):
         """A candidate order the record cannot support gets its failure line in
         order_report.txt, and identify selects among the others and exits 0."""
@@ -1229,6 +1248,27 @@ class TestScenarioFileRejections:
         _rejects(tmp_path, capsys, text, f"line {_line(text, '[grid.1]')}: [grid.1] "
                  "a detector needs model_file and baseline_file")
 
+    def test_a_line_without_equals_names_its_line(self, tmp_path, capsys):
+        text = MINIMAL.replace("seed = 11", "seed 11")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, 'seed 11')}: expected 'key = value'")
+
+    @pytest.mark.parametrize("command", ["identify", "calibrate", "simulate"])
+    def test_load_index_out_of_range_names_its_line(self, tmp_path, capsys, command):
+        """A load signal's node that its grid does not have is reported at the
+        [load_signal] section's load_index line, before anything runs."""
+        text = (CONFIGS / "detection_demo.cfg").read_text().replace(
+            "load_index = 0", "load_index = 2")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, 'load_index = 2')}: [load_signal] "
+                 "load_index: load signal targets node 2 but grid has 2 loads", command)
+
+    def test_load_index_names_the_section_of_its_grid(self, tmp_path, capsys):
+        """Of two [load_signal] sections, the second, grid 2's first signal, is
+        the one named when its load_index is out of range."""
+        text = (CONFIGS / "collaborative.cfg").read_text() + (
+            "\n[load_signal]\ngrid = 2\nload_index = 1\nkind = constant\namplitude_w = 10\n")
+        _rejects(tmp_path, capsys, text, f"line {_line(text, 'load_index = 1')}: [load_signal] "
+                 "load_index: load signal targets node 1 but grid has 1 loads")
+
 
 class TestGridNumbering:
     """[grid.N] headers are exactly [grid.1] to [grid.G], each once."""
@@ -1573,3 +1613,16 @@ class TestMisc:
         assert run(["plot", "--out", out, "--quiet"]) == cli.EXIT_OK
         script = (out / "plots.gp").read_text()
         assert "timeseries.csv" in script and "plot " in script
+
+    def test_plot_adds_the_detector_statistic(self, tmp_path, demo_run):
+        """In the demo chain's workspace, plot adds a plot of detector.csv's
+        xi2 and eps2 columns to the frequency plot."""
+        out = tmp_path / "w"
+        shutil.copytree(demo_run, out)
+        assert run(["plot", "--out", out, "--quiet"]) == cli.EXIT_OK
+        header, _ = read_table(out / "detector.csv", [])
+        xi2, eps2 = (header.index(f"mg1_{name}") + 1 for name in ("xi2", "eps2"))
+        lines = (out / "plots.gp").read_text().splitlines()
+        assert lines[-3:] == ['set ylabel "xi2 (W^2)"',
+                              f'plot "detector.csv" using 1:{xi2} with lines, \\',
+                              f'     "detector.csv" using 1:{eps2} with lines']

@@ -896,9 +896,9 @@ def test_observer_law_ignores_the_received_powers():
 
 def test_only_apply_event_changes_a_grid_mid_run():
     """A grid runtime's law, observer, watermark and detector are set when it is
-    built or its law is bound, and changed during a run only by _apply_event:
-    an auto-response fires the events it stands for."""
-    guarded = {"controller", "enabled", "x_hat", "z_hat", "wm", "det_state", "law"}
+    built, and changed during a run only by _apply_event: an auto-response
+    fires the events it stands for."""
+    guarded = {"controller", "enabled", "x_hat", "z_hat", "wm", "det_state"}
     writers: dict[str, set[str]] = {}
 
     def scan(node, scope):
@@ -919,9 +919,23 @@ def test_only_apply_event_changes_a_grid_mid_run():
             scan(child, inner)
 
     scan(ast.parse(Path(simcore.__file__).read_text()), "")
-    assert set(writers) == {"_GridRuntime.__init__", "_GridRuntime.resolve_law",
-                            "_apply_event"}, writers
-    assert writers["_apply_event"] == guarded - {"law"}
+    assert set(writers) == {"_GridRuntime.__init__", "_apply_event"}, writers
+    assert writers["_apply_event"] == guarded
+
+
+def test_the_engines_name_no_law():
+    """Each law is written once: the stepped loop, the loop map and the
+    recursion reach every law through the same functions (_law, _integrate,
+    _command) and compare no law name themselves, and no per-law binding is
+    left beside them."""
+    laws = {"optimal-z", "decentralized", "pi", "slow-lqr", "observer"}
+    tree = ast.parse(Path(simcore.__file__).read_text())
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert "_bind_law" not in defs and not hasattr(simcore, "_bind_law")
+    for name in ("_loop_map", "_run_linear", "_run_stepped"):
+        named = {const.value for cmp in ast.walk(defs[name]) if isinstance(cmp, ast.Compare)
+                 for const in ast.walk(cmp) if isinstance(const, ast.Constant)}
+        assert not named & laws, (name, named & laws)
 
 
 # ---------------------------------------------------------------------------

@@ -624,6 +624,30 @@ class TestPersistence:
         np.testing.assert_allclose(y2, y, rtol=1e-8)
         assert t2.shape == (50,)
 
+    def test_records_read_their_columns_by_name(self, tmp_path):
+        """u and y are read by name: a header that lists y1 before u1 does not
+        swap them."""
+        path = tmp_path / "rec.csv"
+        path.write_text("time,y1,u1\n0.0,5.0,0.1\n0.005,6.0,0.2\n")
+        t, u, y = sysid.load_records(path)
+        assert t.tolist() == [0.0, 0.005]
+        assert u.tolist() == [[0.1], [0.2]] and y.tolist() == [[5.0], [6.0]]
+
+    @pytest.mark.parametrize("header, message", [
+        ("time,u1,u2,y1,y2,unused", "unexpected record column 'unused'"),
+        ("time,u1,u1,y1", "unexpected record column 'u1'"),
+        ("time,u2,y1", "unexpected record column 'u2'"),
+        ("t,u1,y1", "unexpected record column 't'"),
+        ("time,y1", "missing column 'u1'"),
+    ])
+    def test_other_headers_are_refused_at_line_1(self, tmp_path, header, message):
+        """A column that is not time, u1..uN or y1..yM, each once, or a missing
+        one, is named at line 1, before any row is read."""
+        path = tmp_path / "rec.csv"
+        path.write_text(header + "\n" + ",".join("x" * len(header.split(","))) + "\n")
+        with pytest.raises(sysid.ConfigError, match=re.escape(f"{path}: line 1: {message}")):
+            sysid.load_records(path)
+
     def test_corrupt_record_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("time,u1,y1\n0.0,1.0,2.0\n0.005,oops,3.0\n")

@@ -17,8 +17,8 @@ matrix product, not a replay of the recursion. The regressor comes from
 _recursion_rows, the one blocked linear recursion, which also runs the plant
 for casestudy's identification records: about 3 sqrt(K) Python steps (191 for
 K = 4,001) instead of K, with rows equal to the sample-by-sample recursion up
-to rounding. predict keeps the sample-by-sample form, bit-equal to the
-streaming detector's.
+to rounding. predict and the detector's prediction share _replay, which keeps
+the sample-by-sample bits and runs only A x in a Python step per sample.
 
 The candidates of a record share one QR through a FitWorkspace. The LQ factor
 of [U; Y] at the largest block-row count, top, is a QR of the transposed
@@ -428,21 +428,29 @@ def _fit_input_matrix(a, c, u, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return b, x0, reg
 
 
+def _replay(model: DiscreteModel, x, v) -> tuple[np.ndarray, np.ndarray]:
+    """The (k + 1, order) states x[0] = x, x[j + 1] = A x[j] + B v[j] over the k
+    rows of v, and their outputs C x[j]. B v[j] and C x[j] are one stacked
+    matmul each, which makes the gemv of each row alone: the row-by-row bits."""
+    states = np.empty((v.shape[0] + 1, model.order, 1))  # columns, as matmul writes them
+    states[0, :, 0] = x
+    np.matmul(model.b_d, v[:, :, None], out=states[1:])
+    rows = states[:, :, 0]
+    for j in range(v.shape[0]):
+        rows[j + 1] += model.a_d @ rows[j]
+    return rows, np.matmul(model.c_d, states)[:, :, 0]
+
+
 def predict(model: DiscreteModel, x0: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Run the model recursion: y[k] = C x[k], x[k] = A x[k-1] + B u[k-1]."""
+    """Run the model recursion: y[k] = C x[k], x[k] = A x[k-1] + B u[k-1]; a
+    0-row record gives a (0, n_outputs) prediction."""
     u = _as_record(u)
     if u.shape[1] != model.n_inputs:
         raise ValueError(f"expected {model.n_inputs} input channels, got {u.shape[1]}")
     x = np.asarray(x0, dtype=float)
     if x.shape != (model.order,):
         raise ValueError(f"initial state must have {model.order} entries")
-    n_samples = u.shape[0]
-    y = np.empty((n_samples, model.n_outputs))
-    y[0] = model.c_d @ x
-    for k in range(1, n_samples):
-        x = model.a_d @ x + model.b_d @ u[k - 1]
-        y[k] = model.c_d @ x
-    return y
+    return _replay(model, x, u[:-1])[1][: u.shape[0]]
 
 
 def estimate_initial_state(

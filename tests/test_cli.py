@@ -856,15 +856,20 @@ def test_diverged_linear_run_exits_2_as_the_stepped_run(tmp_path, capsys, monkey
     assert "error: the run diverged at t=0.3900s: mg1_pg_1 = -inf\n" in errors[0]
 
 
-def _simulate_with_threads(tmp_path, config: Path, threads: str) -> Path:
-    """The output directory of simulate on config run with `threads` OpenBLAS threads."""
-    out = tmp_path / threads
+def _run_with_threads(command: str, config: Path, out: Path, threads: str) -> Path:
+    """out, after the CLI ran command on config into it with `threads` OpenBLAS
+    threads, in a process of its own."""
     path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
     subprocess.run([sys.executable, "-c", "import sys; from microagc.cli import main; "
-                    "sys.exit(main())", "simulate", "--config", str(config), "--out", str(out),
+                    "sys.exit(main())", command, "--config", str(config), "--out", str(out),
                     "--quiet"], env=env, check=True)
     return out
+
+
+def _simulate_with_threads(tmp_path, config: Path, threads: str) -> Path:
+    """The output directory of simulate on config run with `threads` OpenBLAS threads."""
+    return _run_with_threads("simulate", config, tmp_path / threads, threads)
 
 
 @pytest.mark.parametrize("config", ["regulation_pulses.cfg", "collaborative.cfg"])
@@ -895,14 +900,26 @@ def test_identify_does_not_depend_on_the_blas_thread_count(tmp_path):
     model.txt, byte for byte, with one OpenBLAS thread and with two."""
     written = []
     for threads in ("1", "2"):
-        out = tmp_path / threads
-        path = os.pathsep.join([str(ROOT / "src"), os.environ.get("PYTHONPATH", "")])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
-        subprocess.run([sys.executable, "-c", "import sys; from microagc.cli import main; "
-                        "sys.exit(main())", "identify", "--config",
-                        str(CONFIGS / "detection_demo.cfg"), "--out", str(out), "--quiet"],
-                       env=env, check=True)
+        out = _run_with_threads("identify", CONFIGS / "detection_demo.cfg", tmp_path / threads,
+                                threads)
         written.append([(out / name).read_bytes() for name in ("order_report.txt", "model.txt")])
+    assert written[0] == written[1]
+
+
+def test_detection_chain_does_not_depend_on_the_blas_thread_count(tmp_path):
+    """From one identify on detection_demo.cfg, calibrate, simulate and detect
+    write the same baseline.txt, timeseries.csv, detector.csv and
+    detector_replay.csv, byte for byte, with one OpenBLAS thread and with two:
+    the detector's prediction and window statistics are stacked BLAS calls."""
+    config, model = CONFIGS / "detection_demo.cfg", tmp_path / "model"
+    assert run(["identify", "--config", config, "--out", model, "--quiet"]) == cli.EXIT_OK
+    written = []
+    for threads in ("1", "2"):
+        out = shutil.copytree(model, tmp_path / threads)
+        for command in ("calibrate", "simulate", "detect"):
+            _run_with_threads(command, config, out, threads)
+        written.append([(out / name).read_bytes() for name in (
+            "baseline.txt", "timeseries.csv", "detector.csv", "detector_replay.csv")])
     assert written[0] == written[1]
 
 

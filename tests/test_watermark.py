@@ -83,6 +83,45 @@ class TestPredictStep:
             m.predict_step(model, np.zeros(2), np.zeros(2), np.zeros(2))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(order=st.integers(1, 12), n_in=st.integers(1, 6), n_out=st.integers(1, 6),
+       k=st.integers(0, 300), w=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+@example(order=3, n_in=2, n_out=2, k=0, w=4, seed=0)  # a 0-row record
+@example(order=12, n_in=6, n_out=6, k=300, w=8, seed=1)
+def test_prediction_and_xi1_equal_the_scalar_loop(order, n_in, n_out, k, w, seed):
+    """predict, predict_step and window_statistics' xi1 give, bit for bit, the
+    row-by-row arithmetic written here: x = A x + B v and C x per row, and
+    sqrt(s @ s) per window. A 0-row record predicts (0, n_outputs)."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(order, order))
+    a *= 0.95 / max(1e-3, float(np.max(np.abs(np.linalg.eigvals(a)))))
+    model = m.DiscreteModel(a_d=a, b_d=rng.normal(size=(order, n_in)),
+                            c_d=rng.normal(size=(n_out, order)), dt=0.005, order=order)
+    x0 = rng.normal(size=order)
+    u, e = rng.normal(size=(k, n_in)), 0.01 * rng.normal(size=(k, n_in))
+
+    x, stepped = x0, np.empty((k, n_out))
+    for j, v in enumerate(u + e):
+        x = model.a_d @ x + model.b_d @ v
+        stepped[j] = model.c_d @ x
+    x_hat, p = m.predict_step(model, x0, u, e)
+    assert p.shape == (k, n_out) and p.tobytes() == stepped.tobytes()
+    assert x_hat.tobytes() == x.tobytes()
+
+    x, replayed = x0, np.empty((k, n_out))
+    for j in range(k):  # y[0] = C x0, then one input row per step
+        replayed[j] = model.c_d @ x
+        x = model.a_d @ x + model.b_d @ u[j]
+    y = m.predict(model, x0, u)
+    assert y.shape == (k, n_out) and y.tobytes() == replayed.tobytes()
+
+    nu = rng.normal(size=(k + w - 1, n_out))
+    stack = np.array([nu[i : i + w] for i in range(k)]).reshape(k, w, n_out)
+    baseline = m.BaselineStats(mu_star=rng.normal(size=n_out), trace=1.0, w=w)
+    xi1, _ = m.window_statistics(stack, baseline)
+    assert xi1.tolist() == [_window_alone(win, baseline)[0] for win in stack]
+
+
 class TestCalibrateBaseline:
     def test_perfect_model_zero_stats(self):
         data = np.random.default_rng(3).normal(size=(150, 2))
